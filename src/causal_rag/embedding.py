@@ -158,11 +158,14 @@ class EmbeddingCache:
     One line per vector: {"key", "model", "dim", "vector"}. All vectors of a
     model must share one dimension; a mismatch is rejected at insert time.
     Reads are lock-free against the in-memory map; writes are serialized.
+    `fill` computes a missing vector at most once however many threads ask
+    for it at the same time.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._flights: dict[tuple[str, str], threading.Lock] = {}
         self._vectors: dict[tuple[str, str], EmbeddingVector] = {}
         self._dims: dict[str, int] = {}
         if self.path.exists():
@@ -214,9 +217,27 @@ class EmbeddingCache:
             self._vectors[(key.content_hash, key.model_id)] = vector
             self._dims[key.model_id] = vector.dim
 
+    def fill(self, key: EmbeddingKey, compute: Callable[[], EmbeddingVector]) -> EmbeddingVector:
+        """Return the vector cached under `key`, computing and storing it
+        when absent. Concurrent fills of one key run one at a time, so only
+        the first computes; if it raises, the next one tries again."""
+        slot = (key.content_hash, key.model_id)
+        with self._lock:
+            flight = self._flights.setdefault(slot, threading.Lock())
+        with flight:
+            vector = self._vectors.get(slot)
+            if vector is None:
+                vector = compute()
+                self.put(key, vector)
+            with self._lock:
+                if self._flights.get(slot) is flight:
+                    del self._flights[slot]
+        return vector
+
 
 def embed(text: str, provider: EmbeddingProvider, cache: EmbeddingCache | None = None) -> EmbeddingVector:
-    """Fetch one embedding, going to the provider only on a cache miss."""
+    """Fetch one embedding, going to the provider only on a cache miss;
+    concurrent misses on one text make a single provider call."""
     if not text.strip():
         raise ValueError("cannot embed empty text")
     if cache is None:
@@ -225,9 +246,7 @@ def embed(text: str, provider: EmbeddingProvider, cache: EmbeddingCache | None =
     hit = cache.get(key)
     if hit is not None:
         return hit
-    vector = provider.embed_text(text)
-    cache.put(key, vector)
-    return vector
+    return cache.fill(key, lambda: provider.embed_text(text))
 
 
 @dataclass

@@ -161,19 +161,31 @@ def triplet_compatible(gold: Triplet, predicted: Triplet) -> bool:
     )
 
 
+def _by_sentence(triplets: Sequence[Triplet]) -> dict[str, list[Triplet]]:
+    """Triplets grouped by sentence id, each group in the given order."""
+    groups: dict[str, list[Triplet]] = {}
+    for triplet in triplets:
+        groups.setdefault(triplet.sentence_id, []).append(triplet)
+    return groups
+
+
 def _greedy_matched(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
-    used = [False] * len(predicted)
+    """Each gold triplet, in order, takes the first unused compatible
+    prediction. Only same-sentence predictions can be compatible, so each
+    gold triplet scans just its own sentence's remaining predictions."""
+    unused = _by_sentence(predicted)
     matched = 0
     for g in gold:
-        for i, p in enumerate(predicted):
-            if not used[i] and triplet_compatible(g, p):
-                used[i] = True
+        pool = unused.get(g.sentence_id, ())
+        for i, p in enumerate(pool):
+            if triplet_compatible(g, p):
+                del pool[i]
                 matched += 1
                 break
     return matched
 
 
-def _optimal_matched(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
+def _max_matching(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
     """Maximum bipartite matching via augmenting paths."""
     compat = [
         [triplet_compatible(g, p) for p in predicted]
@@ -195,6 +207,16 @@ def _optimal_matched(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> i
         if augment(gi, [False] * len(predicted)):
             matched += 1
     return matched
+
+
+def _optimal_matched(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
+    """Compatible pairs never cross sentences, so the maximum matching is
+    the sum of each sentence's own maximum matching."""
+    candidates = _by_sentence(predicted)
+    return sum(
+        _max_matching(group, candidates.get(sentence_id, ()))
+        for sentence_id, group in _by_sentence(gold).items()
+    )
 
 
 def triplet_metrics(

@@ -16,6 +16,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -49,6 +50,23 @@ class CompletionRequest:
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
 
+    @cached_property
+    def digest(self) -> str:
+        """sha256 identity of the request, computed on first use and kept,
+        so every backend and the runner share one hash per request."""
+        payload = json.dumps(
+            {
+                "model_id": self.model_id,
+                "system_text": self.system_text,
+                "temperature": self.temperature,
+                "user_text": self.user_text,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+            ensure_ascii=False,
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
 
 @dataclass(frozen=True)
 class CompletionResponse:
@@ -65,18 +83,7 @@ class TranscriptEntry:
 
 def request_hash(req: CompletionRequest) -> str:
     """Deterministic identity of a request; excludes max_output_tokens."""
-    payload = json.dumps(
-        {
-            "model_id": req.model_id,
-            "system_text": req.system_text,
-            "temperature": req.temperature,
-            "user_text": req.user_text,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return req.digest
 
 
 def _utc_now() -> str:

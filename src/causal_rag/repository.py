@@ -18,6 +18,7 @@ import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -69,6 +70,11 @@ class Repository:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def sorted_ids(self) -> tuple[str, ...]:
+        """Record ids in ascending order, sorted once per repository."""
+        return tuple(sorted(self.records))
 
 
 def normalize_connective(text: str) -> str:
@@ -262,7 +268,7 @@ def save_repository(repo: Repository, path: str | Path) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(header + "\n")
-            for record_id in sorted(repo.records):
+            for record_id in repo.sorted_ids:
                 handle.write(
                     json.dumps(
                         _record_to_json(repo.records[record_id]),

@@ -109,7 +109,7 @@ def retrieve_random(repo: Repository, cfg: RetrievalConfig, salt: str = "") -> R
     """Seeded uniform sample of min(k, |repo|) records, without replacement."""
     if not repo.records:
         raise ValueError("repository is empty")
-    ids = sorted(repo.records)
+    ids = repo.sorted_ids
     chosen = _rng(cfg, salt).sample(ids, min(cfg.k, len(ids)))
     return RetrievalResult(
         examples=tuple(repo.records[rid] for rid in chosen),

@@ -266,30 +266,6 @@ def _process_instance(
     }
 
 
-def _score(
-    config: ExperimentConfig,
-    instances: Sequence[LabeledInstance],
-    records: dict[str, dict],
-    catalog: PromptCatalog,
-) -> dict:
-    config_echo = {
-        "task": config.task,
-        "strategy": config.strategy.value,
-        "k": config.k,
-        "seed": config.seed,
-        "matcher": config.matcher,
-        "threshold": config.similarity_threshold,
-        "catalog_version": catalog.version,
-        "model_id": config.model_id,
-        "backend": config.backend,
-        "single_pair": config.single_pair,
-        "matching": config.matching,
-    }
-    return _score_records(
-        config.task, config.single_pair, config.matching, config_echo, instances, records
-    )
-
-
 def _score_records(
     task: str,
     single_pair: bool,
@@ -361,15 +337,15 @@ def _score_records(
     return report
 
 
-def _existing_ids(path: Path) -> set[str]:
-    ids: set[str] = set()
-    if not path.exists():
-        return ids
+def _load_records(path: str | Path) -> dict[str, dict]:
+    """A prediction file's records by sentence id; a later line wins."""
+    records: dict[str, dict] = {}
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             if line.strip():
-                ids.add(json.loads(line)["sentence_id"])
-    return ids
+                record = json.loads(line)
+                records[record["sentence_id"]] = record
+    return records
 
 
 def run_experiment(
@@ -382,7 +358,8 @@ def run_experiment(
 
     Existing output ids are skipped unless config.force; new records are
     appended in sentence-id order. Metrics always cover the full instance
-    set (existing records are reloaded and rescored)."""
+    set: the existing records, read once before the run, are scored
+    together with the new ones."""
     catalog = catalog or (
         load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
     )
@@ -417,8 +394,9 @@ def run_experiment(
     output_path = Path(config.output_path)
     if config.force and output_path.exists():
         output_path.unlink()
-    existing = _existing_ids(output_path)
-    todo = [inst for inst in instances if inst.sentence.id not in existing]
+    records = _load_records(output_path) if output_path.exists() else {}
+    skipped_existing = len(records)
+    todo = [inst for inst in instances if inst.sentence.id not in records]
     todo.sort(key=lambda inst: inst.sentence.id)
 
     def work(instance: LabeledInstance) -> tuple[dict | None, ProviderError | None]:
@@ -453,17 +431,27 @@ def run_experiment(
         )
         raise failures[0]
 
-    records: dict[str, dict] = {}
-    with open(output_path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                record = json.loads(line)
-                records[record["sentence_id"]] = record
+    records.update((record["sentence_id"], record) for record in fresh)
     missing = [i.sentence.id for i in instances if i.sentence.id not in records]
     if missing:
         raise ValueError(f"output lacks records for: {missing[:5]}")
 
-    report = _score(config, instances, records, catalog)
+    config_echo = {
+        "task": config.task,
+        "strategy": config.strategy.value,
+        "k": config.k,
+        "seed": config.seed,
+        "matcher": config.matcher,
+        "threshold": config.similarity_threshold,
+        "catalog_version": catalog.version,
+        "model_id": config.model_id,
+        "backend": config.backend,
+        "single_pair": config.single_pair,
+        "matching": config.matching,
+    }
+    report = _score_records(
+        config.task, config.single_pair, config.matching, config_echo, instances, records
+    )
     report_path = output_path.with_suffix(output_path.suffix + ".metrics.json")
     report_path.write_text(
         json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
@@ -474,7 +462,7 @@ def run_experiment(
         records=ordered,
         report=report,
         output_path=str(output_path),
-        skipped_existing=len(existing),
+        skipped_existing=skipped_existing,
     )
 
 
@@ -552,12 +540,7 @@ def eval_predictions(
     """Re-score an existing prediction file against its dataset."""
     split = load_dataset(dataset_path, dataset_format)
     instances = _select_instances(split, task)
-    records: dict[str, dict] = {}
-    with open(predictions_path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                record = json.loads(line)
-                records[record["sentence_id"]] = record
+    records = _load_records(predictions_path)
     scored = [inst for inst in instances if inst.sentence.id in records]
     if not scored:
         raise ValueError("no overlapping sentence ids between predictions and dataset")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -121,6 +123,98 @@ def test_embed_provider_dim_change_rejected(tmp_path) -> None:
     embed("first text", provider, cache)
     with pytest.raises(DimensionMismatchError):
         embed("second text", provider, cache)
+
+
+class _MissTogetherCache(EmbeddingCache):
+    """A cache whose lookups return only once two threads have looked, so
+    both callers are certain to miss before either stores a vector."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.both_looked = threading.Barrier(2)
+
+    def get(self, key):
+        held = super().get(key)
+        self.both_looked.wait(timeout=10)
+        return held
+
+
+class _CountingEmbedder:
+    def __init__(self) -> None:
+        self.inner = LocalHashEmbedder(dim=8)
+        self.model_id = self.inner.model_id
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def embed_text(self, text: str) -> EmbeddingVector:
+        with self._lock:
+            self.calls += 1
+        return self.inner.embed_text(text)
+
+
+def test_concurrent_misses_make_one_provider_call(tmp_path) -> None:
+    path = tmp_path / "c.jsonl"
+    cache = _MissTogetherCache(path)
+    embedder = _CountingEmbedder()
+    results: list[EmbeddingVector] = []
+
+    def worker() -> None:
+        results.append(embed("smoking causes cancer", embedder, cache))
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 2
+    assert embedder.calls == 1
+    assert results[0] == results[1]
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_concurrent_embedding_stress_embeds_each_text_once(tmp_path) -> None:
+    path = tmp_path / "c.jsonl"
+    cache = EmbeddingCache(path)
+    embedder = _CountingEmbedder()
+    texts = [f"text number {i}" for i in range(40)]
+    served: dict[str, set[tuple[float, ...]]] = {text: set() for text in texts}
+    lock = threading.Lock()
+
+    def worker(offset: int) -> None:
+        for text in texts[offset:] + texts[:offset]:
+            values = embed(text, embedder, cache).values
+            with lock:
+                served[text].add(values)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i % 3,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert embedder.calls == len(texts)
+    assert all(len(values) == 1 for values in served.values())
+    assert len(path.read_text(encoding="utf-8").splitlines()) == len(texts)
+
+
+def test_fill_retries_after_a_failed_embedding(tmp_path) -> None:
+    cache = EmbeddingCache(tmp_path / "c.jsonl")
+    key = embedding_key("a b", "m")
+
+    def fail() -> EmbeddingVector:
+        raise ProviderError("provider down")
+
+    with pytest.raises(ProviderError):
+        cache.fill(key, fail)
+    assert cache.get(key) is None
+    assert cache.fill(key, lambda: vec(1.0, 2.0)) == vec(1.0, 2.0)
+    assert cache.fill(key, fail) == vec(1.0, 2.0)
 
 
 def test_embed_rejects_empty_text() -> None:

@@ -292,6 +292,85 @@ def test_triplet_rejects_unknown_matching() -> None:
         triplet_metrics([], [], matching="hungarian")
 
 
+def test_triplet_identical_phrases_under_different_sentence_ids() -> None:
+    gold = [t("a", "rain", "floods"), t("b", "rain", "floods")]
+    # both predictions belong to b: a's gold triplet cannot borrow one
+    only_b = [t("b", "rain", "floods"), t("b", "rain", "floods")]
+    for matching in ("greedy", "optimal"):
+        metrics = triplet_metrics(gold, only_b, matching)
+        assert (metrics.matched, metrics.precision, metrics.recall) == (1, 0.5, 0.5)
+        both = triplet_metrics(gold, list(reversed(gold)), matching)
+        assert both.matched == 2
+
+
+def test_triplet_predictions_for_a_sentence_without_gold() -> None:
+    gold = [t("a", "x", "y")]
+    predicted = [t("z", "x", "y"), t("z", "x", "y"), t("a", "x", "y")]
+    for matching in ("greedy", "optimal"):
+        metrics = triplet_metrics(gold, predicted, matching)
+        assert metrics.matched == 1
+        assert metrics.precision == pytest.approx(1 / 3)
+        assert metrics.recall == 1.0
+        unmatched = triplet_metrics([], predicted, matching)
+        assert (unmatched.matched, unmatched.precision, unmatched.recall) == (0, 0.0, 0.0)
+
+
+# --- oracle: the all-pairs matchers, comparing across sentences --------------
+
+
+def _all_pairs_greedy(gold: list[Triplet], predicted: list[Triplet]) -> int:
+    used = [False] * len(predicted)
+    matched = 0
+    for g in gold:
+        for i, p in enumerate(predicted):
+            if not used[i] and triplet_compatible_for_test(g, p):
+                used[i] = True
+                matched += 1
+                break
+    return matched
+
+
+def _all_pairs_optimal(gold: list[Triplet], predicted: list[Triplet]) -> int:
+    compat = [[triplet_compatible_for_test(g, p) for p in predicted] for g in gold]
+    owner: list[int | None] = [None] * len(predicted)
+
+    def augment(gi: int, seen: list[bool]) -> bool:
+        for pi in range(len(predicted)):
+            if compat[gi][pi] and not seen[pi]:
+                seen[pi] = True
+                if owner[pi] is None or augment(owner[pi], seen):
+                    owner[pi] = gi
+                    return True
+        return False
+
+    return sum(1 for gi in range(len(gold)) if augment(gi, [False] * len(predicted)))
+
+
+def test_triplet_per_sentence_matching_equals_all_pairs_oracle_seeded() -> None:
+    rng = random.Random(2024)
+    sentence_ids = ["s1", "s2", "s3"]
+    # two words only, so phrases repeat across sentences and one prediction
+    # often contains several gold triplets: greedy then depends on order
+    words = WORDS[:2]
+
+    def triplets(count: int, max_words: int) -> list[Triplet]:
+        def phrase() -> str:
+            return " ".join(rng.choice(words) for _ in range(rng.randrange(1, max_words + 1)))
+
+        return [t(rng.choice(sentence_ids), phrase(), phrase()) for _ in range(count)]
+
+    greedy_below_optimal = 0
+    for _ in range(1000):
+        gold = triplets(rng.randrange(0, 10), 1)
+        predicted = triplets(rng.randrange(0, 10), 2)
+        greedy = triplet_metrics(gold, predicted, "greedy").matched
+        optimal = triplet_metrics(gold, predicted, "optimal").matched
+        assert greedy == _all_pairs_greedy(gold, predicted)
+        assert optimal == _all_pairs_optimal(gold, predicted)
+        greedy_below_optimal += greedy < optimal
+    assert greedy_below_optimal > 0
+
+
 def test_metric_bounds_seeded() -> None:
     rng = random.Random(123)
     for _ in range(50):

@@ -124,6 +124,24 @@ def test_resume_completes_a_partial_output(tmp_path):
     assert resumed.report["metrics"] == full.report["metrics"]
 
 
+def test_resume_after_half_the_instances_matches_a_full_run(tmp_path):
+    full_out = tmp_path / "full.jsonl"
+    full = run_experiment(replay_config(tmp_path, "extract", StrategyKind.KNN, out=full_out))
+    rows = (FIXTURES / "extract.jsonl").read_text(encoding="utf-8").splitlines()
+    rows.sort(key=lambda row: json.loads(row)["id"])
+    half = tmp_path / "half.jsonl"
+    half.write_text("".join(row + "\n" for row in rows[: len(rows) // 2]), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    run_experiment(replay_config(tmp_path, "extract", StrategyKind.KNN, out=out, dataset=half))
+    resumed = run_experiment(replay_config(tmp_path, "extract", StrategyKind.KNN, out=out))
+    assert resumed.skipped_existing == len(rows) // 2
+    assert resumed.records == full.records
+    assert resumed.report == full.report
+    assert out.read_bytes() == full_out.read_bytes()
+    metrics = Path(f"{out}.metrics.json").read_bytes()
+    assert metrics == Path(f"{full_out}.metrics.json").read_bytes()
+
+
 def test_provider_failure_keeps_completed_records(tmp_path):
     poisoned = "The rumor triggered a bank run."
     inner = FixtureResponder()
