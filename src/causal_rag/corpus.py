@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import string
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -39,6 +40,17 @@ def normalize_ws(text: str) -> str:
     return WS_RE.sub(" ", text).strip()
 
 
+def norm_tokens(phrase: str) -> tuple[str, ...]:
+    """Lowercase tokens with edge punctuation stripped; inner punctuation
+    (hyphens, apostrophes) stays, so "troglitazone-induced" is one token."""
+    out = []
+    for token in phrase.lower().split():
+        token = token.strip(string.punctuation)
+        if token:
+            out.append(token)
+    return tuple(out)
+
+
 def strip_tags(tagged_text: str) -> str:
     """Remove cause/effect tag markers and normalize whitespace.
 
@@ -56,6 +68,11 @@ def make_sentence_id(source: str, ordinal: int) -> str:
 class CauseEffectPair:
     cause: str
     effect: str
+
+
+def pair_overlap(pair: CauseEffectPair) -> bool:
+    """True when the cause and the effect share a normalized token."""
+    return bool(set(norm_tokens(pair.cause)) & set(norm_tokens(pair.effect)))
 
 
 @dataclass(frozen=True)

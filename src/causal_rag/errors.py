@@ -58,16 +58,6 @@ class SchemaVersionMismatchError(CausalRagError):
     """Repository file carries an unsupported schema_version."""
 
 
-class CorruptRecordError(CausalRagError):
-    """Repository file line cannot be decoded into a record."""
-
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
-
 # --- providers (chat + embeddings) ------------------------------------------
 
 

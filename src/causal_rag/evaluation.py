@@ -9,11 +9,10 @@ illness" does not match "foodborne illness".
 
 from __future__ import annotations
 
-import string
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .corpus import CauseEffectPair, Triplet
+from .corpus import CauseEffectPair, Triplet, norm_tokens, pair_overlap
 from .errors import EmptyInputError
 from .kernels import token_subsequence
 
@@ -58,17 +57,6 @@ class ExtractionOutcome:
     overlap_flag: bool
 
 
-def norm_tokens(phrase: str) -> tuple[str, ...]:
-    """Lowercase tokens with edge punctuation stripped; inner punctuation
-    (hyphens, apostrophes) stays, so "troglitazone-induced" is one token."""
-    out = []
-    for token in phrase.lower().split():
-        token = token.strip(string.punctuation)
-        if token:
-            out.append(token)
-    return tuple(out)
-
-
 def containment_match(gold_phrase: str, predicted_phrase: str) -> bool:
     """True iff gold's token sequence occurs contiguously in predicted's."""
     if not gold_phrase.strip():
@@ -110,10 +98,6 @@ def detection_metrics(preds: Sequence[tuple[int, int]]) -> DetectionMetrics:
     )
 
 
-def _pair_overlap(pair: CauseEffectPair) -> bool:
-    return bool(set(norm_tokens(pair.cause)) & set(norm_tokens(pair.effect)))
-
-
 def single_pair_accuracy(
     items: Sequence[tuple[str, CauseEffectPair, CauseEffectPair | None]],
 ) -> tuple[float, list[ExtractionOutcome]]:
@@ -146,7 +130,7 @@ def single_pair_accuracy(
                 success=cause_ok and effect_ok,
                 cause_matched=cause_ok,
                 effect_matched=effect_ok,
-                overlap_flag=_pair_overlap(predicted),
+                overlap_flag=pair_overlap(predicted),
             )
         )
     accuracy = sum(1 for o in outcomes if o.success) / len(outcomes)

@@ -306,11 +306,6 @@ class ScriptedBackend:
         return CompletionResponse(text=text, provider_meta={"scripted": True})
 
 
-def complete(req: CompletionRequest, backend: Backend) -> CompletionResponse:
-    """Run one completion through whichever backend is configured."""
-    return backend.complete(req)
-
-
 @dataclass
 class LlmClient:
     """A model handle: fixed decoding settings plus a backend."""

@@ -10,13 +10,12 @@ recorded transcripts instead of silently mixing wordings.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import CauseEffectPair, normalize_ws
+from .corpus import CauseEffectPair, normalize_ws, pair_overlap
 from .errors import UnparseableResponseError
 
 if TYPE_CHECKING:
@@ -244,15 +243,6 @@ def parse_detection(response: str) -> DetectionPrediction:
     return DetectionPrediction(label=int(match.group(0)), raw_response=response)
 
 
-def _tokens(phrase: str) -> list[str]:
-    out = []
-    for token in phrase.lower().split():
-        token = token.strip(string.punctuation)
-        if token:
-            out.append(token)
-    return out
-
-
 def parse_extraction(response: str) -> ExtractionPrediction:
     """Extract tagged cause/effect spans and pair them positionally.
 
@@ -279,7 +269,7 @@ def parse_extraction(response: str) -> ExtractionPrediction:
     pairs = tuple(
         CauseEffectPair(cause=c, effect=e) for c, e in zip(causes[:paired], effects[:paired])
     )
-    overlap = any(set(_tokens(p.cause)) & set(_tokens(p.effect)) for p in pairs)
+    overlap = any(pair_overlap(p) for p in pairs)
     return ExtractionPrediction(
         pairs=pairs, raw_response=response, overlap_flag=overlap, dropped_spans=dropped
     )

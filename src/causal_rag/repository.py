@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .corpus import CauseEffectPair, TaggedSentence, normalize_ws
 from .errors import (
-    CorruptRecordError,
+    MalformedRecordError,
     SchemaVersionMismatchError,
     UnparseableResponseError,
 )
@@ -75,6 +75,12 @@ class Repository:
     def sorted_ids(self) -> tuple[str, ...]:
         """Record ids in ascending order, sorted once per repository."""
         return tuple(sorted(self.records))
+
+    @cached_property
+    def normalized_keys(self) -> tuple[tuple[str, str], ...]:
+        """(index key, normalized key) in index order, normalized once per
+        repository; a loaded file may hold keys that are not normalized."""
+        return tuple((key, normalize_connective(key)) for key in self.index)
 
 
 def normalize_connective(text: str) -> str:
@@ -248,9 +254,9 @@ def _record_from_json(obj: dict, line_no: int) -> ExampleRecord:
             connective_unverified=bool(obj.get("connective_unverified", False)),
         )
     except (KeyError, TypeError) as exc:
-        raise CorruptRecordError(f"bad record field: {exc}", line_no) from None
+        raise MalformedRecordError(f"bad record field: {exc}", line_no) from None
     if not record.connectives:
-        raise CorruptRecordError(f"record {record.id} has no connectives", line_no)
+        raise MalformedRecordError(f"record {record.id} has no connectives", line_no)
     return record
 
 
@@ -289,13 +295,13 @@ def load_repository(path: str | Path) -> Repository:
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
-        raise CorruptRecordError("repository file is empty (missing header)", 1)
+        raise MalformedRecordError("repository file is empty (missing header)", 1)
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError:
-        raise CorruptRecordError("unreadable header line", 1) from None
+        raise MalformedRecordError("unreadable header line", 1) from None
     if not isinstance(header, dict) or "schema_version" not in header:
-        raise CorruptRecordError("first line is not a repository header", 1)
+        raise MalformedRecordError("first line is not a repository header", 1)
     if header["schema_version"] != SCHEMA_VERSION:
         raise SchemaVersionMismatchError(
             f"schema_version {header['schema_version']!r}, expected {SCHEMA_VERSION}"
@@ -304,7 +310,7 @@ def load_repository(path: str | Path) -> Repository:
         cap = int(header["cap"])
         seed = int(header["seed"])
     except (KeyError, ValueError, TypeError):
-        raise CorruptRecordError("header lacks integer cap/seed", 1) from None
+        raise MalformedRecordError("header lacks integer cap/seed", 1) from None
 
     records: dict[str, ExampleRecord] = {}
     for line_no, line in enumerate(lines[1:], start=2):
@@ -313,10 +319,10 @@ def load_repository(path: str | Path) -> Repository:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:
-            raise CorruptRecordError("unreadable record line", line_no) from None
+            raise MalformedRecordError("unreadable record line", line_no) from None
         record = _record_from_json(obj, line_no)
         if record.id in records:
-            raise CorruptRecordError(f"duplicate record id {record.id}", line_no)
+            raise MalformedRecordError(f"duplicate record id {record.id}", line_no)
         records[record.id] = record
 
     index = build_index(records.values(), cap, seed)

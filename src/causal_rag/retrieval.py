@@ -98,10 +98,26 @@ def connective_similarity(a: str, b: str, matcher: str = "edit_ratio") -> float:
     b = normalize_connective(b)
     if not a or not b:
         raise EmptyConnectiveError("connectives must be non-empty")
+    return _similarity(a, b, matcher, 0.0)
+
+
+def _similarity(a: str, b: str, matcher: str, floor: float) -> float:
+    """`connective_similarity` of two normalized, non-empty connectives, or
+    0.0 when the edit_ratio term cannot exceed `floor` (>= 0).
+
+    The edit distance is at least the length gap, and 1 - d/max(len) only
+    falls as d grows, so a length ratio at or below floor bounds the ratio at
+    or below floor too. Containment scores 1.0 at any length, so it is tested
+    first. At floor 0.0 nothing is skipped: the gap is below max(len).
+    """
     if matcher == "token_containment":
         needle, haystack = (a, b) if len(a) <= len(b) else (b, a)
         if token_subsequence(tuple(needle.split(" ")), tuple(haystack.split(" "))):
             return 1.0
+    la = len(a)
+    lb = len(b)
+    if 1.0 - abs(la - lb) / max(la, lb) <= floor:
+        return 0.0
     return edit_ratio(a, b)
 
 
@@ -148,11 +164,16 @@ def _pattern_candidates(
     normalized = [normalize_connective(c) for c in input_connectives]
     normalized = [c for c in normalized if c]
     best: dict[str, tuple[float, str]] = {}
-    for key in repo.index:
+    if not normalized:
+        return best
+    threshold = cfg.similarity_threshold
+    for key, norm_key in repo.normalized_keys:
+        if not norm_key:
+            raise EmptyConnectiveError("connectives must be non-empty")
         key_score = 0.0
         for connective in normalized:
-            key_score = max(key_score, connective_similarity(connective, key, cfg.matcher))
-        if key_score <= cfg.similarity_threshold:
+            key_score = max(key_score, _similarity(connective, norm_key, cfg.matcher, threshold))
+        if key_score <= threshold:
             continue
         for rid in repo.index[key]:
             held = best.get(rid)

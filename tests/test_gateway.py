@@ -25,7 +25,6 @@ from causal_rag.gateway import (
     ScriptedBackend,
     Transcript,
     TranscriptEntry,
-    complete,
     post_with_retry,
     request_hash,
 )
@@ -105,7 +104,7 @@ def test_replay_hit_and_miss(tmp_path) -> None:
     transcript = Transcript(path)
     transcript.append(TranscriptEntry(request_hash(req), "1", "ts"))
     backend = ReplayBackend(transcript)
-    assert complete(req, backend).text == "1"
+    assert backend.complete(req).text == "1"
     missing = _req(user_text="Sentence: something else")
     with pytest.raises(ReplayMissError) as excinfo:
         backend.complete(missing)

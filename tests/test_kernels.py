@@ -1,10 +1,9 @@
-"""String kernels: both backends against an independent oracle.
+"""String kernels against an independent oracle.
 
 The oracle is a straightforward full-matrix edit-distance DP written here
-from the recurrence, sharing no code with either backend. Both backends are
-imported directly (not through the package selector) so the suite always
-exercises the compiled and the pure-Python implementation, whichever one
-the package itself picked.
+from the recurrence, sharing no code with the bit-parallel `levenshtein`.
+Strings run to 130 characters, so the bit vectors span more than two 64-bit
+words.
 """
 
 from __future__ import annotations
@@ -13,18 +12,13 @@ import random
 
 import pytest
 
+import causal_rag
 from causal_rag import kernels
-from causal_rag.kernels import _pykernels
-
-BACKENDS = [_pykernels]
-try:
-    from causal_rag.kernels import _ckernels
-
-    BACKENDS.append(_ckernels)
-except ImportError:
-    _ckernels = None
 
 ALPHABET = "abcde -"
+BINARY = "ab"
+LETTERS = "abcdefghijklmnopqrstuvwxyz "
+NON_ASCII = "aé中ß😀 -"
 
 
 def reference_levenshtein(a: str, b: str) -> int:
@@ -46,101 +40,124 @@ def reference_levenshtein(a: str, b: str) -> int:
     return table[-1][-1]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-class TestBothBackends:
-    def test_levenshtein_anchors(self, impl):
-        assert impl.levenshtein("", "") == 0
-        assert impl.levenshtein("", "abc") == 3
-        assert impl.levenshtein("abc", "") == 3
-        assert impl.levenshtein("kitten", "sitting") == 3
-        assert impl.levenshtein("caused by", "caused by the") == 4
+def _word(rng: random.Random, alphabet: str, length: int) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(length))
 
-    def test_edit_ratio_anchors(self, impl):
-        assert impl.edit_ratio("", "") == 1.0
-        assert impl.edit_ratio("same", "same") == 1.0
-        assert impl.edit_ratio("abc", "xyz") == 0.0
-        # distance 4 over max length 13
-        assert impl.edit_ratio("caused by", "caused by the") == pytest.approx(
-            1.0 - 4.0 / 13.0
-        )
-        # one substitution over length 8
-        assert impl.edit_ratio("lead to", "leads to") == 0.875
 
-    def test_token_subsequence_anchors(self, impl):
-        assert impl.token_subsequence((), ("a", "b")) is True
-        assert impl.token_subsequence(("a",), ()) is False
-        assert impl.token_subsequence(("b", "c"), ("a", "b", "c", "d")) is True
-        assert impl.token_subsequence(("b", "d"), ("a", "b", "c", "d")) is False
-        assert impl.token_subsequence(("a", "b"), ("a", "b")) is True
-        # contiguity: gaps do not count
-        assert impl.token_subsequence(("a", "c"), ("a", "b", "c")) is False
-
-    def test_levenshtein_matches_reference_dp(self, impl):
-        rng = random.Random(20240811)
-        for _ in range(300):
-            a = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 12)))
-            b = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 12)))
-            assert impl.levenshtein(a, b) == reference_levenshtein(a, b), (a, b)
-
-    def test_levenshtein_metric_properties(self, impl):
-        rng = random.Random(7)
-        samples = [
-            "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 10)))
-            for _ in range(40)
-        ]
-        for a in samples[:12]:
-            assert impl.levenshtein(a, a) == 0
-        for a, b in zip(samples, samples[1:]):
-            assert impl.levenshtein(a, b) == impl.levenshtein(b, a)
-            assert abs(len(a) - len(b)) <= impl.levenshtein(a, b) <= max(len(a), len(b)) or (
-                a == b and impl.levenshtein(a, b) == 0
+def _pairs(rng: random.Random):
+    """Seeded pairs: random strings over small and large alphabets, lengths
+    around each 64-bit word boundary, runs of one repeated character,
+    periodic strings, and non-ASCII text."""
+    for alphabet in (BINARY, LETTERS, NON_ASCII):
+        for _ in range(60):
+            yield (
+                _word(rng, alphabet, rng.randint(0, 130)),
+                _word(rng, alphabet, rng.randint(0, 130)),
             )
-        for a, b, c in zip(samples, samples[1:], samples[2:]):
-            assert impl.levenshtein(a, c) <= impl.levenshtein(a, b) + impl.levenshtein(b, c)
-
-    def test_edit_ratio_bounds_and_symmetry(self, impl):
-        rng = random.Random(99)
-        for _ in range(200):
-            a = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 10)))
-            b = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 10)))
-            ratio = impl.edit_ratio(a, b)
-            assert 0.0 <= ratio <= 1.0
-            assert ratio == impl.edit_ratio(b, a)
-            if a == b:
-                assert ratio == 1.0
-
-    def test_token_subsequence_matches_slice_scan(self, impl):
-        rng = random.Random(4242)
-        vocab = ("u", "v", "w", "x")
-        for _ in range(300):
-            haystack = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
-            needle = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 4)))
-            expected = any(
-                haystack[i : i + len(needle)] == needle
-                for i in range(len(haystack) - len(needle) + 1)
-            ) or len(needle) == 0
-            assert impl.token_subsequence(needle, haystack) is expected, (needle, haystack)
+        for _ in range(60):
+            yield (
+                _word(rng, alphabet, rng.randint(0, 12)),
+                _word(rng, alphabet, rng.randint(0, 12)),
+            )
+    for length in (1, 63, 64, 65, 127, 128, 129, 130):
+        base = _word(rng, LETTERS, length)
+        edited = list(base)
+        for _ in range(rng.randint(1, 5)):
+            edited[rng.randrange(len(edited))] = rng.choice(LETTERS)
+        yield base, "".join(edited)
+        yield base, base[1:] + rng.choice(LETTERS)
+        yield base, _word(rng, LETTERS, rng.randint(0, 130))
+    for _ in range(20):
+        yield "a" * rng.randint(0, 130), "a" * rng.randint(0, 130)
+        yield "a" * rng.randint(0, 130), "b" * rng.randint(0, 130)
+        yield "ab" * rng.randint(0, 65), "ba" * rng.randint(0, 65)
+        yield "x" * rng.randint(0, 66) + "y", "y" + "x" * rng.randint(0, 66)
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
-def test_backends_agree_bit_for_bit():
-    rng = random.Random(31337)
-    for _ in range(500):
-        a = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 14)))
-        b = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 14)))
-        assert _pykernels.levenshtein(a, b) == _ckernels.levenshtein(a, b)
-        assert _pykernels.edit_ratio(a, b) == _ckernels.edit_ratio(a, b)
-    vocab = ("p", "q", "r")
+def test_levenshtein_anchors():
+    assert kernels.levenshtein("", "") == 0
+    assert kernels.levenshtein("", "abc") == 3
+    assert kernels.levenshtein("abc", "") == 3
+    assert kernels.levenshtein("kitten", "sitting") == 3
+    assert kernels.levenshtein("caused by", "caused by the") == 4
+    assert kernels.levenshtein("a" * 130, "") == 130
+    assert kernels.levenshtein("a" * 130, "a" * 65) == 65
+
+
+def test_edit_ratio_anchors():
+    assert kernels.edit_ratio("", "") == 1.0
+    assert kernels.edit_ratio("same", "same") == 1.0
+    assert kernels.edit_ratio("abc", "xyz") == 0.0
+    # distance 4 over max length 13
+    assert kernels.edit_ratio("caused by", "caused by the") == pytest.approx(1.0 - 4.0 / 13.0)
+    # one substitution over length 8
+    assert kernels.edit_ratio("lead to", "leads to") == 0.875
+
+
+def test_token_subsequence_anchors():
+    assert kernels.token_subsequence((), ("a", "b")) is True
+    assert kernels.token_subsequence(("a",), ()) is False
+    assert kernels.token_subsequence(("b", "c"), ("a", "b", "c", "d")) is True
+    assert kernels.token_subsequence(("b", "d"), ("a", "b", "c", "d")) is False
+    assert kernels.token_subsequence(("a", "b"), ("a", "b")) is True
+    # contiguity: gaps do not count
+    assert kernels.token_subsequence(("a", "c"), ("a", "b", "c")) is False
+
+
+def test_levenshtein_matches_reference_dp():
+    rng = random.Random(20240811)
+    checked = 0
+    for a, b in _pairs(rng):
+        expected = reference_levenshtein(a, b)
+        assert kernels.levenshtein(a, b) == expected, (a, b)
+        assert kernels.levenshtein(b, a) == expected, (b, a)
+        ratio = 1.0 if a == b else 1.0 - expected / max(len(a), len(b))
+        assert kernels.edit_ratio(a, b) == ratio, (a, b)
+        checked += 1
+    assert checked > 400
+
+
+def test_levenshtein_metric_properties():
+    rng = random.Random(7)
+    samples = [
+        "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 10))) for _ in range(40)
+    ]
+    for a in samples[:12]:
+        assert kernels.levenshtein(a, a) == 0
+    for a, b in zip(samples, samples[1:]):
+        assert kernels.levenshtein(a, b) == kernels.levenshtein(b, a)
+        assert abs(len(a) - len(b)) <= kernels.levenshtein(a, b) <= max(len(a), len(b))
+    for a, b, c in zip(samples, samples[1:], samples[2:]):
+        assert kernels.levenshtein(a, c) <= kernels.levenshtein(a, b) + kernels.levenshtein(b, c)
+
+
+def test_edit_ratio_bounds_and_symmetry():
+    rng = random.Random(99)
+    for _ in range(200):
+        a = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 10)))
+        b = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 10)))
+        ratio = kernels.edit_ratio(a, b)
+        assert 0.0 <= ratio <= 1.0
+        assert ratio == kernels.edit_ratio(b, a)
+        if a == b:
+            assert ratio == 1.0
+
+
+def test_token_subsequence_matches_slice_scan():
+    rng = random.Random(4242)
+    vocab = ("u", "v", "w", "x")
     for _ in range(300):
-        haystack = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 7)))
-        needle = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 3)))
-        assert _pykernels.token_subsequence(needle, haystack) == _ckernels.token_subsequence(
-            needle, haystack
-        )
+        haystack = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
+        needle = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 4)))
+        expected = any(
+            haystack[i : i + len(needle)] == needle
+            for i in range(len(haystack) - len(needle) + 1)
+        ) or len(needle) == 0
+        assert kernels.token_subsequence(needle, haystack) is expected, (needle, haystack)
 
 
 def test_package_exposes_selected_backend():
-    assert kernels.BACKEND in ("compiled", "python")
+    assert causal_rag.KERNEL_BACKEND == "python"
     assert kernels.levenshtein("a", "b") == 1
     assert kernels.edit_ratio("ab", "ab") == 1.0
     assert kernels.token_subsequence(("a",), ("a",)) is True

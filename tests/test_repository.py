@@ -9,7 +9,7 @@ import pytest
 
 from causal_rag.corpus import parse_tagged_sentence
 from causal_rag.errors import (
-    CorruptRecordError,
+    MalformedRecordError,
     SchemaVersionMismatchError,
     UnparseableResponseError,
 )
@@ -252,7 +252,7 @@ def test_save_header_shape(tmp_path) -> None:
 def test_load_empty_file(tmp_path) -> None:
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    with pytest.raises(CorruptRecordError):
+    with pytest.raises(MalformedRecordError):
         load_repository(path)
 
 
@@ -271,7 +271,7 @@ def test_load_corrupt_record_reports_line(tmp_path) -> None:
         '"connectives": ["x"], "source": "s"}\n'
         "{truncated\n"
     )
-    with pytest.raises(CorruptRecordError) as excinfo:
+    with pytest.raises(MalformedRecordError) as excinfo:
         load_repository(path)
     assert excinfo.value.line_number == 3
 
@@ -283,7 +283,7 @@ def test_load_record_without_connectives(tmp_path) -> None:
         '{"id": "a", "text": "t", "tagged_text": "t", "pairs": [], '
         '"connectives": [], "source": "s"}\n'
     )
-    with pytest.raises(CorruptRecordError):
+    with pytest.raises(MalformedRecordError):
         load_repository(path)
 
 

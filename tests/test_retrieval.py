@@ -6,15 +6,19 @@ import random
 
 import pytest
 
+from test_kernels import reference_levenshtein
+
 from causal_rag.embedding import EmbeddingCache, EmbeddingService, LocalHashEmbedder
 from causal_rag.errors import EmptyConnectiveError
 from causal_rag.gateway import CompletionRequest, LlmClient, ScriptedBackend
-from causal_rag.repository import ExampleRecord, Repository, build_index
+from causal_rag.repository import ExampleRecord, Repository, build_index, normalize_connective
 from causal_rag.retrieval import (
+    MATCHERS,
     ConnectiveCache,
     RetrievalConfig,
     RetrievalResult,
     StrategyKind,
+    _pattern_candidates,
     connective_similarity,
     input_connectives,
     retrieve_knn,
@@ -278,6 +282,105 @@ def test_pattern_soundness_scores_above_threshold() -> None:
             assert p.score is not None and p.score > 0.90
             best = max(connective_similarity(q, p.connective) for q in query)
             assert best == pytest.approx(p.score)
+
+
+def reference_candidates(
+    connectives: list[str], repo: Repository, c: RetrievalConfig
+) -> dict[str, tuple[float, str]]:
+    """Pattern candidates scored over all (connective, key) pairs with the
+    oracle DP, skipping nothing."""
+    queries = [q for q in (normalize_connective(x) for x in connectives) if q]
+    best: dict[str, tuple[float, str]] = {}
+    for key, rids in repo.index.items():
+        target = normalize_connective(key)
+        key_score = 0.0
+        for query in queries:
+            short, long = (query, target) if len(query) <= len(target) else (target, query)
+            needle, haystack = short.split(" "), long.split(" ")
+            contained = any(
+                haystack[i : i + len(needle)] == needle
+                for i in range(len(haystack) - len(needle) + 1)
+            )
+            if c.matcher == "token_containment" and contained:
+                score = 1.0
+            else:
+                distance = reference_levenshtein(query, target)
+                score = 1.0 - distance / max(len(query), len(target))
+            key_score = max(key_score, score)
+        if key_score <= c.similarity_threshold:
+            continue
+        for rid in rids:
+            held = best.get(rid)
+            if held is None or (key_score, held[1]) > (held[0], key):
+                best[rid] = (key_score, key)
+    return best
+
+
+PATTERN_WORDS = ("by", "caused", "cause", "led", "lead", "to", "due", "of", "result", "in", "the")
+
+
+def _random_connective(rng: random.Random) -> str:
+    words = [rng.choice(PATTERN_WORDS) for _ in range(rng.randint(1, 4))]
+    text = list(" ".join(words))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        text[rng.randrange(len(text))] = rng.choice("abcdeo")
+    text = "".join(text)
+    if rng.random() < 0.15:  # not normalized: case and spacing
+        text = "  " + text.upper().replace(" ", "   ") + " "
+    return text
+
+
+def test_pattern_candidates_match_all_pairs_oracle() -> None:
+    rng = random.Random(5150)
+    thresholds = (0.5, 0.6, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)
+    nonempty = 0
+    for _ in range(120):
+        index = {
+            _random_connective(rng): tuple(
+                f"r{rng.randrange(40):02d}" for _ in range(rng.randint(1, 3))
+            )
+            for _ in range(rng.randint(1, 30))
+        }
+        repo = Repository(records={}, index=index, cap=10, seed=0)
+        keys = list(index)
+        for _ in range(4):
+            connectives = [
+                rng.choice(keys) if rng.random() < 0.3 else _random_connective(rng)
+                for _ in range(rng.randint(0, 3))
+            ]
+            if rng.random() < 0.1:
+                connectives.append("   ")
+            threshold = rng.choice(thresholds + (round(rng.uniform(0.3, 1.0), 3),))
+            for matcher in MATCHERS:
+                c = cfg(similarity_threshold=threshold, matcher=matcher)
+                got = _pattern_candidates(connectives, repo, c)
+                assert got == reference_candidates(connectives, repo, c), (connectives, c)
+                nonempty += bool(got)
+    assert nonempty > 200
+
+
+def test_pattern_candidates_threshold_edges() -> None:
+    index = {
+        "leads to a": ("r1",),  # 10 characters, one edit from the query
+        " Lead  To A ": ("r2",),  # the query itself, not normalized
+        "largely led to a": ("r3",),
+    }
+    repo = Repository(records={}, index=index, cap=10, seed=0)
+    for matcher in MATCHERS:
+        # 1 - 1/10 equals the threshold exactly, so "leads to a" stays out
+        at = cfg(similarity_threshold=0.9, matcher=matcher)
+        assert _pattern_candidates(["lead to a"], repo, at) == {"r2": (1.0, " Lead  To A ")}
+        below = cfg(similarity_threshold=0.89, matcher=matcher)
+        assert _pattern_candidates(["lead to a"], repo, below)["r1"] == (0.9, "leads to a")
+        # nothing scores strictly above 1.0, not even an exact match
+        top = cfg(similarity_threshold=1.0, matcher=matcher)
+        assert _pattern_candidates(["lead to a"], repo, top) == {}
+    # containment scores 1.0 whatever the length gap
+    contained = cfg(similarity_threshold=0.9, matcher="token_containment")
+    assert _pattern_candidates(["led to"], repo, contained) == {"r3": (1.0, "largely led to a")}
+    blank_key = Repository(records={}, index={" ": ("r1",)}, cap=10, seed=0)
+    with pytest.raises(EmptyConnectiveError):
+        _pattern_candidates(["lead to"], blank_key, cfg())
 
 
 def test_pattern_deterministic_sampling() -> None:
