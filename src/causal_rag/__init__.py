@@ -91,7 +91,6 @@ from .repository import (
     save_repository,
 )
 from .retrieval import (
-    ConnectiveCache,
     RetrievalConfig,
     RetrievalResult,
     StrategyKind,
@@ -120,7 +119,6 @@ __all__ = [
     "CauseEffectPair",
     "CompletionRequest",
     "CompletionResponse",
-    "ConnectiveCache",
     "DatasetSplit",
     "EmbeddingCache",
     "EmbeddingService",

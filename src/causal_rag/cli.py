@@ -205,7 +205,7 @@ def _coerce(key: str, raw: str, default: object) -> object:
             if lowered in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if isinstance(default, int) and default is not ...:
+        if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
@@ -213,10 +213,6 @@ def _coerce(key: str, raw: str, default: object) -> object:
             return raw.split()
         if key == "k_values":
             return [int(part) for part in raw.split()]
-        if key in ("k", "seed", "cap", "concurrency", "sample"):
-            return int(raw)
-        if key == "threshold":
-            return float(raw)
     except ValueError as exc:
         raise CliUsageError(f"config key {key}: cannot parse value {raw!r}") from exc
     return raw
@@ -314,22 +310,17 @@ def cmd_build_db(args: argparse.Namespace) -> int:
         raise CliUsageError(f"backend must be one of {BACKENDS}")
     if backend_name in ("replay", "record") and not opts["transcript"]:
         raise CliUsageError(f"backend {backend_name!r} requires --transcript")
-    probe = ExperimentConfig(
-        task="detect",
-        strategy=StrategyKind.ZEROSHOT,
-        dataset_path="unused",
-        output_path="unused",
-        model_id=str(opts["model"]),
-        backend=backend_name,
-        base_url=str(opts["base_url"]),
-        transcript_path=(str(opts["transcript"]) if opts["transcript"] else None),
+    backend = make_backend(
+        backend_name,
+        str(opts["transcript"]) if opts["transcript"] else None,
+        str(opts["base_url"]),
     )
     catalog = load_catalog(str(opts["catalog"])) if opts["catalog"] else None
     repo = build_db(
         input_paths=[str(p) for p in list(opts["inputs"])],
         db_path=str(opts["db"]),
         model_id=str(opts["model"]),
-        backend=make_backend(probe),
+        backend=backend,
         cap=int(opts["cap"]),
         seed=int(opts["seed"]),
         catalog=catalog,

@@ -2,10 +2,10 @@
 
 Cache keys are sha256 hashes of the normalized sentence (lowercased,
 whitespace-collapsed) plus the embedding model id, so re-running a pipeline
-never re-embeds text it has already seen. Search is a brute-force cosine
-scan: the candidate pools here are a few thousand vectors at most, where an
-exact scan is both faster to run and simpler to trust than an approximate
-index.
+never re-embeds text it has already seen. Search is an exact cosine scan over
+a matrix of the corpus vectors, built once: the candidate pools here are a
+few thousand vectors at most, where an exact scan is both faster to run and
+simpler to trust than an approximate index.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -50,10 +49,6 @@ class EmbeddingVector:
     @property
     def dim(self) -> int:
         return len(self.values)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -264,27 +259,47 @@ class EmbeddingService:
         return embed(text, self.provider, self.cache)
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dim {a.dim} vs {b.dim}")
-    norm_a = float(np.linalg.norm(a.array))
-    norm_b = float(np.linalg.norm(b.array))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("cosine similarity undefined for an all-zero vector")
-    return float(np.dot(a.array, b.array) / (norm_a * norm_b))
+class VectorIndex:
+    """The vectors of a corpus as the rows of one matrix, with their norms.
+
+    `ids` must be strictly ascending: row order is then the tie order of
+    `knn_search`. Rows are filled one vector at a time, so no more than one
+    `EmbeddingVector` of the corpus needs to be alive at once."""
+
+    def __init__(self, ids: Sequence[str], vectors: Iterable[EmbeddingVector]):
+        if not ids:
+            raise ValueError("corpus must be non-empty")
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("index ids must be strictly ascending")
+        self.ids = tuple(ids)
+        matrix = np.empty((0, 0))
+        for row, (_, vector) in enumerate(zip(self.ids, vectors, strict=True)):
+            if row == 0:
+                matrix = np.empty((len(self.ids), vector.dim), dtype=np.float64)
+            elif vector.dim != matrix.shape[1]:
+                raise DimensionMismatchError(f"dim {matrix.shape[1]} vs {vector.dim}")
+            matrix[row] = vector.values
+        self.matrix = matrix
+        self.norms = np.sqrt(np.vecdot(matrix, matrix))
+        if not self.norms.all():
+            raise ZeroVectorError("cosine similarity undefined for an all-zero vector")
 
 
-def knn_search(
-    query: EmbeddingVector, corpus: dict[str, EmbeddingVector], k: int
-) -> list[NeighborHit]:
-    """Exact top-k by cosine similarity, ties broken by ascending record id."""
-    if not corpus:
-        raise ValueError("corpus must be non-empty")
+def knn_search(query: EmbeddingVector, index: VectorIndex, k: int) -> list[NeighborHit]:
+    """Exact top-k by cosine similarity, ties broken by ascending record id.
+
+    Each score is dot / (|query| * |row|), in that order. np.vecdot takes
+    every dot product, and every squared row norm, bit for bit as np.dot
+    takes it for one pair; a matrix product may round differently, and a
+    last-bit change can reorder ties or change a prompt."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored = [
-        (cosine_similarity(query, vector), record_id)
-        for record_id, vector in corpus.items()
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [NeighborHit(record_id=rid, similarity=sim) for sim, rid in scored[:k]]
+    if query.dim != index.matrix.shape[1]:
+        raise DimensionMismatchError(f"dim {query.dim} vs {index.matrix.shape[1]}")
+    q = np.asarray(query.values, dtype=np.float64)
+    norm = float(np.linalg.norm(q))
+    if norm == 0.0:
+        raise ZeroVectorError("cosine similarity undefined for an all-zero vector")
+    similarities = np.vecdot(index.matrix, q) / (norm * index.norms)
+    top = np.argsort(-similarities, kind="stable")[:k]
+    return [NeighborHit(record_id=index.ids[i], similarity=float(similarities[i])) for i in top]

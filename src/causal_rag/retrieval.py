@@ -3,7 +3,8 @@
 Pattern retrieval fuzzy-matches the input sentence's causal connective
 against the repository's index keys and pools the records stored under
 every key scoring above the similarity threshold. kNN retrieval ranks
-repository sentences by embedding cosine similarity. The combined strategy
+repository sentences by embedding cosine similarity, scanning a matrix of
+the repository's vectors that `knn_index` builds once. The combined strategy
 concatenates both blocks, kNN first, deduplicated by record id.
 
 All sampling is driven by (seed, salt) so that a fixed configuration
@@ -14,12 +15,11 @@ giving per-sentence variety without losing reproducibility.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .embedding import EmbeddingService, knn_search
+from .embedding import EmbeddingService, VectorIndex, knn_search
 from .errors import EmptyConnectiveError, UnparseableResponseError
 from .gateway import LlmClient
 from .kernels import edit_ratio, token_subsequence
@@ -134,18 +134,22 @@ def retrieve_random(repo: Repository, cfg: RetrievalConfig, salt: str = "") -> R
     )
 
 
+def knn_index(repo: Repository, embeddings: EmbeddingService) -> VectorIndex:
+    """The repository's vectors, one row per record in ascending id order."""
+    ids = repo.sorted_ids
+    return VectorIndex(ids, (embeddings.vector(repo.records[rid].raw_text) for rid in ids))
+
+
 def retrieve_knn(
     input_text: str,
     repo: Repository,
     embeddings: EmbeddingService,
+    index: VectorIndex,
     cfg: RetrievalConfig,
 ) -> RetrievalResult:
-    """Top-k repository records by embedding similarity to the input."""
-    if not repo.records:
-        raise ValueError("repository is empty")
-    query = embeddings.vector(input_text)
-    corpus = {rid: embeddings.vector(record.raw_text) for rid, record in repo.records.items()}
-    hits = knn_search(query, corpus, cfg.k)
+    """Top-k repository records by embedding similarity to the input;
+    `index` is `knn_index(repo, embeddings)`."""
+    hits = knn_search(embeddings.vector(input_text), index, cfg.k)
     return RetrievalResult(
         examples=tuple(repo.records[hit.record_id] for hit in hits),
         provenance=tuple(
@@ -232,12 +236,13 @@ def retrieve_knn_pattern(
     input_connectives: Sequence[str],
     repo: Repository,
     embeddings: EmbeddingService,
+    index: VectorIndex,
     cfg: RetrievalConfig,
     salt: str = "",
 ) -> RetrievalResult:
     """Concatenate the kNN block and the pattern block, kNN first, then drop
     duplicate record ids keeping the first occurrence; at most 2k examples."""
-    knn = retrieve_knn(input_text, repo, embeddings, cfg)
+    knn = retrieve_knn(input_text, repo, embeddings, index, cfg)
     pattern = retrieve_pattern(input_connectives, repo, cfg, salt)
     examples: list[ExampleRecord] = []
     provenance: list[ExampleProvenance] = []
@@ -257,45 +262,19 @@ def retrieve_knn_pattern(
     )
 
 
-class ConnectiveCache:
-    """Per-sentence-id cache of extracted input connectives: concurrent
-    reads, serialized inserts."""
-
-    def __init__(self) -> None:
-        self._data: dict[str, tuple[str, ...]] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> tuple[str, ...] | None:
-        return self._data.get(key)
-
-    def put(self, key: str, value: Sequence[str]) -> None:
-        with self._lock:
-            self._data[key] = tuple(value)
-
-
 def input_connectives(
     sentence: str,
     llm: LlmClient,
     catalog: PromptCatalog | None = None,
-    cache: ConnectiveCache | None = None,
-    key: str | None = None,
 ) -> list[str]:
     """Extract the input sentence's causal connective(s) with the model.
 
     Returns [] when the response has no parseable connective, which sends
-    pattern retrieval to its fallback path. With a cache and key, repeated
-    calls for the same sentence id make no further provider calls."""
-    if cache is not None and key is not None:
-        held = cache.get(key)
-        if held is not None:
-            return list(held)
+    pattern retrieval to its fallback path."""
     prompt = connective_prompt(sentence, catalog)
     try:
-        connectives = parse_connective_response(
+        return parse_connective_response(
             llm.complete_text(prompt.system_text, prompt.user_text)
         )
     except UnparseableResponseError:
-        connectives = []
-    if cache is not None and key is not None:
-        cache.put(key, connectives)
-    return connectives
+        return []

@@ -2,12 +2,15 @@
 
 A run walks every input instance: retrieve examples under the configured
 strategy, assemble the prompt, complete it, parse the response, and append
-one prediction record per sentence. Records are ordered by sentence id and
-all sampling is salted with the sentence id, so outputs are byte-identical
-across runs and across concurrency bounds whenever the transcript, seed,
-and config are fixed. Unparseable responses are scored as failures, never
-crashes; under the replay backend, timings are written as 0.0 to keep
-output files reproducible.
+one prediction record per sentence. A run, or a whole sweep, shares one
+session: the dataset, repository and transcript are loaded once, each
+sentence's connectives are asked for once, and the repository is embedded
+once. Records are ordered by sentence id and all sampling is salted with the
+sentence id, so outputs are byte-identical across runs and across
+concurrency bounds whenever the transcript, seed, and config are fixed.
+Unparseable responses are scored as failures, never crashes; under the
+replay backend, timings are written as 0.0 to keep output files
+reproducible.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .embedding import (
     EmbeddingService,
     HttpEmbeddingProvider,
     LocalHashEmbedder,
+    VectorIndex,
 )
 from .errors import ProviderError, UnparseableResponseError
 from .evaluation import (
@@ -62,11 +66,11 @@ from .prompting import (
 )
 from .repository import Repository, build_repository, load_repository, save_repository
 from .retrieval import (
-    ConnectiveCache,
     RetrievalConfig,
     RetrievalResult,
     StrategyKind,
     input_connectives,
+    knn_index,
     retrieve_knn,
     retrieve_knn_pattern,
     retrieve_pattern,
@@ -138,12 +142,12 @@ class RunResult:
     skipped_existing: int = 0
 
 
-def make_backend(config: ExperimentConfig) -> Backend:
-    if config.backend == "replay":
-        return ReplayBackend(Transcript(config.transcript_path))
-    live = LiveBackend(config.base_url)
-    if config.backend == "record":
-        return RecordBackend(Transcript(config.transcript_path), live)
+def make_backend(name: str, transcript_path: str | None, base_url: str) -> Backend:
+    if name == "replay":
+        return ReplayBackend(Transcript(transcript_path))
+    live = LiveBackend(base_url)
+    if name == "record":
+        return RecordBackend(Transcript(transcript_path), live)
     return live
 
 
@@ -154,43 +158,71 @@ def make_embedder(config: ExperimentConfig):
     return HttpEmbeddingProvider(config.base_url, name)
 
 
-def _embedding_service(config: ExperimentConfig, embedder) -> EmbeddingService:
-    cache = EmbeddingCache(config.cache_path) if config.cache_path else None
-    return EmbeddingService(provider=embedder, cache=cache)
-
-
 def _select_instances(split: DatasetSplit, task: str) -> list[LabeledInstance]:
     if task == "extract":
         return [inst for inst in split.instances if inst.label == 1]
     return list(split.instances)
 
 
+class _Session:
+    """What every cell of one run or sweep shares, loaded once: the catalog,
+    the selected instances, the repository, the chat client, the input
+    connectives by sentence id and, once a kNN cell needs them, the
+    embedding service and the repository's vector index."""
+
+    def __init__(self, config: ExperimentConfig, backend: Backend | None, embedder,
+                 catalog: PromptCatalog | None):
+        self.catalog = catalog or (
+            load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
+        )
+        split = load_dataset(config.dataset_path, config.dataset_format)
+        self.instances = _select_instances(split, config.task)
+        if not self.instances:
+            raise ValueError("no instances to run (extract task needs causal sentences)")
+        if config.task == "extract" and config.single_pair:
+            multi = [i.sentence.id for i in self.instances if len(i.sentence.pairs) != 1]
+            if multi:
+                raise ValueError(
+                    f"single_pair needs exactly one gold pair; offending: {multi[:5]}"
+                )
+        self.repo = load_repository(config.db_path) if config.db_path else None
+        self.llm = LlmClient(
+            backend=backend if backend is not None
+            else make_backend(config.backend, config.transcript_path, config.base_url),
+            model_id=config.model_id,
+            temperature=config.temperature,
+            max_output_tokens=config.max_output_tokens,
+        )
+        self.embedder = embedder
+        self.embeddings: EmbeddingService | None = None
+        self.index: VectorIndex | None = None
+        # each sentence id goes to one worker per cell and cells run one
+        # after another, so no two threads touch one key at the same time
+        self.connectives: dict[str, list[str]] = {}
+
+
 def _retrieve(
-    instance: LabeledInstance,
-    config: ExperimentConfig,
-    repo: Repository | None,
-    embeddings: EmbeddingService | None,
-    llm: LlmClient,
-    catalog: PromptCatalog,
-    connective_cache: ConnectiveCache,
+    instance: LabeledInstance, config: ExperimentConfig, session: _Session
 ) -> RetrievalResult:
     strategy = config.strategy
     if strategy is StrategyKind.ZEROSHOT:
         return zeroshot_result()
-    assert repo is not None
+    repo = session.repo
     rcfg = config.retrieval_config()
     sid = instance.sentence.id
     text = instance.sentence.raw_text
     if strategy is StrategyKind.RANDOM:
         return retrieve_random(repo, rcfg, salt=sid)
     if strategy is StrategyKind.KNN:
-        assert embeddings is not None
-        return retrieve_knn(text, repo, embeddings, rcfg)
-    connectives = input_connectives(text, llm, catalog, connective_cache, key=sid)
+        return retrieve_knn(text, repo, session.embeddings, session.index, rcfg)
+    if sid not in session.connectives:
+        session.connectives[sid] = input_connectives(text, session.llm, session.catalog)
+    connectives = session.connectives[sid]
     if strategy is StrategyKind.PATTERN:
         return retrieve_pattern(connectives, repo, rcfg, salt=sid)
-    assert embeddings is not None
-    return retrieve_knn_pattern(text, connectives, repo, embeddings, rcfg, salt=sid)
+    return retrieve_knn_pattern(
+        text, connectives, repo, session.embeddings, session.index, rcfg, salt=sid
+    )
 
 
 def _provenance_json(result: RetrievalResult) -> list[dict]:
@@ -206,21 +238,17 @@ def _provenance_json(result: RetrievalResult) -> list[dict]:
 
 
 def _process_instance(
-    instance: LabeledInstance,
-    config: ExperimentConfig,
-    repo: Repository | None,
-    embeddings: EmbeddingService | None,
-    llm: LlmClient,
-    catalog: PromptCatalog,
-    connective_cache: ConnectiveCache,
+    instance: LabeledInstance, config: ExperimentConfig, session: _Session
 ) -> dict:
     started = time.perf_counter()
-    retrieved = _retrieve(instance, config, repo, embeddings, llm, catalog, connective_cache)
+    retrieved = _retrieve(instance, config, session)
     sentence = instance.sentence
     if config.task == "detect":
-        prompt = detection_prompt(sentence.raw_text, retrieved, catalog)
+        prompt = detection_prompt(sentence.raw_text, retrieved, session.catalog)
     else:
-        prompt = extraction_prompt(sentence.raw_text, retrieved, config.single_pair, catalog)
+        prompt = extraction_prompt(
+            sentence.raw_text, retrieved, config.single_pair, session.catalog
+        )
     request = CompletionRequest(
         system_text=prompt.system_text,
         user_text=prompt.user_text,
@@ -228,7 +256,7 @@ def _process_instance(
         temperature=config.temperature,
         max_output_tokens=config.max_output_tokens,
     )
-    response = llm.backend.complete(request).text
+    response = session.llm.backend.complete(request).text
 
     parsed: dict | None
     parse_error = False
@@ -360,36 +388,15 @@ def run_experiment(
     appended in sentence-id order. Metrics always cover the full instance
     set: the existing records, read once before the run, are scored
     together with the new ones."""
-    catalog = catalog or (
-        load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
-    )
-    split = load_dataset(config.dataset_path, config.dataset_format)
-    instances = _select_instances(split, config.task)
-    if not instances:
-        raise ValueError("no instances to run (extract task needs causal sentences)")
-    if config.task == "extract" and config.single_pair:
-        multi = [i.sentence.id for i in instances if len(i.sentence.pairs) != 1]
-        if multi:
-            raise ValueError(f"single_pair needs exactly one gold pair; offending: {multi[:5]}")
+    return _run_cell(_Session(config, backend, embedder, catalog), config)
 
-    repo = load_repository(config.db_path) if config.db_path else None
-    if config.strategy is not StrategyKind.ZEROSHOT and repo is not None and not repo.records:
+
+def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
+    """One experiment over the session's instances; `config` differs from
+    the session's own at most in strategy, k and output path."""
+    instances = session.instances
+    if config.strategy is not StrategyKind.ZEROSHOT and not session.repo.records:
         raise ValueError("repository is empty")
-
-    llm_backend = backend if backend is not None else make_backend(config)
-    llm = LlmClient(
-        backend=llm_backend,
-        model_id=config.model_id,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-    )
-    needs_embeddings = config.strategy in (StrategyKind.KNN, StrategyKind.KNN_PATTERN)
-    embeddings = None
-    if needs_embeddings:
-        embeddings = _embedding_service(
-            config, embedder if embedder is not None else make_embedder(config)
-        )
-    connective_cache = ConnectiveCache()
 
     output_path = Path(config.output_path)
     if config.force and output_path.exists():
@@ -398,15 +405,20 @@ def run_experiment(
     skipped_existing = len(records)
     todo = [inst for inst in instances if inst.sentence.id not in records]
     todo.sort(key=lambda inst: inst.sentence.id)
+    knn = config.strategy in (StrategyKind.KNN, StrategyKind.KNN_PATTERN)
+    if knn and todo and session.index is None:
+        # embed the repository once per session, before workers read it
+        session.embeddings = EmbeddingService(
+            provider=session.embedder if session.embedder is not None else make_embedder(config),
+            cache=EmbeddingCache(config.cache_path) if config.cache_path else None,
+        )
+        session.index = knn_index(session.repo, session.embeddings)
 
     def work(instance: LabeledInstance) -> tuple[dict | None, ProviderError | None]:
         # provider failures are captured, not raised, so records that did
         # complete can still be flushed for resume before aborting
         try:
-            record = _process_instance(
-                instance, config, repo, embeddings, llm, catalog, connective_cache
-            )
-            return record, None
+            return _process_instance(instance, config, session), None
         except ProviderError as exc:
             return None, exc
 
@@ -443,7 +455,7 @@ def run_experiment(
         "seed": config.seed,
         "matcher": config.matcher,
         "threshold": config.similarity_threshold,
-        "catalog_version": catalog.version,
+        "catalog_version": session.catalog.version,
         "model_id": config.model_id,
         "backend": config.backend,
         "single_pair": config.single_pair,
@@ -503,18 +515,20 @@ def sweep(
     embedder=None,
     catalog: PromptCatalog | None = None,
 ) -> list[dict]:
-    """Run every strategy at every k; emit `strategy,k,metric,value` CSV."""
+    """Run every strategy at every k in one session; emit a
+    `strategy,k,metric,value` CSV."""
     if not k_values:
         raise ValueError("sweep needs at least one k value")
     if not strategies:
         raise ValueError("sweep needs at least one strategy")
+    session = _Session(base_config, backend, embedder, catalog)
     reports = []
     rows: list[tuple[str, int, str, object]] = []
     for strategy in strategies:
         for k in k_values:
             out = f"{csv_path}.{strategy.value}.k{k}.jsonl"
             config = replace(base_config, strategy=strategy, k=k, output_path=out)
-            result = run_experiment(config, backend=backend, embedder=embedder, catalog=catalog)
+            result = _run_cell(session, config)
             reports.append(result.report)
             for metric, value in sorted(result.report["metrics"].items()):
                 if isinstance(value, dict):

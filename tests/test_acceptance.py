@@ -19,13 +19,13 @@ from pathlib import Path
 import pytest
 
 from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder
+from test_embedding import cosine_similarity, index_of
 
 from causal_rag.corpus import CauseEffectPair, TaggedSentence, Triplet
 from causal_rag.embedding import (
     EmbeddingService,
     EmbeddingVector,
     LocalHashEmbedder,
-    cosine_similarity,
     knn_search,
 )
 from causal_rag.errors import EmptyInputError
@@ -41,6 +41,7 @@ from causal_rag.repository import ExampleRecord, Repository, build_index, build_
 from causal_rag.retrieval import (
     RetrievalConfig,
     StrategyKind,
+    knn_index,
     retrieve_knn_pattern,
     retrieve_pattern,
 )
@@ -214,7 +215,7 @@ def test_criterion_03_knn_matches_exhaustive_oracle():
         query = EmbeddingVector(tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)), "oracle")
 
         expected = _oracle_top_k(query, corpus, 10)
-        hits = knn_search(query, corpus, 10)
+        hits = knn_search(query, index_of(corpus), 10)
         assert [(h.similarity, h.record_id) for h in hits] == expected, trial
 
     elapsed = time.perf_counter() - started
@@ -430,13 +431,19 @@ def test_criterion_07_knn_pattern_composition():
     clones = [_record(f"kn-{i:02d}", query, "zzz zzz") for i in range(10)]
     others = [_record(f"pt-{i:02d}", f"omega sigma tau {i}", "caused by") for i in range(10)]
 
-    disjoint = retrieve_knn_pattern(query, ["caused by"], _repo(clones + others), service, cfg)
+    repo = _repo(clones + others)
+    disjoint = retrieve_knn_pattern(
+        query, ["caused by"], repo, service, knn_index(repo, service), cfg
+    )
     assert len(disjoint.examples) == 20
     assert [p.origin for p in disjoint.provenance] == ["knn"] * 10 + ["pattern"] * 10
     assert detection_prompt(query, disjoint).example_count == 20
 
     shared = [_record(f"kn-{i:02d}", query, "caused by") for i in range(10)]
-    identical = retrieve_knn_pattern(query, ["caused by"], _repo(shared), service, cfg)
+    repo = _repo(shared)
+    identical = retrieve_knn_pattern(
+        query, ["caused by"], repo, service, knn_index(repo, service), cfg
+    )
     assert len(identical.examples) == 10
     assert [p.origin for p in identical.provenance] == ["knn"] * 10
 

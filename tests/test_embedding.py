@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from causal_rag.embedding import (
@@ -15,7 +16,7 @@ from causal_rag.embedding import (
     HttpEmbeddingProvider,
     LocalHashEmbedder,
     NeighborHit,
-    cosine_similarity,
+    VectorIndex,
     embed,
     embedding_key,
     knn_search,
@@ -26,6 +27,30 @@ from causal_rag.errors import DimensionMismatchError, ProviderError, ZeroVectorE
 
 def vec(*values: float, model: str = "m") -> EmbeddingVector:
     return EmbeddingVector(values=tuple(float(v) for v in values), model_id=model)
+
+
+def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """Per-pair reference that `knn_search` must reproduce bit for bit:
+    dot / (|a| * |b|), each a one-pair numpy call."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dim {a.dim} vs {b.dim}")
+    x = np.asarray(a.values, dtype=np.float64)
+    y = np.asarray(b.values, dtype=np.float64)
+    norm_a = float(np.linalg.norm(x))
+    norm_b = float(np.linalg.norm(y))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ZeroVectorError("cosine similarity undefined for an all-zero vector")
+    return float(np.dot(x, y) / (norm_a * norm_b))
+
+
+def index_of(corpus: dict[str, EmbeddingVector]) -> VectorIndex:
+    ids = sorted(corpus)
+    return VectorIndex(ids, (corpus[rid] for rid in ids))
+
+
+def similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """Cosine similarity of `a` to `b` as the index computes it."""
+    return knn_search(a, index_of({"r": b}), 1)[0].similarity
 
 
 def test_vector_validation() -> None:
@@ -224,22 +249,26 @@ def test_embed_rejects_empty_text() -> None:
 
 def test_cosine_identity_and_orthogonal() -> None:
     a = vec(3, 4)
-    assert cosine_similarity(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert cosine_similarity(vec(1, 0), vec(0, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert similarity(a, a) == pytest.approx(1.0, abs=1e-12)
+    assert similarity(vec(1, 0), vec(0, 1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_reference_value() -> None:
     # dot=32, |a|=sqrt(14), |b|=sqrt(77) -> 32/sqrt(1078)
-    assert cosine_similarity(vec(1, 2, 3), vec(4, 5, 6)) == pytest.approx(
-        0.974632, abs=1e-6
-    )
+    a, b = vec(1, 2, 3), vec(4, 5, 6)
+    assert similarity(a, b) == pytest.approx(0.974632, abs=1e-6)
+    assert similarity(a, b) == cosine_similarity(a, b)
 
 
 def test_cosine_errors() -> None:
     with pytest.raises(DimensionMismatchError):
-        cosine_similarity(vec(1, 2), vec(1, 2, 3))
-    with pytest.raises(ZeroVectorError):
-        cosine_similarity(vec(0, 0), vec(1, 2))
+        similarity(vec(1, 2), vec(1, 2, 3))
+    with pytest.raises(DimensionMismatchError):  # mixed dimensions in the corpus
+        VectorIndex(["a", "b", "c"], [vec(1, 2), vec(3, 4), vec(1, 2, 3)])
+    with pytest.raises(ZeroVectorError):  # zero query
+        similarity(vec(0, 0), vec(1, 2))
+    with pytest.raises(ZeroVectorError):  # zero row
+        VectorIndex(["a", "b"], [vec(1, 2), vec(0, 0)])
 
 
 def test_cosine_symmetry_and_scale_invariance_seeded() -> None:
@@ -248,25 +277,26 @@ def test_cosine_symmetry_and_scale_invariance_seeded() -> None:
         dim = rng.randrange(2, 12)
         a = vec(*[rng.uniform(-5, 5) for _ in range(dim)])
         b = vec(*[rng.uniform(-5, 5) for _ in range(dim)])
-        sim_ab = cosine_similarity(a, b)
-        assert abs(sim_ab - cosine_similarity(b, a)) < 1e-12
+        sim_ab = similarity(a, b)
+        assert sim_ab == cosine_similarity(a, b)
+        assert abs(sim_ab - similarity(b, a)) < 1e-12
         c = rng.uniform(0.01, 100.0)
         scaled = vec(*[c * v for v in b.values])
-        assert abs(cosine_similarity(a, scaled) - sim_ab) < 1e-9
+        assert abs(similarity(a, scaled) - sim_ab) < 1e-9
         assert -1.0 - 1e-12 <= sim_ab <= 1.0 + 1e-12
 
 
 def test_knn_self_hit() -> None:
     query = vec(1, 2, 3)
     corpus = {"a": vec(5, 1, 0), "b": query, "c": vec(-1, -2, -3)}
-    hits = knn_search(query, corpus, 1)
+    hits = knn_search(query, index_of(corpus), 1)
     assert hits[0].record_id == "b"
     assert hits[0].similarity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_knn_k_exceeds_corpus() -> None:
     corpus = {"a": vec(1, 0), "b": vec(0, 1), "c": vec(1, 1)}
-    hits = knn_search(vec(1, 0.5), corpus, 10)
+    hits = knn_search(vec(1, 0.5), index_of(corpus), 10)
     assert len(hits) == 3
     sims = [h.similarity for h in hits]
     assert sims == sorted(sims, reverse=True)
@@ -274,35 +304,48 @@ def test_knn_k_exceeds_corpus() -> None:
 
 def test_knn_tie_broken_by_id() -> None:
     corpus = {"z": vec(2, 0), "a": vec(4, 0), "m": vec(0, 1)}
-    hits = knn_search(vec(1, 0), corpus, 2)
+    hits = knn_search(vec(1, 0), index_of(corpus), 2)
     # z and a are both exactly similarity 1.0; ascending id order wins
     assert [h.record_id for h in hits] == ["a", "z"]
 
 
 def test_knn_matches_exhaustive_oracle_seeded() -> None:
     rng = random.Random(4242)
-    for trial in range(5):
+    # wide vectors too, where a matrix product would round unlike np.dot
+    for trial, dim in enumerate((16, 16, 16, 256, 1536)):
         corpus = {
-            f"rec-{i:03d}": vec(*[rng.uniform(-1, 1) for _ in range(16)])
+            f"rec-{i:03d}": vec(*[rng.uniform(-1, 1) for _ in range(dim)])
             for i in range(100)
         }
-        query = vec(*[rng.uniform(-1, 1) for _ in range(16)])
-        hits = knn_search(query, corpus, 10)
+        if trial % 2 == 0:  # plant exact ties: duplicated vectors, distinct ids
+            for j, donor in enumerate(rng.sample(sorted(corpus), 5)):
+                corpus[f"rec-tie{j}"] = corpus[donor]
+        query = vec(*[rng.uniform(-1, 1) for _ in range(dim)])
+        hits = knn_search(query, index_of(corpus), 10)
         oracle = sorted(
             ((cosine_similarity(query, v), rid) for rid, v in corpus.items()),
             key=lambda pair: (-pair[0], pair[1]),
-        )[:10]
-        assert [h.record_id for h in hits] == [rid for _, rid in oracle]
-        assert [h.similarity for h in hits] == [sim for sim, _ in oracle]
+        )
+        assert [(h.similarity, h.record_id) for h in hits] == oracle[:10]
+        everything = knn_search(query, index_of(corpus), len(corpus))
+        assert [(h.similarity, h.record_id) for h in everything] == oracle
 
 
 def test_knn_validation() -> None:
     with pytest.raises(ValueError):
-        knn_search(vec(1, 0), {}, 1)
+        index_of({})
     with pytest.raises(ValueError):
-        knn_search(vec(1, 0), {"a": vec(1, 0)}, 0)
+        knn_search(vec(1, 0), index_of({"a": vec(1, 0)}), 0)
     with pytest.raises(DimensionMismatchError):
-        knn_search(vec(1, 0), {"a": vec(1, 0, 0)}, 1)
+        knn_search(vec(1, 0), index_of({"a": vec(1, 0, 0)}), 1)
+    with pytest.raises(ValueError):  # ids out of order
+        VectorIndex(["b", "a"], [vec(1, 0), vec(0, 1)])
+    with pytest.raises(ValueError):  # a repeated id
+        VectorIndex(["a", "a"], [vec(1, 0), vec(0, 1)])
+    with pytest.raises(ValueError):  # fewer vectors than ids
+        VectorIndex(["a", "b"], [vec(1, 0)])
+    with pytest.raises(ValueError):  # more vectors than ids
+        VectorIndex(["a"], [vec(1, 0), vec(0, 1)])
 
 
 class _Response:

@@ -6,21 +6,22 @@ import random
 
 import pytest
 
+from test_embedding import cosine_similarity
 from test_kernels import reference_levenshtein
 
-from causal_rag.embedding import EmbeddingCache, EmbeddingService, LocalHashEmbedder
+from causal_rag.embedding import EmbeddingCache, EmbeddingService, LocalHashEmbedder, VectorIndex
 from causal_rag.errors import EmptyConnectiveError
 from causal_rag.gateway import CompletionRequest, LlmClient, ScriptedBackend
 from causal_rag.repository import ExampleRecord, Repository, build_index, normalize_connective
 from causal_rag.retrieval import (
     MATCHERS,
-    ConnectiveCache,
     RetrievalConfig,
     RetrievalResult,
     StrategyKind,
     _pattern_candidates,
     connective_similarity,
     input_connectives,
+    knn_index,
     retrieve_knn,
     retrieve_knn_pattern,
     retrieve_pattern,
@@ -74,6 +75,12 @@ def synthetic_repo(cap: int = 10) -> Repository:
 
 def service() -> EmbeddingService:
     return EmbeddingService(provider=LocalHashEmbedder(dim=128))
+
+
+def indexed(repo: Repository) -> tuple[EmbeddingService, VectorIndex]:
+    """An embedding service and the repository's index built with it."""
+    svc = service()
+    return svc, knn_index(repo, svc)
 
 
 def cfg(**overrides) -> RetrievalConfig:
@@ -183,7 +190,7 @@ def test_random_k_10() -> None:
 def test_knn_self_text_first() -> None:
     repo = synthetic_repo()
     target = next(iter(repo.records.values()))
-    result = retrieve_knn(target.raw_text, repo, service(), cfg())
+    result = retrieve_knn(target.raw_text, repo, *indexed(repo), cfg())
     assert result.examples[0].id == target.id
     assert result.provenance[0].score == pytest.approx(1.0, abs=1e-12)
     assert result.strategy is StrategyKind.KNN
@@ -191,7 +198,7 @@ def test_knn_self_text_first() -> None:
 
 def test_knn_returns_k_and_descending() -> None:
     repo = synthetic_repo()
-    result = retrieve_knn("storm damage report", repo, service(), cfg(k=10))
+    result = retrieve_knn("storm damage report", repo, *indexed(repo), cfg(k=10))
     assert len(result.examples) == 10
     scores = [p.score for p in result.provenance]
     assert scores == sorted(scores, reverse=True)
@@ -199,30 +206,29 @@ def test_knn_returns_k_and_descending() -> None:
 
 
 def test_knn_matches_exhaustive_oracle() -> None:
-    from causal_rag.embedding import cosine_similarity, embed
-
     repo = synthetic_repo()
-    svc = service()
-    query_text = "flood caused outage in town"
-    result = retrieve_knn(query_text, repo, svc, cfg(k=5))
-    query = svc.vector(query_text)
-    oracle = sorted(
-        (
-            (cosine_similarity(query, svc.vector(r.raw_text)), rid)
-            for rid, r in repo.records.items()
-        ),
-        key=lambda pair: (-pair[0], pair[1]),
-    )[:5]
-    assert [r.id for r in result.examples] == [rid for _, rid in oracle]
+    svc, index = indexed(repo)
+    for query_text in ("flood caused outage in town", "storm was caused by hail"):
+        result = retrieve_knn(query_text, repo, svc, index, cfg(k=5))
+        query = svc.vector(query_text)
+        oracle = sorted(
+            (
+                (cosine_similarity(query, svc.vector(r.raw_text)), rid)
+                for rid, r in repo.records.items()
+            ),
+            key=lambda pair: (-pair[0], pair[1]),
+        )[:5]
+        assert [(p.score, p.record_id) for p in result.provenance] == oracle
 
 
 def test_knn_uses_cache(tmp_path) -> None:
     repo = synthetic_repo()
     embedder = LocalHashEmbedder(dim=64)
     svc = EmbeddingService(provider=embedder, cache=EmbeddingCache(tmp_path / "c.jsonl"))
-    retrieve_knn("first query", repo, svc, cfg())
+    retrieve_knn("first query", repo, svc, knn_index(repo, svc), cfg())
     calls_after_first = embedder.calls
-    retrieve_knn("first query", repo, svc, cfg())
+    assert calls_after_first == len(repo.records) + 1
+    retrieve_knn("first query", repo, svc, knn_index(repo, svc), cfg())
     assert embedder.calls == calls_after_first  # every text cached
 
 
@@ -403,7 +409,7 @@ def test_knn_pattern_disjoint_components_concat() -> None:
         "volcanic ash clouds lead to flight delays",
         ["caused by"],
         repo,
-        service(),
+        *indexed(repo),
         cfg(k=10),
     )
     assert len(result.examples) == 20
@@ -417,7 +423,7 @@ def test_knn_pattern_identical_components_dedup() -> None:
     plan = [("caused by", f"flood caused by storm {i}") for i in range(10)]
     repo = make_repo(plan, cap=10)
     result = retrieve_knn_pattern(
-        "flood caused by storm", ["caused by"], repo, service(), cfg(k=10)
+        "flood caused by storm", ["caused by"], repo, *indexed(repo), cfg(k=10)
     )
     assert len(result.examples) == 10
     # kNN block leads, so surviving provenance is all knn
@@ -427,7 +433,7 @@ def test_knn_pattern_identical_components_dedup() -> None:
 def test_knn_pattern_fallback_marked() -> None:
     repo = synthetic_repo()
     result = retrieve_knn_pattern(
-        "some unrelated text", ["nonexistent connective"], repo, service(), cfg(k=3)
+        "some unrelated text", ["nonexistent connective"], repo, *indexed(repo), cfg(k=3)
     )
     assert result.fallback_used is True
     origins = {p.origin for p in result.provenance}
@@ -437,15 +443,15 @@ def test_knn_pattern_fallback_marked() -> None:
 def test_size_bounds_property_seeded() -> None:
     rng = random.Random(31)
     repo = synthetic_repo()
-    svc = service()
+    svc, index = indexed(repo)
     for _ in range(10):
         k = rng.randrange(1, 25)
         c = cfg(k=k, seed=rng.randrange(100))
         salt = f"s{rng.randrange(10)}"
         assert len(retrieve_random(repo, c, salt).examples) <= k
-        assert len(retrieve_knn("storm surge", repo, svc, c).examples) <= k
+        assert len(retrieve_knn("storm surge", repo, svc, index, c).examples) <= k
         assert len(retrieve_pattern(["caused by"], repo, c, salt).examples) <= k
-        combined = retrieve_knn_pattern("storm surge", ["caused by"], repo, svc, c, salt)
+        combined = retrieve_knn_pattern("storm surge", ["caused by"], repo, svc, index, c, salt)
         assert len(combined.examples) <= 2 * k
         ids = [r.id for r in combined.examples]
         assert len(set(ids)) == len(ids)
@@ -468,18 +474,3 @@ def test_input_connectives_extraction() -> None:
 def test_input_connectives_unparseable_gives_empty() -> None:
     llm, _ = connective_llm({})  # script returns "" for everything
     assert input_connectives("the sky is blue", llm) == []
-
-
-def test_input_connectives_cached_by_key() -> None:
-    llm, backend = connective_llm({"fever is caused by flu": "caused by"})
-    cache = ConnectiveCache()
-    first = input_connectives("fever is caused by flu", llm, cache=cache, key="li-1")
-    assert backend.calls == 1
-    second = input_connectives("fever is caused by flu", llm, cache=cache, key="li-1")
-    assert backend.calls == 1
-    assert first == second == ["caused by"]
-    # empty results are cached too
-    llm2, backend2 = connective_llm({})
-    input_connectives("plain", llm2, cache=cache, key="li-2")
-    input_connectives("plain", llm2, cache=cache, key="li-2")
-    assert backend2.calls == 1

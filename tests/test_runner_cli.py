@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from fixture_llm import DETECTION_SENTENCES, FIXTURE_MODEL_ID, FixtureResponder
 
 from causal_rag.cli import main
+from causal_rag.embedding import LocalHashEmbedder
 from causal_rag.errors import TransportError
 from causal_rag.gateway import ScriptedBackend
 from causal_rag.repository import load_repository
@@ -267,6 +269,75 @@ def test_build_db_merges_inputs_and_matches_committed_db(tmp_path):
     assert db_path.read_bytes() == (FIXTURES / "examples.db").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "task, strategies, k_values",
+    [
+        ("extract", list(StrategyKind), [10]),
+        ("detect", [StrategyKind.RANDOM, StrategyKind.PATTERN], [1, 5, 10]),
+    ],
+)
+def test_sweep_cells_equal_single_runs(tmp_path, task, strategies, k_values):
+    csv_path = tmp_path / "grid.csv"
+    base = replay_config(tmp_path, task, StrategyKind.RANDOM, out=tmp_path / "unused.jsonl")
+    sweep(base, strategies, k_values, str(csv_path))
+    for strategy in strategies:
+        for k in k_values:
+            cell = Path(f"{csv_path}.{strategy.value}.k{k}.jsonl")
+            alone = tmp_path / f"alone.{strategy.value}.k{k}.jsonl"
+            run_experiment(replay_config(tmp_path, task, strategy, k=k, out=alone))
+            assert cell.read_bytes() == alone.read_bytes(), cell.name
+            assert (Path(f"{cell}.metrics.json").read_bytes()
+                    == Path(f"{alone}.metrics.json").read_bytes()), cell.name
+
+
+def test_sweep_asks_each_sentence_for_its_connectives_once(tmp_path):
+    responder = FixtureResponder()
+    base = scripted_config(tmp_path, "detect", StrategyKind.PATTERN, out=tmp_path / "unused.jsonl")
+    sweep(base, [StrategyKind.PATTERN, StrategyKind.KNN_PATTERN], [1, 5],
+          str(tmp_path / "grid.csv"), backend=ScriptedBackend(responder))
+    asked = Counter(
+        request.user_text.rsplit("Sentence: ", 1)[1].split("\n", 1)[0]
+        for request in responder.calls
+        if "Output only the connectives" in request.system_text
+    )
+    texts = {s.text for s in DETECTION_SENTENCES}
+    assert set(asked) == texts
+    assert set(asked.values()) == {1}
+    # sentences without a connective ("none") are asked once too
+    assert any(s.connective is None for s in DETECTION_SENTENCES)
+
+
+class CountingEmbedder(LocalHashEmbedder):
+    def __init__(self) -> None:
+        super().__init__(dim=256)
+        self.texts: list[str] = []
+
+    def embed_text(self, text):
+        self.texts.append(text)
+        return super().embed_text(text)
+
+
+def test_knn_embeds_the_repository_once_per_run(tmp_path):
+    out = tmp_path / "out.jsonl"
+    embedder = CountingEmbedder()
+    config = replay_config(tmp_path, "detect", StrategyKind.KNN, out=out)
+    run_experiment(config, embedder=embedder)
+    records = len(load_repository(FIXTURES / "examples.db").records)
+    queries = {s.text for s in DETECTION_SENTENCES}
+    assert embedder.calls == records + len(queries)
+    assert Counter(embedder.texts).most_common(1)[0][1] == 1
+
+    resumed = CountingEmbedder()
+    assert run_experiment(config, embedder=resumed).skipped_existing == len(queries)
+    assert resumed.calls == 0
+
+    # without a cache, each cell embeds its queries again
+    sweeping = CountingEmbedder()
+    sweep(config, [StrategyKind.KNN, StrategyKind.KNN_PATTERN], [10],
+          str(tmp_path / "grid.csv"), embedder=sweeping)
+    assert sweeping.calls == records + 2 * len(queries)
+
+
 def test_sweep_csv_shape_and_example_counts(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     base = replay_config(tmp_path, "detect", StrategyKind.RANDOM, out=tmp_path / "unused.jsonl")
@@ -373,6 +444,50 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert "0.8400" in out  # zeroshot accuracy: the flag overrode the file
 
 
+def test_cli_config_file_typed_values(tmp_path, capsys):
+    run_conf = tmp_path / "run.conf"
+    run_conf.write_text(
+        "\n".join(
+            [
+                f"dataset = {FIXTURES / 'detect.jsonl'}",
+                f"db = {FIXTURES / 'examples.db'}",
+                "strategy = pattern",
+                f"model = {FIXTURE_MODEL_ID}",
+                f"transcript = {FIXTURES / 'transcript.jsonl'}",
+                f"out = {tmp_path / 'conf.jsonl'}",
+                "threshold = 0.8",
+            ]
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    # a failed replay lookup would exit 3: at 0.8 the prompts match the
+    # transcript, recorded at the default threshold, since every fixture
+    # connective matches a key exactly
+    assert main(["run", "--config", str(run_conf)]) == 0
+    report = json.loads(Path(f"{tmp_path / 'conf.jsonl'}.metrics.json").read_text())
+    assert report["config"]["threshold"] == 0.8
+
+    build_conf = tmp_path / "build.conf"
+    build_conf.write_text(
+        f"inputs = {FIXTURES / 'repo_corpus.jsonl'}\n"
+        f"db = {tmp_path / 'capped.db'}\n"
+        f"model = {FIXTURE_MODEL_ID}\n"
+        f"transcript = {FIXTURES / 'transcript.jsonl'}\n"
+        "cap = 3\n",
+        encoding="utf-8",
+    )
+    assert main(["build-db", "--config", str(build_conf)]) == 0
+    repo = load_repository(tmp_path / "capped.db")
+    assert max(len(ids) for ids in repo.index.values()) == 3
+
+    bad_conf = tmp_path / "bad.conf"
+    bad_conf.write_text("k = ten\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(bad_conf)]) == 1
+    assert "config key k" in capsys.readouterr().err
+
+
 def test_cli_config_file_unknown_key(tmp_path, capsys):
     config_file = tmp_path / "bad.conf"
     config_file.write_text("fizziness = 11\n", encoding="utf-8")
@@ -443,6 +558,19 @@ def test_cli_build_db_round_trip(tmp_path, capsys):
     assert db_path.read_bytes() == (FIXTURES / "examples.db").read_bytes()
     repo = load_repository(db_path)
     assert len(repo.records) == 38
+
+
+def test_cli_build_db_record_needs_a_transcript(tmp_path, capsys):
+    db_path = tmp_path / "never.db"
+    argv = [
+        "build-db",
+        "--inputs", str(FIXTURES / "repo_corpus.jsonl"),
+        "--db", str(db_path),
+        "--backend", "record",
+    ]
+    assert main(argv) == 1
+    assert "requires --transcript" in capsys.readouterr().err
+    assert not db_path.exists()
 
 
 def test_cli_build_db_missing_input_leaves_no_file(tmp_path, capsys):
