@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Commands: build-db, run, sweep, stats, eval. Options may come from a
-`key = value` config file (--config) with command-line flags taking
-precedence. Exit codes: 0 success, 1 usage error, 2 data error,
+Commands: build-db, run, sweep, stats, eval. build-db, run and sweep also
+take options from a `key = value` config file (--config): each line stands
+for the flag named by its key and is checked exactly like that flag, and
+command-line flags take precedence. An option given neither way is left to
+the library's default. Exit codes: 0 success, 1 usage error, 2 data error,
 3 provider error.
 """
 
@@ -21,6 +23,9 @@ from .repository import load_repository, repository_stats
 from .retrieval import MATCHERS, StrategyKind
 from .runner import (
     BACKENDS,
+    DEFAULT_BACKEND,
+    DEFAULT_BASE_URL,
+    DEFAULT_MODEL,
     TASKS,
     ExperimentConfig,
     build_db,
@@ -39,6 +44,8 @@ EXIT_PROVIDER = 3
 
 STRATEGY_NAMES = tuple(s.value for s in StrategyKind)
 MATCHING_MODES = ("greedy", "optimal")
+TRUE_WORDS = ("true", "1", "yes")
+FALSE_WORDS = ("false", "0", "no")
 
 
 class CliUsageError(Exception):
@@ -46,134 +53,100 @@ class CliUsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises CliUsageError instead of exiting. An option not given stays
+    out of the namespace, so the library's own default applies."""
+
+    commands: dict[str, _Parser]
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliUsageError(message)
 
 
-# Hard defaults per command; a key present here may also be set from a
-# config file. `...` marks options that must be provided one way or the other.
-RUN_DEFAULTS: dict[str, object] = {
-    "dataset": ...,
-    "dataset_format": "jsonl",
-    "db": None,
-    "task": "detect",
-    "strategy": "zeroshot",
-    "k": 10,
-    "seed": 0,
-    "single_pair": False,
-    "matcher": "edit_ratio",
-    "threshold": 0.90,
-    "no_fallback": False,
-    "matching": "greedy",
-    "model": "gpt-4o",
-    "backend": "replay",
-    "transcript": None,
-    "cache": None,
-    "base_url": "https://api.openai.com",
-    "embedding_model": "local-hash-256",
-    "catalog": None,
-    "out": ...,
-    "concurrency": 4,
-    "force": False,
-}
-SWEEP_DEFAULTS: dict[str, object] = {
-    **RUN_DEFAULTS,
-    "strategies": ...,
-    "k_values": ...,
-}
-BUILD_DB_DEFAULTS: dict[str, object] = {
-    "inputs": ...,
-    "db": ...,
-    "cap": 10,
-    "seed": 0,
-    "model": "gpt-4o",
-    "backend": "replay",
-    "transcript": None,
-    "base_url": "https://api.openai.com",
-    "catalog": None,
-    "concurrency": 1,
-}
-STATS_DEFAULTS: dict[str, object] = {"db": ..., "sample": 0, "seed": 0}
-EVAL_DEFAULTS: dict[str, object] = {
-    "predictions": ...,
-    "dataset": ...,
-    "dataset_format": "jsonl",
-    "task": "detect",
-    "single_pair": False,
-    "matching": "greedy",
-}
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    return value
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dataset", help="input dataset file")
-    sub.add_argument("--dataset-format", dest="dataset_format", help="jsonl|semeval|ade|li")
-    sub.add_argument("--db", help="fewshot example repository file")
-    sub.add_argument("--task", choices=TASKS)
-    sub.add_argument("--k", type=int, help="examples per prompt")
+def _add_run_flags(sub: _Parser) -> None:
+    sub.add_argument("--dataset", dest="dataset_path", required=True,
+                     help="input dataset file")
+    sub.add_argument("--dataset-format", help="jsonl|semeval|ade|li")
+    sub.add_argument("--db", dest="db_path", help="fewshot example repository file")
+    sub.add_argument("--task", choices=TASKS, default="detect")
+    sub.add_argument("--k", type=positive_int, help="examples per prompt")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--single-pair", dest="single_pair", action="store_true",
+    sub.add_argument("--single-pair", action="store_true",
                      help="extraction prompts ask for exactly one pair")
     sub.add_argument("--matcher", choices=MATCHERS, help="connective similarity matcher")
-    sub.add_argument("--threshold", type=float, help="pattern match threshold (strict >)")
-    sub.add_argument("--no-fallback", dest="no_fallback", action="store_true",
+    sub.add_argument("--threshold", dest="similarity_threshold", type=float,
+                     help="pattern match threshold (strict >)")
+    sub.add_argument("--no-fallback", dest="fallback_to_random", action="store_false",
                      help="empty pattern pools yield zero examples instead of random ones")
     sub.add_argument("--matching", choices=MATCHING_MODES, help="triplet matching mode")
-    sub.add_argument("--model", help="chat model id")
+    sub.add_argument("--model", dest="model_id", help="chat model id")
     sub.add_argument("--backend", choices=BACKENDS)
-    sub.add_argument("--transcript", help="replay/record transcript JSONL")
-    sub.add_argument("--cache", help="embedding cache JSONL")
-    sub.add_argument("--base-url", dest="base_url", help="provider base URL")
-    sub.add_argument("--embedding-model", dest="embedding_model",
+    sub.add_argument("--transcript", dest="transcript_path", help="replay/record transcript JSONL")
+    sub.add_argument("--cache", dest="cache_path", help="embedding cache JSONL")
+    sub.add_argument("--base-url", help="provider base URL")
+    sub.add_argument("--embedding-model",
                      help="embedding model id, or local-hash-<dim> for the offline embedder")
-    sub.add_argument("--catalog", help="prompt catalog file (defaults to the packaged one)")
-    sub.add_argument("--out", help="prediction output JSONL (run) / CSV (sweep)")
-    sub.add_argument("--concurrency", type=int, help="max in-flight provider calls")
+    sub.add_argument("--catalog", dest="catalog_path",
+                     help="prompt catalog file (defaults to the packaged one)")
+    sub.add_argument("--out", dest="output_path", required=True,
+                     help="prediction output JSONL (run) / CSV (sweep)")
+    sub.add_argument("--concurrency", type=positive_int, help="max in-flight provider calls")
     sub.add_argument("--force", action="store_true", help="rerun ids already in the output")
     sub.add_argument("--config", help="key = value config file; flags override it")
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="causal-rag", description=__doc__, argument_default=argparse.SUPPRESS)
+    parser = _Parser(prog="causal-rag", description=__doc__)
     commands = parser.add_subparsers(dest="command", parser_class=_Parser)
+    parser.commands = commands.choices
 
-    build = commands.add_parser("build-db", argument_default=argparse.SUPPRESS,
-                                help="build the connective-indexed example repository")
-    build.add_argument("--inputs", nargs="+", help="canonical JSONL dataset files to merge")
-    build.add_argument("--db", help="output repository file")
-    build.add_argument("--cap", type=int, help="max examples kept per connective")
+    build = commands.add_parser("build-db", help="build the connective-indexed example repository")
+    build.add_argument("--inputs", dest="input_paths", nargs="+", required=True,
+                       help="canonical JSONL dataset files to merge")
+    build.add_argument("--db", dest="db_path", required=True, help="output repository file")
+    build.add_argument("--cap", type=positive_int, help="max examples kept per connective")
     build.add_argument("--seed", type=int)
-    build.add_argument("--model", help="chat model id for connective extraction")
-    build.add_argument("--backend", choices=BACKENDS)
-    build.add_argument("--transcript", help="replay/record transcript JSONL")
-    build.add_argument("--base-url", dest="base_url")
+    build.add_argument("--model", dest="model_id", default=DEFAULT_MODEL,
+                       help="chat model id for connective extraction")
+    build.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
+    build.add_argument("--transcript", dest="transcript_path",
+                       help="replay/record transcript JSONL")
+    build.add_argument("--base-url", default=DEFAULT_BASE_URL)
     build.add_argument("--catalog", help="prompt catalog file")
-    build.add_argument("--concurrency", type=int)
+    build.add_argument("--concurrency", type=positive_int)
     build.add_argument("--config", help="key = value config file; flags override it")
 
-    run = commands.add_parser("run", argument_default=argparse.SUPPRESS,
-                              help="run one experiment and score it")
+    run = commands.add_parser("run", help="run one experiment and score it")
     _add_run_flags(run)
-    run.add_argument("--strategy", choices=STRATEGY_NAMES)
+    run.add_argument("--strategy", choices=STRATEGY_NAMES, default="zeroshot")
 
-    sweep_cmd = commands.add_parser("sweep", argument_default=argparse.SUPPRESS,
-                                    help="run a strategy/k grid and emit a CSV")
+    sweep_cmd = commands.add_parser("sweep", help="run a strategy/k grid and emit a CSV")
     _add_run_flags(sweep_cmd)
-    sweep_cmd.add_argument("--strategies", nargs="+", choices=STRATEGY_NAMES)
-    sweep_cmd.add_argument("--k-values", dest="k_values", nargs="+", type=int)
+    sweep_cmd.add_argument("--strategies", nargs="+", choices=STRATEGY_NAMES, required=True)
+    sweep_cmd.add_argument("--k-values", nargs="+", type=positive_int, required=True)
 
-    stats = commands.add_parser("stats", argument_default=argparse.SUPPRESS,
-                                help="print repository statistics")
-    stats.add_argument("--db", help="repository file")
-    stats.add_argument("--sample", type=int, help="sample N connectives per frequency")
-    stats.add_argument("--seed", type=int)
+    stats = commands.add_parser("stats", help="print repository statistics")
+    stats.add_argument("--db", required=True, help="repository file")
+    stats.add_argument("--sample", type=int, default=0, help="sample N connectives per frequency")
+    stats.add_argument("--seed", type=int, default=0)
 
-    ev = commands.add_parser("eval", argument_default=argparse.SUPPRESS,
-                             help="re-score an existing prediction file")
-    ev.add_argument("--predictions", help="prediction JSONL from a previous run")
-    ev.add_argument("--dataset", help="dataset the predictions were made on")
-    ev.add_argument("--dataset-format", dest="dataset_format")
-    ev.add_argument("--task", choices=TASKS)
-    ev.add_argument("--single-pair", dest="single_pair", action="store_true")
+    ev = commands.add_parser("eval", help="re-score an existing prediction file")
+    ev.add_argument("--predictions", dest="predictions_path", required=True,
+                    help="prediction JSONL from a previous run")
+    ev.add_argument("--dataset", dest="dataset_path", required=True,
+                    help="dataset the predictions were made on")
+    ev.add_argument("--dataset-format")
+    ev.add_argument("--task", choices=TASKS, default="detect")
+    ev.add_argument("--single-pair", action="store_true")
     ev.add_argument("--matching", choices=MATCHING_MODES)
     return parser
 
@@ -196,87 +169,78 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, raw: str, default: object) -> object:
+def config_tokens(path: str, command: str, sub: _Parser) -> list[str]:
+    """The flag tokens a config file stands for: `--key=value`, a list key's
+    value split on whitespace, a boolean as its bare flag or nothing. Each
+    key is parsed by `sub`, a parser without required options, on its own,
+    so an error names the file and the key."""
+    tokens: list[str] = []
+    for key, value in load_config_file(path).items():
+        if command == "sweep" and key == "strategy":
+            continue  # a run config's strategy; a sweep runs --strategies
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
+        if action is None or action.dest in ("help", "config"):
+            raise CliUsageError(f"{path}: unknown config key: {key}")
+        if action.nargs == 0:
+            if value.lower() not in TRUE_WORDS + FALSE_WORDS:
+                raise CliUsageError(
+                    f"{path}: config key {key}: expected one of "
+                    f"{'/'.join(TRUE_WORDS + FALSE_WORDS)}, got {value!r}"
+                )
+            given = [flag] if value.lower() in TRUE_WORDS else []
+        elif action.nargs == "+":
+            given = [flag, *value.split()]
+        else:
+            given = [f"{flag}={value}"]
+        try:
+            sub.parse_args(given)
+        except CliUsageError as exc:
+            raise CliUsageError(f"{path}: config key {key}: {exc}") from None
+        tokens += given
+    return tokens
+
+
+def _lenient_parser() -> _Parser:
+    """The CLI parser with no option required, to check a command line or a
+    config file key on its own."""
+    parser = build_parser()
+    for sub in parser.commands.values():
+        for action in sub._actions:
+            action.required = False
+    return parser
+
+
+def parse_options(argv: list[str]) -> tuple[str, dict]:
+    """The command and the options given for it: the config file's tokens
+    go before the command line's, so a flag overrides the file."""
+    lenient = _lenient_parser()
+    args = lenient.parse_args(argv)
+    command = getattr(args, "command", None)
+    if not command:
+        lenient.print_usage(sys.stderr)
+        raise CliUsageError("a command is required")
+    tokens = []
+    if "config" in args:
+        tokens = config_tokens(args.config, command, lenient.commands[command])
+    rest = argv[argv.index(command) + 1:]
+    options = vars(build_parser().parse_args([command, *tokens, *rest]))
+    del options["command"]
+    options.pop("config", None)
+    return command, options
+
+
+def _experiment_config(**options) -> ExperimentConfig:
     try:
-        if isinstance(default, bool):
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if key in ("inputs", "strategies"):
-            return raw.split()
-        if key == "k_values":
-            return [int(part) for part in raw.split()]
-    except ValueError as exc:
-        raise CliUsageError(f"config key {key}: cannot parse value {raw!r}") from exc
-    return raw
-
-
-def resolve_options(defaults: dict[str, object], args: argparse.Namespace) -> dict[str, object]:
-    """Layer hard defaults < config file < command-line flags."""
-    given = dict(vars(args))
-    given.pop("command", None)
-    config_path = given.pop("config", None)
-    merged = dict(defaults)
-    if config_path:
-        for key, raw in load_config_file(str(config_path)).items():
-            if key not in defaults:
-                raise CliUsageError(f"unknown config key: {key}")
-            merged[key] = _coerce(key, raw, defaults[key])
-    for key, value in given.items():
-        merged[key] = value
-    missing = sorted(key for key, value in merged.items() if value is ...)
-    if missing:
-        flags = ", ".join("--" + key.replace("_", "-") for key in missing)
-        raise CliUsageError(f"missing required option(s): {flags}")
-    return merged
-
-
-def _experiment_config(opts: dict[str, object], strategy_name: str, out: str) -> ExperimentConfig:
-    try:
-        strategy = StrategyKind(strategy_name)
-    except ValueError as exc:
-        raise CliUsageError(f"unknown strategy: {strategy_name}") from exc
-    try:
-        config = ExperimentConfig(
-            task=str(opts["task"]),
-            strategy=strategy,
-            dataset_path=str(opts["dataset"]),
-            dataset_format=str(opts["dataset_format"]),
-            output_path=out,
-            db_path=(str(opts["db"]) if opts["db"] else None),
-            k=int(opts["k"]),
-            seed=int(opts["seed"]),
-            single_pair=bool(opts["single_pair"]),
-            matcher=str(opts["matcher"]),
-            similarity_threshold=float(opts["threshold"]),
-            fallback_to_random=not bool(opts["no_fallback"]),
-            matching=str(opts["matching"]),
-            model_id=str(opts["model"]),
-            backend=str(opts["backend"]),
-            base_url=str(opts["base_url"]),
-            concurrency=int(opts["concurrency"]),
-            transcript_path=(str(opts["transcript"]) if opts["transcript"] else None),
-            cache_path=(str(opts["cache"]) if opts["cache"] else None),
-            embedding_model=str(opts["embedding_model"]),
-            catalog_path=(str(opts["catalog"]) if opts["catalog"] else None),
-            force=bool(opts["force"]),
-        )
+        config = ExperimentConfig(**options)
         config.retrieval_config()  # fail fast on matcher/k/threshold problems
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
     return config
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    opts = resolve_options(RUN_DEFAULTS, args)
-    config = _experiment_config(opts, str(opts["strategy"]), str(opts["out"]))
+def cmd_run(opts: dict) -> int:
+    config = _experiment_config(**{**opts, "strategy": StrategyKind(opts["strategy"])})
     result = run_experiment(config)
     if result.skipped_existing:
         print(f"resumed: {result.skipped_existing} ids already present (use --force to rerun)")
@@ -286,48 +250,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = resolve_options(SWEEP_DEFAULTS, args)
-    strategy_names = [str(s) for s in list(opts["strategies"])]
-    k_values = [int(k) for k in list(opts["k_values"])]
-    if not k_values or any(k < 1 for k in k_values):
-        raise CliUsageError("--k-values must be positive integers")
-    csv_path = str(opts["out"])
-    base = _experiment_config(opts, strategy_names[0], csv_path + ".base.jsonl")
-    try:
-        strategies = [StrategyKind(name) for name in strategy_names]
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
+def cmd_sweep(opts: dict) -> int:
+    strategies = [StrategyKind(name) for name in opts.pop("strategies")]
+    k_values = opts.pop("k_values")
+    csv_path = opts.pop("output_path")
+    base = _experiment_config(
+        **opts, strategy=strategies[0], output_path=csv_path + ".base.jsonl"
+    )
     reports = sweep(base, strategies, k_values, csv_path)
     print(f"swept {len(reports)} runs -> {csv_path}")
     return EXIT_OK
 
 
-def cmd_build_db(args: argparse.Namespace) -> int:
-    opts = resolve_options(BUILD_DB_DEFAULTS, args)
-    backend_name = str(opts["backend"])
-    if backend_name not in BACKENDS:
-        raise CliUsageError(f"backend must be one of {BACKENDS}")
-    if backend_name in ("replay", "record") and not opts["transcript"]:
-        raise CliUsageError(f"backend {backend_name!r} requires --transcript")
-    backend = make_backend(
-        backend_name,
-        str(opts["transcript"]) if opts["transcript"] else None,
-        str(opts["base_url"]),
-    )
-    catalog = load_catalog(str(opts["catalog"])) if opts["catalog"] else None
-    repo = build_db(
-        input_paths=[str(p) for p in list(opts["inputs"])],
-        db_path=str(opts["db"]),
-        model_id=str(opts["model"]),
-        backend=backend,
-        cap=int(opts["cap"]),
-        seed=int(opts["seed"]),
-        catalog=catalog,
-        concurrency=int(opts["concurrency"]),
-    )
-    print(f"wrote {opts['db']}")
-    print(_stats_text(repo, sample=0, seed=int(opts["seed"])))
+def cmd_build_db(opts: dict) -> int:
+    backend, transcript = opts.pop("backend"), opts.pop("transcript_path", None)
+    if backend in ("replay", "record") and not transcript:
+        raise CliUsageError(f"backend {backend!r} requires --transcript")
+    opts["backend"] = make_backend(backend, transcript, opts.pop("base_url"))
+    if "catalog" in opts:
+        opts["catalog"] = load_catalog(opts["catalog"])
+    repo = build_db(**opts)
+    print(f"wrote {opts['db_path']}")
+    print(_stats_text(repo, sample=0, seed=repo.seed))
     return EXIT_OK
 
 
@@ -354,24 +298,14 @@ def _stats_text(repo, sample: int, seed: int) -> str:
     return "\n".join(lines)
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    opts = resolve_options(STATS_DEFAULTS, args)
-    repo = load_repository(str(opts["db"]))
-    print(_stats_text(repo, sample=int(opts["sample"]), seed=int(opts["seed"])))
+def cmd_stats(opts: dict) -> int:
+    repo = load_repository(opts["db"])
+    print(_stats_text(repo, sample=opts["sample"], seed=opts["seed"]))
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    opts = resolve_options(EVAL_DEFAULTS, args)
-    report = eval_predictions(
-        predictions_path=str(opts["predictions"]),
-        dataset_path=str(opts["dataset"]),
-        task=str(opts["task"]),
-        dataset_format=str(opts["dataset_format"]),
-        single_pair=bool(opts["single_pair"]),
-        matching=str(opts["matching"]),
-    )
-    print(render_table(report))
+def cmd_eval(opts: dict) -> int:
+    print(render_table(eval_predictions(**opts)))
     return EXIT_OK
 
 
@@ -386,15 +320,9 @@ HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        command = getattr(args, "command", None)
-        if not command:
-            parser.print_usage(sys.stderr)
-            print("error: a command is required", file=sys.stderr)
-            return EXIT_USAGE
-        return HANDLERS[command](args)
+        command, options = parse_options(sys.argv[1:] if argv is None else argv)
+        return HANDLERS[command](options)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

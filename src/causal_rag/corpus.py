@@ -79,14 +79,13 @@ def pair_overlap(pair: CauseEffectPair) -> bool:
 class TaggedSentence:
     """One sentence with its cause/effect annotation.
 
-    `raw_text` carries no markup; `tagged_text` is the same sentence with
-    `<cause>`/`<effect>` tags; `pairs` lists the annotated cause-effect
-    phrase pairs (empty for non-causal sentences).
+    `raw_text` carries no markup; `pairs` lists the annotated cause-effect
+    phrase pairs (empty for non-causal sentences), which `render_tagged`
+    turns back into `<cause>`/`<effect>` tags.
     """
 
     id: str
     raw_text: str
-    tagged_text: str
     pairs: tuple[CauseEffectPair, ...]
     source: str
 
@@ -195,7 +194,6 @@ def parse_tagged_sentence(line: str, source: str, ordinal: int) -> TaggedSentenc
     return TaggedSentence(
         id=make_sentence_id(source, ordinal),
         raw_text=strip_tags(line),
-        tagged_text=normalize_ws(line),
         pairs=pairs,
         source=source,
     )
@@ -294,7 +292,6 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
     sentence = TaggedSentence(
         id=str(sid),
         raw_text=text,
-        tagged_text=render_tagged(text, pairs) if pairs else text,
         pairs=tuple(pairs),
         source=source,
     )

@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CauseEffectPair, TaggedSentence, normalize_ws
+from .corpus import CauseEffectPair, TaggedSentence, normalize_ws, render_tagged
 from .errors import (
     MalformedRecordError,
     SchemaVersionMismatchError,
@@ -157,7 +157,7 @@ def make_record(sentence: TaggedSentence, connectives: Sequence[str]) -> Example
     return ExampleRecord(
         id=sentence.id,
         raw_text=sentence.raw_text,
-        tagged_text=sentence.tagged_text,
+        tagged_text=render_tagged(sentence.raw_text, sentence.pairs),
         pairs=tuple(sentence.pairs),
         connectives=normalized,
         source=sentence.source,
@@ -188,6 +188,8 @@ def build_repository(
         raise ValueError(f"corpus must be all causal; non-causal ids: {not_causal[:5]}")
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
 
     ordered = sorted(corpus, key=lambda s: s.id)
 
@@ -311,6 +313,8 @@ def load_repository(path: str | Path) -> Repository:
         seed = int(header["seed"])
     except (KeyError, ValueError, TypeError):
         raise MalformedRecordError("header lacks integer cap/seed", 1) from None
+    if cap < 1:
+        raise MalformedRecordError(f"header cap {cap} is below 1", 1)
 
     records: dict[str, ExampleRecord] = {}
     for line_no, line in enumerate(lines[1:], start=2):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .embedding import EmbeddingService, VectorIndex, knn_search
+from .embedding import EmbeddingService, EmbeddingVector, VectorIndex, knn_search
 from .errors import EmptyConnectiveError, UnparseableResponseError
 from .gateway import LlmClient
 from .kernels import edit_ratio, token_subsequence
@@ -141,15 +141,15 @@ def knn_index(repo: Repository, embeddings: EmbeddingService) -> VectorIndex:
 
 
 def retrieve_knn(
-    input_text: str,
+    query: EmbeddingVector,
     repo: Repository,
-    embeddings: EmbeddingService,
     index: VectorIndex,
     cfg: RetrievalConfig,
 ) -> RetrievalResult:
-    """Top-k repository records by embedding similarity to the input;
-    `index` is `knn_index(repo, embeddings)`."""
-    hits = knn_search(embeddings.vector(input_text), index, cfg.k)
+    """Top-k repository records by embedding similarity to the input's
+    vector `query`; `index` is `knn_index(repo, embeddings)`, embedded
+    by the same service as the query."""
+    hits = knn_search(query, index, cfg.k)
     return RetrievalResult(
         examples=tuple(repo.records[hit.record_id] for hit in hits),
         provenance=tuple(
@@ -232,17 +232,16 @@ def retrieve_pattern(
 
 
 def retrieve_knn_pattern(
-    input_text: str,
+    query: EmbeddingVector,
     input_connectives: Sequence[str],
     repo: Repository,
-    embeddings: EmbeddingService,
     index: VectorIndex,
     cfg: RetrievalConfig,
     salt: str = "",
 ) -> RetrievalResult:
     """Concatenate the kNN block and the pattern block, kNN first, then drop
     duplicate record ids keeping the first occurrence; at most 2k examples."""
-    knn = retrieve_knn(input_text, repo, embeddings, index, cfg)
+    knn = retrieve_knn(query, repo, index, cfg)
     pattern = retrieve_pattern(input_connectives, repo, cfg, salt)
     examples: list[ExampleRecord] = []
     provenance: list[ExampleProvenance] = []

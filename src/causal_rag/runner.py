@@ -34,6 +34,7 @@ from .corpus import (
 from .embedding import (
     EmbeddingCache,
     EmbeddingService,
+    EmbeddingVector,
     HttpEmbeddingProvider,
     LocalHashEmbedder,
     VectorIndex,
@@ -64,7 +65,13 @@ from .prompting import (
     parse_detection,
     parse_extraction,
 )
-from .repository import Repository, build_repository, load_repository, save_repository
+from .repository import (
+    DEFAULT_CAP,
+    Repository,
+    build_repository,
+    load_repository,
+    save_repository,
+)
 from .retrieval import (
     RetrievalConfig,
     RetrievalResult,
@@ -82,7 +89,11 @@ LOGGER = logging.getLogger(__name__)
 
 TASKS = ("detect", "extract")
 BACKENDS = ("live", "replay", "record")
-DEFAULT_LOCAL_EMBEDDER = "local-hash-256"
+DEFAULT_MODEL = "gpt-4o"
+DEFAULT_BACKEND = "replay"
+DEFAULT_BASE_URL = "https://api.openai.com"
+LOCAL_EMBEDDER_PREFIX = "local-hash-"
+DEFAULT_LOCAL_EMBEDDER = LOCAL_EMBEDDER_PREFIX + "256"
 
 
 @dataclass(frozen=True)
@@ -100,9 +111,9 @@ class ExperimentConfig:
     similarity_threshold: float = 0.90
     fallback_to_random: bool = True
     matching: str = "greedy"
-    model_id: str = "gpt-4o"
-    backend: str = "replay"
-    base_url: str = "https://api.openai.com"
+    model_id: str = DEFAULT_MODEL
+    backend: str = DEFAULT_BACKEND
+    base_url: str = DEFAULT_BASE_URL
     temperature: float = 0.0
     max_output_tokens: int = 1024
     concurrency: int = 4
@@ -123,6 +134,13 @@ class ExperimentConfig:
             raise ValueError(f"strategy {self.strategy.value!r} requires a repository db")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+        if self.embedding_model.startswith(LOCAL_EMBEDDER_PREFIX):
+            dim = self.embedding_model.removeprefix(LOCAL_EMBEDDER_PREFIX)
+            if not (dim.isascii() and dim.isdigit() and int(dim) >= 1):
+                raise ValueError(
+                    f"embedding model {self.embedding_model!r}: "
+                    f"{LOCAL_EMBEDDER_PREFIX}<dim> needs an integer dim >= 1"
+                )
 
     def retrieval_config(self) -> RetrievalConfig:
         return RetrievalConfig(
@@ -153,8 +171,8 @@ def make_backend(name: str, transcript_path: str | None, base_url: str) -> Backe
 
 def make_embedder(config: ExperimentConfig):
     name = config.embedding_model
-    if name.startswith("local-hash-"):
-        return LocalHashEmbedder(dim=int(name.rsplit("-", 1)[1]))
+    if name.startswith(LOCAL_EMBEDDER_PREFIX):
+        return LocalHashEmbedder(dim=int(name.removeprefix(LOCAL_EMBEDDER_PREFIX)))
     return HttpEmbeddingProvider(config.base_url, name)
 
 
@@ -167,8 +185,8 @@ def _select_instances(split: DatasetSplit, task: str) -> list[LabeledInstance]:
 class _Session:
     """What every cell of one run or sweep shares, loaded once: the catalog,
     the selected instances, the repository, the chat client, the input
-    connectives by sentence id and, once a kNN cell needs them, the
-    embedding service and the repository's vector index."""
+    connectives and query vectors by sentence id and, once a kNN cell needs
+    them, the embedding service and the repository's vector index."""
 
     def __init__(self, config: ExperimentConfig, backend: Backend | None, embedder,
                  catalog: PromptCatalog | None):
@@ -199,6 +217,7 @@ class _Session:
         # each sentence id goes to one worker per cell and cells run one
         # after another, so no two threads touch one key at the same time
         self.connectives: dict[str, list[str]] = {}
+        self.queries: dict[str, EmbeddingVector] = {}
 
 
 def _retrieve(
@@ -213,15 +232,17 @@ def _retrieve(
     text = instance.sentence.raw_text
     if strategy is StrategyKind.RANDOM:
         return retrieve_random(repo, rcfg, salt=sid)
+    if strategy is not StrategyKind.PATTERN and sid not in session.queries:
+        session.queries[sid] = session.embeddings.vector(text)
     if strategy is StrategyKind.KNN:
-        return retrieve_knn(text, repo, session.embeddings, session.index, rcfg)
+        return retrieve_knn(session.queries[sid], repo, session.index, rcfg)
     if sid not in session.connectives:
         session.connectives[sid] = input_connectives(text, session.llm, session.catalog)
     connectives = session.connectives[sid]
     if strategy is StrategyKind.PATTERN:
         return retrieve_pattern(connectives, repo, rcfg, salt=sid)
     return retrieve_knn_pattern(
-        text, connectives, repo, session.embeddings, session.index, rcfg, salt=sid
+        session.queries[sid], connectives, repo, session.index, rcfg, salt=sid
     )
 
 
@@ -483,7 +504,7 @@ def build_db(
     db_path: str,
     model_id: str,
     backend: Backend,
-    cap: int = 10,
+    cap: int = DEFAULT_CAP,
     seed: int = 0,
     catalog: PromptCatalog | None = None,
     concurrency: int = 1,

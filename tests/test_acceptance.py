@@ -236,15 +236,10 @@ def synthetic_corpus() -> tuple[list[TaggedSentence], dict[str, str]]:
         for _ in range(count):
             i += 1
             text = f"outcome {i:03d} was {connective} trigger {i:03d}."
-            tagged = (
-                f"<effect>outcome {i:03d}</effect> was {connective} "
-                f"<cause>trigger {i:03d}</cause>."
-            )
             sentences.append(
                 TaggedSentence(
                     id=f"syn-{i:03d}",
                     raw_text=text,
-                    tagged_text=tagged,
                     pairs=(CauseEffectPair(f"trigger {i:03d}", f"outcome {i:03d}"),),
                     source="syn",
                 )
@@ -433,7 +428,7 @@ def test_criterion_07_knn_pattern_composition():
 
     repo = _repo(clones + others)
     disjoint = retrieve_knn_pattern(
-        query, ["caused by"], repo, service, knn_index(repo, service), cfg
+        service.vector(query), ["caused by"], repo, knn_index(repo, service), cfg
     )
     assert len(disjoint.examples) == 20
     assert [p.origin for p in disjoint.provenance] == ["knn"] * 10 + ["pattern"] * 10
@@ -442,7 +437,7 @@ def test_criterion_07_knn_pattern_composition():
     shared = [_record(f"kn-{i:02d}", query, "caused by") for i in range(10)]
     repo = _repo(shared)
     identical = retrieve_knn_pattern(
-        query, ["caused by"], repo, service, knn_index(repo, service), cfg
+        service.vector(query), ["caused by"], repo, knn_index(repo, service), cfg
     )
     assert len(identical.examples) == 10
     assert [p.origin for p in identical.provenance] == ["knn"] * 10

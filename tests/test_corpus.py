@@ -30,6 +30,7 @@ from causal_rag.errors import (
     UnbalancedTagsError,
     UnknownFormatError,
 )
+from causal_rag.repository import make_record
 
 
 def test_parse_single_pair() -> None:
@@ -53,7 +54,7 @@ def test_parse_tag_free_passthrough() -> None:
     sentence = parse_tagged_sentence("no tags here.", "demo", 3)
     assert sentence.pairs == ()
     assert sentence.raw_text == "no tags here."
-    assert sentence.tagged_text == "no tags here."
+    assert render_tagged(sentence.raw_text, sentence.pairs) == "no tags here."
 
 
 def test_parse_unbalanced_open() -> None:
@@ -105,7 +106,7 @@ def test_parse_then_strip_matches_direct_strip() -> None:
     ]
     for line in lines:
         sentence = parse_tagged_sentence(line, "demo", 1)
-        assert strip_tags(sentence.tagged_text) == strip_tags(line)
+        assert strip_tags(render_tagged(sentence.raw_text, sentence.pairs)) == strip_tags(line)
         assert sentence.raw_text == strip_tags(line)
 
 
@@ -187,7 +188,7 @@ def test_load_jsonl_counts(tmp_path) -> None:
     split = load_dataset(path, "jsonl")
     assert split.counts == (2, 1, 1)
     assert split.instances[0].sentence.id == "mini-000001"
-    assert split.instances[0].sentence.tagged_text == (
+    assert make_record(split.instances[0].sentence, ["causes"]).tagged_text == (
         "<cause>smoking</cause> causes <effect>cancer</effect>"
     )
 
@@ -376,7 +377,6 @@ def test_dataset_stats_counts_and_histogram() -> None:
         sentence = TaggedSentence(
             id=make_sentence_id("s", n),
             raw_text=text,
-            tagged_text=text,
             pairs=pairs,
             source="s",
         )
@@ -406,7 +406,6 @@ def test_dataset_stats_all_non_causal() -> None:
             sentence=TaggedSentence(
                 id=make_sentence_id("n", i),
                 raw_text=f"plain {i}",
-                tagged_text=f"plain {i}",
                 pairs=(),
                 source="n",
             ),

@@ -189,6 +189,13 @@ def test_build_validates_inputs() -> None:
         build_repository([sentence("no tags at all.")], llm)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_build_rejects_a_cap_below_1(cap) -> None:
+    corpus, mapping = _corpus_with(_standard_plan()[:2])
+    with pytest.raises(ValueError, match="cap"):
+        build_repository(corpus, connective_llm(mapping), cap=cap)
+
+
 def test_build_concurrency_identical_output() -> None:
     corpus, mapping = _corpus_with(_standard_plan())
     llm = connective_llm(mapping)
@@ -274,6 +281,19 @@ def test_load_corrupt_record_reports_line(tmp_path) -> None:
     with pytest.raises(MalformedRecordError) as excinfo:
         load_repository(path)
     assert excinfo.value.line_number == 3
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_load_rejects_a_header_cap_below_1(tmp_path, cap) -> None:
+    path = tmp_path / "db.jsonl"
+    path.write_text(
+        f'{{"schema_version": 1, "cap": {cap}, "seed": 0}}\n'
+        '{"id": "a", "text": "t", "tagged_text": "t", "pairs": [], '
+        '"connectives": ["x"], "source": "s"}\n'
+    )
+    with pytest.raises(MalformedRecordError, match="cap") as excinfo:
+        load_repository(path)
+    assert excinfo.value.line_number == 1
 
 
 def test_load_record_without_connectives(tmp_path) -> None:

@@ -190,7 +190,8 @@ def test_random_k_10() -> None:
 def test_knn_self_text_first() -> None:
     repo = synthetic_repo()
     target = next(iter(repo.records.values()))
-    result = retrieve_knn(target.raw_text, repo, *indexed(repo), cfg())
+    svc, index = indexed(repo)
+    result = retrieve_knn(svc.vector(target.raw_text), repo, index, cfg())
     assert result.examples[0].id == target.id
     assert result.provenance[0].score == pytest.approx(1.0, abs=1e-12)
     assert result.strategy is StrategyKind.KNN
@@ -198,7 +199,8 @@ def test_knn_self_text_first() -> None:
 
 def test_knn_returns_k_and_descending() -> None:
     repo = synthetic_repo()
-    result = retrieve_knn("storm damage report", repo, *indexed(repo), cfg(k=10))
+    svc, index = indexed(repo)
+    result = retrieve_knn(svc.vector("storm damage report"), repo, index, cfg(k=10))
     assert len(result.examples) == 10
     scores = [p.score for p in result.provenance]
     assert scores == sorted(scores, reverse=True)
@@ -209,8 +211,8 @@ def test_knn_matches_exhaustive_oracle() -> None:
     repo = synthetic_repo()
     svc, index = indexed(repo)
     for query_text in ("flood caused outage in town", "storm was caused by hail"):
-        result = retrieve_knn(query_text, repo, svc, index, cfg(k=5))
         query = svc.vector(query_text)
+        result = retrieve_knn(query, repo, index, cfg(k=5))
         oracle = sorted(
             (
                 (cosine_similarity(query, svc.vector(r.raw_text)), rid)
@@ -225,10 +227,10 @@ def test_knn_uses_cache(tmp_path) -> None:
     repo = synthetic_repo()
     embedder = LocalHashEmbedder(dim=64)
     svc = EmbeddingService(provider=embedder, cache=EmbeddingCache(tmp_path / "c.jsonl"))
-    retrieve_knn("first query", repo, svc, knn_index(repo, svc), cfg())
+    retrieve_knn(svc.vector("first query"), repo, knn_index(repo, svc), cfg())
     calls_after_first = embedder.calls
     assert calls_after_first == len(repo.records) + 1
-    retrieve_knn("first query", repo, svc, knn_index(repo, svc), cfg())
+    retrieve_knn(svc.vector("first query"), repo, knn_index(repo, svc), cfg())
     assert embedder.calls == calls_after_first  # every text cached
 
 
@@ -405,11 +407,12 @@ def test_knn_pattern_disjoint_components_concat() -> None:
     for i in range(18):
         plan.append(("lead to", f"volcanic ash clouds lead to flight delays {i}"))
     repo = make_repo(plan, cap=10)
+    svc, index = indexed(repo)
     result = retrieve_knn_pattern(
-        "volcanic ash clouds lead to flight delays",
+        svc.vector("volcanic ash clouds lead to flight delays"),
         ["caused by"],
         repo,
-        *indexed(repo),
+        index,
         cfg(k=10),
     )
     assert len(result.examples) == 20
@@ -422,8 +425,9 @@ def test_knn_pattern_disjoint_components_concat() -> None:
 def test_knn_pattern_identical_components_dedup() -> None:
     plan = [("caused by", f"flood caused by storm {i}") for i in range(10)]
     repo = make_repo(plan, cap=10)
+    svc, index = indexed(repo)
     result = retrieve_knn_pattern(
-        "flood caused by storm", ["caused by"], repo, *indexed(repo), cfg(k=10)
+        svc.vector("flood caused by storm"), ["caused by"], repo, index, cfg(k=10)
     )
     assert len(result.examples) == 10
     # kNN block leads, so surviving provenance is all knn
@@ -432,8 +436,9 @@ def test_knn_pattern_identical_components_dedup() -> None:
 
 def test_knn_pattern_fallback_marked() -> None:
     repo = synthetic_repo()
+    svc, index = indexed(repo)
     result = retrieve_knn_pattern(
-        "some unrelated text", ["nonexistent connective"], repo, *indexed(repo), cfg(k=3)
+        svc.vector("some unrelated text"), ["nonexistent connective"], repo, index, cfg(k=3)
     )
     assert result.fallback_used is True
     origins = {p.origin for p in result.provenance}
@@ -444,14 +449,15 @@ def test_size_bounds_property_seeded() -> None:
     rng = random.Random(31)
     repo = synthetic_repo()
     svc, index = indexed(repo)
+    query = svc.vector("storm surge")
     for _ in range(10):
         k = rng.randrange(1, 25)
         c = cfg(k=k, seed=rng.randrange(100))
         salt = f"s{rng.randrange(10)}"
         assert len(retrieve_random(repo, c, salt).examples) <= k
-        assert len(retrieve_knn("storm surge", repo, svc, index, c).examples) <= k
+        assert len(retrieve_knn(query, repo, index, c).examples) <= k
         assert len(retrieve_pattern(["caused by"], repo, c, salt).examples) <= k
-        combined = retrieve_knn_pattern("storm surge", ["caused by"], repo, svc, index, c, salt)
+        combined = retrieve_knn_pattern(query, ["caused by"], repo, index, c, salt)
         assert len(combined.examples) <= 2 * k
         ids = [r.id for r in combined.examples]
         assert len(set(ids)) == len(ids)

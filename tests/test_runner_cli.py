@@ -10,7 +10,8 @@ import pytest
 
 from fixture_llm import DETECTION_SENTENCES, FIXTURE_MODEL_ID, FixtureResponder
 
-from causal_rag.cli import main
+from causal_rag import cli
+from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder
 from causal_rag.errors import TransportError
 from causal_rag.gateway import ScriptedBackend
@@ -248,6 +249,16 @@ def test_config_validation_errors():
                          dataset_path="d", output_path="o", backend="live")
 
 
+@pytest.mark.parametrize("name", ["local-hash-x", "local-hash-", "local-hash-0", "local-hash--5"])
+def test_config_rejects_a_malformed_local_embedder(name):
+    with pytest.raises(ValueError, match="local-hash-<dim>"):
+        ExperimentConfig(task="detect", strategy=StrategyKind.ZEROSHOT, dataset_path="d",
+                         output_path="o", backend="live", embedding_model=name)
+    for valid in ("local-hash-64", "text-embedding-3-small"):
+        ExperimentConfig(task="detect", strategy=StrategyKind.ZEROSHOT, dataset_path="d",
+                         output_path="o", backend="live", embedding_model=valid)
+
+
 # --- build_db / sweep --------------------------------------------------------
 
 
@@ -331,11 +342,12 @@ def test_knn_embeds_the_repository_once_per_run(tmp_path):
     assert run_experiment(config, embedder=resumed).skipped_existing == len(queries)
     assert resumed.calls == 0
 
-    # without a cache, each cell embeds its queries again
+    # a sweep embeds each query once, however many kNN cells use it
     sweeping = CountingEmbedder()
     sweep(config, [StrategyKind.KNN, StrategyKind.KNN_PATTERN], [10],
           str(tmp_path / "grid.csv"), embedder=sweeping)
-    assert sweeping.calls == records + 2 * len(queries)
+    assert sweeping.calls == records + len(queries)
+    assert Counter(sweeping.texts).most_common(1)[0][1] == 1
 
 
 def test_sweep_csv_shape_and_example_counts(tmp_path):
@@ -584,3 +596,215 @@ def test_cli_build_db_missing_input_leaves_no_file(tmp_path, capsys):
     ]
     assert main(argv) == 2
     assert not db_path.exists()
+
+
+# --- one option path: config-file keys are the flags -------------------------
+
+# a value for every option of run, sweep and build-db, each unlike the base
+# options below and unlike the library default
+RUN_OPTIONS = {
+    "dataset": "other.jsonl",
+    "dataset_format": "li",
+    "db": "other.db",
+    "task": "extract",
+    "k": "3",
+    "seed": "7",
+    "single_pair": True,
+    "matcher": "token_containment",
+    "threshold": "0.5",
+    "no_fallback": True,
+    "matching": "optimal",
+    "model": "other-model",
+    "backend": "live",
+    "transcript": "other-transcript.jsonl",
+    "cache": "cache.jsonl",
+    "base_url": "http://localhost:9",
+    "embedding_model": "local-hash-64",
+    "catalog": "catalog.txt",
+    "out": "other.out",
+    "concurrency": "2",
+    "force": True,
+}
+OPTION_VALUES = {
+    "run": {**RUN_OPTIONS, "strategy": "knn"},
+    "sweep": {**RUN_OPTIONS, "strategies": "knn pattern", "k_values": "1 5"},
+    "build-db": {
+        "inputs": "a.jsonl b.jsonl",
+        "db": "other.db",
+        "cap": "3",
+        "seed": "7",
+        "model": "other-model",
+        "backend": "live",
+        "transcript": "other-transcript.jsonl",
+        "base_url": "http://localhost:9",
+        "catalog": "catalog.txt",
+        "concurrency": "2",
+    },
+}
+BASE_OPTIONS = {
+    "run": {"dataset": "d.jsonl", "db": "e.db", "transcript": "t.jsonl", "out": "o.jsonl"},
+    "sweep": {"dataset": "d.jsonl", "db": "e.db", "transcript": "t.jsonl", "out": "o.csv",
+              "strategies": "random", "k_values": "10"},
+    "build-db": {"inputs": "c.jsonl", "db": "e.db", "transcript": "t.jsonl"},
+}
+LIBRARY_CALL = {"run": "run_experiment", "sweep": "sweep", "build-db": "build_db"}
+
+
+class Called(Exception):
+    """Stops the CLI at the library call it was about to make."""
+
+
+def library_call(monkeypatch, argv: list[str]):
+    """The arguments `main(argv)` hands to run_experiment, sweep or build_db,
+    with backends and catalogs stood in for by what they were built from."""
+
+    def stop(*args, **kwargs):
+        raise Called(args, kwargs)
+
+    monkeypatch.setattr(cli, LIBRARY_CALL[argv[0]], stop)
+    monkeypatch.setattr(cli, "make_backend", lambda *args: ("backend", *args))
+    monkeypatch.setattr(cli, "load_catalog", lambda path: ("catalog", path))
+    with pytest.raises(Called) as stopped:
+        main(argv)
+    return stopped.value.args
+
+
+def as_flags(options: dict) -> list[str]:
+    flags = []
+    for key, value in options.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        else:
+            listed = key in ("inputs", "strategies", "k_values")
+            flags += [flag, *value.split()] if listed else [flag, value]
+    return flags
+
+
+def as_config(path: Path, options: dict) -> str:
+    lines = [f"{key} = {'true' if value is True else value}" for key, value in options.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_option_table_walks_every_flag():
+    parser = build_parser()
+    for command, options in OPTION_VALUES.items():
+        flags = set(parser.commands[command]._option_string_actions) - {"-h", "--help", "--config"}
+        assert flags == {"--" + key.replace("_", "-") for key in options}, command
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command, options in OPTION_VALUES.items() for key in options],
+)
+def test_config_file_and_flag_give_the_same_library_call(tmp_path, monkeypatch, command, key):
+    options = {**BASE_OPTIONS[command], key: OPTION_VALUES[command][key]}
+    from_flags = library_call(monkeypatch, [command, *as_flags(options)])
+    conf = as_config(tmp_path / "opts.conf", options)
+    assert library_call(monkeypatch, [command, "--config", conf]) == from_flags
+    # the option reaches the library: without it the call differs
+    base = library_call(monkeypatch, [command, *as_flags(BASE_OPTIONS[command])])
+    assert from_flags != base
+
+
+def test_config_file_booleans_and_precedence(tmp_path, monkeypatch):
+    base = BASE_OPTIONS["run"]
+    plain = library_call(monkeypatch, ["run", *as_flags(base)])
+    flagged = library_call(monkeypatch, ["run", *as_flags(base), "--force", "--no-fallback"])
+    # a key may be spelled with hyphens or underscores
+    for word in ("true", "Yes", "1"):
+        conf = as_config(tmp_path / "t.conf", {**base, "force": word, "no-fallback": word})
+        assert library_call(monkeypatch, ["run", "--config", conf]) == flagged
+    for word in ("false", "NO", "0"):
+        conf = as_config(tmp_path / "f.conf", {**base, "force": word, "no_fallback": word})
+        assert library_call(monkeypatch, ["run", "--config", conf]) == plain
+    # flags override the file, lists included
+    conf = as_config(tmp_path / "s.conf", {**BASE_OPTIONS["sweep"], "k_values": "1 5"})
+    args, _ = library_call(monkeypatch, ["sweep", "--config", conf, "--k-values", "7", "--k", "4"])
+    assert args[0].k == 4 and args[2] == [7]
+
+
+def test_sweep_config_accepts_and_ignores_a_run_strategy(tmp_path, monkeypatch):
+    options = BASE_OPTIONS["sweep"]
+    conf = as_config(tmp_path / "a.conf", options)
+    plain = library_call(monkeypatch, ["sweep", "--config", conf])
+    conf = as_config(tmp_path / "b.conf", {**options, "strategy": "pattern"})
+    assert library_call(monkeypatch, ["sweep", "--config", conf]) == plain
+
+
+def test_cli_config_matching_checked_before_any_provider_call(tmp_path, capsys):
+    out = tmp_path / "best.jsonl"
+    conf = as_config(tmp_path / "best.conf", {
+        "dataset": str(FIXTURES / "extract.jsonl"),
+        "db": str(FIXTURES / "examples.db"),
+        "task": "extract",
+        "strategy": "pattern",
+        "model": FIXTURE_MODEL_ID,
+        "transcript": str(FIXTURES / "transcript.jsonl"),
+        "out": str(out),
+        "matching": "best",
+    })
+    assert main(["run", "--config", conf]) == 1
+    err = capsys.readouterr().err
+    assert conf in err and "config key matching" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("strategies", "random telepathy"), ("k_values", "0")])
+def test_cli_sweep_config_lists_are_checked(tmp_path, capsys, key, value):
+    csv_path = tmp_path / "grid.csv"
+    conf = as_config(tmp_path / "grid.conf", {
+        "dataset": str(FIXTURES / "detect.jsonl"),
+        "db": str(FIXTURES / "examples.db"),
+        "model": FIXTURE_MODEL_ID,
+        "transcript": str(FIXTURES / "transcript.jsonl"),
+        "out": str(csv_path),
+        "strategies": "random",
+        "k_values": "1",
+        key: value,
+    })
+    assert main(["sweep", "--config", conf]) == 1
+    assert f"config key {key}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "grid.conf"]
+
+
+def test_cli_missing_option_named_with_a_config_file(tmp_path, capsys):
+    conf = as_config(tmp_path / "half.conf", {"dataset": str(FIXTURES / "detect.jsonl")})
+    assert main(["run", "--config", conf]) == 1
+    err = capsys.readouterr().err
+    assert "--out" in err and "--dataset" not in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cli_build_db_rejects_a_cap_below_1(tmp_path, capsys, cap):
+    db_path = tmp_path / "never.db"
+    argv = [
+        "build-db",
+        "--inputs", str(FIXTURES / "repo_corpus.jsonl"),
+        "--db", str(db_path),
+        "--model", FIXTURE_MODEL_ID,
+        "--transcript", str(FIXTURES / "transcript.jsonl"),
+        "--cap", cap,
+    ]
+    assert main(argv) == 1
+    assert "--cap" in capsys.readouterr().err
+    assert not db_path.exists()
+
+
+def test_cli_sweep_rejects_a_malformed_local_embedder_before_any_cell(tmp_path, capsys):
+    csv_path = tmp_path / "grid.csv"
+    argv = [
+        "sweep",
+        "--dataset", str(FIXTURES / "detect.jsonl"),
+        "--db", str(FIXTURES / "examples.db"),
+        "--model", FIXTURE_MODEL_ID,
+        "--transcript", str(FIXTURES / "transcript.jsonl"),
+        "--out", str(csv_path),
+        "--strategies", "random", "knn",
+        "--k-values", "10",
+        "--embedding-model", "local-hash-x",
+    ]
+    assert main(argv) == 1
+    assert "local-hash-<dim>" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
