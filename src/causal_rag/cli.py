@@ -16,6 +16,7 @@ import random
 import sys
 from pathlib import Path
 
+from .corpus import FORMATS
 from .errors import CausalRagError, ProviderError, ReplayMissError, TransportError
 from .evaluation import render_table
 from .prompting import load_catalog
@@ -75,7 +76,7 @@ def positive_int(text: str) -> int:
 def _add_run_flags(sub: _Parser) -> None:
     sub.add_argument("--dataset", dest="dataset_path", required=True,
                      help="input dataset file")
-    sub.add_argument("--dataset-format", help="jsonl|semeval|ade|li")
+    sub.add_argument("--dataset-format", choices=FORMATS, help="input dataset format")
     sub.add_argument("--db", dest="db_path", help="fewshot example repository file")
     sub.add_argument("--task", choices=TASKS, default="detect")
     sub.add_argument("--k", type=positive_int, help="examples per prompt")
@@ -144,7 +145,7 @@ def build_parser() -> _Parser:
                     help="prediction JSONL from a previous run")
     ev.add_argument("--dataset", dest="dataset_path", required=True,
                     help="dataset the predictions were made on")
-    ev.add_argument("--dataset-format")
+    ev.add_argument("--dataset-format", choices=FORMATS)
     ev.add_argument("--task", choices=TASKS, default="detect")
     ev.add_argument("--single-pair", action="store_true")
     ev.add_argument("--matching", choices=MATCHING_MODES)

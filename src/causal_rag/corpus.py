@@ -64,7 +64,7 @@ def make_sentence_id(source: str, ordinal: int) -> str:
     return f"{source}-{ordinal:06d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CauseEffectPair:
     cause: str
     effect: str
@@ -75,7 +75,7 @@ def pair_overlap(pair: CauseEffectPair) -> bool:
     return bool(set(norm_tokens(pair.cause)) & set(norm_tokens(pair.effect)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedSentence:
     """One sentence with its cause/effect annotation.
 
@@ -90,7 +90,7 @@ class TaggedSentence:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triplet:
     """One (sentence, cause, effect) unit of multi-pair extraction scoring."""
 
@@ -106,7 +106,7 @@ def sentence_triplets(sentence: TaggedSentence) -> list[Triplet]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledInstance:
     sentence: TaggedSentence
     label: int  # 1 = causal, 0 = non-causal

@@ -27,6 +27,7 @@ import requests
 
 from .errors import DimensionMismatchError, ProviderError, ZeroVectorError
 from .gateway import API_KEY_ENV, DEFAULT_TIMEOUT, post_with_retry
+from .jsonl import LineAppender, read_jsonl
 
 WS_RE = re.compile(r"\s+")
 
@@ -160,22 +161,19 @@ class EmbeddingCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._appender = LineAppender(self.path)
         self._flights: dict[tuple[str, str], threading.Lock] = {}
         self._vectors: dict[tuple[str, str], EmbeddingVector] = {}
         self._dims: dict[str, int] = {}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
-                    vector = EmbeddingVector(
-                        values=tuple(float(v) for v in obj["vector"]),
-                        model_id=obj["model"],
-                    )
-                    self._check_dim(vector)
-                    self._vectors[(obj["key"], obj["model"])] = vector
-                    self._dims[obj["model"]] = vector.dim
+            for obj in read_jsonl(self.path, ("key", "model", "vector")):
+                vector = EmbeddingVector(
+                    values=tuple(float(v) for v in obj["vector"]),
+                    model_id=obj["model"],
+                )
+                self._check_dim(vector)
+                self._vectors[(obj["key"], obj["model"])] = vector
+                self._dims[obj["model"]] = vector.dim
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -207,8 +205,7 @@ class EmbeddingCache:
             self._check_dim(vector)
             if (key.content_hash, key.model_id) in self._vectors:
                 return
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            self._appender.append(line)
             self._vectors[(key.content_hash, key.model_id)] = vector
             self._dims[key.model_id] = vector.dim
 

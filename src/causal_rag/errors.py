@@ -38,13 +38,17 @@ class UnknownFormatError(CausalRagError):
 
 
 class MalformedRecordError(CausalRagError):
-    """A dataset or repository record violates its format contract."""
+    """A dataset, repository or JSONL store record violates its format
+    contract."""
 
-    def __init__(self, message, line_number=None):
+    def __init__(self, message, line_number=None, path=None):
         if line_number is not None:
             message = f"line {line_number}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line_number = line_number
+        self.path = path
 
 
 class EmptyDatasetError(CausalRagError):

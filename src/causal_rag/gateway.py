@@ -29,6 +29,7 @@ from .errors import (
     ReplayMissError,
     TransportError,
 )
+from .jsonl import LineAppender, read_jsonl
 
 API_KEY_ENV = "CAUSAL_RAG_API_KEY"
 DEFAULT_TIMEOUT = 60.0
@@ -95,20 +96,18 @@ class Transcript:
 
     Lookup takes the last entry for a hash, so a corrected response can be
     appended later without rewriting history. Appends are serialized by a
-    lock; loads read the whole file once.
+    lock; loads read the whole file once, dropping a torn final line (see
+    `jsonl`).
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._appender = LineAppender(self.path)
         self._entries: dict[str, str] = {}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
-                    self._entries[obj["request_hash"]] = obj["response_text"]
+            for obj in read_jsonl(self.path, ("request_hash", "response_text")):
+                self._entries[obj["request_hash"]] = obj["response_text"]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -127,8 +126,7 @@ class Transcript:
             ensure_ascii=False,
         )
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            self._appender.append(line)
             self._entries[entry.request_hash] = entry.response_text
 
 

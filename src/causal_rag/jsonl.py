@@ -1,0 +1,106 @@
+"""Append-only JSONL stores: the one reader and the one appender shared by
+prediction files, transcripts and embedding caches.
+
+A process killed in the middle of a write can leave a final line without its
+newline. The reader drops such a line, with a warning, when it does not
+parse, and `open_append` cuts it off before anything more is written, so the
+file again ends in a complete line. Damage on any other line is a
+`MalformedRecordError` that names the file and the line.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import mmap
+import os
+from io import RawIOBase
+from pathlib import Path
+from typing import IO, Iterator
+
+from .errors import MalformedRecordError
+
+LOGGER = logging.getLogger(__name__)
+
+
+def read_jsonl(path: str | Path, fields: tuple[str, ...] = ()) -> Iterator[dict]:
+    """The JSON objects of `path`, one per non-blank line, in file order;
+    each must carry every key in `fields`."""
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                if not line.endswith(b"\n"):
+                    LOGGER.warning("%s: dropped torn final line %d (%s)", path, line_no, reason)
+                    return
+                raise MalformedRecordError(f"invalid JSON ({reason})", line_no, path) from None
+            if not isinstance(obj, dict):
+                raise MalformedRecordError("expected a JSON object", line_no, path)
+            for name in fields:
+                if name not in obj:
+                    raise MalformedRecordError(f"missing field {name!r}", line_no, path)
+            yield obj
+
+
+def open_append(path: str | Path) -> IO[str]:
+    """Open `path` to append lines, creating it and its directory if need
+    be. A final line without its newline is first cut off if it does not
+    parse, as `read_jsonl` dropped it, or given its newline if it does, as
+    `read_jsonl` kept it."""
+    try:
+        handle = open(path, "a+", encoding="utf-8")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        handle = open(path, "a+", encoding="utf-8")
+    try:
+        # the unbuffered layer: reading it leaves the buffers untouched
+        _end_with_a_complete_line(handle.buffer.raw, path)
+        handle.seek(0, os.SEEK_END)
+    except BaseException:
+        handle.close()
+        raise
+    return handle
+
+
+class LineAppender:
+    """Appends one line at a time to a JSONL file, opening it for each line
+    so that no handle outlives a call; callers serialize appends. Only the
+    first append pays for `open_append`'s tail check: every later one
+    follows a line this object wrote."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._checked = False
+
+    def append(self, line: str) -> None:
+        if self._checked:
+            handle = open(self.path, "a", encoding="utf-8")
+        else:
+            handle = open_append(self.path)
+            self._checked = True
+        with handle:
+            handle.write(line + "\n")
+
+
+def _end_with_a_complete_line(raw: RawIOBase, path: str | Path) -> None:
+    end = raw.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    raw.seek(end - 1)
+    if raw.read(1) == b"\n":
+        return
+    with mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as view:
+        start = view.rfind(b"\n") + 1
+        tail = view[start:]
+    try:
+        json.loads(tail.decode("utf-8"))
+    except ValueError:
+        LOGGER.warning("%s: cut %d bytes of a torn final line before appending",
+                       path, len(tail))
+        raw.truncate(start)
+    else:
+        raw.write(b"\n")  # the file is open to append, so this lands at the end

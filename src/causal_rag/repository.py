@@ -40,7 +40,7 @@ BULLET_RE = re.compile(r"^\s*(?:[-*•]\s+|\d+[.)]\s+)")
 TRIM_CHARS = "\"'`“”‘’.,;:()[]{}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleRecord:
     id: str
     raw_text: str

@@ -5,12 +5,17 @@ strategy, assemble the prompt, complete it, parse the response, and append
 one prediction record per sentence. A run, or a whole sweep, shares one
 session: the dataset, repository and transcript are loaded once, each
 sentence's connectives are asked for once, and the repository is embedded
-once. Records are ordered by sentence id and all sampling is salted with the
-sentence id, so outputs are byte-identical across runs and across
-concurrency bounds whenever the transcript, seed, and config are fixed.
-Unparseable responses are scored as failures, never crashes; under the
-replay backend, timings are written as 0.0 to keep output files
-reproducible.
+once.
+
+Records stream to the output file in sentence-id order, each line written
+and flushed as soon as its record and every smaller id are done, so a killed
+run keeps all it wrote and a re-run resumes after it. The run keeps only
+what scoring reads of each record (`_Scored`); `RunResult.records` reads the
+full records back from the file. All sampling is salted with the sentence
+id, so outputs are byte-identical across runs and across concurrency bounds
+whenever the transcript, seed, and config are fixed. Unparseable responses
+are scored as failures, never crashes; under the replay backend, timings
+are written as 0.0 to keep output files reproducible.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -56,6 +62,7 @@ from .gateway import (
     Transcript,
     request_hash,
 )
+from .jsonl import open_append, read_jsonl
 from .prompting import (
     PromptCatalog,
     default_catalog,
@@ -154,10 +161,16 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    records: list[dict]
     report: dict
     output_path: str
+    sentence_ids: list[str]  # the run's instances, in id order
     skipped_existing: int = 0
+
+    @property
+    def records(self) -> list[dict]:
+        """The run's full prediction records in id order, read back from
+        `output_path`."""
+        return _read_records(self.output_path, self.sentence_ids)
 
 
 def make_backend(name: str, transcript_path: str | None, base_url: str) -> Backend:
@@ -315,20 +328,65 @@ def _process_instance(
     }
 
 
+@dataclass(frozen=True, slots=True)
+class _Scored:
+    """What scoring reads of one prediction record; the full record stays
+    in the output file."""
+
+    example_count: int
+    parse_error: bool
+    # detect: the parsed label; extract: the parsed (cause, effect) pairs;
+    # None when the response did not parse
+    answer: int | tuple[tuple[str, str], ...] | None
+
+    @classmethod
+    def of(cls, record: dict) -> _Scored:
+        parsed = record["parsed"]
+        if record["parse_error"]:
+            answer = None
+        elif "pairs" in parsed:
+            answer = tuple((pair["cause"], pair["effect"]) for pair in parsed["pairs"])
+        else:
+            answer = parsed["label"]
+        return cls(record["example_count"], record["parse_error"], answer)
+
+
+RECORD_FIELDS = ("sentence_id", "example_count", "parse_error", "parsed")
+
+
+def _load_scored(path: str | Path) -> dict[str, _Scored]:
+    """What scoring reads of a prediction file, by sentence id; a later
+    line wins."""
+    return {
+        record["sentence_id"]: _Scored.of(record)
+        for record in read_jsonl(path, RECORD_FIELDS)
+    }
+
+
+def _read_records(path: str | Path, ids: Sequence[str]) -> list[dict]:
+    """The full records of `ids` from a prediction file, in that order; a
+    later line wins."""
+    wanted: dict[str, dict | None] = dict.fromkeys(ids)
+    for record in read_jsonl(path, RECORD_FIELDS):
+        if record["sentence_id"] in wanted:
+            wanted[record["sentence_id"]] = record
+    return [wanted[sid] for sid in ids]
+
+
 def _score_records(
     task: str,
     single_pair: bool,
     matching: str,
     config_echo: dict,
     instances: Sequence[LabeledInstance],
-    records: dict[str, dict],
+    records: dict[str, _Scored],
 ) -> dict:
-    counts = [records[inst.sentence.id]["example_count"] for inst in instances]
+    counts = [records[inst.sentence.id].example_count for inst in instances]
     extras = {
         "examples_mean": round(sum(counts) / len(counts), 4) if counts else 0.0,
         "examples_max": max(counts) if counts else 0,
         "parse_failures": sum(
-            1 for inst in instances if records[inst.sentence.id]["parse_error"]
+            1 for inst in instances if records[inst.sentence.id].parse_error
         ),
     }
 
@@ -336,11 +394,11 @@ def _score_records(
         preds = []
         for inst in instances:
             record = records[inst.sentence.id]
-            if record["parse_error"]:
+            if record.parse_error:
                 # an unanswerable response is scored as a wrong prediction
                 predicted = 1 - inst.label
             else:
-                predicted = record["parsed"]["label"]
+                predicted = record.answer
             preds.append((predicted, inst.label))
         report = build_report("detect", detection_metrics(preds), config_echo)
         report["metrics"].update(extras)
@@ -351,9 +409,8 @@ def _score_records(
         for inst in instances:
             record = records[inst.sentence.id]
             predicted = None
-            if not record["parse_error"] and record["parsed"]["pairs"]:
-                first = record["parsed"]["pairs"][0]
-                predicted = CauseEffectPair(first["cause"], first["effect"])
+            if not record.parse_error and record.answer:
+                predicted = CauseEffectPair(*record.answer[0])
             items.append((inst.sentence.id, inst.sentence.pairs[0], predicted))
         accuracy, outcomes = single_pair_accuracy(items)
         metrics = {
@@ -371,30 +428,15 @@ def _score_records(
     for inst in instances:
         gold.extend(sentence_triplets(inst.sentence))
         record = records[inst.sentence.id]
-        if not record["parse_error"]:
-            for pair in record["parsed"]["pairs"]:
+        if not record.parse_error:
+            for cause, effect in record.answer:
                 predicted.append(
-                    Triplet(
-                        sentence_id=inst.sentence.id,
-                        cause=pair["cause"],
-                        effect=pair["effect"],
-                    )
+                    Triplet(sentence_id=inst.sentence.id, cause=cause, effect=effect)
                 )
     metrics = triplet_metrics(gold, predicted, matching=matching)
     report = build_report("extract", metrics, config_echo)
     report["metrics"].update(extras)
     return report
-
-
-def _load_records(path: str | Path) -> dict[str, dict]:
-    """A prediction file's records by sentence id; a later line wins."""
-    records: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                record = json.loads(line)
-                records[record["sentence_id"]] = record
-    return records
 
 
 def run_experiment(
@@ -406,9 +448,10 @@ def run_experiment(
     """Run one experiment; `backend`/`embedder` may be injected for tests.
 
     Existing output ids are skipped unless config.force; new records are
-    appended in sentence-id order. Metrics always cover the full instance
-    set: the existing records, read once before the run, are scored
-    together with the new ones."""
+    appended in sentence-id order, each flushed as it completes. Metrics
+    always cover the full instance set: what scoring reads of the existing
+    records, loaded once before the run, is scored together with the new
+    ones."""
     return _run_cell(_Session(config, backend, embedder, catalog), config)
 
 
@@ -422,7 +465,7 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
     output_path = Path(config.output_path)
     if config.force and output_path.exists():
         output_path.unlink()
-    records = _load_records(output_path) if output_path.exists() else {}
+    records = _load_scored(output_path) if output_path.exists() else {}
     skipped_existing = len(records)
     todo = [inst for inst in instances if inst.sentence.id not in records]
     todo.sort(key=lambda inst: inst.sentence.id)
@@ -436,35 +479,39 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
         session.index = knn_index(session.repo, session.embeddings)
 
     def work(instance: LabeledInstance) -> tuple[dict | None, ProviderError | None]:
-        # provider failures are captured, not raised, so records that did
-        # complete can still be flushed for resume before aborting
+        # provider failures are captured, not raised, so every record that
+        # does complete is still written for resume before aborting
         try:
             return _process_instance(instance, config, session), None
         except ProviderError as exc:
             return None, exc
 
-    if config.concurrency == 1 or len(todo) <= 1:
-        outcomes = [work(inst) for inst in todo]
-    else:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            outcomes = list(pool.map(work, todo))
-
-    fresh = [record for record, _ in outcomes if record is not None]
-    failures = [exc for _, exc in outcomes if exc is not None]
-    fresh.sort(key=lambda record: record["sentence_id"])
-    if fresh:
-        output_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(output_path, "a", encoding="utf-8") as handle:
-            for record in fresh:
+    failures: list[ProviderError] = []
+    if todo:
+        with ExitStack() as stack:
+            handle = stack.enter_context(open_append(output_path))
+            if config.concurrency == 1 or len(todo) <= 1:
+                outcomes = map(work, todo)
+            else:
+                pool = ThreadPoolExecutor(max_workers=config.concurrency)
+                # on an exception here, instances not yet started are dropped
+                stack.callback(pool.shutdown, cancel_futures=True)
+                outcomes = pool.map(work, todo)
+            # both yield in the id order of `todo`, as each result is ready
+            for record, exc in outcomes:
+                if exc is not None:
+                    failures.append(exc)
+                    continue
                 handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+                handle.flush()
+                records[record["sentence_id"]] = _Scored.of(record)
     if failures:
         LOGGER.warning(
             "%d of %d instances failed on the provider; %d completed records were kept",
-            len(failures), len(todo), len(fresh),
+            len(failures), len(todo), len(todo) - len(failures),
         )
         raise failures[0]
 
-    records.update((record["sentence_id"], record) for record in fresh)
     missing = [i.sentence.id for i in instances if i.sentence.id not in records]
     if missing:
         raise ValueError(f"output lacks records for: {missing[:5]}")
@@ -490,11 +537,10 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
         json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-    ordered = [records[i.sentence.id] for i in sorted(instances, key=lambda x: x.sentence.id)]
     return RunResult(
-        records=ordered,
         report=report,
         output_path=str(output_path),
+        sentence_ids=sorted(inst.sentence.id for inst in instances),
         skipped_existing=skipped_existing,
     )
 
@@ -575,11 +621,11 @@ def eval_predictions(
     """Re-score an existing prediction file against its dataset."""
     split = load_dataset(dataset_path, dataset_format)
     instances = _select_instances(split, task)
-    records = _load_records(predictions_path)
+    records = _load_scored(predictions_path)
     scored = [inst for inst in instances if inst.sentence.id in records]
     if not scored:
         raise ValueError("no overlapping sentence ids between predictions and dataset")
-    sample = records[scored[0].sentence.id]
+    [sample] = _read_records(predictions_path, [scored[0].sentence.id])
     config_echo = {
         "task": task,
         "strategy": sample.get("strategy", "zeroshot"),

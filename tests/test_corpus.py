@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -12,6 +13,7 @@ from causal_rag.corpus import (
     DatasetSplit,
     LabeledInstance,
     TaggedSentence,
+    Triplet,
     dataset_stats,
     load_dataset,
     make_sentence_id,
@@ -445,3 +447,24 @@ def test_triplet_count_equals_pair_sum(tmp_path) -> None:
     stats = dataset_stats(split)
     by_hand = sum(len(i.sentence.pairs) for i in split.instances)
     assert stats.total_pairs == by_hand == 3
+
+
+def test_value_dataclasses_are_slotted_and_behave_as_values() -> None:
+    pair = CauseEffectPair("a surge", "The fuse")
+    sentence = TaggedSentence("t-1", "The fuse blew because of a surge.", (pair,), "tiny")
+    values = [
+        pair,
+        sentence,
+        Triplet("t-1", "a surge", "The fuse"),
+        LabeledInstance(sentence, 1),
+        make_record(sentence, ("because of",)),
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        twin = dataclasses.replace(value)
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        field = dataclasses.fields(value)[0].name
+        changed = dataclasses.replace(value, **{field: "other"})
+        assert changed != value and getattr(changed, field) == "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, "other")

@@ -22,7 +22,12 @@ from causal_rag.embedding import (
     knn_search,
     normalize_for_key,
 )
-from causal_rag.errors import DimensionMismatchError, ProviderError, ZeroVectorError
+from causal_rag.errors import (
+    DimensionMismatchError,
+    MalformedRecordError,
+    ProviderError,
+    ZeroVectorError,
+)
 
 
 def vec(*values: float, model: str = "m") -> EmbeddingVector:
@@ -117,6 +122,30 @@ def test_cache_round_trip_bitwise(tmp_path) -> None:
         stored = reloaded_cache.get(embedding_key(text, embedder.model_id))
         assert stored is not None
         assert stored.values == original.values  # bitwise float equality
+
+
+def test_torn_cache_loads_and_heals_on_the_next_put(tmp_path) -> None:
+    path = tmp_path / "c.jsonl"
+    embedder = LocalHashEmbedder(dim=48)
+    cache = EmbeddingCache(path)
+    texts = ["alpha beta", "gamma delta epsilon", "zeta"]
+    originals = [embed(t, embedder, cache) for t in texts]
+    path.write_bytes(path.read_bytes()[:-20])  # a write cut short
+    torn = EmbeddingCache(path)
+    assert len(torn) == 2
+    assert torn.get(embedding_key(texts[2], embedder.model_id)) is None
+    assert embed(texts[2], embedder, torn) == originals[2]
+    reloaded = EmbeddingCache(path)
+    assert len(reloaded) == 3
+    for text, original in zip(texts, originals):
+        assert reloaded.get(embedding_key(text, embedder.model_id)) == original
+
+
+def test_damaged_cache_line_is_named(tmp_path) -> None:
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"key": "k", "model": "m", "dim": 1}\n', encoding="utf-8")
+    with pytest.raises(MalformedRecordError, match="line 1: missing field 'vector'"):
+        EmbeddingCache(path)
 
 
 def test_cache_dim_mismatch(tmp_path) -> None:

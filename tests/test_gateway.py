@@ -11,6 +11,7 @@ import requests
 
 from causal_rag.errors import (
     EmptyCompletionError,
+    MalformedRecordError,
     ProviderError,
     RateLimitedError,
     ReplayMissError,
@@ -96,6 +97,32 @@ def test_transcript_append_only_last_wins(tmp_path) -> None:
     assert after[: len(before)] == before
     assert len(after) == 2
     assert Transcript(path).lookup("aa") == "second"
+
+
+def test_torn_transcript_loads_and_heals_on_the_next_append(tmp_path) -> None:
+    path = tmp_path / "t.jsonl"
+    transcript = Transcript(path)
+    for name in ("aa", "bb", "cc"):
+        transcript.append(TranscriptEntry(name, f"answer {name}", "ts"))
+    path.write_bytes(path.read_bytes()[:-20])  # a write cut short
+    torn = Transcript(path)
+    assert (torn.lookup("aa"), torn.lookup("bb"), torn.lookup("cc")) == (
+        "answer aa", "answer bb", None,
+    )
+    torn.append(TranscriptEntry("cc", "answer cc again", "ts"))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["request_hash"] for line in lines] == ["aa", "bb", "cc"]
+    assert Transcript(path).lookup("cc") == "answer cc again"
+
+
+def test_damaged_transcript_line_is_named(tmp_path) -> None:
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"request_hash": "aa", "response_text": "x", "timestamp": "ts"}\n'
+                    '{"request_hash": "bb", "respo\n'
+                    '{"request_hash": "cc", "response_text": "z", "timestamp": "ts"}\n',
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecordError, match="line 2: invalid JSON"):
+        Transcript(path)
 
 
 def test_replay_hit_and_miss(tmp_path) -> None:

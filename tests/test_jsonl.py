@@ -1,0 +1,112 @@
+"""The shared JSONL reader and appender: torn tails and damaged lines."""
+
+from __future__ import annotations
+
+import json
+import logging
+
+import pytest
+
+from causal_rag.errors import MalformedRecordError
+from causal_rag.jsonl import open_append, read_jsonl
+
+ROWS = [{"id": f"r{i}", "text": f"row number {i} é"} for i in range(4)]
+
+
+def write_rows(path, rows=ROWS) -> bytes:
+    data = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode()
+    path.write_bytes(data)
+    return data
+
+
+def append(path, row) -> None:
+    with open_append(path) as handle:
+        handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def test_read_skips_blank_lines_and_keeps_order(tmp_path):
+    path = tmp_path / "a.jsonl"
+    data = write_rows(path)
+    path.write_bytes(b"\n" + data + b"   \n")
+    assert list(read_jsonl(path)) == ROWS
+
+
+@pytest.mark.parametrize("cut", [1, 5, 20])
+def test_torn_final_line_is_dropped_with_a_warning(tmp_path, caplog, cut):
+    path = tmp_path / "a.jsonl"
+    data = write_rows(path)
+    path.write_bytes(data[:-cut])
+    with caplog.at_level(logging.WARNING, logger="causal_rag.jsonl"):
+        rows = list(read_jsonl(path))
+    assert rows == ROWS[: len(ROWS) - (cut > 1)]
+    if cut > 1:
+        assert "torn final line 4" in caplog.text and str(path) in caplog.text
+
+
+def test_torn_multibyte_character_is_dropped(tmp_path):
+    path = tmp_path / "a.jsonl"
+    data = write_rows(path)
+    path.write_bytes(data[: data.rindex("é".encode()) + 1])  # half of the last é
+    assert list(read_jsonl(path)) == ROWS[:-1]
+
+
+def test_append_cuts_a_torn_final_line_first(tmp_path, caplog):
+    path = tmp_path / "a.jsonl"
+    data = write_rows(path)
+    path.write_bytes(data[:-20])
+    append(path, {"id": "new"})
+    assert path.read_bytes() == write_rows(tmp_path / "b.jsonl", ROWS[:-1] + [{"id": "new"}])
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="causal_rag.jsonl"):
+        assert list(read_jsonl(path)) == ROWS[:-1] + [{"id": "new"}]
+    assert caplog.text == ""
+
+
+def test_append_keeps_a_complete_final_line_without_newline(tmp_path):
+    path = tmp_path / "a.jsonl"
+    data = write_rows(path)
+    path.write_bytes(data[:-1])
+    assert list(read_jsonl(path)) == ROWS
+    append(path, {"id": "new"})
+    assert list(read_jsonl(path)) == ROWS + [{"id": "new"}]
+
+
+def test_append_cuts_a_long_torn_tail_and_a_torn_only_line(tmp_path):
+    path = tmp_path / "a.jsonl"
+    data = write_rows(path)
+    path.write_bytes(data + b'{"id": "torn", "text": "' + b"a long tail " * 10000)
+    append(path, {"id": "new"})
+    assert list(read_jsonl(path)) == ROWS + [{"id": "new"}]
+    # a file whose only line is torn is cut to nothing, even a single byte
+    for torn in (b'{"id": "torn", "te', b"{"):
+        only = tmp_path / "only.jsonl"
+        only.write_bytes(torn)
+        append(only, {"id": "new"})
+        assert only.read_bytes() == b'{"id": "new"}\n'
+
+
+def test_append_creates_the_file_and_its_directory(tmp_path):
+    path = tmp_path / "sub" / "a.jsonl"
+    append(path, {"id": "new"})
+    assert list(read_jsonl(path)) == [{"id": "new"}]
+
+
+def test_damaged_middle_line_names_the_file_and_the_line(tmp_path):
+    path = tmp_path / "a.jsonl"
+    lines = write_rows(path).decode().splitlines(keepends=True)
+    lines[1] = lines[1][:-10] + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedRecordError) as excinfo:
+        list(read_jsonl(path))
+    assert excinfo.value.line_number == 2
+    assert str(excinfo.value).startswith(f"{path}: line 2: invalid JSON")
+
+
+def test_non_objects_and_missing_fields_are_malformed(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text('{"id": "r0"}\n[1, 2]\n', encoding="utf-8")
+    with pytest.raises(MalformedRecordError, match="line 2: expected a JSON object"):
+        list(read_jsonl(path))
+    path.write_text('{"id": "r0", "text": "x"}\n{"id": "r1"}\n', encoding="utf-8")
+    with pytest.raises(MalformedRecordError, match="line 2: missing field 'text'"):
+        list(read_jsonl(path, ("id", "text")))

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +19,7 @@ from causal_rag import cli
 from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder
 from causal_rag.errors import TransportError
-from causal_rag.gateway import ScriptedBackend
+from causal_rag.gateway import ReplayBackend, ScriptedBackend, Transcript
 from causal_rag.repository import load_repository
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import (
@@ -163,6 +168,106 @@ def test_provider_failure_keeps_completed_records(tmp_path):
     resumed = run_experiment(config, backend=ScriptedBackend(FixtureResponder()))
     assert resumed.skipped_existing == 24
     assert len(resumed.records) == 25
+
+
+class WatchingReplay:
+    """The fixture replay backend; before serving a request it keeps a
+    snapshot of `out` as it then stands."""
+
+    def __init__(self, out: Path):
+        self.out = out
+        self.replay = ReplayBackend(Transcript(FIXTURES / "transcript.jsonl"))
+        self.snapshots: list[bytes] = []
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.snapshots.append(self.out.read_bytes() if self.out.exists() else b"")
+        return self.replay.complete(request)
+
+
+def test_records_stream_to_the_file_in_id_order(tmp_path):
+    finals = []
+    for concurrency in (1, 4):
+        out = tmp_path / f"c{concurrency}.jsonl"
+        backend = WatchingReplay(out)
+        config = replay_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=out,
+                               concurrency=concurrency)
+        run_experiment(config, backend=backend)
+        final = out.read_bytes()
+        finals.append(final)
+        # the file is only ever a prefix, in id order, of the finished file
+        assert all(final.startswith(snapshot) for snapshot in backend.snapshots)
+        if concurrency == 1:
+            # one request per instance: serving instance i, i - 1 lines are in
+            assert [s.count(b"\n") for s in backend.snapshots] == list(range(25))
+            assert all(s == b"" or s.endswith(b"\n") for s in backend.snapshots)
+    assert finals[0] == finals[1]
+
+
+KILLED_RUN = """
+import sys, time
+from pathlib import Path
+
+from causal_rag.gateway import ReplayBackend, Transcript
+from causal_rag.retrieval import StrategyKind
+from causal_rag.runner import ExperimentConfig, run_experiment
+
+dataset, db, transcript, out, marker, served = sys.argv[1:]
+
+
+class BlockingReplay:
+    # serves `served` requests from the transcript, then blocks for good
+    def __init__(self):
+        self.replay = ReplayBackend(Transcript(transcript))
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        if self.calls > int(served):
+            Path(marker).write_text("blocked")
+            while True:
+                time.sleep(60)
+        return self.replay.complete(request)
+
+
+config = ExperimentConfig(
+    task="detect", strategy=StrategyKind.ZEROSHOT, dataset_path=dataset, output_path=out,
+    db_path=db, model_id="fixture-model", backend="replay", transcript_path=transcript,
+    concurrency=1,
+)
+run_experiment(config, backend=BlockingReplay())
+"""
+
+
+def test_killed_run_keeps_its_records_and_resumes_to_the_same_bytes(tmp_path):
+    full_out = tmp_path / "full.jsonl"
+    run_experiment(replay_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=full_out))
+    full_lines = full_out.read_bytes().splitlines(keepends=True)
+
+    out, marker, served = tmp_path / "out.jsonl", tmp_path / "blocked", 10
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", KILLED_RUN, str(FIXTURES / "detect.jsonl"),
+            str(FIXTURES / "examples.db"), str(FIXTURES / "transcript.jsonl"),
+            str(out), str(marker), str(served)]
+    proc = subprocess.Popen(argv, env=env, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "the run never blocked"
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stderr.close()
+    assert out.read_bytes() == b"".join(full_lines[:served])
+
+    resumed = run_experiment(replay_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=out))
+    assert resumed.skipped_existing == served
+    assert out.read_bytes() == full_out.read_bytes()
+    assert Path(f"{out}.metrics.json").read_bytes() == Path(f"{full_out}.metrics.json").read_bytes()
 
 
 def test_unparseable_detection_scored_as_wrong(tmp_path):
@@ -429,6 +534,47 @@ def test_cli_replay_miss_is_provider_error_with_resume_hint(tmp_path, capsys):
 def test_cli_invalid_choice_is_usage_error(tmp_path, capsys):
     assert main(run_flags(tmp_path, strategy="telepathy")) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_torn_prediction_file_resumes_to_the_uninterrupted_bytes(tmp_path, capsys, caplog):
+    full = tmp_path / "full.jsonl"
+    assert main(run_flags(tmp_path, strategy="pattern", out=str(full))) == 0
+    out = tmp_path / "cli.jsonl"
+    out.write_bytes(full.read_bytes()[:-20])  # a write cut short
+    capsys.readouterr()
+    assert main(run_flags(tmp_path, strategy="pattern")) == 0
+    assert "resumed: 24 ids already present" in capsys.readouterr().out
+    assert "torn final line 25" in caplog.text
+    assert out.read_bytes() == full.read_bytes()
+    assert Path(f"{out}.metrics.json").read_bytes() == Path(f"{full}.metrics.json").read_bytes()
+
+
+def test_cli_damaged_prediction_line_is_a_data_error_naming_it(tmp_path, capsys):
+    out = tmp_path / "cli.jsonl"
+    assert main(run_flags(tmp_path)) == 0
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2][:-21] + "\n"
+    out.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(run_flags(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"{out}: line 3: invalid JSON" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "eval"])
+def test_cli_unknown_dataset_format_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "cli.jsonl"
+    if command == "eval":
+        argv = ["eval", "--predictions", str(out), "--dataset", str(FIXTURES / "detect.jsonl")]
+    else:
+        argv = run_flags(tmp_path)
+        if command == "sweep":
+            at = argv.index("--strategy")
+            argv = ["sweep", *argv[1:at], *argv[at + 2:], "--strategies", "random",
+                    "--k-values", "1"]
+    assert main([*argv, "--dataset-format", "csv"]) == 1
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
