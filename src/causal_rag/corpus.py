@@ -40,6 +40,11 @@ def normalize_ws(text: str) -> str:
     return WS_RE.sub(" ", text).strip()
 
 
+def normalize_lower(text: str) -> str:
+    """`normalize_ws`, then lowercase: for cache keys and connective keys."""
+    return normalize_ws(text).lower()
+
+
 def norm_tokens(phrase: str) -> tuple[str, ...]:
     """Lowercase tokens with edge punctuation stripped; inner punctuation
     (hyphens, apostrophes) stays, so "troglitazone-induced" is one token."""

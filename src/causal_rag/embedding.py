@@ -15,8 +15,6 @@ import json
 import math
 import os
 import random
-import re
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,15 +23,10 @@ from typing import Callable, Iterable, Protocol, Sequence
 import numpy as np
 import requests
 
+from .corpus import normalize_lower as normalize_for_key
 from .errors import DimensionMismatchError, ProviderError, ZeroVectorError
 from .gateway import API_KEY_ENV, DEFAULT_TIMEOUT, post_with_retry
-from .jsonl import LineAppender, read_jsonl
-
-WS_RE = re.compile(r"\s+")
-
-
-def normalize_for_key(text: str) -> str:
-    return WS_RE.sub(" ", text).strip().lower()
+from .jsonl import LineAppender, Memo, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -52,7 +45,7 @@ class EmbeddingVector:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmbeddingKey:
     content_hash: str
     model_id: str
@@ -148,22 +141,19 @@ class HttpEmbeddingProvider:
         return EmbeddingVector(values=tuple(float(v) for v in values), model_id=self.model_id)
 
 
-class EmbeddingCache:
-    """Write-through JSONL cache keyed by (content hash, model id).
+class EmbeddingCache(Memo):
+    """Write-through JSONL cache keyed by (content hash, model id), as a memo
+    of vectors.
 
     One line per vector: {"key", "model", "dim", "vector"}. All vectors of a
     model must share one dimension; a mismatch is rejected at insert time.
-    Reads are lock-free against the in-memory map; writes are serialized.
-    `fill` computes a missing vector at most once however many threads ask
-    for it at the same time.
+    The first vector kept under a key wins; writes are serialized.
     """
 
     def __init__(self, path: str | Path):
+        super().__init__()
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._appender = LineAppender(self.path)
-        self._flights: dict[tuple[str, str], threading.Lock] = {}
-        self._vectors: dict[tuple[str, str], EmbeddingVector] = {}
         self._dims: dict[str, int] = {}
         if self.path.exists():
             for obj in read_jsonl(self.path, ("key", "model", "vector")):
@@ -172,11 +162,8 @@ class EmbeddingCache:
                     model_id=obj["model"],
                 )
                 self._check_dim(vector)
-                self._vectors[(obj["key"], obj["model"])] = vector
+                self._values[EmbeddingKey(obj["key"], obj["model"])] = vector
                 self._dims[obj["model"]] = vector.dim
-
-    def __len__(self) -> int:
-        return len(self._vectors)
 
     def _check_dim(self, vector: EmbeddingVector) -> None:
         known = self._dims.get(vector.model_id)
@@ -185,13 +172,9 @@ class EmbeddingCache:
                 f"model {vector.model_id!r} previously produced dim {known}, got {vector.dim}"
             )
 
-    def get(self, key: EmbeddingKey) -> EmbeddingVector | None:
-        return self._vectors.get((key.content_hash, key.model_id))
-
-    def put(self, key: EmbeddingKey, vector: EmbeddingVector) -> None:
+    def put(self, key: EmbeddingKey, vector: EmbeddingVector) -> EmbeddingVector:
         if key.model_id != vector.model_id:
             raise ValueError("key and vector disagree on model_id")
-        self._check_dim(vector)
         line = json.dumps(
             {
                 "key": key.content_hash,
@@ -203,28 +186,12 @@ class EmbeddingCache:
         )
         with self._lock:
             self._check_dim(vector)
-            if (key.content_hash, key.model_id) in self._vectors:
-                return
-            self._appender.append(line)
-            self._vectors[(key.content_hash, key.model_id)] = vector
-            self._dims[key.model_id] = vector.dim
-
-    def fill(self, key: EmbeddingKey, compute: Callable[[], EmbeddingVector]) -> EmbeddingVector:
-        """Return the vector cached under `key`, computing and storing it
-        when absent. Concurrent fills of one key run one at a time, so only
-        the first computes; if it raises, the next one tries again."""
-        slot = (key.content_hash, key.model_id)
-        with self._lock:
-            flight = self._flights.setdefault(slot, threading.Lock())
-        with flight:
-            vector = self._vectors.get(slot)
-            if vector is None:
-                vector = compute()
-                self.put(key, vector)
-            with self._lock:
-                if self._flights.get(slot) is flight:
-                    del self._flights[slot]
-        return vector
+            kept = self._values.get(key)
+            if kept is None:
+                self._appender.append(line)
+                self._values[key] = kept = vector
+                self._dims[key.model_id] = vector.dim
+        return kept
 
 
 def embed(text: str, provider: EmbeddingProvider, cache: EmbeddingCache | None = None) -> EmbeddingVector:

@@ -4,6 +4,9 @@ Each request is identified by a sha256 hash over (model_id, system_text,
 user_text, temperature). The hash deliberately excludes max_output_tokens:
 raising or lowering an output cap must not invalidate previously recorded
 transcripts. Transcripts are append-only JSONL; replay needs no network.
+
+`LlmClient` keeps its answers in a memo keyed by that hash, so whatever
+backend it wraps is asked once per distinct request.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import hashlib
 import json
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -29,7 +31,7 @@ from .errors import (
     ReplayMissError,
     TransportError,
 )
-from .jsonl import LineAppender, read_jsonl
+from .jsonl import LineAppender, Memo, read_jsonl
 
 API_KEY_ENV = "CAUSAL_RAG_API_KEY"
 DEFAULT_TIMEOUT = 60.0
@@ -91,29 +93,29 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-class Transcript:
-    """Append-only JSONL store of completed requests.
+class Transcript(Memo):
+    """Append-only JSONL store of completed requests, as a memo of response
+    texts by request hash.
 
     Lookup takes the last entry for a hash, so a corrected response can be
-    appended later without rewriting history. Appends are serialized by a
-    lock; loads read the whole file once, dropping a torn final line (see
-    `jsonl`).
+    appended later without rewriting history. Appends are serialized; loads
+    read the whole file once, dropping a torn final line (see `jsonl`).
     """
 
     def __init__(self, path: str | Path):
+        super().__init__()
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._appender = LineAppender(self.path)
-        self._entries: dict[str, str] = {}
         if self.path.exists():
             for obj in read_jsonl(self.path, ("request_hash", "response_text")):
-                self._entries[obj["request_hash"]] = obj["response_text"]
-
-    def __len__(self) -> int:
-        return len(self._entries)
+                self._values[obj["request_hash"]] = obj["response_text"]
 
     def lookup(self, req_hash: str) -> str | None:
-        return self._entries.get(req_hash)
+        return self.get(req_hash)
+
+    def put(self, req_hash: str, response_text: str) -> str:
+        self.append(TranscriptEntry(req_hash, response_text, _utc_now()))
+        return response_text
 
     def append(self, entry: TranscriptEntry) -> None:
         line = json.dumps(
@@ -127,7 +129,7 @@ class Transcript:
         )
         with self._lock:
             self._appender.append(line)
-            self._entries[entry.request_hash] = entry.response_text
+            self._values[entry.request_hash] = entry.response_text
 
 
 def post_with_retry(
@@ -256,30 +258,16 @@ class ReplayBackend:
 
 
 class RecordBackend:
-    """Replay when the transcript has the request, otherwise call live and append."""
+    """Replay when the transcript has the request, otherwise call live and
+    append; concurrent asks for one unrecorded request make one live call."""
 
     def __init__(self, transcript: Transcript, live: Backend):
         self.transcript = transcript
         self.live = live
-        self._lock = threading.Lock()
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        req_hash = request_hash(req)
-        text = self.transcript.lookup(req_hash)
-        if text is not None:
-            return CompletionResponse(text=text, provider_meta={"replayed": True})
-        response = self.live.complete(req)
-        with self._lock:
-            # a concurrent worker may have recorded the same request meanwhile
-            if self.transcript.lookup(req_hash) is None:
-                self.transcript.append(
-                    TranscriptEntry(
-                        request_hash=req_hash,
-                        response_text=response.text,
-                        timestamp=_utc_now(),
-                    )
-                )
-        return response
+        text = self.transcript.fill(request_hash(req), lambda: self.live.complete(req).text)
+        return CompletionResponse(text=text)
 
 
 class ScriptedBackend:
@@ -306,19 +294,21 @@ class ScriptedBackend:
 
 @dataclass
 class LlmClient:
-    """A model handle: fixed decoding settings plus a backend."""
+    """A model handle: fixed decoding settings plus a backend, asked once per
+    distinct request; the answers are kept for the client's lifetime."""
 
     backend: Backend
     model_id: str
     temperature: float = 0.0
     max_output_tokens: int = 1024
+    _answers: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
+
+    def request(self, system_text: str, user_text: str) -> CompletionRequest:
+        return CompletionRequest(system_text, user_text, self.model_id,
+                                 self.temperature, self.max_output_tokens)
+
+    def complete(self, req: CompletionRequest) -> str:
+        return self._answers.fill(req.digest, lambda: self.backend.complete(req).text)
 
     def complete_text(self, system_text: str, user_text: str) -> str:
-        req = CompletionRequest(
-            system_text=system_text,
-            user_text=user_text,
-            model_id=self.model_id,
-            temperature=self.temperature,
-            max_output_tokens=self.max_output_tokens,
-        )
-        return self.backend.complete(req).text
+        return self.complete(self.request(system_text, user_text))

@@ -1,5 +1,6 @@
 """Append-only JSONL stores: the one reader and the one appender shared by
-prediction files, transcripts and embedding caches.
+prediction files, transcripts and embedding caches, and the one memo they
+and the chat client build on.
 
 A process killed in the middle of a write can leave a final line without its
 newline. The reader drops such a line, with a warning, when it does not
@@ -14,18 +15,21 @@ import json
 import logging
 import mmap
 import os
+import threading
 from io import RawIOBase
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Hashable, Iterator
 
 from .errors import MalformedRecordError
 
 LOGGER = logging.getLogger(__name__)
 
 
-def read_jsonl(path: str | Path, fields: tuple[str, ...] = ()) -> Iterator[dict]:
+def read_jsonl(path: str | Path, fields: tuple[str, ...] = (),
+               expect: dict | None = None) -> Iterator[dict]:
     """The JSON objects of `path`, one per non-blank line, in file order;
-    each must carry every key in `fields`."""
+    each must carry every key in `fields`, and the value given in `expect`
+    for each of its keys."""
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -43,6 +47,11 @@ def read_jsonl(path: str | Path, fields: tuple[str, ...] = ()) -> Iterator[dict]
             for name in fields:
                 if name not in obj:
                     raise MalformedRecordError(f"missing field {name!r}", line_no, path)
+            for name, value in (expect or {}).items():
+                if obj.get(name) != value:
+                    raise MalformedRecordError(
+                        f"{name} is {obj.get(name)!r}, expected {value!r}", line_no, path
+                    )
             yield obj
 
 
@@ -64,6 +73,45 @@ def open_append(path: str | Path) -> IO[str]:
         handle.close()
         raise
     return handle
+
+
+class Memo:
+    """Values (never None) by key, each missing one computed at most once
+    however many threads ask for it at the same time. A hit reads without
+    taking a lock. If a computation raises, nothing is kept and the next
+    caller tries again. Subclasses that persist what they keep override
+    `put`, and serialize their writes with `_lock`."""
+
+    def __init__(self) -> None:
+        self._values: dict = {}
+        self._lock = threading.Lock()
+        self._flights: dict[Hashable, threading.Lock] = {}
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def get(self, key: Hashable):
+        return self._values.get(key)
+
+    def put(self, key: Hashable, value):
+        """Keep `value` under `key`; returns the value now kept."""
+        self._values[key] = value
+        return value
+
+    def fill(self, key: Hashable, compute: Callable[[], object]):
+        """The value kept under `key`, computed and put when absent."""
+        value = self._values.get(key)
+        if value is not None:
+            return value
+        with self._lock:
+            flight = self._flights.setdefault(key, threading.Lock())
+        with flight:
+            value = self._values.get(key)
+            if value is None:
+                value = self.put(key, compute())
+        # a kept value is never computed again, so its flight may go
+        self._flights.pop(key, None)
+        return value
 
 
 class LineAppender:

@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CauseEffectPair, TaggedSentence, normalize_ws, render_tagged
+from .corpus import CauseEffectPair, TaggedSentence, normalize_lower, render_tagged
 from .errors import (
     MalformedRecordError,
     SchemaVersionMismatchError,
@@ -83,10 +83,9 @@ class Repository:
         return tuple((key, normalize_connective(key)) for key in self.index)
 
 
-def normalize_connective(text: str) -> str:
-    """Lowercase, collapse whitespace, trim. Hyphenated forms like
-    "-associated" stay verbatim apart from those steps."""
-    return normalize_ws(text).lower()
+# Lowercase, collapse whitespace, trim. Hyphenated forms like "-associated"
+# stay verbatim apart from those steps.
+normalize_connective = normalize_lower
 
 
 def parse_connective_response(response: str) -> list[str]:

@@ -3,9 +3,10 @@
 A run walks every input instance: retrieve examples under the configured
 strategy, assemble the prompt, complete it, parse the response, and append
 one prediction record per sentence. A run, or a whole sweep, shares one
-session: the dataset, repository and transcript are loaded once, each
-sentence's connectives are asked for once, and the repository is embedded
-once.
+session: the dataset, repository and transcript are loaded once, the
+repository is embedded once, and the chat client asks the backend once per
+distinct request, connective prompts included, so a live sweep pays what a
+record sweep pays.
 
 Records stream to the output file in sentence-id order, each line written
 and flushed as soon as its record and every smaller id are done, so a killed
@@ -54,7 +55,6 @@ from .evaluation import (
 )
 from .gateway import (
     Backend,
-    CompletionRequest,
     LiveBackend,
     LlmClient,
     RecordBackend,
@@ -197,8 +197,8 @@ def _select_instances(split: DatasetSplit, task: str) -> list[LabeledInstance]:
 
 class _Session:
     """What every cell of one run or sweep shares, loaded once: the catalog,
-    the selected instances, the repository, the chat client, the input
-    connectives and query vectors by sentence id and, once a kNN cell needs
+    the selected instances, the repository, the chat client with its
+    answers, the query vectors by sentence id and, once a kNN cell needs
     them, the embedding service and the repository's vector index."""
 
     def __init__(self, config: ExperimentConfig, backend: Backend | None, embedder,
@@ -229,7 +229,6 @@ class _Session:
         self.index: VectorIndex | None = None
         # each sentence id goes to one worker per cell and cells run one
         # after another, so no two threads touch one key at the same time
-        self.connectives: dict[str, list[str]] = {}
         self.queries: dict[str, EmbeddingVector] = {}
 
 
@@ -249,9 +248,7 @@ def _retrieve(
         session.queries[sid] = session.embeddings.vector(text)
     if strategy is StrategyKind.KNN:
         return retrieve_knn(session.queries[sid], repo, session.index, rcfg)
-    if sid not in session.connectives:
-        session.connectives[sid] = input_connectives(text, session.llm, session.catalog)
-    connectives = session.connectives[sid]
+    connectives = input_connectives(text, session.llm, session.catalog)
     if strategy is StrategyKind.PATTERN:
         return retrieve_pattern(connectives, repo, rcfg, salt=sid)
     return retrieve_knn_pattern(
@@ -283,14 +280,8 @@ def _process_instance(
         prompt = extraction_prompt(
             sentence.raw_text, retrieved, config.single_pair, session.catalog
         )
-    request = CompletionRequest(
-        system_text=prompt.system_text,
-        user_text=prompt.user_text,
-        model_id=config.model_id,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-    )
-    response = session.llm.backend.complete(request).text
+    request = session.llm.request(prompt.system_text, prompt.user_text)
+    response = session.llm.complete(request)
 
     parsed: dict | None
     parse_error = False
@@ -351,15 +342,15 @@ class _Scored:
         return cls(record["example_count"], record["parse_error"], answer)
 
 
-RECORD_FIELDS = ("sentence_id", "example_count", "parse_error", "parsed")
+RECORD_FIELDS = ("sentence_id", "task", "example_count", "parse_error", "parsed")
 
 
-def _load_scored(path: str | Path) -> dict[str, _Scored]:
+def _load_scored(path: str | Path, task: str) -> dict[str, _Scored]:
     """What scoring reads of a prediction file, by sentence id; a later
-    line wins."""
+    line wins. A record of another task is a `MalformedRecordError`."""
     return {
         record["sentence_id"]: _Scored.of(record)
-        for record in read_jsonl(path, RECORD_FIELDS)
+        for record in read_jsonl(path, RECORD_FIELDS, {"task": task})
     }
 
 
@@ -465,7 +456,7 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
     output_path = Path(config.output_path)
     if config.force and output_path.exists():
         output_path.unlink()
-    records = _load_scored(output_path) if output_path.exists() else {}
+    records = _load_scored(output_path, config.task) if output_path.exists() else {}
     skipped_existing = len(records)
     todo = [inst for inst in instances if inst.sentence.id not in records]
     todo.sort(key=lambda inst: inst.sentence.id)
@@ -621,7 +612,7 @@ def eval_predictions(
     """Re-score an existing prediction file against its dataset."""
     split = load_dataset(dataset_path, dataset_format)
     instances = _select_instances(split, task)
-    records = _load_scored(predictions_path)
+    records = _load_scored(predictions_path, task)
     scored = [inst for inst in instances if inst.sentence.id in records]
     if not scored:
         raise ValueError("no overlapping sentence ids between predictions and dataset")

@@ -189,6 +189,88 @@ def test_record_mode_concurrent_distinct_requests(tmp_path) -> None:
         assert reloaded.lookup(request_hash(r)) == "x"
 
 
+class HeldLive:
+    """A live backend whose calls wait, for at most `wait` seconds, until
+    `parties` of them are inside at once; the first call raises when
+    `fail_first` is set."""
+
+    def __init__(self, parties: int, fail_first: bool = False, wait: float = 1.0):
+        self.together = threading.Barrier(parties)
+        self.fail_first = fail_first
+        self.wait = wait
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, req: CompletionRequest):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        try:
+            self.together.wait(timeout=self.wait)
+        except threading.BrokenBarrierError:
+            pass
+        if first and self.fail_first:
+            raise TransportError("connection reset")
+        return ScriptedBackend(lambda r: "answer").complete(req)
+
+
+def _ask_together(backend, req, threads: int) -> list:
+    """`threads` concurrent asks for `req`: each answer text or error."""
+    start = threading.Barrier(threads)
+    outcomes: list = []
+
+    def ask() -> None:
+        start.wait(timeout=10)
+        try:
+            outcomes.append(backend.complete(req).text)
+        except ProviderError as exc:
+            outcomes.append(exc)
+
+    workers = [threading.Thread(target=ask) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=30)
+    assert not any(worker.is_alive() for worker in workers)
+    return outcomes
+
+
+def test_record_mode_concurrent_asks_for_one_request_make_one_live_call(tmp_path) -> None:
+    live = HeldLive(parties=2)
+    path = tmp_path / "t.jsonl"
+    outcomes = _ask_together(RecordBackend(Transcript(path), live), _req(), threads=2)
+    assert outcomes == ["answer", "answer"]
+    assert live.calls == 1
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_record_mode_failed_live_call_is_retried_and_leaves_no_line(tmp_path) -> None:
+    live = HeldLive(parties=3, fail_first=True)
+    path = tmp_path / "t.jsonl"
+    outcomes = _ask_together(RecordBackend(Transcript(path), live), _req(), threads=3)
+    assert sorted(map(str, outcomes)) == ["answer", "answer", "connection reset"]
+    # the caller after the failed one asks again; the third is served its answer
+    assert live.calls == 2
+    [line] = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["response_text"] == "answer"
+
+
+def test_transcript_fill_keeps_nothing_when_the_call_fails(tmp_path) -> None:
+    path = tmp_path / "t.jsonl"
+    transcript = Transcript(path)
+
+    def fail() -> str:
+        raise TransportError("connection reset")
+
+    with pytest.raises(TransportError):
+        transcript.fill("aa", fail)
+    assert transcript.lookup("aa") is None
+    assert not path.exists()
+    assert transcript.fill("aa", lambda: "hello") == "hello"
+    assert transcript.fill("aa", fail) == "hello"
+    assert Transcript(path).lookup("aa") == "hello"
+
+
 class _Response:
     def __init__(self, status_code: int, payload: dict | None = None, text: str = ""):
         self.status_code = status_code
@@ -341,6 +423,25 @@ def test_llm_client_passes_settings() -> None:
     assert seen[0].model_id == "m-1"
     assert seen[0].max_output_tokens == 33
     assert seen[0].system_text == "sys"
+
+
+def test_llm_client_asks_its_backend_once_per_distinct_request() -> None:
+    seen: list[CompletionRequest] = []
+
+    def script(req: CompletionRequest) -> str:
+        seen.append(req)
+        if len(seen) == 1:
+            raise TransportError("connection reset")
+        return f"answer {len(seen)}"
+
+    client = LlmClient(backend=ScriptedBackend(script), model_id="m-1", temperature=0.7)
+    with pytest.raises(TransportError):
+        client.complete_text("sys", "usr")
+    assert client.complete_text("sys", "usr") == "answer 2"
+    assert client.complete(client.request("sys", "usr")) == "answer 2"
+    assert client.complete_text("sys", "other") == "answer 3"
+    assert len(seen) == 3
+    assert client.request("sys", "usr") == seen[0]
 
 
 def test_replay_pipeline_bit_reproducible(tmp_path) -> None:

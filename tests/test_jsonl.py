@@ -1,14 +1,16 @@
-"""The shared JSONL reader and appender: torn tails and damaged lines."""
+"""The shared JSONL reader and appender: torn tails and damaged lines; the
+shared single-flight memo."""
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
 
 import pytest
 
 from causal_rag.errors import MalformedRecordError
-from causal_rag.jsonl import open_append, read_jsonl
+from causal_rag.jsonl import Memo, open_append, read_jsonl
 
 ROWS = [{"id": f"r{i}", "text": f"row number {i} é"} for i in range(4)]
 
@@ -110,3 +112,50 @@ def test_non_objects_and_missing_fields_are_malformed(tmp_path):
     path.write_text('{"id": "r0", "text": "x"}\n{"id": "r1"}\n', encoding="utf-8")
     with pytest.raises(MalformedRecordError, match="line 2: missing field 'text'"):
         list(read_jsonl(path, ("id", "text")))
+
+
+def test_memo_computes_a_key_once_for_concurrent_callers():
+    memo: Memo[str, int] = Memo()
+    release = threading.Event()
+    calls: list[str] = []
+
+    def compute() -> int:
+        calls.append("k")
+        release.wait(timeout=10)
+        return 7
+
+    results: list[int] = []
+    threads = [threading.Thread(target=lambda: results.append(memo.fill("k", compute)))
+               for _ in range(6)]
+    for thread in threads:
+        thread.start()
+    release.set()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert results == [7] * 6
+    assert calls == ["k"]
+    assert (len(memo), memo.get("k"), memo.get("other")) == (1, 7, None)
+
+
+def test_memo_retries_after_a_failed_computation():
+    memo: Memo[str, str] = Memo()
+
+    def fail() -> str:
+        raise RuntimeError("down")
+
+    with pytest.raises(RuntimeError):
+        memo.fill("k", fail)
+    assert memo.get("k") is None
+    assert memo.fill("k", lambda: "up") == "up"
+    assert memo.fill("k", fail) == "up"
+
+
+def test_memo_hit_takes_no_lock():
+    memo: Memo[str, str] = Memo()
+    memo.fill("k", lambda: "v")
+    seen: list[str] = []
+    with memo._lock:  # a hit that needed the lock would wait here
+        reader = threading.Thread(target=lambda: seen.append(memo.fill("k", str)))
+        reader.start()
+        reader.join(timeout=5)
+        assert seen == ["v"]

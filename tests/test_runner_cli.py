@@ -18,7 +18,7 @@ from fixture_llm import DETECTION_SENTENCES, FIXTURE_MODEL_ID, FixtureResponder
 from causal_rag import cli
 from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder
-from causal_rag.errors import TransportError
+from causal_rag.errors import MalformedRecordError, TransportError
 from causal_rag.gateway import ReplayBackend, ScriptedBackend, Transcript
 from causal_rag.repository import load_repository
 from causal_rag.retrieval import StrategyKind
@@ -423,6 +423,23 @@ def test_sweep_asks_each_sentence_for_its_connectives_once(tmp_path):
     assert any(s.connective is None for s in DETECTION_SENTENCES)
 
 
+# distinct request digests of a sweep over every strategy at k 1, 5 and 10
+LIVE_SWEEP_DIGESTS = {"detect": 285, "extract": 116}
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+@pytest.mark.parametrize("task", ["detect", "extract"])
+def test_live_sweep_pays_once_per_distinct_request(tmp_path, task, concurrency):
+    responder = FixtureResponder()
+    backend = ScriptedBackend(responder)
+    base = scripted_config(tmp_path, task, StrategyKind.RANDOM, out=tmp_path / "unused.jsonl",
+                           concurrency=concurrency)
+    sweep(base, list(StrategyKind), [1, 5, 10], str(tmp_path / "grid.csv"), backend=backend)
+    distinct = {request.digest for request in responder.calls}
+    assert len(distinct) == LIVE_SWEEP_DIGESTS[task]
+    assert backend.calls == len(distinct)
+
+
 class CountingEmbedder(LocalHashEmbedder):
     def __init__(self) -> None:
         super().__init__(dim=256)
@@ -681,6 +698,41 @@ def test_cli_eval_rescoring(tmp_path, capsys):
     ]
     assert main(argv) == 0
     assert "0.8400" in capsys.readouterr().out
+
+
+def predictions_of(tmp_path: Path, task: str) -> Path:
+    """A zeroshot prediction file of `task` over the detection fixture."""
+    out = tmp_path / "cli.jsonl"
+    config = scripted_config(tmp_path, task, StrategyKind.ZEROSHOT, out=out,
+                             dataset=FIXTURES / "detect.jsonl")
+    run_experiment(config, backend=ScriptedBackend(FixtureResponder()))
+    return out
+
+
+@pytest.mark.parametrize("made, asked", [("detect", "extract"), ("extract", "detect")])
+def test_cli_eval_rejects_a_prediction_file_of_another_task(tmp_path, capsys, made, asked):
+    out = predictions_of(tmp_path, made)
+    argv = [
+        "eval",
+        "--predictions", str(out),
+        "--dataset", str(FIXTURES / "detect.jsonl"),
+        "--task", asked,
+    ]
+    assert main(argv) == 2
+    assert f"{out}: line 1: task is '{made}', expected '{asked}'" in capsys.readouterr().err
+
+
+def test_run_refuses_to_resume_a_file_of_another_task_before_any_call(tmp_path, capsys):
+    out = predictions_of(tmp_path, "extract")
+    made = out.read_bytes()
+    backend = ScriptedBackend(FixtureResponder())
+    with pytest.raises(MalformedRecordError, match="task is 'extract', expected 'detect'"):
+        run_experiment(scripted_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=out),
+                       backend=backend)
+    assert backend.calls == 0
+    assert main(run_flags(tmp_path)) == 2
+    assert "task is 'extract', expected 'detect'" in capsys.readouterr().err
+    assert out.read_bytes() == made
 
 
 def test_cli_sweep(tmp_path, capsys):
