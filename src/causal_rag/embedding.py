@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import random
 import time
@@ -29,20 +28,40 @@ from .gateway import API_KEY_ENV, DEFAULT_TIMEOUT, post_with_retry
 from .jsonl import LineAppender, Memo, read_jsonl
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EmbeddingVector:
-    values: tuple[float, ...]
+    """One embedding: a read-only, one-dimensional float64 array, 8 bytes a
+    component. A read-only float64 array is kept as is; any other sequence
+    of numbers is copied into one. Two vectors are equal when their model
+    ids and components are."""
+
+    values: np.ndarray
     model_id: str
 
     def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("embedding must have at least one component")
-        if not all(math.isfinite(v) for v in self.values):
+        values = self.values
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                and not values.flags.writeable):
+            values = np.array(values, dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, "values", values)
+        if values.ndim != 1 or not values.size:
+            raise ValueError("embedding must have at least one component, in one dimension")
+        if not np.isfinite(values).all():
             raise ValueError("embedding components must be finite")
 
     @property
     def dim(self) -> int:
-        return len(self.values)
+        return self.values.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        return self.model_id == other.model_id and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which it equals
+        return hash((self.model_id, (self.values + 0.0).tobytes()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +114,8 @@ class LocalHashEmbedder:
         if norm == 0.0:
             raise ValueError("cannot embed empty text")
         counts /= norm
-        return EmbeddingVector(values=tuple(float(v) for v in counts), model_id=self.model_id)
+        counts.flags.writeable = False
+        return EmbeddingVector(values=counts, model_id=self.model_id)
 
 
 class HttpEmbeddingProvider:
@@ -134,11 +154,13 @@ class HttpEmbeddingProvider:
             session=self.session,
         )
         try:
-            data = response.json()
-            values = data["data"][0]["embedding"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            values = response.json()["data"][0]["embedding"]
+            # numpy would read a string, a null or a boolean as a number
+            if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+                raise TypeError("embedding must be a JSON array of numbers")
+            return EmbeddingVector(values=values, model_id=self.model_id)
+        except (ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
             raise ProviderError(f"malformed embedding payload: {exc}") from exc
-        return EmbeddingVector(values=tuple(float(v) for v in values), model_id=self.model_id)
 
 
 class EmbeddingCache(Memo):
@@ -157,10 +179,7 @@ class EmbeddingCache(Memo):
         self._dims: dict[str, int] = {}
         if self.path.exists():
             for obj in read_jsonl(self.path, ("key", "model", "vector")):
-                vector = EmbeddingVector(
-                    values=tuple(float(v) for v in obj["vector"]),
-                    model_id=obj["model"],
-                )
+                vector = EmbeddingVector(values=obj["vector"], model_id=obj["model"])
                 self._check_dim(vector)
                 self._values[EmbeddingKey(obj["key"], obj["model"])] = vector
                 self._dims[obj["model"]] = vector.dim
@@ -180,7 +199,7 @@ class EmbeddingCache(Memo):
                 "key": key.content_hash,
                 "model": key.model_id,
                 "dim": vector.dim,
-                "vector": list(vector.values),
+                "vector": vector.values.tolist(),
             },
             sort_keys=True,
         )
@@ -227,8 +246,9 @@ class VectorIndex:
     """The vectors of a corpus as the rows of one matrix, with their norms.
 
     `ids` must be strictly ascending: row order is then the tie order of
-    `knn_search`. Rows are filled one vector at a time, so no more than one
-    `EmbeddingVector` of the corpus needs to be alive at once."""
+    `knn_search`. Each vector is copied into its row as it comes and not
+    kept, but a cache keeps the vectors it served: with a cache the corpus
+    is in memory twice, 8 bytes a component each time."""
 
     def __init__(self, ids: Sequence[str], vectors: Iterable[EmbeddingVector]):
         if not ids:
@@ -260,7 +280,7 @@ def knn_search(query: EmbeddingVector, index: VectorIndex, k: int) -> list[Neigh
         raise ValueError("k must be >= 1")
     if query.dim != index.matrix.shape[1]:
         raise DimensionMismatchError(f"dim {query.dim} vs {index.matrix.shape[1]}")
-    q = np.asarray(query.values, dtype=np.float64)
+    q = query.values
     norm = float(np.linalg.norm(q))
     if norm == 0.0:
         raise ZeroVectorError("cosine similarity undefined for an all-zero vector")

@@ -115,23 +115,26 @@ class Memo:
 
 
 class LineAppender:
-    """Appends one line at a time to a JSONL file, opening it for each line
-    so that no handle outlives a call; callers serialize appends. Only the
-    first append pays for `open_append`'s tail check: every later one
-    follows a line this object wrote."""
+    """Appends one line at a time to a JSONL file with one OS write, opening
+    the file for each line so that no descriptor outlives a call; callers
+    serialize appends. Only the first append pays for `open_append`'s tail
+    check: every later one follows a line this object wrote."""
 
     def __init__(self, path: str | Path):
         self.path = path
         self._checked = False
 
     def append(self, line: str) -> None:
-        if self._checked:
-            handle = open(self.path, "a", encoding="utf-8")
-        else:
-            handle = open_append(self.path)
+        if not self._checked:
+            open_append(self.path).close()
             self._checked = True
-        with handle:
-            handle.write(line + "\n")
+        data = memoryview((line + "\n").encode("utf-8"))
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
 
 def _end_with_a_complete_line(raw: RawIOBase, path: str | Path) -> None:

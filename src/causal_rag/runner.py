@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -345,13 +346,19 @@ class _Scored:
 RECORD_FIELDS = ("sentence_id", "task", "example_count", "parse_error", "parsed")
 
 
-def _load_scored(path: str | Path, task: str) -> dict[str, _Scored]:
+def _load_scored(path: str | Path, task: str,
+                 strategies: dict[str, str] | None = None) -> dict[str, _Scored]:
     """What scoring reads of a prediction file, by sentence id; a later
-    line wins. A record of another task is a `MalformedRecordError`."""
-    return {
-        record["sentence_id"]: _Scored.of(record)
-        for record in read_jsonl(path, RECORD_FIELDS, {"task": task})
-    }
+    line wins. A record of another task is a `MalformedRecordError`. When
+    `strategies` is given, each record's strategy goes there too, by
+    sentence id, in the same pass."""
+    scored = {}
+    for record in read_jsonl(path, RECORD_FIELDS, {"task": task}):
+        sid = record["sentence_id"]
+        scored[sid] = _Scored.of(record)
+        if strategies is not None:
+            strategies[sid] = sys.intern(record.get("strategy", "zeroshot"))
+    return scored
 
 
 def _read_records(path: str | Path, ids: Sequence[str]) -> list[dict]:
@@ -612,14 +619,14 @@ def eval_predictions(
     """Re-score an existing prediction file against its dataset."""
     split = load_dataset(dataset_path, dataset_format)
     instances = _select_instances(split, task)
-    records = _load_scored(predictions_path, task)
+    strategies: dict[str, str] = {}
+    records = _load_scored(predictions_path, task, strategies)
     scored = [inst for inst in instances if inst.sentence.id in records]
     if not scored:
         raise ValueError("no overlapping sentence ids between predictions and dataset")
-    [sample] = _read_records(predictions_path, [scored[0].sentence.id])
     config_echo = {
         "task": task,
-        "strategy": sample.get("strategy", "zeroshot"),
+        "strategy": strategies[scored[0].sentence.id],
         "single_pair": single_pair,
         "matching": matching,
         "predictions": predictions_path,

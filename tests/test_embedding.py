@@ -6,12 +6,14 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from causal_rag.embedding import (
     EmbeddingCache,
+    EmbeddingKey,
     EmbeddingVector,
     HttpEmbeddingProvider,
     LocalHashEmbedder,
@@ -121,7 +123,102 @@ def test_cache_round_trip_bitwise(tmp_path) -> None:
     for text, original in zip(texts, originals):
         stored = reloaded_cache.get(embedding_key(text, embedder.model_id))
         assert stored is not None
-        assert stored.values == original.values  # bitwise float equality
+        assert stored.values.tobytes() == original.values.tobytes()  # bitwise
+
+
+def assert_frozen_array(vector: EmbeddingVector) -> None:
+    values = vector.values
+    assert isinstance(values, np.ndarray)
+    assert values.dtype == np.float64 and values.ndim == 1
+    assert not values.flags.writeable
+    assert values.nbytes == 8 * vector.dim
+
+
+def test_vectors_are_read_only_float64_arrays(tmp_path) -> None:
+    embedder = LocalHashEmbedder(dim=48)
+    cache = EmbeddingCache(tmp_path / "c.jsonl")
+    fresh = embed("alpha beta", embedder, cache)
+    loaded = EmbeddingCache(tmp_path / "c.jsonl").get(embedding_key("alpha beta", "local-hash-48"))
+    for vector in (fresh, loaded, vec(1, 2, 3), EmbeddingVector([0.5, 2], "m")):
+        assert_frozen_array(vector)
+    with pytest.raises(ValueError):
+        fresh.values[0] = 1.0
+
+
+def test_vector_takes_a_read_only_array_as_is_and_copies_any_other() -> None:
+    frozen = np.array([1.0, 2.0])
+    frozen.flags.writeable = False
+    assert EmbeddingVector(frozen, "m").values is frozen
+    mine = np.array([1.0, 2.0])
+    vector = EmbeddingVector(mine, "m")
+    mine[0] = 9.0  # the caller's array stays the caller's
+    assert vector.values.tolist() == [1.0, 2.0] and mine.flags.writeable
+    assert EmbeddingVector(np.array([1, 2], dtype=np.int32), "m").values.dtype == np.float64
+    with pytest.raises(ValueError):
+        EmbeddingVector(np.zeros((2, 2)), "m")
+    with pytest.raises(ValueError):
+        EmbeddingVector([], "m")
+
+
+def test_vector_equality_and_hash() -> None:
+    assert vec(0.1, 0.2) == EmbeddingVector([0.1, 0.2], "m")
+    assert vec(0.1, 0.2) != vec(0.1, 0.2, model="other")
+    assert vec(0.1, 0.2) != vec(0.1, 0.2000000000000001)
+    assert vec(0.1, 0.2) != vec(0.1, 0.2, 0.0)
+    assert vec(0.1, 0.2) != (0.1, 0.2)
+    assert vec(0.0, 1.0) == vec(-0.0, 1.0)  # as the tuples compared
+    assert hash(vec(0.0, 1.0)) == hash(vec(-0.0, 1.0))
+    assert hash(vec(0.1, 0.2)) == hash(EmbeddingVector([0.1, 0.2], "m"))
+    assert len({vec(0.1, 0.2), vec(0.1, 0.2), vec(0.2, 0.1)}) == 2
+
+
+# the cache format, byte for byte: caches already on disk must load, and
+# be appended to, unchanged
+PINNED_CACHE_LINES = (
+    '{"dim": 8, "key": "3ddb1447e30ac972e3b8d183e95a8d38f9a086bc622ef52941cfdd028037a797", '
+    '"model": "local-hash-8", "vector": [0.0, 0.0, 0.0, 0.5773502691896258, '
+    '0.5773502691896258, 0.5773502691896258, 0.0, 0.0]}\n'
+    '{"dim": 8, "key": "8ee41686ee634498f333dd8f953f4b42d8af7222d99465fc91903aed73bcac05", '
+    '"model": "m", "vector": [0.1, 0.3333333333333333, -0.0, -2.5, 1e-300, 5e-324, '
+    '1e+300, 7.0]}\n'
+)
+
+
+def test_cache_lines_match_the_pinned_bytes(tmp_path) -> None:
+    path = tmp_path / "c.jsonl"
+    cache = EmbeddingCache(path)
+    embed("Smoking causes cancer", LocalHashEmbedder(dim=8), cache)
+    awkward = vec(0.1, 1 / 3, -0.0, -2.5, 1e-300, 5e-324, 1e300, 7.0)
+    cache.put(embedding_key("awkward", "m"), awkward)
+    assert path.read_bytes() == PINNED_CACHE_LINES.encode("utf-8")
+    # a loaded vector is written back as the same bytes
+    loaded = EmbeddingCache(path)
+    again = EmbeddingCache(tmp_path / "again.jsonl")
+    for line in PINNED_CACHE_LINES.splitlines():
+        obj = json.loads(line)
+        key = EmbeddingKey(obj["key"], obj["model"])
+        again.put(key, loaded.get(key))
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_cached_vectors_cost_eight_bytes_a_component(tmp_path) -> None:
+    count, dim = 300, 1536
+    rng = random.Random(7)
+    path = tmp_path / "c.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(count):
+            vector = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+            line = {"key": f"{i:064x}", "model": "big", "dim": dim, "vector": vector}
+            handle.write(json.dumps(line) + "\n")
+    raw = count * dim * 8  # 3.5 MiB
+    tracemalloc.start()
+    try:
+        cache = EmbeddingCache(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == count
+    assert kept < 1.5 * raw and peak < 1.5 * raw
 
 
 def test_torn_cache_loads_and_heals_on_the_next_put(tmp_path) -> None:
@@ -232,12 +329,12 @@ def test_concurrent_embedding_stress_embeds_each_text_once(tmp_path) -> None:
     cache = EmbeddingCache(path)
     embedder = _CountingEmbedder()
     texts = [f"text number {i}" for i in range(40)]
-    served: dict[str, set[tuple[float, ...]]] = {text: set() for text in texts}
+    served: dict[str, set[bytes]] = {text: set() for text in texts}
     lock = threading.Lock()
 
     def worker(offset: int) -> None:
         for text in texts[offset:] + texts[:offset]:
-            values = embed(text, embedder, cache).values
+            values = embed(text, embedder, cache).values.tobytes()
             with lock:
                 served[text].add(values)
 
@@ -401,7 +498,7 @@ def test_http_provider_wire_shape() -> None:
     session = _Session([_Response(200, {"data": [{"embedding": [0.1, 0.2]}]})])
     provider = HttpEmbeddingProvider("http://host/", "emb-model", api_key="k", session=session)
     vector = provider.embed_text("hello world")
-    assert vector.values == (0.1, 0.2)
+    assert vector.values.tolist() == [0.1, 0.2]
     assert vector.model_id == "emb-model"
     sent = session.requests[0]
     assert sent["url"] == "http://host/v1/embeddings"
@@ -410,10 +507,24 @@ def test_http_provider_wire_shape() -> None:
 
 
 def test_http_provider_malformed_payload() -> None:
-    session = _Session([_Response(200, {"data": []})])
-    provider = HttpEmbeddingProvider("http://host", "m", api_key="k", session=session)
-    with pytest.raises(ProviderError):
-        provider.embed_text("x")
+    payloads = [
+        {"data": []},
+        {"data": [{"embedding": [None, 1.0]}]},
+        {"data": [{"embedding": 5}]},
+        {"data": [{"embedding": ["x"]}]},
+        {"data": [{"embedding": ["1.5"]}]},
+        {"data": [{"embedding": []}]},
+        {"data": [{"embedding": [1e400]}]},  # json reads 1e400 as inf
+        {"data": [{"embedding": [10**400]}]},
+        {"data": [{"embedding": [True, 1.0]}]},
+        {"data": [{"embedding": [[0.5, 1.0]]}]},
+        {"data": [{"embedding": {"0": 1.0}}]},
+    ]
+    for payload in payloads:
+        session = _Session([_Response(200, payload)])
+        provider = HttpEmbeddingProvider("http://host", "m", api_key="k", session=session)
+        with pytest.raises(ProviderError, match="malformed embedding payload"):
+            provider.embed_text("x")
 
 
 def test_http_provider_requires_key(monkeypatch) -> None:

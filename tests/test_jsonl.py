@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 
 import pytest
 
+from causal_rag import jsonl
 from causal_rag.errors import MalformedRecordError
-from causal_rag.jsonl import Memo, open_append, read_jsonl
+from causal_rag.jsonl import LineAppender, Memo, open_append, read_jsonl
 
 ROWS = [{"id": f"r{i}", "text": f"row number {i} é"} for i in range(4)]
 
@@ -91,6 +93,43 @@ def test_append_creates_the_file_and_its_directory(tmp_path):
     path = tmp_path / "sub" / "a.jsonl"
     append(path, {"id": "new"})
     assert list(read_jsonl(path)) == [{"id": "new"}]
+
+
+def test_appender_writes_whole_lines_after_one_tail_check(tmp_path, monkeypatch):
+    path = tmp_path / "sub" / "a.jsonl"
+    checks: list[object] = []
+
+    def counted(target):
+        checks.append(target)
+        return open_append(target)
+
+    monkeypatch.setattr(jsonl, "open_append", counted)
+    appender = LineAppender(path)
+    for row in ROWS:
+        appender.append(json.dumps(row, ensure_ascii=False))
+    assert path.read_bytes() == write_rows(tmp_path / "b.jsonl")
+    assert checks == [path]
+
+
+def test_appender_finishes_a_short_write_and_keeps_no_descriptor(tmp_path, monkeypatch):
+    path = tmp_path / "a.jsonl"
+    real_write = os.write
+    sizes: list[int] = []
+
+    def short_write(fd, data):  # the OS may take fewer bytes than asked
+        sizes.append(real_write(fd, data[:3]))
+        return sizes[-1]
+
+    appender = LineAppender(path)
+    appender.append(json.dumps(ROWS[0], ensure_ascii=False))
+    monkeypatch.setattr(jsonl.os, "write", short_write)
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    for row in ROWS[1:]:
+        appender.append(json.dumps(row, ensure_ascii=False))
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) <= fds
+    assert path.read_bytes() == write_rows(tmp_path / "b.jsonl")
+    assert len(sizes) > len(ROWS) and set(sizes) <= {1, 2, 3}
 
 
 def test_damaged_middle_line_names_the_file_and_the_line(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,11 +16,12 @@ import pytest
 
 from fixture_llm import DETECTION_SENTENCES, FIXTURE_MODEL_ID, FixtureResponder
 
-from causal_rag import cli
+from causal_rag import cli, runner
 from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder
 from causal_rag.errors import MalformedRecordError, TransportError
 from causal_rag.gateway import ReplayBackend, ScriptedBackend, Transcript
+from causal_rag.jsonl import read_jsonl
 from causal_rag.repository import load_repository
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import (
@@ -340,6 +342,38 @@ def test_eval_predictions_matches_run_report(tmp_path):
     result = run_experiment(replay_config(tmp_path, "extract", StrategyKind.KNN, out=out))
     rescored = eval_predictions(str(out), str(FIXTURES / "extract.jsonl"), "extract")
     assert rescored["metrics"] == result.report["metrics"]
+
+
+def test_eval_reads_the_prediction_file_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report echoes the predictions path
+    dataset = str(FIXTURES / "extract.jsonl")
+    run_experiment(replay_config(tmp_path, "extract", StrategyKind.PATTERN, out="preds.jsonl"))
+    reads = []
+
+    def counted(*args, **kw):
+        reads.append(args[0])
+        return read_jsonl(*args, **kw)
+
+    monkeypatch.setattr(runner, "read_jsonl", counted)
+
+    def report_sha(report: dict) -> str:
+        text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    # the report bytes are pinned: reading the file once must not change them
+    report = eval_predictions("preds.jsonl", dataset, "extract")
+    assert reads == ["preds.jsonl"]
+    assert report["config"]["strategy"] == "pattern"
+    assert report_sha(report) == "b6a43e979c0ae65511830f73d0ce9732e23077f1fb976d1a6d3adeac8dfd9d32"
+    # a later line wins, for the echoed strategy too
+    first = json.loads((tmp_path / "preds.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    with open(tmp_path / "preds.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({**first, "strategy": "random"}) + "\n")
+    reads.clear()
+    report = eval_predictions("preds.jsonl", dataset, "extract")
+    assert len(reads) == 1
+    assert report["config"]["strategy"] == "random"
+    assert report_sha(report) == "43f11cacd0706f95dbdd241b97cb429c53acfe83ab341d1d124636b529604430"
 
 
 def test_config_validation_errors():
