@@ -13,7 +13,7 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     EmptyDatasetError,
@@ -255,25 +255,23 @@ def render_tagged(text: str, pairs: Iterable[CauseEffectPair]) -> str:
 
 
 def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> LabeledInstance:
+    """One canonical record as an instance; a record that breaks the format
+    is a KeyError, TypeError or ValueError. An id defaults to the source and
+    the line number."""
     if not isinstance(obj, dict):
-        raise MalformedRecordError("record is not a JSON object", line_no)
-    try:
-        text = obj["text"]
-        label = obj["label"]
-        source = obj.get("source", default_source)
-    except KeyError as exc:
-        raise MalformedRecordError(f"missing field {exc}", line_no) from None
+        raise TypeError("record is not a JSON object")
+    text, label, source = obj["text"], obj["label"], obj.get("source", default_source)
     if not isinstance(text, str) or not text.strip():
-        raise MalformedRecordError("'text' must be a non-empty string", line_no)
+        raise ValueError("'text' must be a non-empty string")
     if label not in (0, 1):
-        raise MalformedRecordError(f"'label' must be 0 or 1, got {label!r}", line_no)
+        raise ValueError(f"'label' must be 0 or 1, got {label!r}")
 
     text = normalize_ws(text)
     raw_pairs = obj.get("pairs") or []
     if label == 0 and raw_pairs:
-        raise MalformedRecordError("non-causal record must not carry pairs", line_no)
+        raise ValueError("non-causal record must not carry pairs")
     if label == 1 and not raw_pairs:
-        raise MalformedRecordError("causal record must carry at least one pair", line_no)
+        raise ValueError("causal record must carry at least one pair")
 
     pairs: list[CauseEffectPair] = []
     for entry in raw_pairs:
@@ -281,16 +279,14 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
             cause = normalize_ws(entry["cause"])
             effect = normalize_ws(entry["effect"])
         except (TypeError, KeyError):
-            raise MalformedRecordError(f"malformed pair entry {entry!r}", line_no) from None
+            raise ValueError(f"malformed pair entry {entry!r}") from None
         if not cause or not effect:
-            raise MalformedRecordError("pair phrases must be non-empty", line_no)
+            raise ValueError("pair phrases must be non-empty")
         if cause == effect:
-            raise MalformedRecordError("cause and effect must be distinct", line_no)
+            raise ValueError("cause and effect must be distinct")
         for phrase in (cause, effect):
             if phrase not in text:
-                raise MalformedRecordError(
-                    f"phrase {phrase!r} does not occur in the sentence text", line_no
-                )
+                raise ValueError(f"phrase {phrase!r} does not occur in the sentence text")
         pairs.append(CauseEffectPair(cause, effect))
 
     sid = obj.get("id") or make_sentence_id(source, line_no)
@@ -303,26 +299,29 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
     return LabeledInstance(sentence=sentence, label=int(label))
 
 
-def _load_canonical(path: Path) -> list[LabeledInstance]:
-    instances = []
-    with open(path, encoding="utf-8") as handle:
+def read_json_lines(path: Path) -> Iterator[tuple[int, object]]:
+    """(file line, decoded JSON value) of each non-blank line of a dataset or
+    repository file; unlike a store's, its torn final line is an error."""
+    with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(f"invalid JSON ({exc.msg})", line_no) from None
-            instances.append(_instance_from_canonical(obj, line_no, path.stem))
-    return instances
+                obj = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise MalformedRecordError(f"invalid JSON ({reason})", line_no, path) from None
+            yield line_no, obj
 
 
 # --- native format importers --------------------------------------------------
 
 
-def _import_semeval(path: Path) -> list[dict]:
+def _import_semeval(path: Path) -> list[tuple[int, dict]]:
     """SemEval task-8 style blocks: a numbered quoted sentence with <e1>/<e2>
-    entity tags, a relation line, a comment line, and a blank separator."""
+    entity tags, a relation line, a comment line, and a blank separator.
+    Like each importer, returns (file line, canonical record) pairs; a
+    record's id is its ordinal in the file."""
     records = []
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -333,13 +332,13 @@ def _import_semeval(path: Path) -> list[dict]:
             continue
         header = lines[i]
         if i + 1 >= len(lines):
-            raise MalformedRecordError("sentence line without a relation line", i + 1)
+            raise MalformedRecordError("sentence line without a relation line", i + 1, path)
         relation = lines[i + 1].strip()
         try:
             _, sentence = header.split("\t", 1)
         except ValueError:
             raise MalformedRecordError(
-                f"expected '<id>\\t\"sentence\"', got {header!r}", i + 1
+                f"expected '<id>\\t\"sentence\"', got {header!r}", i + 1, path
             ) from None
         sentence = sentence.strip()
         if sentence.startswith('"') and sentence.endswith('"'):
@@ -347,7 +346,7 @@ def _import_semeval(path: Path) -> list[dict]:
         m1 = SEMEVAL_E1_RE.search(sentence)
         m2 = SEMEVAL_E2_RE.search(sentence)
         if not m1 or not m2:
-            raise MalformedRecordError("sentence lacks <e1>/<e2> markup", i + 1)
+            raise MalformedRecordError("sentence lacks <e1>/<e2> markup", i + 1, path)
         text = normalize_ws(SEMEVAL_TAG_RE.sub("", sentence))
         e1 = normalize_ws(m1.group(1))
         e2 = normalize_ws(m2.group(1))
@@ -357,14 +356,13 @@ def _import_semeval(path: Path) -> list[dict]:
             pairs = [{"cause": e2, "effect": e1}]
         else:
             pairs = []
-        records.append(
-            {
-                "text": text,
-                "label": 1 if pairs else 0,
-                "pairs": pairs,
-                "source": "semeval",
-            }
-        )
+        records.append((i + 1, {
+            "id": make_sentence_id("semeval", len(records) + 1),
+            "text": text,
+            "label": 1 if pairs else 0,
+            "pairs": pairs,
+            "source": "semeval",
+        }))
         # skip relation line plus optional comment line
         i += 2
         if i < len(lines) and lines[i].startswith("Comment"):
@@ -372,7 +370,7 @@ def _import_semeval(path: Path) -> list[dict]:
     return records
 
 
-def _import_ade(path: Path) -> list[dict]:
+def _import_ade(path: Path) -> list[tuple[int, dict]]:
     """ADE relation lines: pipe-delimited
     ``pmid|sentence|effect|e_start|e_end|drug|d_start|d_end``; the drug is the
     cause and the adverse effect is the effect. All records are causal."""
@@ -384,21 +382,20 @@ def _import_ade(path: Path) -> list[dict]:
             fields = line.rstrip("\n").split("|")
             if len(fields) < 8:
                 raise MalformedRecordError(
-                    f"expected 8 pipe-delimited fields, got {len(fields)}", line_no
+                    f"expected 8 pipe-delimited fields, got {len(fields)}", line_no, path
                 )
             _, sentence, effect, _, _, drug, _, _ = fields[:8]
-            records.append(
-                {
-                    "text": normalize_ws(sentence),
-                    "label": 1,
-                    "pairs": [{"cause": normalize_ws(drug), "effect": normalize_ws(effect)}],
-                    "source": "ade",
-                }
-            )
+            records.append((line_no, {
+                "id": make_sentence_id("ade", len(records) + 1),
+                "text": normalize_ws(sentence),
+                "label": 1,
+                "pairs": [{"cause": normalize_ws(drug), "effect": normalize_ws(effect)}],
+                "source": "ade",
+            }))
     return records
 
 
-def _import_li(path: Path) -> list[dict]:
+def _import_li(path: Path) -> list[tuple[int, dict]]:
     """Li-style tagged lines: one sentence per line, inline single-pair
     cause/effect tags for causal sentences, bare text otherwise."""
     records = []
@@ -408,17 +405,16 @@ def _import_li(path: Path) -> list[dict]:
             if not line:
                 continue
             try:
-                sentence = parse_tagged_sentence(line, "li", line_no)
+                sentence = parse_tagged_sentence(line, "li", len(records) + 1)
             except (UnbalancedTagsError, NestedTagsError, EmptyPhraseError, TagPairingError) as exc:
-                raise MalformedRecordError(str(exc), line_no) from None
-            records.append(
-                {
-                    "text": sentence.raw_text,
-                    "label": 1 if sentence.pairs else 0,
-                    "pairs": [{"cause": p.cause, "effect": p.effect} for p in sentence.pairs],
-                    "source": "li",
-                }
-            )
+                raise MalformedRecordError(str(exc), line_no, path) from None
+            records.append((line_no, {
+                "id": sentence.id,
+                "text": sentence.raw_text,
+                "label": 1 if sentence.pairs else 0,
+                "pairs": [{"cause": p.cause, "effect": p.effect} for p in sentence.pairs],
+                "source": "li",
+            }))
     return records
 
 
@@ -435,20 +431,19 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
     path = Path(path)
     if format not in FORMATS:
         raise UnknownFormatError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
-    if format == "jsonl":
-        instances = _load_canonical(path)
-    else:
-        records = _IMPORTERS[format](path)
-        instances = [
-            _instance_from_canonical(obj, line_no, path.stem)
-            for line_no, obj in enumerate(records, start=1)
-        ]
+    numbered = read_json_lines(path) if format == "jsonl" else _IMPORTERS[format](path)
+    instances = []
+    for line_no, obj in numbered:
+        try:
+            instances.append(_instance_from_canonical(obj, line_no, path.stem))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecordError(exc, line_no, path) from None
     if not instances:
         raise EmptyDatasetError(f"{path} contains no records")
     ids = [inst.sentence.id for inst in instances]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise MalformedRecordError(f"duplicate instance ids: {dupes[:5]}")
+        raise MalformedRecordError(f"duplicate instance ids: {dupes[:5]}", path=path)
     return DatasetSplit(name=path.stem, instances=tuple(instances))
 
 

@@ -76,6 +76,18 @@ class NeighborHit:
     similarity: float
 
 
+def vector_from_json(values, model_id: str) -> EmbeddingVector:
+    """An embedding from a decoded JSON value, which must be a non-empty
+    array of finite numbers; anything else is a TypeError or ValueError."""
+    # numpy would read a string, a null or a boolean as a number
+    if type(values) is not list or not all(type(v) in (int, float) for v in values):
+        raise TypeError("embedding must be a JSON array of numbers")
+    try:
+        return EmbeddingVector(values=values, model_id=model_id)
+    except OverflowError:  # an integer beyond float64
+        raise ValueError("embedding components must be finite") from None
+
+
 def embedding_key(text: str, model_id: str) -> EmbeddingKey:
     digest = hashlib.sha256(normalize_for_key(text).encode("utf-8")).hexdigest()
     return EmbeddingKey(content_hash=digest, model_id=model_id)
@@ -154,12 +166,8 @@ class HttpEmbeddingProvider:
             session=self.session,
         )
         try:
-            values = response.json()["data"][0]["embedding"]
-            # numpy would read a string, a null or a boolean as a number
-            if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
-                raise TypeError("embedding must be a JSON array of numbers")
-            return EmbeddingVector(values=values, model_id=self.model_id)
-        except (ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
+            return vector_from_json(response.json()["data"][0]["embedding"], self.model_id)
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed embedding payload: {exc}") from exc
 
 
@@ -168,7 +176,8 @@ class EmbeddingCache(Memo):
     of vectors.
 
     One line per vector: {"key", "model", "dim", "vector"}. All vectors of a
-    model must share one dimension; a mismatch is rejected at insert time.
+    model must share one dimension; a mismatch is rejected at load and at
+    insert time.
     The first vector kept under a key wins; writes are serialized.
     """
 
@@ -178,15 +187,21 @@ class EmbeddingCache(Memo):
         self._appender = LineAppender(self.path)
         self._dims: dict[str, int] = {}
         if self.path.exists():
-            for obj in read_jsonl(self.path, ("key", "model", "vector")):
-                vector = EmbeddingVector(values=obj["vector"], model_id=obj["model"])
-                self._check_dim(vector)
-                self._values[EmbeddingKey(obj["key"], obj["model"])] = vector
-                self._dims[obj["model"]] = vector.dim
+            self._values.update(read_jsonl(self.path, self._entry))
+
+    def _entry(self, obj: dict) -> tuple[EmbeddingKey, EmbeddingVector]:
+        """One cache line's key and vector, of its model's earlier dim."""
+        key, model = obj["key"], obj["model"]
+        if type(key) is not str or type(model) is not str:
+            raise TypeError("key and model must be strings")
+        vector = vector_from_json(obj["vector"], model)
+        self._check_dim(vector)
+        return EmbeddingKey(key, model), vector
 
     def _check_dim(self, vector: EmbeddingVector) -> None:
-        known = self._dims.get(vector.model_id)
-        if known is not None and known != vector.dim:
+        """Keep the dim of the model's first vector; refuse any other."""
+        known = self._dims.setdefault(vector.model_id, vector.dim)
+        if known != vector.dim:
             raise DimensionMismatchError(
                 f"model {vector.model_id!r} previously produced dim {known}, got {vector.dim}"
             )
@@ -209,7 +224,6 @@ class EmbeddingCache(Memo):
             if kept is None:
                 self._appender.append(line)
                 self._values[key] = kept = vector
-                self._dims[key.model_id] = vector.dim
         return kept
 
 

@@ -39,9 +39,12 @@ class UnknownFormatError(CausalRagError):
 
 class MalformedRecordError(CausalRagError):
     """A dataset, repository or JSONL store record violates its format
-    contract."""
+    contract. `message` is the reason, or the KeyError (a missing field),
+    TypeError or ValueError with which a record parser refused the line."""
 
     def __init__(self, message, line_number=None, path=None):
+        if isinstance(message, Exception):
+            message = f"missing field {message}" if isinstance(message, KeyError) else str(message)
         if line_number is not None:
             message = f"line {line_number}: {message}"
         if path is not None:
@@ -96,9 +99,9 @@ class UnparseableResponseError(CausalRagError):
 # --- embeddings and vectors -------------------------------------------------
 
 
-class DimensionMismatchError(CausalRagError):
-    """Vectors of differing dimension were combined, or a provider changed
-    its output dimension for a model."""
+class DimensionMismatchError(CausalRagError, ValueError):
+    """Vectors of differing dimension were combined, or a provider (or an
+    embedding cache line) changed the output dimension of a model."""
 
 
 class ZeroVectorError(CausalRagError):

@@ -93,6 +93,14 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _transcript_entry(obj: dict) -> tuple[str, str]:
+    """(request hash, response text) of one transcript line."""
+    req_hash, text = obj["request_hash"], obj["response_text"]
+    if type(req_hash) is not str or type(text) is not str:
+        raise TypeError("request_hash and response_text must be strings")
+    return req_hash, text
+
+
 class Transcript(Memo):
     """Append-only JSONL store of completed requests, as a memo of response
     texts by request hash.
@@ -107,8 +115,7 @@ class Transcript(Memo):
         self.path = Path(path)
         self._appender = LineAppender(self.path)
         if self.path.exists():
-            for obj in read_jsonl(self.path, ("request_hash", "response_text")):
-                self._values[obj["request_hash"]] = obj["response_text"]
+            self._values.update(read_jsonl(self.path, _transcript_entry))
 
     def lookup(self, req_hash: str) -> str | None:
         return self.get(req_hash)

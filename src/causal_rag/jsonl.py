@@ -2,11 +2,14 @@
 prediction files, transcripts and embedding caches, and the one memo they
 and the chat client build on.
 
-A process killed in the middle of a write can leave a final line without its
-newline. The reader drops such a line, with a warning, when it does not
-parse, and `open_append` cuts it off before anything more is written, so the
-file again ends in a complete line. Damage on any other line is a
-`MalformedRecordError` that names the file and the line.
+Every store reads its file through `read_jsonl` with its own `parse`, the
+function that turns one line's object into what the store keeps, and
+appends through a `LineAppender`. A process killed in the middle of a write
+can leave a final line without its newline. The reader drops such a line,
+with a warning, when it does not parse as JSON; the appender's first line
+cuts it off (or ends it, if it parses). Damage on any other line, including
+a line that `parse` refuses, is a `MalformedRecordError` that names the
+file, the line and the reason.
 """
 
 from __future__ import annotations
@@ -16,20 +19,20 @@ import logging
 import mmap
 import os
 import threading
-from io import RawIOBase
 from pathlib import Path
-from typing import IO, Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import MalformedRecordError
 
 LOGGER = logging.getLogger(__name__)
 
+T = TypeVar("T")
 
-def read_jsonl(path: str | Path, fields: tuple[str, ...] = (),
-               expect: dict | None = None) -> Iterator[dict]:
-    """The JSON objects of `path`, one per non-blank line, in file order;
-    each must carry every key in `fields`, and the value given in `expect`
-    for each of its keys."""
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], T] = lambda obj: obj) -> Iterator[T]:
+    """`parse` of each JSON object of `path`, one per non-blank line, in file
+    order. A `KeyError`, `TypeError` or `ValueError` from `parse` means the
+    line does not fit the store."""
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -44,35 +47,11 @@ def read_jsonl(path: str | Path, fields: tuple[str, ...] = (),
                 raise MalformedRecordError(f"invalid JSON ({reason})", line_no, path) from None
             if not isinstance(obj, dict):
                 raise MalformedRecordError("expected a JSON object", line_no, path)
-            for name in fields:
-                if name not in obj:
-                    raise MalformedRecordError(f"missing field {name!r}", line_no, path)
-            for name, value in (expect or {}).items():
-                if obj.get(name) != value:
-                    raise MalformedRecordError(
-                        f"{name} is {obj.get(name)!r}, expected {value!r}", line_no, path
-                    )
-            yield obj
-
-
-def open_append(path: str | Path) -> IO[str]:
-    """Open `path` to append lines, creating it and its directory if need
-    be. A final line without its newline is first cut off if it does not
-    parse, as `read_jsonl` dropped it, or given its newline if it does, as
-    `read_jsonl` kept it."""
-    try:
-        handle = open(path, "a+", encoding="utf-8")
-    except FileNotFoundError:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        handle = open(path, "a+", encoding="utf-8")
-    try:
-        # the unbuffered layer: reading it leaves the buffers untouched
-        _end_with_a_complete_line(handle.buffer.raw, path)
-        handle.seek(0, os.SEEK_END)
-    except BaseException:
-        handle.close()
-        raise
-    return handle
+            try:
+                item = parse(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedRecordError(exc, line_no, path) from None
+            yield item
 
 
 class Memo:
@@ -115,36 +94,42 @@ class Memo:
 
 
 class LineAppender:
-    """Appends one line at a time to a JSONL file with one OS write, opening
-    the file for each line so that no descriptor outlives a call; callers
-    serialize appends. Only the first append pays for `open_append`'s tail
-    check: every later one follows a line this object wrote."""
+    """Appends lines to a JSONL file, each with one OS write; callers
+    serialize appends. `append` opens the file for one line, `extend` once
+    for all it takes, so no descriptor outlives a call. The first line
+    creates the file and its directory, or first mends a torn final line."""
 
     def __init__(self, path: str | Path):
-        self.path = path
+        self.path = Path(path)
         self._checked = False
 
     def append(self, line: str) -> None:
-        if not self._checked:
-            open_append(self.path).close()
-            self._checked = True
-        data = memoryview((line + "\n").encode("utf-8"))
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        self.extend((line,))
+
+    def extend(self, lines: Iterable[str]) -> None:
+        fd = None  # nothing is opened before the first line
         try:
-            while data:
-                data = data[os.write(fd, data):]
+            for line in lines:
+                data = memoryview((line + "\n").encode("utf-8"))
+                if fd is None:
+                    if not self._checked:
+                        self.path.parent.mkdir(parents=True, exist_ok=True)
+                    fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+                    if not self._checked:
+                        _end_with_a_complete_line(fd, self.path)
+                        self._checked = True
+                while data:
+                    data = data[os.write(fd, data):]
         finally:
-            os.close(fd)
+            if fd is not None:
+                os.close(fd)
 
 
-def _end_with_a_complete_line(raw: RawIOBase, path: str | Path) -> None:
-    end = raw.seek(0, os.SEEK_END)
-    if end == 0:
+def _end_with_a_complete_line(fd: int, path: Path) -> None:
+    end = os.lseek(fd, 0, os.SEEK_END)
+    if end == 0 or os.pread(fd, 1, end - 1) == b"\n":
         return
-    raw.seek(end - 1)
-    if raw.read(1) == b"\n":
-        return
-    with mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as view:
+    with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as view:
         start = view.rfind(b"\n") + 1
         tail = view[start:]
     try:
@@ -152,6 +137,6 @@ def _end_with_a_complete_line(raw: RawIOBase, path: str | Path) -> None:
     except ValueError:
         LOGGER.warning("%s: cut %d bytes of a torn final line before appending",
                        path, len(tail))
-        raw.truncate(start)
+        os.ftruncate(fd, start)
     else:
-        raw.write(b"\n")  # the file is open to append, so this lands at the end
+        os.write(fd, b"\n")  # the file is open to append, so this lands at the end

@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CauseEffectPair, TaggedSentence, normalize_lower, render_tagged
+from .corpus import CauseEffectPair, TaggedSentence, normalize_lower, read_json_lines, render_tagged
 from .errors import (
     MalformedRecordError,
     SchemaVersionMismatchError,
@@ -243,21 +243,20 @@ def _record_to_json(record: ExampleRecord) -> dict:
     return obj
 
 
-def _record_from_json(obj: dict, line_no: int) -> ExampleRecord:
-    try:
-        record = ExampleRecord(
-            id=obj["id"],
-            raw_text=obj["text"],
-            tagged_text=obj["tagged_text"],
-            pairs=tuple(CauseEffectPair(p["cause"], p["effect"]) for p in obj["pairs"]),
-            connectives=tuple(obj["connectives"]),
-            source=obj["source"],
-            connective_unverified=bool(obj.get("connective_unverified", False)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise MalformedRecordError(f"bad record field: {exc}", line_no) from None
+def _record_from_json(obj: dict) -> ExampleRecord:
+    """One saved record; a record that breaks the format is a KeyError,
+    TypeError or ValueError."""
+    record = ExampleRecord(
+        id=obj["id"],
+        raw_text=obj["text"],
+        tagged_text=obj["tagged_text"],
+        pairs=tuple(CauseEffectPair(p["cause"], p["effect"]) for p in obj["pairs"]),
+        connectives=tuple(obj["connectives"]),
+        source=obj["source"],
+        connective_unverified=bool(obj.get("connective_unverified", False)),
+    )
     if not record.connectives:
-        raise MalformedRecordError(f"record {record.id} has no connectives", line_no)
+        raise ValueError(f"record {record.id} has no connectives")
     return record
 
 
@@ -292,40 +291,34 @@ def save_repository(repo: Repository, path: str | Path) -> None:
 
 
 def load_repository(path: str | Path) -> Repository:
+    """A saved repository; every format error names the file and the line."""
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise MalformedRecordError("repository file is empty (missing header)", 1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise MalformedRecordError("unreadable header line", 1) from None
+    lines = read_json_lines(path)
+    line_no, header = next(lines, (1, None))
+    if header is None:
+        raise MalformedRecordError("repository file is empty (missing header)", 1, path)
     if not isinstance(header, dict) or "schema_version" not in header:
-        raise MalformedRecordError("first line is not a repository header", 1)
+        raise MalformedRecordError("first line is not a repository header", line_no, path)
     if header["schema_version"] != SCHEMA_VERSION:
         raise SchemaVersionMismatchError(
-            f"schema_version {header['schema_version']!r}, expected {SCHEMA_VERSION}"
+            f"{path}: schema_version {header['schema_version']!r}, expected {SCHEMA_VERSION}"
         )
     try:
         cap = int(header["cap"])
         seed = int(header["seed"])
     except (KeyError, ValueError, TypeError):
-        raise MalformedRecordError("header lacks integer cap/seed", 1) from None
+        raise MalformedRecordError("header lacks integer cap/seed", line_no, path) from None
     if cap < 1:
-        raise MalformedRecordError(f"header cap {cap} is below 1", 1)
+        raise MalformedRecordError(f"header cap {cap} is below 1", line_no, path)
 
     records: dict[str, ExampleRecord] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for line_no, obj in lines:
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            raise MalformedRecordError("unreadable record line", line_no) from None
-        record = _record_from_json(obj, line_no)
+            record = _record_from_json(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecordError(exc, line_no, path) from None
         if record.id in records:
-            raise MalformedRecordError(f"duplicate record id {record.id}", line_no)
+            raise MalformedRecordError(f"duplicate record id {record.id}", line_no, path)
         records[record.id] = record
 
     index = build_index(records.values(), cap, seed)

@@ -9,14 +9,16 @@ distinct request, connective prompts included, so a live sweep pays what a
 record sweep pays.
 
 Records stream to the output file in sentence-id order, each line written
-and flushed as soon as its record and every smaller id are done, so a killed
-run keeps all it wrote and a re-run resumes after it. The run keeps only
-what scoring reads of each record (`_Scored`); `RunResult.records` reads the
-full records back from the file. All sampling is salted with the sentence
-id, so outputs are byte-identical across runs and across concurrency bounds
-whenever the transcript, seed, and config are fixed. Unparseable responses
-are scored as failures, never crashes; under the replay backend, timings
-are written as 0.0 to keep output files reproducible.
+as soon as its record and every smaller id are done, so a killed run keeps
+all it wrote and a re-run resumes after it. The run keeps, and reads back
+from a prediction file, only what scoring reads of each record (`_Scored`);
+a line that does not fit the task is a `MalformedRecordError` naming the
+file and the line. `RunResult.records` reads the full records back. All
+sampling is salted with the sentence id, so outputs are byte-identical
+across runs and concurrency bounds whenever the transcript, seed, and
+config are fixed. Unparseable responses are scored as failures, never
+crashes; under the replay backend, timings are 0.0 to keep outputs
+reproducible.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -63,7 +65,7 @@ from .gateway import (
     Transcript,
     request_hash,
 )
-from .jsonl import open_append, read_jsonl
+from .jsonl import LineAppender, read_jsonl
 from .prompting import (
     PromptCatalog,
     default_catalog,
@@ -285,24 +287,18 @@ def _process_instance(
     response = session.llm.complete(request)
 
     parsed: dict | None
-    parse_error = False
-    if config.task == "detect":
-        try:
+    try:
+        if config.task == "detect":
             parsed = {"label": parse_detection(response).label}
-        except UnparseableResponseError:
-            parsed = None
-            parse_error = True
-    else:
-        try:
+        else:
             prediction = parse_extraction(response)
             parsed = {
                 "pairs": [{"cause": p.cause, "effect": p.effect} for p in prediction.pairs],
                 "overlap_flag": prediction.overlap_flag,
                 "dropped_spans": prediction.dropped_spans,
             }
-        except UnparseableResponseError:
-            parsed = None
-            parse_error = True
+    except UnparseableResponseError:
+        parsed = None
 
     elapsed_ms = 0.0 if config.backend == "replay" else (time.perf_counter() - started) * 1000.0
     return {
@@ -315,7 +311,7 @@ def _process_instance(
         "provenance": _provenance_json(retrieved),
         "response": response,
         "parsed": parsed,
-        "parse_error": parse_error,
+        "parse_error": parsed is None,
         "timing_ms": round(elapsed_ms, 3),
     }
 
@@ -325,6 +321,8 @@ class _Scored:
     """What scoring reads of one prediction record; the full record stays
     in the output file."""
 
+    sentence_id: str
+    strategy: str
     example_count: int
     parse_error: bool
     # detect: the parsed label; extract: the parsed (cause, effect) pairs;
@@ -332,42 +330,48 @@ class _Scored:
     answer: int | tuple[tuple[str, str], ...] | None
 
     @classmethod
-    def of(cls, record: dict) -> _Scored:
+    def of(cls, record: dict, task: str) -> _Scored:
+        """What scoring reads of `record`, a prediction of `task`; a record
+        that does not fit is a KeyError, TypeError or ValueError."""
+        if record["task"] != task:
+            raise ValueError(f"task is {record['task']!r}, expected {task!r}")
+        sid, count, failed = record["sentence_id"], record["example_count"], record["parse_error"]
+        if type(sid) is not str:
+            raise TypeError(f"sentence_id must be a string, got {sid!r}")
+        if type(count) is not int:
+            raise TypeError(f"example_count must be an integer, got {count!r}")
+        if type(failed) is not bool:
+            raise TypeError(f"parse_error must be true or false, got {failed!r}")
         parsed = record["parsed"]
-        if record["parse_error"]:
+        if (parsed is None) != failed:
+            raise ValueError("parsed must be null exactly when parse_error is true")
+        if failed:
             answer = None
-        elif "pairs" in parsed:
-            answer = tuple((pair["cause"], pair["effect"]) for pair in parsed["pairs"])
-        else:
+        elif task == "detect":
             answer = parsed["label"]
-        return cls(record["example_count"], record["parse_error"], answer)
+            if type(answer) is not int or answer not in (0, 1):
+                raise ValueError(f"parsed label must be 0 or 1, got {answer!r}")
+        else:
+            answer = tuple([(pair["cause"], pair["effect"]) for pair in parsed["pairs"]])
+            for cause, effect in answer:
+                if type(cause) is not str or type(effect) is not str:
+                    raise TypeError("parsed pairs must hold string causes and effects")
+        return cls(sid, sys.intern(record.get("strategy", "zeroshot")), count, failed, answer)
 
 
-RECORD_FIELDS = ("sentence_id", "task", "example_count", "parse_error", "parsed")
-
-
-def _load_scored(path: str | Path, task: str,
-                 strategies: dict[str, str] | None = None) -> dict[str, _Scored]:
-    """What scoring reads of a prediction file, by sentence id; a later
-    line wins. A record of another task is a `MalformedRecordError`. When
-    `strategies` is given, each record's strategy goes there too, by
-    sentence id, in the same pass."""
-    scored = {}
-    for record in read_jsonl(path, RECORD_FIELDS, {"task": task}):
-        sid = record["sentence_id"]
-        scored[sid] = _Scored.of(record)
-        if strategies is not None:
-            strategies[sid] = sys.intern(record.get("strategy", "zeroshot"))
-    return scored
+def _load_scored(path: str | Path, task: str) -> dict[str, _Scored]:
+    """What scoring reads of a prediction file of `task`, by sentence id; a
+    later line wins."""
+    return {s.sentence_id: s for s in read_jsonl(path, partial(_Scored.of, task=task))}
 
 
 def _read_records(path: str | Path, ids: Sequence[str]) -> list[dict]:
     """The full records of `ids` from a prediction file, in that order; a
     later line wins."""
     wanted: dict[str, dict | None] = dict.fromkeys(ids)
-    for record in read_jsonl(path, RECORD_FIELDS):
-        if record["sentence_id"] in wanted:
-            wanted[record["sentence_id"]] = record
+    for sid, record in read_jsonl(path, lambda record: (record["sentence_id"], record)):
+        if sid in wanted:
+            wanted[sid] = record
     return [wanted[sid] for sid in ids]
 
 
@@ -446,10 +450,9 @@ def run_experiment(
     """Run one experiment; `backend`/`embedder` may be injected for tests.
 
     Existing output ids are skipped unless config.force; new records are
-    appended in sentence-id order, each flushed as it completes. Metrics
-    always cover the full instance set: what scoring reads of the existing
-    records, loaded once before the run, is scored together with the new
-    ones."""
+    appended in sentence-id order, each as it completes. Metrics always
+    cover the full instance set: what scoring reads of the existing records,
+    loaded once before the run, is scored together with the new ones."""
     return _run_cell(_Session(config, backend, embedder, catalog), config)
 
 
@@ -485,24 +488,23 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
             return None, exc
 
     failures: list[ProviderError] = []
-    if todo:
-        with ExitStack() as stack:
-            handle = stack.enter_context(open_append(output_path))
-            if config.concurrency == 1 or len(todo) <= 1:
-                outcomes = map(work, todo)
-            else:
-                pool = ThreadPoolExecutor(max_workers=config.concurrency)
-                # on an exception here, instances not yet started are dropped
-                stack.callback(pool.shutdown, cancel_futures=True)
-                outcomes = pool.map(work, todo)
-            # both yield in the id order of `todo`, as each result is ready
-            for record, exc in outcomes:
-                if exc is not None:
-                    failures.append(exc)
-                    continue
-                handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-                handle.flush()
-                records[record["sentence_id"]] = _Scored.of(record)
+
+    def lines(outcomes):
+        for record, exc in outcomes:
+            if exc is not None:
+                failures.append(exc)
+                continue
+            yield json.dumps(record, sort_keys=True, ensure_ascii=False)
+            records[record["sentence_id"]] = _Scored.of(record, config.task)
+
+    threaded = config.concurrency > 1 and len(todo) > 1
+    pool = ThreadPoolExecutor(config.concurrency) if threaded else None
+    try:
+        # both `map`s yield in the id order of `todo`, as each result is ready
+        LineAppender(output_path).extend(lines((pool.map if pool else map)(work, todo)))
+    finally:
+        if pool is not None:  # on an exception, instances not yet started are dropped
+            pool.shutdown(cancel_futures=True)
     if failures:
         LOGGER.warning(
             "%d of %d instances failed on the provider; %d completed records were kept",
@@ -619,14 +621,13 @@ def eval_predictions(
     """Re-score an existing prediction file against its dataset."""
     split = load_dataset(dataset_path, dataset_format)
     instances = _select_instances(split, task)
-    strategies: dict[str, str] = {}
-    records = _load_scored(predictions_path, task, strategies)
+    records = _load_scored(predictions_path, task)
     scored = [inst for inst in instances if inst.sentence.id in records]
     if not scored:
         raise ValueError("no overlapping sentence ids between predictions and dataset")
     config_echo = {
         "task": task,
-        "strategy": strategies[scored[0].sentence.id],
+        "strategy": records[scored[0].sentence.id].strategy,
         "single_pair": single_pair,
         "matching": matching,
         "predictions": predictions_path,

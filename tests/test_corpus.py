@@ -342,6 +342,69 @@ def test_load_ade_format(tmp_path) -> None:
     )
 
 
+def test_dataset_errors_name_the_file_and_its_line(tmp_path) -> None:
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"text": "fine", "label": 0}\n\n{"text": "x", "label": 7}\n')
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(path, "jsonl")
+    assert str(excinfo.value) == f"{path}: line 3: 'label' must be 0 or 1, got 7"
+    path.write_text('{"text": "fine", "label": 0}\n{"label": 1}\n')
+    with pytest.raises(MalformedRecordError, match=r"bad.jsonl: line 2: missing field 'text'"):
+        load_dataset(path, "jsonl")
+    path.write_bytes(b'{"text": "fine", "label": 0}\n{"text": "caf\xe9", "label": 0}\n')
+    with pytest.raises(MalformedRecordError, match=r"bad.jsonl: line 2: invalid JSON \('utf-8'"):
+        load_dataset(path, "jsonl")
+    _write_jsonl(path, [{"id": "a-1", "text": "x", "label": 0}] * 2)
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(path, "jsonl")
+    assert str(excinfo.value).startswith(f"{path}: duplicate instance ids")
+
+
+SEMEVAL_BLOCKS = (
+    '1\t"The <e1>burst</e1> has been caused by water hammer <e2>pressure</e2>."\n'
+    "Cause-Effect(e2,e1)\n"
+    "Comment:\n"
+    "\n"
+    '2\t"The <e1>author</e1> of a keygen uses a <e2>disassembler</e2>."\n'
+    "Instrument-Agency(e2,e1)\n"
+    "Comment:\n"
+    "\n"
+)
+
+
+def test_semeval_error_names_the_file_line_and_ids_stay_ordinal(tmp_path) -> None:
+    path = tmp_path / "sem.txt"
+    path.write_text(SEMEVAL_BLOCKS + '3\t"<e1>rain</e1> brings more <e2>rain</e2>."\n'
+                    "Cause-Effect(e1,e2)\n")
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(path, "semeval")
+    assert excinfo.value.line_number == 9
+    assert str(excinfo.value) == f"{path}: line 9: cause and effect must be distinct"
+    path.write_text(SEMEVAL_BLOCKS)
+    ids = [inst.sentence.id for inst in load_dataset(path, "semeval").instances]
+    assert ids == ["semeval-000001", "semeval-000002"]
+
+
+def test_ade_and_li_errors_name_the_file_line_and_ids_stay_ordinal(tmp_path) -> None:
+    ade = tmp_path / "ade.rel"
+    good = "1|Intravenous azithromycin induced ototoxicity.|ototoxicity|0|0|azithromycin|0|0\n"
+    ade.write_text(good + "\n" + good.replace("azithromycin|", "cisplatin|"))
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(ade, "ade")
+    assert str(excinfo.value) == (
+        f"{ade}: line 3: phrase 'cisplatin' does not occur in the sentence text")
+    ade.write_text(good + "\n" + good)
+    assert [i.sentence.id for i in load_dataset(ade, "ade").instances] == [
+        "ade-000001", "ade-000002"]
+    li = tmp_path / "li.txt"
+    li.write_text("The market stayed flat.\n\nbad <cause> open\n")
+    with pytest.raises(MalformedRecordError, match=r"li.txt: line 3: "):
+        load_dataset(li, "li")
+    li.write_text("The market stayed flat.\n\nPrices fell.\n")
+    assert [i.sentence.id for i in load_dataset(li, "li").instances] == [
+        "li-000001", "li-000002"]
+
+
 def test_load_ade_malformed(tmp_path) -> None:
     path = tmp_path / "ade.rel"
     path.write_text("too|few|fields\n")

@@ -245,6 +245,27 @@ def test_damaged_cache_line_is_named(tmp_path) -> None:
         EmbeddingCache(path)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ({"vector": []}, "embedding must have at least one component"),
+    ({"vector": ["1.5", True]}, "embedding must be a JSON array of numbers"),
+    ({"vector": [1, [2]]}, "embedding must be a JSON array of numbers"),
+    ({"vector": "xx"}, "embedding must be a JSON array of numbers"),
+    ({"vector": [None, 1.0]}, "embedding must be a JSON array of numbers"),
+    ({"vector": [10**400, 1.0]}, "embedding components must be finite"),
+    ({"vector": [1.0, 2.0, 3.0]}, "model 'm' previously produced dim 2, got 3"),
+    ({"key": None}, "key and model must be strings"),
+    ({"model": ["m"]}, "key and model must be strings"),
+])
+def test_cache_line_that_does_not_fit_names_the_file_and_the_line(tmp_path, line, reason) -> None:
+    path = tmp_path / "c.jsonl"
+    good = {"dim": 2, "key": "k1", "model": "m", "vector": [0.6, 0.8]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "key": "k2", **line}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecordError) as excinfo:
+        EmbeddingCache(path)
+    assert str(excinfo.value).startswith(f"{path}: line 2: {reason}")
+
+
 def test_cache_dim_mismatch(tmp_path) -> None:
     cache = EmbeddingCache(tmp_path / "c.jsonl")
     cache.put(embedding_key("a", "m"), vec(*([1.0] * 4)))

@@ -12,7 +12,7 @@ import pytest
 
 from causal_rag import jsonl
 from causal_rag.errors import MalformedRecordError
-from causal_rag.jsonl import LineAppender, Memo, open_append, read_jsonl
+from causal_rag.jsonl import LineAppender, Memo, read_jsonl
 
 ROWS = [{"id": f"r{i}", "text": f"row number {i} é"} for i in range(4)]
 
@@ -24,8 +24,7 @@ def write_rows(path, rows=ROWS) -> bytes:
 
 
 def append(path, row) -> None:
-    with open_append(path) as handle:
-        handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+    LineAppender(path).append(json.dumps(row, ensure_ascii=False))
 
 
 def test_read_skips_blank_lines_and_keeps_order(tmp_path):
@@ -99,11 +98,13 @@ def test_appender_writes_whole_lines_after_one_tail_check(tmp_path, monkeypatch)
     path = tmp_path / "sub" / "a.jsonl"
     checks: list[object] = []
 
-    def counted(target):
-        checks.append(target)
-        return open_append(target)
+    real_check = jsonl._end_with_a_complete_line
 
-    monkeypatch.setattr(jsonl, "open_append", counted)
+    def counted(fd, target):
+        checks.append(target)
+        return real_check(fd, target)
+
+    monkeypatch.setattr(jsonl, "_end_with_a_complete_line", counted)
     appender = LineAppender(path)
     for row in ROWS:
         appender.append(json.dumps(row, ensure_ascii=False))
@@ -150,7 +151,70 @@ def test_non_objects_and_missing_fields_are_malformed(tmp_path):
         list(read_jsonl(path))
     path.write_text('{"id": "r0", "text": "x"}\n{"id": "r1"}\n', encoding="utf-8")
     with pytest.raises(MalformedRecordError, match="line 2: missing field 'text'"):
-        list(read_jsonl(path, ("id", "text")))
+        list(read_jsonl(path, lambda obj: (obj["id"], obj["text"])))
+
+
+def test_a_line_that_parse_refuses_names_the_file_the_line_and_the_reason(tmp_path):
+    path = tmp_path / "a.jsonl"
+    write_rows(path)
+
+    def parse(obj):
+        if obj["id"] == "r2":
+            raise refusal
+        return obj["id"]
+
+    for refusal, reason in ((KeyError("text"), "missing field 'text'"),
+                            (TypeError("text must be a string"), "text must be a string"),
+                            (ValueError("text is too long"), "text is too long")):
+        with pytest.raises(MalformedRecordError) as excinfo:
+            list(read_jsonl(path, parse))
+        assert str(excinfo.value) == f"{path}: line 3: {reason}"
+        assert (excinfo.value.path, excinfo.value.line_number) == (path, 3)
+    refusal = RuntimeError("a fault of the parser, not of the line")
+    with pytest.raises(RuntimeError):
+        list(read_jsonl(path, parse))
+    assert list(read_jsonl(path, lambda obj: obj["id"])) == ["r0", "r1", "r2", "r3"]
+
+
+def test_appender_touches_no_file_before_its_first_append(tmp_path):
+    path = tmp_path / "sub" / "a.jsonl"
+    appender = LineAppender(path)
+    assert not path.parent.exists()
+    appender.append("{}")
+    assert path.read_bytes() == b"{}\n"
+
+
+def test_extend_opens_the_file_once_and_not_for_no_lines(tmp_path, monkeypatch):
+    path = tmp_path / "sub" / "a.jsonl"
+    real_open = os.open
+    opened: list[object] = []
+
+    def counted(target, *args):
+        opened.append(target)
+        return real_open(target, *args)
+
+    monkeypatch.setattr(jsonl.os, "open", counted)
+    appender = LineAppender(path)
+    appender.extend(iter(()))
+    assert opened == [] and not path.parent.exists()
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    appender.extend(json.dumps(row, ensure_ascii=False) for row in ROWS)
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) <= fds
+    assert opened == [path]
+    assert path.read_bytes() == write_rows(tmp_path / "b.jsonl")
+
+
+def test_extend_keeps_the_lines_taken_before_a_failure(tmp_path):
+    path = tmp_path / "a.jsonl"
+
+    def lines():
+        yield json.dumps(ROWS[0], ensure_ascii=False)
+        raise RuntimeError("the run broke off")
+
+    with pytest.raises(RuntimeError):
+        LineAppender(path).extend(lines())
+    assert list(read_jsonl(path)) == ROWS[:1]
 
 
 def test_memo_computes_a_key_once_for_concurrent_callers():

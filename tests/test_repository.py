@@ -281,6 +281,27 @@ def test_load_corrupt_record_reports_line(tmp_path) -> None:
     with pytest.raises(MalformedRecordError) as excinfo:
         load_repository(path)
     assert excinfo.value.line_number == 3
+    assert str(excinfo.value).startswith(f"{path}: line 3: invalid JSON")
+
+
+def test_repository_errors_name_the_file_and_the_line(tmp_path) -> None:
+    path = tmp_path / "db.jsonl"
+    record = ('{"id": "a", "text": "t", "tagged_text": "t", "pairs": [], '
+              '"connectives": ["x"], "source": "s"}\n')
+    header = '{"schema_version": 1, "cap": 10, "seed": 0}\n'
+    cases = [
+        (header + record + record, "line 3: duplicate record id a"),
+        (header + record.replace('"source": "s", ', "").replace(', "source": "s"', ""),
+         "line 2: missing field 'source'"),
+        (header + record.replace('["x"]', "[]"), "line 2: record a has no connectives"),
+        ('{"schema_version": 1, "cap": "x", "seed": 0}\n', "line 1: header lacks integer cap/seed"),
+        ("", "line 1: repository file is empty (missing header)"),
+    ]
+    for text, reason in cases:
+        path.write_text(text)
+        with pytest.raises(MalformedRecordError) as excinfo:
+            load_repository(path)
+        assert str(excinfo.value) == f"{path}: {reason}"
 
 
 @pytest.mark.parametrize("cap", [0, -1])

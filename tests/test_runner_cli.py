@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from causal_rag import cli, runner
 from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder
 from causal_rag.errors import MalformedRecordError, TransportError
-from causal_rag.gateway import ReplayBackend, ScriptedBackend, Transcript
+from causal_rag.gateway import RecordBackend, ReplayBackend, ScriptedBackend, Transcript
 from causal_rag.jsonl import read_jsonl
 from causal_rag.repository import load_repository
 from causal_rag.retrieval import StrategyKind
@@ -767,6 +768,103 @@ def test_run_refuses_to_resume_a_file_of_another_task_before_any_call(tmp_path, 
     assert main(run_flags(tmp_path)) == 2
     assert "task is 'extract', expected 'detect'" in capsys.readouterr().err
     assert out.read_bytes() == made
+
+
+def eval_flags(out: Path, task: str) -> list[str]:
+    return ["eval", "--predictions", str(out), "--dataset", str(FIXTURES / "detect.jsonl"),
+            "--task", task]
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"parse_error": False, "parsed": None},
+     "parsed must be null exactly when parse_error is true"),
+    ({"parse_error": True, "parsed": {"label": 1}},
+     "parsed must be null exactly when parse_error is true"),
+    ({"example_count": None}, "example_count must be an integer, got None"),
+    ({"example_count": 2.0}, "example_count must be an integer, got 2.0"),
+    ({"parse_error": "no"}, "parse_error must be true or false, got 'no'"),
+    ({"parse_error": False, "parsed": {"label": 7}}, "parsed label must be 0 or 1, got 7"),
+    ({"parse_error": False, "parsed": {"label": True}}, "parsed label must be 0 or 1, got True"),
+    ({"parse_error": False, "parsed": {}}, "missing field 'label'"),
+    ({"sentence_id": 3}, "sentence_id must be a string, got 3"),
+])
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_cli_prediction_line_that_does_not_fit_is_a_data_error_naming_it(
+        tmp_path, capsys, command, change, reason):
+    out = tmp_path / "cli.jsonl"
+    assert main(run_flags(tmp_path)) == 0
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), **change}) + "\n"
+    out.write_text("".join(lines), encoding="utf-8")
+    made = out.read_bytes()
+    capsys.readouterr()
+    assert main(run_flags(tmp_path) if command == "run" else eval_flags(out, "detect")) == 2
+    assert f"data error: {out}: line 3: {reason}" in capsys.readouterr().err
+    assert out.read_bytes() == made
+
+
+@pytest.mark.parametrize("pairs, reason", [
+    ([{"cause": 1, "effect": "rain"}], "parsed pairs must hold string causes and effects"),
+    ([{"cause": "rain"}], "missing field 'effect'"),
+    (None, "'NoneType' object is not iterable"),
+])
+def test_cli_extract_prediction_line_that_does_not_fit_is_named(tmp_path, capsys, pairs, reason):
+    out = predictions_of(tmp_path, "extract")
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    parsed = {"pairs": pairs, "overlap_flag": False, "dropped_spans": []}
+    lines[0] = json.dumps({**json.loads(lines[0]), "parse_error": False, "parsed": parsed}) + "\n"
+    out.write_text("".join(lines), encoding="utf-8")
+    assert main(eval_flags(out, "extract")) == 2
+    assert f"data error: {out}: line 1: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [{"response_text": None}, {"request_hash": 7}])
+def test_cli_transcript_line_that_does_not_fit_is_a_data_error_naming_it(
+        tmp_path, capsys, change):
+    transcript = tmp_path / "transcript.jsonl"
+    lines = (FIXTURES / "transcript.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), **change}) + "\n"
+    transcript.write_text("".join(lines), encoding="utf-8")
+    assert main(run_flags(tmp_path, transcript=str(transcript))) == 2
+    reason = "request_hash and response_text must be strings"
+    assert f"data error: {transcript}: line 2: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "cli.jsonl").exists()
+
+
+def test_cli_cache_line_that_does_not_fit_is_a_data_error_naming_it(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"dim": 2, "key": "k", "model": "local-hash-256", "vector": ["1.5", true]}\n',
+                     encoding="utf-8")
+    assert main(run_flags(tmp_path, strategy="knn", cache=str(cache))) == 2
+    assert (f"data error: {cache}: line 1: embedding must be a JSON array of numbers"
+            in capsys.readouterr().err)
+
+
+def test_replayed_outputs_are_byte_stable_and_stores_hold_the_same_lines_at_any_concurrency(
+        tmp_path):
+    """Prediction files and reports are byte-identical at any concurrency;
+    the embedding cache, and a record-mode transcript, hold the same lines
+    in completion order."""
+    outputs, caches, transcripts = [], [], []
+    for run, concurrency in enumerate((1, 4, 4, 4)):
+        base = tmp_path / f"run{run}"
+        base.mkdir()
+        config = replay_config(base, "detect", StrategyKind.KNN, concurrency=concurrency,
+                               cache_path=str(base / "cache.jsonl"))
+        sweep(config, [StrategyKind.KNN, StrategyKind.KNN_PATTERN], [10], str(base / "grid.csv"))
+        outputs.append({path.name: path.read_bytes() for path in sorted(base.iterdir())
+                        if path.name.startswith("grid.csv")})
+        caches.append(sorted((base / "cache.jsonl").read_text(encoding="utf-8").splitlines()))
+        recorded = Transcript(base / "recorded.jsonl")
+        live = ScriptedBackend(FixtureResponder())
+        run_experiment(replace(config, strategy=StrategyKind.PATTERN, output_path=str(base / "r")),
+                       backend=RecordBackend(recorded, live))
+        entries = map(json.loads, recorded.path.read_text(encoding="utf-8").splitlines())
+        transcripts.append(sorted((e["request_hash"], e["response_text"]) for e in entries))
+    assert len(outputs[0]) == 5  # 2 prediction files, 2 reports, the CSV
+    assert all(files == outputs[0] for files in outputs)
+    assert all(lines == caches[0] for lines in caches) and caches[0]
+    assert all(lines == transcripts[0] for lines in transcripts) and transcripts[0]
 
 
 def test_cli_sweep(tmp_path, capsys):
