@@ -30,6 +30,7 @@ from .runner import (
     TASKS,
     ExperimentConfig,
     build_db,
+    check_grid,
     eval_predictions,
     make_backend,
     run_experiment,
@@ -255,6 +256,10 @@ def cmd_sweep(opts: dict) -> int:
     strategies = [StrategyKind(name) for name in opts.pop("strategies")]
     k_values = opts.pop("k_values")
     csv_path = opts.pop("output_path")
+    try:
+        check_grid(strategies, k_values)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
     base = _experiment_config(
         **opts, strategy=strategies[0], output_path=csv_path + ".base.jsonl"
     )

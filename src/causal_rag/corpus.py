@@ -24,8 +24,8 @@ from .errors import (
     UnbalancedTagsError,
     UnknownFormatError,
 )
+from .jsonl import encode_line
 
-WS_RE = re.compile(r"\s+")
 TAG_RE = re.compile(r"</?(?:cause|effect)>")
 TOKEN_RE = re.compile(r"(</?(?:cause|effect)>)")
 SEMEVAL_E1_RE = re.compile(r"<e1>(.*?)</e1>", re.DOTALL)
@@ -36,8 +36,11 @@ FORMATS = ("jsonl", "semeval", "ade", "li")
 
 
 def normalize_ws(text: str) -> str:
-    """Collapse runs of whitespace to single spaces and trim the ends."""
-    return WS_RE.sub(" ", text).strip()
+    """Collapse runs of whitespace to single spaces and trim the ends.
+
+    Whitespace is what `str.isspace` accepts, the same set as `\\s` in a
+    `str` regex, so this equals ``re.sub(r"\\s+", " ", text).strip()``."""
+    return " ".join(text.split())
 
 
 def normalize_lower(text: str) -> str:
@@ -468,7 +471,7 @@ def write_canonical(split: DatasetSplit, path: str | Path) -> None:
     """Write a split as canonical JSONL."""
     with open(path, "w", encoding="utf-8") as handle:
         for obj in to_canonical(split):
-            handle.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+            handle.write(encode_line(obj) + "\n")
 
 
 def dataset_stats(split: DatasetSplit) -> DatasetStats:

@@ -190,12 +190,18 @@ class EmbeddingCache(Memo):
             self._values.update(read_jsonl(self.path, self._entry))
 
     def _entry(self, obj: dict) -> tuple[EmbeddingKey, EmbeddingVector]:
-        """One cache line's key and vector, of its model's earlier dim."""
+        """One cache line's key and vector, of its model's earlier dim and
+        of the line's own `dim`."""
         key, model = obj["key"], obj["model"]
         if type(key) is not str or type(model) is not str:
             raise TypeError("key and model must be strings")
         vector = vector_from_json(obj["vector"], model)
         self._check_dim(vector)
+        dim = obj["dim"]
+        if type(dim) is not int:
+            raise TypeError(f"dim must be an integer, got {dim!r}")
+        if dim != vector.dim:
+            raise ValueError(f"dim is {dim} but the vector has {vector.dim} components")
         return EmbeddingKey(key, model), vector
 
     def _check_dim(self, vector: EmbeddingVector) -> None:

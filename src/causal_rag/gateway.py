@@ -31,12 +31,17 @@ from .errors import (
     ReplayMissError,
     TransportError,
 )
-from .jsonl import LineAppender, Memo, read_jsonl
+from .jsonl import LineAppender, Memo, encode_line, read_jsonl
 
 API_KEY_ENV = "CAUSAL_RAG_API_KEY"
 DEFAULT_TIMEOUT = 60.0
 RETRY_ATTEMPTS = 5
 RETRY_BASE_DELAY = 1.0
+
+# the compact canonical form a request hash is taken over
+_encode_digest_payload = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
 
 
 @dataclass(frozen=True)
@@ -57,17 +62,12 @@ class CompletionRequest:
     def digest(self) -> str:
         """sha256 identity of the request, computed on first use and kept,
         so every backend and the runner share one hash per request."""
-        payload = json.dumps(
-            {
-                "model_id": self.model_id,
-                "system_text": self.system_text,
-                "temperature": self.temperature,
-                "user_text": self.user_text,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=False,
-        )
+        payload = _encode_digest_payload({
+            "model_id": self.model_id,
+            "system_text": self.system_text,
+            "temperature": self.temperature,
+            "user_text": self.user_text,
+        })
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -125,15 +125,11 @@ class Transcript(Memo):
         return response_text
 
     def append(self, entry: TranscriptEntry) -> None:
-        line = json.dumps(
-            {
-                "request_hash": entry.request_hash,
-                "response_text": entry.response_text,
-                "timestamp": entry.timestamp,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        line = encode_line({
+            "request_hash": entry.request_hash,
+            "response_text": entry.response_text,
+            "timestamp": entry.timestamp,
+        })
         with self._lock:
             self._appender.append(line)
             self._values[entry.request_hash] = entry.response_text

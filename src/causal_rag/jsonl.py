@@ -10,6 +10,12 @@ with a warning, when it does not parse as JSON; the appender's first line
 cuts it off (or ends it, if it parses). Damage on any other line, including
 a line that `parse` refuses, is a `MalformedRecordError` that names the
 file, the line and the reason.
+
+`encode_line` is the one encoding of a stored line (keys sorted, non-ASCII
+text written as UTF-8), shared by prediction files, transcripts, saved
+repositories and canonical datasets. Embedding-cache lines are the
+exception: they keep `json.dumps(..., sort_keys=True)`, whose ``\\u``
+escapes are part of their bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from .errors import MalformedRecordError
 LOGGER = logging.getLogger(__name__)
 
 T = TypeVar("T")
+
+# one encoder for every line, so no write builds a new `JSONEncoder`
+encode_line: Callable[[object], str] = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T] = lambda obj: obj) -> Iterator[T]:

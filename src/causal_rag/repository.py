@@ -11,7 +11,6 @@ records plus (cap, seed) and rebuild the index at load.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
@@ -29,6 +28,7 @@ from .errors import (
     UnparseableResponseError,
 )
 from .gateway import LlmClient
+from .jsonl import encode_line
 from .prompting import PromptCatalog, connective_prompt
 
 LOGGER = logging.getLogger(__name__)
@@ -152,7 +152,8 @@ def build_index(
 
 def make_record(sentence: TaggedSentence, connectives: Sequence[str]) -> ExampleRecord:
     normalized = tuple(dict.fromkeys(normalize_connective(c) for c in connectives))
-    unverified = any(not connective_in_sentence(c, sentence.raw_text) for c in normalized)
+    text = normalize_connective(sentence.raw_text)
+    unverified = any(c not in text for c in normalized)
     return ExampleRecord(
         id=sentence.id,
         raw_text=sentence.raw_text,
@@ -266,23 +267,13 @@ def save_repository(repo: Repository, path: str | Path) -> None:
     The index is not persisted; it is rebuilt at load from connectives plus
     (cap, seed), which reproduces it exactly (see module docstring)."""
     path = Path(path)
-    header = json.dumps(
-        {"schema_version": SCHEMA_VERSION, "cap": repo.cap, "seed": repo.seed},
-        sort_keys=True,
-    )
+    header = encode_line({"schema_version": SCHEMA_VERSION, "cap": repo.cap, "seed": repo.seed})
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(header + "\n")
             for record_id in repo.sorted_ids:
-                handle.write(
-                    json.dumps(
-                        _record_to_json(repo.records[record_id]),
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                handle.write(encode_line(_record_to_json(repo.records[record_id])) + "\n")
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

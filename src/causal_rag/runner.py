@@ -65,7 +65,7 @@ from .gateway import (
     Transcript,
     request_hash,
 )
-from .jsonl import LineAppender, read_jsonl
+from .jsonl import LineAppender, encode_line, read_jsonl
 from .prompting import (
     PromptCatalog,
     default_catalog,
@@ -494,7 +494,7 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
             if exc is not None:
                 failures.append(exc)
                 continue
-            yield json.dumps(record, sort_keys=True, ensure_ascii=False)
+            yield encode_line(record)
             records[record["sentence_id"]] = _Scored.of(record, config.task)
 
     threaded = config.concurrency > 1 and len(todo) > 1
@@ -573,6 +573,17 @@ def build_db(
     return repo
 
 
+def check_grid(strategies: Sequence[StrategyKind], k_values: Sequence[int]) -> None:
+    """Refuse a sweep grid with no strategy or k, or with one named twice:
+    each cell runs once and writes one file."""
+    for name, values in (("strategy", [s.value for s in strategies]), ("k value", list(k_values))):
+        if not values:
+            raise ValueError(f"sweep needs at least one {name}")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"sweep repeats {name} {', '.join(map(str, repeated))}")
+
+
 def sweep(
     base_config: ExperimentConfig,
     strategies: Sequence[StrategyKind],
@@ -584,10 +595,7 @@ def sweep(
 ) -> list[dict]:
     """Run every strategy at every k in one session; emit a
     `strategy,k,metric,value` CSV."""
-    if not k_values:
-        raise ValueError("sweep needs at least one k value")
-    if not strategies:
-        raise ValueError("sweep needs at least one strategy")
+    check_grid(strategies, k_values)
     session = _Session(base_config, backend, embedder, catalog)
     reports = []
     rows: list[tuple[str, int, str, object]] = []

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from causal_rag.corpus import (
     dataset_stats,
     load_dataset,
     make_sentence_id,
+    normalize_ws,
     parse_tagged_sentence,
     render_tagged,
     strip_tags,
@@ -98,6 +101,35 @@ def test_strip_tags_identity() -> None:
 
 def test_strip_tags_whitespace_collapse() -> None:
     assert strip_tags("a  <cause>b</cause>  c") == "a b c"
+
+
+WS_RUN = re.compile(r"\s+")
+EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+def regex_normalize(text: str) -> str:
+    """The `\\s` regex form that `normalize_ws` must equal."""
+    return WS_RUN.sub(" ", text).strip()
+
+
+def test_normalize_ws_equals_the_regex_form_for_every_code_point() -> None:
+    # each code point at the start, in the middle, doubled and at the end
+    for block in range(0, len(EVERY_CODE_POINT), 1 << 16):
+        texts = [f"{c}a{c}b{c}{c}d{c}" for c in EVERY_CODE_POINT[block:block + (1 << 16)]]
+        if list(map(normalize_ws, texts)) != list(map(regex_normalize, texts)):
+            bad = [t for t in texts if normalize_ws(t) != regex_normalize(t)]
+            pytest.fail(f"differs on {[hex(ord(t[0])) for t in bad[:5]]}")
+
+
+def test_normalize_ws_equals_the_regex_form_on_random_mixes() -> None:
+    spaces = re.findall(r"\s", EVERY_CODE_POINT)
+    assert len(spaces) == 29
+    zero_width = ["\u200b", "\u200c", "\u200d", "\u2060", "\ufeff", "\u180e"]
+    alphabet = spaces + zero_width + list("ab-é")
+    rng = random.Random(2024)
+    for _ in range(20_000):
+        text = "".join(rng.choices(alphabet, k=rng.randrange(12)))
+        assert normalize_ws(text) == regex_normalize(text), ascii(text)
 
 
 def test_parse_then_strip_matches_direct_strip() -> None:

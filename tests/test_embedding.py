@@ -255,6 +255,11 @@ def test_damaged_cache_line_is_named(tmp_path) -> None:
     ({"vector": [1.0, 2.0, 3.0]}, "model 'm' previously produced dim 2, got 3"),
     ({"key": None}, "key and model must be strings"),
     ({"model": ["m"]}, "key and model must be strings"),
+    ({"dim": None}, "dim must be an integer, got None"),
+    ({"dim": "2"}, "dim must be an integer, got '2'"),
+    ({"dim": 2.0}, "dim must be an integer, got 2.0"),
+    ({"dim": True}, "dim must be an integer, got True"),
+    ({"dim": 3}, "dim is 3 but the vector has 2 components"),
 ])
 def test_cache_line_that_does_not_fit_names_the_file_and_the_line(tmp_path, line, reason) -> None:
     path = tmp_path / "c.jsonl"
@@ -264,6 +269,15 @@ def test_cache_line_that_does_not_fit_names_the_file_and_the_line(tmp_path, line
     with pytest.raises(MalformedRecordError) as excinfo:
         EmbeddingCache(path)
     assert str(excinfo.value).startswith(f"{path}: line 2: {reason}")
+
+
+def test_cache_line_without_dim_is_named(tmp_path) -> None:
+    path = tmp_path / "c.jsonl"
+    good = {"dim": 2, "key": "k1", "model": "m", "vector": [0.6, 0.8]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({"key": "k2", "model": "m", "vector": [0.6, 0.8]})
+                    + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecordError, match="line 2: missing field 'dim'"):
+        EmbeddingCache(path)
 
 
 def test_cache_dim_mismatch(tmp_path) -> None:

@@ -886,6 +886,40 @@ def test_cli_sweep(tmp_path, capsys):
     assert header == "strategy,k,metric,value"
 
 
+@pytest.mark.parametrize("strategies, k_values, repeated", [
+    ([StrategyKind.RANDOM, StrategyKind.RANDOM], [1], "strategy random"),
+    ([StrategyKind.RANDOM, StrategyKind.PATTERN], [1, 5, 1], "k value 1"),
+])
+def test_sweep_refuses_a_repeated_cell_before_any_call(tmp_path, strategies, k_values, repeated):
+    backend = ScriptedBackend(FixtureResponder())
+    # a dataset that is not there: loading anything would fail otherwise
+    base = scripted_config(tmp_path, "detect", StrategyKind.RANDOM, out=tmp_path / "unused.jsonl",
+                           dataset=tmp_path / "absent.jsonl")
+    with pytest.raises(ValueError, match=f"sweep repeats {repeated}$"):
+        sweep(base, strategies, k_values, str(tmp_path / "grid.csv"), backend=backend)
+    assert backend.calls == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_sweep_refuses_a_repeated_cell(tmp_path, capsys):
+    csv_path = tmp_path / "grid.csv"
+    argv = [
+        "sweep",
+        "--dataset", str(FIXTURES / "detect.jsonl"),
+        "--db", str(FIXTURES / "examples.db"),
+        "--task", "detect",
+        "--model", FIXTURE_MODEL_ID,
+        "--backend", "replay",
+        "--transcript", str(FIXTURES / "transcript.jsonl"),
+        "--out", str(csv_path),
+        "--strategies", "random", "random",
+        "--k-values", "1", "1",
+    ]
+    assert main(argv) == 1
+    assert "sweep repeats strategy random" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_build_db_round_trip(tmp_path, capsys):
     db_path = tmp_path / "rebuilt.db"
     argv = [
