@@ -17,15 +17,17 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .corpus import normalize_lower as normalize_for_key
 from .errors import DimensionMismatchError, ProviderError, ZeroVectorError
 from .gateway import API_KEY_ENV, DEFAULT_TIMEOUT, post_with_retry
 from .jsonl import LineAppender, Memo, read_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -3,7 +3,8 @@
 Each request is identified by a sha256 hash over (model_id, system_text,
 user_text, temperature). The hash deliberately excludes max_output_tokens:
 raising or lowering an output cap must not invalidate previously recorded
-transcripts. Transcripts are append-only JSONL; replay needs no network.
+transcripts. Transcripts are append-only JSONL; replay needs no network, and
+`requests` is imported on the first live request only, by `post_with_retry`.
 
 `LlmClient` keeps its answers in a memo keyed by that hash, so whatever
 backend it wraps is asked once per distinct request.
@@ -20,9 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .errors import (
     EmptyCompletionError,
@@ -32,6 +31,9 @@ from .errors import (
     TransportError,
 )
 from .jsonl import LineAppender, Memo, encode_line, read_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "CAUSAL_RAG_API_KEY"
 DEFAULT_TIMEOUT = 60.0
@@ -151,6 +153,7 @@ def post_with_retry(
     with full jitter (each sleep is uniform over [0, current backoff]).
     Any other non-2xx status fails immediately as ProviderError.
     """
+    import requests  # offline runs never load the HTTP stack
     rng = rng or random.Random()
     post = session.post if session is not None else requests.post
     delay = RETRY_BASE_DELAY

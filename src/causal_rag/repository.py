@@ -120,10 +120,6 @@ def extract_connectives(
     return parse_connective_response(response)
 
 
-def connective_in_sentence(connective: str, raw_text: str) -> bool:
-    return normalize_connective(connective) in normalize_connective(raw_text)
-
-
 def _priority(seed: int, connective: str, record_id: str) -> str:
     token = f"{seed}|{connective}|{record_id}".encode("utf-8")
     return hashlib.sha256(token).hexdigest()

@@ -479,21 +479,22 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
         )
         session.index = knn_index(session.repo, session.embeddings)
 
-    def work(instance: LabeledInstance) -> tuple[dict | None, ProviderError | None]:
-        # provider failures are captured, not raised, so every record that
-        # does complete is still written for resume before aborting
+    failures: list[tuple[int, ProviderError]] = []  # (position in `todo`, error)
+
+    def work(position: int, instance: LabeledInstance) -> dict | None:
+        # no instance behind a provider error starts; those ahead of it run
+        if failures and position > min(p for p, _ in failures):
+            return None
         try:
-            return _process_instance(instance, config, session), None
+            return _process_instance(instance, config, session)
         except ProviderError as exc:
-            return None, exc
+            failures.append((position, exc))
+            return None
 
-    failures: list[ProviderError] = []
-
-    def lines(outcomes):
-        for record, exc in outcomes:
-            if exc is not None:
-                failures.append(exc)
-                continue
+    def lines(results):
+        for record in results:
+            if record is None:  # failed or never started: later lines would break id order
+                return
             yield encode_line(record)
             records[record["sentence_id"]] = _Scored.of(record, config.task)
 
@@ -501,16 +502,17 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
     pool = ThreadPoolExecutor(config.concurrency) if threaded else None
     try:
         # both `map`s yield in the id order of `todo`, as each result is ready
-        LineAppender(output_path).extend(lines((pool.map if pool else map)(work, todo)))
+        LineAppender(output_path).extend(
+            lines((pool.map if pool else map)(work, range(len(todo)), todo)))
     finally:
-        if pool is not None:  # on an exception, instances not yet started are dropped
+        if pool is not None:  # instances not yet started are dropped
             pool.shutdown(cancel_futures=True)
     if failures:
         LOGGER.warning(
-            "%d of %d instances failed on the provider; %d completed records were kept",
-            len(failures), len(todo), len(todo) - len(failures),
+            "provider error: stopped after %d of %d instances; the completed records were kept",
+            len(records) - skipped_existing, len(todo),
         )
-        raise failures[0]
+        raise failures[0][1]
 
     missing = [i.sentence.id for i in instances if i.sentence.id not in records]
     if missing:

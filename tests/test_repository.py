@@ -19,7 +19,6 @@ from causal_rag.repository import (
     Repository,
     build_index,
     build_repository,
-    connective_in_sentence,
     extract_connectives,
     load_repository,
     make_record,
@@ -114,8 +113,6 @@ def test_connective_verification_flag() -> None:
     assert verified.connective_unverified is False
     unverified = make_record(s, ["leads to"])
     assert unverified.connective_unverified is True
-    assert connective_in_sentence("CAUSES", s.raw_text)
-    assert not connective_in_sentence("because", s.raw_text)
 
 
 def _corpus_with(connective_plan: list[tuple[str, str]]):

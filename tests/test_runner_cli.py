@@ -153,24 +153,63 @@ def test_resume_after_half_the_instances_matches_a_full_run(tmp_path):
     assert metrics == Path(f"{full_out}.metrics.json").read_bytes()
 
 
-def test_provider_failure_keeps_completed_records(tmp_path):
-    poisoned = "The rumor triggered a bank run."
-    inner = FixtureResponder()
+class FailingReplay:
+    """The fixture replay backend, counting its asks; it fails every ask
+    about the sentence `poisoned`, or every ask when `poisoned` is None."""
 
-    def flaky(request):
-        if poisoned in request.user_text.rsplit("Sentence: ", 1)[1]:
+    def __init__(self, poisoned: str | None = None):
+        self.replay = ReplayBackend(Transcript(FIXTURES / "transcript.jsonl"))
+        self.poisoned = poisoned
+        self.asks = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.asks += 1
+        sentence = request.user_text.rsplit("Sentence: ", 1)[1]
+        if self.poisoned is None or self.poisoned in sentence:
             raise TransportError("connection reset")
-        return inner(request)
+        return self.replay.complete(request)
+
+
+@pytest.mark.parametrize("concurrency", [1, 3, 8])
+def test_a_dead_provider_is_asked_at_most_once_per_worker(tmp_path, concurrency):
+    out = tmp_path / "out.jsonl"
+    backend = FailingReplay()
+    config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, out=out, k=1,
+                           concurrency=concurrency)
+    with pytest.raises(TransportError):
+        run_experiment(config, backend=backend)
+    # no instance starts after the first failure: only those already running ask
+    assert 1 <= backend.asks <= concurrency
+    assert not out.exists() or out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("concurrency", [1, 3, 8])
+def test_provider_failure_keeps_completed_records(tmp_path, concurrency):
+    full_out = tmp_path / "full.jsonl"
+    run_experiment(replay_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=full_out))
+    full_lines = full_out.read_bytes().splitlines(keepends=True)
+    # det-013, the middle of the 25 ids; 12 records come before it
+    poisoned, before = "The glitch was caused by a software bug.", 12
 
     out = tmp_path / "out.jsonl"
-    config = scripted_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=out)
-    with pytest.raises(TransportError):
-        run_experiment(config, backend=ScriptedBackend(flaky))
-    salvaged = out.read_text(encoding="utf-8").splitlines()
-    assert len(salvaged) == 24
-    resumed = run_experiment(config, backend=ScriptedBackend(FixtureResponder()))
-    assert resumed.skipped_existing == 24
-    assert len(resumed.records) == 25
+    config = replay_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=out,
+                           concurrency=concurrency)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers interleave as often as they can
+    try:
+        with pytest.raises(TransportError):
+            run_experiment(config, backend=FailingReplay(poisoned))
+    finally:
+        sys.setswitchinterval(interval)
+    # every record ahead of the failed id completed and is on disk, in id order
+    assert out.read_bytes() == b"".join(full_lines[:before])
+
+    resumed = run_experiment(config)
+    assert resumed.skipped_existing == before
+    assert out.read_bytes() == full_out.read_bytes()
+    assert Path(f"{out}.metrics.json").read_bytes() == Path(f"{full_out}.metrics.json").read_bytes()
 
 
 class WatchingReplay:
