@@ -67,11 +67,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _add_run_flags(sub: _Parser) -> None:
@@ -138,7 +146,8 @@ def build_parser() -> _Parser:
 
     stats = commands.add_parser("stats", help="print repository statistics")
     stats.add_argument("--db", required=True, help="repository file")
-    stats.add_argument("--sample", type=int, default=0, help="sample N connectives per frequency")
+    stats.add_argument("--sample", type=non_negative_int, default=0,
+                       help="sample N connectives per frequency")
     stats.add_argument("--seed", type=int, default=0)
 
     ev = commands.add_parser("eval", help="re-score an existing prediction file")

@@ -6,6 +6,10 @@ never re-embeds text it has already seen. Search is an exact cosine scan over
 a matrix of the corpus vectors, built once: the candidate pools here are a
 few thousand vectors at most, where an exact scan is both faster to run and
 simpler to trust than an approximate index.
+
+numpy is imported where a vector is first made or scanned, so runs that
+never embed (random, pattern and zeroshot retrieval, `build-db`, `eval`,
+`stats`) never load it.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
-import numpy as np
-
 from .corpus import normalize_lower as normalize_for_key
 from .errors import DimensionMismatchError, ProviderError, ZeroVectorError
 from .gateway import API_KEY_ENV, DEFAULT_TIMEOUT, post_with_retry
 from .jsonl import LineAppender, Memo, read_jsonl
 
 if TYPE_CHECKING:
+    import numpy as np
     import requests
 
 
@@ -41,6 +44,8 @@ class EmbeddingVector:
     model_id: str
 
     def __post_init__(self) -> None:
+        import numpy as np  # runs that never embed never load numpy
+
         values = self.values
         if not (isinstance(values, np.ndarray) and values.dtype == np.float64
                 and not values.flags.writeable):
@@ -59,6 +64,8 @@ class EmbeddingVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingVector):
             return NotImplemented
+        import numpy as np
+
         return self.model_id == other.model_id and np.array_equal(self.values, other.values)
 
     def __hash__(self) -> int:
@@ -119,6 +126,8 @@ class LocalHashEmbedder:
         if not text.strip():
             raise ValueError("cannot embed empty text")
         self.calls += 1
+        import numpy as np
+
         counts = np.zeros(self.dim, dtype=np.float64)
         for token in normalize_for_key(text).split(" "):
             digest = hashlib.sha256(token.encode("utf-8")).digest()
@@ -277,6 +286,8 @@ class VectorIndex:
             raise ValueError("corpus must be non-empty")
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise ValueError("index ids must be strictly ascending")
+        import numpy as np
+
         self.ids = tuple(ids)
         matrix = np.empty((0, 0))
         for row, (_, vector) in enumerate(zip(self.ids, vectors, strict=True)):
@@ -302,6 +313,8 @@ def knn_search(query: EmbeddingVector, index: VectorIndex, k: int) -> list[Neigh
         raise ValueError("k must be >= 1")
     if query.dim != index.matrix.shape[1]:
         raise DimensionMismatchError(f"dim {query.dim} vs {index.matrix.shape[1]}")
+    import numpy as np
+
     q = query.values
     norm = float(np.linalg.norm(q))
     if norm == 0.0:

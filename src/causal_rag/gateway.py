@@ -19,7 +19,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol
 
@@ -46,6 +47,21 @@ _encode_digest_payload = json.JSONEncoder(
 ).encode
 
 
+# typed: 1 and 1.0 are one key untyped, but encode as 1 and 1.0
+@lru_cache(maxsize=64, typed=True)
+def _digest_head(model_id: str, system_text: str, temperature: float):
+    """A sha256 state over the canonical payload up to the value of its last
+    key, `user_text`: the part that many requests share. Copy it; never
+    update it."""
+    payload = _encode_digest_payload({
+        "model_id": model_id,
+        "system_text": system_text,
+        "temperature": temperature,
+        "user_text": "",
+    })
+    return hashlib.sha256(payload.removesuffix('""}').encode("utf-8"))
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     system_text: str
@@ -63,14 +79,12 @@ class CompletionRequest:
     @cached_property
     def digest(self) -> str:
         """sha256 identity of the request, computed on first use and kept,
-        so every backend and the runner share one hash per request."""
-        payload = _encode_digest_payload({
-            "model_id": self.model_id,
-            "system_text": self.system_text,
-            "temperature": self.temperature,
-            "user_text": self.user_text,
-        })
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        so every backend and the runner share one hash per request. The
+        bytes hashed are the canonical payload's; its constant head is
+        hashed once per (model, system text, temperature)."""
+        state = _digest_head(self.model_id, self.system_text, self.temperature).copy()
+        state.update((encode_basestring(self.user_text) + "}").encode("utf-8"))
+        return state.hexdigest()
 
 
 @dataclass(frozen=True)

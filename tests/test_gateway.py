@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import threading
@@ -65,6 +66,32 @@ def test_request_hash_is_sha256_hex() -> None:
     h = request_hash(_req())
     assert len(h) == 64
     int(h, 16)
+
+
+def test_request_hash_matches_the_full_payload_hash() -> None:
+    """The digest hashes a cached head plus the user text; the bytes must be
+    those of the whole canonical payload."""
+    alphabet = ['"', "\\", "\u2028", "\u2029", "é", "€", "😀", "a", " ", "/", "\x7f",
+                *map(chr, range(32))]
+    rng = random.Random(20261018)
+
+    def text(n: int) -> str:
+        return "".join(rng.choice(alphabet) for _ in range(n))
+
+    systems = ["", "Système : réponds.", *(text(rng.randint(1, 30)) for _ in range(3))]
+    for _ in range(300):
+        req = CompletionRequest(
+            system_text=rng.choice(systems),
+            user_text=text(rng.randint(1, 40)),
+            model_id=rng.choice(["m", 'mo"del\\1', "modèle"]),
+            temperature=rng.choice([0.0, 0.7, 1, 1.0, 2.5]),
+        )
+        payload = json.dumps(
+            {"model_id": req.model_id, "system_text": req.system_text,
+             "temperature": req.temperature, "user_text": req.user_text},
+            sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+        )
+        assert req.digest == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def test_request_validation() -> None:

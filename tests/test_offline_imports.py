@@ -1,8 +1,10 @@
-"""Offline runs never load the HTTP stack.
+"""Runs load only what they use: offline runs never load the HTTP stack, and
+runs that never embed never load numpy.
 
 `requests` is imported only by `gateway.post_with_retry`, on the first live
-request. The checks run in a fresh interpreter, since this test process has
-already imported `requests` (see `test_gateway.py`)."""
+request; numpy only where `embedding` first makes or scans a vector. The
+checks run in a fresh interpreter, since this test process has already
+imported both (see `test_gateway.py` and `test_embedding.py`)."""
 
 from __future__ import annotations
 
@@ -14,19 +16,23 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
-OFFLINE_RUNS = """
+# Runs each step named on the command line, in order, and prints after each
+# one which of the watched modules are loaded by then.
+STEPS = """
+import json
 import sys
 from pathlib import Path
 
 import causal_rag
 import causal_rag.cli
-from causal_rag.embedding import LocalHashEmbedder
+from causal_rag.embedding import EmbeddingCache, LocalHashEmbedder
 from causal_rag.gateway import RecordBackend, ScriptedBackend, Transcript
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import ExperimentConfig, build_db, run_experiment, sweep
 from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder
 
 fixtures, work = Path(sys.argv[1]), Path(sys.argv[2])
+WATCHED = {"numpy", "requests", "urllib3", "ssl"}
 
 
 def config(strategy, out, **kw):
@@ -38,34 +44,68 @@ def config(strategy, out, **kw):
     )
 
 
-run_experiment(config(StrategyKind.PATTERN, "replay.jsonl", k=5))
-recorded = work / "recorded.jsonl"
-run_experiment(
-    config(StrategyKind.RANDOM, "record.jsonl", k=1, backend="record",
-           transcript_path=str(recorded)),
-    backend=RecordBackend(Transcript(recorded), ScriptedBackend(FixtureResponder())),
-)
-sweep(config(StrategyKind.RANDOM, "unused.jsonl"),
-      [StrategyKind.RANDOM, StrategyKind.KNN, StrategyKind.KNN_PATTERN], [10],
-      str(work / "grid.csv"), embedder=LocalHashEmbedder())
-build_db([str(fixtures / "repo_corpus.jsonl")], str(work / "built.db"), FIXTURE_MODEL_ID,
-         ScriptedBackend(FixtureResponder()))
-code = causal_rag.cli.main([
-    "eval", "--predictions", str(work / "replay.jsonl"),
-    "--dataset", str(fixtures / "detect.jsonl"), "--task", "detect",
-])
-assert code == 0, code
-loaded = sorted({"requests", "urllib3", "ssl"} & set(sys.modules))
-print("loaded:", ",".join(loaded))
+def cli(*argv):
+    code = causal_rag.cli.main(list(argv))
+    assert code == 0, (argv, code)
+
+
+def record():
+    recorded = work / "recorded.jsonl"
+    run_experiment(
+        config(StrategyKind.RANDOM, "record.jsonl", k=1, backend="record",
+               transcript_path=str(recorded)),
+        backend=RecordBackend(Transcript(recorded), ScriptedBackend(FixtureResponder())),
+    )
+
+
+def sweep_cells(*strategies):
+    sweep(config(StrategyKind.RANDOM, "unused.jsonl"), list(strategies), [10],
+          str(work / f"grid-{len(strategies)}.csv"), embedder=LocalHashEmbedder())
+
+
+def cache():
+    path = work / "cache.jsonl"
+    line = {"dim": 2, "key": "0" * 64, "model": "m", "vector": [0.6, 0.8]}
+    path.write_text(json.dumps(line) + "\\n", encoding="utf-8")
+    assert len(EmbeddingCache(path)) == 1
+
+
+STEP = {
+    "replay": lambda: run_experiment(config(StrategyKind.PATTERN, "replay.jsonl", k=5)),
+    "record": record,
+    "sweep": lambda: sweep_cells(StrategyKind.RANDOM, StrategyKind.PATTERN,
+                                 StrategyKind.ZEROSHOT),
+    "build_db": lambda: build_db([str(fixtures / "repo_corpus.jsonl")], str(work / "built.db"),
+                                 FIXTURE_MODEL_ID, ScriptedBackend(FixtureResponder())),
+    "eval": lambda: cli("eval", "--predictions", str(work / "replay.jsonl"),
+                        "--dataset", str(fixtures / "detect.jsonl"), "--task", "detect"),
+    "stats": lambda: cli("stats", "--db", str(fixtures / "examples.db"), "--sample", "2"),
+    "knn": lambda: sweep_cells(StrategyKind.KNN, StrategyKind.KNN_PATTERN),
+    "cache": cache,
+}
+for name in sys.argv[3:]:
+    STEP[name]()
+    print("after", name, ",".join(sorted(WATCHED & set(sys.modules))))
 """
 
 
-def test_offline_runs_never_import_the_http_stack(tmp_path):
+def loaded_after(tmp_path, *steps: str) -> dict[str, str]:
     path = os.pathsep.join(p for p in (str(SRC), str(TESTS), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", OFFLINE_RUNS, str(TESTS / "fixtures"), str(tmp_path)],
+        [sys.executable, "-c", STEPS, str(TESTS / "fixtures"), str(tmp_path), *steps],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "loaded: "
+    after = [line.split(" ")[1:] for line in proc.stdout.splitlines() if line.startswith("after ")]
+    return dict(after)
+
+
+def test_offline_runs_load_neither_numpy_nor_the_http_stack(tmp_path):
+    steps = ("replay", "record", "sweep", "build_db", "eval", "stats", "knn")
+    loaded = loaded_after(tmp_path, *steps)
+    assert loaded == {**dict.fromkeys(steps[:-1], ""), "knn": "numpy"}
     assert (tmp_path / "built.db").read_bytes() == (TESTS / "fixtures" / "examples.db").read_bytes()
+
+
+def test_loading_an_embedding_cache_loads_numpy(tmp_path):
+    assert loaded_after(tmp_path, "cache") == {"cache": "numpy"}

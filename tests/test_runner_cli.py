@@ -761,6 +761,14 @@ def test_cli_stats_sampling_is_deterministic(capsys):
     assert "sampled connectives" in first
 
 
+def test_cli_stats_negative_sample_is_usage_error(capsys):
+    argv = ["stats", "--db", str(FIXTURES / "examples.db"), "--sample", "-2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "--sample: expected an integer >= 0, got -2" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_eval_rescoring(tmp_path, capsys):
     assert main(run_flags(tmp_path)) == 0
     capsys.readouterr()
