@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .corpus import FORMATS
 from .errors import CausalRagError, ProviderError, ReplayMissError, TransportError
-from .evaluation import render_table
+from .evaluation import MATCHING_MODES, render_table
 from .prompting import load_catalog
 from .repository import load_repository, repository_stats
 from .retrieval import MATCHERS, StrategyKind
@@ -45,7 +45,6 @@ EXIT_DATA = 2
 EXIT_PROVIDER = 3
 
 STRATEGY_NAMES = tuple(s.value for s in StrategyKind)
-MATCHING_MODES = ("greedy", "optimal")
 TRUE_WORDS = ("true", "1", "yes")
 FALSE_WORDS = ("false", "0", "no")
 
@@ -243,11 +242,9 @@ def parse_options(argv: list[str]) -> tuple[str, dict]:
 
 def _experiment_config(**options) -> ExperimentConfig:
     try:
-        config = ExperimentConfig(**options)
-        config.retrieval_config()  # fail fast on matcher/k/threshold problems
+        return ExperimentConfig(**options)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
-    return config
 
 
 def cmd_run(opts: dict) -> int:

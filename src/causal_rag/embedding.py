@@ -15,22 +15,17 @@ never embed (random, pattern and zeroshot retrieval, `build-db`, `eval`,
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import random
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from .corpus import normalize_lower as normalize_for_key
-from .errors import DimensionMismatchError, ProviderError, ZeroVectorError
-from .gateway import API_KEY_ENV, DEFAULT_TIMEOUT, post_with_retry
-from .jsonl import LineAppender, Memo, read_jsonl
+from .errors import DimensionMismatchError, ZeroVectorError
+from .gateway import HttpEndpoint
+from .jsonl import LineAppender, Memo, encode_line, read_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
-    import requests
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -141,45 +136,19 @@ class LocalHashEmbedder:
         return EmbeddingVector(values=counts, model_id=self.model_id)
 
 
-class HttpEmbeddingProvider:
-    """OpenAI-compatible /v1/embeddings over HTTP."""
+class HttpEmbeddingProvider(HttpEndpoint):
+    """OpenAI-compatible /v1/embeddings over HTTP; the settings after
+    `model_id` are `HttpEndpoint`'s."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model_id: str,
-        api_key: str | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
-        sleeper: Callable[[float], None] = time.sleep,
-        rng: random.Random | None = None,
-        session: requests.Session | None = None,
-    ):
-        self.base_url = base_url.rstrip("/")
+    def __init__(self, base_url: str, model_id: str, *settings, **named_settings):
+        super().__init__(base_url, *settings, **named_settings)
         self.model_id = model_id
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.timeout = timeout
-        self.sleeper = sleeper
-        self.rng = rng
-        self.session = session
-        self.calls = 0
 
     def embed_text(self, text: str) -> EmbeddingVector:
-        if not self.api_key:
-            raise ProviderError(f"no API key: set {API_KEY_ENV} or pass api_key")
-        self.calls += 1
-        response = post_with_retry(
-            f"{self.base_url}/v1/embeddings",
-            {"model": self.model_id, "input": text},
-            {"Authorization": f"Bearer {self.api_key}"},
-            timeout=self.timeout,
-            sleeper=self.sleeper,
-            rng=self.rng,
-            session=self.session,
+        return self.post(
+            "/v1/embeddings", {"model": self.model_id, "input": text}, "embedding",
+            lambda data: vector_from_json(data["data"][0]["embedding"], self.model_id),
         )
-        try:
-            return vector_from_json(response.json()["data"][0]["embedding"], self.model_id)
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed embedding payload: {exc}") from exc
 
 
 class EmbeddingCache(Memo):
@@ -226,15 +195,12 @@ class EmbeddingCache(Memo):
     def put(self, key: EmbeddingKey, vector: EmbeddingVector) -> EmbeddingVector:
         if key.model_id != vector.model_id:
             raise ValueError("key and vector disagree on model_id")
-        line = json.dumps(
-            {
-                "key": key.content_hash,
-                "model": key.model_id,
-                "dim": vector.dim,
-                "vector": vector.values.tolist(),
-            },
-            sort_keys=True,
-        )
+        line = encode_line({
+            "key": key.content_hash,
+            "model": key.model_id,
+            "dim": vector.dim,
+            "vector": vector.values.tolist(),
+        })
         with self._lock:
             self._check_dim(vector)
             kept = self._values.get(key)

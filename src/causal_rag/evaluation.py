@@ -16,6 +16,8 @@ from .corpus import CauseEffectPair, Triplet, norm_tokens, pair_overlap
 from .errors import EmptyInputError
 from .kernels import token_subsequence
 
+MATCHING_MODES = ("greedy", "optimal")
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -213,12 +215,9 @@ def triplet_metrics(
     greedy walks gold in the given order, each taking the first unused
     compatible prediction; optimal computes the maximum one-to-one matching.
     """
-    if matching == "greedy":
-        matched = _greedy_matched(gold, predicted)
-    elif matching == "optimal":
-        matched = _optimal_matched(gold, predicted)
-    else:
-        raise ValueError("matching must be 'greedy' or 'optimal'")
+    if matching not in MATCHING_MODES:
+        raise ValueError(f"matching must be one of {MATCHING_MODES}")
+    matched = (_greedy_matched if matching == "greedy" else _optimal_matched)(gold, predicted)
     precision = matched / len(predicted) if predicted else 0.0
     recall = matched / len(gold) if gold else 0.0
     return TripletMetrics(

@@ -8,6 +8,12 @@ transcripts. Transcripts are append-only JSONL; replay needs no network, and
 
 `LlmClient` keeps its answers in a memo keyed by that hash, so whatever
 backend it wraps is asked once per distinct request.
+
+Chat (`LiveBackend`) and embedding (`embedding.HttpEmbeddingProvider`)
+requests go through one `HttpEndpoint`, so they share one rule for each of:
+the API key (passed in, else `$CAUSAL_RAG_API_KEY`; without one nothing is
+sent), retries (`post_with_retry`) and malformed payloads (a
+`ProviderError` naming the payload).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from datetime import datetime, timezone
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
 
 from .errors import (
     EmptyCompletionError,
@@ -40,6 +46,8 @@ API_KEY_ENV = "CAUSAL_RAG_API_KEY"
 DEFAULT_TIMEOUT = 60.0
 RETRY_ATTEMPTS = 5
 RETRY_BASE_DELAY = 1.0
+
+T = TypeVar("T")
 
 # the compact canonical form a request hash is taken over
 _encode_digest_payload = json.JSONEncoder(
@@ -201,8 +209,9 @@ class Backend(Protocol):
     def complete(self, req: CompletionRequest) -> CompletionResponse: ...
 
 
-class LiveBackend:
-    """OpenAI-compatible /v1/chat/completions over HTTP."""
+class HttpEndpoint:
+    """An OpenAI-compatible endpoint: its base URL, bearer key and retry
+    settings. `calls` counts the requests sent."""
 
     def __init__(
         self,
@@ -221,9 +230,44 @@ class LiveBackend:
         self.session = session
         self.calls = 0
 
-    def complete(self, req: CompletionRequest) -> CompletionResponse:
+    def post(self, path: str, payload: dict, what: str, read: Callable[[object], T]) -> T:
+        """`read` of the JSON that `path` answers `payload` with. A
+        `ValueError`, `KeyError`, `IndexError` or `TypeError` from `read`
+        means a malformed `what` payload, a `ProviderError`."""
         if not self.api_key:
             raise ProviderError(f"no API key: set {API_KEY_ENV} or pass api_key")
+        self.calls += 1
+        response = post_with_retry(
+            self.base_url + path,
+            payload,
+            {"Authorization": f"Bearer {self.api_key}"},
+            timeout=self.timeout,
+            sleeper=self.sleeper,
+            rng=self.rng,
+            session=self.session,
+        )
+        try:
+            return read(response.json())
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ProviderError(f"malformed {what} payload: {exc}") from exc
+
+
+def _read_completion(data) -> tuple[str, dict]:
+    """The text of a chat completion's first choice (a null content is
+    empty), and its finish reason and token usage."""
+    choice = data["choices"][0]
+    text = choice["message"]["content"]
+    if text is None:
+        text = ""
+    elif not isinstance(text, str):
+        raise TypeError(f"content must be a string, got {type(text).__name__}")
+    return text, {"finish_reason": choice.get("finish_reason"), "usage": data.get("usage", {})}
+
+
+class LiveBackend(HttpEndpoint):
+    """OpenAI-compatible /v1/chat/completions over HTTP."""
+
+    def complete(self, req: CompletionRequest) -> CompletionResponse:
         payload = {
             "model": req.model_id,
             "messages": [
@@ -233,29 +277,7 @@ class LiveBackend:
             "temperature": req.temperature,
             "max_tokens": req.max_output_tokens,
         }
-        headers = {"Authorization": f"Bearer {self.api_key}"}
-        self.calls += 1
-        response = post_with_retry(
-            f"{self.base_url}/v1/chat/completions",
-            payload,
-            headers,
-            timeout=self.timeout,
-            sleeper=self.sleeper,
-            rng=self.rng,
-            session=self.session,
-        )
-        try:
-            data = response.json()
-            choice = data["choices"][0]
-            text = choice["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed completion payload: {exc}") from exc
-        if text is None:
-            text = ""
-        meta = {
-            "finish_reason": choice.get("finish_reason"),
-            "usage": data.get("usage", {}),
-        }
+        text, meta = self.post("/v1/chat/completions", payload, "completion", _read_completion)
         if not text.strip():
             raise EmptyCompletionError(
                 f"provider returned empty text (finish_reason={meta['finish_reason']!r})"

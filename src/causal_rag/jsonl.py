@@ -12,10 +12,8 @@ a line that `parse` refuses, is a `MalformedRecordError` that names the
 file, the line and the reason.
 
 `encode_line` is the one encoding of a stored line (keys sorted, non-ASCII
-text written as UTF-8), shared by prediction files, transcripts, saved
-repositories and canonical datasets. Embedding-cache lines are the
-exception: they keep `json.dumps(..., sort_keys=True)`, whose ``\\u``
-escapes are part of their bytes.
+text written as UTF-8), shared by prediction files, transcripts, embedding
+caches, saved repositories and canonical datasets.
 """
 
 from __future__ import annotations

@@ -51,6 +51,7 @@ from .embedding import (
 )
 from .errors import ProviderError, UnparseableResponseError
 from .evaluation import (
+    MATCHING_MODES,
     build_report,
     detection_metrics,
     single_pair_accuracy,
@@ -144,6 +145,9 @@ class ExperimentConfig:
             raise ValueError(f"strategy {self.strategy.value!r} requires a repository db")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+        if self.matching not in MATCHING_MODES:
+            raise ValueError(f"matching must be one of {MATCHING_MODES}")
+        self.retrieval_config()  # k, threshold and matcher
         if self.embedding_model.startswith(LOCAL_EMBEDDER_PREFIX):
             dim = self.embedding_model.removeprefix(LOCAL_EMBEDDER_PREFIX)
             if not (dim.isascii() and dim.isdigit() and int(dim) >= 1):

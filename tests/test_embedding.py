@@ -201,6 +201,17 @@ def test_cache_lines_match_the_pinned_bytes(tmp_path) -> None:
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
+def test_cache_writes_a_non_ascii_model_id_as_utf8_and_loads_either_form(tmp_path) -> None:
+    path = tmp_path / "c.jsonl"
+    EmbeddingCache(path).put(EmbeddingKey("a", "modèle"), vec(1, 0, model="modèle"))
+    assert '"model": "modèle"' in path.read_text(encoding="utf-8")
+    with open(path, "a", encoding="utf-8") as handle:  # an older line, with \u escapes
+        handle.write('{"dim": 2, "key": "b", "model": "mod\\u00e8le", "vector": [0.0, 1.0]}\n')
+    loaded = EmbeddingCache(path)
+    assert loaded.get(EmbeddingKey("a", "modèle")) == vec(1, 0, model="modèle")
+    assert loaded.get(EmbeddingKey("b", "modèle")) == vec(0, 1, model="modèle")
+
+
 def test_cached_vectors_cost_eight_bytes_a_component(tmp_path) -> None:
     count, dim = 300, 1536
     rng = random.Random(7)
@@ -560,13 +571,6 @@ def test_http_provider_malformed_payload() -> None:
         provider = HttpEmbeddingProvider("http://host", "m", api_key="k", session=session)
         with pytest.raises(ProviderError, match="malformed embedding payload"):
             provider.embed_text("x")
-
-
-def test_http_provider_requires_key(monkeypatch) -> None:
-    monkeypatch.delenv("CAUSAL_RAG_API_KEY", raising=False)
-    provider = HttpEmbeddingProvider("http://host", "m", session=_Session([]))
-    with pytest.raises(ProviderError):
-        provider.embed_text("x")
 
 
 def test_neighbor_hit_shape() -> None:

@@ -10,6 +10,7 @@ import threading
 import pytest
 import requests
 
+from causal_rag.embedding import HttpEmbeddingProvider
 from causal_rag.errors import (
     EmptyCompletionError,
     MalformedRecordError,
@@ -403,34 +404,83 @@ def test_live_backend_request_shape_and_parse() -> None:
     assert body["messages"][1]["content"].startswith("Sentence:")
 
 
-def test_live_backend_empty_completion() -> None:
-    payload = {"choices": [{"message": {"content": ""}, "finish_reason": "content_filter"}]}
+@pytest.mark.parametrize("content", ["", "  \n", None])
+def test_live_backend_empty_completion(content) -> None:
+    payload = {"choices": [{"message": {"content": content}, "finish_reason": "content_filter"}]}
     session = _Session([_Response(200, payload)])
     backend = LiveBackend("http://host", api_key="k", session=session)
     with pytest.raises(EmptyCompletionError):
         backend.complete(_req())
 
 
-def test_live_backend_malformed_payload() -> None:
-    session = _Session([_Response(200, {"unexpected": []})])
-    backend = LiveBackend("http://host", api_key="k", session=session)
-    with pytest.raises(ProviderError):
+@pytest.mark.parametrize("content", [5, ["a"], {"x": 1}, True])
+def test_live_backend_refuses_non_string_content(content) -> None:
+    payload = {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+    backend = LiveBackend("http://host", api_key="k", session=_Session([_Response(200, payload)]))
+    with pytest.raises(ProviderError, match="malformed completion payload"):
         backend.complete(_req())
 
 
-def test_live_backend_requires_api_key(monkeypatch) -> None:
+# what each HTTP client sends one request with, and a payload it accepts
+HTTP_CLIENTS = {
+    "completion": (LiveBackend, lambda client: client.complete(_req()), _ok_payload()),
+    "embedding": (
+        lambda base_url, **kw: HttpEmbeddingProvider(base_url, "emb-model", **kw),
+        lambda client: client.embed_text("hello"),
+        {"data": [{"embedding": [0.6, 0.8]}]},
+    ),
+}
+http_client = pytest.mark.parametrize("what", sorted(HTTP_CLIENTS))
+
+
+@http_client
+def test_http_client_without_a_key_sends_nothing(monkeypatch, what) -> None:
+    make, send, _ = HTTP_CLIENTS[what]
     monkeypatch.delenv("CAUSAL_RAG_API_KEY", raising=False)
-    backend = LiveBackend("http://host", session=_Session([]))
-    with pytest.raises(ProviderError):
-        backend.complete(_req())
+    session = _Session([])
+    client = make("http://host", session=session)
+    with pytest.raises(ProviderError, match="no API key"):
+        send(client)
+    assert session.requests == [] and client.calls == 0
 
 
-def test_live_backend_reads_key_from_env(monkeypatch) -> None:
+@http_client
+def test_http_client_reads_the_key_from_the_environment(monkeypatch, what) -> None:
+    make, send, ok = HTTP_CLIENTS[what]
     monkeypatch.setenv("CAUSAL_RAG_API_KEY", "envkey")
-    session = _Session([_Response(200, _ok_payload())])
-    backend = LiveBackend("http://host", session=session)
-    backend.complete(_req())
-    assert session.requests[0]["headers"]["Authorization"] == "Bearer envkey"
+    session = _Session([_Response(200, ok)])
+    send(make("http://host", session=session))
+    assert session.requests[0]["headers"] == {"Authorization": "Bearer envkey"}
+
+
+@http_client
+def test_http_client_joins_a_base_url_with_a_trailing_slash(what) -> None:
+    make, send, ok = HTTP_CLIENTS[what]
+    session = _Session([_Response(200, ok)])
+    send(make("http://host/api/", api_key="k", session=session))
+    path = "chat/completions" if what == "completion" else "embeddings"
+    assert session.requests[0]["url"] == f"http://host/api/v1/{path}"
+
+
+@http_client
+@pytest.mark.parametrize("payload", [{"unexpected": []}, ["x"], "text"])
+def test_http_client_malformed_payload_is_a_provider_error(what, payload) -> None:
+    make, send, _ = HTTP_CLIENTS[what]
+    client = make("http://host", api_key="k", session=_Session([_Response(200, payload)]))
+    with pytest.raises(ProviderError, match=f"malformed {what} payload"):
+        send(client)
+
+
+@http_client
+def test_http_client_counts_requests(what) -> None:
+    make, send, ok = HTTP_CLIENTS[what]
+    session = _Session([_Response(200, ok), _Response(200, {}), _Response(200, ok)])
+    client = make("http://host", api_key="k", session=session)
+    send(client)
+    with pytest.raises(ProviderError):
+        send(client)
+    send(client)
+    assert client.calls == len(session.requests) == 3
 
 
 def test_llm_client_passes_settings() -> None:

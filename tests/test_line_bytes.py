@@ -1,7 +1,7 @@
 """The bytes of each stored line, pinned: prediction lines, transcript
-lines, saved repositories and canonical datasets share one encoding (keys
-sorted, non-ASCII text written as UTF-8), and a request's digest is taken
-over one compact form. A change to any literal below changes the bytes of
+lines, embedding-cache lines, saved repositories and canonical datasets
+share one encoding (keys sorted, non-ASCII text written as UTF-8), and a
+request's digest is taken over one compact form. A change to any literal below changes the bytes of
 files already on disk, or the hash that finds a recorded answer."""
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 
 from causal_rag.corpus import load_dataset, write_canonical
+from causal_rag.embedding import EmbeddingCache, EmbeddingKey, EmbeddingVector
 from causal_rag.gateway import CompletionRequest, ScriptedBackend, Transcript, TranscriptEntry
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import ExperimentConfig, build_db, run_experiment
@@ -73,6 +74,16 @@ def test_transcript_line_bytes(tmp_path):
         b'{"request_hash": "' + b"ab" * 32 + b'", '
         b'"response_text": "r\xc3\xa9ponse \xe2\x80\x94 \xc2\xab oui \xc2\xbb", '
         b'"timestamp": "2026-01-02T03:04:05+00:00"}\n'
+    )
+
+
+def test_embedding_cache_line_bytes(tmp_path):
+    path = tmp_path / "e.jsonl"
+    vector = EmbeddingVector((0.6, -0.8, 1e-05, 3.0), "text-embedding-3-small")
+    EmbeddingCache(path).put(EmbeddingKey("cd" * 32, vector.model_id), vector)
+    assert path.read_bytes() == (
+        b'{"dim": 4, "key": "' + b"cd" * 32 + b'", "model": "text-embedding-3-small", '
+        b'"vector": [0.6, -0.8, 1e-05, 3.0]}\n'
     )
 
 

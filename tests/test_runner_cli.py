@@ -428,6 +428,19 @@ def test_config_validation_errors():
                          dataset_path="d", output_path="o", backend="live")
 
 
+@pytest.mark.parametrize("bad", [
+    {"matching": "bogus"}, {"k": 0}, {"similarity_threshold": 0.0}, {"matcher": "bogus"},
+])
+def test_a_bad_config_fails_at_construction_before_any_provider_call(tmp_path, bad):
+    # zeroshot retrieves nothing, yet its k, threshold and matcher are checked too
+    backend = ScriptedBackend(FixtureResponder())
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        run_experiment(replay_config(tmp_path, "extract", StrategyKind.ZEROSHOT, **bad),
+                       backend=backend)
+    assert backend.calls == 0
+    assert not (tmp_path / "predictions.jsonl").exists()
+
+
 @pytest.mark.parametrize("name", ["local-hash-x", "local-hash-", "local-hash-0", "local-hash--5"])
 def test_config_rejects_a_malformed_local_embedder(name):
     with pytest.raises(ValueError, match="local-hash-<dim>"):
