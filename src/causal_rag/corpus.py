@@ -20,6 +20,7 @@ from .errors import (
     EmptyPhraseError,
     MalformedRecordError,
     NestedTagsError,
+    TagError,
     TagPairingError,
     UnbalancedTagsError,
     UnknownFormatError,
@@ -409,7 +410,7 @@ def _import_li(path: Path) -> list[tuple[int, dict]]:
                 continue
             try:
                 sentence = parse_tagged_sentence(line, "li", len(records) + 1)
-            except (UnbalancedTagsError, NestedTagsError, EmptyPhraseError, TagPairingError) as exc:
+            except TagError as exc:
                 raise MalformedRecordError(str(exc), line_no, path) from None
             records.append((line_no, {
                 "id": sentence.id,

@@ -52,14 +52,12 @@ class PromptCatalog:
 
 @dataclass(frozen=True)
 class AssembledPrompt:
-    """A ready-to-send prompt. `strategy` holds the retrieval strategy's
-    canonical name ("zeroshot", "random", "knn", "pattern", "knn-pattern");
-    example_count equals the number of example sentences inside user_text."""
+    """A ready-to-send prompt; example_count equals the number of example
+    sentences inside user_text."""
 
     system_text: str
     user_text: str
     example_count: int
-    strategy: str
 
 
 @dataclass(frozen=True)
@@ -138,10 +136,10 @@ def default_catalog() -> PromptCatalog:
     return _default_catalog
 
 
-def _system_text(catalog: PromptCatalog, key: str, extra: str | None = None) -> str:
+def _system_text(catalog: PromptCatalog, key: str, extra_key: str | None = None) -> str:
     text = catalog.block(key)
-    if extra:
-        text = f"{text}\n{extra}"
+    if extra_key:
+        text = f"{text}\n{catalog.block(extra_key)}"
     return f"[catalog v{catalog.version}]\n{text}"
 
 
@@ -163,11 +161,30 @@ def _examples_block(
     return leadin + "\n" + "\n".join(lines) + "\n\n"
 
 
-def _strategy_name(result: "RetrievalResult | None") -> str:
-    if result is None:
-        return "zeroshot"
-    strategy = result.strategy
-    return getattr(strategy, "value", str(strategy))
+_TASK_BLOCKS = {"detect": "detection", "extract": "extraction"}
+
+
+def _task_prompt(
+    task: str,
+    sentence: str,
+    examples: "RetrievalResult | None",
+    catalog: PromptCatalog | None,
+    extra_key: str | None = None,
+) -> AssembledPrompt:
+    """The detect or extract prompt: the task's system block (plus the
+    `extra_key` block), and its user block with the examples and sentence."""
+    if not sentence.strip():
+        raise ValueError("sentence must be non-empty")
+    catalog = catalog or default_catalog()
+    records = examples.examples if examples is not None else ()
+    blocks = _TASK_BLOCKS[task]
+    user = (
+        catalog.block(f"{blocks}_user")
+        .replace("{examples}", _examples_block(catalog, records, task))
+        .replace("{sentence}", sentence)
+    )
+    system = _system_text(catalog, f"{blocks}_system", extra_key)
+    return AssembledPrompt(system, user, len(records))
 
 
 def detection_prompt(
@@ -176,21 +193,7 @@ def detection_prompt(
     catalog: PromptCatalog | None = None,
 ) -> AssembledPrompt:
     """Assemble the causality-detection prompt, zeroshot or with examples."""
-    if not sentence.strip():
-        raise ValueError("sentence must be non-empty")
-    catalog = catalog or default_catalog()
-    records = list(examples.examples) if examples is not None else []
-    user = (
-        catalog.block("detection_user")
-        .replace("{examples}", _examples_block(catalog, records, "detect"))
-        .replace("{sentence}", sentence)
-    )
-    return AssembledPrompt(
-        system_text=_system_text(catalog, "detection_system"),
-        user_text=user,
-        example_count=len(records),
-        strategy=_strategy_name(examples),
-    )
+    return _task_prompt("detect", sentence, examples, catalog)
 
 
 def extraction_prompt(
@@ -200,22 +203,8 @@ def extraction_prompt(
     catalog: PromptCatalog | None = None,
 ) -> AssembledPrompt:
     """Assemble the cause/effect-extraction prompt."""
-    if not sentence.strip():
-        raise ValueError("sentence must be non-empty")
-    catalog = catalog or default_catalog()
-    records = list(examples.examples) if examples is not None else []
-    extra = catalog.block("extraction_single_pair") if single_pair else None
-    user = (
-        catalog.block("extraction_user")
-        .replace("{examples}", _examples_block(catalog, records, "extract"))
-        .replace("{sentence}", sentence)
-    )
-    return AssembledPrompt(
-        system_text=_system_text(catalog, "extraction_system", extra),
-        user_text=user,
-        example_count=len(records),
-        strategy=_strategy_name(examples),
-    )
+    extra_key = "extraction_single_pair" if single_pair else None
+    return _task_prompt("extract", sentence, examples, catalog, extra_key)
 
 
 def connective_prompt(sentence: str, catalog: PromptCatalog | None = None) -> AssembledPrompt:
@@ -225,12 +214,7 @@ def connective_prompt(sentence: str, catalog: PromptCatalog | None = None) -> As
         raise ValueError("sentence must be non-empty")
     catalog = catalog or default_catalog()
     user = catalog.block("connective_user").replace("{sentence}", sentence)
-    return AssembledPrompt(
-        system_text=_system_text(catalog, "connective_system"),
-        user_text=user,
-        example_count=0,
-        strategy="zeroshot",
-    )
+    return AssembledPrompt(_system_text(catalog, "connective_system"), user, 0)
 
 
 def parse_detection(response: str) -> DetectionPrediction:

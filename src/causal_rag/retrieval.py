@@ -5,7 +5,9 @@ against the repository's index keys and pools the records stored under
 every key scoring above the similarity threshold. kNN retrieval ranks
 repository sentences by embedding cosine similarity, scanning a matrix of
 the repository's vectors that `knn_index` builds once. The combined strategy
-concatenates both blocks, kNN first, deduplicated by record id.
+concatenates both blocks, kNN first, deduplicated by record id. Each
+strategy builds only its provenance list; `RetrievalResult.of` looks up the
+records it names.
 
 All sampling is driven by (seed, salt) so that a fixed configuration
 reproduces identical choices; the runner salts with the input sentence id,
@@ -15,7 +17,7 @@ giving per-sentence variety without losing reproducibility.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -70,11 +72,19 @@ class RetrievalResult:
     fallback_used: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.examples) != len(self.provenance):
-            raise ValueError("examples and provenance must align")
         ids = [record.id for record in self.examples]
+        if ids != [p.record_id for p in self.provenance]:
+            raise ValueError("examples and provenance must align")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate record ids in retrieval result")
+
+    @classmethod
+    def of(cls, repo: Repository, provenance: Sequence[ExampleProvenance],
+           strategy: StrategyKind, fallback_used: bool = False) -> RetrievalResult:
+        """The result whose examples are `repo`'s records named by
+        `provenance`, in provenance order."""
+        examples = tuple(repo.records[p.record_id] for p in provenance)
+        return cls(examples, tuple(provenance), strategy, fallback_used)
 
 
 def zeroshot_result() -> RetrievalResult:
@@ -127,17 +137,14 @@ def retrieve_random(repo: Repository, cfg: RetrievalConfig, salt: str = "") -> R
         raise ValueError("repository is empty")
     ids = repo.sorted_ids
     chosen = _rng(cfg, salt).sample(ids, min(cfg.k, len(ids)))
-    return RetrievalResult(
-        examples=tuple(repo.records[rid] for rid in chosen),
-        provenance=tuple(ExampleProvenance(record_id=rid, origin="random") for rid in chosen),
-        strategy=StrategyKind.RANDOM,
-    )
+    provenance = [ExampleProvenance(rid, "random") for rid in chosen]
+    return RetrievalResult.of(repo, provenance, StrategyKind.RANDOM)
 
 
 def knn_index(repo: Repository, embeddings: EmbeddingService) -> VectorIndex:
     """The repository's vectors, one row per record in ascending id order."""
-    ids = repo.sorted_ids
-    return VectorIndex(ids, (embeddings.vector(repo.records[rid].raw_text) for rid in ids))
+    rows = sorted(repo.records.items())
+    return VectorIndex([rid for rid, _ in rows], (embeddings.vector(r.raw_text) for _, r in rows))
 
 
 def retrieve_knn(
@@ -150,14 +157,8 @@ def retrieve_knn(
     vector `query`; `index` is `knn_index(repo, embeddings)`, embedded
     by the same service as the query."""
     hits = knn_search(query, index, cfg.k)
-    return RetrievalResult(
-        examples=tuple(repo.records[hit.record_id] for hit in hits),
-        provenance=tuple(
-            ExampleProvenance(record_id=hit.record_id, origin="knn", score=hit.similarity)
-            for hit in hits
-        ),
-        strategy=StrategyKind.KNN,
-    )
+    provenance = [ExampleProvenance(h.record_id, "knn", score=h.similarity) for h in hits]
+    return RetrievalResult.of(repo, provenance, StrategyKind.KNN)
 
 
 def _pattern_candidates(
@@ -204,31 +205,19 @@ def retrieve_pattern(
     best = _pattern_candidates(input_connectives, repo, cfg)
     if not best:
         if not cfg.fallback_to_random:
-            return RetrievalResult(examples=(), provenance=(), strategy=StrategyKind.PATTERN)
-        fallback = retrieve_random(repo, cfg, salt)
-        return RetrievalResult(
-            examples=fallback.examples,
-            provenance=tuple(
-                ExampleProvenance(record_id=p.record_id, origin="random-fallback")
-                for p in fallback.provenance
-            ),
-            strategy=StrategyKind.PATTERN,
-            fallback_used=True,
-        )
+            return RetrievalResult.of(repo, [], StrategyKind.PATTERN)
+        drawn = retrieve_random(repo, cfg, salt).provenance
+        fallback = [replace(p, origin="random-fallback") for p in drawn]
+        return RetrievalResult.of(repo, fallback, StrategyKind.PATTERN, fallback_used=True)
     chosen = sorted(best)
     if len(chosen) > cfg.k:
         chosen = _rng(cfg, salt).sample(chosen, cfg.k)
     chosen.sort(key=lambda rid: (-best[rid][0], rid))
-    return RetrievalResult(
-        examples=tuple(repo.records[rid] for rid in chosen),
-        provenance=tuple(
-            ExampleProvenance(
-                record_id=rid, origin="pattern", score=best[rid][0], connective=best[rid][1]
-            )
-            for rid in chosen
-        ),
-        strategy=StrategyKind.PATTERN,
-    )
+    provenance = [
+        ExampleProvenance(rid, "pattern", score=best[rid][0], connective=best[rid][1])
+        for rid in chosen
+    ]
+    return RetrievalResult.of(repo, provenance, StrategyKind.PATTERN)
 
 
 def retrieve_knn_pattern(
@@ -243,21 +232,11 @@ def retrieve_knn_pattern(
     duplicate record ids keeping the first occurrence; at most 2k examples."""
     knn = retrieve_knn(query, repo, index, cfg)
     pattern = retrieve_pattern(input_connectives, repo, cfg, salt)
-    examples: list[ExampleRecord] = []
-    provenance: list[ExampleProvenance] = []
-    seen: set[str] = set()
-    for block in (knn, pattern):
-        for record, prov in zip(block.examples, block.provenance):
-            if record.id in seen:
-                continue
-            seen.add(record.id)
-            examples.append(record)
-            provenance.append(prov)
-    return RetrievalResult(
-        examples=tuple(examples),
-        provenance=tuple(provenance),
-        strategy=StrategyKind.KNN_PATTERN,
-        fallback_used=pattern.fallback_used,
+    first: dict[str, ExampleProvenance] = {}  # by record id, in insertion order
+    for p in knn.provenance + pattern.provenance:
+        first.setdefault(p.record_id, p)
+    return RetrievalResult.of(
+        repo, list(first.values()), StrategyKind.KNN_PATTERN, pattern.fallback_used
     )
 
 

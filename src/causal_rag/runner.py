@@ -196,10 +196,17 @@ def make_embedder(config: ExperimentConfig):
     return HttpEmbeddingProvider(config.base_url, name)
 
 
-def _select_instances(split: DatasetSplit, task: str) -> list[LabeledInstance]:
-    if task == "extract":
-        return [inst for inst in split.instances if inst.label == 1]
-    return list(split.instances)
+def _select_instances(split: DatasetSplit, task: str, single_pair: bool) -> list[LabeledInstance]:
+    """What a run of `task` scores: every sentence for detect, the causal
+    ones for extract, each with exactly one gold pair under single_pair."""
+    if task != "extract":
+        return list(split.instances)
+    instances = [inst for inst in split.instances if inst.label == 1]
+    if single_pair:
+        multi = [i.sentence.id for i in instances if len(i.sentence.pairs) != 1]
+        if multi:
+            raise ValueError(f"single_pair needs exactly one gold pair; offending: {multi[:5]}")
+    return instances
 
 
 class _Session:
@@ -214,15 +221,9 @@ class _Session:
             load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
         )
         split = load_dataset(config.dataset_path, config.dataset_format)
-        self.instances = _select_instances(split, config.task)
+        self.instances = _select_instances(split, config.task, config.single_pair)
         if not self.instances:
             raise ValueError("no instances to run (extract task needs causal sentences)")
-        if config.task == "extract" and config.single_pair:
-            multi = [i.sentence.id for i in self.instances if len(i.sentence.pairs) != 1]
-            if multi:
-                raise ValueError(
-                    f"single_pair needs exactly one gold pair; offending: {multi[:5]}"
-                )
         self.repo = load_repository(config.db_path) if config.db_path else None
         self.llm = LlmClient(
             backend=backend if backend is not None
@@ -633,8 +634,10 @@ def eval_predictions(
     matching: str = "greedy",
 ) -> dict:
     """Re-score an existing prediction file against its dataset."""
+    if matching not in MATCHING_MODES:
+        raise ValueError(f"matching must be one of {MATCHING_MODES}")
     split = load_dataset(dataset_path, dataset_format)
-    instances = _select_instances(split, task)
+    instances = _select_instances(split, task, single_pair)
     records = _load_scored(predictions_path, task)
     scored = [inst for inst in instances if inst.sentence.id in records]
     if not scored:

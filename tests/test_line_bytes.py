@@ -7,6 +7,9 @@ files already on disk, or the hash that finds a recorded answer."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder
 
 from causal_rag.corpus import load_dataset, write_canonical
 from causal_rag.embedding import EmbeddingCache, EmbeddingKey, EmbeddingVector
@@ -62,6 +65,55 @@ def test_prediction_line_bytes(tmp_path):
         b'"prompt_hash": "8ddd4186d10bb867aa324ca86304396a376e7163291d10ae7d6c70e1e6eba169", '
         b'"provenance": [], "response": ' + TAGGED + b', "sentence_id": "fr-1", '
         b'"strategy": "zeroshot", "task": "extract", "timing_ms": 0.0}\n'
+    )
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def fixture_line(tmp_path, strategy: StrategyKind, sentence_id: str) -> bytes:
+    """The prediction line of `sentence_id` from a k=2 extraction run over
+    the fixtures, answered by the fixture model (replay config: timing 0.0)."""
+    out = tmp_path / f"{strategy.value}.jsonl"
+    config = ExperimentConfig(task="extract", strategy=strategy,
+                              dataset_path=str(FIXTURES / "extract.jsonl"), output_path=str(out),
+                              db_path=str(FIXTURES / "examples.db"), k=2,
+                              model_id=FIXTURE_MODEL_ID, backend="replay",
+                              transcript_path=str(tmp_path / "unused.jsonl"))
+    run_experiment(config, backend=ScriptedBackend(FixtureResponder()))
+    tag = b'"sentence_id": "' + sentence_id.encode() + b'"'
+    (found,) = [line for line in out.read_bytes().splitlines(keepends=True) if tag in line]
+    return found
+
+
+def test_knn_pattern_provenance_line_bytes(tmp_path):
+    # two kNN hits, then the pattern block less the id kNN already holds
+    assert fixture_line(tmp_path, StrategyKind.KNN_PATTERN, "ext-004") == (
+        b'{"example_count": 3, "fallback_used": false, "parse_error": false, '
+        b'"parsed": {"dropped_spans": 0, "overlap_flag": false, '
+        b'"pairs": [{"cause": "The strike", "effect": "missed shipments"}]}, '
+        b'"prompt_hash": "9e7be9c7b23b1a214d0e3ae13ef9d3f60b1f0ed4ea423b35b27bcfef93024ac8", '
+        b'"provenance": [{"origin": "knn", "record_id": "db-029", "score": 0.721688}, '
+        b'{"origin": "knn", "record_id": "db-026", "score": 0.5}, '
+        b'{"connective": "resulted in", "origin": "pattern", "record_id": "db-027", '
+        b'"score": 1.0}], '
+        b'"response": "<cause>The strike</cause> resulted in <effect>missed shipments</effect>.", '
+        b'"sentence_id": "ext-004", "strategy": "knn-pattern", "task": "extract", '
+        b'"timing_ms": 0.0}\n'
+    )
+
+
+def test_pattern_fallback_provenance_line_bytes(tmp_path):
+    assert fixture_line(tmp_path, StrategyKind.PATTERN, "ext-007") == (
+        b'{"example_count": 2, "fallback_used": true, "parse_error": false, '
+        b'"parsed": {"dropped_spans": 0, "overlap_flag": false, '
+        b'"pairs": [{"cause": "grid operator", "effect": "The outage"}]}, '
+        b'"prompt_hash": "0b2d56a05c0ffa968b6eb1600e2d53a40823a2417f5006c9f9cb59608b8564be", '
+        b'"provenance": [{"origin": "random-fallback", "record_id": "db-003"}, '
+        b'{"origin": "random-fallback", "record_id": "db-017"}], '
+        b'"response": "<effect>The outage</effect> was blamed on <cause>grid operator</cause>.", '
+        b'"sentence_id": "ext-007", "strategy": "pattern", "task": "extract", '
+        b'"timing_ms": 0.0}\n'
     )
 
 

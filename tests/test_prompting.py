@@ -88,7 +88,6 @@ def test_detection_zeroshot_shape() -> None:
     prompt = detection_prompt("Smoking causes cancer.")
     assert isinstance(prompt, AssembledPrompt)
     assert prompt.example_count == 0
-    assert prompt.strategy == "zeroshot"
     assert "Below are" not in prompt.user_text
     assert "Smoking causes cancer." in prompt.user_text
     assert prompt.system_text.startswith("[catalog v1]")
@@ -98,7 +97,6 @@ def test_detection_fewshot_leadin_and_examples() -> None:
     records = ten_records()
     prompt = detection_prompt("input sentence", result(StrategyKind.RANDOM, records))
     assert prompt.example_count == 10
-    assert prompt.strategy == "random"
     assert prompt.user_text.count("Below are 10 example sentences") == 1
     for r in records:
         assert r.tagged_text in prompt.user_text
@@ -121,7 +119,6 @@ def test_twenty_examples_knn_pattern() -> None:
     prompt = detection_prompt("input", result(StrategyKind.KNN_PATTERN, records))
     assert prompt.example_count == 20
     assert "Below are 20 example sentences" in prompt.user_text
-    assert prompt.strategy == "knn-pattern"
 
 
 def test_extraction_examples_carry_connective() -> None:
@@ -156,7 +153,6 @@ def test_sentences_with_braces_survive() -> None:
 def test_connective_prompt_shape() -> None:
     prompt = connective_prompt("fever is caused by flu")
     assert prompt.example_count == 0
-    assert prompt.strategy == "zeroshot"
     assert "fever is caused by flu" in prompt.user_text
     # static demonstrations are part of the template
     assert prompt.user_text.count("Causal connective:") >= 3

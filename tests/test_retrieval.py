@@ -101,18 +101,12 @@ def test_config_validation() -> None:
 
 
 def test_result_rejects_duplicates() -> None:
-    record = make_record(1, "caused by", "a b c")
+    repo = make_repo([("caused by", "a b c")])
     from causal_rag.retrieval import ExampleProvenance
 
-    with pytest.raises(ValueError):
-        RetrievalResult(
-            examples=(record, record),
-            provenance=(
-                ExampleProvenance(record.id, "random"),
-                ExampleProvenance(record.id, "random"),
-            ),
-            strategy=StrategyKind.RANDOM,
-        )
+    twice = [ExampleProvenance("fx-000001", "random"), ExampleProvenance("fx-000001", "knn")]
+    with pytest.raises(ValueError, match="duplicate record ids"):
+        RetrievalResult.of(repo, twice, StrategyKind.RANDOM)
 
 
 def test_zeroshot_result() -> None:

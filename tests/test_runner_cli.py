@@ -384,6 +384,25 @@ def test_eval_predictions_matches_run_report(tmp_path):
     assert rescored["metrics"] == result.report["metrics"]
 
 
+def test_eval_refuses_single_pair_where_run_does(tmp_path, capsys):
+    # ext-009 and ext-010 have two gold pairs each, so `run` refuses single_pair here
+    out = tmp_path / "preds.jsonl"
+    run_experiment(replay_config(tmp_path, "extract", StrategyKind.KNN, out=out))
+    dataset = str(FIXTURES / "extract.jsonl")
+    with pytest.raises(ValueError, match=r"offending: \['ext-009', 'ext-010'\]"):
+        eval_predictions(str(out), dataset, "extract", single_pair=True)
+    argv = ["eval", "--predictions", str(out), "--dataset", dataset, "--task", "extract",
+            "--single-pair"]
+    assert main(argv) == 2
+    assert "single_pair needs exactly one gold pair" in capsys.readouterr().err
+
+
+def test_eval_refuses_an_unknown_matching_mode(tmp_path):
+    out = predictions_of(tmp_path, "detect")
+    with pytest.raises(ValueError, match="matching must be one of"):
+        eval_predictions(str(out), str(FIXTURES / "detect.jsonl"), "detect", matching="bogus")
+
+
 def test_eval_reads_the_prediction_file_once(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the report echoes the predictions path
     dataset = str(FIXTURES / "extract.jsonl")
