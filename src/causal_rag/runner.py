@@ -10,37 +10,30 @@ record sweep pays.
 
 Records stream to the output file in sentence-id order, each line written
 as soon as its record and every smaller id are done, so a killed run keeps
-all it wrote and a re-run resumes after it. The run keeps, and reads back
-from a prediction file, only what scoring reads of each record (`_Scored`);
-a line that does not fit the task is a `MalformedRecordError` naming the
-file and the line. `RunResult.records` reads the full records back. All
-sampling is salted with the sentence id, so outputs are byte-identical
-across runs and concurrency bounds whenever the transcript, seed, and
-config are fixed. Unparseable responses are scored as failures, never
-crashes; under the replay backend, timings are 0.0 to keep outputs
-reproducible.
+all it wrote and a re-run resumes after it. The worker that makes a record
+also scores it (`evaluation.sentence_outcome`), and the outcome joins the
+run's `Tally` as the line is written: a run keeps nothing per record.
+Reading a prediction file back checks every line (one that does not fit
+the task is a `MalformedRecordError` naming the file and the line) and
+scores the lines of the run's own instances, a later line winning.
+`RunResult.records` reads the full records back. All sampling is salted
+with the sentence id, so outputs are byte-identical across runs and
+concurrency bounds whenever the transcript, seed, and config are fixed.
+Unparseable responses are scored as failures, never crashes; under the
+replay backend, timings are 0.0 to keep outputs reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import (
-    CauseEffectPair,
-    DatasetSplit,
-    LabeledInstance,
-    Triplet,
-    load_dataset,
-    sentence_triplets,
-)
+from .corpus import DatasetSplit, LabeledInstance, load_dataset
 from .embedding import (
     EmbeddingCache,
     EmbeddingService,
@@ -51,12 +44,10 @@ from .embedding import (
 )
 from .errors import ProviderError, UnparseableResponseError
 from .evaluation import (
-    MATCHING_MODES,
-    build_report,
-    detection_metrics,
-    single_pair_accuracy,
-    triplet_metrics,
+    MATCHING_MODES, Outcome, Tally, build_report, check_prediction, sentence_outcome,
 )
+# the runner no longer calls these; perfbench/spans.py still wraps them by name
+from .evaluation import detection_metrics, single_pair_accuracy, triplet_metrics  # noqa: F401
 from .gateway import (
     Backend,
     LiveBackend,
@@ -321,53 +312,30 @@ def _process_instance(
     }
 
 
-@dataclass(frozen=True, slots=True)
-class _Scored:
-    """What scoring reads of one prediction record; the full record stays
-    in the output file."""
+def _read_outcomes(
+    path: str | Path, instances: Sequence[LabeledInstance], task: str, single_pair: bool,
+    matching: str,
+) -> tuple[dict[str, Outcome], set[str]]:
+    """The outcomes of `instances` in a prediction file, by sentence id (a
+    later line wins), and the strategies its lines name. Every line is
+    checked; only the instances' own lines are scored."""
+    wanted = {inst.sentence.id: inst for inst in instances}
 
-    sentence_id: str
-    strategy: str
-    example_count: int
-    parse_error: bool
-    # detect: the parsed label; extract: the parsed (cause, effect) pairs;
-    # None when the response did not parse
-    answer: int | tuple[tuple[str, str], ...] | None
+    def parse(record: dict) -> tuple[str, str, Outcome | None]:
+        sid, strategy = check_prediction(record, task), record.get("strategy", "zeroshot")
+        if type(strategy) is not str:
+            raise TypeError(f"strategy must be a string, got {strategy!r}")
+        instance = wanted.get(sid)
+        outcome = instance and sentence_outcome(record, instance, single_pair, matching)
+        return sid, strategy, outcome
 
-    @classmethod
-    def of(cls, record: dict, task: str) -> _Scored:
-        """What scoring reads of `record`, a prediction of `task`; a record
-        that does not fit is a KeyError, TypeError or ValueError."""
-        if record["task"] != task:
-            raise ValueError(f"task is {record['task']!r}, expected {task!r}")
-        sid, count, failed = record["sentence_id"], record["example_count"], record["parse_error"]
-        if type(sid) is not str:
-            raise TypeError(f"sentence_id must be a string, got {sid!r}")
-        if type(count) is not int:
-            raise TypeError(f"example_count must be an integer, got {count!r}")
-        if type(failed) is not bool:
-            raise TypeError(f"parse_error must be true or false, got {failed!r}")
-        parsed = record["parsed"]
-        if (parsed is None) != failed:
-            raise ValueError("parsed must be null exactly when parse_error is true")
-        if failed:
-            answer = None
-        elif task == "detect":
-            answer = parsed["label"]
-            if type(answer) is not int or answer not in (0, 1):
-                raise ValueError(f"parsed label must be 0 or 1, got {answer!r}")
-        else:
-            answer = tuple([(pair["cause"], pair["effect"]) for pair in parsed["pairs"]])
-            for cause, effect in answer:
-                if type(cause) is not str or type(effect) is not str:
-                    raise TypeError("parsed pairs must hold string causes and effects")
-        return cls(sid, sys.intern(record.get("strategy", "zeroshot")), count, failed, answer)
-
-
-def _load_scored(path: str | Path, task: str) -> dict[str, _Scored]:
-    """What scoring reads of a prediction file of `task`, by sentence id; a
-    later line wins."""
-    return {s.sentence_id: s for s in read_jsonl(path, partial(_Scored.of, task=task))}
+    outcomes: dict[str, Outcome] = {}
+    strategies: set[str] = set()
+    for sid, strategy, outcome in read_jsonl(path, parse):
+        strategies.add(strategy)
+        if outcome is not None:
+            outcomes[sid] = outcome
+    return outcomes, strategies
 
 
 def _read_records(path: str | Path, ids: Sequence[str]) -> list[dict]:
@@ -380,72 +348,6 @@ def _read_records(path: str | Path, ids: Sequence[str]) -> list[dict]:
     return [wanted[sid] for sid in ids]
 
 
-def _score_records(
-    task: str,
-    single_pair: bool,
-    matching: str,
-    config_echo: dict,
-    instances: Sequence[LabeledInstance],
-    records: dict[str, _Scored],
-) -> dict:
-    counts = [records[inst.sentence.id].example_count for inst in instances]
-    extras = {
-        "examples_mean": round(sum(counts) / len(counts), 4) if counts else 0.0,
-        "examples_max": max(counts) if counts else 0,
-        "parse_failures": sum(
-            1 for inst in instances if records[inst.sentence.id].parse_error
-        ),
-    }
-
-    if task == "detect":
-        preds = []
-        for inst in instances:
-            record = records[inst.sentence.id]
-            if record.parse_error:
-                # an unanswerable response is scored as a wrong prediction
-                predicted = 1 - inst.label
-            else:
-                predicted = record.answer
-            preds.append((predicted, inst.label))
-        report = build_report("detect", detection_metrics(preds), config_echo)
-        report["metrics"].update(extras)
-        return report
-
-    if single_pair:
-        items: list[tuple[str, CauseEffectPair, CauseEffectPair | None]] = []
-        for inst in instances:
-            record = records[inst.sentence.id]
-            predicted = None
-            if not record.parse_error and record.answer:
-                predicted = CauseEffectPair(*record.answer[0])
-            items.append((inst.sentence.id, inst.sentence.pairs[0], predicted))
-        accuracy, outcomes = single_pair_accuracy(items)
-        metrics = {
-            "accuracy": accuracy,
-            "successes": sum(1 for o in outcomes if o.success),
-            "total": len(outcomes),
-            "overlap_count": sum(1 for o in outcomes if o.overlap_flag),
-        }
-        report = build_report("extract-single", metrics, config_echo)
-        report["metrics"].update(extras)
-        return report
-
-    gold: list[Triplet] = []
-    predicted: list[Triplet] = []
-    for inst in instances:
-        gold.extend(sentence_triplets(inst.sentence))
-        record = records[inst.sentence.id]
-        if not record.parse_error:
-            for cause, effect in record.answer:
-                predicted.append(
-                    Triplet(sentence_id=inst.sentence.id, cause=cause, effect=effect)
-                )
-    metrics = triplet_metrics(gold, predicted, matching=matching)
-    report = build_report("extract", metrics, config_echo)
-    report["metrics"].update(extras)
-    return report
-
-
 def run_experiment(
     config: ExperimentConfig,
     backend: Backend | None = None,
@@ -456,8 +358,9 @@ def run_experiment(
 
     Existing output ids are skipped unless config.force; new records are
     appended in sentence-id order, each as it completes. Metrics always
-    cover the full instance set: what scoring reads of the existing records,
-    loaded once before the run, is scored together with the new ones."""
+    cover the full instance set: the existing records of the run's
+    instances, scored as the file is read before the run, are tallied
+    together with the new ones, each scored as it is written."""
     return _run_cell(_Session(config, backend, embedder, catalog), config)
 
 
@@ -471,9 +374,12 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
     output_path = Path(config.output_path)
     if config.force and output_path.exists():
         output_path.unlink()
-    records = _load_scored(output_path, config.task) if output_path.exists() else {}
-    skipped_existing = len(records)
-    todo = [inst for inst in instances if inst.sentence.id not in records]
+    existing, _ = _read_outcomes(
+        output_path, instances, config.task, config.single_pair, config.matching
+    ) if output_path.exists() else ({}, set())
+    tally = Tally(config.task, config.single_pair, existing.values())
+    skipped_existing = tally.sentences
+    todo = [inst for inst in instances if inst.sentence.id not in existing]
     todo.sort(key=lambda inst: inst.sentence.id)
     knn = config.strategy in (StrategyKind.KNN, StrategyKind.KNN_PATTERN)
     if knn and todo and session.index is None:
@@ -486,22 +392,24 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
 
     failures: list[tuple[int, ProviderError]] = []  # (position in `todo`, error)
 
-    def work(position: int, instance: LabeledInstance) -> dict | None:
+    def work(position: int, instance: LabeledInstance) -> tuple[dict, Outcome] | None:
         # no instance behind a provider error starts; those ahead of it run
         if failures and position > min(p for p, _ in failures):
             return None
         try:
-            return _process_instance(instance, config, session)
+            record = _process_instance(instance, config, session)
         except ProviderError as exc:
             failures.append((position, exc))
             return None
+        return record, sentence_outcome(record, instance, config.single_pair, config.matching)
 
     def lines(results):
-        for record in results:
-            if record is None:  # failed or never started: later lines would break id order
+        for result in results:
+            if result is None:  # failed or never started: later lines would break id order
                 return
+            record, outcome = result
             yield encode_line(record)
-            records[record["sentence_id"]] = _Scored.of(record, config.task)
+            tally.add(outcome)  # once its line is written
 
     threaded = config.concurrency > 1 and len(todo) > 1
     pool = ThreadPoolExecutor(config.concurrency) if threaded else None
@@ -515,13 +423,9 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
     if failures:
         LOGGER.warning(
             "provider error: stopped after %d of %d instances; the completed records were kept",
-            len(records) - skipped_existing, len(todo),
+            tally.sentences - skipped_existing, len(todo),
         )
         raise failures[0][1]
-
-    missing = [i.sentence.id for i in instances if i.sentence.id not in records]
-    if missing:
-        raise ValueError(f"output lacks records for: {missing[:5]}")
 
     config_echo = {
         "task": config.task,
@@ -536,9 +440,7 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
         "single_pair": config.single_pair,
         "matching": config.matching,
     }
-    report = _score_records(
-        config.task, config.single_pair, config.matching, config_echo, instances, records
-    )
+    report = build_report(tally.kind, tally.metrics(), config_echo)
     report_path = output_path.with_suffix(output_path.suffix + ".metrics.json")
     report_path.write_text(
         json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
@@ -638,17 +540,22 @@ def eval_predictions(
         raise ValueError(f"matching must be one of {MATCHING_MODES}")
     split = load_dataset(dataset_path, dataset_format)
     instances = _select_instances(split, task, single_pair)
-    records = _load_scored(predictions_path, task)
-    scored = [inst for inst in instances if inst.sentence.id in records]
-    if not scored:
+    outcomes, strategies = _read_outcomes(
+        predictions_path, instances, task, single_pair, matching
+    )
+    if len(strategies) > 1:
+        raise ValueError(f"{predictions_path}: records of more than one strategy "
+                         f"({', '.join(sorted(strategies))}); score one strategy a file")
+    if not outcomes:
         raise ValueError("no overlapping sentence ids between predictions and dataset")
+    tally = Tally(task, single_pair, outcomes.values())
     config_echo = {
         "task": task,
-        "strategy": records[scored[0].sentence.id].strategy,
+        "strategy": strategies.pop(),
         "single_pair": single_pair,
         "matching": matching,
         "predictions": predictions_path,
-        "scored": len(scored),
+        "scored": tally.sentences,
         "dataset_total": len(instances),
     }
-    return _score_records(task, single_pair, matching, config_echo, scored, records)
+    return build_report(tally.kind, tally.metrics(), config_echo)

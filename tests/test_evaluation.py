@@ -5,19 +5,23 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
-from causal_rag.corpus import CauseEffectPair, Triplet
+from causal_rag.corpus import CauseEffectPair, LabeledInstance, TaggedSentence, Triplet
 from causal_rag.errors import EmptyInputError
 from causal_rag.evaluation import (
     ConfusionCounts,
     ExtractionOutcome,
+    Tally,
     build_report,
+    check_prediction,
     containment_match,
     detection_metrics,
     norm_tokens,
     render_table,
+    sentence_outcome,
     single_pair_accuracy,
     triplet_metrics,
 )
@@ -416,3 +420,79 @@ def test_extraction_outcome_invariant() -> None:
         sentence_id="s", success=True, cause_matched=True, effect_matched=True, overlap_flag=False
     )
     assert outcome.success == (outcome.cause_matched and outcome.effect_matched)
+
+
+def _prediction(task: str, sid: str, count: int, answer) -> dict:
+    """A prediction record as a run writes it; `answer` None did not parse."""
+    if answer is None:
+        parsed = None
+    elif task == "detect":
+        parsed = {"label": answer}
+    else:
+        parsed = {"pairs": [{"cause": p.cause, "effect": p.effect} for p in answer]}
+    return {"task": task, "sentence_id": sid, "example_count": count,
+            "parse_error": answer is None, "parsed": parsed}
+
+
+@pytest.mark.parametrize("task, single_pair, matching", [
+    ("detect", False, "greedy"),
+    ("extract", True, "greedy"),
+    ("extract", False, "greedy"),
+    ("extract", False, "optimal"),
+])
+def test_tally_of_sentence_outcomes_equals_one_scoring_pass_seeded(
+        task, single_pair, matching) -> None:
+    rng = random.Random(99)
+
+    # one-word gold phrases and two-word predictions over two words, so
+    # one prediction often contains several gold pairs and greedy can lose
+    def pairs(most: int, words: int) -> tuple[CauseEffectPair, ...]:
+        def phrase() -> str:
+            return " ".join(rng.choice(WORDS[:2]) for _ in range(rng.randrange(1, words + 1)))
+
+        return tuple(CauseEffectPair(phrase(), phrase()) for _ in range(rng.randrange(1, most + 1)))
+
+    for _ in range(200):
+        instances, records = [], []
+        for i in range(rng.randrange(1, 12)):
+            gold = pairs(1 if single_pair else 3, 1)
+            instance = LabeledInstance(TaggedSentence(f"s{i}", "text", gold, "t"), rng.randrange(2))
+            answer = None if rng.random() < 0.2 else (
+                rng.randrange(2) if task == "detect" else pairs(3, 2)[: rng.randrange(4)])
+            record = _prediction(task, f"s{i}", rng.randrange(6), answer)
+            assert check_prediction(record, task) == f"s{i}"
+            instances.append(instance)
+            records.append(record)
+
+        outcomes = [sentence_outcome(r, inst, single_pair, matching)
+                    for r, inst in zip(records, instances)]
+        metrics = Tally(task, single_pair, outcomes).metrics()
+        assert Tally(task, single_pair, rng.sample(outcomes, len(outcomes))).metrics() == metrics
+        counts = [r["example_count"] for r in records]
+        assert [metrics.pop(key) for key in ("examples_mean", "examples_max", "parse_failures")] == [
+            round(sum(counts) / len(counts), 4), max(counts), sum(r["parse_error"] for r in records)]
+
+        if task == "detect":
+            preds = [(1 - inst.label if r["parsed"] is None else r["parsed"]["label"], inst.label)
+                     for r, inst in zip(records, instances)]
+            assert metrics == asdict(detection_metrics(preds))
+        elif single_pair:
+            items = [(inst.sentence.id, inst.sentence.pairs[0],
+                      CauseEffectPair(**r["parsed"]["pairs"][0])
+                      if r["parsed"] and r["parsed"]["pairs"] else None)
+                     for r, inst in zip(records, instances)]
+            accuracy, scored = single_pair_accuracy(items)
+            assert metrics == {"accuracy": accuracy, "successes": sum(o.success for o in scored),
+                               "total": len(scored),
+                               "overlap_count": sum(o.overlap_flag for o in scored)}
+        else:
+            gold = [t(inst.sentence.id, p.cause, p.effect)
+                    for inst in instances for p in inst.sentence.pairs]
+            predicted = [t(r["sentence_id"], p["cause"], p["effect"])
+                         for r in records if r["parsed"] for p in r["parsed"]["pairs"]]
+            assert metrics == asdict(triplet_metrics(gold, predicted, matching))
+
+
+def test_an_empty_tally_has_nothing_to_score() -> None:
+    with pytest.raises(EmptyInputError):
+        Tally("detect").metrics()

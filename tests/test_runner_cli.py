@@ -377,11 +377,43 @@ def test_metrics_file_written_next_to_predictions(tmp_path):
     assert sidecar == result.report
 
 
-def test_eval_predictions_matches_run_report(tmp_path):
+@pytest.mark.parametrize("task, dataset, strategy, options", [
+    ("detect", "detect.jsonl", StrategyKind.PATTERN, {}),
+    ("extract", "extract.jsonl", StrategyKind.KNN, {"matching": "greedy"}),
+    ("extract", "extract.jsonl", StrategyKind.KNN, {"matching": "optimal"}),
+    ("extract", "extract_single.jsonl", StrategyKind.RANDOM, {"single_pair": True}),
+])
+def test_eval_predictions_matches_run_report(tmp_path, task, dataset, strategy, options):
     out = tmp_path / "preds.jsonl"
-    result = run_experiment(replay_config(tmp_path, "extract", StrategyKind.KNN, out=out))
-    rescored = eval_predictions(str(out), str(FIXTURES / "extract.jsonl"), "extract")
+    result = run_experiment(replay_config(tmp_path, task, strategy, out=out,
+                                          dataset=FIXTURES / dataset, **options))
+    rescored = eval_predictions(str(out), str(FIXTURES / dataset), task, **options)
+    assert rescored["task"] == result.report["task"]
     assert rescored["metrics"] == result.report["metrics"]
+
+
+@pytest.mark.parametrize("task, change", [
+    ("detect", lambda record: {"parsed": {"label": 1 - record["parsed"]["label"]}}),
+    ("extract", lambda record: {"parse_error": True, "parsed": None}),
+])
+def test_a_later_line_wins_for_a_resumed_run_and_for_eval(tmp_path, task, change):
+    out = tmp_path / "preds.jsonl"
+    config = replay_config(tmp_path, task, StrategyKind.RANDOM, out=out)
+    first = run_experiment(config)
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    later = json.dumps({**record, **change(record)}) + "\n"
+    replaced = tmp_path / "replaced.jsonl"
+    replaced.write_text("".join(lines[:2] + [later] + lines[3:]), encoding="utf-8")
+    with open(out, "a", encoding="utf-8") as handle:
+        handle.write(later)
+    dataset = config.dataset_path
+    expected = eval_predictions(str(replaced), dataset, task)["metrics"]
+    assert expected != first.report["metrics"]
+    resumed = run_experiment(config)
+    assert resumed.skipped_existing == len(lines)
+    assert resumed.report["metrics"] == expected
+    assert eval_predictions(str(out), dataset, task)["metrics"] == expected
 
 
 def test_eval_refuses_single_pair_where_run_does(tmp_path, capsys):
@@ -424,15 +456,20 @@ def test_eval_reads_the_prediction_file_once(tmp_path, monkeypatch):
     assert reads == ["preds.jsonl"]
     assert report["config"]["strategy"] == "pattern"
     assert report_sha(report) == "b6a43e979c0ae65511830f73d0ce9732e23077f1fb976d1a6d3adeac8dfd9d32"
-    # a later line wins, for the echoed strategy too
+    # a repeated line changes nothing; a line of another strategy is refused
     first = json.loads((tmp_path / "preds.jsonl").read_text(encoding="utf-8").splitlines()[0])
     with open(tmp_path / "preds.jsonl", "a", encoding="utf-8") as handle:
-        handle.write(json.dumps({**first, "strategy": "random"}) + "\n")
+        handle.write(json.dumps(first) + "\n")
     reads.clear()
     report = eval_predictions("preds.jsonl", dataset, "extract")
     assert len(reads) == 1
-    assert report["config"]["strategy"] == "random"
-    assert report_sha(report) == "43f11cacd0706f95dbdd241b97cb429c53acfe83ab341d1d124636b529604430"
+    assert report_sha(report) == "b6a43e979c0ae65511830f73d0ce9732e23077f1fb976d1a6d3adeac8dfd9d32"
+    with open(tmp_path / "preds.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({**first, "strategy": "random"}) + "\n")
+    reads.clear()
+    with pytest.raises(ValueError, match=r"more than one strategy \(pattern, random\)"):
+        eval_predictions("preds.jsonl", dataset, "extract")
+    assert len(reads) == 1
 
 
 def test_config_validation_errors():
@@ -834,6 +871,40 @@ def test_cli_eval_rejects_a_prediction_file_of_another_task(tmp_path, capsys, ma
     ]
     assert main(argv) == 2
     assert f"{out}: line 1: task is '{made}', expected '{asked}'" in capsys.readouterr().err
+
+
+def detect_subset(tmp_path: Path, n: int = 10) -> Path:
+    """The first `n` sentences of the detection fixture, as a dataset file."""
+    rows = (FIXTURES / "detect.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text("".join(rows[:n]), encoding="utf-8")
+    return subset
+
+
+def test_cli_resume_counts_only_the_runs_own_ids(tmp_path, capsys):
+    out = tmp_path / "a.jsonl"
+    assert main(run_flags(tmp_path, strategy="random", k="1", out=str(out))) == 0
+    capsys.readouterr()
+    subset = detect_subset(tmp_path)
+    assert main(run_flags(tmp_path, strategy="random", k="1", out=str(out),
+                          dataset=str(subset))) == 0
+    assert "resumed: 10 ids already present" in capsys.readouterr().out
+    report = json.loads(Path(f"{out}.metrics.json").read_text(encoding="utf-8"))
+    assert sum(report["metrics"]["counts"].values()) == 10
+
+
+def test_cli_eval_refuses_a_file_of_two_strategies(tmp_path, capsys):
+    out = tmp_path / "a.jsonl"
+    subset = detect_subset(tmp_path)
+    assert main(run_flags(tmp_path, strategy="random", k="1", out=str(out),
+                          dataset=str(subset))) == 0
+    assert main(run_flags(tmp_path, strategy="pattern", k="5", out=str(out))) == 0
+    strategies = Counter(record["strategy"] for record in read_jsonl(out))
+    assert strategies == {"random": 10, "pattern": 15}
+    capsys.readouterr()
+    assert main(eval_flags(out, "detect")) == 2
+    assert f"data error: {out}: records of more than one strategy (pattern, random)" in (
+        capsys.readouterr().err)
 
 
 def test_run_refuses_to_resume_a_file_of_another_task_before_any_call(tmp_path, capsys):
