@@ -46,6 +46,7 @@ from .errors import (
     UnparseableResponseError,
 )
 from .evaluation import (
+    PredictionRecord,
     build_report,
     containment_match,
     detection_metrics,
@@ -132,6 +133,7 @@ __all__ = [
     "LiveBackend",
     "LlmClient",
     "LocalHashEmbedder",
+    "PredictionRecord",
     "PromptCatalog",
     "ProviderError",
     "RecordBackend",

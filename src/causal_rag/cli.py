@@ -21,7 +21,7 @@ from .errors import CausalRagError, ProviderError, ReplayMissError, TransportErr
 from .evaluation import MATCHING_MODES, render_table
 from .prompting import load_catalog
 from .repository import load_repository, repository_stats
-from .retrieval import MATCHERS, StrategyKind
+from .retrieval import MATCHERS, STRATEGY_NAMES, StrategyKind
 from .runner import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -44,7 +44,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PROVIDER = 3
 
-STRATEGY_NAMES = tuple(s.value for s in StrategyKind)
 TRUE_WORDS = ("true", "1", "yes")
 FALSE_WORDS = ("false", "0", "no")
 

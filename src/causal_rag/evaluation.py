@@ -1,8 +1,10 @@
 """Scoring: detection metrics, single-pair accuracy, and triplet P/R/F1.
 
-A run scores each prediction record as it is written: `sentence_outcome`
-turns a checked record and its instance into a few integers, and a `Tally`
-sums them into the report, through the formulas `detection_metrics`,
+`PredictionRecord` is the one definition of a prediction line: `line()` is
+its one encoding, and `PredictionRecord.of` checks every field of a line
+read back. A run scores each record as it is written: `sentence_outcome`
+turns a record and its instance into a few integers, and a `Tally` sums
+them into the report, through the formulas `detection_metrics`,
 `single_pair_accuracy` and `triplet_metrics` use on whole lists.
 
 Phrase matching is containment: every token of the gold phrase must appear,
@@ -14,14 +16,18 @@ illness" does not match "foodborne illness".
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+import re
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import (
     CauseEffectPair, LabeledInstance, Triplet, norm_tokens, pair_overlap, sentence_triplets,
 )
 from .errors import EmptyInputError
+from .jsonl import encode_line
 from .kernels import token_subsequence
+from .retrieval import ORIGINS, STRATEGY_NAMES, ExampleProvenance, StrategyKind
 
 MATCHING_MODES = ("greedy", "optimal")
 
@@ -222,33 +228,119 @@ def _triplets(matched: int, predicted_total: int, gold_total: int) -> TripletMet
     )
 
 
-def check_prediction(record: dict, task: str) -> str:
-    """The sentence id of `record`, a prediction of `task`, once the fields
-    scoring reads are checked; a record that does not fit is a KeyError,
-    TypeError or ValueError."""
-    if record["task"] != task:
-        raise ValueError(f"task is {record['task']!r}, expected {task!r}")
-    sid, count, failed = record["sentence_id"], record["example_count"], record["parse_error"]
-    if type(sid) is not str:
-        raise TypeError(f"sentence_id must be a string, got {sid!r}")
-    if type(count) is not int:
-        raise TypeError(f"example_count must be an integer, got {count!r}")
-    if type(failed) is not bool:
-        raise TypeError(f"parse_error must be true or false, got {failed!r}")
-    parsed = record["parsed"]
-    if (parsed is None) != failed:
-        raise ValueError("parsed must be null exactly when parse_error is true")
-    if failed:
-        return sid
-    if task == "detect":
-        label = parsed["label"]
-        if type(label) is not int or label not in (0, 1):
-            raise ValueError(f"parsed label must be 0 or 1, got {label!r}")
-    else:
-        for cause, effect in [(pair["cause"], pair["effect"]) for pair in parsed["pairs"]]:
-            if type(cause) is not str or type(effect) is not str:
-                raise TypeError("parsed pairs must hold string causes and effects")
-    return sid
+_HEX64 = re.compile("[0-9a-f]{64}")
+# (field, type, what it must be): the fields of a prediction line checked by type alone
+_TYPED = (("sentence_id", str, "a string"), ("example_count", int, "an integer"),
+          ("fallback_used", bool, "true or false"), ("provenance", list, "an array"),
+          ("response", str, "a string"), ("parse_error", bool, "true or false"))
+
+
+def _need(ok: bool, name: str, what: str, value: object) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _finite(value: object) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+@dataclass(frozen=True, slots=True)
+class PredictionRecord:
+    """One line of a prediction file: what a run asked, got and parsed for
+    one sentence, and where each example of its prompt came from. `parsed`
+    is None when the response did not parse, else {"label"} for detect and
+    {"pairs", "overlap_flag", "dropped_spans"} for extract. `line()` is the
+    one encoding of such a line and `of` the one check."""
+
+    sentence_id: str
+    task: str
+    strategy: StrategyKind
+    prompt_hash: str
+    example_count: int
+    fallback_used: bool
+    provenance: tuple[ExampleProvenance, ...]
+    response: str
+    parsed: dict | None
+    parse_error: bool
+    timing_ms: float
+
+    def line(self) -> str:
+        """The record as a prediction line, without its newline; provenance
+        scores are rounded to 6 places."""
+        provenance = []
+        for p in self.provenance:
+            entry: dict = {"record_id": p.record_id, "origin": p.origin}
+            if p.score is not None:
+                entry["score"] = round(p.score, 6)
+            if p.connective is not None:
+                entry["connective"] = p.connective
+            provenance.append(entry)
+        return encode_line({
+            "sentence_id": self.sentence_id, "task": self.task, "strategy": self.strategy.value,
+            "prompt_hash": self.prompt_hash, "example_count": self.example_count,
+            "fallback_used": self.fallback_used, "provenance": provenance,
+            "response": self.response, "parsed": self.parsed, "parse_error": self.parse_error,
+            "timing_ms": self.timing_ms,
+        })
+
+    @classmethod
+    def of(cls, obj: dict, task: str) -> PredictionRecord:
+        """The record a prediction line's object holds, every field checked
+        against a run of `task`; one that does not fit is a KeyError,
+        TypeError or ValueError."""
+        if obj.keys() != _FIELDS:
+            missing, unknown = sorted(_FIELDS - obj.keys()), sorted(obj.keys() - _FIELDS)
+            raise KeyError(missing[0]) if missing else ValueError(f"unknown field {unknown[0]!r}")
+        if obj["task"] != task:
+            raise ValueError(f"task is {obj['task']!r}, expected {task!r}")
+        for name, kind, what in _TYPED:
+            _need(type(obj[name]) is kind, name, what, obj[name])
+        strategy, digest, timing = obj["strategy"], obj["prompt_hash"], obj["timing_ms"]
+        _need(strategy in STRATEGY_NAMES, "strategy", "one of " + ", ".join(STRATEGY_NAMES),
+              strategy)
+        _need(type(digest) is str and _HEX64.fullmatch(digest) is not None,
+              "prompt_hash", "64 lowercase hex digits", digest)
+        _need(_finite(timing) and timing >= 0, "timing_ms", "a finite number >= 0", timing)
+        provenance = tuple(map(_provenance_entry, obj["provenance"]))
+        count, parsed = obj["example_count"], obj["parsed"]
+        _need(count == len(provenance), "example_count",
+              f"{len(provenance)}, the number of provenance entries", count)
+        if (parsed is None) != obj["parse_error"]:
+            raise ValueError("parsed must be null exactly when parse_error is true")
+        if parsed is not None and task == "detect":
+            label = parsed["label"]
+            _need(type(label) is int and label in (0, 1), "parsed label", "0 or 1", label)
+        elif parsed is not None:
+            for cause, effect in [(pair["cause"], pair["effect"]) for pair in parsed["pairs"]]:
+                if type(cause) is not str or type(effect) is not str:
+                    raise TypeError("parsed pairs must hold string causes and effects")
+            _need(type(parsed["overlap_flag"]) is bool, "overlap_flag", "true or false",
+                  parsed["overlap_flag"])
+            dropped = parsed["dropped_spans"]
+            _need(type(dropped) is int and dropped >= 0, "dropped_spans", "an integer >= 0",
+                  dropped)
+        return cls(obj["sentence_id"], task, StrategyKind(strategy), digest, count,
+                   obj["fallback_used"], provenance, obj["response"], parsed,
+                   obj["parse_error"], timing)
+
+
+_FIELDS = frozenset(field.name for field in fields(PredictionRecord))
+_PROVENANCE_FIELDS = frozenset(field.name for field in fields(ExampleProvenance))
+
+
+def _provenance_entry(entry: object) -> ExampleProvenance:
+    """One entry of a prediction line's provenance, checked."""
+    _need(type(entry) is dict, "each provenance entry", "an object", entry)
+    if entry.keys() - _PROVENANCE_FIELDS:
+        raise ValueError(f"unknown provenance field {min(entry.keys() - _PROVENANCE_FIELDS)!r}")
+    p = ExampleProvenance(entry["record_id"], entry["origin"],
+                          entry.get("score"), entry.get("connective"))
+    _need(type(p.record_id) is str, "provenance record_id", "a string", p.record_id)
+    _need(p.origin in ORIGINS, "provenance origin", "one of " + ", ".join(ORIGINS), p.origin)
+    _need(p.score is None or _finite(p.score), "provenance score", "a finite number", p.score)
+    _need(p.connective is None or type(p.connective) is str, "provenance connective",
+          "a string", p.connective)
+    return p
 
 
 class Outcome(NamedTuple):
@@ -262,13 +354,13 @@ class Outcome(NamedTuple):
 
 
 def sentence_outcome(
-    record: dict, instance: LabeledInstance, single_pair: bool = False, matching: str = "greedy"
+    record: PredictionRecord, instance: LabeledInstance, single_pair: bool = False,
+    matching: str = "greedy",
 ) -> Outcome:
-    """What `record`, a checked prediction for `instance`, adds to its
-    report. An unparseable response scores as a failure: a wrong label, no
+    """What `record`, a prediction for `instance`, adds to its report. An unparseable response scores as a failure: a wrong label, no
     pair, no triplet."""
-    parsed, sentence = record["parsed"], instance.sentence
-    if record["task"] == "detect":
+    parsed, sentence = record.parsed, instance.sentence
+    if record.task == "detect":
         predicted = 1 - instance.label if parsed is None else parsed["label"]
         counts = _confusion_cell(predicted, instance.label)
     elif single_pair:
@@ -282,7 +374,7 @@ def sentence_outcome(
                      for p in ([] if parsed is None else parsed["pairs"])]
         matched = (_greedy_matched if matching == "greedy" else _optimal_matched)(gold, predicted)
         counts = (matched, len(predicted), len(gold))
-    return Outcome(record["example_count"], record["parse_error"], counts)
+    return Outcome(record.example_count, record.parse_error, counts)
 
 
 class Tally:

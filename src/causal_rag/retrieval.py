@@ -29,6 +29,7 @@ from .prompting import PromptCatalog, connective_prompt
 from .repository import Repository, ExampleRecord, normalize_connective, parse_connective_response
 
 MATCHERS = ("edit_ratio", "token_containment")
+ORIGINS = ("random", "knn", "pattern", "random-fallback")
 
 
 class StrategyKind(Enum):
@@ -37,6 +38,9 @@ class StrategyKind(Enum):
     KNN = "knn"
     PATTERN = "pattern"
     KNN_PATTERN = "knn-pattern"
+
+
+STRATEGY_NAMES = tuple(kind.value for kind in StrategyKind)
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class RetrievalConfig:
 @dataclass(frozen=True)
 class ExampleProvenance:
     record_id: str
-    origin: str  # "random", "knn", "pattern", "random-fallback"
+    origin: str  # one of ORIGINS
     score: float | None = None
     connective: str | None = None
 

@@ -8,19 +8,21 @@ repository is embedded once, and the chat client asks the backend once per
 distinct request, connective prompts included, so a live sweep pays what a
 record sweep pays.
 
+Each record is an `evaluation.PredictionRecord`, written as its `line()`.
 Records stream to the output file in sentence-id order, each line written
 as soon as its record and every smaller id are done, so a killed run keeps
 all it wrote and a re-run resumes after it. The worker that makes a record
 also scores it (`evaluation.sentence_outcome`), and the outcome joins the
 run's `Tally` as the line is written: a run keeps nothing per record.
-Reading a prediction file back checks every line (one that does not fit
-the task is a `MalformedRecordError` naming the file and the line) and
-scores the lines of the run's own instances, a later line winning.
-`RunResult.records` reads the full records back. All sampling is salted
-with the sentence id, so outputs are byte-identical across runs and
-concurrency bounds whenever the transcript, seed, and config are fixed.
-Unparseable responses are scored as failures, never crashes; under the
-replay backend, timings are 0.0 to keep outputs reproducible.
+Reading a prediction file back checks every line through
+`PredictionRecord.of` (a line that does not fit is a `MalformedRecordError`
+naming the file and the line, before any provider call) and scores the
+lines of the run's own instances, a later line winning. `RunResult.records`
+reads the records back. All sampling is salted with the sentence id, so
+outputs are byte-identical across runs and concurrency bounds whenever the
+transcript, seed, and config are fixed. Unparseable responses are scored as
+failures, never crashes; under the replay backend, timings are 0.0 to keep
+outputs reproducible.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .embedding import (
 )
 from .errors import ProviderError, UnparseableResponseError
 from .evaluation import (
-    MATCHING_MODES, Outcome, Tally, build_report, check_prediction, sentence_outcome,
+    MATCHING_MODES, Outcome, PredictionRecord, Tally, build_report, sentence_outcome,
 )
 # the runner no longer calls these; perfbench/spans.py still wraps them by name
 from .evaluation import detection_metrics, single_pair_accuracy, triplet_metrics  # noqa: F401
@@ -57,7 +59,7 @@ from .gateway import (
     Transcript,
     request_hash,
 )
-from .jsonl import LineAppender, encode_line, read_jsonl
+from .jsonl import LineAppender, read_jsonl
 from .prompting import (
     PromptCatalog,
     default_catalog,
@@ -162,13 +164,14 @@ class RunResult:
     report: dict
     output_path: str
     sentence_ids: list[str]  # the run's instances, in id order
+    task: str
     skipped_existing: int = 0
 
     @property
-    def records(self) -> list[dict]:
-        """The run's full prediction records in id order, read back from
+    def records(self) -> list[PredictionRecord]:
+        """The run's prediction records in id order, read back from
         `output_path`."""
-        return _read_records(self.output_path, self.sentence_ids)
+        return _read_records(self.output_path, self.sentence_ids, self.task)
 
 
 def make_backend(name: str, transcript_path: str | None, base_url: str) -> Backend:
@@ -255,21 +258,9 @@ def _retrieve(
     )
 
 
-def _provenance_json(result: RetrievalResult) -> list[dict]:
-    out = []
-    for p in result.provenance:
-        entry: dict = {"record_id": p.record_id, "origin": p.origin}
-        if p.score is not None:
-            entry["score"] = round(p.score, 6)
-        if p.connective is not None:
-            entry["connective"] = p.connective
-        out.append(entry)
-    return out
-
-
 def _process_instance(
     instance: LabeledInstance, config: ExperimentConfig, session: _Session
-) -> dict:
+) -> PredictionRecord:
     started = time.perf_counter()
     retrieved = _retrieve(instance, config, session)
     sentence = instance.sentence
@@ -297,19 +288,11 @@ def _process_instance(
         parsed = None
 
     elapsed_ms = 0.0 if config.backend == "replay" else (time.perf_counter() - started) * 1000.0
-    return {
-        "sentence_id": sentence.id,
-        "task": config.task,
-        "strategy": config.strategy.value,
-        "prompt_hash": request_hash(request),
-        "example_count": prompt.example_count,
-        "fallback_used": retrieved.fallback_used,
-        "provenance": _provenance_json(retrieved),
-        "response": response,
-        "parsed": parsed,
-        "parse_error": parsed is None,
-        "timing_ms": round(elapsed_ms, 3),
-    }
+    return PredictionRecord(
+        sentence.id, config.task, config.strategy, request_hash(request), prompt.example_count,
+        retrieved.fallback_used, retrieved.provenance, response, parsed, parsed is None,
+        round(elapsed_ms, 3),
+    )
 
 
 def _read_outcomes(
@@ -321,30 +304,27 @@ def _read_outcomes(
     checked; only the instances' own lines are scored."""
     wanted = {inst.sentence.id: inst for inst in instances}
 
-    def parse(record: dict) -> tuple[str, str, Outcome | None]:
-        sid, strategy = check_prediction(record, task), record.get("strategy", "zeroshot")
-        if type(strategy) is not str:
-            raise TypeError(f"strategy must be a string, got {strategy!r}")
-        instance = wanted.get(sid)
-        outcome = instance and sentence_outcome(record, instance, single_pair, matching)
-        return sid, strategy, outcome
+    def parse(obj: dict) -> tuple[PredictionRecord, Outcome | None]:
+        record = PredictionRecord.of(obj, task)
+        instance = wanted.get(record.sentence_id)
+        return record, instance and sentence_outcome(record, instance, single_pair, matching)
 
     outcomes: dict[str, Outcome] = {}
     strategies: set[str] = set()
-    for sid, strategy, outcome in read_jsonl(path, parse):
-        strategies.add(strategy)
+    for record, outcome in read_jsonl(path, parse):
+        strategies.add(record.strategy.value)
         if outcome is not None:
-            outcomes[sid] = outcome
+            outcomes[record.sentence_id] = outcome
     return outcomes, strategies
 
 
-def _read_records(path: str | Path, ids: Sequence[str]) -> list[dict]:
-    """The full records of `ids` from a prediction file, in that order; a
-    later line wins."""
-    wanted: dict[str, dict | None] = dict.fromkeys(ids)
-    for sid, record in read_jsonl(path, lambda record: (record["sentence_id"], record)):
-        if sid in wanted:
-            wanted[sid] = record
+def _read_records(path: str | Path, ids: Sequence[str], task: str) -> list[PredictionRecord]:
+    """The records of `ids` from a prediction file of `task`, in that
+    order; every line is checked and a later line wins."""
+    wanted: dict[str, PredictionRecord | None] = dict.fromkeys(ids)
+    for record in read_jsonl(path, lambda obj: PredictionRecord.of(obj, task)):
+        if record.sentence_id in wanted:
+            wanted[record.sentence_id] = record
     return [wanted[sid] for sid in ids]
 
 
@@ -392,7 +372,7 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
 
     failures: list[tuple[int, ProviderError]] = []  # (position in `todo`, error)
 
-    def work(position: int, instance: LabeledInstance) -> tuple[dict, Outcome] | None:
+    def work(position: int, instance: LabeledInstance) -> tuple[PredictionRecord, Outcome] | None:
         # no instance behind a provider error starts; those ahead of it run
         if failures and position > min(p for p, _ in failures):
             return None
@@ -408,7 +388,7 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
             if result is None:  # failed or never started: later lines would break id order
                 return
             record, outcome = result
-            yield encode_line(record)
+            yield record.line()
             tally.add(outcome)  # once its line is written
 
     threaded = config.concurrency > 1 and len(todo) > 1
@@ -450,6 +430,7 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
         report=report,
         output_path=str(output_path),
         sentence_ids=sorted(inst.sentence.id for inst in instances),
+        task=config.task,
         skipped_existing=skipped_existing,
     )
 

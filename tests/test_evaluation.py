@@ -14,9 +14,9 @@ from causal_rag.errors import EmptyInputError
 from causal_rag.evaluation import (
     ConfusionCounts,
     ExtractionOutcome,
+    PredictionRecord,
     Tally,
     build_report,
-    check_prediction,
     containment_match,
     detection_metrics,
     norm_tokens,
@@ -423,15 +423,19 @@ def test_extraction_outcome_invariant() -> None:
 
 
 def _prediction(task: str, sid: str, count: int, answer) -> dict:
-    """A prediction record as a run writes it; `answer` None did not parse."""
+    """A prediction line's object as a run writes it, with `count` random
+    examples; `answer` None did not parse."""
     if answer is None:
         parsed = None
     elif task == "detect":
         parsed = {"label": answer}
     else:
-        parsed = {"pairs": [{"cause": p.cause, "effect": p.effect} for p in answer]}
-    return {"task": task, "sentence_id": sid, "example_count": count,
-            "parse_error": answer is None, "parsed": parsed}
+        parsed = {"pairs": [{"cause": p.cause, "effect": p.effect} for p in answer],
+                  "overlap_flag": False, "dropped_spans": 0}
+    return {"sentence_id": sid, "task": task, "strategy": "random", "prompt_hash": "0" * 64,
+            "example_count": count, "fallback_used": False,
+            "provenance": [{"origin": "random", "record_id": f"r{i}"} for i in range(count)],
+            "response": "", "parsed": parsed, "parse_error": answer is None, "timing_ms": 0.0}
 
 
 @pytest.mark.parametrize("task, single_pair, matching", [
@@ -459,8 +463,8 @@ def test_tally_of_sentence_outcomes_equals_one_scoring_pass_seeded(
             instance = LabeledInstance(TaggedSentence(f"s{i}", "text", gold, "t"), rng.randrange(2))
             answer = None if rng.random() < 0.2 else (
                 rng.randrange(2) if task == "detect" else pairs(3, 2)[: rng.randrange(4)])
-            record = _prediction(task, f"s{i}", rng.randrange(6), answer)
-            assert check_prediction(record, task) == f"s{i}"
+            record = PredictionRecord.of(_prediction(task, f"s{i}", rng.randrange(6), answer), task)
+            assert record.sentence_id == f"s{i}"
             instances.append(instance)
             records.append(record)
 
@@ -468,18 +472,18 @@ def test_tally_of_sentence_outcomes_equals_one_scoring_pass_seeded(
                     for r, inst in zip(records, instances)]
         metrics = Tally(task, single_pair, outcomes).metrics()
         assert Tally(task, single_pair, rng.sample(outcomes, len(outcomes))).metrics() == metrics
-        counts = [r["example_count"] for r in records]
+        counts = [r.example_count for r in records]
         assert [metrics.pop(key) for key in ("examples_mean", "examples_max", "parse_failures")] == [
-            round(sum(counts) / len(counts), 4), max(counts), sum(r["parse_error"] for r in records)]
+            round(sum(counts) / len(counts), 4), max(counts), sum(r.parse_error for r in records)]
 
         if task == "detect":
-            preds = [(1 - inst.label if r["parsed"] is None else r["parsed"]["label"], inst.label)
+            preds = [(1 - inst.label if r.parsed is None else r.parsed["label"], inst.label)
                      for r, inst in zip(records, instances)]
             assert metrics == asdict(detection_metrics(preds))
         elif single_pair:
             items = [(inst.sentence.id, inst.sentence.pairs[0],
-                      CauseEffectPair(**r["parsed"]["pairs"][0])
-                      if r["parsed"] and r["parsed"]["pairs"] else None)
+                      CauseEffectPair(**r.parsed["pairs"][0])
+                      if r.parsed and r.parsed["pairs"] else None)
                      for r, inst in zip(records, instances)]
             accuracy, scored = single_pair_accuracy(items)
             assert metrics == {"accuracy": accuracy, "successes": sum(o.success for o in scored),
@@ -488,8 +492,8 @@ def test_tally_of_sentence_outcomes_equals_one_scoring_pass_seeded(
         else:
             gold = [t(inst.sentence.id, p.cause, p.effect)
                     for inst in instances for p in inst.sentence.pairs]
-            predicted = [t(r["sentence_id"], p["cause"], p["effect"])
-                         for r in records if r["parsed"] for p in r["parsed"]["pairs"]]
+            predicted = [t(r.sentence_id, p["cause"], p["effect"])
+                         for r in records if r.parsed for p in r.parsed["pairs"]]
             assert metrics == asdict(triplet_metrics(gold, predicted, matching))
 
 

@@ -21,6 +21,7 @@ from causal_rag import cli, runner
 from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder
 from causal_rag.errors import MalformedRecordError, TransportError
+from causal_rag.evaluation import PredictionRecord
 from causal_rag.gateway import RecordBackend, ReplayBackend, ScriptedBackend, Transcript
 from causal_rag.jsonl import read_jsonl
 from causal_rag.repository import load_repository
@@ -80,10 +81,10 @@ def test_replay_fewshot_beats_zeroshot(tmp_path):
 
 def test_records_sorted_and_timing_zero_under_replay(tmp_path):
     result = run_experiment(replay_config(tmp_path, "detect", StrategyKind.KNN))
-    ids = [record["sentence_id"] for record in result.records]
+    ids = [record.sentence_id for record in result.records]
     assert ids == sorted(ids)
-    assert all(record["timing_ms"] == 0.0 for record in result.records)
-    assert all(record["strategy"] == "knn" for record in result.records)
+    assert all(record.timing_ms == 0.0 for record in result.records)
+    assert all(record.strategy is StrategyKind.KNN for record in result.records)
 
 
 def test_output_bytes_identical_across_concurrency(tmp_path):
@@ -129,9 +130,7 @@ def test_resume_completes_a_partial_output(tmp_path):
     out.write_text(lines[7] + "\n", encoding="utf-8")
     resumed = run_experiment(replay_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=out))
     assert resumed.skipped_existing == 1
-    assert {r["sentence_id"] for r in resumed.records} == {
-        r["sentence_id"] for r in full.records
-    }
+    assert {r.sentence_id for r in resumed.records} == {r.sentence_id for r in full.records}
     assert resumed.report["metrics"] == full.report["metrics"]
 
 
@@ -330,7 +329,7 @@ def test_unparseable_detection_scored_as_wrong(tmp_path):
     metrics = result.report["metrics"]
     assert metrics["parse_failures"] == 2
     assert metrics["accuracy"] == 0.0
-    assert all(record["parsed"] is None for record in result.records)
+    assert all(record.parsed is None for record in result.records)
 
 
 def test_extract_task_runs_only_causal_sentences(tmp_path):
@@ -339,7 +338,7 @@ def test_extract_task_runs_only_causal_sentences(tmp_path):
     )
     causal_ids = {s.id for s in DETECTION_SENTENCES if s.label == 1}
     result = run_experiment(config, backend=ScriptedBackend(FixtureResponder()))
-    assert {record["sentence_id"] for record in result.records} == causal_ids
+    assert {record.sentence_id for record in result.records} == causal_ids
 
 
 def test_single_pair_rejects_multi_pair_dataset(tmp_path):
@@ -532,10 +531,13 @@ def test_build_db_merges_inputs_and_matches_committed_db(tmp_path):
     "task, strategies, k_values",
     [
         ("extract", list(StrategyKind), [10]),
+        ("detect", list(StrategyKind), [10]),
         ("detect", [StrategyKind.RANDOM, StrategyKind.PATTERN], [1, 5, 10]),
     ],
 )
 def test_sweep_cells_equal_single_runs(tmp_path, task, strategies, k_values):
+    """Each sweep cell has the bytes of its own run, and each of its lines
+    is what reading it back as a `PredictionRecord` and encoding gives."""
     csv_path = tmp_path / "grid.csv"
     base = replay_config(tmp_path, task, StrategyKind.RANDOM, out=tmp_path / "unused.jsonl")
     sweep(base, strategies, k_values, str(csv_path))
@@ -547,6 +549,8 @@ def test_sweep_cells_equal_single_runs(tmp_path, task, strategies, k_values):
             assert cell.read_bytes() == alone.read_bytes(), cell.name
             assert (Path(f"{cell}.metrics.json").read_bytes()
                     == Path(f"{alone}.metrics.json").read_bytes()), cell.name
+            for line in cell.read_text(encoding="utf-8").splitlines(keepends=True):
+                assert PredictionRecord.of(json.loads(line), task).line() + "\n" == line
 
 
 def test_sweep_asks_each_sentence_for_its_connectives_once(tmp_path):
@@ -937,19 +941,36 @@ def eval_flags(out: Path, task: str) -> list[str]:
     ({"parse_error": False, "parsed": {"label": True}}, "parsed label must be 0 or 1, got True"),
     ({"parse_error": False, "parsed": {}}, "missing field 'label'"),
     ({"sentence_id": 3}, "sentence_id must be a string, got 3"),
+    ({"provenance": [{"origin": 7}]}, "missing field 'record_id'"),
+    ({"provenance": [{"origin": "oracle", "record_id": "db-001"}]},
+     "provenance origin must be one of random, knn, pattern, random-fallback, got 'oracle'"),
+    ({"prompt_hash": "g" * 64}, "prompt_hash must be 64 lowercase hex digits, got 'ggg"),
+    ({"fallback_used": "yes"}, "fallback_used must be true or false, got 'yes'"),
+    ({"response": 42}, "response must be a string, got 42"),
+    ({"note": "hand edited"}, "unknown field 'note'"),
+    ({"strategy": ...}, "missing field 'strategy'"),
+    ({"example_count": 99}, "example_count must be 5, the number of provenance entries, got 99"),
 ])
 @pytest.mark.parametrize("command", ["run", "eval"])
 def test_cli_prediction_line_that_does_not_fit_is_a_data_error_naming_it(
-        tmp_path, capsys, command, change, reason):
+        tmp_path, capsys, monkeypatch, command, change, reason):
+    """Line 3 of a pattern file of the first 10 sentences, changed (a key
+    changed to `...` is dropped): `eval` and a resumed `run` are data errors
+    naming the file, the line and the reason, and the run asks nothing."""
     out = tmp_path / "cli.jsonl"
-    assert main(run_flags(tmp_path)) == 0
-    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[2] = json.dumps({**json.loads(lines[2]), **change}) + "\n"
+    assert main(run_flags(tmp_path, strategy="pattern", k="5")) == 0
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)[:10]
+    record = {**json.loads(lines[2]), **change}
+    lines[2] = json.dumps({key: value for key, value in record.items() if value is not ...}) + "\n"
     out.write_text("".join(lines), encoding="utf-8")
     made = out.read_bytes()
     capsys.readouterr()
-    assert main(run_flags(tmp_path) if command == "run" else eval_flags(out, "detect")) == 2
+    provider = FailingReplay()  # counts every ask, and fails it
+    monkeypatch.setattr(runner, "make_backend", lambda *args: provider)
+    run = run_flags(tmp_path, strategy="pattern", k="5")
+    assert main(run if command == "run" else eval_flags(out, "detect")) == 2
     assert f"data error: {out}: line 3: {reason}" in capsys.readouterr().err
+    assert provider.asks == 0
     assert out.read_bytes() == made
 
 
@@ -961,7 +982,7 @@ def test_cli_prediction_line_that_does_not_fit_is_a_data_error_naming_it(
 def test_cli_extract_prediction_line_that_does_not_fit_is_named(tmp_path, capsys, pairs, reason):
     out = predictions_of(tmp_path, "extract")
     lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
-    parsed = {"pairs": pairs, "overlap_flag": False, "dropped_spans": []}
+    parsed = {"pairs": pairs, "overlap_flag": False, "dropped_spans": 0}
     lines[0] = json.dumps({**json.loads(lines[0]), "parse_error": False, "parsed": parsed}) + "\n"
     out.write_text("".join(lines), encoding="utf-8")
     assert main(eval_flags(out, "extract")) == 2
