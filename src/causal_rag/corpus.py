@@ -2,18 +2,18 @@
 
 The canonical on-disk form is JSON Lines, one object per line:
 ``{"id"?: str, "text": str, "label": 0|1, "pairs": [{"cause","effect"}, ...],
-"source": str}``. Importers for the three native formats (semeval, ade, li)
+"source": str}``, read and written through `jsonl` (a torn final line is
+refused). Importers for the three native formats (semeval, ade, li)
 convert into this form; see `load_dataset`.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     EmptyDatasetError,
@@ -25,7 +25,7 @@ from .errors import (
     UnbalancedTagsError,
     UnknownFormatError,
 )
-from .jsonl import encode_line
+from .jsonl import encode_line, read_json_objects, replace_lines
 
 TAG_RE = re.compile(r"</?(?:cause|effect)>")
 TOKEN_RE = re.compile(r"(</?(?:cause|effect)>)")
@@ -262,8 +262,6 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
     """One canonical record as an instance; a record that breaks the format
     is a KeyError, TypeError or ValueError. An id defaults to the source and
     the line number."""
-    if not isinstance(obj, dict):
-        raise TypeError("record is not a JSON object")
     text, label, source = obj["text"], obj["label"], obj.get("source", default_source)
     if not isinstance(text, str) or not text.strip():
         raise ValueError("'text' must be a non-empty string")
@@ -301,21 +299,6 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
         source=source,
     )
     return LabeledInstance(sentence=sentence, label=int(label))
-
-
-def read_json_lines(path: Path) -> Iterator[tuple[int, object]]:
-    """(file line, decoded JSON value) of each non-blank line of a dataset or
-    repository file; unlike a store's, its torn final line is an error."""
-    with open(path, "rb") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                raise MalformedRecordError(f"invalid JSON ({reason})", line_no, path) from None
-            yield line_no, obj
 
 
 # --- native format importers --------------------------------------------------
@@ -435,7 +418,8 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
     path = Path(path)
     if format not in FORMATS:
         raise UnknownFormatError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
-    numbered = read_json_lines(path) if format == "jsonl" else _IMPORTERS[format](path)
+    numbered = (read_json_objects(path, drop_torn_tail=False) if format == "jsonl"
+                else _IMPORTERS[format](path))
     instances = []
     for line_no, obj in numbered:
         try:
@@ -469,10 +453,8 @@ def to_canonical(split: DatasetSplit) -> list[dict]:
 
 
 def write_canonical(split: DatasetSplit, path: str | Path) -> None:
-    """Write a split as canonical JSONL."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for obj in to_canonical(split):
-            handle.write(encode_line(obj) + "\n")
+    """Write a split as canonical JSONL, replacing `path` atomically."""
+    replace_lines(path, map(encode_line, to_canonical(split)))
 
 
 def dataset_stats(split: DatasetSplit) -> DatasetStats:

@@ -1,19 +1,19 @@
-"""Append-only JSONL stores: the one reader and the one appender shared by
-prediction files, transcripts and embedding caches, and the one memo they
-and the chat client build on.
+"""Every JSONL read and every whole-file write: the one line reader, the one
+appender and the one atomic writer; and the memo shared by the stores and
+the chat client.
 
-Every store reads its file through `read_jsonl` with its own `parse`, the
-function that turns one line's object into what the store keeps, and
-appends through a `LineAppender`. A process killed in the middle of a write
-can leave a final line without its newline. The reader drops such a line,
-with a warning, when it does not parse as JSON; the appender's first line
-cuts it off (or ends it, if it parses). Damage on any other line, including
-a line that `parse` refuses, is a `MalformedRecordError` that names the
-file, the line and the reason.
+`read_json_objects` reads every JSONL file. A process killed in the middle
+of an append can leave a final line without its newline. Stores (prediction
+files, transcripts, embedding caches) drop such a line with a warning when
+it does not parse, and a `LineAppender` cuts it off (or ends it, if it
+parses) before its first line. Datasets and saved repositories, which
+nothing appends to, refuse it. A store reads through `read_jsonl` with its
+own `parse`. Any other damaged line, or one that `parse` refuses, is a
+`MalformedRecordError` that names the file, the line and the reason.
 
-`encode_line` is the one encoding of a stored line (keys sorted, non-ASCII
-text written as UTF-8), shared by prediction files, transcripts, embedding
-caches, saved repositories and canonical datasets.
+`replace_lines` writes every whole file (saved repositories, canonical
+datasets, metrics reports, sweep CSVs) in one rename. `encode_line` is the
+one encoding of a stored line (keys sorted, non-ASCII text as UTF-8).
 """
 
 from __future__ import annotations
@@ -36,29 +36,53 @@ T = TypeVar("T")
 encode_line: Callable[[object], str] = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T] = lambda obj: obj) -> Iterator[T]:
-    """`parse` of each JSON object of `path`, one per non-blank line, in file
-    order. A `KeyError`, `TypeError` or `ValueError` from `parse` means the
-    line does not fit the store."""
+def read_json_objects(path: str | Path, *, drop_torn_tail: bool = True) -> Iterator[tuple[int, dict]]:
+    """(file line, JSON object) of each non-blank line of `path`, in order.
+    A torn final line (no newline, no valid JSON) is dropped with a warning
+    when `drop_torn_tail`, else refused like any damaged line."""
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line.decode("utf-8"))
-            except ValueError as exc:
+            except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
                 reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                if not line.endswith(b"\n"):
+                if drop_torn_tail and not line.endswith(b"\n"):
                     LOGGER.warning("%s: dropped torn final line %d (%s)", path, line_no, reason)
                     return
                 raise MalformedRecordError(f"invalid JSON ({reason})", line_no, path) from None
             if not isinstance(obj, dict):
                 raise MalformedRecordError("expected a JSON object", line_no, path)
-            try:
-                item = parse(obj)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecordError(exc, line_no, path) from None
-            yield item
+            yield line_no, obj
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], T] = lambda obj: obj) -> Iterator[T]:
+    """`parse` of each object of a store's file, a torn tail dropped; a
+    `KeyError`, `TypeError` or `ValueError` from `parse` refuses the line."""
+    for line_no, obj in read_json_objects(path):
+        try:
+            item = parse(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecordError(exc, line_no, path) from None
+        yield item
+
+
+def replace_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Replace `path` with `lines`, each ended by a newline, written to a
+    temporary file in the same directory and renamed over `path`: a kill
+    leaves the old file or the new one, and a failure removes the temporary
+    file. Unlike `mkstemp`'s, a new file's mode follows the umask."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class Memo:

@@ -5,30 +5,30 @@ each normalized connective to at most `cap` record ids. Sampling under the
 cap uses per-(seed, connective, id) hash priorities: the kept set is the
 cap-many smallest priorities, so rebuilding the index from just the kept
 records reproduces it exactly. That property lets the saved file store only
-records plus (cap, seed) and rebuild the index at load.
+records plus (cap, seed) and rebuild the index at load. The file is read
+and written through `jsonl`, and every field of every record is checked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import os
 import re
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CauseEffectPair, TaggedSentence, normalize_lower, read_json_lines, render_tagged
+from .corpus import CauseEffectPair, TaggedSentence, normalize_lower, render_tagged
 from .errors import (
     MalformedRecordError,
     SchemaVersionMismatchError,
     UnparseableResponseError,
 )
 from .gateway import LlmClient
-from .jsonl import encode_line
+from .jsonl import encode_line, read_json_objects, replace_lines
 from .prompting import PromptCatalog, connective_prompt
 
 LOGGER = logging.getLogger(__name__)
@@ -242,19 +242,28 @@ def _record_to_json(record: ExampleRecord) -> dict:
 
 def _record_from_json(obj: dict) -> ExampleRecord:
     """One saved record; a record that breaks the format is a KeyError,
-    TypeError or ValueError."""
-    record = ExampleRecord(
-        id=obj["id"],
-        raw_text=obj["text"],
-        tagged_text=obj["tagged_text"],
-        pairs=tuple(CauseEffectPair(p["cause"], p["effect"]) for p in obj["pairs"]),
-        connectives=tuple(obj["connectives"]),
-        source=obj["source"],
-        connective_unverified=bool(obj.get("connective_unverified", False)),
+    TypeError or ValueError (plain `type(x) is` tests, cheap per record)."""
+    for key in ("id", "text", "tagged_text", "source"):
+        if type(obj[key]) is not str:
+            raise TypeError(f"'{key}' must be a string")
+    connectives, pairs = obj["connectives"], obj["pairs"]
+    if type(connectives) is not list or any(type(c) is not str for c in connectives):
+        raise TypeError("'connectives' must be an array of strings")
+    if not connectives:
+        raise ValueError(f"record {obj['id']} has no connectives")
+    if type(pairs) is not list or any(
+        type(p) is not dict or type(p["cause"]) is not str or type(p["effect"]) is not str
+        for p in pairs
+    ):
+        raise TypeError("'pairs' must be an array of objects with string 'cause' and 'effect'")
+    unverified = obj.get("connective_unverified", False)
+    if type(unverified) is not bool:
+        raise TypeError("'connective_unverified' must be a boolean")
+    return ExampleRecord(
+        obj["id"], obj["text"], obj["tagged_text"],
+        tuple(CauseEffectPair(p["cause"], p["effect"]) for p in pairs),
+        tuple(connectives), obj["source"], unverified,
     )
-    if not record.connectives:
-        raise ValueError(f"record {record.id} has no connectives")
-    return record
 
 
 def save_repository(repo: Repository, path: str | Path) -> None:
@@ -262,29 +271,19 @@ def save_repository(repo: Repository, path: str | Path) -> None:
 
     The index is not persisted; it is rebuilt at load from connectives plus
     (cap, seed), which reproduces it exactly (see module docstring)."""
-    path = Path(path)
-    header = encode_line({"schema_version": SCHEMA_VERSION, "cap": repo.cap, "seed": repo.seed})
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(header + "\n")
-            for record_id in repo.sorted_ids:
-                handle.write(encode_line(_record_to_json(repo.records[record_id])) + "\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    header = {"schema_version": SCHEMA_VERSION, "cap": repo.cap, "seed": repo.seed}
+    records = (_record_to_json(repo.records[record_id]) for record_id in repo.sorted_ids)
+    replace_lines(path, map(encode_line, chain((header,), records)))
 
 
 def load_repository(path: str | Path) -> Repository:
     """A saved repository; every format error names the file and the line."""
     path = Path(path)
-    lines = read_json_lines(path)
+    lines = read_json_objects(path, drop_torn_tail=False)
     line_no, header = next(lines, (1, None))
     if header is None:
         raise MalformedRecordError("repository file is empty (missing header)", 1, path)
-    if not isinstance(header, dict) or "schema_version" not in header:
+    if "schema_version" not in header:
         raise MalformedRecordError("first line is not a repository header", line_no, path)
     if header["schema_version"] != SCHEMA_VERSION:
         raise SchemaVersionMismatchError(

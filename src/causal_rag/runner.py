@@ -59,7 +59,7 @@ from .gateway import (
     Transcript,
     request_hash,
 )
-from .jsonl import LineAppender, read_jsonl
+from .jsonl import LineAppender, read_jsonl, replace_lines
 from .prompting import (
     PromptCatalog,
     default_catalog,
@@ -422,10 +422,7 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
     }
     report = build_report(tally.kind, tally.metrics(), config_echo)
     report_path = output_path.with_suffix(output_path.suffix + ".metrics.json")
-    report_path.write_text(
-        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    replace_lines(report_path, [json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)])
     return RunResult(
         report=report,
         output_path=str(output_path),
@@ -488,7 +485,7 @@ def sweep(
     check_grid(strategies, k_values)
     session = _Session(base_config, backend, embedder, catalog)
     reports = []
-    rows: list[tuple[str, int, str, object]] = []
+    lines = ["strategy,k,metric,value"]
     for strategy in strategies:
         for k in k_values:
             out = f"{csv_path}.{strategy.value}.k{k}.jsonl"
@@ -498,13 +495,10 @@ def sweep(
             for metric, value in sorted(result.report["metrics"].items()):
                 if isinstance(value, dict):
                     for sub, subvalue in sorted(value.items()):
-                        rows.append((strategy.value, k, f"{metric}.{sub}", subvalue))
+                        lines.append(f"{strategy.value},{k},{metric}.{sub},{subvalue}")
                 else:
-                    rows.append((strategy.value, k, metric, value))
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("strategy,k,metric,value\n")
-        for strategy_name, k, metric, value in rows:
-            handle.write(f"{strategy_name},{k},{metric},{value}\n")
+                    lines.append(f"{strategy.value},{k},{metric},{value}")
+    replace_lines(csv_path, lines)
     return reports
 
 

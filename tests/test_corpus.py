@@ -302,6 +302,30 @@ def test_load_jsonl_invalid_json_reports_line(tmp_path) -> None:
     assert excinfo.value.line_number == 2
 
 
+def test_a_torn_final_dataset_line_is_refused(tmp_path) -> None:
+    path = tmp_path / "torn.jsonl"
+    path.write_text('{"text": "fine", "label": 0}\n\n{"text": "cut sh', encoding="utf-8")
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(path, "jsonl")
+    assert excinfo.value.line_number == 3
+    assert str(excinfo.value).startswith(f"{path}: line 3: invalid JSON")
+
+
+def test_a_non_object_dataset_line_is_refused_with_the_shared_wording(tmp_path) -> None:
+    path = tmp_path / "list.jsonl"
+    path.write_text('{"text": "fine", "label": 0}\n["text", 0]\n', encoding="utf-8")
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(path, "jsonl")
+    assert str(excinfo.value) == f"{path}: line 2: expected a JSON object"
+
+
+def test_a_default_id_counts_blank_lines(tmp_path) -> None:
+    path = tmp_path / "gaps.jsonl"
+    path.write_text('\n{"text": "a", "label": 0}\n\n\n{"text": "b", "label": 0}', encoding="utf-8")
+    ids = [inst.sentence.id for inst in load_dataset(path, "jsonl").instances]
+    assert ids == ["gaps-000002", "gaps-000005"]
+
+
 def test_load_empty_dataset(tmp_path) -> None:
     path = tmp_path / "empty.jsonl"
     path.write_text("")

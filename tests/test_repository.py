@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from causal_rag import cli
 from causal_rag.corpus import parse_tagged_sentence
 from causal_rag.errors import (
     MalformedRecordError,
@@ -293,6 +295,7 @@ def test_repository_errors_name_the_file_and_the_line(tmp_path) -> None:
         (header + record.replace('["x"]', "[]"), "line 2: record a has no connectives"),
         ('{"schema_version": 1, "cap": "x", "seed": 0}\n', "line 1: header lacks integer cap/seed"),
         ("", "line 1: repository file is empty (missing header)"),
+        ('["schema_version", 1]\n', "line 1: expected a JSON object"),
     ]
     for text, reason in cases:
         path.write_text(text)
@@ -323,6 +326,51 @@ def test_load_record_without_connectives(tmp_path) -> None:
     )
     with pytest.raises(MalformedRecordError):
         load_repository(path)
+
+
+FIXTURE_DB = Path(__file__).resolve().parent / "fixtures" / "examples.db"
+PAIRS_REASON = "'pairs' must be an array of objects with string 'cause' and 'effect'"
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("id", 5, "'id' must be a string"),
+    ("text", 5, "'text' must be a string"),
+    ("tagged_text", None, "'tagged_text' must be a string"),
+    ("source", 7, "'source' must be a string"),
+    ("connectives", "because", "'connectives' must be an array of strings"),
+    ("connectives", ["caused by", 3], "'connectives' must be an array of strings"),
+    ("connectives", [], "record db-001 has no connectives"),
+    ("pairs", {"cause": "heavy rain", "effect": "The flood"}, PAIRS_REASON),
+    ("pairs", [["heavy rain", "The flood"]], PAIRS_REASON),
+    ("pairs", [{"cause": "heavy rain", "effect": None}], PAIRS_REASON),
+    ("pairs", [{"cause": "heavy rain"}], "missing field 'effect'"),
+    ("connective_unverified", "no", "'connective_unverified' must be a boolean"),
+    ("connective_unverified", 1, "'connective_unverified' must be a boolean"),
+])
+def test_every_field_of_a_saved_record_is_checked(tmp_path, capsys, field, value, reason) -> None:
+    lines = FIXTURE_DB.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    assert record["id"] == "db-001"
+    record[field] = value
+    lines[1] = json.dumps(record) + "\n"
+    path = tmp_path / "examples.db"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_repository(path)
+    assert str(excinfo.value) == f"{path}: line 2: {reason}"
+    assert cli.main(["stats", "--db", str(path)]) == cli.EXIT_DATA
+    assert f"{path}: line 2: {reason}" in capsys.readouterr().err
+
+
+def test_a_torn_final_line_of_a_repository_is_refused(tmp_path) -> None:
+    data = FIXTURE_DB.read_bytes()
+    path = tmp_path / "examples.db"
+    path.write_bytes(data[:-12])  # the kill cut the newline and the end of the last record
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_repository(path)
+    last = data.count(b"\n")
+    assert excinfo.value.line_number == last
+    assert str(excinfo.value).startswith(f"{path}: line {last}: invalid JSON")
 
 
 def test_repository_stats_shape() -> None:
