@@ -1,11 +1,15 @@
 """Sentence embeddings: remote or local providers, a JSONL cache, exact kNN.
 
-Cache keys are sha256 hashes of the normalized sentence (lowercased,
-whitespace-collapsed) plus the embedding model id, so re-running a pipeline
-never re-embeds text it has already seen. Search is an exact cosine scan over
-a matrix of the corpus vectors, built once: the candidate pools here are a
-few thousand vectors at most, where an exact scan is both faster to run and
-simpler to trust than an approximate index.
+Vectors are kept by key: the sha256 hash of the normalized sentence
+(lowercased, whitespace-collapsed) plus the embedding model id. An
+`EmbeddingService` is the one memo of a run's vectors, through the JSONL
+cache when there is one, so no text is embedded twice and re-running a
+pipeline with a cache never re-embeds text it has already seen. Search is an
+exact cosine scan over a matrix of the corpus vectors, built once: the
+candidate pools here are a few thousand vectors at most, where an exact scan
+is both faster to run and simpler to trust than an approximate index. Once
+the service has written a vector into the matrix, its memo keeps a view of
+that row, so each corpus vector is held once.
 
 numpy is imported where a vector is first made or scanned, so runs that
 never embed (random, pattern and zeroshot retrieval, `build-db`, `eval`,
@@ -15,9 +19,9 @@ never embed (random, pattern and zeroshot retrieval, `build-db`, `eval`,
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 
 from .corpus import normalize_lower as normalize_for_key
 from .errors import DimensionMismatchError, ZeroVectorError
@@ -84,7 +88,7 @@ def vector_from_json(values, model_id: str) -> EmbeddingVector:
     """An embedding from a decoded JSON value, which must be a non-empty
     array of finite numbers; anything else is a TypeError or ValueError."""
     # numpy would read a string, a null or a boolean as a number
-    if type(values) is not list or not all(type(v) in (int, float) for v in values):
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
         raise TypeError("embedding must be a JSON array of numbers")
     try:
         return EmbeddingVector(values=values, model_id=model_id)
@@ -210,44 +214,77 @@ class EmbeddingCache(Memo):
         return kept
 
 
-def embed(text: str, provider: EmbeddingProvider, cache: EmbeddingCache | None = None) -> EmbeddingVector:
-    """Fetch one embedding, going to the provider only on a cache miss;
-    concurrent misses on one text make a single provider call."""
+def embed(text: str, provider: EmbeddingProvider, memo: Memo,
+          key: EmbeddingKey | None = None) -> EmbeddingVector:
+    """Fetch one embedding, going to the provider only on a miss in `memo`
+    (an `EmbeddingCache` or a plain memo of vectors); concurrent misses on
+    one text make a single provider call. `key` is the text's
+    `embedding_key`, computed when not given."""
     if not text.strip():
         raise ValueError("cannot embed empty text")
-    if cache is None:
-        return provider.embed_text(text)
-    key = embedding_key(text, provider.model_id)
-    hit = cache.get(key)
+    if key is None:
+        key = embedding_key(text, provider.model_id)
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    return cache.fill(key, lambda: provider.embed_text(text))
+    return memo.fill(key, lambda: provider.embed_text(text))
 
 
 @dataclass
 class EmbeddingService:
-    """A provider plus optional write-through cache, as one handle."""
+    """A provider and the one memo of its vectors, by `embedding_key`: the
+    write-through `cache` when given, else a memo in memory. A text is
+    embedded at most once per service, whoever asks for it.
+
+    `index` makes the index's matrix the only copy of each corpus vector:
+    the memo then keeps a read-only view of the text's row in place of the
+    vector the provider or the cache file gave."""
 
     provider: EmbeddingProvider
     cache: EmbeddingCache | None = None
+    memo: Memo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.memo = self.cache if self.cache is not None else Memo()
 
     @property
     def model_id(self) -> str:
         return self.provider.model_id
 
-    def vector(self, text: str) -> EmbeddingVector:
-        return embed(text, self.provider, self.cache)
+    def vector(self, text: str, key: EmbeddingKey | None = None) -> EmbeddingVector:
+        """The vector of `text`; `key` is its `embedding_key`, computed
+        when not given."""
+        return embed(text, self.provider, self.memo, key)
+
+    def index(self, ids: Sequence[str], texts: Sequence[str]) -> VectorIndex:
+        """A `VectorIndex` of the vectors of `texts`, one row per id. Each
+        text's memo entry is rebound to its row's view as soon as the row
+        is written, so the vector it replaces (just embedded, or loaded
+        from the cache file) is freed before the next text is embedded."""
+        key = None  # the key of the text last embedded, computed once
+
+        def vectors() -> Iterator[EmbeddingVector]:
+            nonlocal key
+            for text in texts:
+                key = embedding_key(text, self.model_id)
+                yield self.vector(text, key)
+
+        return VectorIndex(ids, vectors(), on_row=lambda row: self.memo.rebind(key, row))
 
 
 class VectorIndex:
-    """The vectors of a corpus as the rows of one matrix, with their norms.
+    """The vectors of a corpus as the rows of one read-only matrix, with
+    their norms.
 
     `ids` must be strictly ascending: row order is then the tie order of
-    `knn_search`. Each vector is copied into its row as it comes and not
-    kept, but a cache keeps the vectors it served: with a cache the corpus
-    is in memory twice, 8 bytes a component each time."""
+    `knn_search`. Each vector is copied into its row as it comes, and the
+    index keeps no reference to it. `on_row`, when given, is handed each
+    row as soon as it is written, as an `EmbeddingVector` over a read-only
+    view of the row: the holder of the vector that came in may keep that
+    instead, and so hold no second copy (`EmbeddingService.index`)."""
 
-    def __init__(self, ids: Sequence[str], vectors: Iterable[EmbeddingVector]):
+    def __init__(self, ids: Sequence[str], vectors: Iterable[EmbeddingVector],
+                 on_row: Callable[[EmbeddingVector], None] | None = None):
         if not ids:
             raise ValueError("corpus must be non-empty")
         if any(a >= b for a, b in zip(ids, ids[1:])):
@@ -255,13 +292,27 @@ class VectorIndex:
         import numpy as np
 
         self.ids = tuple(ids)
+        vectors = iter(vectors)
         matrix = np.empty((0, 0))
-        for row, (_, vector) in enumerate(zip(self.ids, vectors, strict=True)):
+        # `next` rather than `zip`: zip would hold each vector until the
+        # next one is made
+        for row in range(len(self.ids)):
+            vector = next(vectors, None)
+            if vector is None:
+                raise ValueError("fewer vectors than ids")
             if row == 0:
                 matrix = np.empty((len(self.ids), vector.dim), dtype=np.float64)
             elif vector.dim != matrix.shape[1]:
                 raise DimensionMismatchError(f"dim {matrix.shape[1]} vs {vector.dim}")
             matrix[row] = vector.values
+            if on_row is not None:
+                view = matrix[row]
+                view.flags.writeable = False
+                on_row(EmbeddingVector(values=view, model_id=vector.model_id))
+            del vector
+        if next(vectors, None) is not None:
+            raise ValueError("more vectors than ids")
+        matrix.flags.writeable = False
         self.matrix = matrix
         self.norms = np.sqrt(np.vecdot(matrix, matrix))
         if not self.norms.all():

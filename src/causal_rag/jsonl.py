@@ -108,6 +108,11 @@ class Memo:
         self._values[key] = value
         return value
 
+    def rebind(self, key: Hashable, value) -> None:
+        """Keep `value` under `key` in place of the equal value kept there,
+        persisting nothing: a holder of an equal copy frees the memo's."""
+        self._values[key] = value
+
     def fill(self, key: Hashable, compute: Callable[[], object]):
         """The value kept under `key`, computed and put when absent."""
         value = self._values.get(key)

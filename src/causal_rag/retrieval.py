@@ -146,9 +146,10 @@ def retrieve_random(repo: Repository, cfg: RetrievalConfig, salt: str = "") -> R
 
 
 def knn_index(repo: Repository, embeddings: EmbeddingService) -> VectorIndex:
-    """The repository's vectors, one row per record in ascending id order."""
+    """The repository's vectors, one row per record in ascending id order;
+    the index holds the service's only copy of each."""
     rows = sorted(repo.records.items())
-    return VectorIndex([rid for rid, _ in rows], (embeddings.vector(r.raw_text) for _, r in rows))
+    return embeddings.index([rid for rid, _ in rows], [r.raw_text for _, r in rows])
 
 
 def retrieve_knn(

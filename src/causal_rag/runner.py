@@ -3,10 +3,10 @@
 A run walks every input instance: retrieve examples under the configured
 strategy, assemble the prompt, complete it, parse the response, and append
 one prediction record per sentence. A run, or a whole sweep, shares one
-session: the dataset, repository and transcript are loaded once, the
-repository is embedded once, and the chat client asks the backend once per
-distinct request, connective prompts included, so a live sweep pays what a
-record sweep pays.
+session: the dataset, repository and transcript are loaded once, no text
+is embedded twice, and the chat client asks the backend once per distinct
+request, connective prompts included, so a live sweep pays what a record
+sweep pays.
 
 Each record is an `evaluation.PredictionRecord`, written as its `line()`.
 Records stream to the output file in sentence-id order, each line written
@@ -39,7 +39,6 @@ from .corpus import DatasetSplit, LabeledInstance, load_dataset
 from .embedding import (
     EmbeddingCache,
     EmbeddingService,
-    EmbeddingVector,
     HttpEmbeddingProvider,
     LocalHashEmbedder,
     VectorIndex,
@@ -206,8 +205,9 @@ def _select_instances(split: DatasetSplit, task: str, single_pair: bool) -> list
 class _Session:
     """What every cell of one run or sweep shares, loaded once: the catalog,
     the selected instances, the repository, the chat client with its
-    answers, the query vectors by sentence id and, once a kNN cell needs
-    them, the embedding service and the repository's vector index."""
+    answers and, once a kNN cell needs them, the embedding service (the one
+    memo of repository and query vectors) and the repository's vector
+    index, whose rows are the service's copy of each repository vector."""
 
     def __init__(self, config: ExperimentConfig, backend: Backend | None, embedder,
                  catalog: PromptCatalog | None):
@@ -229,9 +229,6 @@ class _Session:
         self.embedder = embedder
         self.embeddings: EmbeddingService | None = None
         self.index: VectorIndex | None = None
-        # each sentence id goes to one worker per cell and cells run one
-        # after another, so no two threads touch one key at the same time
-        self.queries: dict[str, EmbeddingVector] = {}
 
 
 def _retrieve(
@@ -246,16 +243,13 @@ def _retrieve(
     text = instance.sentence.raw_text
     if strategy is StrategyKind.RANDOM:
         return retrieve_random(repo, rcfg, salt=sid)
-    if strategy is not StrategyKind.PATTERN and sid not in session.queries:
-        session.queries[sid] = session.embeddings.vector(text)
+    query = None if strategy is StrategyKind.PATTERN else session.embeddings.vector(text)
     if strategy is StrategyKind.KNN:
-        return retrieve_knn(session.queries[sid], repo, session.index, rcfg)
+        return retrieve_knn(query, repo, session.index, rcfg)
     connectives = input_connectives(text, session.llm, session.catalog)
     if strategy is StrategyKind.PATTERN:
         return retrieve_pattern(connectives, repo, rcfg, salt=sid)
-    return retrieve_knn_pattern(
-        session.queries[sid], connectives, repo, session.index, rcfg, salt=sid
-    )
+    return retrieve_knn_pattern(query, connectives, repo, session.index, rcfg, salt=sid)
 
 
 def _process_instance(

@@ -30,6 +30,7 @@ from causal_rag.errors import (
     ProviderError,
     ZeroVectorError,
 )
+from causal_rag.jsonl import Memo
 
 
 def vec(*values: float, model: str = "m") -> EmbeddingVector:
@@ -262,7 +263,11 @@ def test_damaged_cache_line_is_named(tmp_path) -> None:
     ({"vector": [1, [2]]}, "embedding must be a JSON array of numbers"),
     ({"vector": "xx"}, "embedding must be a JSON array of numbers"),
     ({"vector": [None, 1.0]}, "embedding must be a JSON array of numbers"),
+    ({"vector": [True, False]}, "embedding must be a JSON array of numbers"),
+    ({"vector": [1.5, False]}, "embedding must be a JSON array of numbers"),
+    ({"vector": [1, "1"]}, "embedding must be a JSON array of numbers"),
     ({"vector": [10**400, 1.0]}, "embedding components must be finite"),
+    ({"vector": [float("nan"), 1.0]}, "embedding components must be finite"),
     ({"vector": [1.0, 2.0, 3.0]}, "model 'm' previously produced dim 2, got 3"),
     ({"key": None}, "key and model must be strings"),
     ({"model": ["m"]}, "key and model must be strings"),
@@ -416,7 +421,7 @@ def test_fill_retries_after_a_failed_embedding(tmp_path) -> None:
 
 def test_embed_rejects_empty_text() -> None:
     with pytest.raises(ValueError):
-        embed("  ", LocalHashEmbedder(dim=8), None)
+        embed("  ", LocalHashEmbedder(dim=8), Memo())
 
 
 def test_cosine_identity_and_orthogonal() -> None:

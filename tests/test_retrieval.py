@@ -3,16 +3,30 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from test_embedding import cosine_similarity
 from test_kernels import reference_levenshtein
 
-from causal_rag.embedding import EmbeddingCache, EmbeddingService, LocalHashEmbedder, VectorIndex
+from causal_rag.embedding import (
+    EmbeddingCache,
+    EmbeddingService,
+    LocalHashEmbedder,
+    VectorIndex,
+    embedding_key,
+)
 from causal_rag.errors import EmptyConnectiveError
 from causal_rag.gateway import CompletionRequest, LlmClient, ScriptedBackend
-from causal_rag.repository import ExampleRecord, Repository, build_index, normalize_connective
+from causal_rag.repository import (
+    ExampleRecord,
+    Repository,
+    build_index,
+    load_repository,
+    normalize_connective,
+)
 from causal_rag.retrieval import (
     MATCHERS,
     RetrievalConfig,
@@ -28,6 +42,8 @@ from causal_rag.retrieval import (
     retrieve_random,
     zeroshot_result,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 WORDS = [
     "storm", "flood", "outage", "fire", "drought", "quake", "landslide",
@@ -226,6 +242,30 @@ def test_knn_uses_cache(tmp_path) -> None:
     assert calls_after_first == len(repo.records) + 1
     retrieve_knn(svc.vector("first query"), repo, knn_index(repo, svc), cfg())
     assert embedder.calls == calls_after_first  # every text cached
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["memo", "cache"])
+def test_knn_index_rows_are_the_only_copy_of_each_vector(tmp_path, cached) -> None:
+    repo = load_repository(FIXTURES / "examples.db")
+    path = tmp_path / "c.jsonl"
+    if cached:  # a warm cache: every vector is first loaded from the file
+        knn_index(repo, EmbeddingService(LocalHashEmbedder(dim=64), EmbeddingCache(path)))
+        written = path.read_bytes()
+    embedder = LocalHashEmbedder(dim=64)
+    svc = EmbeddingService(embedder, EmbeddingCache(path) if cached else None)
+    index = knn_index(repo, svc)
+    assert embedder.calls == (0 if cached else len(repo.records))
+    if cached:  # rebinding a kept vector to its row writes nothing
+        assert path.read_bytes() == written
+    for row, rid in enumerate(index.ids):
+        vector = svc.vector(repo.records[rid].raw_text)
+        assert np.shares_memory(vector.values, index.matrix)
+        assert np.array_equal(vector.values, index.matrix[row])
+        assert vector == embedder.embed_text(repo.records[rid].raw_text)
+    assert not index.matrix.flags.writeable
+    # the memo keeps the rows in place of the vectors it was given
+    assert len(svc.memo) == len({embedding_key(r.raw_text, embedder.model_id)
+                                 for r in repo.records.values()})
 
 
 def test_pattern_exact_match_caps_at_k() -> None:

@@ -15,11 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from fixture_llm import DETECTION_SENTENCES, FIXTURE_MODEL_ID, FixtureResponder
+from fixture_llm import (
+    DB_SENTENCES,
+    DETECTION_SENTENCES,
+    FIXTURE_MODEL_ID,
+    FixtureResponder,
+    canonical_record,
+)
 
 from causal_rag import cli, runner
 from causal_rag.cli import build_parser, main
-from causal_rag.embedding import LocalHashEmbedder
+from causal_rag.embedding import LocalHashEmbedder, normalize_for_key
 from causal_rag.errors import MalformedRecordError, TransportError
 from causal_rag.evaluation import PredictionRecord
 from causal_rag.gateway import RecordBackend, ReplayBackend, ScriptedBackend, Transcript
@@ -597,26 +603,48 @@ class CountingEmbedder(LocalHashEmbedder):
         return super().embed_text(text)
 
 
-def test_knn_embeds_the_repository_once_per_run(tmp_path):
-    out = tmp_path / "out.jsonl"
+@pytest.mark.parametrize("cached", [False, True], ids=["memo", "cache"])
+@pytest.mark.parametrize("concurrency", [1, 3])
+@pytest.mark.parametrize("strategy", [StrategyKind.KNN, StrategyKind.KNN_PATTERN],
+                         ids=lambda strategy: strategy.value)
+def test_knn_embeds_the_repository_once_per_run(tmp_path, strategy, concurrency, cached):
+    # one input repeats a repository sentence: it is embedded once, for both
+    repeated = replace(DB_SENTENCES[0], id="det-999")
+    dataset = tmp_path / "detect.jsonl"
+    dataset.write_text(
+        (FIXTURES / "detect.jsonl").read_text(encoding="utf-8")
+        + json.dumps(canonical_record(repeated, "fixture-detect")) + "\n",
+        encoding="utf-8",
+    )
+    records = load_repository(FIXTURES / "examples.db").records.values()
+    repository_texts = {normalize_for_key(r.raw_text) for r in records}
+    assert normalize_for_key(repeated.text) in repository_texts
+    texts = sorted(repository_texts | {normalize_for_key(s.text) for s in DETECTION_SENTENCES})
+
+    def embedded(embedder: CountingEmbedder) -> list[str]:
+        return sorted(map(normalize_for_key, embedder.texts))
+
+    backend = ScriptedBackend(FixtureResponder())
+    config = scripted_config(
+        tmp_path, "detect", strategy, dataset=dataset, out=tmp_path / "out.jsonl",
+        concurrency=concurrency, cache_path=str(tmp_path / "run.emb") if cached else None,
+    )
     embedder = CountingEmbedder()
-    config = replay_config(tmp_path, "detect", StrategyKind.KNN, out=out)
-    run_experiment(config, embedder=embedder)
-    records = len(load_repository(FIXTURES / "examples.db").records)
-    queries = {s.text for s in DETECTION_SENTENCES}
-    assert embedder.calls == records + len(queries)
-    assert Counter(embedder.texts).most_common(1)[0][1] == 1
+    run_experiment(config, backend=backend, embedder=embedder)
+    assert embedded(embedder) == texts
 
     resumed = CountingEmbedder()
-    assert run_experiment(config, embedder=resumed).skipped_existing == len(queries)
+    result = run_experiment(config, backend=backend, embedder=resumed)
+    assert result.skipped_existing == len(DETECTION_SENTENCES) + 1
     assert resumed.calls == 0
 
-    # a sweep embeds each query once, however many kNN cells use it
+    # a sweep embeds each text once, however many kNN cells use it
+    if cached:
+        config = replace(config, cache_path=str(tmp_path / "sweep.emb"))
     sweeping = CountingEmbedder()
     sweep(config, [StrategyKind.KNN, StrategyKind.KNN_PATTERN], [10],
-          str(tmp_path / "grid.csv"), embedder=sweeping)
-    assert sweeping.calls == records + len(queries)
-    assert Counter(sweeping.texts).most_common(1)[0][1] == 1
+          str(tmp_path / "grid.csv"), backend=backend, embedder=sweeping)
+    assert embedded(sweeping) == texts
 
 
 def test_sweep_csv_shape_and_example_counts(tmp_path):
