@@ -9,6 +9,9 @@ concatenates both blocks, kNN first, deduplicated by record id. Each
 strategy builds only its provenance list; `RetrievalResult.of` looks up the
 records it names.
 
+Neither a sentence's pattern candidates nor its kNN ranking depends on k,
+so a sweep keeps each for its other cells in a `SentenceWork`.
+
 All sampling is driven by (seed, salt) so that a fixed configuration
 reproduces identical choices; the runner salts with the input sentence id,
 giving per-sentence variety without losing reproducibility.
@@ -21,9 +24,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from .embedding import EmbeddingService, EmbeddingVector, VectorIndex, knn_search
+from .embedding import EmbeddingService, EmbeddingVector, NeighborHit, VectorIndex, knn_search
 from .errors import EmptyConnectiveError, UnparseableResponseError
 from .gateway import LlmClient
+from .jsonl import Memo
 from .kernels import edit_ratio, token_subsequence
 from .prompting import PromptCatalog, connective_prompt
 from .repository import Repository, ExampleRecord, normalize_connective, parse_connective_response
@@ -89,6 +93,37 @@ class RetrievalResult:
         `provenance`, in provenance order."""
         examples = tuple(repo.records[p.record_id] for p in provenance)
         return cls(examples, tuple(provenance), strategy, fallback_used)
+
+
+@dataclass(frozen=True)
+class SentenceWork:
+    """Where one sentence's k-independent retrieval work is kept, by its
+    `sentence_id`, for the other cells of a sweep that need it. `hits`
+    keeps its kNN hits at the grid's largest k, `depth`: the ranking is a
+    stable sort, so the top k is a prefix of the top depth. `candidates`
+    keeps its pattern candidate map; only the down-sample to k differs per
+    cell. A memo that is None keeps nothing, and each call does its own
+    work at its own k (`UNSHARED` keeps neither)."""
+
+    sentence_id: str
+    depth: int = 0
+    hits: Memo | None = None
+    candidates: Memo | None = None
+
+    def knn_hits(self, query: EmbeddingVector, index: VectorIndex, k: int) -> list[NeighborHit]:
+        if self.hits is None:
+            return knn_search(query, index, k)
+        return self.hits.fill(self.sentence_id, lambda: knn_search(query, index, self.depth))[:k]
+
+    def pattern_candidates(self, input_connectives: Sequence[str], repo: Repository,
+                           cfg: RetrievalConfig) -> dict[str, tuple[float, str]]:
+        if self.candidates is None:
+            return _pattern_candidates(input_connectives, repo, cfg)
+        return self.candidates.fill(
+            self.sentence_id, lambda: _pattern_candidates(input_connectives, repo, cfg))
+
+
+UNSHARED = SentenceWork("")
 
 
 def zeroshot_result() -> RetrievalResult:
@@ -157,11 +192,12 @@ def retrieve_knn(
     repo: Repository,
     index: VectorIndex,
     cfg: RetrievalConfig,
+    work: SentenceWork = UNSHARED,
 ) -> RetrievalResult:
     """Top-k repository records by embedding similarity to the input's
     vector `query`; `index` is `knn_index(repo, embeddings)`, embedded
     by the same service as the query."""
-    hits = knn_search(query, index, cfg.k)
+    hits = work.knn_hits(query, index, cfg.k)
     provenance = [ExampleProvenance(h.record_id, "knn", score=h.similarity) for h in hits]
     return RetrievalResult.of(repo, provenance, StrategyKind.KNN)
 
@@ -199,6 +235,7 @@ def retrieve_pattern(
     repo: Repository,
     cfg: RetrievalConfig,
     salt: str = "",
+    work: SentenceWork = UNSHARED,
 ) -> RetrievalResult:
     """Records indexed under connectives similar to the input's connective.
 
@@ -207,7 +244,7 @@ def retrieve_pattern(
     """
     if not repo.records:
         raise ValueError("repository is empty")
-    best = _pattern_candidates(input_connectives, repo, cfg)
+    best = work.pattern_candidates(input_connectives, repo, cfg)
     if not best:
         if not cfg.fallback_to_random:
             return RetrievalResult.of(repo, [], StrategyKind.PATTERN)
@@ -232,11 +269,12 @@ def retrieve_knn_pattern(
     index: VectorIndex,
     cfg: RetrievalConfig,
     salt: str = "",
+    work: SentenceWork = UNSHARED,
 ) -> RetrievalResult:
     """Concatenate the kNN block and the pattern block, kNN first, then drop
     duplicate record ids keeping the first occurrence; at most 2k examples."""
-    knn = retrieve_knn(query, repo, index, cfg)
-    pattern = retrieve_pattern(input_connectives, repo, cfg, salt)
+    knn = retrieve_knn(query, repo, index, cfg, work)
+    pattern = retrieve_pattern(input_connectives, repo, cfg, salt, work)
     first: dict[str, ExampleProvenance] = {}  # by record id, in insertion order
     for p in knn.provenance + pattern.provenance:
         first.setdefault(p.record_id, p)

@@ -6,15 +6,26 @@ one prediction record per sentence. A run, or a whole sweep, shares one
 session: the dataset, repository and transcript are loaded once, no text
 is embedded twice, and the chat client asks the backend once per distinct
 request, connective prompts included, so a live sweep pays what a record
-sweep pays.
+sweep pays. Each sentence's pattern candidates and kNN hits are worked out
+once for all the cells of a sweep that use them.
+
+A sweep, and a run as a sweep of one cell, is one stream: every cell is
+opened first (its file read and checked, or removed under `force`), then
+its (cell, sentence) tasks go through one pool of `concurrency` workers, in
+cell order and then id order, a few tasks a worker queued ahead. No worker
+waits at a cell boundary, and the kNN index is built on the main thread
+when the stream first reaches a kNN task, while the tasks queued ahead of
+it wait on the provider. A provider error stops the stream: no task behind
+it starts, and everything ahead of it is written.
 
 Each record is an `evaluation.PredictionRecord`, written as its `line()`.
-Records stream to the output file in sentence-id order, each line written
-as soon as its record and every smaller id are done, so a killed run keeps
-all it wrote and a re-run resumes after it. The worker that makes a record
-also scores it (`evaluation.sentence_outcome`), and the outcome joins the
-run's `Tally` as the line is written: a run keeps nothing per record.
-Reading a prediction file back checks every line through
+Records stream to each cell's output file in sentence-id order, each line
+written as soon as its record and every record ahead of it in the stream
+are done, so a killed run keeps all it wrote and a re-run resumes after it.
+A cell's report is written once its last line is. The worker that makes a
+record also scores it (`evaluation.sentence_outcome`), and the outcome
+joins the cell's `Tally` as the line is written: a run keeps nothing per
+record. Reading a prediction file back checks every line through
 `PredictionRecord.of` (a line that does not fit is a `MalformedRecordError`
 naming the file and the line, before any provider call) and scores the
 lines of the run's own instances, a later line winning. `RunResult.records`
@@ -30,10 +41,12 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import DatasetSplit, LabeledInstance, load_dataset
 from .embedding import (
@@ -58,7 +71,7 @@ from .gateway import (
     Transcript,
     request_hash,
 )
-from .jsonl import LineAppender, read_jsonl, replace_lines
+from .jsonl import LineAppender, Memo, read_jsonl, replace_lines
 from .prompting import (
     PromptCatalog,
     default_catalog,
@@ -76,8 +89,10 @@ from .repository import (
     save_repository,
 )
 from .retrieval import (
+    UNSHARED,
     RetrievalConfig,
     RetrievalResult,
+    SentenceWork,
     StrategyKind,
     input_connectives,
     knn_index,
@@ -97,6 +112,11 @@ DEFAULT_BACKEND = "replay"
 DEFAULT_BASE_URL = "https://api.openai.com"
 LOCAL_EMBEDDER_PREFIX = "local-hash-"
 DEFAULT_LOCAL_EMBEDDER = LOCAL_EMBEDDER_PREFIX + "256"
+# tasks queued ahead of the one being written, per worker: enough that no
+# worker idles while the main thread writes or builds the kNN index
+LOOKAHEAD_PER_WORKER = 4
+_KNN = (StrategyKind.KNN, StrategyKind.KNN_PATTERN)
+_PATTERN = (StrategyKind.PATTERN, StrategyKind.KNN_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -205,9 +225,12 @@ def _select_instances(split: DatasetSplit, task: str, single_pair: bool) -> list
 class _Session:
     """What every cell of one run or sweep shares, loaded once: the catalog,
     the selected instances, the repository, the chat client with its
-    answers and, once a kNN cell needs them, the embedding service (the one
-    memo of repository and query vectors) and the repository's vector
-    index, whose rows are the service's copy of each repository vector."""
+    answers and, once the stream reaches a kNN task, the embedding service
+    (the one memo of repository and query vectors) and the repository's
+    vector index, whose rows are the service's copy of each repository
+    vector. `shared` keeps each sentence's retrieval work for the other
+    cells that use it; a single run, or a grid with one cell of a kind,
+    keeps nothing there."""
 
     def __init__(self, config: ExperimentConfig, backend: Backend | None, embedder,
                  catalog: PromptCatalog | None):
@@ -229,6 +252,7 @@ class _Session:
         self.embedder = embedder
         self.embeddings: EmbeddingService | None = None
         self.index: VectorIndex | None = None
+        self.shared: SentenceWork = UNSHARED
 
 
 def _retrieve(
@@ -243,13 +267,15 @@ def _retrieve(
     text = instance.sentence.raw_text
     if strategy is StrategyKind.RANDOM:
         return retrieve_random(repo, rcfg, salt=sid)
+    work = replace(session.shared, sentence_id=sid)
     query = None if strategy is StrategyKind.PATTERN else session.embeddings.vector(text)
     if strategy is StrategyKind.KNN:
-        return retrieve_knn(query, repo, session.index, rcfg)
+        return retrieve_knn(query, repo, session.index, rcfg, work)
     connectives = input_connectives(text, session.llm, session.catalog)
     if strategy is StrategyKind.PATTERN:
-        return retrieve_pattern(connectives, repo, rcfg, salt=sid)
-    return retrieve_knn_pattern(query, connectives, repo, session.index, rcfg, salt=sid)
+        return retrieve_pattern(connectives, repo, rcfg, salt=sid, work=work)
+    return retrieve_knn_pattern(query, connectives, repo, session.index, rcfg, salt=sid,
+                                work=work)
 
 
 def _process_instance(
@@ -335,72 +361,166 @@ def run_experiment(
     cover the full instance set: the existing records of the run's
     instances, scored as the file is read before the run, are tallied
     together with the new ones, each scored as it is written."""
-    return _run_cell(_Session(config, backend, embedder, catalog), config)
+    [result] = _run_cells(_Session(config, backend, embedder, catalog), [config])
+    return result
 
 
-def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
-    """One experiment over the session's instances; `config` differs from
-    the session's own at most in strategy, k and output path."""
-    instances = session.instances
+@dataclass
+class _Cell:
+    """One experiment of a stream, opened: its config, the tally of the
+    records its file already holds, and the instances it still has to run,
+    in id order."""
+
+    config: ExperimentConfig
+    tally: Tally
+    todo: list[LabeledInstance]
+    skipped: int  # the records already on file
+
+    @property
+    def output(self) -> Path:
+        return Path(self.config.output_path)
+
+    @property
+    def knn(self) -> bool:
+        return self.config.strategy in _KNN
+
+    @property
+    def written(self) -> int:
+        return self.tally.sentences - self.skipped
+
+
+def _report_path(output: Path) -> Path:
+    return output.with_suffix(output.suffix + ".metrics.json")
+
+
+def _open_cell(session: _Session, config: ExperimentConfig) -> _Cell:
+    """Check a cell and read what its file already holds, before any
+    provider call; `config` differs from the session's own at most in
+    strategy, k and output path. Under force, its predictions and report
+    are removed first."""
     if config.strategy is not StrategyKind.ZEROSHOT and not session.repo.records:
         raise ValueError("repository is empty")
-
-    output_path = Path(config.output_path)
-    if config.force and output_path.exists():
-        output_path.unlink()
+    output = Path(config.output_path)
+    if config.force:
+        output.unlink(missing_ok=True)
+        _report_path(output).unlink(missing_ok=True)
     existing, _ = _read_outcomes(
-        output_path, instances, config.task, config.single_pair, config.matching
-    ) if output_path.exists() else ({}, set())
-    tally = Tally(config.task, config.single_pair, existing.values())
-    skipped_existing = tally.sentences
-    todo = [inst for inst in instances if inst.sentence.id not in existing]
+        output, session.instances, config.task, config.single_pair, config.matching
+    ) if output.exists() else ({}, set())
+    todo = [inst for inst in session.instances if inst.sentence.id not in existing]
     todo.sort(key=lambda inst: inst.sentence.id)
-    knn = config.strategy in (StrategyKind.KNN, StrategyKind.KNN_PATTERN)
-    if knn and todo and session.index is None:
-        # embed the repository once per session, before workers read it
-        session.embeddings = EmbeddingService(
-            provider=session.embedder if session.embedder is not None else make_embedder(config),
-            cache=EmbeddingCache(config.cache_path) if config.cache_path else None,
-        )
-        session.index = knn_index(session.repo, session.embeddings)
+    tally = Tally(config.task, config.single_pair, existing.values())
+    return _Cell(config, tally, todo, tally.sentences)
 
-    failures: list[tuple[int, ProviderError]] = []  # (position in `todo`, error)
 
-    def work(position: int, instance: LabeledInstance) -> tuple[PredictionRecord, Outcome] | None:
-        # no instance behind a provider error starts; those ahead of it run
-        if failures and position > min(p for p, _ in failures):
+def _share_retrieval(session: _Session, cells: Sequence[_Cell]) -> None:
+    """Keep each sentence's kNN hits, or its pattern candidates, for the
+    other cells only where more than one cell still to run needs them."""
+    knn = [cell.config.k for cell in cells if cell.todo and cell.knn]
+    pattern = [cell for cell in cells if cell.todo and cell.config.strategy in _PATTERN]
+    session.shared = SentenceWork(
+        "", depth=max(knn, default=0),
+        hits=Memo() if len(knn) > 1 else None,
+        candidates=Memo() if len(pattern) > 1 else None,
+    )
+
+
+def _build_index(session: _Session, config: ExperimentConfig) -> None:
+    """Embed the repository once per session, before any worker reads it."""
+    session.embeddings = EmbeddingService(
+        provider=session.embedder if session.embedder is not None else make_embedder(config),
+        cache=EmbeddingCache(config.cache_path) if config.cache_path else None,
+    )
+    session.index = knn_index(session.repo, session.embeddings)
+
+
+def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[RunResult]:
+    """Run `configs` as one stream of (cell, sentence) tasks, in cell order
+    and then id order, through one pool of `concurrency` workers (none at
+    concurrency 1) that holds at most `LOOKAHEAD_PER_WORKER` tasks a worker
+    queued at a time. The main thread writes each cell's lines in id order
+    and its report once its last line is in. It builds the kNN index when
+    the stream first reaches a kNN task, while the tasks queued ahead of it
+    run. A provider error stops the stream: no task behind it starts, and
+    the cells ahead of it, and the failing cell's lines ahead of it, are
+    written before it is raised."""
+    cells = [_open_cell(session, config) for config in configs]
+    _share_retrieval(session, cells)
+    tasks = ((cell, instance) for cell in cells for instance in cell.todo)
+    failures: list[tuple[int, _Cell, ProviderError]] = []  # position in the stream
+
+    def work(position: int, cell: _Cell, instance: LabeledInstance
+             ) -> tuple[PredictionRecord, Outcome] | None:
+        # no task behind a provider error starts; those ahead of it run
+        if failures and position > min(p for p, _, _ in failures):
             return None
+        config = cell.config
         try:
             record = _process_instance(instance, config, session)
         except ProviderError as exc:
-            failures.append((position, exc))
+            failures.append((position, cell, exc))
             return None
         return record, sentence_outcome(record, instance, config.single_pair, config.matching)
 
-    def lines(results):
-        for result in results:
+    def results() -> Iterator[tuple[PredictionRecord, Outcome] | None]:
+        """Each task's result in stream order, as it is ready; the main
+        thread queues each task, at most `lookahead` at a time. Without a
+        pool, each task runs as it is queued."""
+        pending: deque[Callable[[], tuple[PredictionRecord, Outcome] | None]] = deque()
+        for position, (cell, instance) in enumerate(tasks):
+            if len(pending) == lookahead:
+                yield pending.popleft()()
+            if failures:  # nothing behind a provider error is queued
+                break
+            if cell.knn and session.index is None:
+                try:  # while the tasks queued ahead of it run
+                    _build_index(session, cell.config)
+                except ProviderError as exc:
+                    failures.append((position, cell, exc))
+                    break
+            if pool is None:
+                result = work(position, cell, instance)
+                pending.append(lambda result=result: result)
+            else:
+                pending.append(pool.submit(work, position, cell, instance).result)
+        while pending:
+            yield pending.popleft()()
+
+    def lines(cell: _Cell, stream) -> Iterator[str]:
+        for result in islice(stream, len(cell.todo)):
             if result is None:  # failed or never started: later lines would break id order
                 return
             record, outcome = result
             yield record.line()
-            tally.add(outcome)  # once its line is written
+            cell.tally.add(outcome)  # once its line is written
 
-    threaded = config.concurrency > 1 and len(todo) > 1
-    pool = ThreadPoolExecutor(config.concurrency) if threaded else None
+    concurrency = configs[0].concurrency
+    threaded = concurrency > 1 and sum(len(cell.todo) for cell in cells) > 1
+    pool = ThreadPoolExecutor(concurrency) if threaded else None
+    lookahead = LOOKAHEAD_PER_WORKER * concurrency if pool else 1
+    stream = results()
+    reports: list[RunResult] = []
     try:
-        # both `map`s yield in the id order of `todo`, as each result is ready
-        LineAppender(output_path).extend(
-            lines((pool.map if pool else map)(work, range(len(todo)), todo)))
+        for cell in cells:
+            LineAppender(cell.output).extend(lines(cell, stream))
+            if cell.written < len(cell.todo):
+                break
+            reports.append(_write_report(session, cell))
     finally:
-        if pool is not None:  # instances not yet started are dropped
+        if pool is not None:  # tasks not yet started are dropped
             pool.shutdown(cancel_futures=True)
     if failures:
+        _, cell, error = min(failures, key=lambda failure: failure[0])
         LOGGER.warning(
-            "provider error: stopped after %d of %d instances; the completed records were kept",
-            tally.sentences - skipped_existing, len(todo),
+            "provider error in %s: stopped after %d of %d instances; "
+            "the completed records were kept", cell.output, cell.written, len(cell.todo),
         )
-        raise failures[0][1]
+        raise error
+    return reports
 
+
+def _write_report(session: _Session, cell: _Cell) -> RunResult:
+    config = cell.config
     config_echo = {
         "task": config.task,
         "strategy": config.strategy.value,
@@ -414,15 +534,15 @@ def _run_cell(session: _Session, config: ExperimentConfig) -> RunResult:
         "single_pair": config.single_pair,
         "matching": config.matching,
     }
-    report = build_report(tally.kind, tally.metrics(), config_echo)
-    report_path = output_path.with_suffix(output_path.suffix + ".metrics.json")
-    replace_lines(report_path, [json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)])
+    report = build_report(cell.tally.kind, cell.tally.metrics(), config_echo)
+    replace_lines(_report_path(cell.output),
+                  [json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)])
     return RunResult(
         report=report,
-        output_path=str(output_path),
-        sentence_ids=sorted(inst.sentence.id for inst in instances),
+        output_path=str(cell.output),
+        sentence_ids=sorted(inst.sentence.id for inst in session.instances),
         task=config.task,
-        skipped_existing=skipped_existing,
+        skipped_existing=cell.skipped,
     )
 
 
@@ -478,22 +598,26 @@ def sweep(
     `strategy,k,metric,value` CSV."""
     check_grid(strategies, k_values)
     session = _Session(base_config, backend, embedder, catalog)
-    reports = []
+    if base_config.force:  # it describes the cells that force clears
+        Path(csv_path).unlink(missing_ok=True)
+    configs = [
+        replace(base_config, strategy=strategy, k=k,
+                output_path=f"{csv_path}.{strategy.value}.k{k}.jsonl")
+        for strategy in strategies
+        for k in k_values
+    ]
+    results = _run_cells(session, configs)
     lines = ["strategy,k,metric,value"]
-    for strategy in strategies:
-        for k in k_values:
-            out = f"{csv_path}.{strategy.value}.k{k}.jsonl"
-            config = replace(base_config, strategy=strategy, k=k, output_path=out)
-            result = _run_cell(session, config)
-            reports.append(result.report)
-            for metric, value in sorted(result.report["metrics"].items()):
-                if isinstance(value, dict):
-                    for sub, subvalue in sorted(value.items()):
-                        lines.append(f"{strategy.value},{k},{metric}.{sub},{subvalue}")
-                else:
-                    lines.append(f"{strategy.value},{k},{metric},{value}")
+    for config, result in zip(configs, results):
+        strategy, k = config.strategy.value, config.k
+        for metric, value in sorted(result.report["metrics"].items()):
+            if isinstance(value, dict):
+                for sub, subvalue in sorted(value.items()):
+                    lines.append(f"{strategy},{k},{metric}.{sub},{subvalue}")
+            else:
+                lines.append(f"{strategy},{k},{metric},{value}")
     replace_lines(csv_path, lines)
-    return reports
+    return [result.report for result in results]
 
 
 def eval_predictions(

@@ -23,7 +23,7 @@ from fixture_llm import (
     canonical_record,
 )
 
-from causal_rag import cli, runner
+from causal_rag import cli, retrieval, runner
 from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder, normalize_for_key
 from causal_rag.errors import MalformedRecordError, TransportError
@@ -177,17 +177,22 @@ class FailingReplay:
         return self.replay.complete(request)
 
 
+@pytest.mark.parametrize("sweeping", [False, True], ids=["run", "sweep"])
 @pytest.mark.parametrize("concurrency", [1, 3, 8])
-def test_a_dead_provider_is_asked_at_most_once_per_worker(tmp_path, concurrency):
+def test_a_dead_provider_is_asked_at_most_once_per_worker(tmp_path, concurrency, sweeping):
     out = tmp_path / "out.jsonl"
     backend = FailingReplay()
     config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, out=out, k=1,
                            concurrency=concurrency)
     with pytest.raises(TransportError):
-        run_experiment(config, backend=backend)
+        if sweeping:  # one pool for the whole grid: the count holds across cells
+            sweep(config, [StrategyKind.RANDOM, StrategyKind.ZEROSHOT], [1, 5],
+                  str(tmp_path / "grid.csv"), backend=backend)
+        else:
+            run_experiment(config, backend=backend)
     # no instance starts after the first failure: only those already running ask
     assert 1 <= backend.asks <= concurrency
-    assert not out.exists() or out.read_bytes() == b""
+    assert all(path.read_bytes() == b"" for path in tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("concurrency", [1, 3, 8])
@@ -215,6 +220,155 @@ def test_provider_failure_keeps_completed_records(tmp_path, concurrency):
     assert resumed.skipped_existing == before
     assert out.read_bytes() == full_out.read_bytes()
     assert Path(f"{out}.metrics.json").read_bytes() == Path(f"{full_out}.metrics.json").read_bytes()
+
+
+def sweep_hashes(tmp_path: Path, strategies, k_values) -> dict[str, list[str]]:
+    """The prompt hash of each line of each cell of an uninterrupted replay
+    sweep, by cell file suffix ("random.k5"); the sweep is left in
+    `tmp_path / "full"`."""
+    full = tmp_path / "full"
+    full.mkdir()
+    config = replay_config(full, "detect", StrategyKind.RANDOM, out=full / "unused.jsonl")
+    sweep(config, strategies, k_values, str(full / "grid.csv"))
+    return {
+        f"{strategy.value}.k{k}": [
+            json.loads(line)["prompt_hash"]
+            for line in (full / f"grid.csv.{strategy.value}.k{k}.jsonl").read_text(
+                encoding="utf-8").splitlines()
+        ]
+        for strategy in strategies
+        for k in k_values
+    }
+
+
+def sweep_files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())
+            if path.name.startswith("grid.csv")}
+
+
+class GatedReplay:
+    """The fixture replay backend; it holds the request `held` until one of
+    `awaited` arrives, or `timeout` seconds pass, and notes which came first."""
+
+    def __init__(self, held: str, awaited: set[str], timeout: float = 5.0):
+        self.replay = ReplayBackend(Transcript(FIXTURES / "transcript.jsonl"))
+        self.held, self.awaited, self.timeout = held, awaited, timeout
+        self.arrived = threading.Event()
+        self.overlapped: bool | None = None
+
+    def complete(self, request):
+        if request.digest in self.awaited:
+            self.arrived.set()
+        if request.digest == self.held:
+            self.overlapped = self.arrived.wait(self.timeout)
+        return self.replay.complete(request)
+
+
+def test_a_sweep_sends_the_next_cell_while_a_cell_finishes(tmp_path):
+    hashes = sweep_hashes(tmp_path, [StrategyKind.RANDOM], [1, 5])
+    backend = GatedReplay(held=hashes["random.k1"][-1], awaited=set(hashes["random.k5"]))
+    config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, concurrency=2)
+    sweep(config, [StrategyKind.RANDOM], [1, 5], str(tmp_path / "grid.csv"), backend=backend)
+    # cell 2's first request went out while cell 1's last was unanswered
+    assert backend.overlapped is True
+    assert sweep_files(tmp_path) == sweep_files(tmp_path / "full")
+
+
+class PoisonedReplay:
+    """The fixture replay backend, failing each request whose hash is in
+    `poisoned`."""
+
+    def __init__(self, poisoned: set[str]):
+        self.replay = ReplayBackend(Transcript(FIXTURES / "transcript.jsonl"))
+        self.poisoned = poisoned
+
+    def complete(self, request):
+        if request.digest in self.poisoned:
+            raise TransportError("connection reset")
+        return self.replay.complete(request)
+
+
+@pytest.mark.parametrize("concurrency", [1, 3, 8])
+def test_a_sweep_stopped_in_its_middle_cell_keeps_what_is_ahead_and_resumes(
+        tmp_path, concurrency, caplog):
+    k_values = [1, 5, 10]
+    hashes = sweep_hashes(tmp_path, [StrategyKind.RANDOM], k_values)
+    full = sweep_files(tmp_path / "full")
+    before = 12  # det-013 is the middle of the 25 ids
+    config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, concurrency=concurrency)
+    csv_path = tmp_path / "grid.csv"
+    with pytest.raises(TransportError):
+        sweep(config, [StrategyKind.RANDOM], k_values, str(csv_path),
+              backend=PoisonedReplay({hashes["random.k5"][before]}))
+    kept = sweep_files(tmp_path)
+    for name in ("grid.csv.random.k1.jsonl", "grid.csv.random.k1.jsonl.metrics.json"):
+        assert kept[name] == full[name]
+    middle = "grid.csv.random.k5.jsonl"
+    assert kept[middle] == b"".join(full[middle].splitlines(keepends=True)[:before])
+    assert set(kept) == {"grid.csv.random.k1.jsonl", "grid.csv.random.k1.jsonl.metrics.json",
+                         middle}  # no report for it, nothing of the last cell, no CSV
+    assert f"provider error in {tmp_path / middle}: stopped after {before} of 25" in caplog.text
+
+    sweep(config, [StrategyKind.RANDOM], k_values, str(csv_path))
+    assert sweep_files(tmp_path) == full
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_a_dead_embedder_stops_a_sweep_at_its_first_knn_cell(tmp_path, concurrency):
+    class DeadEmbedder(LocalHashEmbedder):
+        def embed_text(self, text):
+            raise TransportError("connection reset")
+
+    strategies = [StrategyKind.RANDOM, StrategyKind.KNN]
+    sweep_hashes(tmp_path, strategies, [10])
+    full = sweep_files(tmp_path / "full")
+    config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, concurrency=concurrency)
+    with pytest.raises(TransportError):
+        sweep(config, strategies, [10], str(tmp_path / "grid.csv"), embedder=DeadEmbedder())
+    # the index is built while the cell ahead runs; that cell is complete
+    kept = {"grid.csv.random.k10.jsonl", "grid.csv.random.k10.jsonl.metrics.json"}
+    assert sweep_files(tmp_path) == {name: full[name] for name in kept}
+
+
+def test_a_forced_sweep_clears_every_cell_before_its_first_call(tmp_path):
+    strategies, k_values = [StrategyKind.RANDOM, StrategyKind.PATTERN], [1, 5]
+    sweep_hashes(tmp_path, strategies, k_values)
+    full = sweep_files(tmp_path / "full")
+    csv_path = tmp_path / "grid.csv"
+    config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, concurrency=1)
+    sweep(config, strategies, k_values, str(csv_path))
+
+    class DyingReplay(FailingReplay):
+        def complete(self, request):
+            if self.asks == 30:
+                raise TransportError("connection reset")
+            self.asks += 1
+            return self.replay.complete(request)
+
+    with pytest.raises(TransportError):
+        sweep(replace(config, force=True), strategies, k_values, str(csv_path),
+              backend=DyingReplay())
+    # random.k1 paid 25 asks and random.k5 five; nothing is left of the rest
+    kept = sweep_files(tmp_path)
+    assert set(kept) == {"grid.csv.random.k1.jsonl", "grid.csv.random.k1.jsonl.metrics.json",
+                         "grid.csv.random.k5.jsonl"}
+    assert kept["grid.csv.random.k5.jsonl"].count(b"\n") == 5
+
+    sweep(config, strategies, k_values, str(csv_path))
+    assert sweep_files(tmp_path) == full
+
+
+def test_a_damaged_line_in_any_cell_is_refused_before_any_call(tmp_path):
+    csv_path = tmp_path / "grid.csv"
+    config = replay_config(tmp_path, "detect", StrategyKind.RANDOM)
+    sweep(config, [StrategyKind.RANDOM], [1, 5], str(csv_path))
+    Path(f"{csv_path}.random.k1.jsonl").unlink()  # the first cell has everything to do
+    last = Path(f"{csv_path}.random.k5.jsonl")
+    last.write_text("not json\n" + last.read_text(encoding="utf-8"), encoding="utf-8")
+    backend = FailingReplay(poisoned="no sentence says this")
+    with pytest.raises(MalformedRecordError, match=f"{last}: line 1: invalid JSON"):
+        sweep(config, [StrategyKind.RANDOM], [1, 5], str(csv_path), backend=backend)
+    assert backend.asks == 0
 
 
 class WatchingReplay:
@@ -574,6 +728,52 @@ def test_sweep_asks_each_sentence_for_its_connectives_once(tmp_path):
     assert set(asked.values()) == {1}
     # sentences without a connective ("none") are asked once too
     assert any(s.connective is None for s in DETECTION_SENTENCES)
+
+
+def test_a_sweep_does_each_sentences_retrieval_work_once(tmp_path, monkeypatch):
+    """Each sentence's pattern candidates and kNN hits are worked out once a
+    sweep, not once a cell, and every cell keeps the bytes of its own run."""
+    calls: Counter[str] = Counter()
+    lock = threading.Lock()
+
+    def counted(name):
+        work = getattr(retrieval, name)
+
+        def counting(*args):
+            with lock:
+                calls[name] += 1
+            return work(*args)
+
+        return counting
+
+    strategies = [StrategyKind.RANDOM, StrategyKind.PATTERN, StrategyKind.KNN,
+                  StrategyKind.KNN_PATTERN]
+    k_values = [1, 5, 10]
+    # a replay config, so records carry no timing; the scripted backend answers
+    base = replay_config(tmp_path, "detect", StrategyKind.RANDOM, out=tmp_path / "unused.jsonl")
+    alone = {}
+    for strategy in strategies:
+        for k in k_values:
+            out = tmp_path / f"alone.{strategy.value}.k{k}.jsonl"
+            run_experiment(replace(base, strategy=strategy, k=k, output_path=str(out)),
+                           backend=ScriptedBackend(FixtureResponder()))
+            alone[f"{strategy.value}.k{k}"] = out.read_bytes()
+    monkeypatch.setattr(retrieval, "_pattern_candidates", counted("_pattern_candidates"))
+    monkeypatch.setattr(retrieval, "knn_search", counted("knn_search"))
+    interval = sys.getswitchinterval()
+    for concurrency in (1, 3, 8):
+        calls.clear()
+        csv_path = tmp_path / f"c{concurrency}.csv"
+        sys.setswitchinterval(1e-6)  # cells overlap, and workers interleave often
+        try:
+            sweep(replace(base, concurrency=concurrency), strategies, k_values, str(csv_path),
+                  backend=ScriptedBackend(FixtureResponder()))
+        finally:
+            sys.setswitchinterval(interval)
+        # 6 cells use each, so 150 calls without the memo
+        assert calls == {"_pattern_candidates": 25, "knn_search": 25}
+        for cell, data in alone.items():
+            assert Path(f"{csv_path}.{cell}.jsonl").read_bytes() == data, cell
 
 
 # distinct request digests of a sweep over every strategy at k 1, 5 and 10
