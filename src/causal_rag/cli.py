@@ -37,8 +37,6 @@ from .runner import (
     sweep,
 )
 
-LOGGER = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import string
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -261,8 +262,11 @@ def render_tagged(text: str, pairs: Iterable[CauseEffectPair]) -> str:
 def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> LabeledInstance:
     """One canonical record as an instance; a record that breaks the format
     is a KeyError, TypeError or ValueError. An id defaults to the source and
-    the line number."""
+    the line number. A source, which many lines share, is kept once."""
     text, label, source = obj["text"], obj["label"], obj.get("source", default_source)
+    if type(source) is not str:
+        raise TypeError(f"'source' must be a string, got {source!r}")
+    source = sys.intern(source)
     if not isinstance(text, str) or not text.strip():
         raise ValueError("'text' must be a non-empty string")
     if label not in (0, 1):
@@ -420,10 +424,11 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
         raise UnknownFormatError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
     numbered = (read_json_objects(path, drop_torn_tail=False) if format == "jsonl"
                 else _IMPORTERS[format](path))
+    name = path.stem  # the default source
     instances = []
     for line_no, obj in numbered:
         try:
-            instances.append(_instance_from_canonical(obj, line_no, path.stem))
+            instances.append(_instance_from_canonical(obj, line_no, name))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRecordError(exc, line_no, path) from None
     if not instances:
@@ -432,7 +437,7 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise MalformedRecordError(f"duplicate instance ids: {dupes[:5]}", path=path)
-    return DatasetSplit(name=path.stem, instances=tuple(instances))
+    return DatasetSplit(name=name, instances=tuple(instances))
 
 
 def to_canonical(split: DatasetSplit) -> list[dict]:

@@ -19,6 +19,7 @@ never embed (random, pattern and zeroshot retrieval, `build-db`, `eval`,
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
@@ -179,6 +180,7 @@ class EmbeddingCache(Memo):
         key, model = obj["key"], obj["model"]
         if type(key) is not str or type(model) is not str:
             raise TypeError("key and model must be strings")
+        model = sys.intern(model)  # one copy for every line of the model
         vector = vector_from_json(obj["vector"], model)
         self._check_dim(vector)
         dim = obj["dim"]

@@ -1,4 +1,5 @@
-"""Exception hierarchy for the causal-rag toolkit."""
+"""Exception hierarchy for the causal-rag toolkit, and `warn`, the one way
+it logs a warning."""
 
 
 class CausalRagError(Exception):
@@ -117,3 +118,15 @@ class EmptyConnectiveError(CausalRagError):
 
 class EmptyInputError(CausalRagError):
     """Metric computation received no instances."""
+
+
+# --- warnings ---------------------------------------------------------------
+
+
+def warn(module: str, message: str, *args) -> None:
+    """Log a warning on the logger named `module` (the caller's `__name__`).
+    `logging` is imported on the first warning, so a run that warns about
+    nothing never loads it."""
+    import logging
+
+    logging.getLogger(module).warning(message, *args)

@@ -3,8 +3,12 @@
 Each request is identified by a sha256 hash over (model_id, system_text,
 user_text, temperature). The hash deliberately excludes max_output_tokens:
 raising or lowering an output cap must not invalidate previously recorded
-transcripts. Transcripts are append-only JSONL; replay needs no network, and
-`requests` is imported on the first live request only, by `post_with_retry`.
+transcripts. Transcripts are append-only JSONL, one line per answer:
+`{"request_hash", "response_text", "timestamp"}`, the timestamp in UTC to
+the microsecond (`2026-01-02T03:04:05.123456+00:00`, taken from
+`time.time_ns`). A loaded transcript keeps one copy of each distinct
+answer. Replay needs no network, and `requests` is imported on the first
+live request only, by `post_with_retry`.
 
 `LlmClient` keeps its answers in a memo keyed by that hash, so whatever
 backend it wraps is asked once per distinct request.
@@ -22,9 +26,9 @@ import hashlib
 import json
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -114,15 +118,19 @@ def request_hash(req: CompletionRequest) -> str:
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    """The time now, in UTC, as ISO 8601 to the microsecond (always six
+    digits): 2026-01-02T03:04:05.000000+00:00."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micros:06d}+00:00"
 
 
 def _transcript_entry(obj: dict) -> tuple[str, str]:
-    """(request hash, response text) of one transcript line."""
+    """(request hash, response text) of one transcript line; one object
+    per distinct text, which many requests may share."""
     req_hash, text = obj["request_hash"], obj["response_text"]
     if type(req_hash) is not str or type(text) is not str:
         raise TypeError("request_hash and response_text must be strings")
-    return req_hash, text
+    return req_hash, sys.intern(text)
 
 
 class Transcript(Memo):

@@ -10,6 +10,10 @@ parses) before its first line. Datasets and saved repositories, which
 nothing appends to, refuse it. A store reads through `read_jsonl` with its
 own `parse`. Any other damaged line, or one that `parse` refuses, is a
 `MalformedRecordError` that names the file, the line and the reason.
+`mmap` is imported only to read a torn tail back, and `logging` only by a
+warning (`errors.warn`). A parser keeps one object per distinct value of
+a string field that repeats across lines (`sys.intern`), so a file of
+many lines that share a value holds it once.
 
 `replace_lines` writes every whole file (saved repositories, canonical
 datasets, metrics reports, sweep CSVs) in one rename. `encode_line` is the
@@ -19,16 +23,12 @@ one encoding of a stored line (keys sorted, non-ASCII text as UTF-8).
 from __future__ import annotations
 
 import json
-import logging
-import mmap
 import os
 import threading
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .errors import MalformedRecordError
-
-LOGGER = logging.getLogger(__name__)
+from .errors import MalformedRecordError, warn
 
 T = TypeVar("T")
 
@@ -49,7 +49,7 @@ def read_json_objects(path: str | Path, *, drop_torn_tail: bool = True) -> Itera
             except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
                 reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
                 if drop_torn_tail and not line.endswith(b"\n"):
-                    LOGGER.warning("%s: dropped torn final line %d (%s)", path, line_no, reason)
+                    warn(__name__, "%s: dropped torn final line %d (%s)", path, line_no, reason)
                     return
                 raise MalformedRecordError(f"invalid JSON ({reason})", line_no, path) from None
             if not isinstance(obj, dict):
@@ -165,14 +165,16 @@ def _end_with_a_complete_line(fd: int, path: Path) -> None:
     end = os.lseek(fd, 0, os.SEEK_END)
     if end == 0 or os.pread(fd, 1, end - 1) == b"\n":
         return
+    import mmap  # only a torn tail is read back
+
     with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as view:
         start = view.rfind(b"\n") + 1
         tail = view[start:]
     try:
         json.loads(tail.decode("utf-8"))
     except ValueError:
-        LOGGER.warning("%s: cut %d bytes of a torn final line before appending",
-                       path, len(tail))
+        warn(__name__, "%s: cut %d bytes of a torn final line before appending",
+             path, len(tail))
         os.ftruncate(fd, start)
     else:
         os.write(fd, b"\n")  # the file is open to append, so this lands at the end

@@ -6,15 +6,15 @@ cap uses per-(seed, connective, id) hash priorities: the kept set is the
 cap-many smallest priorities, so rebuilding the index from just the kept
 records reproduces it exactly. That property lets the saved file store only
 records plus (cap, seed) and rebuild the index at load. The file is read
-and written through `jsonl`, and every field of every record is checked.
+and written through `jsonl`, and every field of every record is checked;
+a loaded repository keeps one copy of each source and each connective.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -26,12 +26,11 @@ from .errors import (
     MalformedRecordError,
     SchemaVersionMismatchError,
     UnparseableResponseError,
+    warn,
 )
 from .gateway import LlmClient
 from .jsonl import encode_line, read_json_objects, replace_lines
 from .prompting import PromptCatalog, connective_prompt
-
-LOGGER = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 DEFAULT_CAP = 10
@@ -128,26 +127,42 @@ def _priority(seed: int, connective: str, record_id: str) -> str:
 def sample_capped(candidate_ids: Iterable[str], connective: str, cap: int, seed: int) -> tuple[str, ...]:
     """Pick min(cap, n) candidates by smallest hash priority; the returned
     list is in ascending id order. Removing a non-selected candidate never
-    changes the selection, which is what makes index rebuilds exact."""
-    ranked = sorted(set(candidate_ids), key=lambda rid: (_priority(seed, connective, rid), rid))
-    return tuple(sorted(ranked[:cap]))
+    changes the selection, which is what makes index rebuilds exact. With
+    at most `cap` candidates, all are kept and no priority is computed."""
+    unique = set(candidate_ids)
+    if len(unique) > cap:
+        ranked = sorted(unique, key=lambda rid: (_priority(seed, connective, rid), rid))
+        unique = ranked[:cap]
+    return tuple(sorted(unique))
 
 
-def build_index(
-    records: Iterable[ExampleRecord], cap: int, seed: int
+def _index_of(
+    connectives_by_id: Iterable[tuple[str, Sequence[str]]], cap: int, seed: int
 ) -> dict[str, tuple[str, ...]]:
+    """The capped index of (record id, its normalized connectives) pairs."""
     candidates: dict[str, list[str]] = {}
-    for record in records:
-        for connective in record.connectives:
-            candidates.setdefault(connective, []).append(record.id)
+    for record_id, connectives in connectives_by_id:
+        for connective in connectives:
+            candidates.setdefault(connective, []).append(record_id)
     return {
         connective: sample_capped(ids, connective, cap, seed)
         for connective, ids in sorted(candidates.items())
     }
 
 
+def build_index(
+    records: Iterable[ExampleRecord], cap: int, seed: int
+) -> dict[str, tuple[str, ...]]:
+    return _index_of(((record.id, record.connectives) for record in records), cap, seed)
+
+
+def _normalized(connectives: Iterable[str]) -> tuple[str, ...]:
+    """Normalized connectives, each once, in order of first appearance."""
+    return tuple(dict.fromkeys(normalize_connective(c) for c in connectives))
+
+
 def make_record(sentence: TaggedSentence, connectives: Sequence[str]) -> ExampleRecord:
-    normalized = tuple(dict.fromkeys(normalize_connective(c) for c in connectives))
+    normalized = _normalized(connectives)
     text = normalize_connective(sentence.raw_text)
     unverified = any(c not in text for c in normalized)
     return ExampleRecord(
@@ -198,19 +213,25 @@ def build_repository(
     if concurrency == 1:
         extracted = [extract_or_none(s) for s in ordered]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             extracted = list(pool.map(extract_or_none, ordered))
 
-    candidates: list[ExampleRecord] = []
+    candidates: list[tuple[TaggedSentence, tuple[str, ...]]] = []
     for sentence, connectives in zip(ordered, extracted):
         if connectives is None:
-            LOGGER.warning("no connective extracted for %s; sentence skipped", sentence.id)
+            warn(__name__, "no connective extracted for %s; sentence skipped", sentence.id)
             continue
-        candidates.append(make_record(sentence, connectives))
+        candidates.append((sentence, _normalized(connectives)))
 
-    index = build_index(candidates, cap, seed)
+    index = _index_of(((s.id, normalized) for s, normalized in candidates), cap, seed)
     kept_ids = {rid for ids in index.values() for rid in ids}
-    records = {record.id: record for record in candidates if record.id in kept_ids}
+    # only the records the index keeps are made
+    records = {
+        sentence.id: make_record(sentence, normalized)
+        for sentence, normalized in candidates if sentence.id in kept_ids
+    }
     return Repository(records=records, index=index, cap=cap, seed=seed)
 
 
@@ -262,7 +283,7 @@ def _record_from_json(obj: dict) -> ExampleRecord:
     return ExampleRecord(
         obj["id"], obj["text"], obj["tagged_text"],
         tuple(CauseEffectPair(p["cause"], p["effect"]) for p in pairs),
-        tuple(connectives), obj["source"], unverified,
+        tuple(map(sys.intern, connectives)), sys.intern(obj["source"]), unverified,
     )
 
 

@@ -16,7 +16,9 @@ cell order and then id order, a few tasks a worker queued ahead. No worker
 waits at a cell boundary, and the kNN index is built on the main thread
 when the stream first reaches a kNN task, while the tasks queued ahead of
 it wait on the provider. A provider error stops the stream: no task behind
-it starts, and everything ahead of it is written.
+it starts, and everything ahead of it is written. At concurrency 1, or
+with one task to run, there is no pool: each task runs on the main thread
+as it is queued, and `concurrent.futures` is never imported.
 
 Each record is an `evaluation.PredictionRecord`, written as its `line()`.
 Records stream to each cell's output file in sentence-id order, each line
@@ -39,10 +41,8 @@ outputs reproducible.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -56,7 +56,7 @@ from .embedding import (
     LocalHashEmbedder,
     VectorIndex,
 )
-from .errors import ProviderError, UnparseableResponseError
+from .errors import ProviderError, UnparseableResponseError, warn
 from .evaluation import (
     MATCHING_MODES, Outcome, PredictionRecord, Tally, build_report, sentence_outcome,
 )
@@ -102,8 +102,6 @@ from .retrieval import (
     retrieve_random,
     zeroshot_result,
 )
-
-LOGGER = logging.getLogger(__name__)
 
 TASKS = ("detect", "extract")
 BACKENDS = ("live", "replay", "record")
@@ -495,8 +493,11 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
             cell.tally.add(outcome)  # once its line is written
 
     concurrency = configs[0].concurrency
-    threaded = concurrency > 1 and sum(len(cell.todo) for cell in cells) > 1
-    pool = ThreadPoolExecutor(concurrency) if threaded else None
+    pool = None
+    if concurrency > 1 and sum(len(cell.todo) for cell in cells) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
+        pool = ThreadPoolExecutor(concurrency)
     lookahead = LOOKAHEAD_PER_WORKER * concurrency if pool else 1
     stream = results()
     reports: list[RunResult] = []
@@ -511,8 +512,8 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
             pool.shutdown(cancel_futures=True)
     if failures:
         _, cell, error = min(failures, key=lambda failure: failure[0])
-        LOGGER.warning(
-            "provider error in %s: stopped after %d of %d instances; "
+        warn(
+            __name__, "provider error in %s: stopped after %d of %d instances; "
             "the completed records were kept", cell.output, cell.written, len(cell.todo),
         )
         raise error

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from causal_rag import cli
 from causal_rag.corpus import (
     CauseEffectPair,
     DatasetSplit,
@@ -414,6 +415,19 @@ def test_dataset_errors_name_the_file_and_its_line(tmp_path) -> None:
     with pytest.raises(MalformedRecordError) as excinfo:
         load_dataset(path, "jsonl")
     assert str(excinfo.value).startswith(f"{path}: duplicate instance ids")
+
+
+def test_a_dataset_source_that_is_not_a_string_is_a_data_error(tmp_path, capsys) -> None:
+    path = tmp_path / "bad.jsonl"
+    _write_jsonl(path, [{"text": "fine", "label": 0, "source": "s1"},
+                        {"text": "x", "label": 0, "source": 5}])
+    reason = f"{path}: line 2: 'source' must be a string, got 5"
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(path, "jsonl")
+    assert str(excinfo.value) == reason
+    argv = ["eval", "--predictions", str(tmp_path / "p.jsonl"), "--dataset", str(path)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert reason in capsys.readouterr().err
 
 
 SEMEVAL_BLOCKS = (

@@ -5,11 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import threading
+from datetime import datetime, timezone
 
 import pytest
 import requests
 
+from causal_rag import gateway
 from causal_rag.embedding import HttpEmbeddingProvider
 from causal_rag.errors import (
     EmptyCompletionError,
@@ -531,3 +534,15 @@ def test_replay_pipeline_bit_reproducible(tmp_path) -> None:
     first = [backend.complete(r).text for r in reqs]
     second = [ReplayBackend(Transcript(path)).complete(r).text for r in reqs]
     assert first == second == [f"answer {i}" for i in range(5)]
+
+
+def test_a_transcript_timestamp_is_utc_iso_8601_to_the_microsecond(monkeypatch) -> None:
+    stamp = gateway._utc_now()
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", stamp), stamp
+    gap = datetime.fromisoformat(stamp) - datetime.now(timezone.utc)
+    assert abs(gap.total_seconds()) < 1.0
+    # six fractional digits at a whole second too, and 1 us is not rounded away
+    for ns, expected in ((1_767_323_045_000_000_000, "2026-01-02T03:04:05.000000+00:00"),
+                         (1_767_323_045_000_001_999, "2026-01-02T03:04:05.000001+00:00")):
+        monkeypatch.setattr(gateway.time, "time_ns", lambda ns=ns: ns)
+        assert gateway._utc_now() == expected

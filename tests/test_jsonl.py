@@ -1,5 +1,6 @@
 """The shared JSONL reader and appender: torn tails and damaged lines; the
-shared single-flight memo."""
+shared single-flight memo; one copy of a value that the lines of a store
+repeat."""
 
 from __future__ import annotations
 
@@ -11,8 +12,12 @@ import threading
 import pytest
 
 from causal_rag import jsonl
+from causal_rag.corpus import load_dataset
+from causal_rag.embedding import EmbeddingCache
 from causal_rag.errors import MalformedRecordError
+from causal_rag.gateway import Transcript
 from causal_rag.jsonl import LineAppender, Memo, read_jsonl
+from causal_rag.repository import load_repository
 
 ROWS = [{"id": f"r{i}", "text": f"row number {i} é"} for i in range(4)]
 
@@ -262,3 +267,46 @@ def test_memo_hit_takes_no_lock():
         reader.start()
         reader.join(timeout=5)
         assert seen == ["v"]
+
+
+def write_objects(path, *objects) -> None:
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objects), encoding="utf-8")
+
+
+def test_a_value_the_lines_of_a_file_repeat_is_loaded_once(tmp_path):
+    dataset = tmp_path / "corpus.jsonl"
+    write_objects(dataset, *({"text": f"line {i}", "label": 0, "source": "corpus-a"}
+                             for i in range(2)), {"text": "line 2", "label": 0})
+    first, second, default = (i.sentence for i in load_dataset(dataset).instances)
+    assert (first.source, second.source, default.source) == ("corpus-a", "corpus-a", "corpus")
+    assert first.source is second.source
+    # the default source, the file's name, is one object across loads too
+    assert load_dataset(dataset).instances[2].sentence.source is default.source
+
+    db = tmp_path / "examples.db"
+    write_objects(db, {"schema_version": 1, "cap": 10, "seed": 0}, *(
+        {"id": f"r{i}", "text": f"rain {i} caused by storms",
+         "tagged_text": f"rain {i} caused by storms", "pairs": [],
+         "connectives": ["caused by"], "source": "corpus-a"}
+        for i in range(2)))
+    one, two = load_repository(db).records.values()
+    assert (one.source, one.connectives) == (two.source, two.connectives) == (
+        "corpus-a", ("caused by",))
+    assert one.source is two.source and one.connectives[0] is two.connectives[0]
+
+    transcript = tmp_path / "transcript.jsonl"
+    write_objects(transcript, *({"request_hash": h, "response_text": "Label: 1",
+                                 "timestamp": "2026-01-02T03:04:05.000000+00:00"}
+                                for h in ("aa", "bb")))
+    loaded = Transcript(transcript)
+    assert loaded.lookup("aa") == loaded.lookup("bb") == "Label: 1"
+    assert loaded.lookup("aa") is loaded.lookup("bb")
+
+    cache = tmp_path / "cache.jsonl"
+    write_objects(cache, *({"key": key, "model": "local-hash-2", "dim": 2,
+                            "vector": [0.6, 0.8]} for key in ("0" * 64, "1" * 64)))
+    keys = list(EmbeddingCache(cache)._values.items())
+    assert [(key.model_id, vector.model_id) for key, vector in keys] == [
+        ("local-hash-2", "local-hash-2")] * 2
+    models = {id(key.model_id) for key, _ in keys} | {id(vector.model_id) for _, vector in keys}
+    assert len(models) == 1
