@@ -261,8 +261,9 @@ def render_tagged(text: str, pairs: Iterable[CauseEffectPair]) -> str:
 
 def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> LabeledInstance:
     """One canonical record as an instance; a record that breaks the format
-    is a KeyError, TypeError or ValueError. An id defaults to the source and
-    the line number. A source, which many lines share, is kept once."""
+    is a KeyError, TypeError or ValueError. An id is a non-empty string, by
+    default the source and the line number. A source, which many lines
+    share, is kept once."""
     text, label, source = obj["text"], obj["label"], obj.get("source", default_source)
     if type(source) is not str:
         raise TypeError(f"'source' must be a string, got {source!r}")
@@ -295,9 +296,11 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
                 raise ValueError(f"phrase {phrase!r} does not occur in the sentence text")
         pairs.append(CauseEffectPair(cause, effect))
 
-    sid = obj.get("id") or make_sentence_id(source, line_no)
+    sid = obj["id"] if "id" in obj else make_sentence_id(source, line_no)
+    if type(sid) is not str or not sid:
+        raise ValueError(f"'id' must be a non-empty string, got {sid!r}")
     sentence = TaggedSentence(
-        id=str(sid),
+        id=sid,
         raw_text=text,
         pairs=tuple(pairs),
         source=source,

@@ -10,8 +10,9 @@ the microsecond (`2026-01-02T03:04:05.123456+00:00`, taken from
 answer. Replay needs no network, and `requests` is imported on the first
 live request only, by `post_with_retry`.
 
-`LlmClient` keeps its answers in a memo keyed by that hash, so whatever
-backend it wraps is asked once per distinct request.
+`LlmClient` builds requests and asks its backend for each one. The one
+memo of answers by that hash is a `RecordBackend`'s `answers` store: a
+`Transcript`, or a plain `jsonl.Memo` for answers that are not recorded.
 
 Chat (`LiveBackend`) and embedding (`embedding.HttpEmbeddingProvider`)
 requests go through one `HttpEndpoint`, so they share one rule for each of:
@@ -148,9 +149,6 @@ class Transcript(Memo):
         self._appender = LineAppender(self.path)
         if self.path.exists():
             self._values.update(read_jsonl(self.path, _transcript_entry))
-
-    def lookup(self, req_hash: str) -> str | None:
-        return self.get(req_hash)
 
     def put(self, req_hash: str, response_text: str) -> str:
         self.append(TranscriptEntry(req_hash, response_text, _utc_now()))
@@ -301,64 +299,55 @@ class ReplayBackend:
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         req_hash = request_hash(req)
-        text = self.transcript.lookup(req_hash)
+        text = self.transcript.get(req_hash)
         if text is None:
             raise ReplayMissError(req_hash)
         return CompletionResponse(text=text, provider_meta={"replayed": True})
 
 
 class RecordBackend:
-    """Replay when the transcript has the request, otherwise call live and
-    append; concurrent asks for one unrecorded request make one live call."""
+    """Answer from `answers` when it has the request, otherwise call live
+    and keep the answer there (a `Transcript` also appends it); concurrent
+    asks for one missing request make one live call."""
 
-    def __init__(self, transcript: Transcript, live: Backend):
-        self.transcript = transcript
+    def __init__(self, answers: Memo, live: Backend):
+        self.answers = answers
         self.live = live
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        text = self.transcript.fill(request_hash(req), lambda: self.live.complete(req).text)
+        text = self.answers.fill(request_hash(req), lambda: self.live.complete(req).text)
         return CompletionResponse(text=text)
 
 
 class ScriptedBackend:
-    """In-memory backend for tests and fixtures.
+    """In-memory backend for tests and fixtures: `script` maps a
+    CompletionRequest to response text. `calls` counts the asks."""
 
-    `script` is either a callable mapping a CompletionRequest to response
-    text, or a dict keyed by user_text.
-    """
-
-    def __init__(self, script: Callable[[CompletionRequest], str] | dict[str, str]):
+    def __init__(self, script: Callable[[CompletionRequest], str]):
         self.script = script
         self.calls = 0
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         self.calls += 1
-        if callable(self.script):
-            text = self.script(req)
-        else:
-            if req.user_text not in self.script:
-                raise KeyError(f"no scripted response for user_text {req.user_text[:80]!r}")
-            text = self.script[req.user_text]
-        return CompletionResponse(text=text, provider_meta={"scripted": True})
+        return CompletionResponse(text=self.script(req), provider_meta={"scripted": True})
 
 
 @dataclass
 class LlmClient:
-    """A model handle: fixed decoding settings plus a backend, asked once per
-    distinct request; the answers are kept for the client's lifetime."""
+    """A model handle: fixed decoding settings plus a backend, asked on
+    every call (a `RecordBackend` keeps the answers)."""
 
     backend: Backend
     model_id: str
     temperature: float = 0.0
     max_output_tokens: int = 1024
-    _answers: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
     def request(self, system_text: str, user_text: str) -> CompletionRequest:
         return CompletionRequest(system_text, user_text, self.model_id,
                                  self.temperature, self.max_output_tokens)
 
     def complete(self, req: CompletionRequest) -> str:
-        return self._answers.fill(req.digest, lambda: self.backend.complete(req).text)
+        return self.backend.complete(req).text
 
     def complete_text(self, system_text: str, user_text: str) -> str:
         return self.complete(self.request(system_text, user_text))

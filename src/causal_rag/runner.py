@@ -3,11 +3,14 @@
 A run walks every input instance: retrieve examples under the configured
 strategy, assemble the prompt, complete it, parse the response, and append
 one prediction record per sentence. A run, or a whole sweep, shares one
-session: the dataset, repository and transcript are loaded once, no text
-is embedded twice, and the chat client asks the backend once per distinct
-request, connective prompts included, so a live sweep pays what a record
-sweep pays. Each sentence's pattern candidates and kNN hits are worked out
-once for all the cells of a sweep that use them.
+session: the dataset, repository and transcript are loaded once and no
+text is embedded twice. The backend a config names keeps each answer once
+(in the transcript, or in a memo under live), so the provider is asked once
+per distinct request, connective prompts included, and a live sweep pays
+what a record sweep pays. An injected backend is asked for every answer;
+wrap it in `RecordBackend(Memo(), backend)` to ask once per request. Each
+sentence's pattern candidates and kNN hits are worked out once for all the
+cells of a sweep that use them.
 
 A sweep, and a run as a sweep of one cell, is one stream: every cell is
 opened first (its file read and checked, or removed under `force`), then
@@ -194,10 +197,8 @@ class RunResult:
 def make_backend(name: str, transcript_path: str | None, base_url: str) -> Backend:
     if name == "replay":
         return ReplayBackend(Transcript(transcript_path))
-    live = LiveBackend(base_url)
-    if name == "record":
-        return RecordBackend(Transcript(transcript_path), live)
-    return live
+    answers = Transcript(transcript_path) if name == "record" else Memo()
+    return RecordBackend(answers, LiveBackend(base_url))
 
 
 def make_embedder(config: ExperimentConfig):
@@ -222,8 +223,8 @@ def _select_instances(split: DatasetSplit, task: str, single_pair: bool) -> list
 
 class _Session:
     """What every cell of one run or sweep shares, loaded once: the catalog,
-    the selected instances, the repository, the chat client with its
-    answers and, once the stream reaches a kNN task, the embedding service
+    the selected instances, the repository, the chat client and its
+    backend and, once the stream reaches a kNN task, the embedding service
     (the one memo of repository and query vectors) and the repository's
     vector index, whose rows are the service's copy of each repository
     vector. `shared` keeps each sentence's retrieval work for the other

@@ -430,6 +430,22 @@ def test_a_dataset_source_that_is_not_a_string_is_a_data_error(tmp_path, capsys)
     assert reason in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("bad_id", [["a", 1], 0, 7, "", None], ids=repr)
+def test_a_dataset_id_that_is_not_a_non_empty_string_is_a_data_error(tmp_path, bad_id) -> None:
+    path = tmp_path / "bad.jsonl"
+    fine = {"text": "fine", "label": 0}
+    _write_jsonl(path, [fine])
+    # an absent id is the default: the source and the line number
+    assert load_dataset(path, "jsonl").instances[0].sentence.id == "bad-000001"
+    _write_jsonl(path, [fine, {"id": bad_id, "text": "x", "label": 0}])
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(path, "jsonl")
+    assert str(excinfo.value) == (
+        f"{path}: line 2: 'id' must be a non-empty string, got {bad_id!r}"
+    )
+
+
 SEMEVAL_BLOCKS = (
     '1\t"The <e1>burst</e1> has been caused by water hammer <e2>pressure</e2>."\n'
     "Cause-Effect(e2,e1)\n"

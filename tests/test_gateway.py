@@ -34,6 +34,7 @@ from causal_rag.gateway import (
     post_with_retry,
     request_hash,
 )
+from causal_rag.jsonl import Memo
 
 
 def _req(**overrides) -> CompletionRequest:
@@ -111,9 +112,9 @@ def test_transcript_round_trip(tmp_path) -> None:
     transcript.append(TranscriptEntry("aa", "hello", "2026-01-01T00:00:00+00:00"))
     transcript.append(TranscriptEntry("bb", "world", "2026-01-01T00:00:01+00:00"))
     reloaded = Transcript(path)
-    assert reloaded.lookup("aa") == "hello"
-    assert reloaded.lookup("bb") == "world"
-    assert reloaded.lookup("cc") is None
+    assert reloaded.get("aa") == "hello"
+    assert reloaded.get("bb") == "world"
+    assert reloaded.get("cc") is None
     assert len(reloaded) == 2
 
 
@@ -127,7 +128,7 @@ def test_transcript_append_only_last_wins(tmp_path) -> None:
     # earlier lines untouched, correction appended at the end
     assert after[: len(before)] == before
     assert len(after) == 2
-    assert Transcript(path).lookup("aa") == "second"
+    assert Transcript(path).get("aa") == "second"
 
 
 def test_torn_transcript_loads_and_heals_on_the_next_append(tmp_path) -> None:
@@ -137,13 +138,13 @@ def test_torn_transcript_loads_and_heals_on_the_next_append(tmp_path) -> None:
         transcript.append(TranscriptEntry(name, f"answer {name}", "ts"))
     path.write_bytes(path.read_bytes()[:-20])  # a write cut short
     torn = Transcript(path)
-    assert (torn.lookup("aa"), torn.lookup("bb"), torn.lookup("cc")) == (
+    assert (torn.get("aa"), torn.get("bb"), torn.get("cc")) == (
         "answer aa", "answer bb", None,
     )
     torn.append(TranscriptEntry("cc", "answer cc again", "ts"))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["request_hash"] for line in lines] == ["aa", "bb", "cc"]
-    assert Transcript(path).lookup("cc") == "answer cc again"
+    assert Transcript(path).get("cc") == "answer cc again"
 
 
 def test_damaged_transcript_line_is_named(tmp_path) -> None:
@@ -169,11 +170,7 @@ def test_replay_hit_and_miss(tmp_path) -> None:
     assert request_hash(missing) in str(excinfo.value)
 
 
-def test_scripted_backend_dict_and_callable() -> None:
-    backend = ScriptedBackend({"q": "a"})
-    assert backend.complete(_req(user_text="q")).text == "a"
-    with pytest.raises(KeyError):
-        backend.complete(_req(user_text="unknown"))
+def test_scripted_backend_callable() -> None:
     echo = ScriptedBackend(lambda req: req.user_text.upper())
     assert echo.complete(_req(user_text="hi")).text == "HI"
     assert echo.calls == 1
@@ -217,7 +214,7 @@ def test_record_mode_concurrent_distinct_requests(tmp_path) -> None:
     reloaded = Transcript(tmp_path / "t.jsonl")
     assert len(reloaded) == 12
     for r in reqs:
-        assert reloaded.lookup(request_hash(r)) == "x"
+        assert reloaded.get(request_hash(r)) == "x"
 
 
 class HeldLive:
@@ -295,11 +292,11 @@ def test_transcript_fill_keeps_nothing_when_the_call_fails(tmp_path) -> None:
 
     with pytest.raises(TransportError):
         transcript.fill("aa", fail)
-    assert transcript.lookup("aa") is None
+    assert transcript.get("aa") is None
     assert not path.exists()
     assert transcript.fill("aa", lambda: "hello") == "hello"
     assert transcript.fill("aa", fail) == "hello"
-    assert Transcript(path).lookup("aa") == "hello"
+    assert Transcript(path).get("aa") == "hello"
 
 
 class _Response:
@@ -505,7 +502,7 @@ def test_llm_client_passes_settings() -> None:
     assert seen[0].system_text == "sys"
 
 
-def test_llm_client_asks_its_backend_once_per_distinct_request() -> None:
+def test_a_record_backend_over_a_memo_asks_once_per_distinct_request() -> None:
     seen: list[CompletionRequest] = []
 
     def script(req: CompletionRequest) -> str:
@@ -514,7 +511,14 @@ def test_llm_client_asks_its_backend_once_per_distinct_request() -> None:
             raise TransportError("connection reset")
         return f"answer {len(seen)}"
 
-    client = LlmClient(backend=ScriptedBackend(script), model_id="m-1", temperature=0.7)
+    # a bare client keeps no answer: it asks its backend on every call
+    bare = LlmClient(backend=ScriptedBackend(lambda req: "x"), model_id="m-1")
+    for _ in range(3):
+        bare.complete_text("sys", "usr")
+    assert bare.backend.calls == 3
+
+    client = LlmClient(backend=RecordBackend(Memo(), ScriptedBackend(script)),
+                       model_id="m-1", temperature=0.7)
     with pytest.raises(TransportError):
         client.complete_text("sys", "usr")
     assert client.complete_text("sys", "usr") == "answer 2"

@@ -299,8 +299,8 @@ def test_a_value_the_lines_of_a_file_repeat_is_loaded_once(tmp_path):
                                  "timestamp": "2026-01-02T03:04:05.000000+00:00"}
                                 for h in ("aa", "bb")))
     loaded = Transcript(transcript)
-    assert loaded.lookup("aa") == loaded.lookup("bb") == "Label: 1"
-    assert loaded.lookup("aa") is loaded.lookup("bb")
+    assert loaded.get("aa") == loaded.get("bb") == "Label: 1"
+    assert loaded.get("aa") is loaded.get("bb")
 
     cache = tmp_path / "cache.jsonl"
     write_objects(cache, *({"key": key, "model": "local-hash-2", "dim": 2,

@@ -713,11 +713,12 @@ def test_sweep_cells_equal_single_runs(tmp_path, task, strategies, k_values):
                 assert PredictionRecord.of(json.loads(line), task).line() + "\n" == line
 
 
-def test_sweep_asks_each_sentence_for_its_connectives_once(tmp_path):
+def test_sweep_asks_each_sentence_for_its_connectives_once(tmp_path, monkeypatch):
     responder = FixtureResponder()
+    monkeypatch.setattr(runner, "LiveBackend", lambda base_url: ScriptedBackend(responder))
     base = scripted_config(tmp_path, "detect", StrategyKind.PATTERN, out=tmp_path / "unused.jsonl")
     sweep(base, [StrategyKind.PATTERN, StrategyKind.KNN_PATTERN], [1, 5],
-          str(tmp_path / "grid.csv"), backend=ScriptedBackend(responder))
+          str(tmp_path / "grid.csv"))
     asked = Counter(
         request.user_text.rsplit("Sentence: ", 1)[1].split("\n", 1)[0]
         for request in responder.calls
@@ -782,12 +783,13 @@ LIVE_SWEEP_DIGESTS = {"detect": 285, "extract": 116}
 
 @pytest.mark.parametrize("concurrency", [1, 4])
 @pytest.mark.parametrize("task", ["detect", "extract"])
-def test_live_sweep_pays_once_per_distinct_request(tmp_path, task, concurrency):
+def test_live_sweep_pays_once_per_distinct_request(tmp_path, monkeypatch, task, concurrency):
     responder = FixtureResponder()
     backend = ScriptedBackend(responder)
+    monkeypatch.setattr(runner, "LiveBackend", lambda base_url: backend)
     base = scripted_config(tmp_path, task, StrategyKind.RANDOM, out=tmp_path / "unused.jsonl",
                            concurrency=concurrency)
-    sweep(base, list(StrategyKind), [1, 5, 10], str(tmp_path / "grid.csv"), backend=backend)
+    sweep(base, list(StrategyKind), [1, 5, 10], str(tmp_path / "grid.csv"))
     distinct = {request.digest for request in responder.calls}
     assert len(distinct) == LIVE_SWEEP_DIGESTS[task]
     assert backend.calls == len(distinct)
