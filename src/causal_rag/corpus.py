@@ -429,17 +429,27 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
                 else _IMPORTERS[format](path))
     name = path.stem  # the default source
     instances = []
+    first_lines: dict[str, int] = {}  # each id's first line
+    repeats: list[tuple[int, str]] = []  # (line, id) of each later line of an id
     for line_no, obj in numbered:
         try:
-            instances.append(_instance_from_canonical(obj, line_no, name))
+            instance = _instance_from_canonical(obj, line_no, name)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRecordError(exc, line_no, path) from None
+        instances.append(instance)
+        sid = instance.sentence.id
+        if sid in first_lines:
+            repeats.append((line_no, sid))
+        else:
+            first_lines[sid] = line_no
     if not instances:
         raise EmptyDatasetError(f"{path} contains no records")
-    ids = [inst.sentence.id for inst in instances]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise MalformedRecordError(f"duplicate instance ids: {dupes[:5]}", path=path)
+    if repeats:
+        line_no, sid = repeats[0]
+        dupes = sorted({i for _, i in repeats})
+        raise MalformedRecordError(
+            f"duplicate instance ids: {dupes[:5]} (this line repeats {sid!r} "
+            f"of line {first_lines[sid]})", line_no, path)
     return DatasetSplit(name=name, instances=tuple(instances))
 
 

@@ -30,7 +30,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
@@ -83,21 +83,20 @@ class CompletionRequest:
     temperature: float = 0.0
     max_output_tokens: int = 1024
 
+    # sha256 identity of the request, computed at construction, so every
+    # backend and the runner share one hash per request
+    digest: str = field(init=False, compare=False, repr=False)
+
     def __post_init__(self) -> None:
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-
-    @cached_property
-    def digest(self) -> str:
-        """sha256 identity of the request, computed on first use and kept,
-        so every backend and the runner share one hash per request. The
-        bytes hashed are the canonical payload's; its constant head is
-        hashed once per (model, system text, temperature)."""
+        # the bytes hashed are the canonical payload's; its constant head is
+        # hashed once per (model, system text, temperature)
         state = _digest_head(self.model_id, self.system_text, self.temperature).copy()
         state.update((encode_basestring(self.user_text) + "}").encode("utf-8"))
-        return state.hexdigest()
+        object.__setattr__(self, "digest", state.hexdigest())
 
 
 @dataclass(frozen=True)
@@ -118,11 +117,17 @@ def request_hash(req: CompletionRequest) -> str:
     return req.digest
 
 
+@lru_cache(maxsize=1)
+def _utc_second(seconds: int) -> str:
+    """The whole-second part of a timestamp, formatted once per second."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+
+
 def _utc_now() -> str:
     """The time now, in UTC, as ISO 8601 to the microsecond (always six
     digits): 2026-01-02T03:04:05.000000+00:00."""
     seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micros:06d}+00:00"
+    return f"{_utc_second(seconds)}.{micros:06d}+00:00"
 
 
 def _transcript_entry(obj: dict) -> tuple[str, str]:

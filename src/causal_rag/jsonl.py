@@ -2,19 +2,23 @@
 appender and the one atomic writer; and the memo shared by the stores and
 the chat client.
 
-`read_json_objects` reads every JSONL file. A process killed in the middle
-of an append can leave a final line without its newline. Stores (prediction
-files, transcripts, embedding caches) drop such a line with a warning when
-it does not parse, and a `LineAppender` cuts it off (or ends it, if it
-parses) before its first line. Datasets and saved repositories, which
-nothing appends to, refuse it. A store reads through `read_jsonl` with its
-own `parse`. Any other damaged line, or one that `parse` refuses, is a
-`MalformedRecordError` that names the file, the line and the reason.
-`mmap` is imported only to read a torn tail back, and `logging` only by a
-warning (`errors.warn`). A parser keeps one object per distinct value of
-a string field that repeats across lines (`sys.intern`), so a file of
-many lines that share a value holds it once.
+`read_json_objects` reads every JSONL file, decoding each line with one
+scanner call; only a line that fails that goes through `json.loads`, so
+every object and every error reads as `json.loads` gives it. A process
+killed in the middle of an append can leave a final line without its
+newline. Stores (prediction files, transcripts, embedding caches) drop such
+a line with a warning when it does not parse, and a `LineAppender` cuts it
+off (or ends it, if it parses) when it opens the file for its first line.
+Datasets and saved repositories, which nothing appends to, refuse it. A
+store reads through `read_jsonl` with its own `parse`. Any other damaged
+line, or one that `parse` refuses, is a `MalformedRecordError` that names
+the file, the line and the reason. `mmap` is imported only to read a torn
+tail back, and `logging` only by a warning (`errors.warn`). A parser keeps
+one object per distinct value of a string field that repeats across lines
+(`sys.intern`), so a file of many lines that share a value holds it once.
 
+A `LineAppender` holds one descriptor from its first line until it is
+released, when a finalizer closes it; each line is one write loop on it.
 `replace_lines` writes every whole file (saved repositories, canonical
 datasets, metrics reports, sweep CSVs) in one rename. `encode_line` is the
 one encoding of a stored line (keys sorted, non-ASCII text as UTF-8).
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import weakref
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
@@ -34,6 +39,9 @@ T = TypeVar("T")
 
 # one encoder for every line, so no write builds a new `JSONEncoder`
 encode_line: Callable[[object], str] = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+# one decoder for every line: `json.loads` without its per-call wrapper
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_json_objects(path: str | Path, *, drop_torn_tail: bool = True) -> Iterator[tuple[int, dict]]:
@@ -45,7 +53,7 @@ def read_json_objects(path: str | Path, *, drop_torn_tail: bool = True) -> Itera
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line.decode("utf-8"))
+                obj = _decode_line(line.decode("utf-8"))
             except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
                 reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
                 if drop_torn_tail and not line.endswith(b"\n"):
@@ -55,6 +63,19 @@ def read_json_objects(path: str | Path, *, drop_torn_tail: bool = True) -> Itera
             if not isinstance(obj, dict):
                 raise MalformedRecordError("expected a JSON object", line_no, path)
             yield line_no, obj
+
+
+def _decode_line(text: str):
+    """`json.loads(text)`: one scanner call when the value starts the line
+    and only JSON whitespace follows it, else `json.loads` itself, which
+    gives the same object or the same error."""
+    try:
+        obj, end = _raw_decode(text)
+        if not text[end:].strip(" \t\n\r"):
+            return obj
+    except ValueError:
+        pass
+    return json.loads(text)
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T] = lambda obj: obj) -> Iterator[T]:
@@ -130,35 +151,37 @@ class Memo:
 
 
 class LineAppender:
-    """Appends lines to a JSONL file, each with one OS write; callers
-    serialize appends. `append` opens the file for one line, `extend` once
-    for all it takes, so no descriptor outlives a call. The first line
-    creates the file and its directory, or first mends a torn final line."""
+    """Appends lines to a JSONL file, each with one OS write loop; callers
+    serialize appends. Nothing is opened before the first line. That line
+    opens the file, creating it and its directory or first mending a torn
+    final line, and the appender keeps that one `O_APPEND` descriptor until
+    it is released, when a finalizer closes it."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._checked = False
+        self._fd: int | None = None
 
     def append(self, line: str) -> None:
-        self.extend((line,))
+        data = memoryview((line + "\n").encode("utf-8"))
+        fd = self._fd if self._fd is not None else self._open()
+        while data:
+            data = data[os.write(fd, data):]
 
     def extend(self, lines: Iterable[str]) -> None:
-        fd = None  # nothing is opened before the first line
+        for line in lines:
+            self.append(line)
+
+    def _open(self) -> int:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        close = weakref.finalize(self, os.close, fd)
         try:
-            for line in lines:
-                data = memoryview((line + "\n").encode("utf-8"))
-                if fd is None:
-                    if not self._checked:
-                        self.path.parent.mkdir(parents=True, exist_ok=True)
-                    fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-                    if not self._checked:
-                        _end_with_a_complete_line(fd, self.path)
-                        self._checked = True
-                while data:
-                    data = data[os.write(fd, data):]
-        finally:
-            if fd is not None:
-                os.close(fd)
+            _end_with_a_complete_line(fd, self.path)
+        except BaseException:
+            close()
+            raise
+        self._fd = fd
+        return fd
 
 
 def _end_with_a_complete_line(fd: int, path: Path) -> None:

@@ -295,6 +295,21 @@ def test_load_jsonl_rejects_duplicate_ids(tmp_path) -> None:
         load_dataset(path, "jsonl")
 
 
+def test_a_duplicate_id_names_the_line_of_its_first_repeat(tmp_path) -> None:
+    path = tmp_path / "dup.jsonl"
+    rows = [{"id": sid, "text": f"sentence {n}", "label": 0}
+            for n, sid in enumerate(["a-1", "b-2", "c-3", "b-2", "a-1", "b-2"])]
+    _write_jsonl(path, rows[:3])
+    path.write_text(path.read_text() + "\n", encoding="utf-8")  # a blank line 4
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(row) + "\n" for row in rows[3:])
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(path, "jsonl")
+    assert (excinfo.value.path, excinfo.value.line_number) == (path, 5)
+    assert str(excinfo.value) == (
+        f"{path}: line 5: duplicate instance ids: ['a-1', 'b-2'] (this line repeats 'b-2' of line 2)")
+
+
 def test_load_jsonl_invalid_json_reports_line(tmp_path) -> None:
     path = tmp_path / "broken.jsonl"
     path.write_text('{"text": "ok", "label": 0, "pairs": [], "source": "s"}\n{oops\n')
@@ -414,7 +429,8 @@ def test_dataset_errors_name_the_file_and_its_line(tmp_path) -> None:
     _write_jsonl(path, [{"id": "a-1", "text": "x", "label": 0}] * 2)
     with pytest.raises(MalformedRecordError) as excinfo:
         load_dataset(path, "jsonl")
-    assert str(excinfo.value).startswith(f"{path}: duplicate instance ids")
+    assert str(excinfo.value) == (
+        f"{path}: line 2: duplicate instance ids: ['a-1'] (this line repeats 'a-1' of line 1)")
 
 
 def test_a_dataset_source_that_is_not_a_string_is_a_data_error(tmp_path, capsys) -> None:

@@ -99,25 +99,7 @@ def test_append_creates_the_file_and_its_directory(tmp_path):
     assert list(read_jsonl(path)) == [{"id": "new"}]
 
 
-def test_appender_writes_whole_lines_after_one_tail_check(tmp_path, monkeypatch):
-    path = tmp_path / "sub" / "a.jsonl"
-    checks: list[object] = []
-
-    real_check = jsonl._end_with_a_complete_line
-
-    def counted(fd, target):
-        checks.append(target)
-        return real_check(fd, target)
-
-    monkeypatch.setattr(jsonl, "_end_with_a_complete_line", counted)
-    appender = LineAppender(path)
-    for row in ROWS:
-        appender.append(json.dumps(row, ensure_ascii=False))
-    assert path.read_bytes() == write_rows(tmp_path / "b.jsonl")
-    assert checks == [path]
-
-
-def test_appender_finishes_a_short_write_and_keeps_no_descriptor(tmp_path, monkeypatch):
+def test_appender_finishes_a_short_write_on_its_one_descriptor(tmp_path, monkeypatch):
     path = tmp_path / "a.jsonl"
     real_write = os.write
     sizes: list[int] = []
@@ -133,9 +115,40 @@ def test_appender_finishes_a_short_write_and_keeps_no_descriptor(tmp_path, monke
     for row in ROWS[1:]:
         appender.append(json.dumps(row, ensure_ascii=False))
     if fds is not None:
-        assert set(os.listdir("/proc/self/fd")) <= fds
+        assert set(os.listdir("/proc/self/fd")) == fds
     assert path.read_bytes() == write_rows(tmp_path / "b.jsonl")
     assert len(sizes) > len(ROWS) and set(sizes) <= {1, 2, 3}
+
+
+@pytest.mark.parametrize("line, expected", [
+    (b'  {"a": 1}\t \n', {"a": 1}),  # JSON whitespace on both sides
+    (b'\t{"a": "\xc3\xa9"}\r\n', {"a": "\u00e9"}),
+    (b'\xef\xbb\xbf{"a": 1}\n', "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    (b'{"a": 1} {"b": 2}\n', "invalid JSON (Extra data)"),
+    (b'{"a": 1}\x0c\n', "invalid JSON (Extra data)"),  # a form feed is not JSON whitespace
+    (b"[1, 2]\n", "expected a JSON object"),
+    (b'{"a": "caf\xe9"}\n', "invalid JSON ('utf-8' codec can't decode byte 0xe9 in position"
+                              " 10: invalid continuation byte)"),
+    (b'{"a": 1', "invalid JSON (Expecting ',' delimiter)"),  # a torn tail
+])
+def test_a_line_reads_as_json_loads_reads_it(tmp_path, caplog, line, expected):
+    path = tmp_path / "a.jsonl"
+    torn = not line.endswith(b"\n")
+    path.write_bytes(b'{"id": 0}\n' + line + (b"" if torn else b'{"id": 2}\n'))
+    if isinstance(expected, dict):
+        assert expected == json.loads(line.decode("utf-8"))
+        for drop in (True, False):
+            assert list(jsonl.read_json_objects(path, drop_torn_tail=drop)) == [
+                (1, {"id": 0}), (2, expected), (3, {"id": 2})]
+        return
+    for drop in (False,) if torn else (True, False):
+        with pytest.raises(MalformedRecordError) as excinfo:
+            list(jsonl.read_json_objects(path, drop_torn_tail=drop))
+        assert str(excinfo.value) == f"{path}: line 2: {expected}"
+    if torn:  # a store drops it, naming the reason
+        with caplog.at_level(logging.WARNING, logger="causal_rag.jsonl"):
+            assert list(jsonl.read_json_objects(path)) == [(1, {"id": 0})]
+        assert f"dropped torn final line 2 ({expected.removeprefix('invalid JSON (')}" in caplog.text
 
 
 def test_damaged_middle_line_names_the_file_and_the_line(tmp_path):
@@ -189,25 +202,77 @@ def test_appender_touches_no_file_before_its_first_append(tmp_path):
     assert path.read_bytes() == b"{}\n"
 
 
-def test_extend_opens_the_file_once_and_not_for_no_lines(tmp_path, monkeypatch):
-    path = tmp_path / "sub" / "a.jsonl"
-    real_open = os.open
-    opened: list[object] = []
+def descriptors_on(path):
+    """This process's descriptors open on `path`, or None where
+    /proc/self/fd does not list them."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    found = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            if os.readlink(f"/proc/self/fd/{fd}") == str(path):
+                found.add(fd)
+        except OSError:  # the descriptor that lists the directory, now closed
+            pass
+    return found
 
-    def counted(target, *args):
+
+def test_appender_holds_one_descriptor_from_its_first_line_until_released(
+        tmp_path, monkeypatch):
+    path = tmp_path / "sub" / "a.jsonl"
+    real_open, real_check = os.open, jsonl._end_with_a_complete_line
+    opened: list[object] = []
+    checks: list[object] = []
+
+    def counted_open(target, *args):
         opened.append(target)
         return real_open(target, *args)
 
-    monkeypatch.setattr(jsonl.os, "open", counted)
+    def counted_check(fd, target):
+        checks.append(target)
+        return real_check(fd, target)
+
+    monkeypatch.setattr(jsonl.os, "open", counted_open)
+    monkeypatch.setattr(jsonl, "_end_with_a_complete_line", counted_check)
     appender = LineAppender(path)
     appender.extend(iter(()))
     assert opened == [] and not path.parent.exists()
-    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-    appender.extend(json.dumps(row, ensure_ascii=False) for row in ROWS)
-    if fds is not None:
-        assert set(os.listdir("/proc/self/fd")) <= fds
-    assert opened == [path]
+    # a torn tail left by a killed writer is cut once, by the first line
+    path.parent.mkdir()
+    path.write_bytes(b'{"id": "to')
+    for row in ROWS[:2]:
+        appender.append(json.dumps(row, ensure_ascii=False))
+    appender.extend(json.dumps(row, ensure_ascii=False) for row in ROWS[2:])
+    assert opened == [path] and checks == [path]
     assert path.read_bytes() == write_rows(tmp_path / "b.jsonl")
+    if descriptors_on(path) is not None:
+        assert len(descriptors_on(path)) == 1
+        del appender
+        assert descriptors_on(path) == set()
+
+
+def test_two_appenders_on_one_path_keep_every_line_whole(tmp_path):
+    path = tmp_path / "a.jsonl"
+    first, second = LineAppender(path), LineAppender(path)
+    errors: list[BaseException] = []
+
+    def write(appender, name):
+        try:
+            for i in range(300):
+                appender.append(json.dumps({"id": f"{name}{i}", "text": "x" * (i % 97)}))
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=pair)
+               for pair in ((first, "a"), (second, "b"))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    ids = [row["id"] for row in read_jsonl(path)]
+    assert sorted(ids) == sorted(f"{name}{i}" for name in "ab" for i in range(300))
+    assert [i for i in ids if i[0] == "a"] == [f"a{i}" for i in range(300)]
 
 
 def test_extend_keeps_the_lines_taken_before_a_failure(tmp_path):

@@ -687,6 +687,39 @@ def test_build_db_merges_inputs_and_matches_committed_db(tmp_path):
     assert db_path.read_bytes() == (FIXTURES / "examples.db").read_bytes()
 
 
+def test_no_store_descriptor_outlives_a_build_a_run_or_a_sweep(tmp_path, monkeypatch):
+    """Each store holds its file open from its first line until it is
+    released; the stores a call makes are released by its return."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to list open descriptors")
+
+    def open_here():
+        found = set()
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:  # the descriptor that listed the directory
+                continue
+            if target.startswith(str(tmp_path)):
+                found.add(target)
+        return found
+
+    monkeypatch.setattr(runner, "LiveBackend", lambda base_url: ScriptedBackend(FixtureResponder()))
+    transcript = tmp_path / "transcript.jsonl"
+    build_db([str(FIXTURES / "repo_corpus.jsonl")], str(tmp_path / "examples.db"),
+             FIXTURE_MODEL_ID, runner.make_backend("record", str(transcript), ""))
+    assert transcript.stat().st_size > 0 and open_here() == set()
+    config = replace(scripted_config(tmp_path, "detect", StrategyKind.KNN), backend="record",
+                     transcript_path=str(transcript), cache_path=str(tmp_path / "cache.jsonl"),
+                     db_path=str(tmp_path / "examples.db"))
+    run_experiment(config)
+    assert (tmp_path / "cache.jsonl").stat().st_size > 0
+    assert (tmp_path / "predictions.jsonl").stat().st_size > 0 and open_here() == set()
+    sweep(replace(config, strategy=StrategyKind.RANDOM), [StrategyKind.RANDOM, StrategyKind.KNN],
+          [1, 5], str(tmp_path / "grid.csv"))
+    assert (tmp_path / "grid.csv.knn.k5.jsonl").stat().st_size > 0 and open_here() == set()
+
+
 @pytest.mark.parametrize(
     "task, strategies, k_values",
     [
