@@ -270,11 +270,15 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
     source = sys.intern(source)
     if not isinstance(text, str) or not text.strip():
         raise ValueError("'text' must be a non-empty string")
-    if label not in (0, 1):
+    if type(label) is not int or label not in (0, 1):  # not true, not 1.0
         raise ValueError(f"'label' must be 0 or 1, got {label!r}")
 
     text = normalize_ws(text)
-    raw_pairs = obj.get("pairs") or []
+    raw_pairs = obj.get("pairs")
+    if raw_pairs is None:
+        raw_pairs = []
+    elif type(raw_pairs) is not list:
+        raise TypeError(f"'pairs' must be a list of objects, got {raw_pairs!r}")
     if label == 0 and raw_pairs:
         raise ValueError("non-causal record must not carry pairs")
     if label == 1 and not raw_pairs:
@@ -282,11 +286,13 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
 
     pairs: list[CauseEffectPair] = []
     for entry in raw_pairs:
-        try:
-            cause = normalize_ws(entry["cause"])
-            effect = normalize_ws(entry["effect"])
-        except (TypeError, KeyError):
-            raise ValueError(f"malformed pair entry {entry!r}") from None
+        if type(entry) is not dict or "cause" not in entry or "effect" not in entry:
+            raise ValueError(f"malformed pair entry {entry!r}")
+        for name in ("cause", "effect"):
+            if type(entry[name]) is not str:
+                raise TypeError(f"pair {name!r} must be a string, got {entry[name]!r}")
+        cause = normalize_ws(entry["cause"])
+        effect = normalize_ws(entry["effect"])
         if not cause or not effect:
             raise ValueError("pair phrases must be non-empty")
         if cause == effect:
@@ -305,7 +311,7 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
         pairs=tuple(pairs),
         source=source,
     )
-    return LabeledInstance(sentence=sentence, label=int(label))
+    return LabeledInstance(sentence=sentence, label=label)
 
 
 # --- native format importers --------------------------------------------------

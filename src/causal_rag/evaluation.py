@@ -2,10 +2,14 @@
 
 `PredictionRecord` is the one definition of a prediction line: `line()` is
 its one encoding, and `PredictionRecord.of` checks every field of a line
-read back. A run scores each record as it is written: `sentence_outcome`
-turns a record and its instance into a few integers, and a `Tally` sums
-them into the report, through the formulas `detection_metrics`,
-`single_pair_accuracy` and `triplet_metrics` use on whole lists.
+read back. A run builds one per sentence, so it is a named tuple, as is
+each `ExampleProvenance` it holds. A run scores each record as it is
+written: `sentence_outcome` turns a record and its instance into a few
+integers, and a `Tally` sums them into the report, through the formulas
+`detection_metrics`, `single_pair_accuracy` and `triplet_metrics` use on
+whole lists. Greedy matching is one per-sentence matcher: a record's gold
+pairs meet its parsed pairs directly, and `triplet_metrics` runs the same
+matcher on each sentence's group of triplets.
 
 Phrase matching is containment: every token of the gold phrase must appear,
 contiguously and in order, inside the predicted phrase. The test is
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import (
@@ -154,20 +158,31 @@ def _by_sentence(triplets: Sequence[Triplet]) -> dict[str, list[Triplet]]:
     return groups
 
 
-def _greedy_matched(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
-    """Each gold triplet, in order, takes the first unused compatible
-    prediction. Only same-sentence predictions can be compatible, so each
-    gold triplet scans just its own sentence's remaining predictions."""
-    unused = _by_sentence(predicted)
+def _greedy_pairs(gold: Iterable[tuple[str, str]], predicted: Iterable[tuple[str, str]]) -> int:
+    """One sentence's greedy matching of (cause, effect) pairs: each gold
+    pair, in order, takes the first unused prediction that contains both its
+    phrases."""
+    unused = list(predicted)
     matched = 0
-    for g in gold:
-        pool = unused.get(g.sentence_id, ())
-        for i, p in enumerate(pool):
-            if triplet_compatible(g, p):
-                del pool[i]
+    for cause, effect in gold:
+        for i, (p_cause, p_effect) in enumerate(unused):
+            if containment_match(cause, p_cause) and containment_match(effect, p_effect):
+                del unused[i]
                 matched += 1
                 break
     return matched
+
+
+def _greedy_matched(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
+    """Each gold triplet, in order, takes the first unused compatible
+    prediction. Only same-sentence predictions can be compatible, so each
+    sentence's gold triplets are matched against its own predictions alone."""
+    candidates = _by_sentence(predicted)
+    return sum(
+        _greedy_pairs([(g.cause, g.effect) for g in group],
+                      [(p.cause, p.effect) for p in candidates.get(sentence_id, ())])
+        for sentence_id, group in _by_sentence(gold).items()
+    )
 
 
 def _max_matching(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
@@ -244,13 +259,13 @@ def _finite(value: object) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-@dataclass(frozen=True, slots=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """One line of a prediction file: what a run asked, got and parsed for
     one sentence, and where each example of its prompt came from. `parsed`
     is None when the response did not parse, else {"label"} for detect and
     {"pairs", "overlap_flag", "dropped_spans"} for extract. `line()` is the
-    one encoding of such a line and `of` the one check."""
+    one encoding of such a line and `of` the one check. A run builds one
+    per sentence, so it is a tuple, never handed to `encode_line` as is."""
 
     sentence_id: str
     task: str
@@ -324,8 +339,8 @@ class PredictionRecord:
                    obj["parse_error"], timing)
 
 
-_FIELDS = frozenset(field.name for field in fields(PredictionRecord))
-_PROVENANCE_FIELDS = frozenset(field.name for field in fields(ExampleProvenance))
+_FIELDS = frozenset(PredictionRecord._fields)
+_PROVENANCE_FIELDS = frozenset(ExampleProvenance._fields)
 
 
 def _provenance_entry(entry: object) -> ExampleProvenance:
@@ -357,8 +372,9 @@ def sentence_outcome(
     record: PredictionRecord, instance: LabeledInstance, single_pair: bool = False,
     matching: str = "greedy",
 ) -> Outcome:
-    """What `record`, a prediction for `instance`, adds to its report. An unparseable response scores as a failure: a wrong label, no
-    pair, no triplet."""
+    """What `record`, a prediction for `instance`, adds to its report. An
+    unparseable response scores as a failure: a wrong label, no pair, no
+    triplet."""
     parsed, sentence = record.parsed, instance.sentence
     if record.task == "detect":
         predicted = 1 - instance.label if parsed is None else parsed["label"]
@@ -368,12 +384,15 @@ def sentence_outcome(
         predicted = CauseEffectPair(pairs[0]["cause"], pairs[0]["effect"]) if pairs else None
         outcome = _pair_outcome(sentence.id, sentence.pairs[0], predicted)
         counts = (int(outcome.success), int(outcome.overlap_flag))
+    elif matching == "greedy":
+        predicted = [] if parsed is None else [(p["cause"], p["effect"]) for p in parsed["pairs"]]
+        matched = _greedy_pairs([(g.cause, g.effect) for g in sentence.pairs], predicted)
+        counts = (matched, len(predicted), len(sentence.pairs))
     else:
         gold = sentence_triplets(sentence)
         predicted = [Triplet(sentence.id, p["cause"], p["effect"])
                      for p in ([] if parsed is None else parsed["pairs"])]
-        matched = (_greedy_matched if matching == "greedy" else _optimal_matched)(gold, predicted)
-        counts = (matched, len(predicted), len(gold))
+        counts = (_optimal_matched(gold, predicted), len(predicted), len(gold))
     return Outcome(record.example_count, record.parse_error, counts)
 
 

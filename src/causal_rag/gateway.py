@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, TypeVar
 
 from .errors import (
     EmptyCompletionError,
@@ -105,8 +105,10 @@ class CompletionResponse:
     provider_meta: dict = field(default_factory=dict, compare=False)
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
+    """One transcript line. A tuple, so never handed to `encode_line` as
+    is: `Transcript.append` spells it out as an object."""
+
     request_hash: str
     response_text: str
     timestamp: str

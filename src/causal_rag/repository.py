@@ -310,11 +310,9 @@ def load_repository(path: str | Path) -> Repository:
         raise SchemaVersionMismatchError(
             f"{path}: schema_version {header['schema_version']!r}, expected {SCHEMA_VERSION}"
         )
-    try:
-        cap = int(header["cap"])
-        seed = int(header["seed"])
-    except (KeyError, ValueError, TypeError):
-        raise MalformedRecordError("header lacks integer cap/seed", line_no, path) from None
+    cap, seed = header.get("cap"), header.get("seed")
+    if type(cap) is not int or type(seed) is not int:  # not true, "10" or 10.9
+        raise MalformedRecordError("header lacks integer cap/seed", line_no, path)
     if cap < 1:
         raise MalformedRecordError(f"header cap {cap} is below 1", line_no, path)
 

@@ -20,9 +20,9 @@ giving per-sentence variety without losing reproducibility.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .embedding import EmbeddingService, EmbeddingVector, NeighborHit, VectorIndex, knn_search
 from .errors import EmptyConnectiveError, UnparseableResponseError
@@ -64,8 +64,11 @@ class RetrievalConfig:
             raise ValueError(f"matcher must be one of {MATCHERS}")
 
 
-@dataclass(frozen=True)
-class ExampleProvenance:
+class ExampleProvenance(NamedTuple):
+    """Where one example of a prompt came from. A tuple, built several
+    times per record, so it is never handed to `encode_line` as is: a
+    prediction line spells it out as an object."""
+
     record_id: str
     origin: str  # one of ORIGINS
     score: float | None = None
@@ -74,24 +77,24 @@ class ExampleProvenance:
 
 @dataclass(frozen=True)
 class RetrievalResult:
+    """The examples a strategy chose, each the repository record its
+    provenance entry names, in the same order. Build one with `of`."""
+
     examples: tuple[ExampleRecord, ...]
     provenance: tuple[ExampleProvenance, ...]
     strategy: StrategyKind
     fallback_used: bool = False
 
-    def __post_init__(self) -> None:
-        ids = [record.id for record in self.examples]
-        if ids != [p.record_id for p in self.provenance]:
-            raise ValueError("examples and provenance must align")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate record ids in retrieval result")
-
     @classmethod
     def of(cls, repo: Repository, provenance: Sequence[ExampleProvenance],
            strategy: StrategyKind, fallback_used: bool = False) -> RetrievalResult:
         """The result whose examples are `repo`'s records named by
-        `provenance`, in provenance order."""
-        examples = tuple(repo.records[p.record_id] for p in provenance)
+        `provenance`, in provenance order; a record named twice is a
+        ValueError."""
+        ids = [p.record_id for p in provenance]
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate record ids in retrieval result")
+        examples = tuple([repo.records[rid] for rid in ids])
         return cls(examples, tuple(provenance), strategy, fallback_used)
 
 
@@ -249,7 +252,7 @@ def retrieve_pattern(
         if not cfg.fallback_to_random:
             return RetrievalResult.of(repo, [], StrategyKind.PATTERN)
         drawn = retrieve_random(repo, cfg, salt).provenance
-        fallback = [replace(p, origin="random-fallback") for p in drawn]
+        fallback = [p._replace(origin="random-fallback") for p in drawn]
         return RetrievalResult.of(repo, fallback, StrategyKind.PATTERN, fallback_used=True)
     chosen = sorted(best)
     if len(chosen) > cfg.k:

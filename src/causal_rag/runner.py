@@ -39,6 +39,9 @@ outputs are byte-identical across runs and concurrency bounds whenever the
 transcript, seed, and config are fixed. Unparseable responses are scored as
 failures, never crashes; under the replay backend, timings are 0.0 to keep
 outputs reproducible.
+
+A cell's `RetrievalConfig`, which all its records share, is built once,
+when the cell is opened.
 """
 
 from __future__ import annotations
@@ -255,13 +258,13 @@ class _Session:
 
 
 def _retrieve(
-    instance: LabeledInstance, config: ExperimentConfig, session: _Session
+    instance: LabeledInstance, cell: _Cell, session: _Session
 ) -> RetrievalResult:
-    strategy = config.strategy
+    strategy = cell.config.strategy
     if strategy is StrategyKind.ZEROSHOT:
         return zeroshot_result()
     repo = session.repo
-    rcfg = config.retrieval_config()
+    rcfg = cell.retrieval
     sid = instance.sentence.id
     text = instance.sentence.raw_text
     if strategy is StrategyKind.RANDOM:
@@ -278,10 +281,11 @@ def _retrieve(
 
 
 def _process_instance(
-    instance: LabeledInstance, config: ExperimentConfig, session: _Session
+    instance: LabeledInstance, cell: _Cell, session: _Session
 ) -> PredictionRecord:
     started = time.perf_counter()
-    retrieved = _retrieve(instance, config, session)
+    config = cell.config
+    retrieved = _retrieve(instance, cell, session)
     sentence = instance.sentence
     if config.task == "detect":
         prompt = detection_prompt(sentence.raw_text, retrieved, session.catalog)
@@ -366,11 +370,12 @@ def run_experiment(
 
 @dataclass
 class _Cell:
-    """One experiment of a stream, opened: its config, the tally of the
-    records its file already holds, and the instances it still has to run,
-    in id order."""
+    """One experiment of a stream, opened: its config and the retrieval
+    config every record of it shares, the tally of the records its file
+    already holds, and the instances it still has to run, in id order."""
 
     config: ExperimentConfig
+    retrieval: RetrievalConfig
     tally: Tally
     todo: list[LabeledInstance]
     skipped: int  # the records already on file
@@ -409,7 +414,7 @@ def _open_cell(session: _Session, config: ExperimentConfig) -> _Cell:
     todo = [inst for inst in session.instances if inst.sentence.id not in existing]
     todo.sort(key=lambda inst: inst.sentence.id)
     tally = Tally(config.task, config.single_pair, existing.values())
-    return _Cell(config, tally, todo, tally.sentences)
+    return _Cell(config, config.retrieval_config(), tally, todo, tally.sentences)
 
 
 def _share_retrieval(session: _Session, cells: Sequence[_Cell]) -> None:
@@ -455,7 +460,7 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
             return None
         config = cell.config
         try:
-            record = _process_instance(instance, config, session)
+            record = _process_instance(instance, cell, session)
         except ProviderError as exc:
             failures.append((position, cell, exc))
             return None

@@ -446,6 +446,38 @@ def test_a_dataset_source_that_is_not_a_string_is_a_data_error(tmp_path, capsys)
     assert reason in capsys.readouterr().err
 
 
+_CAUSAL = {"text": "smoking causes cancer", "label": 1,
+           "pairs": [{"cause": "smoking", "effect": "cancer"}]}
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"label": True}, "'label' must be 0 or 1, got True"),
+    ({"label": 0.0, "pairs": []}, "'label' must be 0 or 1, got 0.0"),
+    ({"label": 1.0}, "'label' must be 0 or 1, got 1.0"),
+    ({"pairs": {"cause": "smoking", "effect": "cancer"}},
+     "'pairs' must be a list of objects, got {'cause': 'smoking', 'effect': 'cancer'}"),
+    ({"pairs": "smoking"}, "'pairs' must be a list of objects, got 'smoking'"),
+    ({"label": 0, "pairs": {}}, "'pairs' must be a list of objects, got {}"),
+    ({"label": 0, "pairs": False}, "'pairs' must be a list of objects, got False"),
+    ({"pairs": [["smoking", "cancer"]]}, "malformed pair entry ['smoking', 'cancer']"),
+    ({"pairs": [{"cause": "smoking"}]}, "malformed pair entry {'cause': 'smoking'}"),
+    ({"pairs": [{"cause": 5, "effect": "cancer"}]}, "pair 'cause' must be a string, got 5"),
+    ({"pairs": [{"cause": "smoking", "effect": ["cancer"]}]},
+     "pair 'effect' must be a string, got ['cancer']"),
+], ids=repr)
+def test_a_dataset_label_or_pair_of_the_wrong_type_is_a_data_error(tmp_path, capsys, change,
+                                                                   reason) -> None:
+    """A label is a JSON integer, not true or 0.0, and pairs are a list of
+    objects whose phrases are strings; `eval` exits 2 naming the line."""
+    path = tmp_path / "bad.jsonl"
+    _write_jsonl(path, [_CAUSAL, dict(_CAUSAL, **change)])
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_dataset(path, "jsonl")
+    assert str(excinfo.value) == f"{path}: line 2: {reason}"
+    argv = ["eval", "--predictions", str(tmp_path / "p.jsonl"), "--dataset", str(path)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"{path}: line 2: {reason}" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("bad_id", [["a", 1], 0, 7, "", None], ids=repr)
 def test_a_dataset_id_that_is_not_a_non_empty_string_is_a_data_error(tmp_path, bad_id) -> None:

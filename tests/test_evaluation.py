@@ -25,6 +25,8 @@ from causal_rag.evaluation import (
     single_pair_accuracy,
     triplet_metrics,
 )
+from causal_rag.gateway import TranscriptEntry
+from causal_rag.retrieval import ExampleProvenance, StrategyKind
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
 
@@ -456,6 +458,19 @@ def test_tally_of_sentence_outcomes_equals_one_scoring_pass_seeded(
 
         return tuple(CauseEffectPair(phrase(), phrase()) for _ in range(rng.randrange(1, most + 1)))
 
+    if task == "extract" and not single_pair:
+        # two gold pairs compete for the one prediction that holds both:
+        # greedy gives it to the first and leaves the second unmatched
+        gold = (CauseEffectPair("alpha", "bravo"), CauseEffectPair("alpha", "charlie"))
+        answer = (CauseEffectPair("alpha", "bravo charlie"), CauseEffectPair("alpha", "bravo"))
+        record = PredictionRecord.of(_prediction(task, "s0", 0, answer), task)
+        instance = LabeledInstance(TaggedSentence("s0", "text", gold, "t"), 1)
+        matched = {"greedy": 1, "optimal": 2}[matching]
+        assert sentence_outcome(record, instance, False, matching).counts == (matched, 2, 2)
+        assert triplet_metrics([t("s0", p.cause, p.effect) for p in gold],
+                               [t("s0", p.cause, p.effect) for p in answer],
+                               matching).matched == matched
+
     for _ in range(200):
         instances, records = [], []
         for i in range(rng.randrange(1, 12)):
@@ -495,6 +510,47 @@ def test_tally_of_sentence_outcomes_equals_one_scoring_pass_seeded(
             predicted = [t(r.sentence_id, p["cause"], p["effect"])
                          for r in records if r.parsed for p in r.parsed["pairs"]]
             assert metrics == asdict(triplet_metrics(gold, predicted, matching))
+
+
+_NO_DEFAULT = object()
+
+
+@pytest.mark.parametrize("kind, fields", [
+    (ExampleProvenance, {"record_id": _NO_DEFAULT, "origin": _NO_DEFAULT, "score": None,
+                         "connective": None}),
+    (PredictionRecord, dict.fromkeys(
+        ("sentence_id", "task", "strategy", "prompt_hash", "example_count", "fallback_used",
+         "provenance", "response", "parsed", "parse_error", "timing_ms"), _NO_DEFAULT)),
+    (TranscriptEntry, dict.fromkeys(("request_hash", "response_text", "timestamp"),
+                                    _NO_DEFAULT)),
+], ids=["ExampleProvenance", "PredictionRecord", "TranscriptEntry"])
+def test_per_record_value_types_keep_their_fields_and_stay_immutable(kind, fields) -> None:
+    """Each is a named tuple, cheap to build: the field names, their order and
+    their defaults are those of the frozen dataclass it replaced, and no
+    field can be assigned."""
+    assert kind._fields == tuple(fields)
+    assert kind._field_defaults == {
+        name: default for name, default in fields.items() if default is not _NO_DEFAULT}
+    value = kind(*[f"v{i}" for i in range(len(fields))])
+    assert value == kind(**{name: f"v{i}" for i, name in enumerate(fields)})
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, "other")
+    with pytest.raises(AttributeError):
+        value.extra = "other"
+
+
+def test_a_fallback_record_spells_each_provenance_entry_as_an_object() -> None:
+    drawn = (ExampleProvenance("r2", "random"), ExampleProvenance("r1", "random"))
+    fallback = tuple(p._replace(origin="random-fallback") for p in drawn)
+    assert [p.origin for p in drawn] == ["random", "random"]
+    record = PredictionRecord("s1", "detect", StrategyKind.PATTERN, "0" * 64, 2, True, fallback,
+                              "yes", {"label": 1}, False, 0.0)
+    assert json.loads(record.line())["provenance"] == [
+        {"origin": "random-fallback", "record_id": "r2"},
+        {"origin": "random-fallback", "record_id": "r1"},
+    ]
+    assert PredictionRecord.of(json.loads(record.line()), "detect") == record
 
 
 def test_an_empty_tally_has_nothing_to_score() -> None:

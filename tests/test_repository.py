@@ -304,6 +304,26 @@ def test_repository_errors_name_the_file_and_the_line(tmp_path) -> None:
         assert str(excinfo.value) == f"{path}: {reason}"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cap", "true"), ("cap", '"10"'), ("cap", "10.9"), ("cap", "10.0"), ("cap", "null"),
+    ("seed", "false"), ("seed", "1.7"), ("seed", '"0"'),
+])
+def test_load_refuses_a_header_cap_or_seed_that_is_not_a_json_integer(tmp_path, field,
+                                                                      value) -> None:
+    """int() would take each of these but null: `"cap": true` would rebuild
+    the index with cap 1, which changes what pattern retrieval finds."""
+    json_text = {"cap": "10", "seed": "0", field: value}
+    path = tmp_path / "db.jsonl"
+    path.write_text(
+        f'{{"schema_version": 1, "cap": {json_text["cap"]}, "seed": {json_text["seed"]}}}\n'
+        '{"id": "a", "text": "t", "tagged_text": "t", "pairs": [], '
+        '"connectives": ["x"], "source": "s"}\n'
+    )
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load_repository(path)
+    assert str(excinfo.value) == f"{path}: line 1: header lacks integer cap/seed"
+
+
 @pytest.mark.parametrize("cap", [0, -1])
 def test_load_rejects_a_header_cap_below_1(tmp_path, cap) -> None:
     path = tmp_path / "db.jsonl"
