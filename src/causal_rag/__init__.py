@@ -33,7 +33,6 @@ from .corpus import (
     load_dataset,
     parse_tagged_sentence,
     render_tagged,
-    sentence_triplets,
     strip_tags,
 )
 from .errors import (
@@ -177,7 +176,6 @@ __all__ = [
     "retrieve_random",
     "run_experiment",
     "save_repository",
-    "sentence_triplets",
     "single_pair_accuracy",
     "strip_tags",
     "sweep",

@@ -30,11 +30,11 @@ from .runner import (
     TASKS,
     ExperimentConfig,
     build_db,
-    check_grid,
     eval_predictions,
     make_backend,
     run_experiment,
     sweep,
+    sweep_configs,
 )
 
 EXIT_OK = 0
@@ -259,13 +259,13 @@ def cmd_sweep(opts: dict) -> int:
     strategies = [StrategyKind(name) for name in opts.pop("strategies")]
     k_values = opts.pop("k_values")
     csv_path = opts.pop("output_path")
-    try:
-        check_grid(strategies, k_values)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
     base = _experiment_config(
         **opts, strategy=strategies[0], output_path=csv_path + ".base.jsonl"
     )
+    try:  # every cell, before anything is read or removed
+        sweep_configs(base, strategies, k_values, csv_path)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
     reports = sweep(base, strategies, k_values, csv_path)
     print(f"swept {len(reports)} runs -> {csv_path}")
     return EXIT_OK

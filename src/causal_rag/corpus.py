@@ -80,9 +80,9 @@ class CauseEffectPair:
     effect: str
 
 
-def pair_overlap(pair: CauseEffectPair) -> bool:
+def pair_overlap(cause: str, effect: str) -> bool:
     """True when the cause and the effect share a normalized token."""
-    return bool(set(norm_tokens(pair.cause)) & set(norm_tokens(pair.effect)))
+    return bool(set(norm_tokens(cause)) & set(norm_tokens(effect)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,13 +107,6 @@ class Triplet:
     sentence_id: str
     cause: str
     effect: str
-
-
-def sentence_triplets(sentence: TaggedSentence) -> list[Triplet]:
-    return [
-        Triplet(sentence_id=sentence.id, cause=p.cause, effect=p.effect)
-        for p in sentence.pairs
-    ]
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,14 +2,16 @@
 
 `PredictionRecord` is the one definition of a prediction line: `line()` is
 its one encoding, and `PredictionRecord.of` checks every field of a line
-read back. A run builds one per sentence, so it is a named tuple, as is
-each `ExampleProvenance` it holds. A run scores each record as it is
-written: `sentence_outcome` turns a record and its instance into a few
-integers, and a `Tally` sums them into the report, through the formulas
+read back, `parsed` key for key against what the parsers return. A run
+builds one per sentence, so it is a named tuple, as is each
+`ExampleProvenance` it holds. A run scores each record as it is written:
+`sentence_outcome` turns a record and its instance into a few integers,
+and a `Tally` sums them into the report, through the formulas
 `detection_metrics`, `single_pair_accuracy` and `triplet_metrics` use on
-whole lists. Greedy matching is one per-sentence matcher: a record's gold
-pairs meet its parsed pairs directly, and `triplet_metrics` runs the same
-matcher on each sentence's group of triplets.
+whole lists. Each matching mode is one matcher of one sentence's (cause,
+effect) pairs: a record's gold pairs meet its parsed pairs directly, and
+`triplet_metrics` groups each side by sentence once and runs the same
+matcher on each sentence.
 
 Phrase matching is containment: every token of the gold phrase must appear,
 contiguously and in order, inside the predicted phrase. The test is
@@ -25,9 +27,7 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import (
-    CauseEffectPair, LabeledInstance, Triplet, norm_tokens, pair_overlap, sentence_triplets,
-)
+from .corpus import CauseEffectPair, LabeledInstance, Triplet, norm_tokens, pair_overlap
 from .errors import EmptyInputError
 from .jsonl import encode_line
 from .kernels import token_subsequence
@@ -115,15 +115,11 @@ def detection_metrics(preds: Sequence[tuple[int, int]]) -> DetectionMetrics:
     return _detection(*map(sum, zip(*cells)))
 
 
-def _pair_outcome(sentence_id: str, gold: CauseEffectPair,
-                  predicted: CauseEffectPair | None) -> ExtractionOutcome:
-    if predicted is None:
-        return ExtractionOutcome(sentence_id, False, False, False, False)
-    cause_ok = containment_match(gold.cause, predicted.cause)
-    effect_ok = containment_match(gold.effect, predicted.effect)
-    return ExtractionOutcome(
-        sentence_id, cause_ok and effect_ok, cause_ok, effect_ok, pair_overlap(predicted)
-    )
+def _pair_hits(gold: CauseEffectPair, cause: str, effect: str) -> tuple[bool, bool, bool]:
+    """Whether a predicted pair contains the gold cause, the gold effect,
+    and whether its own cause and effect overlap."""
+    return (containment_match(gold.cause, cause), containment_match(gold.effect, effect),
+            pair_overlap(cause, effect))
 
 
 def single_pair_accuracy(
@@ -137,25 +133,13 @@ def single_pair_accuracy(
     """
     if not items:
         raise EmptyInputError("no extraction outcomes to score")
-    outcomes = [_pair_outcome(*item) for item in items]
+    outcomes = []
+    for sentence_id, gold, predicted in items:
+        hits = (False,) * 3 if predicted is None else (
+            _pair_hits(gold, predicted.cause, predicted.effect))
+        outcomes.append(ExtractionOutcome(sentence_id, hits[0] and hits[1], *hits))
     accuracy = sum(1 for o in outcomes if o.success) / len(outcomes)
     return accuracy, outcomes
-
-
-def triplet_compatible(gold: Triplet, predicted: Triplet) -> bool:
-    return (
-        gold.sentence_id == predicted.sentence_id
-        and containment_match(gold.cause, predicted.cause)
-        and containment_match(gold.effect, predicted.effect)
-    )
-
-
-def _by_sentence(triplets: Sequence[Triplet]) -> dict[str, list[Triplet]]:
-    """Triplets grouped by sentence id, each group in the given order."""
-    groups: dict[str, list[Triplet]] = {}
-    for triplet in triplets:
-        groups.setdefault(triplet.sentence_id, []).append(triplet)
-    return groups
 
 
 def _greedy_pairs(gold: Iterable[tuple[str, str]], predicted: Iterable[tuple[str, str]]) -> int:
@@ -173,23 +157,13 @@ def _greedy_pairs(gold: Iterable[tuple[str, str]], predicted: Iterable[tuple[str
     return matched
 
 
-def _greedy_matched(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
-    """Each gold triplet, in order, takes the first unused compatible
-    prediction. Only same-sentence predictions can be compatible, so each
-    sentence's gold triplets are matched against its own predictions alone."""
-    candidates = _by_sentence(predicted)
-    return sum(
-        _greedy_pairs([(g.cause, g.effect) for g in group],
-                      [(p.cause, p.effect) for p in candidates.get(sentence_id, ())])
-        for sentence_id, group in _by_sentence(gold).items()
-    )
-
-
-def _max_matching(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
-    """Maximum bipartite matching via augmenting paths."""
+def _max_pairs(gold: Sequence[tuple[str, str]], predicted: Sequence[tuple[str, str]]) -> int:
+    """One sentence's maximum one-to-one matching of (cause, effect) pairs,
+    via augmenting paths."""
     compat = [
-        [triplet_compatible(g, p) for p in predicted]
-        for g in gold
+        [containment_match(cause, p_cause) and containment_match(effect, p_effect)
+         for p_cause, p_effect in predicted]
+        for cause, effect in gold
     ]
     owner: list[int | None] = [None] * len(predicted)
 
@@ -209,14 +183,16 @@ def _max_matching(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
     return matched
 
 
-def _optimal_matched(gold: Sequence[Triplet], predicted: Sequence[Triplet]) -> int:
-    """Compatible pairs never cross sentences, so the maximum matching is
-    the sum of each sentence's own maximum matching."""
-    candidates = _by_sentence(predicted)
-    return sum(
-        _max_matching(group, candidates.get(sentence_id, ()))
-        for sentence_id, group in _by_sentence(gold).items()
-    )
+# matching mode -> the matcher of one sentence's gold pairs and predicted pairs
+_MATCHERS = {"greedy": _greedy_pairs, "optimal": _max_pairs}
+
+
+def _by_sentence(triplets: Sequence[Triplet]) -> dict[str, list[tuple[str, str]]]:
+    """Each sentence's (cause, effect) pairs, in the given order."""
+    groups: dict[str, list[tuple[str, str]]] = {}
+    for triplet in triplets:
+        groups.setdefault(triplet.sentence_id, []).append((triplet.cause, triplet.effect))
+    return groups
 
 
 def triplet_metrics(
@@ -228,10 +204,14 @@ def triplet_metrics(
 
     greedy walks gold in the given order, each taking the first unused
     compatible prediction; optimal computes the maximum one-to-one matching.
+    A triplet only matches one of its own sentence, so each sentence is
+    matched on its own.
     """
     if matching not in MATCHING_MODES:
         raise ValueError(f"matching must be one of {MATCHING_MODES}")
-    matched = (_greedy_matched if matching == "greedy" else _optimal_matched)(gold, predicted)
+    match, candidates = _MATCHERS[matching], _by_sentence(predicted)
+    matched = sum(match(pairs, candidates.get(sentence_id, ()))
+                  for sentence_id, pairs in _by_sentence(gold).items())
     return _triplets(matched, len(predicted), len(gold))
 
 
@@ -259,13 +239,51 @@ def _finite(value: object) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def _exact_keys(obj: dict, keys: frozenset[str], what: str) -> None:
+    """Refuse an object without exactly `keys`: a missing one is a
+    KeyError, an unknown one a ValueError."""
+    if obj.keys() != keys:
+        missing, unknown = sorted(keys - obj.keys()), sorted(obj.keys() - keys)
+        raise KeyError(missing[0]) if missing else ValueError(f"unknown {what} {unknown[0]!r}")
+
+
+# the keys of the `parsed` object `parse_detection` and `parse_extraction` return
+_PARSED_KEYS = {"detect": frozenset({"label"}),
+                "extract": frozenset({"pairs", "overlap_flag", "dropped_spans"})}
+_PAIR_KEYS = frozenset({"cause", "effect"})
+
+
+def _check_parsed(parsed: object, task: str) -> None:
+    """Refuse a parsed answer that is not of the form the parser of `task`
+    returns, key for key."""
+    _need(type(parsed) is dict, "parsed", "an object or null", parsed)
+    _exact_keys(parsed, _PARSED_KEYS[task], "parsed field")
+    if task == "detect":
+        label = parsed["label"]
+        _need(type(label) is int and label in (0, 1), "parsed label", "0 or 1", label)
+        return
+    pairs = parsed["pairs"]
+    _need(type(pairs) is list and len(pairs) > 0, "parsed pairs", "a non-empty array", pairs)
+    for pair in pairs:
+        _need(type(pair) is dict, "each parsed pair", "an object", pair)
+        _exact_keys(pair, _PAIR_KEYS, "pair field")
+        if type(pair["cause"]) is not str or type(pair["effect"]) is not str:
+            raise TypeError("parsed pairs must hold string causes and effects")
+    _need(type(parsed["overlap_flag"]) is bool, "overlap_flag", "true or false",
+          parsed["overlap_flag"])
+    dropped = parsed["dropped_spans"]
+    _need(type(dropped) is int and dropped >= 0, "dropped_spans", "an integer >= 0", dropped)
+
+
 class PredictionRecord(NamedTuple):
     """One line of a prediction file: what a run asked, got and parsed for
     one sentence, and where each example of its prompt came from. `parsed`
-    is None when the response did not parse, else {"label"} for detect and
-    {"pairs", "overlap_flag", "dropped_spans"} for extract. `line()` is the
-    one encoding of such a line and `of` the one check. A run builds one
-    per sentence, so it is a tuple, never handed to `encode_line` as is."""
+    is None when the response did not parse, else what the task's parser
+    returned: exactly {"label"} for detect and exactly {"pairs",
+    "overlap_flag", "dropped_spans"} for extract, `pairs` a non-empty array
+    of exactly {"cause", "effect"}. `line()` is the one encoding of such a
+    line and `of` the one check. A run builds one per sentence, so it is a
+    tuple, never handed to `encode_line` as is."""
 
     sentence_id: str
     task: str
@@ -303,9 +321,7 @@ class PredictionRecord(NamedTuple):
         """The record a prediction line's object holds, every field checked
         against a run of `task`; one that does not fit is a KeyError,
         TypeError or ValueError."""
-        if obj.keys() != _FIELDS:
-            missing, unknown = sorted(_FIELDS - obj.keys()), sorted(obj.keys() - _FIELDS)
-            raise KeyError(missing[0]) if missing else ValueError(f"unknown field {unknown[0]!r}")
+        _exact_keys(obj, _FIELDS, "field")
         if obj["task"] != task:
             raise ValueError(f"task is {obj['task']!r}, expected {task!r}")
         for name, kind, what in _TYPED:
@@ -322,18 +338,8 @@ class PredictionRecord(NamedTuple):
               f"{len(provenance)}, the number of provenance entries", count)
         if (parsed is None) != obj["parse_error"]:
             raise ValueError("parsed must be null exactly when parse_error is true")
-        if parsed is not None and task == "detect":
-            label = parsed["label"]
-            _need(type(label) is int and label in (0, 1), "parsed label", "0 or 1", label)
-        elif parsed is not None:
-            for cause, effect in [(pair["cause"], pair["effect"]) for pair in parsed["pairs"]]:
-                if type(cause) is not str or type(effect) is not str:
-                    raise TypeError("parsed pairs must hold string causes and effects")
-            _need(type(parsed["overlap_flag"]) is bool, "overlap_flag", "true or false",
-                  parsed["overlap_flag"])
-            dropped = parsed["dropped_spans"]
-            _need(type(dropped) is int and dropped >= 0, "dropped_spans", "an integer >= 0",
-                  dropped)
+        if parsed is not None:
+            _check_parsed(parsed, task)
         return cls(obj["sentence_id"], task, StrategyKind(strategy), digest, count,
                    obj["fallback_used"], provenance, obj["response"], parsed,
                    obj["parse_error"], timing)
@@ -380,19 +386,16 @@ def sentence_outcome(
         predicted = 1 - instance.label if parsed is None else parsed["label"]
         counts = _confusion_cell(predicted, instance.label)
     elif single_pair:
-        pairs = [] if parsed is None else parsed["pairs"]
-        predicted = CauseEffectPair(pairs[0]["cause"], pairs[0]["effect"]) if pairs else None
-        outcome = _pair_outcome(sentence.id, sentence.pairs[0], predicted)
-        counts = (int(outcome.success), int(outcome.overlap_flag))
-    elif matching == "greedy":
-        predicted = [] if parsed is None else [(p["cause"], p["effect"]) for p in parsed["pairs"]]
-        matched = _greedy_pairs([(g.cause, g.effect) for g in sentence.pairs], predicted)
-        counts = (matched, len(predicted), len(sentence.pairs))
+        cause_ok = effect_ok = overlap = False
+        if parsed is not None:
+            first = parsed["pairs"][0]
+            cause_ok, effect_ok, overlap = _pair_hits(sentence.pairs[0], first["cause"],
+                                                      first["effect"])
+        counts = (int(cause_ok and effect_ok), int(overlap))
     else:
-        gold = sentence_triplets(sentence)
-        predicted = [Triplet(sentence.id, p["cause"], p["effect"])
-                     for p in ([] if parsed is None else parsed["pairs"])]
-        counts = (_optimal_matched(gold, predicted), len(predicted), len(gold))
+        gold = [(g.cause, g.effect) for g in sentence.pairs]
+        predicted = [] if parsed is None else [(p["cause"], p["effect"]) for p in parsed["pairs"]]
+        counts = (_MATCHERS[matching](gold, predicted), len(predicted), len(gold))
     return Outcome(record.example_count, record.parse_error, counts)
 
 

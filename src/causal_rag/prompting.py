@@ -5,6 +5,11 @@ package; prompts are data, and pinned runs must be able to prove which
 wording they used. The catalog version is stamped into every system text,
 so it participates in the request hash and a version bump invalidates
 recorded transcripts instead of silently mixing wordings.
+
+`parse_detection` and `parse_extraction` return a parsed answer in the one
+form it has: the `parsed` object of a prediction line, which a run stores
+as it is and `evaluation.PredictionRecord.of` checks key for key. A
+response that does not parse is an `UnparseableResponseError`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import CauseEffectPair, normalize_ws, pair_overlap
+from .corpus import normalize_ws, pair_overlap
 from .errors import UnparseableResponseError
 
 if TYPE_CHECKING:
@@ -58,20 +63,6 @@ class AssembledPrompt:
     system_text: str
     user_text: str
     example_count: int
-
-
-@dataclass(frozen=True)
-class DetectionPrediction:
-    label: int
-    raw_response: str
-
-
-@dataclass(frozen=True)
-class ExtractionPrediction:
-    pairs: tuple[CauseEffectPair, ...]
-    raw_response: str
-    overlap_flag: bool
-    dropped_spans: int = 0
 
 
 def parse_catalog(text: str, origin: str = "<catalog>") -> PromptCatalog:
@@ -217,18 +208,19 @@ def connective_prompt(sentence: str, catalog: PromptCatalog | None = None) -> As
     return AssembledPrompt(_system_text(catalog, "connective_system"), user, 0)
 
 
-def parse_detection(response: str) -> DetectionPrediction:
-    """Map a model response to a binary label: the first standalone 0 or 1."""
+def parse_detection(response: str) -> dict:
+    """Map a model response to `{"label": 0|1}`: the first standalone 0 or 1."""
     match = DETECTION_TOKEN_RE.search(response.strip())
     if not match:
         raise UnparseableResponseError(
             f"no standalone 0/1 token in response: {response[:120]!r}"
         )
-    return DetectionPrediction(label=int(match.group(0)), raw_response=response)
+    return {"label": int(match.group(0))}
 
 
-def parse_extraction(response: str) -> ExtractionPrediction:
-    """Extract tagged cause/effect spans and pair them positionally.
+def parse_extraction(response: str) -> dict:
+    """Extract tagged cause/effect spans and pair them positionally, as
+    `{"pairs": [{"cause", "effect"}, ...], "overlap_flag", "dropped_spans"}`.
 
     The i-th cause goes with the i-th effect; unmatched leftovers and
     whitespace-only spans are dropped and counted in dropped_spans.
@@ -250,10 +242,9 @@ def parse_extraction(response: str) -> ExtractionPrediction:
         raise UnparseableResponseError(
             f"no complete cause/effect pair in response: {response[:120]!r}"
         )
-    pairs = tuple(
-        CauseEffectPair(cause=c, effect=e) for c, e in zip(causes[:paired], effects[:paired])
-    )
-    overlap = any(pair_overlap(p) for p in pairs)
-    return ExtractionPrediction(
-        pairs=pairs, raw_response=response, overlap_flag=overlap, dropped_spans=dropped
-    )
+    pairs = list(zip(causes, effects))
+    return {
+        "pairs": [{"cause": c, "effect": e} for c, e in pairs],
+        "overlap_flag": any(pair_overlap(c, e) for c, e in pairs),
+        "dropped_spans": dropped,
+    }

@@ -12,33 +12,36 @@ wrap it in `RecordBackend(Memo(), backend)` to ask once per request. Each
 sentence's pattern candidates and kNN hits are worked out once for all the
 cells of a sweep that use them.
 
-A sweep, and a run as a sweep of one cell, is one stream: every cell is
-opened first (its file read and checked, or removed under `force`), then
-its (cell, sentence) tasks go through one pool of `concurrency` workers, in
-cell order and then id order, a few tasks a worker queued ahead. No worker
-waits at a cell boundary, and the kNN index is built on the main thread
-when the stream first reaches a kNN task, while the tasks queued ahead of
-it wait on the provider. A provider error stops the stream: no task behind
-it starts, and everything ahead of it is written. At concurrency 1, or
-with one task to run, there is no pool: each task runs on the main thread
-as it is queued, and `concurrent.futures` is never imported.
+A sweep, and a run as a sweep of one cell, is one stream. Every cell's
+config is built and checked (`sweep_configs`) before the session loads
+anything or `force` removes anything. Every cell is then opened (its file
+read and checked, or removed under `force`), then its (cell, sentence)
+tasks go through one pool of `concurrency` workers, in cell order and then
+id order, a few tasks a worker queued ahead. No worker waits at a cell
+boundary, and the kNN index is built on the main thread when the stream
+first reaches a kNN task, while the tasks queued ahead of it wait on the
+provider. A provider error stops the stream: no task behind it starts, and
+everything ahead of it is written. At concurrency 1, or with one task to
+run, there is no pool: each task runs on the main thread as it is queued,
+and `concurrent.futures` is never imported.
 
-Each record is an `evaluation.PredictionRecord`, written as its `line()`.
-Records stream to each cell's output file in sentence-id order, each line
-written as soon as its record and every record ahead of it in the stream
-are done, so a killed run keeps all it wrote and a re-run resumes after it.
-A cell's report is written once its last line is. The worker that makes a
-record also scores it (`evaluation.sentence_outcome`), and the outcome
-joins the cell's `Tally` as the line is written: a run keeps nothing per
-record. Reading a prediction file back checks every line through
-`PredictionRecord.of` (a line that does not fit is a `MalformedRecordError`
-naming the file and the line, before any provider call) and scores the
-lines of the run's own instances, a later line winning. `RunResult.records`
-reads the records back. All sampling is salted with the sentence id, so
-outputs are byte-identical across runs and concurrency bounds whenever the
-transcript, seed, and config are fixed. Unparseable responses are scored as
-failures, never crashes; under the replay backend, timings are 0.0 to keep
-outputs reproducible.
+Each record is an `evaluation.PredictionRecord`, written as its `line()`;
+its `parsed` is what `parse_detection` or `parse_extraction` returned,
+stored as it is. Records stream to each cell's output file in sentence-id
+order, each line written as soon as its record and every record ahead of it
+in the stream are done, so a killed run keeps all it wrote and a re-run
+resumes after it. A cell's report is written once its last line is. The
+worker that makes a record also scores it (`evaluation.sentence_outcome`),
+and the outcome joins the cell's `Tally` as the line is written: a run
+keeps nothing per record. Reading a prediction file back checks every line
+through `PredictionRecord.of` (a line that does not fit is a
+`MalformedRecordError` naming the file and the line, before any provider
+call) and scores the lines of the run's own instances, a later line
+winning. `RunResult.records` reads the records back. All sampling is salted
+with the sentence id, so outputs are byte-identical across runs and
+concurrency bounds whenever the transcript, seed, and config are fixed.
+Unparseable responses are scored as failures, never crashes; under the
+replay backend, timings are 0.0 to keep outputs reproducible.
 
 A cell's `RetrievalConfig`, which all its records share, is built once,
 when the cell is opened.
@@ -296,17 +299,9 @@ def _process_instance(
     request = session.llm.request(prompt.system_text, prompt.user_text)
     response = session.llm.complete(request)
 
-    parsed: dict | None
+    parse = parse_detection if config.task == "detect" else parse_extraction
     try:
-        if config.task == "detect":
-            parsed = {"label": parse_detection(response).label}
-        else:
-            prediction = parse_extraction(response)
-            parsed = {
-                "pairs": [{"cause": p.cause, "effect": p.effect} for p in prediction.pairs],
-                "overlap_flag": prediction.overlap_flag,
-                "dropped_spans": prediction.dropped_spans,
-            }
+        parsed = parse(response)
     except UnparseableResponseError:
         parsed = None
 
@@ -581,15 +576,28 @@ def build_db(
     return repo
 
 
-def check_grid(strategies: Sequence[StrategyKind], k_values: Sequence[int]) -> None:
-    """Refuse a sweep grid with no strategy or k, or with one named twice:
-    each cell runs once and writes one file."""
+def sweep_configs(
+    base_config: ExperimentConfig,
+    strategies: Sequence[StrategyKind],
+    k_values: Sequence[int],
+    csv_path: str,
+) -> list[ExperimentConfig]:
+    """The configs of a sweep grid: every strategy at every k, each cell
+    writing `<csv_path>.<strategy>.k<k>.jsonl`. A grid with no strategy or
+    k, one named twice, or a cell that is not a valid config is a
+    ValueError."""
     for name, values in (("strategy", [s.value for s in strategies]), ("k value", list(k_values))):
         if not values:
             raise ValueError(f"sweep needs at least one {name}")
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ValueError(f"sweep repeats {name} {', '.join(map(str, repeated))}")
+    return [
+        replace(base_config, strategy=strategy, k=k,
+                output_path=f"{csv_path}.{strategy.value}.k{k}.jsonl")
+        for strategy in strategies
+        for k in k_values
+    ]
 
 
 def sweep(
@@ -602,17 +610,12 @@ def sweep(
     catalog: PromptCatalog | None = None,
 ) -> list[dict]:
     """Run every strategy at every k in one session; emit a
-    `strategy,k,metric,value` CSV."""
-    check_grid(strategies, k_values)
+    `strategy,k,metric,value` CSV. Every cell's config is checked before
+    anything is read or removed."""
+    configs = sweep_configs(base_config, strategies, k_values, csv_path)
     session = _Session(base_config, backend, embedder, catalog)
     if base_config.force:  # it describes the cells that force clears
         Path(csv_path).unlink(missing_ok=True)
-    configs = [
-        replace(base_config, strategy=strategy, k=k,
-                output_path=f"{csv_path}.{strategy.value}.k{k}.jsonl")
-        for strategy in strategies
-        for k in k_values
-    ]
     results = _run_cells(session, configs)
     lines = ["strategy,k,metric,value"]
     for config, result in zip(configs, results):

@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
 from causal_rag.corpus import CauseEffectPair, LabeledInstance, TaggedSentence, Triplet
-from causal_rag.errors import EmptyInputError
+from causal_rag.errors import EmptyInputError, UnparseableResponseError
 from causal_rag.evaluation import (
     ConfusionCounts,
     ExtractionOutcome,
@@ -26,6 +27,7 @@ from causal_rag.evaluation import (
     triplet_metrics,
 )
 from causal_rag.gateway import TranscriptEntry
+from causal_rag.prompting import parse_detection, parse_extraction
 from causal_rag.retrieval import ExampleProvenance, StrategyKind
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
@@ -426,8 +428,8 @@ def test_extraction_outcome_invariant() -> None:
 
 def _prediction(task: str, sid: str, count: int, answer) -> dict:
     """A prediction line's object as a run writes it, with `count` random
-    examples; `answer` None did not parse."""
-    if answer is None:
+    examples; `answer` None, or an answer of no pair, did not parse."""
+    if answer is None or (task == "extract" and not answer):
         parsed = None
     elif task == "detect":
         parsed = {"label": answer}
@@ -437,7 +439,7 @@ def _prediction(task: str, sid: str, count: int, answer) -> dict:
     return {"sentence_id": sid, "task": task, "strategy": "random", "prompt_hash": "0" * 64,
             "example_count": count, "fallback_used": False,
             "provenance": [{"origin": "random", "record_id": f"r{i}"} for i in range(count)],
-            "response": "", "parsed": parsed, "parse_error": answer is None, "timing_ms": 0.0}
+            "response": "", "parsed": parsed, "parse_error": parsed is None, "timing_ms": 0.0}
 
 
 @pytest.mark.parametrize("task, single_pair, matching", [
@@ -510,6 +512,33 @@ def test_tally_of_sentence_outcomes_equals_one_scoring_pass_seeded(
             predicted = [t(r.sentence_id, p["cause"], p["effect"])
                          for r in records if r.parsed for p in r.parsed["pairs"]]
             assert metrics == asdict(triplet_metrics(gold, predicted, matching))
+
+
+def test_every_parsed_answer_is_what_a_prediction_line_holds_seeded() -> None:
+    """Whatever a parser returns, `PredictionRecord.of` accepts as `parsed`,
+    as it is and read back from the record's line."""
+    rng = random.Random(24)
+    words = ["0", "1", "10", "label", "rain", "Heavy", "flood,", "  ", "\n", "."]
+
+    def piece() -> str:
+        text = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 4)))
+        tag = rng.choice(["cause", "effect", None, None])
+        return f"<{tag}>{text}</{tag}>" if tag else text
+
+    accepted = Counter()
+    for _ in range(1000):
+        response = " ".join(piece() for _ in range(rng.randrange(1, 8)))
+        for task, parse in (("detect", parse_detection), ("extract", parse_extraction)):
+            try:
+                parsed = parse(response)
+            except UnparseableResponseError:
+                continue
+            obj = {**_prediction(task, "s0", 0, None), "parsed": parsed, "parse_error": False}
+            record = PredictionRecord.of(obj, task)
+            assert record.parsed is parsed
+            assert PredictionRecord.of(json.loads(record.line()), task) == record
+            accepted[task] += 1
+    assert min(accepted["detect"], accepted["extract"]) > 100, accepted
 
 
 _NO_DEFAULT = object()

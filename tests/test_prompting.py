@@ -167,19 +167,23 @@ def test_empty_sentence_rejected() -> None:
         connective_prompt(" ")
 
 
+def pair(cause: str, effect: str) -> dict:
+    return {"cause": cause, "effect": effect}
+
+
 def test_parse_detection_bare() -> None:
-    assert parse_detection("1").label == 1
-    assert parse_detection("0").label == 0
+    assert parse_detection("1") == {"label": 1}
+    assert parse_detection("0") == {"label": 0}
 
 
 def test_parse_detection_tolerant_scan() -> None:
-    assert parse_detection("Answer: 0.").label == 0
-    assert parse_detection("The answer is 1 because the sentence is causal").label == 1
+    assert parse_detection("Answer: 0.") == {"label": 0}
+    assert parse_detection("The answer is 1 because the sentence is causal") == {"label": 1}
 
 
 def test_parse_detection_word_boundary() -> None:
     # "10" is not a standalone 1 or 0; "0" after it is
-    assert parse_detection("rating 10, label 0").label == 0
+    assert parse_detection("rating 10, label 0") == {"label": 0}
     with pytest.raises(UnparseableResponseError):
         parse_detection("score is 10")
 
@@ -195,33 +199,33 @@ def test_parse_extraction_single_pair() -> None:
     pred = parse_extraction(
         "<cause>salmonella bacteria</cause> <effect>foodborne illness</effect>"
     )
-    assert pred.pairs == (CauseEffectPair("salmonella bacteria", "foodborne illness"),)
-    assert pred.dropped_spans == 0
-    assert pred.overlap_flag is False
+    assert pred["pairs"] == [pair("salmonella bacteria", "foodborne illness")]
+    assert pred["dropped_spans"] == 0
+    assert pred["overlap_flag"] is False
 
 
 def test_parse_extraction_positional_pairing() -> None:
     pred = parse_extraction(
         "<cause>a</cause> x <effect>b</effect> y <cause>c</cause> z <effect>d</effect>"
     )
-    assert pred.pairs == (CauseEffectPair("a", "b"), CauseEffectPair("c", "d"))
+    assert pred["pairs"] == [pair("a", "b"), pair("c", "d")]
 
 
 def test_parse_extraction_effect_first_order() -> None:
     pred = parse_extraction("<effect>The fire</effect> because of <cause>a short</cause>")
-    assert pred.pairs == (CauseEffectPair("a short", "The fire"),)
+    assert pred["pairs"] == [pair("a short", "The fire")]
 
 
 def test_parse_extraction_unmatched_dropped() -> None:
     pred = parse_extraction("<cause>a</cause> <cause>b</cause> <effect>c</effect>")
-    assert pred.pairs == (CauseEffectPair("a", "c"),)
-    assert pred.dropped_spans == 1
+    assert pred["pairs"] == [pair("a", "c")]
+    assert pred["dropped_spans"] == 1
 
 
 def test_parse_extraction_empty_span_skipped() -> None:
     pred = parse_extraction("<cause>  </cause> <cause>a</cause> <effect>b</effect>")
-    assert pred.pairs == (CauseEffectPair("a", "b"),)
-    assert pred.dropped_spans == 1
+    assert pred["pairs"] == [pair("a", "b")]
+    assert pred["dropped_spans"] == 1
 
 
 def test_parse_extraction_no_tags() -> None:
@@ -238,15 +242,15 @@ def test_parse_extraction_overlap_flag() -> None:
     pred = parse_extraction(
         "<cause>heavy rain</cause> brought <effect>rain damage</effect>"
     )
-    assert pred.overlap_flag is True
+    assert pred["overlap_flag"] is True
 
 
 def test_parse_extraction_round_trip_with_render() -> None:
     for i in range(10):
         pred = parse_extraction(f"<cause>c{i}</cause> made <effect>e{i}</effect>")
-        assert pred.pairs == (CauseEffectPair(f"c{i}", f"e{i}"),)
+        assert pred["pairs"] == [pair(f"c{i}", f"e{i}")]
 
 
 def test_parse_extraction_whitespace_normalized() -> None:
     pred = parse_extraction("<cause> heavy\n rain </cause> x <effect>floods </effect>")
-    assert pred.pairs == (CauseEffectPair("heavy rain", "floods"),)
+    assert pred["pairs"] == [pair("heavy rain", "floods")]

@@ -1203,6 +1203,8 @@ def eval_flags(out: Path, task: str) -> list[str]:
     ({"parse_error": False, "parsed": {"label": 7}}, "parsed label must be 0 or 1, got 7"),
     ({"parse_error": False, "parsed": {"label": True}}, "parsed label must be 0 or 1, got True"),
     ({"parse_error": False, "parsed": {}}, "missing field 'label'"),
+    ({"parse_error": False, "parsed": {"label": 1, "junk": 2}}, "unknown parsed field 'junk'"),
+    ({"parse_error": False, "parsed": [1]}, "parsed must be an object or null, got [1]"),
     ({"sentence_id": 3}, "sentence_id must be a string, got 3"),
     ({"provenance": [{"origin": 7}]}, "missing field 'record_id'"),
     ({"provenance": [{"origin": "oracle", "record_id": "db-001"}]},
@@ -1237,15 +1239,26 @@ def test_cli_prediction_line_that_does_not_fit_is_a_data_error_naming_it(
     assert out.read_bytes() == made
 
 
-@pytest.mark.parametrize("pairs, reason", [
-    ([{"cause": 1, "effect": "rain"}], "parsed pairs must hold string causes and effects"),
-    ([{"cause": "rain"}], "missing field 'effect'"),
-    (None, "'NoneType' object is not iterable"),
+@pytest.mark.parametrize("change, reason", [
+    ({"pairs": [{"cause": 1, "effect": "rain"}]},
+     "parsed pairs must hold string causes and effects"),
+    ({"pairs": [{"cause": "rain"}]}, "missing field 'effect'"),
+    ({"pairs": [{"cause": "rain", "effect": "flood", "why": "x"}]}, "unknown pair field 'why'"),
+    ({"pairs": None}, "parsed pairs must be a non-empty array, got None"),
+    ({"pairs": []}, "parsed pairs must be a non-empty array, got []"),
+    ({"pairs": {"cause": "rain", "effect": "flood"}},
+     "parsed pairs must be a non-empty array, got {'cause'"),
+    ({"pairs": ["ab"]}, "each parsed pair must be an object, got 'ab'"),
+    ({"junk": 1}, "unknown parsed field 'junk'"),
 ])
-def test_cli_extract_prediction_line_that_does_not_fit_is_named(tmp_path, capsys, pairs, reason):
+def test_cli_extract_prediction_line_that_does_not_fit_is_named(tmp_path, capsys, change, reason):
+    """Line 1 of an extract file, its `parsed` one pair that fits with
+    `change` applied, is a data error naming the file, the line and the
+    reason."""
     out = predictions_of(tmp_path, "extract")
     lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
-    parsed = {"pairs": pairs, "overlap_flag": False, "dropped_spans": 0}
+    parsed = {"pairs": [{"cause": "rain", "effect": "flood"}], "overlap_flag": False,
+              "dropped_spans": 0, **change}
     lines[0] = json.dumps({**json.loads(lines[0]), "parse_error": False, "parsed": parsed}) + "\n"
     out.write_text("".join(lines), encoding="utf-8")
     assert main(eval_flags(out, "extract")) == 2
@@ -1333,6 +1346,43 @@ def test_sweep_refuses_a_repeated_cell_before_any_call(tmp_path, strategies, k_v
         sweep(base, strategies, k_values, str(tmp_path / "grid.csv"), backend=backend)
     assert backend.calls == 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sweep_cell_without_its_db_is_refused_before_anything_is_read(tmp_path):
+    backend = ScriptedBackend(FixtureResponder())
+    csv_path = tmp_path / "grid.csv"
+    csv_path.write_text("kept\n", encoding="utf-8")
+    # a dataset that is not there: loading anything would fail otherwise
+    base = replace(scripted_config(tmp_path, "detect", StrategyKind.ZEROSHOT,
+                                   dataset=tmp_path / "absent.jsonl"), db_path=None, force=True)
+    with pytest.raises(ValueError, match="strategy 'pattern' requires a repository db"):
+        sweep(base, [StrategyKind.ZEROSHOT, StrategyKind.PATTERN], [1], str(csv_path),
+              backend=backend)
+    assert backend.calls == 0
+    assert list(tmp_path.iterdir()) == [csv_path]
+    assert csv_path.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("dataset", ["detect.jsonl", "absent.jsonl"])
+def test_cli_sweep_cell_without_its_db_is_a_usage_error(tmp_path, capsys, dataset):
+    """A forced grid whose second cell needs --db exits 1 before the dataset
+    is read (an absent one would be a data error) or the old CSV removed."""
+    csv_path = tmp_path / "grid.csv"
+    csv_path.write_text("kept\n", encoding="utf-8")
+    argv = [
+        "sweep",
+        "--dataset", str(FIXTURES / dataset),
+        "--model", FIXTURE_MODEL_ID,
+        "--transcript", str(FIXTURES / "transcript.jsonl"),
+        "--out", str(csv_path),
+        "--strategies", "zeroshot", "pattern",
+        "--k-values", "1",
+        "--force",
+    ]
+    assert main(argv) == 1
+    assert "error: strategy 'pattern' requires a repository db" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [csv_path]
+    assert csv_path.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_cli_sweep_refuses_a_repeated_cell(tmp_path, capsys):
