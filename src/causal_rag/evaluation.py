@@ -2,8 +2,10 @@
 
 `PredictionRecord` is the one definition of a prediction line: `line()` is
 its one encoding, and `PredictionRecord.of` checks every field of a line
-read back, `parsed` key for key against what the parsers return. A run
-builds one per sentence, so it is a named tuple, as is each
+read back, `parsed` key for key against what the parsers return. `line()`
+writes the line straight from the record's fields, byte for byte what
+`encode_line` gives of the record as an object, without building that
+object. A run builds one per sentence, so it is a named tuple, as is each
 `ExampleProvenance` it holds. A run scores each record as it is written:
 `sentence_outcome` turns a record and its instance into a few integers,
 and a `Tally` sums them into the report, through the formulas
@@ -17,7 +19,9 @@ Phrase matching is containment: every token of the gold phrase must appear,
 contiguously and in order, inside the predicted phrase. The test is
 directional; a prediction may extend the gold phrase but never drop part of
 it, so "mishandling" matches "mishandling of weapons" while "the foodborne
-illness" does not match "foodborne illness".
+illness" does not match "foodborne illness". A predicted phrase equal to
+the gold phrase matches without being tokenized, since a phrase contains
+itself; a blank gold phrase is refused even then.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import CauseEffectPair, LabeledInstance, Triplet, norm_tokens, pair_overlap
@@ -80,6 +85,8 @@ def containment_match(gold_phrase: str, predicted_phrase: str) -> bool:
     """True iff gold's token sequence occurs contiguously in predicted's."""
     if not gold_phrase.strip():
         raise ValueError("gold phrase must be non-empty")
+    if predicted_phrase == gold_phrase:  # a phrase contains itself
+        return True
     return token_subsequence(norm_tokens(gold_phrase), norm_tokens(predicted_phrase))
 
 
@@ -298,23 +305,34 @@ class PredictionRecord(NamedTuple):
     timing_ms: float
 
     def line(self) -> str:
-        """The record as a prediction line, without its newline; provenance
-        scores are rounded to 6 places."""
-        provenance = []
-        for p in self.provenance:
-            entry: dict = {"record_id": p.record_id, "origin": p.origin}
-            if p.score is not None:
-                entry["score"] = round(p.score, 6)
-            if p.connective is not None:
-                entry["connective"] = p.connective
-            provenance.append(entry)
-        return encode_line({
-            "sentence_id": self.sentence_id, "task": self.task, "strategy": self.strategy.value,
-            "prompt_hash": self.prompt_hash, "example_count": self.example_count,
-            "fallback_used": self.fallback_used, "provenance": provenance,
-            "response": self.response, "parsed": self.parsed, "parse_error": self.parse_error,
-            "timing_ms": self.timing_ms,
-        })
+        """The record as a prediction line, without its newline: what
+        `encode_line` gives of the record as an object, each provenance
+        entry without its None fields and its score rounded to 6 places.
+        It is spelled out in sorted key order, each string escaped by
+        `encode_basestring` (the escaper `encode_line` uses) and each number
+        and `parsed` encoded by `encode_line`, so no object is built per
+        record."""
+        entries = []
+        for record_id, origin, score, connective in self.provenance:
+            entries.append(
+                ("{" if connective is None
+                 else f'{{"connective": {encode_basestring(connective)}, ')
+                + f'"origin": {encode_basestring(origin)}, '
+                + f'"record_id": {encode_basestring(record_id)}'
+                + ("}" if score is None else f', "score": {encode_line(round(score, 6))}}}'))
+        return (
+            f'{{"example_count": {encode_line(self.example_count)}, '
+            f'"fallback_used": {"true" if self.fallback_used else "false"}, '
+            f'"parse_error": {"true" if self.parse_error else "false"}, '
+            f'"parsed": {encode_line(self.parsed)}, '
+            f'"prompt_hash": {encode_basestring(self.prompt_hash)}, '
+            f'"provenance": [{", ".join(entries)}], '
+            f'"response": {encode_basestring(self.response)}, '
+            f'"sentence_id": {encode_basestring(self.sentence_id)}, '
+            f'"strategy": {encode_basestring(self.strategy.value)}, '
+            f'"task": {encode_basestring(self.task)}, '
+            f'"timing_ms": {encode_line(self.timing_ms)}}}'
+        )
 
     @classmethod
     def of(cls, obj: dict, task: str) -> PredictionRecord:

@@ -14,12 +14,16 @@ so a sweep keeps each for its other cells in a `SentenceWork`.
 
 All sampling is driven by (seed, salt) so that a fixed configuration
 reproduces identical choices; the runner salts with the input sentence id,
-giving per-sentence variety without losing reproducibility.
+giving per-sentence variety without losing reproducibility. A draw picks
+exactly what `random.Random(f"{seed}|{salt}").sample(...)` picks: each
+thread keeps one generator and reseeds it with that string for every
+draw, so no draw depends on the one before it or on another thread's.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -133,8 +137,18 @@ def zeroshot_result() -> RetrievalResult:
     return RetrievalResult(examples=(), provenance=(), strategy=StrategyKind.ZEROSHOT)
 
 
+_generators = threading.local()
+
+
 def _rng(cfg: RetrievalConfig, salt: str) -> random.Random:
-    return random.Random(f"{cfg.seed}|{salt}")
+    """This thread's generator, seeded with `f"{cfg.seed}|{salt}"`: it
+    draws what `random.Random(f"{cfg.seed}|{salt}")` would, without
+    building a generator per draw."""
+    rng = getattr(_generators, "rng", None)
+    if rng is None:
+        rng = _generators.rng = random.Random()
+    rng.seed(f"{cfg.seed}|{salt}")
+    return rng
 
 
 def connective_similarity(a: str, b: str, matcher: str = "edit_ratio") -> float:

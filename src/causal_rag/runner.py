@@ -22,8 +22,9 @@ boundary, and the kNN index is built on the main thread when the stream
 first reaches a kNN task, while the tasks queued ahead of it wait on the
 provider. A provider error stops the stream: no task behind it starts, and
 everything ahead of it is written. At concurrency 1, or with one task to
-run, there is no pool: each task runs on the main thread as it is queued,
-and `concurrent.futures` is never imported.
+run, there is no pool: each task runs on the main thread as the stream
+reaches it and its result is written at once, and `concurrent.futures` is
+never imported.
 
 Each record is an `evaluation.PredictionRecord`, written as its `line()`;
 its `parsed` is what `parse_detection` or `parse_extraction` returned,
@@ -41,7 +42,8 @@ winning. `RunResult.records` reads the records back. All sampling is salted
 with the sentence id, so outputs are byte-identical across runs and
 concurrency bounds whenever the transcript, seed, and config are fixed.
 Unparseable responses are scored as failures, never crashes; under the
-replay backend, timings are 0.0 to keep outputs reproducible.
+replay backend, timings are 0.0 to keep outputs reproducible, and the clock
+is not read.
 
 A cell's `RetrievalConfig`, which all its records share, is built once,
 when the cell is opened.
@@ -55,7 +57,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .corpus import DatasetSplit, LabeledInstance, load_dataset
 from .embedding import (
@@ -286,8 +288,9 @@ def _retrieve(
 def _process_instance(
     instance: LabeledInstance, cell: _Cell, session: _Session
 ) -> PredictionRecord:
-    started = time.perf_counter()
     config = cell.config
+    timed = config.backend != "replay"  # a replayed record's timing is 0.0
+    started = time.perf_counter() if timed else 0.0
     retrieved = _retrieve(instance, cell, session)
     sentence = instance.sentence
     if config.task == "detect":
@@ -305,11 +308,11 @@ def _process_instance(
     except UnparseableResponseError:
         parsed = None
 
-    elapsed_ms = 0.0 if config.backend == "replay" else (time.perf_counter() - started) * 1000.0
+    elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3) if timed else 0.0
     return PredictionRecord(
         sentence.id, config.task, config.strategy, request_hash(request), prompt.example_count,
         retrieved.fallback_used, retrieved.provenance, response, parsed, parsed is None,
-        round(elapsed_ms, 3),
+        elapsed_ms,
     )
 
 
@@ -464,11 +467,11 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
     def results() -> Iterator[tuple[PredictionRecord, Outcome] | None]:
         """Each task's result in stream order, as it is ready; the main
         thread queues each task, at most `lookahead` at a time. Without a
-        pool, each task runs as it is queued."""
-        pending: deque[Callable[[], tuple[PredictionRecord, Outcome] | None]] = deque()
+        pool, each task runs and is yielded as it is reached."""
+        pending: deque = deque()  # the futures of the tasks queued ahead
         for position, (cell, instance) in enumerate(tasks):
             if len(pending) == lookahead:
-                yield pending.popleft()()
+                yield pending.popleft().result()
             if failures:  # nothing behind a provider error is queued
                 break
             if cell.knn and session.index is None:
@@ -478,12 +481,11 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
                     failures.append((position, cell, exc))
                     break
             if pool is None:
-                result = work(position, cell, instance)
-                pending.append(lambda result=result: result)
+                yield work(position, cell, instance)
             else:
-                pending.append(pool.submit(work, position, cell, instance).result)
+                pending.append(pool.submit(work, position, cell, instance))
         while pending:
-            yield pending.popleft()()
+            yield pending.popleft().result()
 
     def lines(cell: _Cell, stream) -> Iterator[str]:
         for result in islice(stream, len(cell.todo)):
@@ -499,7 +501,7 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
         from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
 
         pool = ThreadPoolExecutor(concurrency)
-    lookahead = LOOKAHEAD_PER_WORKER * concurrency if pool else 1
+    lookahead = LOOKAHEAD_PER_WORKER * concurrency
     stream = results()
     reports: list[RunResult] = []
     try:

@@ -27,6 +27,8 @@ from causal_rag.evaluation import (
     triplet_metrics,
 )
 from causal_rag.gateway import TranscriptEntry
+from causal_rag.jsonl import encode_line
+from causal_rag.kernels import token_subsequence
 from causal_rag.prompting import parse_detection, parse_extraction
 from causal_rag.retrieval import ExampleProvenance, StrategyKind
 
@@ -68,8 +70,46 @@ def test_containment_case_and_punct_normalized() -> None:
 
 
 def test_containment_rejects_empty_gold() -> None:
-    with pytest.raises(ValueError):
-        containment_match("  ", "anything")
+    """A blank gold phrase is refused, even when the prediction equals it."""
+    for gold, predicted in [("  ", "anything"), ("", ""), ("  ", "  "), ("\t\n", "\t\n")]:
+        with pytest.raises(ValueError):
+            containment_match(gold, predicted)
+
+
+def test_containment_is_token_subsequence_of_normalized_tokens_seeded() -> None:
+    """Equal phrases match without being tokenized; every answer is still
+    `token_subsequence` of the two phrases' normalized tokens."""
+    rng = random.Random(25)
+    pieces = WORDS[:4] + ["Alpha", "BRAVO", "alpha,", "(bravo)", "...", "'", "-", "é"]
+
+    def phrase() -> str:
+        return " ".join(rng.choice(pieces) for _ in range(rng.randrange(0, 4)))
+
+    def variant(text: str) -> str:
+        edit = rng.randrange(4)
+        if edit == 0:
+            return text
+        if edit == 1:
+            return text.upper() if rng.random() < 0.5 else text.title()
+        if edit == 2:
+            return rng.choice(["", "\"", "(", "..."]) + text + rng.choice(["", ".", ",", "..."])
+        return f"{phrase()} {text} {phrase()}".strip()
+
+    equal = 0
+    for _ in range(2000):
+        gold = phrase() or "..."
+        predicted = variant(gold) if rng.random() < 0.8 else phrase()
+        if not gold.strip():
+            continue
+        equal += predicted == gold
+        assert containment_match(gold, predicted) is token_subsequence(
+            norm_tokens(gold), norm_tokens(predicted)), (gold, predicted)
+    assert equal > 300, equal
+    for gold, predicted in [("...", "..."), ("...", "rain"), ("rain", "..."),
+                            ("Heavy Rain", "heavy rain."), ("heavy rain", "Heavy rain"),
+                            ('"rain"', "rain"), ("rain,", "(rain)")]:
+        assert containment_match(gold, predicted) is token_subsequence(
+            norm_tokens(gold), norm_tokens(predicted)), (gold, predicted)
 
 
 def test_containment_properties_seeded() -> None:
@@ -585,3 +625,81 @@ def test_a_fallback_record_spells_each_provenance_entry_as_an_object() -> None:
 def test_an_empty_tally_has_nothing_to_score() -> None:
     with pytest.raises(EmptyInputError):
         Tally("detect").metrics()
+
+
+def _documented_line(record: PredictionRecord) -> str:
+    """`encode_line` of the object a prediction line documents: each
+    provenance entry without its None fields, its score rounded to 6 places."""
+    provenance = []
+    for p in record.provenance:
+        entry: dict = {"record_id": p.record_id, "origin": p.origin}
+        if p.score is not None:
+            entry["score"] = round(p.score, 6)
+        if p.connective is not None:
+            entry["connective"] = p.connective
+        provenance.append(entry)
+    return encode_line({
+        "sentence_id": record.sentence_id, "task": record.task,
+        "strategy": record.strategy.value, "prompt_hash": record.prompt_hash,
+        "example_count": record.example_count, "fallback_used": record.fallback_used,
+        "provenance": provenance, "response": record.response, "parsed": record.parsed,
+        "parse_error": record.parse_error, "timing_ms": record.timing_ms,
+    })
+
+
+def test_a_prediction_line_is_encode_line_of_its_documented_object_seeded() -> None:
+    """`line()` spells the line out field by field: byte for byte what
+    `encode_line` gives of the record as an object, for strings that need
+    escapes or are not ASCII, every kind of score and parsed answer, both
+    booleans and integer or float timings."""
+    rng = random.Random(2025)
+    alphabet = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+                "/", "é", "ß", "因果", "洪水", "😀", "🌧️", "a", "Z", "0", " ", "<", ">", "&"]
+    scores = [None, 0.1234565, 1e-07, -0.0, 0.9, 1.0, 0.5000005, 123.4567891]
+
+    def text() -> str:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
+
+    def parsed_answer(task: str):
+        if rng.random() < 0.25:
+            return None
+        if task == "detect":
+            return {"label": rng.randrange(2)}
+        pairs = [{"cause": text(), "effect": text()} for _ in range(rng.randrange(1, 4))]
+        return {"pairs": pairs, "overlap_flag": rng.random() < 0.5,
+                "dropped_spans": rng.randrange(3)}
+
+    seen = Counter()
+    for i in range(1200):
+        task = rng.choice(["detect", "extract"])
+        provenance = tuple(
+            ExampleProvenance(text() or f"r{j}", rng.choice(["random", "knn", "pattern",
+                                                             "random-fallback"]),
+                              rng.choice(scores + [rng.uniform(-1, 1)]),
+                              rng.choice([None, text()]))
+            for j in range(rng.randrange(0, 4)))
+        parsed = parsed_answer(task)
+        record = PredictionRecord(
+            text() or f"s{i}", task, rng.choice(list(StrategyKind)),
+            "".join(rng.choice("0123456789abcdef") for _ in range(64)), len(provenance),
+            rng.random() < 0.5, provenance, text(), parsed, parsed is None,
+            rng.choice([0.0, 0, 3, 12.345, rng.uniform(0, 1000)]))
+        assert record.line() == _documented_line(record), record
+        again = PredictionRecord.of(json.loads(record.line()), task)
+        assert again.line() == record.line()
+        seen.update(kind for kind, hit in [
+            ("fallback", record.fallback_used), ("no fallback", not record.fallback_used),
+            ("parsed null", parsed is None), ("integer timing", type(record.timing_ms) is int),
+            ("connective", any(p.connective is not None for p in provenance)),
+            ("no connective", any(p.connective is None for p in provenance)),
+            ("no score", any(p.score is None for p in provenance)),
+            ("three pairs", parsed is not None and len(parsed.get("pairs", ())) == 3),
+        ] if hit)
+    assert min(seen.values()) > 50 and len(seen) == 8, seen
+    # a score written as the integer 1 reads back as 1 and is written as 1
+    obj = _prediction("detect", "s1", 1, 1)
+    obj["provenance"] = [{"origin": "knn", "record_id": "r0", "score": 1}]
+    record = PredictionRecord.of(obj, "detect")
+    assert record.provenance[0].score == 1 and type(record.provenance[0].score) is int
+    assert record.line() == _documented_line(record) == encode_line(obj)
+    assert '"score": 1}' in record.line()

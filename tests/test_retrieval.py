@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +432,85 @@ def test_pattern_deterministic_sampling() -> None:
     a = retrieve_pattern(["caused by"], repo, cfg(seed=9), salt="s")
     b = retrieve_pattern(["caused by"], repo, cfg(seed=9), salt="s")
     assert [r.id for r in a.examples] == [r.id for r in b.examples]
+
+
+def _sampling_cases(count: int) -> list[tuple[Repository, RetrievalConfig, str]]:
+    """Seeded (repository, config, salt) cases: 1 to 24 records under a few
+    connectives, k from 1 to past the repository's size."""
+    rng = random.Random(77)
+    connectives = ["caused by", "lead to", "due to"]
+    cases = []
+    for i in range(count):
+        plan = [(rng.choice(connectives), f"{rng.choice(WORDS)} {j}")
+                for j in range(rng.randrange(1, 25))]
+        config = cfg(k=rng.randrange(1, 30), seed=rng.randrange(1000),
+                     matcher=rng.choice(MATCHERS))
+        cases.append((make_repo(plan, cap=rng.randrange(5, 30)), config, f"s-{i}"))
+    return cases
+
+
+def _reference_random(repo: Repository, config: RetrievalConfig, salt: str) -> list[str]:
+    ids = sorted(repo.records)
+    return random.Random(f"{config.seed}|{salt}").sample(ids, min(config.k, len(ids)))
+
+
+def _reference_pattern(repo: Repository, config: RetrievalConfig, salt: str) -> list[str]:
+    best = _pattern_candidates(["caused by"], repo, config)
+    if not best:  # the random fallback
+        return _reference_random(repo, config, salt)
+    chosen = sorted(best)
+    if len(chosen) > config.k:
+        chosen = random.Random(f"{config.seed}|{salt}").sample(chosen, config.k)
+    return sorted(chosen, key=lambda rid: (-best[rid][0], rid))
+
+
+def _picks(repo: Repository, config: RetrievalConfig, salt: str) -> tuple[list[str], list[str]]:
+    drawn = retrieve_random(repo, config, salt)
+    pattern = retrieve_pattern(["caused by"], repo, config, salt=salt)
+    return [p.record_id for p in drawn.provenance], [p.record_id for p in pattern.provenance]
+
+
+def test_sampling_picks_what_a_generator_seeded_with_seed_and_salt_picks_seeded() -> None:
+    """Random retrieval and the pattern down-sample pick exactly what
+    `random.Random(f"{seed}|{salt}").sample(...)` picks, k past n included."""
+    over_k = down_sampled = 0
+    for repo, config, salt in _sampling_cases(200):
+        drawn, pattern = _picks(repo, config, salt)
+        assert drawn == _reference_random(repo, config, salt)
+        assert pattern == _reference_pattern(repo, config, salt)
+        over_k += config.k > len(repo.records)
+        down_sampled += len(_pattern_candidates(["caused by"], repo, config)) > config.k
+    assert over_k > 20 and down_sampled > 20, (over_k, down_sampled)
+
+
+def test_sampling_threads_with_interleaved_salts_each_get_the_serial_picks() -> None:
+    """Four threads drawing for the same salts, each in its own order and
+    switching often, each get the picks one thread gets."""
+    cases = _sampling_cases(40)
+    serial = [_picks(*case) for case in cases]
+    got: dict[int, list] = {}
+    start = threading.Barrier(4)
+
+    def draw(worker: int) -> None:
+        start.wait(timeout=10)
+        order = list(range(len(cases)))
+        random.Random(worker).shuffle(order)
+        got[worker] = [(i, _picks(*cases[i])) for _ in range(5) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(got) == [0, 1, 2, 3]
+    for picks in got.values():
+        assert all(result == serial[i] for i, result in picks)
 
 
 def test_knn_pattern_disjoint_components_concat() -> None:
