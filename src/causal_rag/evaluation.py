@@ -311,7 +311,9 @@ class PredictionRecord(NamedTuple):
         It is spelled out in sorted key order, each string escaped by
         `encode_basestring` (the escaper `encode_line` uses) and each number
         and `parsed` encoded by `encode_line`, so no object is built per
-        record."""
+        record. The numbers stay on `encode_line`, whose per-thread encoder
+        costs little per call, because a record read back from a file may
+        hold an int where a run writes a float."""
         entries = []
         for record_id, origin, score, connective in self.provenance:
             entries.append(

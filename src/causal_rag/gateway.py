@@ -42,7 +42,7 @@ from .errors import (
     ReplayMissError,
     TransportError,
 )
-from .jsonl import LineAppender, Memo, encode_line, read_jsonl
+from .jsonl import LineAppender, Memo, read_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -106,8 +106,10 @@ class CompletionResponse:
 
 
 class TranscriptEntry(NamedTuple):
-    """One transcript line. A tuple, so never handed to `encode_line` as
-    is: `Transcript.append` spells it out as an object."""
+    """One transcript line. `Transcript.append` writes it straight from
+    its three fields, in sorted key order and each through
+    `encode_basestring`: the bytes `encode_line` gives of it spelled out
+    as an object."""
 
     request_hash: str
     response_text: str
@@ -162,11 +164,10 @@ class Transcript(Memo):
         return response_text
 
     def append(self, entry: TranscriptEntry) -> None:
-        line = encode_line({
-            "request_hash": entry.request_hash,
-            "response_text": entry.response_text,
-            "timestamp": entry.timestamp,
-        })
+        # the bytes `encode_line` gives of the entry as an object
+        line = (f'{{"request_hash": {encode_basestring(entry.request_hash)}, '
+                f'"response_text": {encode_basestring(entry.response_text)}, '
+                f'"timestamp": {encode_basestring(entry.timestamp)}}}')
         with self._lock:
             self._appender.append(line)
             self._values[entry.request_hash] = entry.response_text
@@ -267,13 +268,16 @@ class HttpEndpoint:
 
 def _read_completion(data) -> tuple[str, dict]:
     """The text of a chat completion's first choice (a null content is
-    empty), and its finish reason and token usage."""
+    empty), and its finish reason and token usage. A text that does not
+    encode as UTF-8 (JSON may spell a lone surrogate) is refused here, as
+    no transcript line could hold it."""
     choice = data["choices"][0]
     text = choice["message"]["content"]
     if text is None:
         text = ""
     elif not isinstance(text, str):
         raise TypeError(f"content must be a string, got {type(text).__name__}")
+    text.encode("utf-8")  # a UnicodeEncodeError is a ValueError
     return text, {"finish_reason": choice.get("finish_reason"), "usage": data.get("usage", {})}
 
 

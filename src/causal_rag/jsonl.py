@@ -21,7 +21,11 @@ A `LineAppender` holds one descriptor from its first line until it is
 released, when a finalizer closes it; each line is one write loop on it.
 `replace_lines` writes every whole file (saved repositories, canonical
 datasets, metrics reports, sweep CSVs) in one rename. `encode_line` is the
-one encoding of a stored line (keys sorted, non-ASCII text as UTF-8).
+one encoding of a stored line (keys sorted, non-ASCII text as UTF-8): the
+bytes and errors of `JSONEncoder(sort_keys=True, ensure_ascii=False).encode`,
+through one C encoder per thread, made on the thread's first line, where
+`JSONEncoder` makes a new one on every call. A failed call clears that
+thread's cycle markers, so an error is never carried into a later line.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import os
 import threading
 import weakref
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
@@ -37,8 +42,39 @@ from .errors import MalformedRecordError, warn
 
 T = TypeVar("T")
 
-# one encoder for every line, so no write builds a new `JSONEncoder`
-encode_line: Callable[[object], str] = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+class _LineEncoder(threading.local):
+    """One thread's C encoder, made on the thread's first line with the
+    arguments `JSONEncoder(sort_keys=True, ensure_ascii=False).iterencode`
+    gives `c_make_encoder`, and its markers (the ids of the containers
+    being encoded, so a cycle is refused)."""
+
+    def __init__(self) -> None:
+        self.markers: dict = {}
+        self.encode = c_make_encoder(
+            self.markers, json.JSONEncoder().default, encode_basestring, None,
+            ": ", ", ", True, False, True)
+
+
+def _encode_line(obj: object) -> str:
+    """`JSONEncoder(sort_keys=True, ensure_ascii=False).encode(obj)`, with
+    the same bytes and the same errors, through this thread's encoder."""
+    encoder = _line_encoder
+    try:
+        return "".join(encoder.encode(obj, 0))
+    except BaseException:
+        # a failed call leaves its containers' ids behind, and a later
+        # object at one of those addresses would be refused as a cycle
+        encoder.markers.clear()
+        raise
+
+
+if c_make_encoder is None:  # a Python built without `_json`
+    encode_line: Callable[[object], str] = json.JSONEncoder(
+        sort_keys=True, ensure_ascii=False).encode
+else:
+    _line_encoder = _LineEncoder()
+    encode_line = _encode_line
 
 # one decoder for every line: `json.loads` without its per-call wrapper
 _raw_decode = json.JSONDecoder().raw_decode

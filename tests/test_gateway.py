@@ -421,6 +421,18 @@ def test_live_backend_refuses_non_string_content(content) -> None:
         backend.complete(_req())
 
 
+@pytest.mark.parametrize("content", ["\ud800", "cause \udfff effect"])
+def test_live_backend_refuses_text_a_transcript_line_cannot_hold(tmp_path, content) -> None:
+    # JSON may spell a lone surrogate ("\ud800"), and it decodes to one
+    payload = json.loads(json.dumps(_ok_payload(content)))
+    backend = LiveBackend("http://host", api_key="k", session=_Session([_Response(200, payload)]))
+    path = tmp_path / "t.jsonl"
+    client = LlmClient(backend=RecordBackend(Transcript(path), backend), model_id="test-model")
+    with pytest.raises(ProviderError, match="malformed completion payload: 'utf-8' codec"):
+        client.complete(_req())
+    assert backend.calls == 1 and not path.exists()
+
+
 # what each HTTP client sends one request with, and a payload it accepts
 HTTP_CLIENTS = {
     "completion": (LiveBackend, lambda client: client.complete(_req()), _ok_payload()),

@@ -7,6 +7,7 @@ files already on disk, or the hash that finds a recorded answer."""
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder
@@ -14,6 +15,7 @@ from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder
 from causal_rag.corpus import load_dataset, write_canonical
 from causal_rag.embedding import EmbeddingCache, EmbeddingKey, EmbeddingVector
 from causal_rag.gateway import CompletionRequest, ScriptedBackend, Transcript, TranscriptEntry
+from causal_rag.jsonl import encode_line
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import ExperimentConfig, build_db, run_experiment
 
@@ -127,6 +129,23 @@ def test_transcript_line_bytes(tmp_path):
         b'"response_text": "r\xc3\xa9ponse \xe2\x80\x94 \xc2\xab oui \xc2\xbb", '
         b'"timestamp": "2026-01-02T03:04:05+00:00"}\n'
     )
+
+
+def test_a_transcript_line_is_encode_line_of_its_entry_seeded(tmp_path):
+    path = tmp_path / "t.jsonl"
+    rng = random.Random(26)
+    alphabet = 'ab "\\\n\r\t\x00\u2028\u2029é—\U0001f600\U0001f9ea'
+    entries = [TranscriptEntry(f"{i:064x}", "".join(rng.choices(alphabet, k=rng.randrange(40))),
+                               f"2026-01-02T03:04:{i % 60:02d}.{i:06d}+00:00")
+               for i in range(300)]
+    transcript = Transcript(path)
+    for entry in entries:
+        transcript.append(entry)
+    assert path.read_bytes() == "".join(encode_line(entry._asdict()) + "\n"
+                                        for entry in entries).encode("utf-8")
+    reloaded = Transcript(path)
+    assert [reloaded.get(entry.request_hash) for entry in entries] == [
+        entry.response_text for entry in entries]
 
 
 def test_embedding_cache_line_bytes(tmp_path):

@@ -958,6 +958,42 @@ def test_cli_replay_miss_is_provider_error_with_resume_hint(tmp_path, capsys):
     assert "re-run the same command" in err
 
 
+def test_cli_record_run_stops_at_an_answer_no_transcript_line_can_hold(
+        tmp_path, capsys, monkeypatch):
+    import requests
+
+    class LiveAnswers:
+        """Stand-in for the HTTP provider: three answers, then one that
+        holds a lone surrogate (JSON "\\ud800" decodes to one)."""
+
+        status_code = 200
+
+        def __init__(self):
+            self.posts = 0
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.posts += 1
+            self.content = "1" if self.posts <= 3 else "1 \ud800"
+            return self
+
+        def json(self):
+            return {"choices": [{"message": {"content": self.content},
+                                 "finish_reason": "stop"}]}
+
+    live = LiveAnswers()
+    monkeypatch.setattr(requests, "post", live.post)
+    monkeypatch.setenv("CAUSAL_RAG_API_KEY", "k")
+    transcript = tmp_path / "recorded.jsonl"
+    assert main(run_flags(tmp_path, backend="record", transcript=str(transcript),
+                         concurrency="1")) == 3
+    assert "malformed completion payload" in capsys.readouterr().err
+    assert live.posts == 4
+    # the three paid answers ahead of it are kept, and their records
+    assert len(transcript.read_bytes().splitlines()) == 3
+    records = (tmp_path / "cli.jsonl").read_bytes().splitlines()
+    assert len(records) == 3 and all(b'"response": "1"' in line for line in records)
+
+
 def test_cli_invalid_choice_is_usage_error(tmp_path, capsys):
     assert main(run_flags(tmp_path, strategy="telepathy")) == 1
     assert "error:" in capsys.readouterr().err
