@@ -18,12 +18,8 @@ from typing import Iterable
 
 from .errors import (
     EmptyDatasetError,
-    EmptyPhraseError,
     MalformedRecordError,
-    NestedTagsError,
     TagError,
-    TagPairingError,
-    UnbalancedTagsError,
     UnknownFormatError,
 )
 from .jsonl import encode_line, read_json_objects, replace_lines
@@ -164,7 +160,7 @@ def parse_tagged_sentence(line: str, source: str, ordinal: int) -> TaggedSentenc
         if part in ("<cause>", "<effect>"):
             kind = part[1:-1]
             if open_kind is not None:
-                raise NestedTagsError(
+                raise TagError(
                     f"{part} opened while <{open_kind}> is still open: {line!r}"
                 )
             open_kind = kind
@@ -172,21 +168,21 @@ def parse_tagged_sentence(line: str, source: str, ordinal: int) -> TaggedSentenc
         elif part in ("</cause>", "</effect>"):
             kind = part[2:-1]
             if open_kind != kind:
-                raise UnbalancedTagsError(f"{part} without matching open tag: {line!r}")
+                raise TagError(f"{part} without matching open tag: {line!r}")
             phrase = normalize_ws("".join(buffer))
             if not phrase:
-                raise EmptyPhraseError(f"<{kind}> pair encloses only whitespace: {line!r}")
+                raise TagError(f"<{kind}> pair encloses only whitespace: {line!r}")
             (causes if kind == "cause" else effects).append(phrase)
             open_kind = None
         else:
             if open_kind is not None:
                 buffer.append(part)
     if open_kind is not None:
-        raise UnbalancedTagsError(f"<{open_kind}> never closed: {line!r}")
+        raise TagError(f"<{open_kind}> never closed: {line!r}")
 
     if causes or effects:
         if len(causes) != 1 or len(effects) != 1:
-            raise TagPairingError(
+            raise TagError(
                 f"expected exactly one cause and one effect tag pair, "
                 f"got {len(causes)} cause(s) and {len(effects)} effect(s): {line!r}"
             )
@@ -256,7 +252,8 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
     """One canonical record as an instance; a record that breaks the format
     is a KeyError, TypeError or ValueError. An id is a non-empty string, by
     default the source and the line number. A source, which many lines
-    share, is kept once."""
+    share, is kept once. A text, id or source holding a lone surrogate
+    (JSON "\\ud800"), which UTF-8 cannot encode, is refused."""
     text, label, source = obj["text"], obj["label"], obj.get("source", default_source)
     if type(source) is not str:
         raise TypeError(f"'source' must be a string, got {source!r}")
@@ -298,6 +295,12 @@ def _instance_from_canonical(obj: dict, line_no: int, default_source: str) -> La
     sid = obj["id"] if "id" in obj else make_sentence_id(source, line_no)
     if type(sid) is not str or not sid:
         raise ValueError(f"'id' must be a non-empty string, got {sid!r}")
+    try:  # one encode a line; each pair phrase occurs in the text
+        (text + sid + source).encode()
+    except UnicodeEncodeError as exc:
+        at = exc.start
+        name = "text" if at < len(text) else "id" if at < len(text) + len(sid) else "source"
+        raise ValueError(f"{name!r} holds {exc.object[at]!r}, which UTF-8 cannot encode") from None
     sentence = TaggedSentence(
         id=sid,
         raw_text=text,

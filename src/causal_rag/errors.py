@@ -10,28 +10,11 @@ class CausalRagError(Exception):
 
 
 class TagError(CausalRagError):
-    """Malformed cause/effect tag markup in a sentence."""
-
-
-class UnbalancedTagsError(TagError):
-    """A cause or effect tag was opened without a matching close (or closed
-    without an open)."""
-
-
-class NestedTagsError(TagError):
-    """A tag was opened while another tag was still open."""
-
-
-class EmptyPhraseError(TagError):
-    """A tag pair encloses only whitespace."""
-
-
-class TagPairingError(TagError):
-    """Balanced tags that do not form exactly one cause-effect pair.
-
-    Inline markup is only accepted for single-pair sentences; multi-pair
-    records must list their pairs explicitly in the canonical JSONL format.
-    """
+    """Malformed cause/effect tag markup in a sentence: a tag left open,
+    closed without an open or opened inside another, a pair enclosing only
+    whitespace, or balanced tags that do not form exactly one cause-effect
+    pair (inline markup holds one pair; multi-pair records list their pairs
+    in the canonical JSONL format)."""
 
 
 class UnknownFormatError(CausalRagError):

@@ -302,7 +302,6 @@ class PredictionRecord(NamedTuple):
     response: str
     parsed: dict | None
     parse_error: bool
-    timing_ms: float
 
     def line(self) -> str:
         """The record as a prediction line, without its newline: what
@@ -332,8 +331,7 @@ class PredictionRecord(NamedTuple):
             f'"response": {encode_basestring(self.response)}, '
             f'"sentence_id": {encode_basestring(self.sentence_id)}, '
             f'"strategy": {encode_basestring(self.strategy.value)}, '
-            f'"task": {encode_basestring(self.task)}, '
-            f'"timing_ms": {encode_line(self.timing_ms)}}}'
+            f'"task": {encode_basestring(self.task)}}}'
         )
 
     @classmethod
@@ -346,12 +344,11 @@ class PredictionRecord(NamedTuple):
             raise ValueError(f"task is {obj['task']!r}, expected {task!r}")
         for name, kind, what in _TYPED:
             _need(type(obj[name]) is kind, name, what, obj[name])
-        strategy, digest, timing = obj["strategy"], obj["prompt_hash"], obj["timing_ms"]
+        strategy, digest = obj["strategy"], obj["prompt_hash"]
         _need(strategy in STRATEGY_NAMES, "strategy", "one of " + ", ".join(STRATEGY_NAMES),
               strategy)
         _need(type(digest) is str and _HEX64.fullmatch(digest) is not None,
               "prompt_hash", "64 lowercase hex digits", digest)
-        _need(_finite(timing) and timing >= 0, "timing_ms", "a finite number >= 0", timing)
         provenance = tuple(map(_provenance_entry, obj["provenance"]))
         count, parsed = obj["example_count"], obj["parsed"]
         _need(count == len(provenance), "example_count",
@@ -362,7 +359,7 @@ class PredictionRecord(NamedTuple):
             _check_parsed(parsed, task)
         return cls(obj["sentence_id"], task, StrategyKind(strategy), digest, count,
                    obj["fallback_used"], provenance, obj["response"], parsed,
-                   obj["parse_error"], timing)
+                   obj["parse_error"])
 
 
 _FIELDS = frozenset(PredictionRecord._fields)

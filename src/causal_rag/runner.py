@@ -41,9 +41,7 @@ call) and scores the lines of the run's own instances, a later line
 winning. `RunResult.records` reads the records back. All sampling is salted
 with the sentence id, so outputs are byte-identical across runs and
 concurrency bounds whenever the transcript, seed, and config are fixed.
-Unparseable responses are scored as failures, never crashes; under the
-replay backend, timings are 0.0 to keep outputs reproducible, and the clock
-is not read.
+Unparseable responses are scored as failures, never crashes.
 
 A cell's `RetrievalConfig`, which all its records share, is built once,
 when the cell is opened.
@@ -52,7 +50,6 @@ when the cell is opened.
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -289,8 +286,6 @@ def _process_instance(
     instance: LabeledInstance, cell: _Cell, session: _Session
 ) -> PredictionRecord:
     config = cell.config
-    timed = config.backend != "replay"  # a replayed record's timing is 0.0
-    started = time.perf_counter() if timed else 0.0
     retrieved = _retrieve(instance, cell, session)
     sentence = instance.sentence
     if config.task == "detect":
@@ -307,12 +302,9 @@ def _process_instance(
         parsed = parse(response)
     except UnparseableResponseError:
         parsed = None
-
-    elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3) if timed else 0.0
     return PredictionRecord(
         sentence.id, config.task, config.strategy, request_hash(request), prompt.example_count,
         retrieved.fallback_used, retrieved.provenance, response, parsed, parsed is None,
-        elapsed_ms,
     )
 
 
@@ -534,7 +526,6 @@ def _write_report(session: _Session, cell: _Cell) -> RunResult:
         "threshold": config.similarity_threshold,
         "catalog_version": session.catalog.version,
         "model_id": config.model_id,
-        "backend": config.backend,
         "single_pair": config.single_pair,
         "matching": config.matching,
     }

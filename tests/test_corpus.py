@@ -29,11 +29,8 @@ from causal_rag.corpus import (
 )
 from causal_rag.errors import (
     EmptyDatasetError,
-    EmptyPhraseError,
     MalformedRecordError,
-    NestedTagsError,
-    TagPairingError,
-    UnbalancedTagsError,
+    TagError,
     UnknownFormatError,
 )
 from causal_rag.repository import make_record
@@ -64,28 +61,28 @@ def test_parse_tag_free_passthrough() -> None:
 
 
 def test_parse_unbalanced_open() -> None:
-    with pytest.raises(UnbalancedTagsError):
+    with pytest.raises(TagError, match="<effect> never closed"):
         parse_tagged_sentence("a <cause> b </cause> c <effect>", "demo", 1)
 
 
 def test_parse_unbalanced_close() -> None:
-    with pytest.raises(UnbalancedTagsError):
+    with pytest.raises(TagError, match="</cause> without matching open tag"):
         parse_tagged_sentence("a b </cause> c", "demo", 1)
 
 
 def test_parse_nested_tags() -> None:
-    with pytest.raises(NestedTagsError):
+    with pytest.raises(TagError, match="<effect> opened while <cause> is still open"):
         parse_tagged_sentence("<cause> a <effect> b </effect> </cause>", "demo", 1)
 
 
 def test_parse_empty_phrase() -> None:
-    with pytest.raises(EmptyPhraseError):
+    with pytest.raises(TagError, match="<cause> pair encloses only whitespace"):
         parse_tagged_sentence("x <cause>   </cause> y <effect> z </effect>", "demo", 1)
 
 
 def test_parse_two_causes_rejected() -> None:
     line = "<cause>a</cause> and <cause>b</cause> made <effect>c</effect>"
-    with pytest.raises(TagPairingError):
+    with pytest.raises(TagError, match="got 2 cause\\(s\\) and 1 effect\\(s\\)"):
         parse_tagged_sentence(line, "demo", 1)
 
 

@@ -479,7 +479,7 @@ def _prediction(task: str, sid: str, count: int, answer) -> dict:
     return {"sentence_id": sid, "task": task, "strategy": "random", "prompt_hash": "0" * 64,
             "example_count": count, "fallback_used": False,
             "provenance": [{"origin": "random", "record_id": f"r{i}"} for i in range(count)],
-            "response": "", "parsed": parsed, "parse_error": parsed is None, "timing_ms": 0.0}
+            "response": "", "parsed": parsed, "parse_error": parsed is None}
 
 
 @pytest.mark.parametrize("task, single_pair, matching", [
@@ -589,7 +589,7 @@ _NO_DEFAULT = object()
                          "connective": None}),
     (PredictionRecord, dict.fromkeys(
         ("sentence_id", "task", "strategy", "prompt_hash", "example_count", "fallback_used",
-         "provenance", "response", "parsed", "parse_error", "timing_ms"), _NO_DEFAULT)),
+         "provenance", "response", "parsed", "parse_error"), _NO_DEFAULT)),
     (TranscriptEntry, dict.fromkeys(("request_hash", "response_text", "timestamp"),
                                     _NO_DEFAULT)),
 ], ids=["ExampleProvenance", "PredictionRecord", "TranscriptEntry"])
@@ -614,7 +614,7 @@ def test_a_fallback_record_spells_each_provenance_entry_as_an_object() -> None:
     fallback = tuple(p._replace(origin="random-fallback") for p in drawn)
     assert [p.origin for p in drawn] == ["random", "random"]
     record = PredictionRecord("s1", "detect", StrategyKind.PATTERN, "0" * 64, 2, True, fallback,
-                              "yes", {"label": 1}, False, 0.0)
+                              "yes", {"label": 1}, False)
     assert json.loads(record.line())["provenance"] == [
         {"origin": "random-fallback", "record_id": "r2"},
         {"origin": "random-fallback", "record_id": "r1"},
@@ -643,7 +643,7 @@ def _documented_line(record: PredictionRecord) -> str:
         "strategy": record.strategy.value, "prompt_hash": record.prompt_hash,
         "example_count": record.example_count, "fallback_used": record.fallback_used,
         "provenance": provenance, "response": record.response, "parsed": record.parsed,
-        "parse_error": record.parse_error, "timing_ms": record.timing_ms,
+        "parse_error": record.parse_error,
     })
 
 
@@ -651,7 +651,7 @@ def test_a_prediction_line_is_encode_line_of_its_documented_object_seeded() -> N
     """`line()` spells the line out field by field: byte for byte what
     `encode_line` gives of the record as an object, for strings that need
     escapes or are not ASCII, every kind of score and parsed answer, both
-    booleans and integer or float timings."""
+    booleans and an empty provenance."""
     rng = random.Random(2025)
     alphabet = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
                 "/", "é", "ß", "因果", "洪水", "😀", "🌧️", "a", "Z", "0", " ", "<", ">", "&"]
@@ -682,14 +682,13 @@ def test_a_prediction_line_is_encode_line_of_its_documented_object_seeded() -> N
         record = PredictionRecord(
             text() or f"s{i}", task, rng.choice(list(StrategyKind)),
             "".join(rng.choice("0123456789abcdef") for _ in range(64)), len(provenance),
-            rng.random() < 0.5, provenance, text(), parsed, parsed is None,
-            rng.choice([0.0, 0, 3, 12.345, rng.uniform(0, 1000)]))
+            rng.random() < 0.5, provenance, text(), parsed, parsed is None)
         assert record.line() == _documented_line(record), record
         again = PredictionRecord.of(json.loads(record.line()), task)
         assert again.line() == record.line()
         seen.update(kind for kind, hit in [
             ("fallback", record.fallback_used), ("no fallback", not record.fallback_used),
-            ("parsed null", parsed is None), ("integer timing", type(record.timing_ms) is int),
+            ("parsed null", parsed is None), ("no provenance", not provenance),
             ("connective", any(p.connective is not None for p in provenance)),
             ("no connective", any(p.connective is None for p in provenance)),
             ("no score", any(p.score is None for p in provenance)),

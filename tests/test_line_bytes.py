@@ -55,7 +55,6 @@ def test_saved_repository_bytes(tmp_path):
 
 def test_prediction_line_bytes(tmp_path):
     out = tmp_path / "p.jsonl"
-    # a replay config with a scripted backend: its timing is 0.0, so the line is stable
     config = ExperimentConfig(task="extract", strategy=StrategyKind.ZEROSHOT,
                               dataset_path=str(dataset(tmp_path)), output_path=str(out),
                               model_id="m", backend="replay",
@@ -66,7 +65,7 @@ def test_prediction_line_bytes(tmp_path):
         b'"parsed": {"dropped_spans": 0, "overlap_flag": false, ' + PAIRS + b'}, '
         b'"prompt_hash": "8ddd4186d10bb867aa324ca86304396a376e7163291d10ae7d6c70e1e6eba169", '
         b'"provenance": [], "response": ' + TAGGED + b', "sentence_id": "fr-1", '
-        b'"strategy": "zeroshot", "task": "extract", "timing_ms": 0.0}\n'
+        b'"strategy": "zeroshot", "task": "extract"}\n'
     )
 
 
@@ -75,7 +74,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 def fixture_line(tmp_path, strategy: StrategyKind, sentence_id: str) -> bytes:
     """The prediction line of `sentence_id` from a k=2 extraction run over
-    the fixtures, answered by the fixture model (replay config: timing 0.0)."""
+    the fixtures, answered by the fixture model."""
     out = tmp_path / f"{strategy.value}.jsonl"
     config = ExperimentConfig(task="extract", strategy=strategy,
                               dataset_path=str(FIXTURES / "extract.jsonl"), output_path=str(out),
@@ -100,8 +99,7 @@ def test_knn_pattern_provenance_line_bytes(tmp_path):
         b'{"connective": "resulted in", "origin": "pattern", "record_id": "db-027", '
         b'"score": 1.0}], '
         b'"response": "<cause>The strike</cause> resulted in <effect>missed shipments</effect>.", '
-        b'"sentence_id": "ext-004", "strategy": "knn-pattern", "task": "extract", '
-        b'"timing_ms": 0.0}\n'
+        b'"sentence_id": "ext-004", "strategy": "knn-pattern", "task": "extract"}\n'
     )
 
 
@@ -114,8 +112,7 @@ def test_pattern_fallback_provenance_line_bytes(tmp_path):
         b'"provenance": [{"origin": "random-fallback", "record_id": "db-003"}, '
         b'{"origin": "random-fallback", "record_id": "db-017"}], '
         b'"response": "<effect>The outage</effect> was blamed on <cause>grid operator</cause>.", '
-        b'"sentence_id": "ext-007", "strategy": "pattern", "task": "extract", '
-        b'"timing_ms": 0.0}\n'
+        b'"sentence_id": "ext-007", "strategy": "pattern", "task": "extract"}\n'
     )
 
 

@@ -85,12 +85,32 @@ def test_replay_fewshot_beats_zeroshot(tmp_path):
     assert few.report["metrics"]["accuracy"] > zero.report["metrics"]["accuracy"]
 
 
-def test_records_sorted_and_timing_zero_under_replay(tmp_path):
+def test_records_sorted_by_id_and_of_the_runs_strategy(tmp_path):
     result = run_experiment(replay_config(tmp_path, "detect", StrategyKind.KNN))
     ids = [record.sentence_id for record in result.records]
     assert ids == sorted(ids)
-    assert all(record.timing_ms == 0.0 for record in result.records)
     assert all(record.strategy is StrategyKind.KNN for record in result.records)
+
+
+@pytest.mark.parametrize("task, strategy, k", [
+    ("detect", StrategyKind.PATTERN, 5), ("extract", StrategyKind.KNN_PATTERN, 10),
+])
+def test_record_runs_write_the_bytes_their_replay_writes(tmp_path, task, strategy, k):
+    """A prediction line and a report depend only on the answers: a replay,
+    and two record runs over a transcript that holds every answer (so the
+    provider, on a port nothing listens on, is never asked), write the same
+    files and append nothing."""
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_bytes((FIXTURES / "transcript.jsonl").read_bytes())
+    written = []
+    for i, backend in enumerate(("replay", "record", "record")):
+        out = tmp_path / f"run{i}.jsonl"
+        run_experiment(replace(replay_config(tmp_path, task, strategy, k=k, out=out),
+                               backend=backend, transcript_path=str(transcript),
+                               base_url="http://127.0.0.1:9"))
+        written.append((out.read_bytes(), (tmp_path / f"run{i}.jsonl.metrics.json").read_bytes()))
+    assert written[0] == written[1] == written[2]
+    assert transcript.read_bytes() == (FIXTURES / "transcript.jsonl").read_bytes()
 
 
 def test_output_bytes_identical_across_concurrency(tmp_path):
@@ -947,6 +967,23 @@ def test_cli_run_prints_table_and_paths(tmp_path, capsys):
 def test_cli_run_missing_dataset_is_data_error(tmp_path, capsys):
     assert main(run_flags(tmp_path, dataset=str(tmp_path / "absent.jsonl"))) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["text", "id", "source"])
+def test_cli_a_dataset_string_utf8_cannot_encode_is_a_data_error_before_any_file(
+    tmp_path, capsys, field
+):
+    """A lone surrogate (JSON "\\ud800") in a text, id or source has no UTF-8
+    form: the run exits 2 naming the file and the line, and writes no file."""
+    lines = (FIXTURES / "detect.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    record = json.loads(lines[2])
+    record[field] += "\ud800"
+    dataset = tmp_path / "detect.jsonl"
+    dataset.write_text("\n".join([*lines[:2], json.dumps(record)]) + "\n", encoding="utf-8")
+    assert main(run_flags(tmp_path, dataset=str(dataset))) == 2
+    reason = f"{dataset}: line 3: '{field}' holds '\\ud800', which UTF-8 cannot encode"
+    assert reason in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [dataset]
 
 
 def test_cli_replay_miss_is_provider_error_with_resume_hint(tmp_path, capsys):
