@@ -37,7 +37,7 @@ from .corpus import (
 )
 from .errors import (
     CausalRagError,
-    EmptyDatasetError,
+    MalformedRecordError,
     ProviderError,
     ReplayMissError,
     TagError,
@@ -123,7 +123,6 @@ __all__ = [
     "EmbeddingCache",
     "EmbeddingService",
     "EmbeddingVector",
-    "EmptyDatasetError",
     "ExampleRecord",
     "ExperimentConfig",
     "HttpEmbeddingProvider",
@@ -132,6 +131,7 @@ __all__ = [
     "LiveBackend",
     "LlmClient",
     "LocalHashEmbedder",
+    "MalformedRecordError",
     "PredictionRecord",
     "PromptCatalog",
     "ProviderError",

@@ -159,12 +159,14 @@ def build_parser() -> _Parser:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Parse a `key = value` config file; `#` lines are comments."""
+    """Parse a `key = value` config file; `#` lines are comments. A key
+    given twice is an error naming both lines."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliUsageError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}  # each key's line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -172,7 +174,13 @@ def load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise CliUsageError(f"config file {path} line {line_no}: expected key = value")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in lines:
+            raise CliUsageError(
+                f"config file {path} line {line_no}: key {key} repeats line {lines[key]}"
+            )
+        lines[key] = line_no
+        values[key] = value.strip()
     return values
 
 

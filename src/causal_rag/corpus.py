@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import (
-    EmptyDatasetError,
-    MalformedRecordError,
-    TagError,
-    UnknownFormatError,
-)
+from .errors import MalformedRecordError, TagError
 from .jsonl import encode_line, read_json_objects, replace_lines
 
 TAG_RE = re.compile(r"</?(?:cause|effect)>")
@@ -426,7 +421,7 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
     """
     path = Path(path)
     if format not in FORMATS:
-        raise UnknownFormatError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
+        raise ValueError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
     numbered = (read_json_objects(path, drop_torn_tail=False) if format == "jsonl"
                 else _IMPORTERS[format](path))
     name = path.stem  # the default source
@@ -445,7 +440,7 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
         else:
             first_lines[sid] = line_no
     if not instances:
-        raise EmptyDatasetError(f"{path} contains no records")
+        raise MalformedRecordError("contains no records", path=path)
     if repeats:
         line_no, sid = repeats[0]
         dupes = sorted({i for _, i in repeats})

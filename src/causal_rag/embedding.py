@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 
 from .corpus import normalize_lower as normalize_for_key
-from .errors import DimensionMismatchError, ZeroVectorError
 from .gateway import HttpEndpoint
 from .jsonl import LineAppender, Memo, encode_line, read_jsonl
 
@@ -36,7 +35,8 @@ if TYPE_CHECKING:
 @dataclass(frozen=True, slots=True, eq=False)
 class EmbeddingVector:
     """One embedding: a read-only, one-dimensional float64 array, 8 bytes a
-    component. A read-only float64 array is kept as is; any other sequence
+    component, finite and not all zero, so every cosine similarity with it
+    is defined. A read-only float64 array is kept as is; any other sequence
     of numbers is copied into one. Two vectors are equal when their model
     ids and components are."""
 
@@ -56,6 +56,10 @@ class EmbeddingVector:
             raise ValueError("embedding must have at least one component, in one dimension")
         if not np.isfinite(values).all():
             raise ValueError("embedding components must be finite")
+        with np.errstate(over="ignore"):  # a norm beyond float64 is still one
+            squared_norm = np.vecdot(values, values)
+        if not squared_norm:  # no cosine similarity with it is defined
+            raise ValueError("embedding must not be the all-zero vector")
 
     @property
     def dim(self) -> int:
@@ -87,7 +91,8 @@ class NeighborHit:
 
 def vector_from_json(values, model_id: str) -> EmbeddingVector:
     """An embedding from a decoded JSON value, which must be a non-empty
-    array of finite numbers; anything else is a TypeError or ValueError."""
+    array of finite numbers, not all zero; anything else is a TypeError or
+    ValueError."""
     # numpy would read a string, a null or a boolean as a number
     if type(values) is not list or not set(map(type, values)) <= {int, float}:
         raise TypeError("embedding must be a JSON array of numbers")
@@ -194,7 +199,7 @@ class EmbeddingCache(Memo):
         """Keep the dim of the model's first vector; refuse any other."""
         known = self._dims.setdefault(vector.model_id, vector.dim)
         if known != vector.dim:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"model {vector.model_id!r} previously produced dim {known}, got {vector.dim}"
             )
 
@@ -305,7 +310,7 @@ class VectorIndex:
             if row == 0:
                 matrix = np.empty((len(self.ids), vector.dim), dtype=np.float64)
             elif vector.dim != matrix.shape[1]:
-                raise DimensionMismatchError(f"dim {matrix.shape[1]} vs {vector.dim}")
+                raise ValueError(f"dim {matrix.shape[1]} vs {vector.dim}")
             matrix[row] = vector.values
             if on_row is not None:
                 view = matrix[row]
@@ -317,8 +322,6 @@ class VectorIndex:
         matrix.flags.writeable = False
         self.matrix = matrix
         self.norms = np.sqrt(np.vecdot(matrix, matrix))
-        if not self.norms.all():
-            raise ZeroVectorError("cosine similarity undefined for an all-zero vector")
 
 
 def knn_search(query: EmbeddingVector, index: VectorIndex, k: int) -> list[NeighborHit]:
@@ -331,13 +334,11 @@ def knn_search(query: EmbeddingVector, index: VectorIndex, k: int) -> list[Neigh
     if k < 1:
         raise ValueError("k must be >= 1")
     if query.dim != index.matrix.shape[1]:
-        raise DimensionMismatchError(f"dim {query.dim} vs {index.matrix.shape[1]}")
+        raise ValueError(f"dim {query.dim} vs {index.matrix.shape[1]}")
     import numpy as np
 
     q = query.values
     norm = float(np.linalg.norm(q))
-    if norm == 0.0:
-        raise ZeroVectorError("cosine similarity undefined for an all-zero vector")
     similarities = np.vecdot(index.matrix, q) / (norm * index.norms)
     top = np.argsort(-similarities, kind="stable")[:k]
     return [NeighborHit(record_id=index.ids[i], similarity=float(similarities[i])) for i in top]

@@ -1,12 +1,16 @@
 """Exception hierarchy for the causal-rag toolkit, and `warn`, the one way
-it logs a warning."""
+it logs a warning.
+
+A fault in an input file is a `MalformedRecordError`, raised when the file
+is read; a fault in a provider call is a `ProviderError`. A bad argument is
+a plain `ValueError`."""
 
 
 class CausalRagError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- corpus parsing ---------------------------------------------------------
+# --- input files ------------------------------------------------------------
 
 
 class TagError(CausalRagError):
@@ -17,13 +21,11 @@ class TagError(CausalRagError):
     in the canonical JSONL format)."""
 
 
-class UnknownFormatError(CausalRagError):
-    """Dataset format name not recognized."""
-
-
 class MalformedRecordError(CausalRagError):
-    """A dataset, repository or JSONL store record violates its format
-    contract. `message` is the reason, or the KeyError (a missing field),
+    """An input file (a dataset, the example repository, a transcript, a
+    prediction file, an embedding cache or a prompt catalog) violates its
+    format. The message names the file and, where one line is at fault,
+    the line. `message` is the reason, or the KeyError (a missing field),
     TypeError or ValueError with which a record parser refused the line."""
 
     def __init__(self, message, line_number=None, path=None):
@@ -38,17 +40,6 @@ class MalformedRecordError(CausalRagError):
         self.path = path
 
 
-class EmptyDatasetError(CausalRagError):
-    """Dataset file contains no records."""
-
-
-# --- repository persistence -------------------------------------------------
-
-
-class SchemaVersionMismatchError(CausalRagError):
-    """Repository file carries an unsupported schema_version."""
-
-
 # --- providers (chat + embeddings) ------------------------------------------
 
 
@@ -57,11 +48,7 @@ class ProviderError(CausalRagError):
 
 
 class TransportError(ProviderError):
-    """Network-level failure that persisted through all retries."""
-
-
-class RateLimitedError(ProviderError):
-    """Provider kept rate-limiting through all retries."""
+    """A network failure or an HTTP 429 that persisted through all retries."""
 
 
 class ReplayMissError(ProviderError):
@@ -72,35 +59,8 @@ class ReplayMissError(ProviderError):
         self.request_hash = request_hash
 
 
-class EmptyCompletionError(ProviderError):
-    """Provider returned an empty completion (truncated or filtered)."""
-
-
 class UnparseableResponseError(CausalRagError):
     """A model response could not be parsed into the expected structure."""
-
-
-# --- embeddings and vectors -------------------------------------------------
-
-
-class DimensionMismatchError(CausalRagError, ValueError):
-    """Vectors of differing dimension were combined, or a provider (or an
-    embedding cache line) changed the output dimension of a model."""
-
-
-class ZeroVectorError(CausalRagError):
-    """Cosine similarity is undefined for an all-zero vector."""
-
-
-# --- retrieval and evaluation -----------------------------------------------
-
-
-class EmptyConnectiveError(CausalRagError):
-    """Connective similarity requires two non-empty strings."""
-
-
-class EmptyInputError(CausalRagError):
-    """Metric computation received no instances."""
 
 
 # --- warnings ---------------------------------------------------------------

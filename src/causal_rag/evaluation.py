@@ -33,7 +33,6 @@ from json.encoder import encode_basestring
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import CauseEffectPair, LabeledInstance, Triplet, norm_tokens, pair_overlap
-from .errors import EmptyInputError
 from .jsonl import encode_line
 from .kernels import token_subsequence
 from .retrieval import ORIGINS, STRATEGY_NAMES, ExampleProvenance, StrategyKind
@@ -117,7 +116,7 @@ def _detection(tp: int, fp: int, tn: int, fn: int) -> DetectionMetrics:
 def detection_metrics(preds: Sequence[tuple[int, int]]) -> DetectionMetrics:
     """Score (predicted, gold) label pairs; the positive class is causal=1."""
     if not preds:
-        raise EmptyInputError("no predictions to score")
+        raise ValueError("no predictions to score")
     cells = [_confusion_cell(predicted, gold) for predicted, gold in preds]
     return _detection(*map(sum, zip(*cells)))
 
@@ -139,7 +138,7 @@ def single_pair_accuracy(
     needs containment on the cause AND on the effect.
     """
     if not items:
-        raise EmptyInputError("no extraction outcomes to score")
+        raise ValueError("no extraction outcomes to score")
     outcomes = []
     for sentence_id, gold, predicted in items:
         hits = (False,) * 3 if predicted is None else (
@@ -439,7 +438,7 @@ class Tally:
     def metrics(self) -> dict:
         """The report's metrics, in the order reports list them."""
         if not self.sentences:
-            raise EmptyInputError("no sentences to score")
+            raise ValueError("no sentences to score")
         if self.kind == "detect":
             metrics = asdict(_detection(*self.counts))
         elif self.kind == "extract":

@@ -35,13 +35,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, TypeVar
 
-from .errors import (
-    EmptyCompletionError,
-    ProviderError,
-    RateLimitedError,
-    ReplayMissError,
-    TransportError,
-)
+from .errors import ProviderError, ReplayMissError, TransportError
 from .jsonl import LineAppender, Memo, read_jsonl
 
 if TYPE_CHECKING:
@@ -187,24 +181,23 @@ def post_with_retry(
 
     Retries only transport failures and HTTP 429; backoff doubles from 1 s
     with full jitter (each sleep is uniform over [0, current backoff]).
-    Any other non-2xx status fails immediately as ProviderError.
+    Either one persisting through every attempt is a TransportError, named
+    by the last attempt's failure. Any other non-2xx status fails
+    immediately as ProviderError.
     """
     import requests  # offline runs never load the HTTP stack
     rng = rng or random.Random()
     post = session.post if session is not None else requests.post
     delay = RETRY_BASE_DELAY
-    last_error: Exception | None = None
-    rate_limited = False
+    failure = f"no attempt to post to {url}"
     for attempt in range(attempts):
         try:
             response = post(url, json=payload, headers=headers, timeout=timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
-            last_error = exc
-            rate_limited = False
+            failure = f"transport failure after {attempts} attempts: {exc}"
         else:
             if response.status_code == 429:
-                last_error = RateLimitedError(f"429 from {url}")
-                rate_limited = True
+                failure = f"rate limited after {attempts} attempts: {url}"
             elif response.status_code >= 400:
                 raise ProviderError(
                     f"HTTP {response.status_code} from {url}: {response.text[:500]}"
@@ -214,9 +207,7 @@ def post_with_retry(
         if attempt < attempts - 1:
             sleeper(rng.uniform(0.0, delay))
             delay *= 2.0
-    if rate_limited:
-        raise RateLimitedError(f"rate limited after {attempts} attempts: {url}")
-    raise TransportError(f"transport failure after {attempts} attempts: {last_error}")
+    raise TransportError(failure)
 
 
 class Backend(Protocol):
@@ -296,7 +287,7 @@ class LiveBackend(HttpEndpoint):
         }
         text, meta = self.post("/v1/chat/completions", payload, "completion", _read_completion)
         if not text.strip():
-            raise EmptyCompletionError(
+            raise ProviderError(
                 f"provider returned empty text (finish_reason={meta['finish_reason']!r})"
             )
         return CompletionResponse(text=text, provider_meta=meta)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .corpus import normalize_ws, pair_overlap
-from .errors import UnparseableResponseError
+from .errors import MalformedRecordError, UnparseableResponseError
 
 if TYPE_CHECKING:
     from .repository import ExampleRecord
@@ -66,7 +66,8 @@ class AssembledPrompt:
 
 
 def parse_catalog(text: str, origin: str = "<catalog>") -> PromptCatalog:
-    lines = text.splitlines()
+    """The catalog `text` holds; a fault in it is a MalformedRecordError
+    naming `origin` (its file) and, where one line is at fault, the line."""
     version: int | None = None
     blocks: dict[str, str] = {}
     current: str | None = None
@@ -76,7 +77,7 @@ def parse_catalog(text: str, origin: str = "<catalog>") -> PromptCatalog:
         if current is not None:
             blocks[current] = "\n".join(buffer).strip("\n")
 
-    for line in lines:
+    for line_no, line in enumerate(text.splitlines(), start=1):
         header = BLOCK_RE.match(line.strip())
         if header:
             flush()
@@ -88,20 +89,22 @@ def parse_catalog(text: str, origin: str = "<catalog>") -> PromptCatalog:
                 continue
             m = VERSION_RE.match(line.strip())
             if not m:
-                raise ValueError(f"{origin}: expected 'catalog_version: <n>', got {line!r}")
+                raise MalformedRecordError(
+                    f"expected 'catalog_version: <n>', got {line!r}", line_no, origin
+                )
             version = int(m.group(1))
         else:
             buffer.append(line)
     flush()
 
     if version is None:
-        raise ValueError(f"{origin}: missing catalog_version header")
+        raise MalformedRecordError("missing catalog_version header", path=origin)
     missing = [key for key in REQUIRED_KEYS if key not in blocks]
     if missing:
-        raise ValueError(f"{origin}: catalog lacks blocks {missing}")
+        raise MalformedRecordError(f"catalog lacks blocks {missing}", path=origin)
     empty = [key for key in REQUIRED_KEYS if not blocks[key].strip()]
     if empty:
-        raise ValueError(f"{origin}: catalog blocks empty: {empty}")
+        raise MalformedRecordError(f"catalog blocks empty: {empty}", path=origin)
     return PromptCatalog(version=version, blocks=blocks)
 
 

@@ -22,12 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import CauseEffectPair, TaggedSentence, normalize_lower, render_tagged
-from .errors import (
-    MalformedRecordError,
-    SchemaVersionMismatchError,
-    UnparseableResponseError,
-    warn,
-)
+from .errors import MalformedRecordError, UnparseableResponseError, warn
 from .gateway import LlmClient
 from .jsonl import encode_line, read_json_objects, replace_lines
 from .prompting import PromptCatalog, connective_prompt
@@ -272,6 +267,8 @@ def _record_from_json(obj: dict) -> ExampleRecord:
         raise TypeError("'connectives' must be an array of strings")
     if not connectives:
         raise ValueError(f"record {obj['id']} has no connectives")
+    if not all(map(str.strip, connectives)):  # blank once normalized
+        raise ValueError(f"record {obj['id']} has a blank connective")
     if type(pairs) is not list or any(
         type(p) is not dict or type(p["cause"]) is not str or type(p["effect"]) is not str
         for p in pairs
@@ -306,9 +303,10 @@ def load_repository(path: str | Path) -> Repository:
         raise MalformedRecordError("repository file is empty (missing header)", 1, path)
     if "schema_version" not in header:
         raise MalformedRecordError("first line is not a repository header", line_no, path)
-    if header["schema_version"] != SCHEMA_VERSION:
-        raise SchemaVersionMismatchError(
-            f"{path}: schema_version {header['schema_version']!r}, expected {SCHEMA_VERSION}"
+    version = header["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:  # not true or 1.0
+        raise MalformedRecordError(
+            f"schema_version {version!r}, expected {SCHEMA_VERSION}", line_no, path
         )
     cap, seed = header.get("cap"), header.get("seed")
     if type(cap) is not int or type(seed) is not int:  # not true, "10" or 10.9

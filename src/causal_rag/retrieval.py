@@ -29,7 +29,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .embedding import EmbeddingService, EmbeddingVector, NeighborHit, VectorIndex, knn_search
-from .errors import EmptyConnectiveError, UnparseableResponseError
+from .errors import UnparseableResponseError
 from .gateway import LlmClient
 from .jsonl import Memo
 from .kernels import edit_ratio, token_subsequence
@@ -163,7 +163,7 @@ def connective_similarity(a: str, b: str, matcher: str = "edit_ratio") -> float:
     a = normalize_connective(a)
     b = normalize_connective(b)
     if not a or not b:
-        raise EmptyConnectiveError("connectives must be non-empty")
+        raise ValueError("connectives must be non-empty")
     return _similarity(a, b, matcher, 0.0)
 
 
@@ -231,8 +231,6 @@ def _pattern_candidates(
         return best
     threshold = cfg.similarity_threshold
     for key, norm_key in repo.normalized_keys:
-        if not norm_key:
-            raise EmptyConnectiveError("connectives must be non-empty")
         key_score = 0.0
         for connective in normalized:
             key_score = max(key_score, _similarity(connective, norm_key, cfg.matcher, threshold))

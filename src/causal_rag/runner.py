@@ -15,9 +15,11 @@ cells of a sweep that use them.
 A sweep, and a run as a sweep of one cell, is one stream. Every cell's
 config is built and checked (`sweep_configs`) before the session loads
 anything or `force` removes anything. Every cell is then opened (its file
-read and checked, or removed under `force`), then its (cell, sentence)
-tasks go through one pool of `concurrency` workers, in cell order and then
-id order, a few tasks a worker queued ahead. No worker waits at a cell
+read and checked, or removed under `force`), and the embedding cache is
+read when a kNN task is to run, so every input file is checked before any
+provider call. Then the (cell, sentence) tasks go through one pool of
+`concurrency` workers, in cell order and then id order, a few tasks a
+worker queued ahead. No worker waits at a cell
 boundary, and the kNN index is built on the main thread when the stream
 first reaches a kNN task, while the tasks queued ahead of it wait on the
 provider. A provider error stops the stream: no task behind it starts, and
@@ -118,6 +120,9 @@ DEFAULT_BACKEND = "replay"
 DEFAULT_BASE_URL = "https://api.openai.com"
 LOCAL_EMBEDDER_PREFIX = "local-hash-"
 DEFAULT_LOCAL_EMBEDDER = LOCAL_EMBEDDER_PREFIX + "256"
+# build-db's answers are short connective lists; a run keeps `LlmClient`'s
+# defaults, temperature 0 and 1,024 output tokens
+BUILD_DB_MAX_OUTPUT_TOKENS = 256
 # tasks queued ahead of the one being written, per worker: enough that no
 # worker idles while the main thread writes or builds the kNN index
 LOOKAHEAD_PER_WORKER = 4
@@ -143,8 +148,6 @@ class ExperimentConfig:
     model_id: str = DEFAULT_MODEL
     backend: str = DEFAULT_BACKEND
     base_url: str = DEFAULT_BASE_URL
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
     concurrency: int = 4
     transcript_path: str | None = None
     cache_path: str | None = None
@@ -229,16 +232,15 @@ def _select_instances(split: DatasetSplit, task: str, single_pair: bool) -> list
 class _Session:
     """What every cell of one run or sweep shares, loaded once: the catalog,
     the selected instances, the repository, the chat client and its
-    backend and, once the stream reaches a kNN task, the embedding service
-    (the one memo of repository and query vectors) and the repository's
-    vector index, whose rows are the service's copy of each repository
-    vector. `shared` keeps each sentence's retrieval work for the other
-    cells that use it; a single run, or a grid with one cell of a kind,
-    keeps nothing there."""
+    backend and, when a kNN task is to run, the embedding service (the one
+    memo of repository and query vectors) and, once the stream reaches a
+    kNN task, the repository's vector index, whose rows are the service's
+    copy of each repository vector. `shared` keeps each sentence's
+    retrieval work for the other cells that use it; a single run, or a grid
+    with one cell of a kind, keeps nothing there."""
 
-    def __init__(self, config: ExperimentConfig, backend: Backend | None, embedder,
-                 catalog: PromptCatalog | None):
-        self.catalog = catalog or (
+    def __init__(self, config: ExperimentConfig, backend: Backend | None, embedder):
+        self.catalog = (
             load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
         )
         split = load_dataset(config.dataset_path, config.dataset_format)
@@ -250,8 +252,6 @@ class _Session:
             backend=backend if backend is not None
             else make_backend(config.backend, config.transcript_path, config.base_url),
             model_id=config.model_id,
-            temperature=config.temperature,
-            max_output_tokens=config.max_output_tokens,
         )
         self.embedder = embedder
         self.embeddings: EmbeddingService | None = None
@@ -342,10 +342,7 @@ def _read_records(path: str | Path, ids: Sequence[str], task: str) -> list[Predi
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    backend: Backend | None = None,
-    embedder=None,
-    catalog: PromptCatalog | None = None,
+    config: ExperimentConfig, backend: Backend | None = None, embedder=None
 ) -> RunResult:
     """Run one experiment; `backend`/`embedder` may be injected for tests.
 
@@ -354,7 +351,7 @@ def run_experiment(
     cover the full instance set: the existing records of the run's
     instances, scored as the file is read before the run, are tallied
     together with the new ones, each scored as it is written."""
-    [result] = _run_cells(_Session(config, backend, embedder, catalog), [config])
+    [result] = _run_cells(_Session(config, backend, embedder), [config])
     return result
 
 
@@ -419,13 +416,13 @@ def _share_retrieval(session: _Session, cells: Sequence[_Cell]) -> None:
     )
 
 
-def _build_index(session: _Session, config: ExperimentConfig) -> None:
-    """Embed the repository once per session, before any worker reads it."""
+def _open_embeddings(session: _Session, config: ExperimentConfig) -> None:
+    """The embedding service of a stream with a kNN task to run; its cache
+    file is read here, before any provider call."""
     session.embeddings = EmbeddingService(
         provider=session.embedder if session.embedder is not None else make_embedder(config),
         cache=EmbeddingCache(config.cache_path) if config.cache_path else None,
     )
-    session.index = knn_index(session.repo, session.embeddings)
 
 
 def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[RunResult]:
@@ -433,13 +430,16 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
     and then id order, through one pool of `concurrency` workers (none at
     concurrency 1) that holds at most `LOOKAHEAD_PER_WORKER` tasks a worker
     queued at a time. The main thread writes each cell's lines in id order
-    and its report once its last line is in. It builds the kNN index when
-    the stream first reaches a kNN task, while the tasks queued ahead of it
-    run. A provider error stops the stream: no task behind it starts, and
-    the cells ahead of it, and the failing cell's lines ahead of it, are
-    written before it is raised."""
+    and its report once its last line is in. When a kNN task is to run, it
+    reads the embedding cache before any task starts, and builds the kNN
+    index when the stream first reaches a kNN task, while the tasks queued
+    ahead of it run. A provider error stops the stream: no task behind it
+    starts, and the cells ahead of it, and the failing cell's lines ahead
+    of it, are written before it is raised."""
     cells = [_open_cell(session, config) for config in configs]
     _share_retrieval(session, cells)
+    if any(cell.knn and cell.todo for cell in cells):
+        _open_embeddings(session, configs[0])
     tasks = ((cell, instance) for cell in cells for instance in cell.todo)
     failures: list[tuple[int, _Cell, ProviderError]] = []  # position in the stream
 
@@ -468,7 +468,7 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
                 break
             if cell.knn and session.index is None:
                 try:  # while the tasks queued ahead of it run
-                    _build_index(session, cell.config)
+                    session.index = knn_index(session.repo, session.embeddings)
                 except ProviderError as exc:
                     failures.append((position, cell, exc))
                     break
@@ -550,20 +550,13 @@ def build_db(
     seed: int = 0,
     catalog: PromptCatalog | None = None,
     concurrency: int = 1,
-    temperature: float = 0.0,
-    max_output_tokens: int = 256,
 ) -> Repository:
     """Merge causal sentences from canonical JSONL datasets and build the DB."""
     corpus = []
     for path in input_paths:
         split = load_dataset(path, "jsonl")
         corpus.extend(split.causal_sentences())
-    llm = LlmClient(
-        backend=backend,
-        model_id=model_id,
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
-    )
+    llm = LlmClient(backend, model_id, max_output_tokens=BUILD_DB_MAX_OUTPUT_TOKENS)
     repo = build_repository(corpus, llm, cap=cap, seed=seed, catalog=catalog, concurrency=concurrency)
     save_repository(repo, db_path)
     return repo
@@ -600,13 +593,12 @@ def sweep(
     csv_path: str,
     backend: Backend | None = None,
     embedder=None,
-    catalog: PromptCatalog | None = None,
 ) -> list[dict]:
     """Run every strategy at every k in one session; emit a
     `strategy,k,metric,value` CSV. Every cell's config is checked before
     anything is read or removed."""
     configs = sweep_configs(base_config, strategies, k_values, csv_path)
-    session = _Session(base_config, backend, embedder, catalog)
+    session = _Session(base_config, backend, embedder)
     if base_config.force:  # it describes the cells that force clears
         Path(csv_path).unlink(missing_ok=True)
     results = _run_cells(session, configs)

@@ -28,7 +28,6 @@ from causal_rag.embedding import (
     LocalHashEmbedder,
     knn_search,
 )
-from causal_rag.errors import EmptyInputError
 from causal_rag.evaluation import (
     containment_match,
     detection_metrics,
@@ -74,7 +73,7 @@ def test_criterion_01_metric_oracle_suite():
     assert mixed.recall == 2 / 3
     assert mixed.f1 == 2 * (2 / 3) * (2 / 3) / ((2 / 3) + (2 / 3))  # = 2/3
 
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="no predictions to score"):
         detection_metrics([])
 
     # triplets: two gold pairs sharing one effect phrase, predicted exactly

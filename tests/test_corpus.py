@@ -27,12 +27,7 @@ from causal_rag.corpus import (
     to_canonical,
     write_canonical,
 )
-from causal_rag.errors import (
-    EmptyDatasetError,
-    MalformedRecordError,
-    TagError,
-    UnknownFormatError,
-)
+from causal_rag.errors import MalformedRecordError, TagError
 from causal_rag.repository import make_record
 
 
@@ -342,14 +337,15 @@ def test_a_default_id_counts_blank_lines(tmp_path) -> None:
 def test_load_empty_dataset(tmp_path) -> None:
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    with pytest.raises(EmptyDatasetError):
+    empty = f"^{re.escape(str(path))}: contains no records$"
+    with pytest.raises(MalformedRecordError, match=empty):
         load_dataset(path, "jsonl")
 
 
 def test_load_unknown_format(tmp_path) -> None:
     path = tmp_path / "x.jsonl"
     path.write_text("{}\n")
-    with pytest.raises(UnknownFormatError):
+    with pytest.raises(ValueError, match="unknown dataset format 'tsv'"):
         load_dataset(path, "tsv")
 
 

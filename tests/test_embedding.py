@@ -24,12 +24,7 @@ from causal_rag.embedding import (
     knn_search,
     normalize_for_key,
 )
-from causal_rag.errors import (
-    DimensionMismatchError,
-    MalformedRecordError,
-    ProviderError,
-    ZeroVectorError,
-)
+from causal_rag.errors import MalformedRecordError, ProviderError
 from causal_rag.jsonl import Memo
 
 
@@ -41,13 +36,11 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Per-pair reference that `knn_search` must reproduce bit for bit:
     dot / (|a| * |b|), each a one-pair numpy call."""
     if a.dim != b.dim:
-        raise DimensionMismatchError(f"dim {a.dim} vs {b.dim}")
+        raise ValueError(f"dim {a.dim} vs {b.dim}")
     x = np.asarray(a.values, dtype=np.float64)
     y = np.asarray(b.values, dtype=np.float64)
     norm_a = float(np.linalg.norm(x))
     norm_b = float(np.linalg.norm(y))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("cosine similarity undefined for an all-zero vector")
     return float(np.dot(x, y) / (norm_a * norm_b))
 
 
@@ -296,10 +289,20 @@ def test_cache_line_without_dim_is_named(tmp_path) -> None:
         EmbeddingCache(path)
 
 
+def test_cache_line_with_an_all_zero_vector_is_named(tmp_path) -> None:
+    path = tmp_path / "c.jsonl"
+    good = {"dim": 2, "key": "k1", "model": "m", "vector": [0.6, 0.8]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "vector": [0.0, -0.0]}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecordError,
+                       match="line 2: embedding must not be the all-zero vector"):
+        EmbeddingCache(path)
+
+
 def test_cache_dim_mismatch(tmp_path) -> None:
     cache = EmbeddingCache(tmp_path / "c.jsonl")
     cache.put(embedding_key("a", "m"), vec(*([1.0] * 4)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="model 'm' previously produced dim 4, got 8"):
         cache.put(embedding_key("b", "m"), vec(*([1.0] * 8)))
     # a different model may use a different dim
     cache.put(embedding_key("b", "m2"), EmbeddingVector((1.0,) * 8, "m2"))
@@ -323,7 +326,7 @@ def test_embed_provider_dim_change_rejected(tmp_path) -> None:
     provider = _Provider([1536, 512])
     cache = EmbeddingCache(tmp_path / "c.jsonl")
     embed("first text", provider, cache)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="model 'm' previously produced dim 1536, got 512"):
         embed("second text", provider, cache)
 
 
@@ -438,14 +441,13 @@ def test_cosine_reference_value() -> None:
 
 
 def test_cosine_errors() -> None:
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="dim 2 vs 3"):
         similarity(vec(1, 2), vec(1, 2, 3))
-    with pytest.raises(DimensionMismatchError):  # mixed dimensions in the corpus
+    with pytest.raises(ValueError, match="dim 2 vs 3"):  # mixed dimensions in the corpus
         VectorIndex(["a", "b", "c"], [vec(1, 2), vec(3, 4), vec(1, 2, 3)])
-    with pytest.raises(ZeroVectorError):  # zero query
-        similarity(vec(0, 0), vec(1, 2))
-    with pytest.raises(ZeroVectorError):  # zero row
-        VectorIndex(["a", "b"], [vec(1, 2), vec(0, 0)])
+    # no query or row is all zero: such a vector is refused where it is made
+    with pytest.raises(ValueError, match="embedding must not be the all-zero vector"):
+        vec(0, 0)
 
 
 def test_cosine_symmetry_and_scale_invariance_seeded() -> None:
@@ -513,7 +515,7 @@ def test_knn_validation() -> None:
         index_of({})
     with pytest.raises(ValueError):
         knn_search(vec(1, 0), index_of({"a": vec(1, 0)}), 0)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="dim 2 vs 3"):
         knn_search(vec(1, 0), index_of({"a": vec(1, 0, 0)}), 1)
     with pytest.raises(ValueError):  # ids out of order
         VectorIndex(["b", "a"], [vec(1, 0), vec(0, 1)])
@@ -570,6 +572,7 @@ def test_http_provider_malformed_payload() -> None:
         {"data": [{"embedding": [True, 1.0]}]},
         {"data": [{"embedding": [[0.5, 1.0]]}]},
         {"data": [{"embedding": {"0": 1.0}}]},
+        {"data": [{"embedding": [0.0, -0.0, 0]}]},  # no cosine similarity with it
     ]
     for payload in payloads:
         session = _Session([_Response(200, payload)])

@@ -11,7 +11,7 @@ from dataclasses import asdict
 import pytest
 
 from causal_rag.corpus import CauseEffectPair, LabeledInstance, TaggedSentence, Triplet
-from causal_rag.errors import EmptyInputError, UnparseableResponseError
+from causal_rag.errors import UnparseableResponseError
 from causal_rag.evaluation import (
     ConfusionCounts,
     ExtractionOutcome,
@@ -154,7 +154,7 @@ def test_detection_degenerate_no_positive_predictions() -> None:
 
 
 def test_detection_empty_input() -> None:
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="no predictions to score"):
         detection_metrics([])
 
 
@@ -218,7 +218,7 @@ def test_single_pair_overlap_flag() -> None:
 
 
 def test_single_pair_empty_input() -> None:
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="no extraction outcomes to score"):
         single_pair_accuracy([])
 
 
@@ -623,7 +623,7 @@ def test_a_fallback_record_spells_each_provenance_entry_as_an_object() -> None:
 
 
 def test_an_empty_tally_has_nothing_to_score() -> None:
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="no sentences to score"):
         Tally("detect").metrics()
 
 

@@ -15,10 +15,8 @@ import requests
 from causal_rag import gateway
 from causal_rag.embedding import HttpEmbeddingProvider
 from causal_rag.errors import (
-    EmptyCompletionError,
     MalformedRecordError,
     ProviderError,
-    RateLimitedError,
     ReplayMissError,
     TransportError,
 )
@@ -374,7 +372,7 @@ def test_post_with_retry_exhaustion_transport() -> None:
 
 def test_post_with_retry_exhaustion_rate_limited() -> None:
     session = _Session([_Response(429)] * 5)
-    with pytest.raises(RateLimitedError):
+    with pytest.raises(TransportError, match="^rate limited after 5 attempts: http://x/v1$"):
         post_with_retry(
             "http://x/v1", {}, {}, sleeper=lambda s: None, rng=random.Random(2), session=session
         )
@@ -409,7 +407,8 @@ def test_live_backend_empty_completion(content) -> None:
     payload = {"choices": [{"message": {"content": content}, "finish_reason": "content_filter"}]}
     session = _Session([_Response(200, payload)])
     backend = LiveBackend("http://host", api_key="k", session=session)
-    with pytest.raises(EmptyCompletionError):
+    empty = r"^provider returned empty text \(finish_reason='content_filter'\)$"
+    with pytest.raises(ProviderError, match=empty):
         backend.complete(_req())
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from causal_rag.corpus import CauseEffectPair
-from causal_rag.errors import UnparseableResponseError
+from causal_rag.errors import MalformedRecordError, UnparseableResponseError
 from causal_rag.prompting import (
     AssembledPrompt,
     default_catalog,
@@ -62,12 +62,13 @@ def test_default_catalog_loads() -> None:
 
 
 def test_catalog_parse_rejects_missing_blocks() -> None:
-    with pytest.raises(ValueError):
+    lacks = r"^<catalog>: catalog lacks blocks \['detection_user'"
+    with pytest.raises(MalformedRecordError, match=lacks):
         parse_catalog("catalog_version: 1\n--- detection_system ---\nhi\n")
 
 
 def test_catalog_parse_rejects_missing_version() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedRecordError, match="^<catalog>: missing catalog_version header$"):
         parse_catalog("--- detection_system ---\nhi\n")
 
 

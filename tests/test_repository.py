@@ -10,11 +10,7 @@ import pytest
 
 from causal_rag import cli
 from causal_rag.corpus import parse_tagged_sentence
-from causal_rag.errors import (
-    MalformedRecordError,
-    SchemaVersionMismatchError,
-    UnparseableResponseError,
-)
+from causal_rag.errors import MalformedRecordError, UnparseableResponseError
 from causal_rag.gateway import CompletionRequest, LlmClient, ScriptedBackend
 from causal_rag.repository import (
     ExampleRecord,
@@ -262,11 +258,21 @@ def test_load_empty_file(tmp_path) -> None:
         load_repository(path)
 
 
-def test_load_unknown_schema_version(tmp_path) -> None:
+@pytest.mark.parametrize("value, shown", [
+    ("99", "99"), ("true", "True"), ("1.0", "1.0"), ('"1"', "'1'"), ("null", "None"),
+])
+def test_load_unknown_schema_version(tmp_path, value, shown) -> None:
+    """Only the JSON integer 1 is version 1: `true` and `1.0` equal 1 in
+    Python, and the header's cap and seed refuse both too."""
     path = tmp_path / "db.jsonl"
-    path.write_text('{"schema_version": 99, "cap": 10, "seed": 0}\n')
-    with pytest.raises(SchemaVersionMismatchError):
+    path.write_text(
+        f'{{"schema_version": {value}, "cap": 10, "seed": 0}}\n'
+        '{"id": "a", "text": "t", "tagged_text": "t", "pairs": [], '
+        '"connectives": ["x"], "source": "s"}\n'
+    )
+    with pytest.raises(MalformedRecordError) as excinfo:
         load_repository(path)
+    assert str(excinfo.value) == f"{path}: line 1: schema_version {shown}, expected 1"
 
 
 def test_load_corrupt_record_reports_line(tmp_path) -> None:
@@ -293,6 +299,9 @@ def test_repository_errors_name_the_file_and_the_line(tmp_path) -> None:
         (header + record.replace('"source": "s", ', "").replace(', "source": "s"', ""),
          "line 2: missing field 'source'"),
         (header + record.replace('["x"]', "[]"), "line 2: record a has no connectives"),
+        (header + record + record.replace('"a"', '"b"').replace('["x"]', '["x", " \\t"]'),
+         "line 3: record b has a blank connective"),
+        (header + record.replace('["x"]', '[""]'), "line 2: record a has a blank connective"),
         ('{"schema_version": 1, "cap": "x", "seed": 0}\n', "line 1: header lacks integer cap/seed"),
         ("", "line 1: repository file is empty (missing header)"),
         ('["schema_version", 1]\n', "line 1: expected a JSON object"),

@@ -1153,6 +1153,22 @@ def test_cli_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first, again, key", [
+    ("k = 3", "k = 5", "k"),
+    ("dataset-format = jsonl", "dataset_format = li", "dataset_format"),
+])
+def test_cli_a_config_key_given_twice_is_a_usage_error_naming_both_lines(tmp_path, capsys,
+                                                                         first, again, key):
+    """A key given twice would run with the later value unnoticed; the run
+    stops before anything is read or written, naming the key and its lines."""
+    config_file = tmp_path / "twice.conf"
+    config_file.write_text(f"{first}\n# a comment\n\n{again}\n", encoding="utf-8")
+    assert main(run_flags(tmp_path, config=str(config_file))) == 1
+    assert (f"error: config file {config_file} line 4: key {key} repeats line 1"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [config_file]
+
+
 def test_cli_stats(capsys):
     assert main(["stats", "--db", str(FIXTURES / "examples.db")]) == 0
     out = capsys.readouterr().out
@@ -1358,6 +1374,167 @@ def test_cli_cache_line_that_does_not_fit_is_a_data_error_naming_it(tmp_path, ca
     assert main(run_flags(tmp_path, strategy="knn", cache=str(cache))) == 2
     assert (f"data error: {cache}: line 1: embedding must be a JSON array of numbers"
             in capsys.readouterr().err)
+
+
+def _with_line_changed(source: Path, target: Path, line_no: int, change) -> Path:
+    """A copy of `source` at `target` whose line `line_no` (a JSON object)
+    is `change` of the decoded line."""
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line_no - 1] = json.dumps(change(json.loads(lines[line_no - 1]))) + "\n"
+    target.write_text("".join(lines), encoding="utf-8")
+    return target
+
+
+def _cache_with_a_zero_vector(path: Path) -> Path:
+    """An embedding cache of the default local embedder whose line 2 holds
+    an all-zero vector."""
+    line = {"dim": 256, "key": "k1", "model": "local-hash-256", "vector": [0.0] * 256}
+    line["vector"][3] = 1.0
+    path.write_text(json.dumps(line) + "\n" + json.dumps({**line, "key": "k2",
+                                                          "vector": [0.0] * 256}) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def _blank_a_connective(obj: dict) -> dict:
+    return {**obj, "connectives": [*obj["connectives"], " \t"]}
+
+
+def _planted_fault(kind: str, tmp_path: Path) -> tuple[dict, Path, int, str]:
+    """The run flags that read a copy of `kind`'s input file with one line
+    damaged, that file, the line and the reason a run gives."""
+    if kind == "dataset":
+        path = _with_line_changed(FIXTURES / "detect.jsonl", tmp_path / "detect.jsonl", 3,
+                                  lambda obj: {**obj, "label": 7})
+        return {"dataset": str(path)}, path, 3, "'label' must be 0 or 1, got 7"
+    if kind == "repository":
+        path = _with_line_changed(FIXTURES / "examples.db", tmp_path / "examples.db", 4,
+                                  _blank_a_connective)
+        return ({"db": str(path), "strategy": "pattern"}, path, 4,
+                "record db-003 has a blank connective")
+    if kind == "transcript":
+        path = _with_line_changed(FIXTURES / "transcript.jsonl", tmp_path / "transcript.jsonl",
+                                  2, lambda obj: {**obj, "response_text": None})
+        return ({"transcript": str(path)}, path, 2,
+                "request_hash and response_text must be strings")
+    if kind == "prediction file":
+        assert main(run_flags(tmp_path)) == 0
+        path = _with_line_changed(tmp_path / "cli.jsonl", tmp_path / "cli.jsonl", 3,
+                                  lambda obj: {**obj, "parsed": {"label": 7}})
+        return {}, path, 3, "parsed label must be 0 or 1, got 7"
+    if kind == "embedding cache":
+        path = _cache_with_a_zero_vector(tmp_path / "cache.jsonl")
+        return ({"strategy": "knn", "cache": str(path)}, path, 2,
+                "embedding must not be the all-zero vector")
+    assert kind == "catalog"
+    packaged = Path(runner.__file__).parent / "prompts" / "catalog_v1.txt"
+    path = tmp_path / "catalog.txt"
+    path.write_text(packaged.read_text(encoding="utf-8").replace(
+        "catalog_version: 1", "catalog_version: one", 1), encoding="utf-8")
+    return ({"catalog": str(path)}, path, 1,
+            "expected 'catalog_version: <n>', got 'catalog_version: one'")
+
+
+@pytest.mark.parametrize("kind", ["dataset", "repository", "transcript", "prediction file",
+                                  "embedding cache", "catalog"])
+def test_cli_a_damaged_line_in_any_input_file_is_a_data_error_naming_it(tmp_path, capsys,
+                                                                        kind):
+    """Every input file a run reads is checked as it is read: one damaged
+    line exits 2 naming the file and the line, and the run writes nothing."""
+    flags, path, line_no, reason = _planted_fault(kind, tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(run_flags(tmp_path, **flags)) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {path}: line {line_no}: {reason}\n" in err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("fault", ["blank connective", "zero-vector cache line",
+                                   "schema_version"])
+def test_a_damaged_input_file_is_refused_before_any_provider_call(tmp_path, fault):
+    """A repository connective that is blank once normalized, an all-zero
+    cached vector and a schema_version that is not the integer 1 each
+    refuse the run when their file is read, naming the file and the line,
+    before the backend is asked anything."""
+    db, cache = FIXTURES / "examples.db", None
+    strategy, line_no = StrategyKind.KNN_PATTERN, 1
+    if fault == "blank connective":
+        db, line_no = _with_line_changed(db, tmp_path / "examples.db", 4,
+                                         _blank_a_connective), 4
+    elif fault == "schema_version":
+        db = _with_line_changed(db, tmp_path / "examples.db", 1,
+                                lambda obj: {**obj, "schema_version": True})
+    else:
+        cache, line_no = _cache_with_a_zero_vector(tmp_path / "cache.jsonl"), 2
+    damaged = cache or db
+    config = replace(scripted_config(tmp_path, "detect", strategy), db_path=str(db),
+                     cache_path=cache and str(cache))
+    backend = ScriptedBackend(FixtureResponder())
+    with pytest.raises(MalformedRecordError, match=f"^{damaged}: line {line_no}: "):
+        run_experiment(config, backend=backend)
+    assert backend.calls == 0
+    assert not Path(config.output_path).exists()
+
+
+def test_cli_a_zero_vector_embedding_payload_is_a_provider_error_that_adds_no_cache_line(
+        tmp_path, capsys, monkeypatch):
+    """A provider's all-zero embedding is a malformed payload (exit 3),
+    refused before the cache file gets a line for it."""
+    import requests
+
+    class ZeroEmbeddings:
+        status_code = 200
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            assert url.endswith("/v1/embeddings")
+            return self
+
+        def json(self):
+            return {"data": [{"embedding": [0.0, 0.0, 0.0]}]}
+
+    monkeypatch.setattr(requests, "post", ZeroEmbeddings().post)
+    monkeypatch.setenv("CAUSAL_RAG_API_KEY", "k")
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps({"dim": 3, "key": "k1", "model": "remote-embedder",
+                                 "vector": [0.0, 1.0, 0.0]}) + "\n", encoding="utf-8")
+    made = cache.read_bytes()
+    assert main(run_flags(tmp_path, strategy="knn", cache=str(cache),
+                          embedding_model="remote-embedder")) == 3
+    err = capsys.readouterr().err
+    assert ("provider error: malformed embedding payload: "
+            "embedding must not be the all-zero vector") in err
+    assert cache.read_bytes() == made
+
+
+def test_cli_a_429_storm_is_a_provider_error_with_the_resume_hint(tmp_path, capsys,
+                                                                  monkeypatch):
+    """An HTTP 429 that outlasts every retry stops the run as a transport
+    failure does: exit 3, and the hint that a re-run resumes."""
+    import requests
+
+    from causal_rag import gateway
+
+    class RateLimited:
+        status_code = 429
+        text = "slow down"
+
+        def __init__(self):
+            self.posts = 0
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.posts += 1
+            return self
+
+    live = RateLimited()
+    monkeypatch.setattr(requests, "post", live.post)
+    monkeypatch.setattr(gateway, "RETRY_BASE_DELAY", 0.0)  # every backoff sleeps 0 s
+    monkeypatch.setenv("CAUSAL_RAG_API_KEY", "k")
+    assert main(run_flags(tmp_path, backend="live", concurrency="1")) == 3
+    err = capsys.readouterr().err
+    assert "provider error: rate limited after 5 attempts: " in err
+    assert "re-run the same command to resume" in err
+    assert live.posts == 5
 
 
 def test_replayed_outputs_are_byte_stable_and_stores_hold_the_same_lines_at_any_concurrency(
