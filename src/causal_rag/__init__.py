@@ -40,7 +40,6 @@ from .errors import (
     MalformedRecordError,
     ProviderError,
     ReplayMissError,
-    TagError,
     TransportError,
     UnparseableResponseError,
 )
@@ -145,7 +144,6 @@ __all__ = [
     "RunResult",
     "ScriptedBackend",
     "StrategyKind",
-    "TagError",
     "TaggedSentence",
     "Transcript",
     "TransportError",

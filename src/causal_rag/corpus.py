@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import MalformedRecordError, TagError
+from .errors import MalformedRecordError
 from .jsonl import encode_line, read_json_objects, replace_lines
 
 TAG_RE = re.compile(r"</?(?:cause|effect)>")
@@ -145,7 +145,9 @@ def parse_tagged_sentence(line: str, source: str, ordinal: int) -> TaggedSentenc
     `<cause>...</cause>` and one `<effect>...</effect>` pair in either order.
     Sentences with several pairs must be expressed in the canonical JSONL
     format with an explicit pair list, because flat tags cannot encode which
-    cause goes with which effect.
+    cause goes with which effect. Any other markup is a ValueError: a tag
+    left open, closed without an open or opened inside another, a pair
+    enclosing only whitespace, or balanced tags that are not one pair.
     """
     causes: list[str] = []
     effects: list[str] = []
@@ -155,7 +157,7 @@ def parse_tagged_sentence(line: str, source: str, ordinal: int) -> TaggedSentenc
         if part in ("<cause>", "<effect>"):
             kind = part[1:-1]
             if open_kind is not None:
-                raise TagError(
+                raise ValueError(
                     f"{part} opened while <{open_kind}> is still open: {line!r}"
                 )
             open_kind = kind
@@ -163,21 +165,21 @@ def parse_tagged_sentence(line: str, source: str, ordinal: int) -> TaggedSentenc
         elif part in ("</cause>", "</effect>"):
             kind = part[2:-1]
             if open_kind != kind:
-                raise TagError(f"{part} without matching open tag: {line!r}")
+                raise ValueError(f"{part} without matching open tag: {line!r}")
             phrase = normalize_ws("".join(buffer))
             if not phrase:
-                raise TagError(f"<{kind}> pair encloses only whitespace: {line!r}")
+                raise ValueError(f"<{kind}> pair encloses only whitespace: {line!r}")
             (causes if kind == "cause" else effects).append(phrase)
             open_kind = None
         else:
             if open_kind is not None:
                 buffer.append(part)
     if open_kind is not None:
-        raise TagError(f"<{open_kind}> never closed: {line!r}")
+        raise ValueError(f"<{open_kind}> never closed: {line!r}")
 
     if causes or effects:
         if len(causes) != 1 or len(effects) != 1:
-            raise TagError(
+            raise ValueError(
                 f"expected exactly one cause and one effect tag pair, "
                 f"got {len(causes)} cause(s) and {len(effects)} effect(s): {line!r}"
             )
@@ -397,7 +399,7 @@ def _import_li(path: Path) -> list[tuple[int, dict]]:
                 continue
             try:
                 sentence = parse_tagged_sentence(line, "li", len(records) + 1)
-            except TagError as exc:
+            except ValueError as exc:
                 raise MalformedRecordError(str(exc), line_no, path) from None
             records.append((line_no, {
                 "id": sentence.id,

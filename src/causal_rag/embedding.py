@@ -4,17 +4,17 @@ Vectors are kept by key: the sha256 hash of the normalized sentence
 (lowercased, whitespace-collapsed) plus the embedding model id. An
 `EmbeddingService` is the one memo of a run's vectors, through the JSONL
 cache when there is one, so no text is embedded twice and re-running a
-pipeline with a cache never re-embeds text it has already seen. Search is an
-exact cosine scan over a matrix of the corpus vectors, built once: the
-candidate pools here are a few thousand vectors at most, where an exact scan
-is both faster to run and simpler to trust than an approximate index. Once
-the service has written a vector into the matrix, its memo keeps a view of
-that row, so each corpus vector is held once.
+pipeline with a cache never re-embeds text it has already seen: its
+`vector` is the one place a vector is fetched, a miss asking the provider.
+Search is an exact cosine scan over a matrix of the corpus vectors, built
+once: the candidate pools here are a few thousand vectors at most, where an
+exact scan is both faster to run and simpler to trust than an approximate
+index. The service's `index` is the one place a row is written; its memo
+then keeps a view of that row, so each corpus vector is held once.
 
 numpy is imported where a vector is first made or scanned, so runs that
 never embed (random, pattern and zeroshot retrieval, `build-db`, `eval`,
-`stats`) never load it.
-"""
+`stats`) never load it."""
 
 from __future__ import annotations
 
@@ -22,11 +22,12 @@ import hashlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .corpus import normalize_lower as normalize_for_key
+from .errors import MalformedRecordError
 from .gateway import HttpEndpoint
-from .jsonl import LineAppender, Memo, encode_line, read_jsonl
+from .jsonl import LineAppender, Memo, encode_line, read_json_objects
 
 if TYPE_CHECKING:
     import numpy as np
@@ -167,7 +168,7 @@ class EmbeddingCache(Memo):
 
     One line per vector: {"key", "model", "dim", "vector"}. All vectors of a
     model must share one dimension; a mismatch is rejected at load and at
-    insert time.
+    insert time, naming the cache file and a line of it (see `_check_dim`).
     The first vector kept under a key wins; writes are serialized.
     """
 
@@ -175,11 +176,17 @@ class EmbeddingCache(Memo):
         super().__init__()
         self.path = Path(path)
         self._appender = LineAppender(self.path)
-        self._dims: dict[str, int] = {}
+        # each model's dim, and the line it was first read from (or None)
+        self._dims: dict[str, tuple[int, int | None]] = {}
         if self.path.exists():
-            self._values.update(read_jsonl(self.path, self._entry))
+            for line_no, obj in read_json_objects(self.path):
+                try:
+                    key, vector = self._entry(obj, line_no)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise MalformedRecordError(exc, line_no, self.path) from None
+                self._values[key] = vector
 
-    def _entry(self, obj: dict) -> tuple[EmbeddingKey, EmbeddingVector]:
+    def _entry(self, obj: dict, line_no: int) -> tuple[EmbeddingKey, EmbeddingVector]:
         """One cache line's key and vector, of its model's earlier dim and
         of the line's own `dim`."""
         key, model = obj["key"], obj["model"]
@@ -187,7 +194,7 @@ class EmbeddingCache(Memo):
             raise TypeError("key and model must be strings")
         model = sys.intern(model)  # one copy for every line of the model
         vector = vector_from_json(obj["vector"], model)
-        self._check_dim(vector)
+        self._check_dim(vector, line_no)
         dim = obj["dim"]
         if type(dim) is not int:
             raise TypeError(f"dim must be an integer, got {dim!r}")
@@ -195,13 +202,14 @@ class EmbeddingCache(Memo):
             raise ValueError(f"dim is {dim} but the vector has {vector.dim} components")
         return EmbeddingKey(key, model), vector
 
-    def _check_dim(self, vector: EmbeddingVector) -> None:
-        """Keep the dim of the model's first vector; refuse any other."""
-        known = self._dims.setdefault(vector.model_id, vector.dim)
+    def _check_dim(self, vector: EmbeddingVector, line_no: int | None) -> None:
+        """Keep the dim of the model's first vector and the line it was read
+        from (None for a put); refuse any other, naming the line at fault."""
+        known, first_line = self._dims.setdefault(vector.model_id, (vector.dim, line_no))
         if known != vector.dim:
-            raise ValueError(
-                f"model {vector.model_id!r} previously produced dim {known}, got {vector.dim}"
-            )
+            raise MalformedRecordError(
+                f"model {vector.model_id!r} previously produced dim {known}, got {vector.dim}",
+                line_no or first_line, self.path)
 
     def put(self, key: EmbeddingKey, vector: EmbeddingVector) -> EmbeddingVector:
         if key.model_id != vector.model_id:
@@ -213,28 +221,12 @@ class EmbeddingCache(Memo):
             "vector": vector.values.tolist(),
         })
         with self._lock:
-            self._check_dim(vector)
+            self._check_dim(vector, None)
             kept = self._values.get(key)
             if kept is None:
                 self._appender.append(line)
                 self._values[key] = kept = vector
         return kept
-
-
-def embed(text: str, provider: EmbeddingProvider, memo: Memo,
-          key: EmbeddingKey | None = None) -> EmbeddingVector:
-    """Fetch one embedding, going to the provider only on a miss in `memo`
-    (an `EmbeddingCache` or a plain memo of vectors); concurrent misses on
-    one text make a single provider call. `key` is the text's
-    `embedding_key`, computed when not given."""
-    if not text.strip():
-        raise ValueError("cannot embed empty text")
-    if key is None:
-        key = embedding_key(text, provider.model_id)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    return memo.fill(key, lambda: provider.embed_text(text))
 
 
 @dataclass
@@ -259,24 +251,48 @@ class EmbeddingService:
         return self.provider.model_id
 
     def vector(self, text: str, key: EmbeddingKey | None = None) -> EmbeddingVector:
-        """The vector of `text`; `key` is its `embedding_key`, computed
-        when not given."""
-        return embed(text, self.provider, self.memo, key)
+        """The vector of `text`, from the provider only on a miss in the
+        memo; concurrent misses on one text make a single provider call.
+        `key` is the text's `embedding_key`, computed when not given."""
+        if not text.strip():
+            raise ValueError("cannot embed empty text")
+        if key is None:
+            key = embedding_key(text, self.provider.model_id)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        return self.memo.fill(key, lambda: self.provider.embed_text(text))
 
     def index(self, ids: Sequence[str], texts: Sequence[str]) -> VectorIndex:
-        """A `VectorIndex` of the vectors of `texts`, one row per id. Each
-        text's memo entry is rebound to its row's view as soon as the row
-        is written, so the vector it replaces (just embedded, or loaded
+        """A `VectorIndex` of the vectors of `texts`, one row per id (checked
+        first). Each text's memo entry is rebound to a read-only view of its
+        row once written, so the vector it replaces (just embedded, or read
         from the cache file) is freed before the next text is embedded."""
-        key = None  # the key of the text last embedded, computed once
+        _check_ids(ids)
+        if len(texts) != len(ids):
+            raise ValueError(f"{len(texts)} texts for {len(ids)} ids")
+        import numpy as np
 
-        def vectors() -> Iterator[EmbeddingVector]:
-            nonlocal key
-            for text in texts:
-                key = embedding_key(text, self.model_id)
-                yield self.vector(text, key)
+        for row, text in enumerate(texts):
+            key = embedding_key(text, self.model_id)
+            vector = self.vector(text, key)
+            if row == 0:
+                matrix = np.empty((len(texts), vector.dim), dtype=np.float64)
+            elif vector.dim != matrix.shape[1]:
+                raise ValueError(f"dim {matrix.shape[1]} vs {vector.dim}")
+            matrix[row] = vector.values
+            view = matrix[row]
+            view.flags.writeable = False
+            self.memo.rebind(key, EmbeddingVector(values=view, model_id=vector.model_id))
+            del vector
+        return VectorIndex(ids, matrix)
 
-        return VectorIndex(ids, vectors(), on_row=lambda row: self.memo.rebind(key, row))
+
+def _check_ids(ids: Sequence[str]) -> None:
+    if not ids:
+        raise ValueError("corpus must be non-empty")
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("index ids must be strictly ascending")
 
 
 class VectorIndex:
@@ -284,42 +300,17 @@ class VectorIndex:
     their norms.
 
     `ids` must be strictly ascending: row order is then the tie order of
-    `knn_search`. Each vector is copied into its row as it comes, and the
-    index keeps no reference to it. `on_row`, when given, is handed each
-    row as soon as it is written, as an `EmbeddingVector` over a read-only
-    view of the row: the holder of the vector that came in may keep that
-    instead, and so hold no second copy (`EmbeddingService.index`)."""
+    `knn_search`. `matrix` is a float64 array of one row per id, frozen in
+    place rather than copied (`EmbeddingService.index` builds one)."""
 
-    def __init__(self, ids: Sequence[str], vectors: Iterable[EmbeddingVector],
-                 on_row: Callable[[EmbeddingVector], None] | None = None):
-        if not ids:
-            raise ValueError("corpus must be non-empty")
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise ValueError("index ids must be strictly ascending")
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
+        _check_ids(ids)
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+            raise ValueError(f"{len(matrix)} rows for {len(ids)} ids")
         import numpy as np
 
-        self.ids = tuple(ids)
-        vectors = iter(vectors)
-        matrix = np.empty((0, 0))
-        # `next` rather than `zip`: zip would hold each vector until the
-        # next one is made
-        for row in range(len(self.ids)):
-            vector = next(vectors, None)
-            if vector is None:
-                raise ValueError("fewer vectors than ids")
-            if row == 0:
-                matrix = np.empty((len(self.ids), vector.dim), dtype=np.float64)
-            elif vector.dim != matrix.shape[1]:
-                raise ValueError(f"dim {matrix.shape[1]} vs {vector.dim}")
-            matrix[row] = vector.values
-            if on_row is not None:
-                view = matrix[row]
-                view.flags.writeable = False
-                on_row(EmbeddingVector(values=view, model_id=vector.model_id))
-            del vector
-        if next(vectors, None) is not None:
-            raise ValueError("more vectors than ids")
         matrix.flags.writeable = False
+        self.ids = tuple(ids)
         self.matrix = matrix
         self.norms = np.sqrt(np.vecdot(matrix, matrix))
 

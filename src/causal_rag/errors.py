@@ -13,14 +13,6 @@ class CausalRagError(Exception):
 # --- input files ------------------------------------------------------------
 
 
-class TagError(CausalRagError):
-    """Malformed cause/effect tag markup in a sentence: a tag left open,
-    closed without an open or opened inside another, a pair enclosing only
-    whitespace, or balanced tags that do not form exactly one cause-effect
-    pair (inline markup holds one pair; multi-pair records list their pairs
-    in the canonical JSONL format)."""
-
-
 class MalformedRecordError(CausalRagError):
     """An input file (a dataset, the example repository, a transcript, a
     prediction file, an embedding cache or a prompt catalog) violates its

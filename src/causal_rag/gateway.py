@@ -8,18 +8,18 @@ transcripts. Transcripts are append-only JSONL, one line per answer:
 the microsecond (`2026-01-02T03:04:05.123456+00:00`, taken from
 `time.time_ns`). A loaded transcript keeps one copy of each distinct
 answer. Replay needs no network, and `requests` is imported on the first
-live request only, by `post_with_retry`.
+live request only, by `HttpEndpoint.post`.
 
-`LlmClient` builds requests and asks its backend for each one. The one
-memo of answers by that hash is a `RecordBackend`'s `answers` store: a
-`Transcript`, or a plain `jsonl.Memo` for answers that are not recorded.
+`LlmClient` builds requests and asks its backend for each one. A backend
+that keeps answers is an answer memo in front of a miss rule: the memo is
+a `RecordBackend`'s `answers` (a `Transcript`, or a plain `jsonl.Memo`),
+and a miss asks its live backend, or, for a `ReplayBackend`, is an error.
 
 Chat (`LiveBackend`) and embedding (`embedding.HttpEmbeddingProvider`)
-requests go through one `HttpEndpoint`, so they share one rule for each of:
-the API key (passed in, else `$CAUSAL_RAG_API_KEY`; without one nothing is
-sent), retries (`post_with_retry`) and malformed payloads (a
-`ProviderError` naming the payload).
-"""
+requests go through one `HttpEndpoint.post`, so they share one rule for
+each of: the API key (passed in, else `$CAUSAL_RAG_API_KEY`; without one
+nothing is sent), retries and malformed payloads (a `ProviderError`
+naming the payload)."""
 
 from __future__ import annotations
 
@@ -167,94 +167,62 @@ class Transcript(Memo):
             self._values[entry.request_hash] = entry.response_text
 
 
-def post_with_retry(
-    url: str,
-    payload: dict,
-    headers: dict,
-    timeout: float = DEFAULT_TIMEOUT,
-    attempts: int = RETRY_ATTEMPTS,
-    sleeper: Callable[[float], None] = time.sleep,
-    rng: random.Random | None = None,
-    session: requests.Session | None = None,
-) -> requests.Response:
-    """POST with up to `attempts` tries.
-
-    Retries only transport failures and HTTP 429; backoff doubles from 1 s
-    with full jitter (each sleep is uniform over [0, current backoff]).
-    Either one persisting through every attempt is a TransportError, named
-    by the last attempt's failure. Any other non-2xx status fails
-    immediately as ProviderError.
-    """
-    import requests  # offline runs never load the HTTP stack
-    rng = rng or random.Random()
-    post = session.post if session is not None else requests.post
-    delay = RETRY_BASE_DELAY
-    failure = f"no attempt to post to {url}"
-    for attempt in range(attempts):
-        try:
-            response = post(url, json=payload, headers=headers, timeout=timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            failure = f"transport failure after {attempts} attempts: {exc}"
-        else:
-            if response.status_code == 429:
-                failure = f"rate limited after {attempts} attempts: {url}"
-            elif response.status_code >= 400:
-                raise ProviderError(
-                    f"HTTP {response.status_code} from {url}: {response.text[:500]}"
-                )
-            else:
-                return response
-        if attempt < attempts - 1:
-            sleeper(rng.uniform(0.0, delay))
-            delay *= 2.0
-    raise TransportError(failure)
-
-
 class Backend(Protocol):
     def complete(self, req: CompletionRequest) -> CompletionResponse: ...
 
 
 class HttpEndpoint:
-    """An OpenAI-compatible endpoint: its base URL, bearer key and retry
-    settings. `calls` counts the requests sent."""
+    """An OpenAI-compatible endpoint: its base URL, bearer key, and the
+    sleeper, random source and session of its retries. `calls` counts requests."""
 
     def __init__(
         self,
         base_url: str,
         api_key: str | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
         sleeper: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
         session: requests.Session | None = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.timeout = timeout
         self.sleeper = sleeper
-        self.rng = rng
+        self.rng = rng if rng is not None else random.Random()
         self.session = session
         self.calls = 0
 
     def post(self, path: str, payload: dict, what: str, read: Callable[[object], T]) -> T:
-        """`read` of the JSON that `path` answers `payload` with. A
-        `ValueError`, `KeyError`, `IndexError` or `TypeError` from `read`
-        means a malformed `what` payload, a `ProviderError`."""
+        """`read` of the JSON that `path` answers `payload` with, POSTed up
+        to `RETRY_ATTEMPTS` times. Only transport failures and HTTP 429 are
+        retried, each after a sleep uniform over [0, b], b doubling from 1 s;
+        either one lasting through every attempt is a TransportError named by
+        the last failure. Any other status from 400 up is a ProviderError at
+        once, and so is a `ValueError`, `KeyError`, `IndexError` or
+        `TypeError` from `read`: a malformed `what` payload."""
         if not self.api_key:
             raise ProviderError(f"no API key: set {API_KEY_ENV} or pass api_key")
+        import requests  # offline runs never load the HTTP stack
         self.calls += 1
-        response = post_with_retry(
-            self.base_url + path,
-            payload,
-            {"Authorization": f"Bearer {self.api_key}"},
-            timeout=self.timeout,
-            sleeper=self.sleeper,
-            rng=self.rng,
-            session=self.session,
-        )
-        try:
-            return read(response.json())
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed {what} payload: {exc}") from exc
+        url = self.base_url + path
+        post = self.session.post if self.session is not None else requests.post
+        headers = {"Authorization": f"Bearer {self.api_key}"}
+        for attempt in range(RETRY_ATTEMPTS):
+            if attempt:
+                self.sleeper(self.rng.uniform(0.0, RETRY_BASE_DELAY * 2 ** (attempt - 1)))
+            try:
+                response = post(url, json=payload, headers=headers, timeout=DEFAULT_TIMEOUT)
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                failure = f"transport failure after {RETRY_ATTEMPTS} attempts: {exc}"
+                continue
+            if response.status_code == 429:
+                failure = f"rate limited after {RETRY_ATTEMPTS} attempts: {url}"
+                continue
+            if response.status_code >= 400:
+                raise ProviderError(f"HTTP {response.status_code} from {url}: {response.text[:500]}")
+            try:
+                return read(response.json())
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise ProviderError(f"malformed {what} payload: {exc}") from exc
+        raise TransportError(failure)
 
 
 def _read_completion(data) -> tuple[str, dict]:
@@ -293,24 +261,11 @@ class LiveBackend(HttpEndpoint):
         return CompletionResponse(text=text, provider_meta=meta)
 
 
-class ReplayBackend:
-    """Serve responses from a transcript; any unknown request is an error."""
-
-    def __init__(self, transcript: Transcript):
-        self.transcript = transcript
-
-    def complete(self, req: CompletionRequest) -> CompletionResponse:
-        req_hash = request_hash(req)
-        text = self.transcript.get(req_hash)
-        if text is None:
-            raise ReplayMissError(req_hash)
-        return CompletionResponse(text=text, provider_meta={"replayed": True})
-
-
 class RecordBackend:
-    """Answer from `answers` when it has the request, otherwise call live
-    and keep the answer there (a `Transcript` also appends it); concurrent
-    asks for one missing request make one live call."""
+    """An answer memo in front of a miss rule: answer from `answers` when
+    it has the request, otherwise ask `live` and keep its answer there (a
+    `Transcript` also appends it); concurrent asks for one missing request
+    make one live call."""
 
     def __init__(self, answers: Memo, live: Backend):
         self.answers = answers
@@ -319,6 +274,21 @@ class RecordBackend:
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         text = self.answers.fill(request_hash(req), lambda: self.live.complete(req).text)
         return CompletionResponse(text=text)
+
+
+class _Unrecorded:
+    """A replay's miss rule: an unrecorded request is an error, asking no one."""
+
+    def complete(self, req: CompletionRequest) -> CompletionResponse:
+        raise ReplayMissError(req.digest)
+
+
+class ReplayBackend(RecordBackend):
+    """A record backend with no provider: it serves a transcript's answers,
+    and any unrecorded request is a `ReplayMissError` that keeps nothing."""
+
+    def __init__(self, transcript: Transcript):
+        super().__init__(transcript, _Unrecorded())
 
 
 class ScriptedBackend:
@@ -336,17 +306,16 @@ class ScriptedBackend:
 
 @dataclass
 class LlmClient:
-    """A model handle: fixed decoding settings plus a backend, asked on
-    every call (a `RecordBackend` keeps the answers)."""
+    """A model handle: a backend, asked on every call (a `RecordBackend`
+    keeps the answers), and the output cap of its temperature-0 requests."""
 
     backend: Backend
     model_id: str
-    temperature: float = 0.0
     max_output_tokens: int = 1024
 
     def request(self, system_text: str, user_text: str) -> CompletionRequest:
         return CompletionRequest(system_text, user_text, self.model_id,
-                                 self.temperature, self.max_output_tokens)
+                                 max_output_tokens=self.max_output_tokens)
 
     def complete(self, req: CompletionRequest) -> str:
         return self.backend.complete(req).text

@@ -86,12 +86,11 @@ class RetrievalResult:
 
     examples: tuple[ExampleRecord, ...]
     provenance: tuple[ExampleProvenance, ...]
-    strategy: StrategyKind
     fallback_used: bool = False
 
     @classmethod
     def of(cls, repo: Repository, provenance: Sequence[ExampleProvenance],
-           strategy: StrategyKind, fallback_used: bool = False) -> RetrievalResult:
+           fallback_used: bool = False) -> RetrievalResult:
         """The result whose examples are `repo`'s records named by
         `provenance`, in provenance order; a record named twice is a
         ValueError."""
@@ -99,7 +98,7 @@ class RetrievalResult:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate record ids in retrieval result")
         examples = tuple([repo.records[rid] for rid in ids])
-        return cls(examples, tuple(provenance), strategy, fallback_used)
+        return cls(examples, tuple(provenance), fallback_used)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ UNSHARED = SentenceWork("")
 
 
 def zeroshot_result() -> RetrievalResult:
-    return RetrievalResult(examples=(), provenance=(), strategy=StrategyKind.ZEROSHOT)
+    return RetrievalResult(examples=(), provenance=())
 
 
 _generators = threading.local()
@@ -194,7 +193,7 @@ def retrieve_random(repo: Repository, cfg: RetrievalConfig, salt: str = "") -> R
     ids = repo.sorted_ids
     chosen = _rng(cfg, salt).sample(ids, min(cfg.k, len(ids)))
     provenance = [ExampleProvenance(rid, "random") for rid in chosen]
-    return RetrievalResult.of(repo, provenance, StrategyKind.RANDOM)
+    return RetrievalResult.of(repo, provenance)
 
 
 def knn_index(repo: Repository, embeddings: EmbeddingService) -> VectorIndex:
@@ -216,7 +215,7 @@ def retrieve_knn(
     by the same service as the query."""
     hits = work.knn_hits(query, index, cfg.k)
     provenance = [ExampleProvenance(h.record_id, "knn", score=h.similarity) for h in hits]
-    return RetrievalResult.of(repo, provenance, StrategyKind.KNN)
+    return RetrievalResult.of(repo, provenance)
 
 
 def _pattern_candidates(
@@ -262,10 +261,10 @@ def retrieve_pattern(
     best = work.pattern_candidates(input_connectives, repo, cfg)
     if not best:
         if not cfg.fallback_to_random:
-            return RetrievalResult.of(repo, [], StrategyKind.PATTERN)
+            return RetrievalResult.of(repo, [])
         drawn = retrieve_random(repo, cfg, salt).provenance
         fallback = [p._replace(origin="random-fallback") for p in drawn]
-        return RetrievalResult.of(repo, fallback, StrategyKind.PATTERN, fallback_used=True)
+        return RetrievalResult.of(repo, fallback, fallback_used=True)
     chosen = sorted(best)
     if len(chosen) > cfg.k:
         chosen = _rng(cfg, salt).sample(chosen, cfg.k)
@@ -274,7 +273,7 @@ def retrieve_pattern(
         ExampleProvenance(rid, "pattern", score=best[rid][0], connective=best[rid][1])
         for rid in chosen
     ]
-    return RetrievalResult.of(repo, provenance, StrategyKind.PATTERN)
+    return RetrievalResult.of(repo, provenance)
 
 
 def retrieve_knn_pattern(
@@ -293,9 +292,7 @@ def retrieve_knn_pattern(
     first: dict[str, ExampleProvenance] = {}  # by record id, in insertion order
     for p in knn.provenance + pattern.provenance:
         first.setdefault(p.record_id, p)
-    return RetrievalResult.of(
-        repo, list(first.values()), StrategyKind.KNN_PATTERN, pattern.fallback_used
-    )
+    return RetrievalResult.of(repo, list(first.values()), pattern.fallback_used)
 
 
 def input_connectives(

@@ -121,7 +121,7 @@ DEFAULT_BASE_URL = "https://api.openai.com"
 LOCAL_EMBEDDER_PREFIX = "local-hash-"
 DEFAULT_LOCAL_EMBEDDER = LOCAL_EMBEDDER_PREFIX + "256"
 # build-db's answers are short connective lists; a run keeps `LlmClient`'s
-# defaults, temperature 0 and 1,024 output tokens
+# default of 1,024 output tokens (every request is at temperature 0)
 BUILD_DB_MAX_OUTPUT_TOKENS = 256
 # tasks queued ahead of the one being written, per worker: enough that no
 # worker idles while the main thread writes or builds the kNN index

@@ -27,7 +27,7 @@ from causal_rag.corpus import (
     to_canonical,
     write_canonical,
 )
-from causal_rag.errors import MalformedRecordError, TagError
+from causal_rag.errors import MalformedRecordError
 from causal_rag.repository import make_record
 
 
@@ -56,28 +56,28 @@ def test_parse_tag_free_passthrough() -> None:
 
 
 def test_parse_unbalanced_open() -> None:
-    with pytest.raises(TagError, match="<effect> never closed"):
+    with pytest.raises(ValueError, match="<effect> never closed"):
         parse_tagged_sentence("a <cause> b </cause> c <effect>", "demo", 1)
 
 
 def test_parse_unbalanced_close() -> None:
-    with pytest.raises(TagError, match="</cause> without matching open tag"):
+    with pytest.raises(ValueError, match="</cause> without matching open tag"):
         parse_tagged_sentence("a b </cause> c", "demo", 1)
 
 
 def test_parse_nested_tags() -> None:
-    with pytest.raises(TagError, match="<effect> opened while <cause> is still open"):
+    with pytest.raises(ValueError, match="<effect> opened while <cause> is still open"):
         parse_tagged_sentence("<cause> a <effect> b </effect> </cause>", "demo", 1)
 
 
 def test_parse_empty_phrase() -> None:
-    with pytest.raises(TagError, match="<cause> pair encloses only whitespace"):
+    with pytest.raises(ValueError, match="<cause> pair encloses only whitespace"):
         parse_tagged_sentence("x <cause>   </cause> y <effect> z </effect>", "demo", 1)
 
 
 def test_parse_two_causes_rejected() -> None:
     line = "<cause>a</cause> and <cause>b</cause> made <effect>c</effect>"
-    with pytest.raises(TagError, match="got 2 cause\\(s\\) and 1 effect\\(s\\)"):
+    with pytest.raises(ValueError, match="got 2 cause\\(s\\) and 1 effect\\(s\\)"):
         parse_tagged_sentence(line, "demo", 1)
 
 

@@ -14,18 +14,17 @@ import pytest
 from causal_rag.embedding import (
     EmbeddingCache,
     EmbeddingKey,
+    EmbeddingService,
     EmbeddingVector,
     HttpEmbeddingProvider,
     LocalHashEmbedder,
     NeighborHit,
     VectorIndex,
-    embed,
     embedding_key,
     knn_search,
     normalize_for_key,
 )
 from causal_rag.errors import MalformedRecordError, ProviderError
-from causal_rag.jsonl import Memo
 
 
 def vec(*values: float, model: str = "m") -> EmbeddingVector:
@@ -46,7 +45,7 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 def index_of(corpus: dict[str, EmbeddingVector]) -> VectorIndex:
     ids = sorted(corpus)
-    return VectorIndex(ids, (corpus[rid] for rid in ids))
+    return VectorIndex(ids, np.array([corpus[rid].values for rid in ids]))
 
 
 def similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -96,23 +95,23 @@ def test_local_embedder_rejects_empty() -> None:
 
 def test_cache_hit_skips_provider(tmp_path) -> None:
     embedder = LocalHashEmbedder(dim=16)
-    cache = EmbeddingCache(tmp_path / "c.jsonl")
-    first = embed("smoking causes cancer", embedder, cache)
+    service = EmbeddingService(embedder, EmbeddingCache(tmp_path / "c.jsonl"))
+    first = service.vector("smoking causes cancer")
     assert embedder.calls == 1
-    second = embed("smoking causes cancer", embedder, cache)
+    second = service.vector("smoking causes cancer")
     assert embedder.calls == 1
     assert first == second
     # normalization-equivalent text also hits
-    embed("Smoking  CAUSES cancer", embedder, cache)
+    service.vector("Smoking  CAUSES cancer")
     assert embedder.calls == 1
 
 
 def test_cache_round_trip_bitwise(tmp_path) -> None:
     path = tmp_path / "c.jsonl"
     embedder = LocalHashEmbedder(dim=48)
-    cache = EmbeddingCache(path)
+    service = EmbeddingService(embedder, EmbeddingCache(path))
     texts = ["alpha beta", "gamma delta epsilon", "zeta"]
-    originals = [embed(t, embedder, cache) for t in texts]
+    originals = [service.vector(t) for t in texts]
     reloaded_cache = EmbeddingCache(path)
     for text, original in zip(texts, originals):
         stored = reloaded_cache.get(embedding_key(text, embedder.model_id))
@@ -130,8 +129,7 @@ def assert_frozen_array(vector: EmbeddingVector) -> None:
 
 def test_vectors_are_read_only_float64_arrays(tmp_path) -> None:
     embedder = LocalHashEmbedder(dim=48)
-    cache = EmbeddingCache(tmp_path / "c.jsonl")
-    fresh = embed("alpha beta", embedder, cache)
+    fresh = EmbeddingService(embedder, EmbeddingCache(tmp_path / "c.jsonl")).vector("alpha beta")
     loaded = EmbeddingCache(tmp_path / "c.jsonl").get(embedding_key("alpha beta", "local-hash-48"))
     for vector in (fresh, loaded, vec(1, 2, 3), EmbeddingVector([0.5, 2], "m")):
         assert_frozen_array(vector)
@@ -181,7 +179,7 @@ PINNED_CACHE_LINES = (
 def test_cache_lines_match_the_pinned_bytes(tmp_path) -> None:
     path = tmp_path / "c.jsonl"
     cache = EmbeddingCache(path)
-    embed("Smoking causes cancer", LocalHashEmbedder(dim=8), cache)
+    EmbeddingService(LocalHashEmbedder(dim=8), cache).vector("Smoking causes cancer")
     awkward = vec(0.1, 1 / 3, -0.0, -2.5, 1e-300, 5e-324, 1e300, 7.0)
     cache.put(embedding_key("awkward", "m"), awkward)
     assert path.read_bytes() == PINNED_CACHE_LINES.encode("utf-8")
@@ -229,14 +227,14 @@ def test_cached_vectors_cost_eight_bytes_a_component(tmp_path) -> None:
 def test_torn_cache_loads_and_heals_on_the_next_put(tmp_path) -> None:
     path = tmp_path / "c.jsonl"
     embedder = LocalHashEmbedder(dim=48)
-    cache = EmbeddingCache(path)
+    service = EmbeddingService(embedder, EmbeddingCache(path))
     texts = ["alpha beta", "gamma delta epsilon", "zeta"]
-    originals = [embed(t, embedder, cache) for t in texts]
+    originals = [service.vector(t) for t in texts]
     path.write_bytes(path.read_bytes()[:-20])  # a write cut short
     torn = EmbeddingCache(path)
     assert len(torn) == 2
     assert torn.get(embedding_key(texts[2], embedder.model_id)) is None
-    assert embed(texts[2], embedder, torn) == originals[2]
+    assert EmbeddingService(embedder, torn).vector(texts[2]) == originals[2]
     reloaded = EmbeddingCache(path)
     assert len(reloaded) == 3
     for text, original in zip(texts, originals):
@@ -300,12 +298,31 @@ def test_cache_line_with_an_all_zero_vector_is_named(tmp_path) -> None:
 
 
 def test_cache_dim_mismatch(tmp_path) -> None:
-    cache = EmbeddingCache(tmp_path / "c.jsonl")
+    path = tmp_path / "c.jsonl"
+    cache = EmbeddingCache(path)
     cache.put(embedding_key("a", "m"), vec(*([1.0] * 4)))
-    with pytest.raises(ValueError, match="model 'm' previously produced dim 4, got 8"):
+    with pytest.raises(MalformedRecordError) as excinfo:
         cache.put(embedding_key("b", "m"), vec(*([1.0] * 8)))
+    assert str(excinfo.value) == f"{path}: model 'm' previously produced dim 4, got 8"
     # a different model may use a different dim
     cache.put(embedding_key("b", "m2"), EmbeddingVector((1.0,) * 8, "m2"))
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+
+def test_a_vector_whose_dim_differs_from_a_cache_line_names_the_file_and_that_line(tmp_path) -> None:
+    path = tmp_path / "c.jsonl"
+    other = {"dim": 3, "key": "k0", "model": "other", "vector": [1.0, 0.0, 0.0]}
+    line = {"dim": 2, "key": "k1", "model": "local-hash-8", "vector": [0.6, 0.8]}
+    path.write_text(json.dumps(other) + "\n\n" + json.dumps(line) + "\n", encoding="utf-8")
+    written = path.read_bytes()
+    embedder = LocalHashEmbedder(dim=8)
+    service = EmbeddingService(embedder, EmbeddingCache(path))
+    with pytest.raises(MalformedRecordError) as excinfo:
+        service.vector("smoking causes cancer")
+    assert str(excinfo.value) == (
+        f"{path}: line 3: model 'local-hash-8' previously produced dim 2, got 8")
+    assert excinfo.value.path == path and excinfo.value.line_number == 3
+    assert embedder.calls == 1 and path.read_bytes() == written
 
 
 class _Provider:
@@ -322,12 +339,12 @@ class _Provider:
         return EmbeddingVector((1.0,) * dim, self.model_id)
 
 
-def test_embed_provider_dim_change_rejected(tmp_path) -> None:
-    provider = _Provider([1536, 512])
-    cache = EmbeddingCache(tmp_path / "c.jsonl")
-    embed("first text", provider, cache)
-    with pytest.raises(ValueError, match="model 'm' previously produced dim 1536, got 512"):
-        embed("second text", provider, cache)
+def test_provider_dim_change_rejected(tmp_path) -> None:
+    service = EmbeddingService(_Provider([1536, 512]), EmbeddingCache(tmp_path / "c.jsonl"))
+    service.vector("first text")
+    with pytest.raises(MalformedRecordError,
+                       match="model 'm' previously produced dim 1536, got 512"):
+        service.vector("second text")
 
 
 class _MissTogetherCache(EmbeddingCache):
@@ -359,12 +376,12 @@ class _CountingEmbedder:
 
 def test_concurrent_misses_make_one_provider_call(tmp_path) -> None:
     path = tmp_path / "c.jsonl"
-    cache = _MissTogetherCache(path)
     embedder = _CountingEmbedder()
+    service = EmbeddingService(embedder, _MissTogetherCache(path))
     results: list[EmbeddingVector] = []
 
     def worker() -> None:
-        results.append(embed("smoking causes cancer", embedder, cache))
+        results.append(service.vector("smoking causes cancer"))
 
     threads = [threading.Thread(target=worker) for _ in range(2)]
     for thread in threads:
@@ -380,15 +397,15 @@ def test_concurrent_misses_make_one_provider_call(tmp_path) -> None:
 
 def test_concurrent_embedding_stress_embeds_each_text_once(tmp_path) -> None:
     path = tmp_path / "c.jsonl"
-    cache = EmbeddingCache(path)
     embedder = _CountingEmbedder()
+    service = EmbeddingService(embedder, EmbeddingCache(path))
     texts = [f"text number {i}" for i in range(40)]
     served: dict[str, set[bytes]] = {text: set() for text in texts}
     lock = threading.Lock()
 
     def worker(offset: int) -> None:
         for text in texts[offset:] + texts[:offset]:
-            values = embed(text, embedder, cache).values.tobytes()
+            values = service.vector(text).values.tobytes()
             with lock:
                 served[text].add(values)
 
@@ -422,9 +439,11 @@ def test_fill_retries_after_a_failed_embedding(tmp_path) -> None:
     assert cache.fill(key, fail) == vec(1.0, 2.0)
 
 
-def test_embed_rejects_empty_text() -> None:
-    with pytest.raises(ValueError):
-        embed("  ", LocalHashEmbedder(dim=8), Memo())
+def test_vector_rejects_empty_text() -> None:
+    embedder = LocalHashEmbedder(dim=8)
+    with pytest.raises(ValueError, match="cannot embed empty text"):
+        EmbeddingService(embedder).vector("  ")
+    assert embedder.calls == 0
 
 
 def test_cosine_identity_and_orthogonal() -> None:
@@ -443,8 +462,8 @@ def test_cosine_reference_value() -> None:
 def test_cosine_errors() -> None:
     with pytest.raises(ValueError, match="dim 2 vs 3"):
         similarity(vec(1, 2), vec(1, 2, 3))
-    with pytest.raises(ValueError, match="dim 2 vs 3"):  # mixed dimensions in the corpus
-        VectorIndex(["a", "b", "c"], [vec(1, 2), vec(3, 4), vec(1, 2, 3)])
+    with pytest.raises(ValueError, match="^dim 2 vs 3$"):  # a dim that changes partway
+        EmbeddingService(_Provider([2, 2, 3])).index(["a", "b", "c"], ["x", "y", "z"])
     # no query or row is all zero: such a vector is refused where it is made
     with pytest.raises(ValueError, match="embedding must not be the all-zero vector"):
         vec(0, 0)
@@ -517,14 +536,34 @@ def test_knn_validation() -> None:
         knn_search(vec(1, 0), index_of({"a": vec(1, 0)}), 0)
     with pytest.raises(ValueError, match="dim 2 vs 3"):
         knn_search(vec(1, 0), index_of({"a": vec(1, 0, 0)}), 1)
-    with pytest.raises(ValueError):  # ids out of order
-        VectorIndex(["b", "a"], [vec(1, 0), vec(0, 1)])
-    with pytest.raises(ValueError):  # a repeated id
-        VectorIndex(["a", "a"], [vec(1, 0), vec(0, 1)])
-    with pytest.raises(ValueError):  # fewer vectors than ids
-        VectorIndex(["a", "b"], [vec(1, 0)])
-    with pytest.raises(ValueError):  # more vectors than ids
-        VectorIndex(["a"], [vec(1, 0), vec(0, 1)])
+    two_rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="^index ids must be strictly ascending$"):
+        VectorIndex(["b", "a"], two_rows)
+    with pytest.raises(ValueError, match="^index ids must be strictly ascending$"):
+        VectorIndex(["a", "a"], two_rows)
+    with pytest.raises(ValueError, match="^1 rows for 2 ids$"):
+        VectorIndex(["a", "b"], two_rows[:1])
+    with pytest.raises(ValueError, match="^2 rows for 1 ids$"):
+        VectorIndex(["a"], two_rows)
+    assert two_rows.flags.writeable  # a refused matrix is left as it was
+
+
+def test_index_refuses_bad_ids_before_embedding_anything() -> None:
+    provider = _Provider([2, 2])
+    service = EmbeddingService(provider)
+    for ids, texts, reason in (
+        (["b", "a"], ["x", "y"], "^index ids must be strictly ascending$"),
+        (["a", "a"], ["x", "y"], "^index ids must be strictly ascending$"),
+        (["a", "b"], ["x"], "^1 texts for 2 ids$"),
+        (["a"], ["x", "y"], "^2 texts for 1 ids$"),
+        ([], [], "^corpus must be non-empty$"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            service.index(ids, texts)
+    assert provider.calls == 0
+    index = service.index(["a", "b"], ["x", "y"])
+    assert index.ids == ("a", "b") and index.matrix.shape == (2, 2)
+    assert not index.matrix.flags.writeable
 
 
 class _Response:

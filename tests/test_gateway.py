@@ -29,7 +29,6 @@ from causal_rag.gateway import (
     ScriptedBackend,
     Transcript,
     TranscriptEntry,
-    post_with_retry,
     request_hash,
 )
 from causal_rag.jsonl import Memo
@@ -281,6 +280,24 @@ def test_record_mode_failed_live_call_is_retried_and_leaves_no_line(tmp_path) ->
     assert json.loads(line)["response_text"] == "answer"
 
 
+def test_replay_concurrent_misses_for_one_request_each_fail_and_keep_nothing(tmp_path) -> None:
+    path = tmp_path / "t.jsonl"
+    recorded = _req(user_text="Sentence: recorded")
+    Transcript(path).append(TranscriptEntry(request_hash(recorded), "1", "ts"))
+    written = path.read_bytes()
+    transcript = Transcript(path)
+    backend = ReplayBackend(transcript)
+    missing = _req()
+    outcomes = _ask_together(backend, missing, threads=4)
+    assert len(outcomes) == 4
+    for outcome in outcomes:
+        assert type(outcome) is ReplayMissError
+        assert str(outcome) == f"no transcript entry for request hash {request_hash(missing)}"
+    assert transcript.get(request_hash(missing)) is None and len(transcript) == 1
+    assert path.read_bytes() == written
+    assert backend.complete(recorded).text == "1"
+
+
 def test_transcript_fill_keeps_nothing_when_the_call_fails(tmp_path) -> None:
     path = tmp_path / "t.jsonl"
     transcript = Transcript(path)
@@ -327,62 +344,6 @@ def _ok_payload(text: str = "1") -> dict:
         "choices": [{"message": {"content": text}, "finish_reason": "stop"}],
         "usage": {"total_tokens": 7},
     }
-
-
-def test_post_with_retry_succeeds_after_transient_failures() -> None:
-    session = _Session(
-        [
-            requests.ConnectionError("boom"),
-            _Response(429),
-            _Response(200, {"ok": True}),
-        ]
-    )
-    sleeps: list[float] = []
-    response = post_with_retry(
-        "http://x/v1/chat/completions",
-        {},
-        {},
-        sleeper=sleeps.append,
-        rng=random.Random(0),
-        session=session,
-    )
-    assert response.status_code == 200
-    assert len(sleeps) == 2
-    # full jitter: each sleep within the doubling window
-    assert 0.0 <= sleeps[0] <= 1.0
-    assert 0.0 <= sleeps[1] <= 2.0
-
-
-def test_post_with_retry_exhaustion_transport() -> None:
-    session = _Session([requests.Timeout("t")] * 5)
-    sleeps: list[float] = []
-    with pytest.raises(TransportError):
-        post_with_retry(
-            "http://x/v1",
-            {},
-            {},
-            sleeper=sleeps.append,
-            rng=random.Random(1),
-            session=session,
-        )
-    assert len(sleeps) == 4
-    for i, s in enumerate(sleeps):
-        assert 0.0 <= s <= 2.0**i
-
-
-def test_post_with_retry_exhaustion_rate_limited() -> None:
-    session = _Session([_Response(429)] * 5)
-    with pytest.raises(TransportError, match="^rate limited after 5 attempts: http://x/v1$"):
-        post_with_retry(
-            "http://x/v1", {}, {}, sleeper=lambda s: None, rng=random.Random(2), session=session
-        )
-
-
-def test_post_with_retry_client_error_not_retried() -> None:
-    session = _Session([_Response(400, text="bad request")])
-    with pytest.raises(ProviderError):
-        post_with_retry("http://x/v1", {}, {}, sleeper=lambda s: None, session=session)
-    assert session.outcomes == []
 
 
 def test_live_backend_request_shape_and_parse() -> None:
@@ -494,6 +455,69 @@ def test_http_client_counts_requests(what) -> None:
     assert client.calls == len(session.requests) == 3
 
 
+def _retrying(what: str, outcomes: list, sleeps: list, seed: int):
+    """(client, session): an HTTP client of kind `what` whose session answers
+    with `outcomes` and whose sleeps are appended to `sleeps`."""
+    make, _, _ = HTTP_CLIENTS[what]
+    session = _Session(outcomes)
+    client = make("http://x", api_key="k", sleeper=sleeps.append, rng=random.Random(seed),
+                  session=session)
+    return client, session
+
+
+def _url(what: str) -> str:
+    return "http://x/v1/" + ("chat/completions" if what == "completion" else "embeddings")
+
+
+@http_client
+def test_http_client_succeeds_after_transient_failures(what) -> None:
+    _, send, ok = HTTP_CLIENTS[what]
+    sleeps: list[float] = []
+    client, session = _retrying(
+        what, [requests.ConnectionError("boom"), _Response(429), _Response(200, ok)], sleeps, 0)
+    send(client)
+    assert client.calls == 1 and len(session.requests) == 3
+    assert len(sleeps) == 2
+    # full jitter: each sleep within the doubling window
+    assert 0.0 <= sleeps[0] <= 1.0
+    assert 0.0 <= sleeps[1] <= 2.0
+    rng = random.Random(0)
+    assert sleeps == [rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0)]
+
+
+@http_client
+def test_http_client_exhaustion_transport(what) -> None:
+    _, send, _ = HTTP_CLIENTS[what]
+    sleeps: list[float] = []
+    client, session = _retrying(what, [requests.Timeout("t")] * 5, sleeps, 1)
+    with pytest.raises(TransportError, match="^transport failure after 5 attempts: t$"):
+        send(client)
+    assert client.calls == 1 and len(session.requests) == 5
+    assert len(sleeps) == 4
+    for i, s in enumerate(sleeps):
+        assert 0.0 <= s <= 2.0**i
+
+
+@http_client
+def test_http_client_exhaustion_rate_limited(what) -> None:
+    _, send, _ = HTTP_CLIENTS[what]
+    client, session = _retrying(what, [_Response(429)] * 5, [], 2)
+    with pytest.raises(TransportError, match=f"^rate limited after 5 attempts: {_url(what)}$"):
+        send(client)
+    assert client.calls == 1 and len(session.requests) == 5
+
+
+@http_client
+def test_http_client_error_not_retried(what) -> None:
+    _, send, _ = HTTP_CLIENTS[what]
+    sleeps: list[float] = []
+    client, session = _retrying(what, [_Response(400, text="bad request")], sleeps, 3)
+    with pytest.raises(ProviderError, match=f"^HTTP 400 from {_url(what)}: bad request$") as excinfo:
+        send(client)
+    assert type(excinfo.value) is ProviderError
+    assert session.outcomes == [] and sleeps == [] and client.calls == 1
+
+
 def test_llm_client_passes_settings() -> None:
     seen: list[CompletionRequest] = []
 
@@ -501,14 +525,10 @@ def test_llm_client_passes_settings() -> None:
         seen.append(req)
         return "0"
 
-    client = LlmClient(
-        backend=ScriptedBackend(script),
-        model_id="m-1",
-        temperature=0.0,
-        max_output_tokens=33,
-    )
+    client = LlmClient(backend=ScriptedBackend(script), model_id="m-1", max_output_tokens=33)
     assert client.complete_text("sys", "usr") == "0"
     assert seen[0].model_id == "m-1"
+    assert seen[0].temperature == 0.0
     assert seen[0].max_output_tokens == 33
     assert seen[0].system_text == "sys"
 
@@ -528,8 +548,7 @@ def test_a_record_backend_over_a_memo_asks_once_per_distinct_request() -> None:
         bare.complete_text("sys", "usr")
     assert bare.backend.calls == 3
 
-    client = LlmClient(backend=RecordBackend(Memo(), ScriptedBackend(script)),
-                       model_id="m-1", temperature=0.7)
+    client = LlmClient(backend=RecordBackend(Memo(), ScriptedBackend(script)), model_id="m-1")
     with pytest.raises(TransportError):
         client.complete_text("sys", "usr")
     assert client.complete_text("sys", "usr") == "answer 2"

@@ -3,7 +3,7 @@ that never embed never load numpy, runs without a worker pool never load
 `concurrent.futures`, runs that warn about nothing never load `logging`,
 and no run loads `datetime` (numpy itself does).
 
-`requests` is imported only by `gateway.post_with_retry`, on the first live
+`requests` is imported only by `gateway.HttpEndpoint.post`, on the first live
 request; numpy only where `embedding` first makes or scans a vector;
 `concurrent.futures` where a pool is first started; `logging` by the first
 warning, or by the CLI, which configures it; `mmap` where `jsonl` first

@@ -42,7 +42,6 @@ def result(strategy: StrategyKind, records: list[ExampleRecord]) -> RetrievalRes
         provenance=tuple(
             ExampleProvenance(record_id=r.id, origin=strategy.value) for r in records
         ),
-        strategy=strategy,
         fallback_used=False,
     )
 

@@ -32,7 +32,6 @@ from causal_rag.retrieval import (
     MATCHERS,
     RetrievalConfig,
     RetrievalResult,
-    StrategyKind,
     _pattern_candidates,
     connective_similarity,
     input_connectives,
@@ -123,13 +122,12 @@ def test_result_rejects_duplicates() -> None:
 
     twice = [ExampleProvenance("fx-000001", "random"), ExampleProvenance("fx-000001", "knn")]
     with pytest.raises(ValueError, match="duplicate record ids"):
-        RetrievalResult.of(repo, twice, StrategyKind.RANDOM)
+        RetrievalResult.of(repo, twice)
 
 
 def test_zeroshot_result() -> None:
     result = zeroshot_result()
     assert result.examples == ()
-    assert result.strategy is StrategyKind.ZEROSHOT
     assert result.fallback_used is False
 
 
@@ -187,7 +185,6 @@ def test_random_small_repo_returns_all() -> None:
     repo = make_repo([("lead to", f"text {i}") for i in range(3)])
     result = retrieve_random(repo, cfg(k=10))
     assert len(result.examples) == 3
-    assert result.strategy is StrategyKind.RANDOM
 
 
 def test_random_k_10() -> None:
@@ -205,7 +202,6 @@ def test_knn_self_text_first() -> None:
     result = retrieve_knn(svc.vector(target.raw_text), repo, index, cfg())
     assert result.examples[0].id == target.id
     assert result.provenance[0].score == pytest.approx(1.0, abs=1e-12)
-    assert result.strategy is StrategyKind.KNN
 
 
 def test_knn_returns_k_and_descending() -> None:
@@ -283,7 +279,6 @@ def test_pattern_near_key_rejected_under_edit_ratio() -> None:
     repo = synthetic_repo()
     result = retrieve_pattern(["caused by the"], repo, cfg(matcher="edit_ratio"), salt="x")
     assert result.fallback_used is True
-    assert result.strategy is StrategyKind.PATTERN
     assert all(p.origin == "random-fallback" for p in result.provenance)
     assert len(result.examples) == 10
 
@@ -527,7 +522,6 @@ def test_knn_pattern_disjoint_components_concat() -> None:
         cfg(k=10),
     )
     assert len(result.examples) == 20
-    assert result.strategy is StrategyKind.KNN_PATTERN
     assert [p.origin for p in result.provenance[:10]] == ["knn"] * 10
     assert [p.origin for p in result.provenance[10:]] == ["pattern"] * 10
     assert len({r.id for r in result.examples}) == 20

@@ -1376,6 +1376,19 @@ def test_cli_cache_line_that_does_not_fit_is_a_data_error_naming_it(tmp_path, ca
             in capsys.readouterr().err)
 
 
+def test_cli_cache_whose_dim_differs_from_the_embedder_is_a_data_error_naming_its_line(
+        tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"dim": 2, "key": "k", "model": "local-hash-256", "vector": [0.6, 0.8]}\n',
+                     encoding="utf-8")
+    written = cache.read_bytes()
+    assert main(run_flags(tmp_path, strategy="knn", cache=str(cache))) == 2
+    reason = "model 'local-hash-256' previously produced dim 2, got 256"
+    assert f"data error: {cache}: line 1: {reason}\n" in capsys.readouterr().err
+    assert cache.read_bytes() == written
+    assert not (tmp_path / "cli.jsonl").exists()
+
+
 def _with_line_changed(source: Path, target: Path, line_no: int, change) -> Path:
     """A copy of `source` at `target` whose line `line_no` (a JSON object)
     is `change` of the decoded line."""
