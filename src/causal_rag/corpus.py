@@ -1,4 +1,4 @@
-"""Cause/effect-annotated corpora: tag parsing, dataset loading, statistics.
+"""Cause/effect-annotated corpora: tag parsing and dataset loading.
 
 The canonical on-disk form is JSON Lines, one object per line:
 ``{"id"?: str, "text": str, "label": 0|1, "pairs": [{"cause","effect"}, ...],
@@ -108,29 +108,10 @@ class LabeledInstance:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    name: str
     instances: tuple[LabeledInstance, ...]
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        """(total, causal, non-causal)."""
-        causal = sum(1 for inst in self.instances if inst.label == 1)
-        return (len(self.instances), causal, len(self.instances) - causal)
 
     def causal_sentences(self) -> list[TaggedSentence]:
         return [inst.sentence for inst in self.instances if inst.label == 1]
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    total: int
-    causal: int
-    non_causal: int
-    pairs_histogram: dict[int, int]  # pairs-per-sentence -> sentence count
-
-    @property
-    def total_pairs(self) -> int:
-        return sum(k * v for k, v in self.pairs_histogram.items())
 
 
 def _split_on_tags(line: str) -> list[str]:
@@ -449,7 +430,7 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
         raise MalformedRecordError(
             f"duplicate instance ids: {dupes[:5]} (this line repeats {sid!r} "
             f"of line {first_lines[sid]})", line_no, path)
-    return DatasetSplit(name=name, instances=tuple(instances))
+    return DatasetSplit(instances=tuple(instances))
 
 
 def to_canonical(split: DatasetSplit) -> list[dict]:
@@ -473,19 +454,3 @@ def write_canonical(split: DatasetSplit, path: str | Path) -> None:
     """Write a split as canonical JSONL, replacing `path` atomically."""
     replace_lines(path, map(encode_line, to_canonical(split)))
 
-
-def dataset_stats(split: DatasetSplit) -> DatasetStats:
-    """Summarize a split: counts plus the pairs-per-sentence histogram over
-    causal sentences."""
-    total, causal, non_causal = split.counts
-    histogram: dict[int, int] = {}
-    for inst in split.instances:
-        if inst.label == 1:
-            k = len(inst.sentence.pairs)
-            histogram[k] = histogram.get(k, 0) + 1
-    return DatasetStats(
-        total=total,
-        causal=causal,
-        non_causal=non_causal,
-        pairs_histogram=dict(sorted(histogram.items())),
-    )

@@ -28,6 +28,7 @@ import json
 import os
 import random
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -173,7 +174,10 @@ class Backend(Protocol):
 
 class HttpEndpoint:
     """An OpenAI-compatible endpoint: its base URL, bearer key, and the
-    sleeper, random source and session of its retries. `calls` counts requests."""
+    sleeper, random source and session of its retries. `calls` counts requests.
+    Without a given session, each thread posts through its own
+    `requests.Session`, made on its first request, so the endpoint keeps
+    one open connection per thread instead of one per request."""
 
     def __init__(
         self,
@@ -188,6 +192,7 @@ class HttpEndpoint:
         self.sleeper = sleeper
         self.rng = rng if rng is not None else random.Random()
         self.session = session
+        self._sessions = threading.local()
         self.calls = 0
 
     def post(self, path: str, payload: dict, what: str, read: Callable[[object], T]) -> T:
@@ -203,13 +208,17 @@ class HttpEndpoint:
         import requests  # offline runs never load the HTTP stack
         self.calls += 1
         url = self.base_url + path
-        post = self.session.post if self.session is not None else requests.post
+        session = self.session
+        if session is None:
+            session = getattr(self._sessions, "session", None)
+            if session is None:
+                session = self._sessions.session = requests.Session()
         headers = {"Authorization": f"Bearer {self.api_key}"}
         for attempt in range(RETRY_ATTEMPTS):
             if attempt:
                 self.sleeper(self.rng.uniform(0.0, RETRY_BASE_DELAY * 2 ** (attempt - 1)))
             try:
-                response = post(url, json=payload, headers=headers, timeout=DEFAULT_TIMEOUT)
+                response = session.post(url, json=payload, headers=headers, timeout=DEFAULT_TIMEOUT)
             except (requests.ConnectionError, requests.Timeout) as exc:
                 failure = f"transport failure after {RETRY_ATTEMPTS} attempts: {exc}"
                 continue

@@ -146,13 +146,15 @@ class Memo:
     """Values (never None) by key, each missing one computed at most once
     however many threads ask for it at the same time. A hit reads without
     taking a lock. If a computation raises, nothing is kept and the next
-    caller tries again. Subclasses that persist what they keep override
-    `put`, and serialize their writes with `_lock`."""
+    caller tries again. A key's flight, the lock its callers compute under,
+    lives while a caller holds or awaits it, so they share one and it goes
+    with the last. Subclasses that persist what they keep override `put`,
+    and serialize their writes with `_lock`."""
 
     def __init__(self) -> None:
         self._values: dict = {}
         self._lock = threading.Lock()
-        self._flights: dict[Hashable, threading.Lock] = {}
+        self._flights: dict[Hashable, list] = {}  # key -> [lock, its callers]
 
     def __len__(self) -> int:
         return len(self._values)
@@ -176,14 +178,21 @@ class Memo:
         if value is not None:
             return value
         with self._lock:
-            flight = self._flights.setdefault(key, threading.Lock())
-        with flight:
-            value = self._values.get(key)
-            if value is None:
-                value = self.put(key, compute())
-        # a kept value is never computed again, so its flight may go
-        self._flights.pop(key, None)
-        return value
+            flight = self._flights.get(key)
+            if flight is None:
+                flight = self._flights[key] = [threading.Lock(), 0]
+            flight[1] += 1
+        try:
+            with flight[0]:
+                value = self._values.get(key)
+                if value is None:
+                    value = self.put(key, compute())
+            return value
+        finally:  # returned or raised, the flight's last caller drops it
+            with self._lock:
+                flight[1] -= 1
+                if not flight[1]:
+                    del self._flights[key]
 
 
 class LineAppender:

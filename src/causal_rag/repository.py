@@ -4,10 +4,13 @@ Records are sentences whose connectives an LLM extracted; the index maps
 each normalized connective to at most `cap` record ids. Sampling under the
 cap uses per-(seed, connective, id) hash priorities: the kept set is the
 cap-many smallest priorities, so rebuilding the index from just the kept
-records reproduces it exactly. That property lets the saved file store only
-records plus (cap, seed) and rebuild the index at load. The file is read
-and written through `jsonl`, and every field of every record is checked;
-a loaded repository keeps one copy of each source and each connective.
+records reproduces it exactly. That property makes a repository just its
+records plus (cap, seed): the index is built from them on first use, which
+only pattern retrieval and `stats` make, and the saved file stores nothing
+else. The file is read and written through `jsonl`, and every field of
+every record is checked, a record's `tagged_text` included: with its tags
+removed it must be its `text`. A loaded repository keeps one copy of each
+source and each connective.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CauseEffectPair, TaggedSentence, normalize_lower, render_tagged
+from .corpus import TAG_RE, CauseEffectPair, TaggedSentence, normalize_lower, render_tagged
 from .errors import MalformedRecordError, UnparseableResponseError, warn
 from .gateway import LlmClient
 from .jsonl import encode_line, read_json_objects, replace_lines
@@ -42,7 +45,6 @@ class ExampleRecord:
     pairs: tuple[CauseEffectPair, ...]
     connectives: tuple[str, ...]
     source: str
-    connective_unverified: bool = False
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,17 @@ class RepositoryStats:
 
 @dataclass(frozen=True)
 class Repository:
-    """Stored records plus the connective index rebuilt from (cap, seed)."""
+    """Stored records and the (cap, seed) their connective index is built with."""
 
     records: dict[str, ExampleRecord]
-    index: dict[str, tuple[str, ...]]
     cap: int
     seed: int
 
-    def __len__(self) -> int:
-        return len(self.records)
+    @cached_property
+    def index(self) -> dict[str, tuple[str, ...]]:
+        """Each connective's capped record ids, built on first use."""
+        return _index_of(((r.id, r.connectives) for r in self.records.values()),
+                         self.cap, self.seed)
 
     @cached_property
     def sorted_ids(self) -> tuple[str, ...]:
@@ -145,29 +149,19 @@ def _index_of(
     }
 
 
-def build_index(
-    records: Iterable[ExampleRecord], cap: int, seed: int
-) -> dict[str, tuple[str, ...]]:
-    return _index_of(((record.id, record.connectives) for record in records), cap, seed)
-
-
 def _normalized(connectives: Iterable[str]) -> tuple[str, ...]:
     """Normalized connectives, each once, in order of first appearance."""
     return tuple(dict.fromkeys(normalize_connective(c) for c in connectives))
 
 
 def make_record(sentence: TaggedSentence, connectives: Sequence[str]) -> ExampleRecord:
-    normalized = _normalized(connectives)
-    text = normalize_connective(sentence.raw_text)
-    unverified = any(c not in text for c in normalized)
     return ExampleRecord(
         id=sentence.id,
         raw_text=sentence.raw_text,
         tagged_text=render_tagged(sentence.raw_text, sentence.pairs),
         pairs=tuple(sentence.pairs),
-        connectives=normalized,
+        connectives=_normalized(connectives),
         source=sentence.source,
-        connective_unverified=unverified,
     )
 
 
@@ -222,12 +216,12 @@ def build_repository(
 
     index = _index_of(((s.id, normalized) for s, normalized in candidates), cap, seed)
     kept_ids = {rid for ids in index.values() for rid in ids}
-    # only the records the index keeps are made
+    # only the records the index keeps are made; they rebuild the same index
     records = {
         sentence.id: make_record(sentence, normalized)
         for sentence, normalized in candidates if sentence.id in kept_ids
     }
-    return Repository(records=records, index=index, cap=cap, seed=seed)
+    return Repository(records=records, cap=cap, seed=seed)
 
 
 def repository_stats(repo: Repository) -> RepositoryStats:
@@ -243,7 +237,7 @@ def repository_stats(repo: Repository) -> RepositoryStats:
 
 
 def _record_to_json(record: ExampleRecord) -> dict:
-    obj = {
+    return {
         "id": record.id,
         "text": record.raw_text,
         "tagged_text": record.tagged_text,
@@ -251,9 +245,6 @@ def _record_to_json(record: ExampleRecord) -> dict:
         "connectives": list(record.connectives),
         "source": record.source,
     }
-    if record.connective_unverified:
-        obj["connective_unverified"] = True
-    return obj
 
 
 def _record_from_json(obj: dict) -> ExampleRecord:
@@ -274,21 +265,18 @@ def _record_from_json(obj: dict) -> ExampleRecord:
         for p in pairs
     ):
         raise TypeError("'pairs' must be an array of objects with string 'cause' and 'effect'")
-    unverified = obj.get("connective_unverified", False)
-    if type(unverified) is not bool:
-        raise TypeError("'connective_unverified' must be a boolean")
+    if TAG_RE.sub("", obj["tagged_text"]) != obj["text"]:
+        raise ValueError(f"record {obj['id']}'s 'tagged_text' without its tags is not its 'text'")
     return ExampleRecord(
         obj["id"], obj["text"], obj["tagged_text"],
         tuple(CauseEffectPair(p["cause"], p["effect"]) for p in pairs),
-        tuple(map(sys.intern, connectives)), sys.intern(obj["source"]), unverified,
+        tuple(map(sys.intern, connectives)), sys.intern(obj["source"]),
     )
 
 
 def save_repository(repo: Repository, path: str | Path) -> None:
-    """Write header + records (sorted by id) as JSONL, atomically.
-
-    The index is not persisted; it is rebuilt at load from connectives plus
-    (cap, seed), which reproduces it exactly (see module docstring)."""
+    """Write header + records (sorted by id) as JSONL, atomically. The index
+    is not persisted: the records and (cap, seed) rebuild it exactly."""
     header = {"schema_version": SCHEMA_VERSION, "cap": repo.cap, "seed": repo.seed}
     records = (_record_to_json(repo.records[record_id]) for record_id in repo.sorted_ids)
     replace_lines(path, map(encode_line, chain((header,), records)))
@@ -323,6 +311,4 @@ def load_repository(path: str | Path) -> Repository:
         if record.id in records:
             raise MalformedRecordError(f"duplicate record id {record.id}", line_no, path)
         records[record.id] = record
-
-    index = build_index(records.values(), cap, seed)
-    return Repository(records=records, index=index, cap=cap, seed=seed)
+    return Repository(records=records, cap=cap, seed=seed)

@@ -36,7 +36,7 @@ from causal_rag.evaluation import (
 )
 from causal_rag.gateway import API_KEY_ENV, LlmClient, ScriptedBackend
 from causal_rag.prompting import detection_prompt
-from causal_rag.repository import ExampleRecord, Repository, build_index, build_repository, save_repository
+from causal_rag.repository import ExampleRecord, Repository, build_repository, save_repository
 from causal_rag.retrieval import (
     RetrievalConfig,
     StrategyKind,
@@ -412,8 +412,7 @@ def _record(rid: str, text: str, connective: str) -> ExampleRecord:
 
 
 def _repo(records: list[ExampleRecord]) -> Repository:
-    index = build_index(records, cap=10, seed=0)
-    return Repository(records={r.id: r for r in records}, index=index, cap=10, seed=0)
+    return Repository(records={r.id: r for r in records}, cap=10, seed=0)
 
 
 def test_criterion_07_knn_pattern_composition():

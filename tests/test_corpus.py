@@ -17,7 +17,6 @@ from causal_rag.corpus import (
     LabeledInstance,
     TaggedSentence,
     Triplet,
-    dataset_stats,
     load_dataset,
     make_sentence_id,
     normalize_ws,
@@ -213,14 +212,14 @@ def test_load_jsonl_counts(tmp_path) -> None:
         ],
     )
     split = load_dataset(path, "jsonl")
-    assert split.counts == (2, 1, 1)
+    assert [inst.label for inst in split.instances] == [1, 0]
     assert split.instances[0].sentence.id == "mini-000001"
     assert make_record(split.instances[0].sentence, ["causes"]).tagged_text == (
         "<cause>smoking</cause> causes <effect>cancer</effect>"
     )
 
 
-def test_load_jsonl_multi_pair_histogram(tmp_path) -> None:
+def test_load_jsonl_keeps_every_pair(tmp_path) -> None:
     path = tmp_path / "multi.jsonl"
     _write_jsonl(
         path,
@@ -237,9 +236,8 @@ def test_load_jsonl_multi_pair_histogram(tmp_path) -> None:
         ],
     )
     split = load_dataset(path, "jsonl")
-    stats = dataset_stats(split)
-    assert stats.pairs_histogram == {2: 1}
-    assert stats.total_pairs == 2
+    assert split.instances[0].sentence.pairs == (
+        CauseEffectPair("war", "displaced people"), CauseEffectPair("war", "ruined crops"))
 
 
 def test_load_jsonl_rejects_bad_label(tmp_path) -> None:
@@ -356,7 +354,7 @@ def test_load_li_format(tmp_path) -> None:
         "The market stayed flat today.\n"
     )
     split = load_dataset(path, "li")
-    assert split.counts == (2, 1, 1)
+    assert len(split.instances) == 2
     assert split.instances[0].label == 1
     assert split.instances[0].sentence.source == "li"
     assert split.instances[1].label == 0
@@ -386,7 +384,7 @@ def test_load_semeval_format(tmp_path) -> None:
         "Comment:\n"
     )
     split = load_dataset(path, "semeval")
-    assert split.counts == (3, 2, 1)
+    assert [inst.label for inst in split.instances] == [1, 0, 1]
     first = split.instances[0]
     assert first.sentence.pairs == (CauseEffectPair(cause="pressure", effect="burst"),)
     assert first.sentence.raw_text == "The burst has been caused by water hammer pressure."
@@ -400,8 +398,8 @@ def test_load_ade_format(tmp_path) -> None:
         "10030778|Intravenous azithromycin induced ototoxicity.|ototoxicity|43|54|azithromycin|12|24\n"
     )
     split = load_dataset(path, "ade")
-    assert split.counts == (1, 1, 0)
-    inst = split.instances[0]
+    (inst,) = split.instances
+    assert inst.label == 1
     assert inst.sentence.pairs == (
         CauseEffectPair(cause="azithromycin", effect="ototoxicity"),
     )
@@ -564,7 +562,7 @@ def test_write_canonical_round_trip(tmp_path) -> None:
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_dataset_stats_counts_and_histogram() -> None:
+def test_causal_sentences_are_the_causal_instances_in_order() -> None:
     def inst(text: str, pairs: tuple, label: int, n: int) -> LabeledInstance:
         sentence = TaggedSentence(
             id=make_sentence_id("s", n),
@@ -577,66 +575,14 @@ def test_dataset_stats_counts_and_histogram() -> None:
     p = CauseEffectPair("a b c", "d e")
     q = CauseEffectPair("a b c", "f g")
     split = DatasetSplit(
-        name="s",
         instances=(
-            inst("a b c made d e", (p,), 1, 1),
+            inst("plain one", (), 0, 1),
             inst("a b c made d e and f g", (p, q), 1, 2),
-            inst("plain one", (), 0, 3),
-            inst("plain two", (), 0, 4),
-            inst("plain three", (), 0, 5),
+            inst("plain two", (), 0, 3),
+            inst("a b c made d e", (p,), 1, 4),
         ),
     )
-    stats = dataset_stats(split)
-    assert (stats.total, stats.causal, stats.non_causal) == (5, 2, 3)
-    assert stats.pairs_histogram == {1: 1, 2: 1}
-    assert stats.total_pairs == 3
-
-
-def test_dataset_stats_all_non_causal() -> None:
-    instances = tuple(
-        LabeledInstance(
-            sentence=TaggedSentence(
-                id=make_sentence_id("n", i),
-                raw_text=f"plain {i}",
-                pairs=(),
-                source="n",
-            ),
-            label=0,
-        )
-        for i in range(1, 4)
-    )
-    stats = dataset_stats(DatasetSplit(name="n", instances=instances))
-    assert (stats.total, stats.causal, stats.non_causal) == (3, 0, 3)
-    assert stats.pairs_histogram == {}
-    assert stats.total_pairs == 0
-
-
-def test_triplet_count_equals_pair_sum(tmp_path) -> None:
-    path = tmp_path / "tp.jsonl"
-    _write_jsonl(
-        path,
-        [
-            {
-                "text": "war displaced people and ruined crops",
-                "label": 1,
-                "pairs": [
-                    {"cause": "war", "effect": "displaced people"},
-                    {"cause": "war", "effect": "ruined crops"},
-                ],
-                "source": "tp",
-            },
-            {
-                "text": "smoking causes cancer",
-                "label": 1,
-                "pairs": [{"cause": "smoking", "effect": "cancer"}],
-                "source": "tp",
-            },
-        ],
-    )
-    split = load_dataset(path, "jsonl")
-    stats = dataset_stats(split)
-    by_hand = sum(len(i.sentence.pairs) for i in split.instances)
-    assert stats.total_pairs == by_hand == 3
+    assert [s.id for s in split.causal_sentences()] == ["s-000002", "s-000004"]
 
 
 def test_value_dataclasses_are_slotted_and_behave_as_values() -> None:

@@ -8,6 +8,7 @@ import random
 import re
 import threading
 from datetime import datetime, timezone
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -165,6 +166,16 @@ def test_replay_hit_and_miss(tmp_path) -> None:
     with pytest.raises(ReplayMissError) as excinfo:
         backend.complete(missing)
     assert request_hash(missing) in str(excinfo.value)
+
+
+def test_replay_misses_leave_no_flight_behind(tmp_path) -> None:
+    transcript = Transcript(tmp_path / "t.jsonl")
+    backend = ReplayBackend(transcript)
+    for i in range(3):
+        with pytest.raises(ReplayMissError):
+            backend.complete(_req(user_text=f"Sentence: unrecorded {i}"))
+    assert len(transcript) == 0
+    assert transcript._flights == {}
 
 
 def test_scripted_backend_callable() -> None:
@@ -453,6 +464,67 @@ def test_http_client_counts_requests(what) -> None:
         send(client)
     send(client)
     assert client.calls == len(session.requests) == 3
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    """Answers chat and embedding posts over kept-alive HTTP/1.1
+    connections; the server's `paths` holds, per connection, the paths
+    posted on it."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    ANSWERS = {"/v1/chat/completions": _ok_payload(),
+               "/v1/embeddings": {"data": [{"embedding": [0.6, 0.8]}]}}
+
+    def setup(self) -> None:
+        super().setup()
+        self.posted: list[str] = []
+        with self.server.lock:
+            self.server.paths.append(self.posted)
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.posted.append(self.path)
+        body = json.dumps(self.ANSWERS[self.path]).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+def test_http_clients_keep_one_connection_per_thread(monkeypatch) -> None:
+    for name in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
+    server.paths, server.lock = [], threading.Lock()
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    try:
+        base_url = f"http://127.0.0.1:{server.server_address[1]}"
+        chat = LiveBackend(base_url, api_key="k")
+        embedder = HttpEmbeddingProvider(base_url, "emb-model", api_key="k")
+        for _ in range(10):
+            assert chat.complete(_req()).text == "1"
+            assert embedder.embed_text("hello").values.tolist() == [0.6, 0.8]
+        with server.lock:
+            assert sorted(server.paths) == [["/v1/chat/completions"] * 10,
+                                            ["/v1/embeddings"] * 10]
+        # another thread posts through a connection of its own
+        other = threading.Thread(target=lambda: [chat.complete(_req()) for _ in range(3)])
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        with server.lock:
+            assert len(server.paths) == 3
+            assert server.paths[2] == ["/v1/chat/completions"] * 3
+        assert chat.calls == 13 and embedder.calls == 10
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def _retrying(what: str, outcomes: list, sleeps: list, seed: int):

@@ -7,7 +7,9 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -321,6 +323,106 @@ def test_memo_retries_after_a_failed_computation():
     assert memo.get("k") is None
     assert memo.fill("k", lambda: "up") == "up"
     assert memo.fill("k", fail) == "up"
+
+
+def test_memo_keeps_one_computation_of_a_key_at_a_time_and_no_flight_after_failures():
+    """Each caller computes after the last one failed, never beside it, even
+    one that arrives while a failed caller's successor computes; and the
+    last caller drops the key's flight."""
+    memo: Memo[str, str] = Memo()
+    entered = [threading.Event() for _ in range(3)]
+    gates = [threading.Event() for _ in range(3)]
+    guard = threading.Lock()
+    calls, active, peak = [0], [0], [0]
+
+    def compute() -> str:
+        with guard:
+            n = calls[0]
+            calls[0] += 1
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        entered[n].set()
+        gates[n].wait(timeout=10)
+        with guard:
+            active[0] -= 1
+        if n < 2:
+            raise RuntimeError("down")
+        return "up"
+
+    outcomes: list[str] = []
+
+    def ask() -> None:
+        try:
+            outcomes.append(memo.fill("k", compute))
+        except RuntimeError as exc:
+            outcomes.append(str(exc))
+
+    first, second, third = (threading.Thread(target=ask) for _ in range(3))
+    first.start()
+    assert entered[0].wait(timeout=10)
+    second.start()
+    time.sleep(0.05)  # the second caller waits on the first one's flight
+    gates[0].set()
+    assert entered[1].wait(timeout=10)  # the first failed; the second computes
+    third.start()
+    time.sleep(0.05)
+    assert not entered[2].is_set()  # the third waits on the second
+    gates[1].set()
+    gates[2].set()
+    for thread in (first, second, third):
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in (first, second, third))
+    assert sorted(outcomes) == ["down", "down", "up"]
+    assert (calls[0], peak[0]) == (3, 1)
+    assert memo.get("k") == "up" and memo._flights == {}
+
+
+def test_memo_stress_of_failing_computations_keeps_one_at_a_time_and_no_flight():
+    """Eight threads ask for 20 keys whose first two computations raise:
+    no key is ever computed by two threads at once, each key is computed
+    exactly three times, and no flight is left."""
+    memo: Memo[int, str] = Memo()
+    guard = threading.Lock()
+    active: dict[int, int] = {}
+    calls: dict[int, int] = {}
+    overlaps: list[int] = []
+
+    def compute(key: int) -> str:
+        with guard:
+            calls[key] = n = calls.get(key, 0) + 1
+            active[key] = active.get(key, 0) + 1
+            if active[key] > 1:
+                overlaps.append(key)
+        time.sleep(0)  # let another caller of the key in, if it could come
+        with guard:
+            active[key] -= 1
+        if n <= 2:
+            raise RuntimeError("down")
+        return f"value {key}"
+
+    def worker() -> None:
+        for key in range(20):
+            while True:
+                try:
+                    assert memo.fill(key, lambda: compute(key)) == f"value {key}"
+                    break
+                except RuntimeError:
+                    pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert overlaps == []
+    assert calls == {key: 3 for key in range(20)}
+    assert memo._flights == {} and len(memo) == 20
 
 
 def test_memo_hit_takes_no_lock():

@@ -8,24 +8,31 @@ from pathlib import Path
 
 import pytest
 
-from causal_rag import cli
+from fixture_llm import FIXTURE_MODEL_ID
+
+from causal_rag import cli, repository
 from causal_rag.corpus import parse_tagged_sentence
 from causal_rag.errors import MalformedRecordError, UnparseableResponseError
-from causal_rag.gateway import CompletionRequest, LlmClient, ScriptedBackend
+from causal_rag.gateway import (
+    CompletionRequest, LlmClient, ReplayBackend, ScriptedBackend, Transcript,
+)
 from causal_rag.repository import (
     ExampleRecord,
     Repository,
-    build_index,
     build_repository,
     extract_connectives,
     load_repository,
-    make_record,
     normalize_connective,
     parse_connective_response,
     repository_stats,
     sample_capped,
     save_repository,
 )
+from causal_rag.runner import build_db
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FIXTURE_DB = FIXTURES / "examples.db"
 
 
 def sentence(text: str, source: str = "fx", ordinal: int = 1):
@@ -103,14 +110,6 @@ def test_extract_connectives_empty_response() -> None:
     s = sentence("<cause>a</cause> made <effect>b</effect>")
     with pytest.raises(UnparseableResponseError):
         extract_connectives(s, llm)
-
-
-def test_connective_verification_flag() -> None:
-    s = sentence("<cause>Smoking</cause> Causes <effect>cancer</effect>", "v", 1)
-    verified = make_record(s, ["causes"])
-    assert verified.connective_unverified is False
-    unverified = make_record(s, ["leads to"])
-    assert unverified.connective_unverified is True
 
 
 def _corpus_with(connective_plan: list[tuple[str, str]]):
@@ -220,15 +219,46 @@ def test_sample_capped_is_stable_under_pruning() -> None:
             assert again == kept
 
 
-def test_load_rebuilds_identical_index(tmp_path) -> None:
-    corpus, mapping = _corpus_with(_standard_plan())
+def _selection_indexes(monkeypatch) -> list[dict]:
+    """Every index `repository._index_of` returns from now on, in order."""
+    made: list[dict] = []
+    index_of = repository._index_of
+
+    def recording(*args):
+        made.append(index_of(*args))
+        return made[-1]
+
+    monkeypatch.setattr(repository, "_index_of", recording)
+    return made
+
+
+def test_load_rebuilds_identical_index(tmp_path, monkeypatch) -> None:
+    corpus, mapping = _corpus_with(_standard_plan())  # 12 "caused by" under a cap of 10
+    made = _selection_indexes(monkeypatch)
     repo = build_repository(corpus, connective_llm(mapping), cap=10, seed=11)
+    (selected,) = made  # the index the build kept records by
+    assert len(selected["caused by"]) == 10
+    # the index of the kept records is the one they were selected with
+    assert repo.index == selected
     path = tmp_path / "db.jsonl"
     save_repository(repo, path)
     loaded = load_repository(path)
-    assert loaded.index == repo.index
+    assert len(made) == 2  # loading builds no index
+    assert loaded.index == selected
     assert loaded.records == repo.records
     assert (loaded.cap, loaded.seed) == (10, 11)
+
+
+def test_the_fixture_repository_has_the_index_it_was_selected_with(tmp_path,
+                                                                     monkeypatch) -> None:
+    made = _selection_indexes(monkeypatch)
+    backend = ReplayBackend(Transcript(FIXTURES / "transcript.jsonl"))
+    repo = build_db([str(FIXTURES / "repo_corpus.jsonl")], str(tmp_path / "examples.db"),
+                    FIXTURE_MODEL_ID, backend)
+    (selected,) = made
+    assert (tmp_path / "examples.db").read_bytes() == FIXTURE_DB.read_bytes()
+    assert repo.index == selected
+    assert load_repository(FIXTURE_DB).index == selected
 
 
 def test_save_byte_identical_across_builds(tmp_path) -> None:
@@ -357,8 +387,8 @@ def test_load_record_without_connectives(tmp_path) -> None:
         load_repository(path)
 
 
-FIXTURE_DB = Path(__file__).resolve().parent / "fixtures" / "examples.db"
 PAIRS_REASON = "'pairs' must be an array of objects with string 'cause' and 'effect'"
+TAG_RULE_REASON = "record db-001's 'tagged_text' without its tags is not its 'text'"
 
 
 @pytest.mark.parametrize("field, value, reason", [
@@ -373,8 +403,9 @@ PAIRS_REASON = "'pairs' must be an array of objects with string 'cause' and 'eff
     ("pairs", [["heavy rain", "The flood"]], PAIRS_REASON),
     ("pairs", [{"cause": "heavy rain", "effect": None}], PAIRS_REASON),
     ("pairs", [{"cause": "heavy rain"}], "missing field 'effect'"),
-    ("connective_unverified", "no", "'connective_unverified' must be a boolean"),
-    ("connective_unverified", 1, "'connective_unverified' must be a boolean"),
+    ("tagged_text", "  ", TAG_RULE_REASON),
+    ("tagged_text", "<cause>heavy rain</cause> caused <effect>the flood</effect>.",
+     TAG_RULE_REASON),
 ])
 def test_every_field_of_a_saved_record_is_checked(tmp_path, capsys, field, value, reason) -> None:
     lines = FIXTURE_DB.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -389,6 +420,21 @@ def test_every_field_of_a_saved_record_is_checked(tmp_path, capsys, field, value
     assert str(excinfo.value) == f"{path}: line 2: {reason}"
     assert cli.main(["stats", "--db", str(path)]) == cli.EXIT_DATA
     assert f"{path}: line 2: {reason}" in capsys.readouterr().err
+
+
+def test_a_saved_connective_unverified_key_is_read_past(tmp_path) -> None:
+    """An older file whose record carries `connective_unverified` loads as
+    a file without it does, and saves without it."""
+    lines = FIXTURE_DB.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["connective_unverified"] = True
+    lines[1] = json.dumps(record) + "\n"
+    path = tmp_path / "examples.db"
+    path.write_text("".join(lines), encoding="utf-8")
+    loaded = load_repository(path)
+    assert loaded.records == load_repository(FIXTURE_DB).records
+    save_repository(loaded, tmp_path / "saved.db")
+    assert (tmp_path / "saved.db").read_bytes() == FIXTURE_DB.read_bytes()
 
 
 def test_a_torn_final_line_of_a_repository_is_refused(tmp_path) -> None:
@@ -408,9 +454,8 @@ def test_repository_stats_shape() -> None:
         "r2": ExampleRecord("r2", "b", "b", (), ("a",), "s"),
         "r3": ExampleRecord("r3", "c", "c", (), ("b",), "s"),
     }
-    repo = Repository(
-        records=records, index={"a": ("r1", "r2"), "b": ("r3",)}, cap=10, seed=0
-    )
+    repo = Repository(records=records, cap=10, seed=0)
+    assert repo.index == {"a": ("r1", "r2"), "b": ("r3",)}
     stats = repository_stats(repo)
     assert stats.unique_connectives == 2
     assert stats.frequency_histogram == {1: 1, 2: 1}
@@ -430,7 +475,7 @@ def test_repository_stats_at_least_5_and_consistency() -> None:
 
 
 def test_empty_index_stats() -> None:
-    repo = Repository(records={}, index={}, cap=10, seed=0)
+    repo = Repository(records={}, cap=10, seed=0)
     stats = repository_stats(repo)
     assert stats.total_records == 0
     assert stats.unique_connectives == 0
@@ -438,9 +483,10 @@ def test_empty_index_stats() -> None:
     assert stats.connectives_with_at_least_5 == 0
 
 
-def test_build_index_matches_manual_expectation() -> None:
-    records = [
-        ExampleRecord(f"r{i}", f"t{i}", f"t{i}", (), ("caused by",), "s") for i in range(4)
-    ]
-    index = build_index(records, cap=10, seed=0)
-    assert index == {"caused by": ("r0", "r1", "r2", "r3")}
+def test_index_of_records_matches_manual_expectation() -> None:
+    records = {
+        f"r{i}": ExampleRecord(f"r{i}", f"t{i}", f"t{i}", (), ("caused by",), "s")
+        for i in (3, 1, 0, 2)
+    }
+    repo = Repository(records=records, cap=10, seed=0)
+    assert repo.index == {"caused by": ("r0", "r1", "r2", "r3")}

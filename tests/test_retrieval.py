@@ -24,7 +24,6 @@ from causal_rag.gateway import CompletionRequest, LlmClient, ScriptedBackend
 from causal_rag.repository import (
     ExampleRecord,
     Repository,
-    build_index,
     load_repository,
     normalize_connective,
 )
@@ -65,15 +64,22 @@ def make_record(i: int, connective: str, text: str) -> ExampleRecord:
 
 def make_repo(plan: list[tuple[str, str]], cap: int = 10, seed: int = 0) -> Repository:
     """plan: list of (connective, sentence text) per record."""
-    records = [make_record(i, conn, text) for i, (conn, text) in enumerate(plan, start=1)]
-    index = build_index(records, cap, seed)
-    kept = {rid for ids in index.values() for rid in ids}
-    return Repository(
-        records={r.id: r for r in records if r.id in kept},
-        index=index,
-        cap=cap,
-        seed=seed,
-    )
+    records = {r.id: r for r in (make_record(i, conn, text)
+                                  for i, (conn, text) in enumerate(plan, start=1))}
+    kept = {rid for ids in Repository(records, cap, seed).index.values() for rid in ids}
+    return Repository({rid: r for rid, r in records.items() if rid in kept}, cap, seed)
+
+
+def repo_of_index(index: dict[str, tuple[str, ...]]) -> Repository:
+    """A repository whose records give `index`, its keys sorted and each
+    key's ids sorted once each (at most 10 ids a key)."""
+    keys_of: dict[str, list[str]] = {}
+    for key, ids in index.items():
+        for rid in ids:
+            keys_of.setdefault(rid, []).append(key)
+    records = {rid: ExampleRecord(rid, rid, rid, (), tuple(keys), "s")
+               for rid, keys in keys_of.items()}
+    return Repository(records, cap=10, seed=0)
 
 
 def synthetic_repo(cap: int = 10) -> Repository:
@@ -379,7 +385,7 @@ def test_pattern_candidates_match_all_pairs_oracle() -> None:
             )
             for _ in range(rng.randint(1, 30))
         }
-        repo = Repository(records={}, index=index, cap=10, seed=0)
+        repo = repo_of_index(index)
         keys = list(index)
         for _ in range(4):
             connectives = [
@@ -403,7 +409,7 @@ def test_pattern_candidates_threshold_edges() -> None:
         " Lead  To A ": ("r2",),  # the query itself, not normalized
         "largely led to a": ("r3",),
     }
-    repo = Repository(records={}, index=index, cap=10, seed=0)
+    repo = repo_of_index(index)
     for matcher in MATCHERS:
         # 1 - 1/10 equals the threshold exactly, so "leads to a" stays out
         at = cfg(similarity_threshold=0.9, matcher=matcher)

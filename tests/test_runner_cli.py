@@ -1018,7 +1018,7 @@ def test_cli_record_run_stops_at_an_answer_no_transcript_line_can_hold(
                                  "finish_reason": "stop"}]}
 
     live = LiveAnswers()
-    monkeypatch.setattr(requests, "post", live.post)
+    monkeypatch.setattr(requests, "Session", lambda: live)
     monkeypatch.setenv("CAUSAL_RAG_API_KEY", "k")
     transcript = tmp_path / "recorded.jsonl"
     assert main(run_flags(tmp_path, backend="record", transcript=str(transcript),
@@ -1029,6 +1029,25 @@ def test_cli_record_run_stops_at_an_answer_no_transcript_line_can_hold(
     assert len(transcript.read_bytes().splitlines()) == 3
     records = (tmp_path / "cli.jsonl").read_bytes().splitlines()
     assert len(records) == 3 and all(b'"response": "1"' in line for line in records)
+
+
+@pytest.mark.parametrize("strategy, builds", [
+    ("random", 0), ("knn", 0), ("zeroshot", 0), ("pattern", 1), ("knn-pattern", 1),
+])
+def test_only_pattern_retrieval_builds_the_connective_index(tmp_path, monkeypatch, strategy,
+                                                            builds):
+    from causal_rag import repository
+
+    calls = []
+    index_of = repository._index_of
+
+    def counting(*args):
+        calls.append(args)
+        return index_of(*args)
+
+    monkeypatch.setattr(repository, "_index_of", counting)
+    assert main(run_flags(tmp_path, strategy=strategy, k="10")) == 0
+    assert len(calls) == builds
 
 
 def test_cli_invalid_choice_is_usage_error(tmp_path, capsys):
@@ -1506,7 +1525,7 @@ def test_cli_a_zero_vector_embedding_payload_is_a_provider_error_that_adds_no_ca
         def json(self):
             return {"data": [{"embedding": [0.0, 0.0, 0.0]}]}
 
-    monkeypatch.setattr(requests, "post", ZeroEmbeddings().post)
+    monkeypatch.setattr(requests, "Session", ZeroEmbeddings)
     monkeypatch.setenv("CAUSAL_RAG_API_KEY", "k")
     cache = tmp_path / "cache.jsonl"
     cache.write_text(json.dumps({"dim": 3, "key": "k1", "model": "remote-embedder",
@@ -1540,7 +1559,7 @@ def test_cli_a_429_storm_is_a_provider_error_with_the_resume_hint(tmp_path, caps
             return self
 
     live = RateLimited()
-    monkeypatch.setattr(requests, "post", live.post)
+    monkeypatch.setattr(requests, "Session", lambda: live)
     monkeypatch.setattr(gateway, "RETRY_BASE_DELAY", 0.0)  # every backoff sleeps 0 s
     monkeypatch.setenv("CAUSAL_RAG_API_KEY", "k")
     assert main(run_flags(tmp_path, backend="live", concurrency="1")) == 3
