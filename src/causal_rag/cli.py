@@ -310,7 +310,7 @@ def _stats_text(repo, sample: int, seed: int) -> str:
         for freq in sorted(by_freq):
             pool = sorted(by_freq[freq])
             rng = random.Random(f"{seed}|stats|{freq}")
-            picks = pool if len(pool) <= sample else rng.sample(pool, sample)
+            picks = rng.sample(pool, min(sample, len(pool)))
             lines.append(f"  {freq:>3} example(s): {', '.join(sorted(picks))}")
     return "\n".join(lines)
 

@@ -1,4 +1,4 @@
-"""Provider-neutral chat completion with live, replay, record, and scripted backends.
+"""Provider-neutral chat completion with live, replay and record backends.
 
 Each request is identified by a sha256 hash over (model_id, system_text,
 user_text, temperature). The hash deliberately excludes max_output_tokens:
@@ -298,19 +298,6 @@ class ReplayBackend(RecordBackend):
 
     def __init__(self, transcript: Transcript):
         super().__init__(transcript, _Unrecorded())
-
-
-class ScriptedBackend:
-    """In-memory backend for tests and fixtures: `script` maps a
-    CompletionRequest to response text. `calls` counts the asks."""
-
-    def __init__(self, script: Callable[[CompletionRequest], str]):
-        self.script = script
-        self.calls = 0
-
-    def complete(self, req: CompletionRequest) -> CompletionResponse:
-        self.calls += 1
-        return CompletionResponse(text=self.script(req), provider_meta={"scripted": True})
 
 
 @dataclass

@@ -284,7 +284,6 @@ def save_repository(repo: Repository, path: str | Path) -> None:
 
 def load_repository(path: str | Path) -> Repository:
     """A saved repository; every format error names the file and the line."""
-    path = Path(path)
     lines = read_json_objects(path, drop_torn_tail=False)
     line_no, header = next(lines, (1, None))
     if header is None:

@@ -1,4 +1,5 @@
-"""Deterministic scripted model used to build the committed test fixtures.
+"""Deterministic scripted model used to build the committed test fixtures,
+and `ScriptedBackend`, the in-memory backend that serves it.
 
 The responder answers the three prompt kinds (detection, extraction,
 connective extraction) from fixed tables keyed by the input sentence, with
@@ -16,9 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from causal_rag.corpus import CauseEffectPair, render_tagged
-from causal_rag.gateway import CompletionRequest
+from causal_rag.gateway import CompletionRequest, CompletionResponse
 
 FIXTURE_MODEL_ID = "fixture-model"
 
@@ -203,6 +205,19 @@ def _input_sentence(user_text: str) -> str:
     if not sep:
         raise KeyError(f"no input sentence in prompt: {user_text!r}")
     return tail.split("\n", 1)[0].strip()
+
+
+class ScriptedBackend:
+    """In-memory backend for tests and fixtures: `script` maps a
+    CompletionRequest to response text. `calls` counts the asks."""
+
+    def __init__(self, script: Callable[[CompletionRequest], str]):
+        self.script = script
+        self.calls = 0
+
+    def complete(self, req: CompletionRequest) -> CompletionResponse:
+        self.calls += 1
+        return CompletionResponse(text=self.script(req), provider_meta={"scripted": True})
 
 
 class FixtureResponder:

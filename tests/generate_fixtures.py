@@ -28,11 +28,12 @@ from fixture_llm import (
     EXTRACTION_SENTENCES,
     FIXTURE_MODEL_ID,
     FixtureResponder,
+    ScriptedBackend,
     single_pair_sentences,
     write_dataset,
 )
 
-from causal_rag.gateway import RecordBackend, ScriptedBackend, Transcript
+from causal_rag.gateway import RecordBackend, Transcript
 from causal_rag.repository import repository_stats
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import ExperimentConfig, build_db, run_experiment, sweep

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder
+from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder, ScriptedBackend
 from test_embedding import cosine_similarity, index_of
 
 from causal_rag.corpus import CauseEffectPair, TaggedSentence, Triplet
@@ -34,7 +34,7 @@ from causal_rag.evaluation import (
     single_pair_accuracy,
     triplet_metrics,
 )
-from causal_rag.gateway import API_KEY_ENV, LlmClient, ScriptedBackend
+from causal_rag.gateway import API_KEY_ENV, LlmClient
 from causal_rag.prompting import detection_prompt
 from causal_rag.repository import ExampleRecord, Repository, build_repository, save_repository
 from causal_rag.retrieval import (
@@ -734,6 +734,7 @@ def _smoke_config(tmp_path, task: str, strategy: StrategyKind, backend: str,
     )
 
 
+@pytest.mark.network
 @pytest.mark.skipif(
     not os.environ.get(API_KEY_ENV),
     reason=f"criterion 10 is opt-in: live smoke needs {API_KEY_ENV}",

@@ -165,6 +165,11 @@ def test_render_tagged_multi_pair_shared_effect() -> None:
     assert strip_tags(tagged) == text
 
 
+def test_render_tagged_tags_a_cause_that_ends_where_its_effect_starts() -> None:
+    tagged = render_tagged("Rainfall rose.", [CauseEffectPair("Rain", "fall")])
+    assert tagged == "<cause>Rain</cause><effect>fall</effect> rose."
+
+
 def test_render_tagged_repeated_phrase_first_occurrence() -> None:
     text = "rain made rain gauges overflow"
     tagged = render_tagged(text, [CauseEffectPair("rain", "overflow")])

@@ -13,6 +13,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
+from fixture_llm import ScriptedBackend
+
 from causal_rag import gateway
 from causal_rag.embedding import HttpEmbeddingProvider
 from causal_rag.errors import (
@@ -27,7 +29,6 @@ from causal_rag.gateway import (
     LlmClient,
     RecordBackend,
     ReplayBackend,
-    ScriptedBackend,
     Transcript,
     TranscriptEntry,
     request_hash,

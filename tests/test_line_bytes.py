@@ -10,11 +10,11 @@ import json
 import random
 from pathlib import Path
 
-from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder
+from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder, ScriptedBackend
 
 from causal_rag.corpus import load_dataset, write_canonical
 from causal_rag.embedding import EmbeddingCache, EmbeddingKey, EmbeddingVector
-from causal_rag.gateway import CompletionRequest, ScriptedBackend, Transcript, TranscriptEntry
+from causal_rag.gateway import CompletionRequest, Transcript, TranscriptEntry
 from causal_rag.jsonl import encode_line
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import ExperimentConfig, build_db, run_experiment

@@ -29,10 +29,10 @@ from pathlib import Path
 
 import causal_rag
 from causal_rag.embedding import EmbeddingCache, LocalHashEmbedder
-from causal_rag.gateway import RecordBackend, ScriptedBackend, Transcript
+from causal_rag.gateway import RecordBackend, Transcript
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import ExperimentConfig, build_db, eval_predictions, run_experiment, sweep
-from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder
+from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder, ScriptedBackend
 
 fixtures, work = Path(sys.argv[1]), Path(sys.argv[2])
 WATCHED = {"numpy", "requests", "urllib3", "ssl", "concurrent.futures", "logging", "mmap",

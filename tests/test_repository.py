@@ -8,14 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from fixture_llm import FIXTURE_MODEL_ID
+from fixture_llm import FIXTURE_MODEL_ID, ScriptedBackend
 
 from causal_rag import cli, repository
 from causal_rag.corpus import parse_tagged_sentence
 from causal_rag.errors import MalformedRecordError, UnparseableResponseError
-from causal_rag.gateway import (
-    CompletionRequest, LlmClient, ReplayBackend, ScriptedBackend, Transcript,
-)
+from causal_rag.gateway import CompletionRequest, LlmClient, ReplayBackend, Transcript
 from causal_rag.repository import (
     ExampleRecord,
     Repository,
@@ -374,6 +372,17 @@ def test_load_rejects_a_header_cap_below_1(tmp_path, cap) -> None:
     with pytest.raises(MalformedRecordError, match="cap") as excinfo:
         load_repository(path)
     assert excinfo.value.line_number == 1
+
+
+def test_load_accepts_a_header_cap_of_1(tmp_path) -> None:
+    path = tmp_path / "db.jsonl"
+    path.write_text(
+        '{"schema_version": 1, "cap": 1, "seed": 0}\n'
+        '{"id": "a", "text": "t", "tagged_text": "t", "pairs": [], '
+        '"connectives": ["x"], "source": "s"}\n'
+    )
+    repo = load_repository(str(path))  # a str path, as the CLI passes it
+    assert repo.cap == 1 and list(repo.records) == ["a"]
 
 
 def test_load_record_without_connectives(tmp_path) -> None:

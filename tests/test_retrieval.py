@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fixture_llm import ScriptedBackend
 from test_embedding import cosine_similarity
 from test_kernels import reference_levenshtein
 
@@ -20,7 +21,7 @@ from causal_rag.embedding import (
     VectorIndex,
     embedding_key,
 )
-from causal_rag.gateway import CompletionRequest, LlmClient, ScriptedBackend
+from causal_rag.gateway import CompletionRequest, LlmClient
 from causal_rag.repository import (
     ExampleRecord,
     Repository,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -20,6 +21,7 @@ from fixture_llm import (
     DETECTION_SENTENCES,
     FIXTURE_MODEL_ID,
     FixtureResponder,
+    ScriptedBackend,
     canonical_record,
 )
 
@@ -28,7 +30,7 @@ from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder, normalize_for_key
 from causal_rag.errors import MalformedRecordError, TransportError
 from causal_rag.evaluation import PredictionRecord
-from causal_rag.gateway import RecordBackend, ReplayBackend, ScriptedBackend, Transcript
+from causal_rag.gateway import RecordBackend, ReplayBackend, Transcript
 from causal_rag.jsonl import read_jsonl
 from causal_rag.repository import load_repository
 from causal_rag.retrieval import StrategyKind
@@ -681,7 +683,7 @@ def test_config_rejects_a_malformed_local_embedder(name):
     with pytest.raises(ValueError, match="local-hash-<dim>"):
         ExperimentConfig(task="detect", strategy=StrategyKind.ZEROSHOT, dataset_path="d",
                          output_path="o", backend="live", embedding_model=name)
-    for valid in ("local-hash-64", "text-embedding-3-small"):
+    for valid in ("local-hash-1", "local-hash-64", "text-embedding-3-small"):
         ExperimentConfig(task="detect", strategy=StrategyKind.ZEROSHOT, dataset_path="d",
                          output_path="o", backend="live", embedding_model=valid)
 
@@ -1022,7 +1024,7 @@ def test_cli_record_run_stops_at_an_answer_no_transcript_line_can_hold(
     monkeypatch.setenv("CAUSAL_RAG_API_KEY", "k")
     transcript = tmp_path / "recorded.jsonl"
     assert main(run_flags(tmp_path, backend="record", transcript=str(transcript),
-                         concurrency="1")) == 3
+                         concurrency="1", base_url="http://127.0.0.1:9")) == 3
     assert "malformed completion payload" in capsys.readouterr().err
     assert live.posts == 4
     # the three paid answers ahead of it are kept, and their records
@@ -1205,6 +1207,26 @@ def test_cli_stats_sampling_is_deterministic(capsys):
     assert "sampled connectives" in first
 
 
+def test_cli_stats_sample_0_prints_no_sampled_section(capsys):
+    db = str(FIXTURES / "examples.db")
+    assert main(["stats", "--db", db]) == 0
+    unsampled = capsys.readouterr().out
+    assert main(["stats", "--db", db, "--sample", "0"]) == 0
+    assert capsys.readouterr().out == unsampled
+    assert "sampled" not in unsampled
+
+
+def test_cli_stats_a_sample_as_large_as_a_pool_lists_the_whole_pool(capsys):
+    by_freq: dict[int, list[str]] = {}
+    for connective, ids in load_repository(FIXTURES / "examples.db").index.items():
+        by_freq.setdefault(len(ids), []).append(connective)
+    freq, pool = max(by_freq.items(), key=lambda item: len(item[1]))
+    assert len(pool) >= 2
+    argv = ["stats", "--db", str(FIXTURES / "examples.db"), "--sample", str(len(pool))]
+    assert main(argv) == 0
+    assert f"  {freq:>3} example(s): {', '.join(sorted(pool))}\n" in capsys.readouterr().out
+
+
 def test_cli_stats_negative_sample_is_usage_error(capsys):
     argv = ["stats", "--db", str(FIXTURES / "examples.db"), "--sample", "-2"]
     assert main(argv) == 1
@@ -1224,6 +1246,29 @@ def test_cli_eval_rescoring(tmp_path, capsys):
     ]
     assert main(argv) == 0
     assert "0.8400" in capsys.readouterr().out
+
+
+def test_cli_eval_takes_the_matching_mode(tmp_path, capsys):
+    assert main(run_flags(tmp_path, task="extract", dataset=str(FIXTURES / "extract.jsonl"))) == 0
+    capsys.readouterr()
+    argv = ["eval", "--predictions", str(tmp_path / "cli.jsonl"),
+            "--dataset", str(FIXTURES / "extract.jsonl"), "--task", "extract",
+            "--matching", "optimal"]
+    assert main(argv) == 0
+    assert re.search(r"^config\.matching +optimal$", capsys.readouterr().out, re.M)
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_eval_refuses_a_provenance_score_that_is_not_finite(tmp_path, score):
+    run_experiment(replay_config(tmp_path, "detect", StrategyKind.KNN))
+    lines = (tmp_path / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    obj["provenance"][0]["score"] = score
+    lines[1] = json.dumps(obj)  # NaN and Infinity, which Python's JSON reads back
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecordError, match=r"line 2: provenance score must be a finite"):
+        eval_predictions(str(bad), str(FIXTURES / "detect.jsonl"), "detect")
 
 
 def predictions_of(tmp_path: Path, task: str) -> Path:
@@ -1532,7 +1577,7 @@ def test_cli_a_zero_vector_embedding_payload_is_a_provider_error_that_adds_no_ca
                                  "vector": [0.0, 1.0, 0.0]}) + "\n", encoding="utf-8")
     made = cache.read_bytes()
     assert main(run_flags(tmp_path, strategy="knn", cache=str(cache),
-                          embedding_model="remote-embedder")) == 3
+                          embedding_model="remote-embedder", base_url="http://127.0.0.1:9")) == 3
     err = capsys.readouterr().err
     assert ("provider error: malformed embedding payload: "
             "embedding must not be the all-zero vector") in err
@@ -1562,7 +1607,8 @@ def test_cli_a_429_storm_is_a_provider_error_with_the_resume_hint(tmp_path, caps
     monkeypatch.setattr(requests, "Session", lambda: live)
     monkeypatch.setattr(gateway, "RETRY_BASE_DELAY", 0.0)  # every backoff sleeps 0 s
     monkeypatch.setenv("CAUSAL_RAG_API_KEY", "k")
-    assert main(run_flags(tmp_path, backend="live", concurrency="1")) == 3
+    assert main(run_flags(tmp_path, backend="live", concurrency="1",
+                          base_url="http://127.0.0.1:9")) == 3
     err = capsys.readouterr().err
     assert "provider error: rate limited after 5 attempts: " in err
     assert "re-run the same command to resume" in err
