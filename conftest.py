@@ -1,5 +1,6 @@
 """Tier-1 is hermetic: no test reaches a host other than this one, and no
-test hangs the suite.
+test hangs the suite. This file sits at the root of the checkout so that it
+covers every test collected, those of `tests/` and of `perfbench/` alike.
 
 - Every test runs with `socket.getaddrinfo` and `socket.socket.connect`
   wrapped, in this process only: a host or address that is not loopback

@@ -1,11 +1,12 @@
 """Sentence embeddings: remote or local providers, a JSONL cache, exact kNN.
 
 Vectors are kept by key: the sha256 hash of the normalized sentence
-(lowercased, whitespace-collapsed) plus the embedding model id. An
-`EmbeddingService` is the one memo of a run's vectors, through the JSONL
-cache when there is one, so no text is embedded twice and re-running a
-pipeline with a cache never re-embeds text it has already seen: its
-`vector` is the one place a vector is fetched, a miss asking the provider.
+(lowercased, whitespace-collapsed) plus the embedding model id. A vector is
+its components only; its model is its key's. An `EmbeddingService` takes the
+one memo of a run's vectors, the JSONL cache when there is one, so no text is
+embedded twice and re-running a pipeline with a cache never re-embeds text it
+has already seen: its `vector` is the one place a vector is fetched, a miss
+asking the provider.
 Search is an exact cosine scan over a matrix of the corpus vectors, built
 once: the candidate pools here are a few thousand vectors at most, where an
 exact scan is both faster to run and simpler to trust than an approximate
@@ -38,11 +39,10 @@ class EmbeddingVector:
     """One embedding: a read-only, one-dimensional float64 array, 8 bytes a
     component, finite and not all zero, so every cosine similarity with it
     is defined. A read-only float64 array is kept as is; any other sequence
-    of numbers is copied into one. Two vectors are equal when their model
-    ids and components are."""
+    of numbers is copied into one. Its model is the model of the key it is
+    kept under."""
 
     values: np.ndarray
-    model_id: str
 
     def __post_init__(self) -> None:
         import numpy as np  # runs that never embed never load numpy
@@ -66,17 +66,6 @@ class EmbeddingVector:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EmbeddingVector):
-            return NotImplemented
-        import numpy as np
-
-        return self.model_id == other.model_id and np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        # adding 0.0 turns -0.0 into 0.0, which it equals
-        return hash((self.model_id, (self.values + 0.0).tobytes()))
-
 
 @dataclass(frozen=True, slots=True)
 class EmbeddingKey:
@@ -90,7 +79,7 @@ class NeighborHit:
     similarity: float
 
 
-def vector_from_json(values, model_id: str) -> EmbeddingVector:
+def vector_from_json(values) -> EmbeddingVector:
     """An embedding from a decoded JSON value, which must be a non-empty
     array of finite numbers, not all zero; anything else is a TypeError or
     ValueError."""
@@ -98,7 +87,7 @@ def vector_from_json(values, model_id: str) -> EmbeddingVector:
     if type(values) is not list or not set(map(type, values)) <= {int, float}:
         raise TypeError("embedding must be a JSON array of numbers")
     try:
-        return EmbeddingVector(values=values, model_id=model_id)
+        return EmbeddingVector(values)
     except OverflowError:  # an integer beyond float64
         raise ValueError("embedding components must be finite") from None
 
@@ -139,12 +128,9 @@ class LocalHashEmbedder:
             digest = hashlib.sha256(token.encode("utf-8")).digest()
             bucket = int.from_bytes(digest[:8], "big") % self.dim
             counts[bucket] += 1.0
-        norm = float(np.linalg.norm(counts))
-        if norm == 0.0:
-            raise ValueError("cannot embed empty text")
-        counts /= norm
+        counts /= np.linalg.norm(counts)  # at least one token, so at least 1
         counts.flags.writeable = False
-        return EmbeddingVector(values=counts, model_id=self.model_id)
+        return EmbeddingVector(counts)
 
 
 class HttpEmbeddingProvider(HttpEndpoint):
@@ -158,7 +144,7 @@ class HttpEmbeddingProvider(HttpEndpoint):
     def embed_text(self, text: str) -> EmbeddingVector:
         return self.post(
             "/v1/embeddings", {"model": self.model_id, "input": text}, "embedding",
-            lambda data: vector_from_json(data["data"][0]["embedding"], self.model_id),
+            lambda data: vector_from_json(data["data"][0]["embedding"]),
         )
 
 
@@ -193,8 +179,8 @@ class EmbeddingCache(Memo):
         if type(key) is not str or type(model) is not str:
             raise TypeError("key and model must be strings")
         model = sys.intern(model)  # one copy for every line of the model
-        vector = vector_from_json(obj["vector"], model)
-        self._check_dim(vector, line_no)
+        vector = vector_from_json(obj["vector"])
+        self._check_dim(model, vector.dim, line_no)
         dim = obj["dim"]
         if type(dim) is not int:
             raise TypeError(f"dim must be an integer, got {dim!r}")
@@ -202,18 +188,16 @@ class EmbeddingCache(Memo):
             raise ValueError(f"dim is {dim} but the vector has {vector.dim} components")
         return EmbeddingKey(key, model), vector
 
-    def _check_dim(self, vector: EmbeddingVector, line_no: int | None) -> None:
+    def _check_dim(self, model: str, dim: int, line_no: int | None) -> None:
         """Keep the dim of the model's first vector and the line it was read
         from (None for a put); refuse any other, naming the line at fault."""
-        known, first_line = self._dims.setdefault(vector.model_id, (vector.dim, line_no))
-        if known != vector.dim:
+        known, first_line = self._dims.setdefault(model, (dim, line_no))
+        if known != dim:
             raise MalformedRecordError(
-                f"model {vector.model_id!r} previously produced dim {known}, got {vector.dim}",
+                f"model {model!r} previously produced dim {known}, got {dim}",
                 line_no or first_line, self.path)
 
     def put(self, key: EmbeddingKey, vector: EmbeddingVector) -> EmbeddingVector:
-        if key.model_id != vector.model_id:
-            raise ValueError("key and vector disagree on model_id")
         line = encode_line({
             "key": key.content_hash,
             "model": key.model_id,
@@ -221,7 +205,7 @@ class EmbeddingCache(Memo):
             "vector": vector.values.tolist(),
         })
         with self._lock:
-            self._check_dim(vector, None)
+            self._check_dim(key.model_id, vector.dim, None)
             kept = self._values.get(key)
             if kept is None:
                 self._appender.append(line)
@@ -231,24 +215,17 @@ class EmbeddingCache(Memo):
 
 @dataclass
 class EmbeddingService:
-    """A provider and the one memo of its vectors, by `embedding_key`: the
-    write-through `cache` when given, else a memo in memory. A text is
-    embedded at most once per service, whoever asks for it.
+    """A provider and the one memo of its vectors, by `embedding_key`: an
+    `EmbeddingCache` to write them through to a file, else by default a new
+    memo in memory. A text is embedded at most once per service, whoever
+    asks for it.
 
     `index` makes the index's matrix the only copy of each corpus vector:
     the memo then keeps a read-only view of the text's row in place of the
     vector the provider or the cache file gave."""
 
     provider: EmbeddingProvider
-    cache: EmbeddingCache | None = None
-    memo: Memo = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.memo = self.cache if self.cache is not None else Memo()
-
-    @property
-    def model_id(self) -> str:
-        return self.provider.model_id
+    memo: Memo = field(default_factory=Memo)
 
     def vector(self, text: str, key: EmbeddingKey | None = None) -> EmbeddingVector:
         """The vector of `text`, from the provider only on a miss in the
@@ -274,7 +251,7 @@ class EmbeddingService:
         import numpy as np
 
         for row, text in enumerate(texts):
-            key = embedding_key(text, self.model_id)
+            key = embedding_key(text, self.provider.model_id)
             vector = self.vector(text, key)
             if row == 0:
                 matrix = np.empty((len(texts), vector.dim), dtype=np.float64)
@@ -283,7 +260,7 @@ class EmbeddingService:
             matrix[row] = vector.values
             view = matrix[row]
             view.flags.writeable = False
-            self.memo.rebind(key, EmbeddingVector(values=view, model_id=vector.model_id))
+            self.memo.rebind(key, EmbeddingVector(view))
             del vector
         return VectorIndex(ids, matrix)
 

@@ -421,7 +421,7 @@ def _open_embeddings(session: _Session, config: ExperimentConfig) -> None:
     file is read here, before any provider call."""
     session.embeddings = EmbeddingService(
         provider=session.embedder if session.embedder is not None else make_embedder(config),
-        cache=EmbeddingCache(config.cache_path) if config.cache_path else None,
+        memo=EmbeddingCache(config.cache_path) if config.cache_path else Memo(),
     )
 
 

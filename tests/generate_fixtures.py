@@ -20,7 +20,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+TESTS = Path(__file__).resolve().parent
+# the package from this checkout's src/ first, installed or not
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from fixture_llm import (
     DB_SENTENCES,
@@ -38,7 +40,7 @@ from causal_rag.repository import repository_stats
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import ExperimentConfig, build_db, run_experiment, sweep
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FIXTURES = TESTS / "fixtures"
 
 
 def base_config(task: str, strategy: StrategyKind, dataset: Path, out: Path, **kw) -> ExperimentConfig:

@@ -205,13 +205,13 @@ def test_criterion_03_knn_matches_exhaustive_oracle():
         corpus = {}
         for i in range(size):
             corpus[f"r{i:04d}"] = EmbeddingVector(
-                tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)), "oracle"
+                tuple(rng.uniform(-1.0, 1.0) for _ in range(dim))
             )
         if trial % 2 == 0:  # plant exact ties: duplicated vectors, distinct ids
             donors = rng.sample(sorted(corpus), 5)
             for j, donor in enumerate(donors):
                 corpus[f"tie{j:02d}"] = corpus[donor]
-        query = EmbeddingVector(tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)), "oracle")
+        query = EmbeddingVector(tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)))
 
         expected = _oracle_top_k(query, corpus, 10)
         hits = knn_search(query, index_of(corpus), 10)

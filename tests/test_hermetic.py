@@ -1,4 +1,4 @@
-"""The offline guard of `conftest.py`: a test that asks for a host other
+"""The offline guard of the root `conftest.py`: a test that asks for a host other
 than this one fails at once, naming it. (The HTTP tests of `test_gateway`
 serve on loopback, which the guard lets through.)"""
 

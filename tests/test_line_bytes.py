@@ -147,8 +147,8 @@ def test_a_transcript_line_is_encode_line_of_its_entry_seeded(tmp_path):
 
 def test_embedding_cache_line_bytes(tmp_path):
     path = tmp_path / "e.jsonl"
-    vector = EmbeddingVector((0.6, -0.8, 1e-05, 3.0), "text-embedding-3-small")
-    EmbeddingCache(path).put(EmbeddingKey("cd" * 32, vector.model_id), vector)
+    vector = EmbeddingVector((0.6, -0.8, 1e-05, 3.0))
+    EmbeddingCache(path).put(EmbeddingKey("cd" * 32, "text-embedding-3-small"), vector)
     assert path.read_bytes() == (
         b'{"dim": 4, "key": "' + b"cd" * 32 + b'", "model": "text-embedding-3-small", '
         b'"vector": [0.6, -0.8, 1e-05, 3.0]}\n'

@@ -22,6 +22,7 @@ from causal_rag.embedding import (
     embedding_key,
 )
 from causal_rag.gateway import CompletionRequest, LlmClient
+from causal_rag.jsonl import Memo
 from causal_rag.repository import (
     ExampleRecord,
     Repository,
@@ -240,7 +241,7 @@ def test_knn_matches_exhaustive_oracle() -> None:
 def test_knn_uses_cache(tmp_path) -> None:
     repo = synthetic_repo()
     embedder = LocalHashEmbedder(dim=64)
-    svc = EmbeddingService(provider=embedder, cache=EmbeddingCache(tmp_path / "c.jsonl"))
+    svc = EmbeddingService(embedder, EmbeddingCache(tmp_path / "c.jsonl"))
     retrieve_knn(svc.vector("first query"), repo, knn_index(repo, svc), cfg())
     calls_after_first = embedder.calls
     assert calls_after_first == len(repo.records) + 1
@@ -256,7 +257,7 @@ def test_knn_index_rows_are_the_only_copy_of_each_vector(tmp_path, cached) -> No
         knn_index(repo, EmbeddingService(LocalHashEmbedder(dim=64), EmbeddingCache(path)))
         written = path.read_bytes()
     embedder = LocalHashEmbedder(dim=64)
-    svc = EmbeddingService(embedder, EmbeddingCache(path) if cached else None)
+    svc = EmbeddingService(embedder, EmbeddingCache(path) if cached else Memo())
     index = knn_index(repo, svc)
     assert embedder.calls == (0 if cached else len(repo.records))
     if cached:  # rebinding a kept vector to its row writes nothing
@@ -265,7 +266,7 @@ def test_knn_index_rows_are_the_only_copy_of_each_vector(tmp_path, cached) -> No
         vector = svc.vector(repo.records[rid].raw_text)
         assert np.shares_memory(vector.values, index.matrix)
         assert np.array_equal(vector.values, index.matrix[row])
-        assert vector == embedder.embed_text(repo.records[rid].raw_text)
+        assert np.array_equal(vector.values, embedder.embed_text(repo.records[rid].raw_text).values)
     assert not index.matrix.flags.writeable
     # the memo keeps the rows in place of the vectors it was given
     assert len(svc.memo) == len({embedding_key(r.raw_text, embedder.model_id)

@@ -663,10 +663,14 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="task"):
         ExperimentConfig(task="classify", strategy=StrategyKind.ZEROSHOT,
                          dataset_path="d", output_path="o", backend="live")
+    with pytest.raises(ValueError, match="backend must be one of"):
+        ExperimentConfig(task="detect", strategy=StrategyKind.ZEROSHOT,
+                         dataset_path="d", output_path="o", backend="bogus")
 
 
 @pytest.mark.parametrize("bad", [
     {"matching": "bogus"}, {"k": 0}, {"similarity_threshold": 0.0}, {"matcher": "bogus"},
+    {"concurrency": 0},
 ])
 def test_a_bad_config_fails_at_construction_before_any_provider_call(tmp_path, bad):
     # zeroshot retrieves nothing, yet its k, threshold and matcher are checked too
