@@ -453,15 +453,10 @@ class Tally:
         return metrics
 
 
-def build_report(task: str, metrics: object, config: dict) -> dict:
-    """Bundle metrics with the run configuration for provenance."""
-    if isinstance(metrics, (DetectionMetrics, TripletMetrics)):
-        body = asdict(metrics)
-    elif isinstance(metrics, dict):
-        body = dict(metrics)
-    else:
-        raise TypeError(f"unsupported metrics object: {type(metrics)!r}")
-    return {"task": task, "metrics": body, "config": dict(config)}
+def build_report(task: str, metrics: dict, config: dict) -> dict:
+    """Bundle a `Tally.metrics()` dict with the run configuration for
+    provenance."""
+    return {"task": task, "metrics": dict(metrics), "config": dict(config)}
 
 
 def _flatten(prefix: str, value: object, rows: list[tuple[str, str]]) -> None:

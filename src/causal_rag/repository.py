@@ -212,7 +212,7 @@ def build_repository(
         if connectives is None:
             warn(__name__, "no connective extracted for %s; sentence skipped", sentence.id)
             continue
-        candidates.append((sentence, _normalized(connectives)))
+        candidates.append((sentence, tuple(connectives)))
 
     index = _index_of(((s.id, normalized) for s, normalized in candidates), cap, seed)
     kept_ids = {rid for ids in index.values() for rid in ids}

@@ -443,7 +443,7 @@ def test_build_report_and_render() -> None:
         "threshold": 0.9,
         "catalog_version": 1,
     }
-    report = build_report("detect", metrics, config)
+    report = build_report("detect", asdict(metrics), config)
     assert report["task"] == "detect"
     assert report["config"]["catalog_version"] == 1
     assert report["metrics"]["counts"]["tp"] == 1
