@@ -8,7 +8,9 @@ text is embedded twice. The backend a config names keeps each answer once
 (in the transcript, or in a memo under live), so the provider is asked once
 per distinct request, connective prompts included, and a live sweep pays
 what a record sweep pays. An injected backend is asked for every answer;
-wrap it in `RecordBackend(Memo(), backend)` to ask once per request.
+wrap it in `RecordBackend(Memo(), backend)` to ask once per request. Each
+sentence's pattern candidates and kNN hits are worked out once for all the
+cells of a sweep that use them.
 
 A sweep, and a run as a sweep of one cell, is one stream. Every cell's
 config is built and checked (`sweep_configs`) before the session loads
@@ -97,8 +99,10 @@ from .repository import (
     save_repository,
 )
 from .retrieval import (
+    UNSHARED,
     RetrievalConfig,
     RetrievalResult,
+    SentenceWork,
     StrategyKind,
     input_connectives,
     knn_index,
@@ -123,6 +127,7 @@ BUILD_DB_MAX_OUTPUT_TOKENS = 256
 # worker idles while the main thread writes or builds the kNN index
 LOOKAHEAD_PER_WORKER = 4
 _KNN = (StrategyKind.KNN, StrategyKind.KNN_PATTERN)
+_PATTERN = (StrategyKind.PATTERN, StrategyKind.KNN_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -230,7 +235,9 @@ class _Session:
     backend and, when a kNN task is to run, the embedding service (the one
     memo of repository and query vectors) and, once the stream reaches a
     kNN task, the repository's vector index, whose rows are the service's
-    copy of each repository vector."""
+    copy of each repository vector. `shared` keeps each sentence's
+    retrieval work for the other cells that use it; a single run, or a grid
+    with one cell of a kind, keeps nothing there."""
 
     def __init__(self, config: ExperimentConfig, backend: Backend | None, embedder):
         self.catalog = (
@@ -249,6 +256,7 @@ class _Session:
         self.embedder = embedder
         self.embeddings: EmbeddingService | None = None
         self.index: VectorIndex | None = None
+        self.shared: SentenceWork = UNSHARED
 
 
 def _retrieve(
@@ -263,13 +271,15 @@ def _retrieve(
     text = instance.sentence.raw_text
     if strategy is StrategyKind.RANDOM:
         return retrieve_random(repo, rcfg, salt=sid)
+    work = replace(session.shared, sentence_id=sid)
     query = None if strategy is StrategyKind.PATTERN else session.embeddings.vector(text)
     if strategy is StrategyKind.KNN:
-        return retrieve_knn(query, repo, session.index, rcfg)
+        return retrieve_knn(query, repo, session.index, rcfg, work)
     connectives = input_connectives(text, session.llm, session.catalog)
     if strategy is StrategyKind.PATTERN:
-        return retrieve_pattern(connectives, repo, rcfg, salt=sid)
-    return retrieve_knn_pattern(query, connectives, repo, session.index, rcfg, salt=sid)
+        return retrieve_pattern(connectives, repo, rcfg, salt=sid, work=work)
+    return retrieve_knn_pattern(query, connectives, repo, session.index, rcfg, salt=sid,
+                                work=work)
 
 
 def _process_instance(
@@ -394,6 +404,18 @@ def _open_cell(session: _Session, config: ExperimentConfig) -> _Cell:
     return _Cell(config, config.retrieval_config(), tally, todo, tally.sentences)
 
 
+def _share_retrieval(session: _Session, cells: Sequence[_Cell]) -> None:
+    """Keep each sentence's kNN hits, or its pattern candidates, for the
+    other cells only where more than one cell still to run needs them."""
+    knn = [cell.config.k for cell in cells if cell.todo and cell.knn]
+    pattern = [cell for cell in cells if cell.todo and cell.config.strategy in _PATTERN]
+    session.shared = SentenceWork(
+        "", depth=max(knn, default=0),
+        hits=Memo() if len(knn) > 1 else None,
+        candidates=Memo() if len(pattern) > 1 else None,
+    )
+
+
 def _open_embeddings(session: _Session, config: ExperimentConfig) -> None:
     """The embedding service of a stream with a kNN task to run; its cache
     file is read here, before any provider call."""
@@ -415,6 +437,7 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
     starts, and the cells ahead of it, and the failing cell's lines ahead
     of it, are written before it is raised."""
     cells = [_open_cell(session, config) for config in configs]
+    _share_retrieval(session, cells)
     if any(cell.knn and cell.todo for cell in cells):
         _open_embeddings(session, configs[0])
     tasks = ((cell, instance) for cell in cells for instance in cell.todo)

@@ -25,7 +25,7 @@ from fixture_llm import (
     canonical_record,
 )
 
-from causal_rag import cli, runner
+from causal_rag import cli, retrieval, runner
 from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder, normalize_for_key
 from causal_rag.errors import MalformedRecordError, TransportError
@@ -790,9 +790,22 @@ def test_sweep_asks_each_sentence_for_its_connectives_once(tmp_path, monkeypatch
     assert any(s.connective is None for s in DETECTION_SENTENCES)
 
 
-def test_every_sweep_cell_writes_the_bytes_of_its_own_run(tmp_path):
-    """At any concurrency, with workers interleaving often, each cell of a
-    sweep over every retrieving strategy writes what it writes as a run."""
+def test_a_sweep_does_each_sentences_retrieval_work_once(tmp_path, monkeypatch):
+    """Each sentence's pattern candidates and kNN hits are worked out once a
+    sweep, not once a cell, and every cell keeps the bytes of its own run."""
+    calls: Counter[str] = Counter()
+    lock = threading.Lock()
+
+    def counted(name):
+        work = getattr(retrieval, name)
+
+        def counting(*args):
+            with lock:
+                calls[name] += 1
+            return work(*args)
+
+        return counting
+
     strategies = [StrategyKind.RANDOM, StrategyKind.PATTERN, StrategyKind.KNN,
                   StrategyKind.KNN_PATTERN]
     k_values = [1, 5, 10]
@@ -805,8 +818,11 @@ def test_every_sweep_cell_writes_the_bytes_of_its_own_run(tmp_path):
             run_experiment(replace(base, strategy=strategy, k=k, output_path=str(out)),
                            backend=ScriptedBackend(FixtureResponder()))
             alone[f"{strategy.value}.k{k}"] = out.read_bytes()
+    monkeypatch.setattr(retrieval, "_pattern_candidates", counted("_pattern_candidates"))
+    monkeypatch.setattr(retrieval, "knn_search", counted("knn_search"))
     interval = sys.getswitchinterval()
     for concurrency in (1, 3, 8):
+        calls.clear()
         csv_path = tmp_path / f"c{concurrency}.csv"
         sys.setswitchinterval(1e-6)  # cells overlap, and workers interleave often
         try:
@@ -814,6 +830,8 @@ def test_every_sweep_cell_writes_the_bytes_of_its_own_run(tmp_path):
                   backend=ScriptedBackend(FixtureResponder()))
         finally:
             sys.setswitchinterval(interval)
+        # 6 cells use each, so 150 calls without the memo
+        assert calls == {"_pattern_candidates": 25, "knn_search": 25}
         for cell, data in alone.items():
             assert Path(f"{csv_path}.{cell}.jsonl").read_bytes() == data, cell
 

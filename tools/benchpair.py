@@ -11,8 +11,8 @@ outside the tree, which is removed when the run ends; nothing is added to
 the repository's `.git`. For each seed and each of `--pairs` pairs, both
 trees run `perfbench/run.py --workload W --seed S --seconds T` as a fresh
 process, the revision first in even pairs and this checkout first in odd
-ones. Each run's `info` line (with `output_sha256`), its `env` line and its
-last line's metrics are parsed and kept.
+ones. Each run's exit status, its `info` line (with `output_sha256`), its
+`env` line and its last line (metrics, `correct`, `failed`) are kept.
 
 `BENCH_<workload>.json` (in `--out-dir`, by default the checkout's root)
 holds every run, and for each end-to-end metric of `BENCHMARK.json` and
@@ -23,7 +23,11 @@ a verdict:
 - "worse": this checkout's median is worse than the revision's by more
   than the metric's bound, a share of the revision's median;
 - "improved": at least `CLAIM_SHARE` of at least `CLAIM_PAIRS` pairs won,
-  and a median gap larger than the revision's own quartile spread;
+  a median gap larger than the revision's own quartile spread, and no more
+  failures on this checkout's side than on the revision's for that seed:
+  neither more failed queries (`failed`, summed over its runs) nor more
+  runs that failed perfbench's correctness gate (`correct` false, or a
+  non-zero exit status). A gain with more failures reads "unchanged";
 - "unresolved": neither, and a side's quartile spread is wider than the
   bound, unless every run of this checkout reads better than every run of
   the revision;
@@ -87,7 +91,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     try:
-        return parse_run(proc.stdout)
+        return dict(parse_run(proc.stdout), returncode=proc.returncode)
     except (ValueError, KeyError) as exc:
         tail = "\n".join(proc.stderr.strip().splitlines()[-10:])
         raise RuntimeError(
@@ -166,17 +170,33 @@ def overall(verdicts: Sequence[str]) -> str:
     return "unchanged"
 
 
+def failures(pairs: Sequence[dict], side: str) -> dict:
+    """One side's failed queries and the runs that failed the gate."""
+    return {
+        "failed": sum(p[side]["failed"] for p in pairs),
+        "gate_failures": sum(not p[side]["correct"] or p[side]["returncode"] != 0
+                             for p in pairs),
+    }
+
+
 def summarize(runs: dict[str, list[dict]], end_to_end: Sequence[dict]) -> dict:
-    """The metrics and digests blocks of `BENCH_<workload>.json`."""
+    """The metrics, failures and digests blocks of `BENCH_<workload>.json`."""
+    counted = {}
+    for seed, pairs in runs.items():
+        sides = {side: failures(pairs, side) for side in SIDES}
+        more = any(sides["change"][key] > sides["base"][key] for key in sides["base"])
+        counted[seed] = dict(sides, change_fails_more=more)
     metrics = {}
     for spec in end_to_end:
         name = spec["name"]
-        seeds = {
-            seed: compare([p["base"]["metrics"][name] for p in pairs],
-                          [p["change"]["metrics"][name] for p in pairs],
-                          spec["better"], spec["bound"])
-            for seed, pairs in runs.items()
-        }
+        seeds = {}
+        for seed, pairs in runs.items():
+            result = compare([p["base"]["metrics"][name] for p in pairs],
+                             [p["change"]["metrics"][name] for p in pairs],
+                             spec["better"], spec["bound"])
+            if result["verdict"] == "improved" and counted[seed]["change_fails_more"]:
+                result["verdict"] = "unchanged"
+            seeds[seed] = result
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -188,7 +208,7 @@ def summarize(runs: dict[str, list[dict]], end_to_end: Sequence[dict]) -> dict:
     for seed, pairs in runs.items():
         sides = {side: sorted({p[side]["output_sha256"] for p in pairs}) for side in SIDES}
         digests[seed] = dict(sides, same=sides["base"] == sides["change"])
-    return {"metrics": metrics, "digests": digests}
+    return {"metrics": metrics, "failures": counted, "digests": digests}
 
 
 def _git(root: Path, *args: str) -> str:
