@@ -11,7 +11,9 @@ Search is an exact cosine scan over a matrix of the corpus vectors, built
 once: the candidate pools here are a few thousand vectors at most, where an
 exact scan is both faster to run and simpler to trust than an approximate
 index. The service's `index` is the one place a row is written; its memo
-then keeps a view of that row, so each corpus vector is held once.
+then keeps a view of that row, so each corpus vector is held once. An index
+told to `keep_hits(depth)` keeps each query's top `depth` hits, so a query
+asked for at several k is ranked once.
 
 numpy is imported where a vector is first made or scanned, so runs that
 never embed (random, pattern and zeroshot retrieval, `build-db`, `eval`,
@@ -278,7 +280,11 @@ class VectorIndex:
 
     `ids` must be strictly ascending: row order is then the tie order of
     `knn_search`. `matrix` is a float64 array of one row per id, frozen in
-    place rather than copied (`EmbeddingService.index` builds one)."""
+    place rather than copied (`EmbeddingService.index` builds one).
+
+    `hits` keeps each query's top `depth` hits by the query object (an
+    `EmbeddingVector` is equal only to itself, and the memo holds it, so
+    its id is never reused); at depth 0, the default, nothing is kept."""
 
     def __init__(self, ids: Sequence[str], matrix: np.ndarray):
         _check_ids(ids)
@@ -290,17 +296,34 @@ class VectorIndex:
         self.ids = tuple(ids)
         self.matrix = matrix
         self.norms = np.sqrt(np.vecdot(matrix, matrix))
+        self.depth = 0
+        self.hits = Memo()
+
+    def keep_hits(self, depth: int) -> None:
+        """From now on, rank each query once, to `depth`, for every k up to
+        it; what an earlier depth kept is dropped."""
+        self.hits = Memo()
+        self.depth = depth
 
 
 def knn_search(query: EmbeddingVector, index: VectorIndex, k: int) -> list[NeighborHit]:
     """Exact top-k by cosine similarity, ties broken by ascending record id.
+    A k within the index's kept depth is a prefix of the query's kept
+    ranking: the sort is stable, so each top k is a prefix of a longer one."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k <= index.depth:
+        return index.hits.fill(query, lambda: _ranking(query, index, index.depth))[:k]
+    return _ranking(query, index, k)
+
+
+def _ranking(query: EmbeddingVector, index: VectorIndex, k: int) -> list[NeighborHit]:
+    """The top k of `index` for `query`, worked out.
 
     Each score is dot / (|query| * |row|), in that order. np.vecdot takes
     every dot product, and every squared row norm, bit for bit as np.dot
     takes it for one pair; a matrix product may round differently, and a
     last-bit change can reorder ties or change a prompt."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if query.dim != index.matrix.shape[1]:
         raise ValueError(f"dim {query.dim} vs {index.matrix.shape[1]}")
     import numpy as np

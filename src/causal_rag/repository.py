@@ -10,7 +10,8 @@ only pattern retrieval and `stats` make, and the saved file stores nothing
 else. The file is read and written through `jsonl`, and every field of
 every record is checked, a record's `tagged_text` included: with its tags
 removed it must be its `text`. A loaded repository keeps one copy of each
-source and each connective.
+source and each connective, and pattern retrieval's matches of its index
+keys (`key_matches`), so each connective is matched against the index once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 from .corpus import TAG_RE, CauseEffectPair, TaggedSentence, normalize_lower, render_tagged
 from .errors import MalformedRecordError, UnparseableResponseError, warn
 from .gateway import LlmClient
-from .jsonl import encode_line, read_json_objects, replace_lines
+from .jsonl import Memo, encode_line, read_json_objects, replace_lines
 from .prompting import PromptCatalog, connective_prompt
 
 SCHEMA_VERSION = 1
@@ -57,11 +58,15 @@ class RepositoryStats:
 
 @dataclass(frozen=True)
 class Repository:
-    """Stored records and the (cap, seed) their connective index is built with."""
+    """Stored records and the (cap, seed) their connective index is built
+    with. `key_matches` keeps, by (normalized connective, threshold,
+    matcher), the index keys that pattern retrieval found scoring above
+    the threshold, with their scores."""
 
     records: dict[str, ExampleRecord]
     cap: int
     seed: int
+    key_matches: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
     @cached_property
     def index(self) -> dict[str, tuple[str, ...]]:

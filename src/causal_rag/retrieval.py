@@ -9,8 +9,10 @@ concatenates both blocks, kNN first, deduplicated by record id. Each
 strategy builds only its provenance list; `RetrievalResult.of` looks up the
 records it names.
 
-Neither a sentence's pattern candidates nor its kNN ranking depends on k,
-so a sweep keeps each for its other cells in a `SentenceWork`.
+Each strategy is a function of its arguments alone. The work that does not
+depend on k is kept with the data it is worked out from: the repository
+keeps each connective's key matches (`Repository.key_matches`), and an index
+told to keep hits keeps each query's ranking (`VectorIndex.keep_hits`).
 
 All sampling is driven by (seed, salt) so that a fixed configuration
 reproduces identical choices; the runner salts with the input sentence id,
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .embedding import EmbeddingService, EmbeddingVector, NeighborHit, VectorIndex, knn_search
+from .embedding import EmbeddingService, EmbeddingVector, VectorIndex, knn_search
 from .errors import UnparseableResponseError
 from .gateway import LlmClient
-from .jsonl import Memo
 from .kernels import edit_ratio, token_subsequence
 from .prompting import PromptCatalog, connective_prompt
 from .repository import Repository, ExampleRecord, normalize_connective, parse_connective_response
@@ -99,37 +100,6 @@ class RetrievalResult:
             raise ValueError("duplicate record ids in retrieval result")
         examples = tuple([repo.records[rid] for rid in ids])
         return cls(examples, tuple(provenance), fallback_used)
-
-
-@dataclass(frozen=True)
-class SentenceWork:
-    """Where one sentence's k-independent retrieval work is kept, by its
-    `sentence_id`, for the other cells of a sweep that need it. `hits`
-    keeps its kNN hits at the grid's largest k, `depth`: the ranking is a
-    stable sort, so the top k is a prefix of the top depth. `candidates`
-    keeps its pattern candidate map; only the down-sample to k differs per
-    cell. A memo that is None keeps nothing, and each call does its own
-    work at its own k (`UNSHARED` keeps neither)."""
-
-    sentence_id: str
-    depth: int = 0
-    hits: Memo | None = None
-    candidates: Memo | None = None
-
-    def knn_hits(self, query: EmbeddingVector, index: VectorIndex, k: int) -> list[NeighborHit]:
-        if self.hits is None:
-            return knn_search(query, index, k)
-        return self.hits.fill(self.sentence_id, lambda: knn_search(query, index, self.depth))[:k]
-
-    def pattern_candidates(self, input_connectives: Sequence[str], repo: Repository,
-                           cfg: RetrievalConfig) -> dict[str, tuple[float, str]]:
-        if self.candidates is None:
-            return _pattern_candidates(input_connectives, repo, cfg)
-        return self.candidates.fill(
-            self.sentence_id, lambda: _pattern_candidates(input_connectives, repo, cfg))
-
-
-UNSHARED = SentenceWork("")
 
 
 def zeroshot_result() -> RetrievalResult:
@@ -208,12 +178,11 @@ def retrieve_knn(
     repo: Repository,
     index: VectorIndex,
     cfg: RetrievalConfig,
-    work: SentenceWork = UNSHARED,
 ) -> RetrievalResult:
     """Top-k repository records by embedding similarity to the input's
     vector `query`; `index` is `knn_index(repo, embeddings)`, embedded
     by the same service as the query."""
-    hits = work.knn_hits(query, index, cfg.k)
+    hits = knn_search(query, index, cfg.k)
     provenance = [ExampleProvenance(h.record_id, "knn", score=h.similarity) for h in hits]
     return RetrievalResult.of(repo, provenance)
 
@@ -222,19 +191,21 @@ def _pattern_candidates(
     input_connectives: Sequence[str], repo: Repository, cfg: RetrievalConfig
 ) -> dict[str, tuple[float, str]]:
     """Map record id -> (best similarity, matched index key) over all index
-    keys scoring strictly above the threshold against any input connective."""
-    normalized = [normalize_connective(c) for c in input_connectives]
-    normalized = [c for c in normalized if c]
-    best: dict[str, tuple[float, str]] = {}
-    if not normalized:
-        return best
-    threshold = cfg.similarity_threshold
-    for key, norm_key in repo.normalized_keys:
-        key_score = 0.0
-        for connective in normalized:
-            key_score = max(key_score, _similarity(connective, norm_key, cfg.matcher, threshold))
-        if key_score <= threshold:
+    keys scoring strictly above the threshold against any input connective.
+    Each connective's key matches are the repository's, worked out on its
+    first use at this threshold and matcher."""
+    threshold, matcher = cfg.similarity_threshold, cfg.matcher
+    scores: dict[str, float] = {}  # each matched key's best score
+    for connective in map(normalize_connective, input_connectives):
+        if not connective:
             continue
+        matches = repo.key_matches.fill(
+            (connective, threshold, matcher),
+            lambda: _key_matches(connective, repo, threshold, matcher))
+        for key, score in matches:
+            scores[key] = max(score, scores.get(key, 0.0))
+    best: dict[str, tuple[float, str]] = {}
+    for key, key_score in scores.items():
         for rid in repo.index[key]:
             held = best.get(rid)
             # prefer higher similarity; on ties the lexicographically
@@ -244,12 +215,21 @@ def _pattern_candidates(
     return best
 
 
+def _key_matches(
+    connective: str, repo: Repository, threshold: float, matcher: str
+) -> tuple[tuple[str, float], ...]:
+    """(index key, score) of each key of `repo` scoring strictly above
+    `threshold` against the normalized, non-empty `connective`."""
+    scored = ((key, _similarity(connective, norm_key, matcher, threshold))
+              for key, norm_key in repo.normalized_keys)
+    return tuple((key, score) for key, score in scored if score > threshold)
+
+
 def retrieve_pattern(
     input_connectives: Sequence[str],
     repo: Repository,
     cfg: RetrievalConfig,
     salt: str = "",
-    work: SentenceWork = UNSHARED,
 ) -> RetrievalResult:
     """Records indexed under connectives similar to the input's connective.
 
@@ -258,7 +238,7 @@ def retrieve_pattern(
     """
     if not repo.records:
         raise ValueError("repository is empty")
-    best = work.pattern_candidates(input_connectives, repo, cfg)
+    best = _pattern_candidates(input_connectives, repo, cfg)
     if not best:
         if not cfg.fallback_to_random:
             return RetrievalResult.of(repo, [])
@@ -283,12 +263,11 @@ def retrieve_knn_pattern(
     index: VectorIndex,
     cfg: RetrievalConfig,
     salt: str = "",
-    work: SentenceWork = UNSHARED,
 ) -> RetrievalResult:
     """Concatenate the kNN block and the pattern block, kNN first, then drop
     duplicate record ids keeping the first occurrence; at most 2k examples."""
-    knn = retrieve_knn(query, repo, index, cfg, work)
-    pattern = retrieve_pattern(input_connectives, repo, cfg, salt, work)
+    knn = retrieve_knn(query, repo, index, cfg)
+    pattern = retrieve_pattern(input_connectives, repo, cfg, salt)
     first: dict[str, ExampleProvenance] = {}  # by record id, in insertion order
     for p in knn.provenance + pattern.provenance:
         first.setdefault(p.record_id, p)

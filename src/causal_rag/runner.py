@@ -8,9 +8,10 @@ text is embedded twice. The backend a config names keeps each answer once
 (in the transcript, or in a memo under live), so the provider is asked once
 per distinct request, connective prompts included, and a live sweep pays
 what a record sweep pays. An injected backend is asked for every answer;
-wrap it in `RecordBackend(Memo(), backend)` to ask once per request. Each
-sentence's pattern candidates and kNN hits are worked out once for all the
-cells of a sweep that use them.
+wrap it in `RecordBackend(Memo(), backend)` to ask once per request. The
+session's repository matches each connective against its index once, and
+when more than one kNN cell is to run, the index ranks each query once, to
+the largest k of those cells, for all of them.
 
 A sweep, and a run as a sweep of one cell, is one stream. Every cell's
 config is built and checked (`sweep_configs`) before the session loads
@@ -99,10 +100,8 @@ from .repository import (
     save_repository,
 )
 from .retrieval import (
-    UNSHARED,
     RetrievalConfig,
     RetrievalResult,
-    SentenceWork,
     StrategyKind,
     input_connectives,
     knn_index,
@@ -127,7 +126,6 @@ BUILD_DB_MAX_OUTPUT_TOKENS = 256
 # worker idles while the main thread writes or builds the kNN index
 LOOKAHEAD_PER_WORKER = 4
 _KNN = (StrategyKind.KNN, StrategyKind.KNN_PATTERN)
-_PATTERN = (StrategyKind.PATTERN, StrategyKind.KNN_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -235,9 +233,9 @@ class _Session:
     backend and, when a kNN task is to run, the embedding service (the one
     memo of repository and query vectors) and, once the stream reaches a
     kNN task, the repository's vector index, whose rows are the service's
-    copy of each repository vector. `shared` keeps each sentence's
-    retrieval work for the other cells that use it; a single run, or a grid
-    with one cell of a kind, keeps nothing there."""
+    copy of each repository vector. The repository keeps each connective's
+    key matches, and the index, where more than one kNN cell is to run,
+    each query's hits, for every cell that asks again."""
 
     def __init__(self, config: ExperimentConfig, backend: Backend | None, embedder):
         self.catalog = (
@@ -256,7 +254,6 @@ class _Session:
         self.embedder = embedder
         self.embeddings: EmbeddingService | None = None
         self.index: VectorIndex | None = None
-        self.shared: SentenceWork = UNSHARED
 
 
 def _retrieve(
@@ -271,15 +268,13 @@ def _retrieve(
     text = instance.sentence.raw_text
     if strategy is StrategyKind.RANDOM:
         return retrieve_random(repo, rcfg, salt=sid)
-    work = replace(session.shared, sentence_id=sid)
     query = None if strategy is StrategyKind.PATTERN else session.embeddings.vector(text)
     if strategy is StrategyKind.KNN:
-        return retrieve_knn(query, repo, session.index, rcfg, work)
+        return retrieve_knn(query, repo, session.index, rcfg)
     connectives = input_connectives(text, session.llm, session.catalog)
     if strategy is StrategyKind.PATTERN:
-        return retrieve_pattern(connectives, repo, rcfg, salt=sid, work=work)
-    return retrieve_knn_pattern(query, connectives, repo, session.index, rcfg, salt=sid,
-                                work=work)
+        return retrieve_pattern(connectives, repo, rcfg, salt=sid)
+    return retrieve_knn_pattern(query, connectives, repo, session.index, rcfg, salt=sid)
 
 
 def _process_instance(
@@ -404,16 +399,14 @@ def _open_cell(session: _Session, config: ExperimentConfig) -> _Cell:
     return _Cell(config, config.retrieval_config(), tally, todo, tally.sentences)
 
 
-def _share_retrieval(session: _Session, cells: Sequence[_Cell]) -> None:
-    """Keep each sentence's kNN hits, or its pattern candidates, for the
-    other cells only where more than one cell still to run needs them."""
-    knn = [cell.config.k for cell in cells if cell.todo and cell.knn]
-    pattern = [cell for cell in cells if cell.todo and cell.config.strategy in _PATTERN]
-    session.shared = SentenceWork(
-        "", depth=max(knn, default=0),
-        hits=Memo() if len(knn) > 1 else None,
-        candidates=Memo() if len(pattern) > 1 else None,
-    )
+def _build_index(session: _Session, cells: Sequence[_Cell]) -> VectorIndex:
+    """The repository's vector index; where more than one kNN cell is to
+    run, it keeps each query's hits to the largest k of those cells."""
+    index = knn_index(session.repo, session.embeddings)
+    knn_ks = [cell.config.k for cell in cells if cell.knn and cell.todo]
+    if len(knn_ks) > 1:
+        index.keep_hits(max(knn_ks))
+    return index
 
 
 def _open_embeddings(session: _Session, config: ExperimentConfig) -> None:
@@ -437,7 +430,6 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
     starts, and the cells ahead of it, and the failing cell's lines ahead
     of it, are written before it is raised."""
     cells = [_open_cell(session, config) for config in configs]
-    _share_retrieval(session, cells)
     if any(cell.knn and cell.todo for cell in cells):
         _open_embeddings(session, configs[0])
     tasks = ((cell, instance) for cell in cells for instance in cell.todo)
@@ -468,7 +460,7 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
                 break
             if cell.knn and session.index is None:
                 try:  # while the tasks queued ahead of it run
-                    session.index = knn_index(session.repo, session.embeddings)
+                    session.index = _build_index(session, cells)
                 except ProviderError as exc:
                     failures.append((position, cell, exc))
                     break

@@ -523,6 +523,32 @@ def test_knn_matches_exhaustive_oracle_seeded() -> None:
         assert [(h.similarity, h.record_id) for h in everything] == oracle
 
 
+def test_kept_hits_serve_every_k_as_a_fresh_index_does() -> None:
+    rng = random.Random(31337)
+    depth = 6
+    corpus = {f"rec-{i:02d}": vec(*[rng.uniform(-1, 1) for _ in range(8)]) for i in range(30)}
+    query = vec(*[rng.uniform(-1, 1) for _ in range(8)])
+    # a tie that straddles the depth-th place: five rows equal to the 4th best
+    fourth = knn_search(query, index_of(corpus), 4)[-1].record_id
+    for j in range(5):
+        corpus[f"rec-tie{j}"] = corpus[fourth]
+    kept = index_of(corpus)
+    kept.keep_hits(depth)
+    for _ in range(2):
+        for k in range(1, depth + 3):
+            assert knn_search(query, kept, k) == knn_search(query, index_of(corpus), k), k
+    assert sum(h.record_id.startswith("rec-tie") for h in knn_search(query, kept, depth)) < 5
+    assert len(kept.hits) == 1
+    # an equal but distinct query object is kept under its own entry
+    twin = EmbeddingVector(query.values)
+    assert knn_search(twin, kept, depth) == knn_search(query, kept, depth)
+    assert len(kept.hits) == 2
+    # a new depth drops what the old one kept
+    kept.keep_hits(2)
+    assert len(kept.hits) == 0
+    assert knn_search(query, kept, 3) == knn_search(query, index_of(corpus), 3)
+
+
 def test_knn_validation() -> None:
     with pytest.raises(ValueError):
         index_of({})

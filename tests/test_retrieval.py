@@ -405,6 +405,29 @@ def test_pattern_candidates_match_all_pairs_oracle() -> None:
     assert nonempty > 200
 
 
+def test_pattern_candidates_from_one_repository_at_interleaved_settings() -> None:
+    """One repository, asked again and again at interleaved thresholds and
+    both matchers, answers each time as if asked first: the key matches it
+    keeps are kept per connective, threshold and matcher."""
+    rng = random.Random(6174)
+    index = {_random_connective(rng): (f"r{i:02d}",) for i in range(40)}
+    index.update({"lead to": ("r90",), "leads to": ("r91",), "largely lead to a": ("r92",)})
+    repo = repo_of_index(index)
+    queries = [["lead to"], ["lead to", "  LEADS   to "], [rng.choice(list(index))],
+               [_random_connective(rng)], ["led to", "lead to"]]
+    settings = [cfg(similarity_threshold=t, matcher=m)
+                for t in (0.5, 0.6, 0.75, 0.85, 0.9, 0.95, 1.0) for m in MATCHERS]
+    for round_no in range(3):
+        random.Random(round_no).shuffle(settings)
+        for c in settings:
+            for connectives in queries:
+                assert (_pattern_candidates(connectives, repo, c)
+                        == reference_candidates(connectives, repo, c)), (connectives, c)
+    # each (connective, threshold, matcher) is kept once, however often asked
+    distinct = {normalize_connective(x) for q in queries for x in q}
+    assert len(repo.key_matches) == len(distinct) * len(settings)
+
+
 def test_pattern_candidates_threshold_edges() -> None:
     index = {
         "leads to a": ("r1",),  # 10 characters, one edit from the query

@@ -25,14 +25,14 @@ from fixture_llm import (
     canonical_record,
 )
 
-from causal_rag import cli, retrieval, runner
+from causal_rag import cli, embedding, retrieval, runner
 from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder, normalize_for_key
 from causal_rag.errors import MalformedRecordError, TransportError
 from causal_rag.evaluation import PredictionRecord
 from causal_rag.gateway import RecordBackend, ReplayBackend, Transcript
 from causal_rag.jsonl import read_jsonl
-from causal_rag.repository import load_repository
+from causal_rag.repository import load_repository, normalize_connective
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import (
     ExperimentConfig,
@@ -790,21 +790,25 @@ def test_sweep_asks_each_sentence_for_its_connectives_once(tmp_path, monkeypatch
     assert any(s.connective is None for s in DETECTION_SENTENCES)
 
 
-def test_a_sweep_does_each_sentences_retrieval_work_once(tmp_path, monkeypatch):
-    """Each sentence's pattern candidates and kNN hits are worked out once a
-    sweep, not once a cell, and every cell keeps the bytes of its own run."""
-    calls: Counter[str] = Counter()
+def test_a_sweep_matches_each_connective_and_ranks_each_query_once(tmp_path, monkeypatch):
+    """A sweep scans the repository's index once per distinct connective and
+    ranks each query vector once, whatever the cells and the workers, and
+    every cell keeps the bytes of its own run."""
+    scanned: list[str] = []  # the connective of each scan of the index
+    ranked: list[tuple[int, int]] = []  # (query vector id, depth) of each ranking
+    asked: list[str] = []  # each connective the model named
     lock = threading.Lock()
 
-    def counted(name):
-        work = getattr(retrieval, name)
+    def spy(module, name, note):
+        work = getattr(module, name)
 
-        def counting(*args):
+        def spying(*args):
+            result = work(*args)
             with lock:
-                calls[name] += 1
-            return work(*args)
+                note(args, result)
+            return result
 
-        return counting
+        monkeypatch.setattr(module, name, spying)
 
     strategies = [StrategyKind.RANDOM, StrategyKind.PATTERN, StrategyKind.KNN,
                   StrategyKind.KNN_PATTERN]
@@ -818,11 +822,14 @@ def test_a_sweep_does_each_sentences_retrieval_work_once(tmp_path, monkeypatch):
             run_experiment(replace(base, strategy=strategy, k=k, output_path=str(out)),
                            backend=ScriptedBackend(FixtureResponder()))
             alone[f"{strategy.value}.k{k}"] = out.read_bytes()
-    monkeypatch.setattr(retrieval, "_pattern_candidates", counted("_pattern_candidates"))
-    monkeypatch.setattr(retrieval, "knn_search", counted("knn_search"))
+    spy(retrieval, "_key_matches", lambda args, _: scanned.append(args[0]))
+    spy(embedding, "_ranking", lambda args, _: ranked.append((id(args[0]), args[2])))
+    spy(runner, "input_connectives", lambda _, result: asked.extend(result))
+    queries = {normalize_for_key(s.text) for s in DETECTION_SENTENCES}
     interval = sys.getswitchinterval()
     for concurrency in (1, 3, 8):
-        calls.clear()
+        for log in (scanned, ranked, asked):
+            log.clear()
         csv_path = tmp_path / f"c{concurrency}.csv"
         sys.setswitchinterval(1e-6)  # cells overlap, and workers interleave often
         try:
@@ -830,10 +837,35 @@ def test_a_sweep_does_each_sentences_retrieval_work_once(tmp_path, monkeypatch):
                   backend=ScriptedBackend(FixtureResponder()))
         finally:
             sys.setswitchinterval(interval)
-        # 6 cells use each, so 150 calls without the memo
-        assert calls == {"_pattern_candidates": 25, "knn_search": 25}
+        connectives = {normalize_connective(c) for c in asked} - {""}
+        assert 1 < len(connectives) < len(DETECTION_SENTENCES)  # sentences share some
+        assert sorted(scanned) == sorted(connectives)  # each once
+        # each query once, to the largest k, for its 6 kNN cells
+        assert len(ranked) == len(set(ranked)) == len(queries) > 1
+        assert {depth for _, depth in ranked} == {max(k_values)}
         for cell, data in alone.items():
             assert Path(f"{csv_path}.{cell}.jsonl").read_bytes() == data, cell
+
+
+@pytest.mark.parametrize("strategies, k_values, depth", [
+    ([StrategyKind.KNN], [5], None),
+    ([StrategyKind.RANDOM, StrategyKind.KNN_PATTERN], [5], None),
+    ([StrategyKind.KNN], [5, 1], 5),
+    ([StrategyKind.PATTERN, StrategyKind.KNN_PATTERN], [1, 10], 10),
+], ids=["run", "one-knn-cell", "two-knn-cells", "knn-pattern"])
+def test_the_index_keeps_hits_only_for_more_than_one_knn_cell(
+        tmp_path, monkeypatch, strategies, k_values, depth):
+    kept: list[int] = []
+    keep_hits = embedding.VectorIndex.keep_hits
+    monkeypatch.setattr(embedding.VectorIndex, "keep_hits",
+                        lambda index, depth: kept.append(depth) or keep_hits(index, depth))
+    base = replay_config(tmp_path, "detect", strategies[0], k=k_values[0])
+    backend = ScriptedBackend(FixtureResponder())
+    if len(strategies) * len(k_values) == 1:
+        run_experiment(base, backend=backend)
+    else:
+        sweep(base, strategies, k_values, str(tmp_path / "grid.csv"), backend=backend)
+    assert kept == ([] if depth is None else [depth])
 
 
 # distinct request digests of a sweep over every strategy at k 1, 5 and 10
