@@ -19,7 +19,10 @@ Chat (`LiveBackend`) and embedding (`embedding.HttpEmbeddingProvider`)
 requests go through one `HttpEndpoint.post`, so they share one rule for
 each of: the API key (passed in, else `$CAUSAL_RAG_API_KEY`; without one
 nothing is sent), retries and malformed payloads (a `ProviderError`
-naming the payload)."""
+naming the payload).
+
+Every provider fan-out (runs, sweeps, `build-db`) goes through `in_order`,
+one ordered stream that a provider error stops."""
 
 from __future__ import annotations
 
@@ -30,11 +33,13 @@ import random
 import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
 
 from .errors import ProviderError, ReplayMissError, TransportError
 from .jsonl import LineAppender, Memo, read_jsonl
@@ -46,8 +51,12 @@ API_KEY_ENV = "CAUSAL_RAG_API_KEY"
 DEFAULT_TIMEOUT = 60.0
 RETRY_ATTEMPTS = 5
 RETRY_BASE_DELAY = 1.0
+# items queued ahead of the one yielded, per worker: enough that no worker
+# idles while the caller handles a result or reads the next item
+LOOKAHEAD_PER_WORKER = 4
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 # the compact canonical form a request hash is taken over
 _encode_digest_payload = json.JSONEncoder(
@@ -318,3 +327,51 @@ class LlmClient:
 
     def complete_text(self, system_text: str, user_text: str) -> str:
         return self.complete(self.request(system_text, user_text))
+
+
+def in_order(work: Callable[[T], R], items: Iterable[T], concurrency: int) -> Iterator[R]:
+    """`work(item)` for each of `items`, yielded in their order. `items` is
+    read on the calling thread. At concurrency 1 each item is worked there as
+    it is read, and no pool is started. Above 1, one pool of `concurrency`
+    workers runs them, at most `LOOKAHEAD_PER_WORKER` items a worker queued
+    ahead of the one yielded. A `ProviderError`, from `work` or from reading
+    an item, stops the stream: no item behind it is read or started, every
+    result ahead of it is yielded, and then it is raised."""
+    if concurrency == 1:
+        yield from map(work, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
+    failed: list[int] = []  # the positions whose work raised a ProviderError
+
+    def guarded(position: int, item: T) -> R | None:
+        if failed and position > min(failed):
+            return None  # behind a failure: never yielded
+        try:
+            return work(item)
+        except ProviderError:
+            failed.append(position)
+            raise
+
+    pool = ThreadPoolExecutor(concurrency)
+    pending: deque = deque()  # the futures of the items queued ahead
+    items = iter(items)
+    try:
+        for position in count():
+            if len(pending) == LOOKAHEAD_PER_WORKER * concurrency:
+                yield pending.popleft().result()
+            if failed:  # nothing behind a provider error is read
+                break
+            try:
+                item = next(items)
+            except StopIteration:
+                break
+            except ProviderError:  # a read error: the results ahead of it come first
+                while pending:
+                    yield pending.popleft().result()
+                raise
+            pending.append(pool.submit(guarded, position, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:  # items not yet started are dropped
+        pool.shutdown(cancel_futures=True)

@@ -72,16 +72,23 @@ def parse_catalog(text: str, origin: str = "<catalog>") -> PromptCatalog:
     blocks: dict[str, str] = {}
     current: str | None = None
     buffer: list[str] = []
+    first_lines: dict[str, int] = {}  # the line of the header and of each block
 
     def flush() -> None:
         if current is not None:
             blocks[current] = "\n".join(buffer).strip("\n")
+
+    def first(what: str, line_no: int) -> None:
+        if what in first_lines:
+            raise MalformedRecordError(f"{what} repeats line {first_lines[what]}", line_no, origin)
+        first_lines[what] = line_no
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         header = BLOCK_RE.match(line.strip())
         if header:
             flush()
             current = header.group(1)
+            first(f"block {current!r}", line_no)
             buffer = []
             continue
         if current is None:
@@ -92,6 +99,7 @@ def parse_catalog(text: str, origin: str = "<catalog>") -> PromptCatalog:
                 raise MalformedRecordError(
                     f"expected 'catalog_version: <n>', got {line!r}", line_no, origin
                 )
+            first("catalog_version", line_no)
             version = int(m.group(1))
         else:
             buffer.append(line)

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .corpus import TAG_RE, CauseEffectPair, TaggedSentence, normalize_lower, render_tagged
 from .errors import MalformedRecordError, UnparseableResponseError, warn
-from .gateway import LlmClient
+from .gateway import LlmClient, in_order
 from .jsonl import Memo, encode_line, read_json_objects, replace_lines
 from .prompting import PromptCatalog, connective_prompt
 
@@ -183,8 +183,10 @@ def build_repository(
     Only records reachable from the index are stored; a sentence sampled
     away under every one of its connectives is dropped.
 
-    Uses a record-mode LLM client for resumability: responses land in the
-    transcript as they arrive, so an aborted build repeats no provider call.
+    The sentences are asked through `gateway.in_order`, so a dead provider
+    is asked at most `concurrency` times. Uses a record-mode LLM client for
+    resumability: responses land in the transcript as they arrive, so an
+    aborted build repeats no provider call.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -204,14 +206,7 @@ def build_repository(
         except UnparseableResponseError:
             return None
 
-    if concurrency == 1:
-        extracted = [extract_or_none(s) for s in ordered]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            extracted = list(pool.map(extract_or_none, ordered))
-
+    extracted = list(in_order(extract_or_none, ordered, concurrency))
     candidates: list[tuple[TaggedSentence, tuple[str, ...]]] = []
     for sentence, connectives in zip(ordered, extracted):
         if connectives is None:

@@ -18,16 +18,13 @@ config is built and checked (`sweep_configs`) before the session loads
 anything or `force` removes anything. Every cell is then opened (its file
 read and checked, or removed under `force`), and the embedding cache is
 read when a kNN task is to run, so every input file is checked before any
-provider call. Then the (cell, sentence) tasks go through one pool of
-`concurrency` workers, in cell order and then id order, a few tasks a
-worker queued ahead. No worker waits at a cell
-boundary, and the kNN index is built on the main thread when the stream
-first reaches a kNN task, while the tasks queued ahead of it wait on the
-provider. A provider error stops the stream: no task behind it starts, and
-everything ahead of it is written. At concurrency 1, or with one task to
-run, there is no pool: each task runs on the main thread as the stream
-reaches it and its result is written at once, and `concurrent.futures` is
-never imported.
+provider call. Then the (cell, sentence) tasks go in cell order and then
+id order through `gateway.in_order`, the stream `build_db` asks through
+too; it holds the rules on workers, look-ahead and provider errors. No
+worker waits at a cell boundary, and the kNN index is built on the main
+thread when the stream first reads a kNN task, while the tasks queued
+ahead of it wait on the provider. A provider error stops the stream:
+everything ahead of it is written, and the warning names its cell.
 
 Each record is an `evaluation.PredictionRecord`, written as its `line()`;
 its `parsed` is what `parse_detection` or `parse_extraction` returned,
@@ -53,7 +50,6 @@ when the cell is opened.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -80,6 +76,7 @@ from .gateway import (
     RecordBackend,
     ReplayBackend,
     Transcript,
+    in_order,
     request_hash,
 )
 from .jsonl import LineAppender, Memo, read_jsonl, replace_lines
@@ -122,9 +119,6 @@ DEFAULT_LOCAL_EMBEDDER = LOCAL_EMBEDDER_PREFIX + "256"
 # build-db's answers are short connective lists; a run keeps `LlmClient`'s
 # default of 1,024 output tokens (every request is at temperature 0)
 BUILD_DB_MAX_OUTPUT_TOKENS = 256
-# tasks queued ahead of the one being written, per worker: enough that no
-# worker idles while the main thread writes or builds the kNN index
-LOOKAHEAD_PER_WORKER = 4
 _KNN = (StrategyKind.KNN, StrategyKind.KNN_PATTERN)
 
 
@@ -370,10 +364,6 @@ class _Cell:
     def knn(self) -> bool:
         return self.config.strategy in _KNN
 
-    @property
-    def written(self) -> int:
-        return self.tally.sentences - self.skipped
-
 
 def _report_path(output: Path) -> Path:
     return output.with_suffix(output.suffix + ".metrics.json")
@@ -420,90 +410,50 @@ def _open_embeddings(session: _Session, config: ExperimentConfig) -> None:
 
 def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[RunResult]:
     """Run `configs` as one stream of (cell, sentence) tasks, in cell order
-    and then id order, through one pool of `concurrency` workers (none at
-    concurrency 1) that holds at most `LOOKAHEAD_PER_WORKER` tasks a worker
-    queued at a time. The main thread writes each cell's lines in id order
-    and its report once its last line is in. When a kNN task is to run, it
-    reads the embedding cache before any task starts, and builds the kNN
-    index when the stream first reaches a kNN task, while the tasks queued
-    ahead of it run. A provider error stops the stream: no task behind it
-    starts, and the cells ahead of it, and the failing cell's lines ahead
-    of it, are written before it is raised."""
+    and then id order, through `gateway.in_order` at the config's
+    concurrency. The main thread writes each cell's lines in id order and
+    its report once its last line is in. When a kNN task is to run, it reads
+    the embedding cache before any task starts, and builds the kNN index
+    when the stream first reads a kNN task, while the tasks queued ahead of
+    it run. A provider error stops the stream: the cells ahead of it, and
+    the failing cell's lines ahead of it, are written before it is raised."""
     cells = [_open_cell(session, config) for config in configs]
     if any(cell.knn and cell.todo for cell in cells):
         _open_embeddings(session, configs[0])
-    tasks = ((cell, instance) for cell in cells for instance in cell.todo)
-    failures: list[tuple[int, _Cell, ProviderError]] = []  # position in the stream
 
-    def work(position: int, cell: _Cell, instance: LabeledInstance
-             ) -> tuple[PredictionRecord, Outcome] | None:
-        # no task behind a provider error starts; those ahead of it run
-        if failures and position > min(p for p, _, _ in failures):
-            return None
+    def tasks() -> Iterator[tuple[_Cell, LabeledInstance]]:
+        for cell in cells:
+            for instance in cell.todo:
+                if cell.knn and session.index is None:  # while the tasks queued ahead run
+                    session.index = _build_index(session, cells)
+                yield cell, instance
+
+    def work(task: tuple[_Cell, LabeledInstance]) -> tuple[PredictionRecord, Outcome]:
+        cell, instance = task
         config = cell.config
-        try:
-            record = _process_instance(instance, cell, session)
-        except ProviderError as exc:
-            failures.append((position, cell, exc))
-            return None
+        record = _process_instance(instance, cell, session)
         return record, sentence_outcome(record, instance, config.single_pair, config.matching)
 
-    def results() -> Iterator[tuple[PredictionRecord, Outcome] | None]:
-        """Each task's result in stream order, as it is ready; the main
-        thread queues each task, at most `lookahead` at a time. Without a
-        pool, each task runs and is yielded as it is reached."""
-        pending: deque = deque()  # the futures of the tasks queued ahead
-        for position, (cell, instance) in enumerate(tasks):
-            if len(pending) == lookahead:
-                yield pending.popleft().result()
-            if failures:  # nothing behind a provider error is queued
-                break
-            if cell.knn and session.index is None:
-                try:  # while the tasks queued ahead of it run
-                    session.index = _build_index(session, cells)
-                except ProviderError as exc:
-                    failures.append((position, cell, exc))
-                    break
-            if pool is None:
-                yield work(position, cell, instance)
-            else:
-                pending.append(pool.submit(work, position, cell, instance))
-        while pending:
-            yield pending.popleft().result()
-
-    def lines(cell: _Cell, stream) -> Iterator[str]:
-        for result in islice(stream, len(cell.todo)):
-            if result is None:  # failed or never started: later lines would break id order
-                return
-            record, outcome = result
+    def lines(cell: _Cell) -> Iterator[str]:
+        for record, outcome in islice(stream, len(cell.todo)):
             yield record.line()
             cell.tally.add(outcome)  # once its line is written
 
-    concurrency = configs[0].concurrency
-    pool = None
-    if concurrency > 1 and sum(len(cell.todo) for cell in cells) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-        pool = ThreadPoolExecutor(concurrency)
-    lookahead = LOOKAHEAD_PER_WORKER * concurrency
-    stream = results()
+    stream = in_order(work, tasks(), configs[0].concurrency)
     reports: list[RunResult] = []
     try:
         for cell in cells:
-            LineAppender(cell.output).extend(lines(cell, stream))
-            if cell.written < len(cell.todo):
-                break
+            LineAppender(cell.output).extend(lines(cell))
             reports.append(_write_report(session, cell))
-    finally:
-        if pool is not None:  # tasks not yet started are dropped
-            pool.shutdown(cancel_futures=True)
-    if failures:
-        _, cell, error = min(failures, key=lambda failure: failure[0])
+    except ProviderError:
         warn(
             __name__, "provider error in %s: stopped after %d of %d instances; "
-            "the completed records were kept", cell.output, cell.written, len(cell.todo),
+            "the completed records were kept",
+            cell.output, cell.tally.sentences - cell.skipped, len(cell.todo),
         )
-        raise error
+        raise
+    finally:
+        stream.close()
     return reports
 
 

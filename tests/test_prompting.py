@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import re
+from importlib import resources
+
 import pytest
 
 from causal_rag.corpus import CauseEffectPair
 from causal_rag.errors import MalformedRecordError, UnparseableResponseError
 from causal_rag.prompting import (
+    DEFAULT_CATALOG_RESOURCE,
     AssembledPrompt,
     default_catalog,
     detection_prompt,
@@ -69,6 +73,22 @@ def test_catalog_parse_rejects_missing_blocks() -> None:
 def test_catalog_parse_rejects_missing_version() -> None:
     with pytest.raises(MalformedRecordError, match="^<catalog>: missing catalog_version header$"):
         parse_catalog("--- detection_system ---\nhi\n")
+
+
+def test_catalog_parse_refuses_a_repeated_header_or_block(tmp_path) -> None:
+    packaged = (resources.files("causal_rag.prompts") / DEFAULT_CATALOG_RESOURCE).read_text(
+        encoding="utf-8")
+    lines = packaged.splitlines()
+    block_line = lines.index("--- detection_system ---") + 1
+    path = tmp_path / "cat.txt"
+    for text, error in (
+        ("catalog_version: 7\n" + packaged, "line 2: catalog_version repeats line 1"),
+        (packaged + "--- detection_system ---\nhi\n",
+         f"line {len(lines) + 1}: block 'detection_system' repeats line {block_line}"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            load_catalog(path)
 
 
 def test_catalog_custom_file(tmp_path) -> None:

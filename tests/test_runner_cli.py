@@ -30,7 +30,7 @@ from causal_rag.cli import build_parser, main
 from causal_rag.embedding import LocalHashEmbedder, normalize_for_key
 from causal_rag.errors import MalformedRecordError, TransportError
 from causal_rag.evaluation import PredictionRecord
-from causal_rag.gateway import RecordBackend, ReplayBackend, Transcript
+from causal_rag.gateway import LOOKAHEAD_PER_WORKER, RecordBackend, ReplayBackend, Transcript
 from causal_rag.jsonl import read_jsonl
 from causal_rag.repository import load_repository, normalize_connective
 from causal_rag.retrieval import StrategyKind
@@ -199,21 +199,44 @@ class FailingReplay:
         return self.replay.complete(request)
 
 
-@pytest.mark.parametrize("sweeping", [False, True], ids=["run", "sweep"])
+class StalledDeadProvider:
+    """A dead provider, counting its asks: the first ask waits `STALL`
+    seconds and then fails, and every later ask fails at once."""
+
+    STALL = 0.5
+
+    def __init__(self):
+        self.asks = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.asks += 1
+            first = self.asks == 1
+        if first:  # the other workers ask while this one waits
+            time.sleep(self.STALL)
+        raise TransportError("connection reset")
+
+
+@pytest.mark.parametrize("caller", ["run", "sweep", "build_db"])
 @pytest.mark.parametrize("concurrency", [1, 3, 8])
-def test_a_dead_provider_is_asked_at_most_once_per_worker(tmp_path, concurrency, sweeping):
+def test_a_dead_provider_is_asked_at_most_once_per_worker(tmp_path, concurrency, caller):
     out = tmp_path / "out.jsonl"
-    backend = FailingReplay()
+    backend = StalledDeadProvider()
     config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, out=out, k=1,
                            concurrency=concurrency)
     with pytest.raises(TransportError):
-        if sweeping:  # one pool for the whole grid: the count holds across cells
+        if caller == "sweep":  # one stream for the whole grid: the count holds across cells
             sweep(config, [StrategyKind.RANDOM, StrategyKind.ZEROSHOT], [1, 5],
                   str(tmp_path / "grid.csv"), backend=backend)
+        elif caller == "build_db":  # one ask per corpus sentence, 40 in all
+            build_db([str(FIXTURES / "repo_corpus.jsonl")], str(tmp_path / "examples.db"),
+                     FIXTURE_MODEL_ID, backend, concurrency=concurrency)
         else:
             run_experiment(config, backend=backend)
-    # no instance starts after the first failure: only those already running ask
+    # nothing starts after the first failure: only the calls already running ask
     assert 1 <= backend.asks <= concurrency
+    assert not (tmp_path / "examples.db").exists()
     assert all(path.read_bytes() == b"" for path in tmp_path.iterdir())
 
 
@@ -350,6 +373,37 @@ def test_a_dead_embedder_stops_a_sweep_at_its_first_knn_cell(tmp_path, concurren
     # the index is built while the cell ahead runs; that cell is complete
     kept = {"grid.csv.random.k10.jsonl", "grid.csv.random.k10.jsonl.metrics.json"}
     assert sweep_files(tmp_path) == {name: full[name] for name in kept}
+
+
+def test_nothing_behind_a_provider_error_is_read(tmp_path):
+    """A sweep over random then knn whose provider dies late in the random
+    cell, after the stream could have read the first kNN task: that task is
+    not read, so the kNN index is never built."""
+    concurrency = 3
+    lookahead = LOOKAHEAD_PER_WORKER * concurrency
+    # the first kNN task, position 25, is read once position 25 - lookahead is
+    # yielded; that task is held while the tasks behind it fail
+    held = 25 - lookahead
+    hashes = sweep_hashes(tmp_path, [StrategyKind.RANDOM], [10])["random.k10"]
+
+    class DyingReplay(PoisonedReplay):
+        def complete(self, request):
+            if request.digest == hashes[held]:
+                time.sleep(0.3)
+            return super().complete(request)
+
+    class CountingEmbedder(LocalHashEmbedder):
+        texts = 0
+
+        def embed_text(self, text):
+            CountingEmbedder.texts += 1
+            return super().embed_text(text)
+
+    config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, concurrency=concurrency)
+    with pytest.raises(TransportError):
+        sweep(config, [StrategyKind.RANDOM, StrategyKind.KNN], [10], str(tmp_path / "grid.csv"),
+              backend=DyingReplay(set(hashes[held + 1:])), embedder=CountingEmbedder())
+    assert CountingEmbedder.texts == 0
 
 
 def test_a_forced_sweep_clears_every_cell_before_its_first_call(tmp_path):
