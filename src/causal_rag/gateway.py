@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import count
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, Sized, TypeVar
 
 from .errors import ProviderError, ReplayMissError, TransportError
 from .jsonl import LineAppender, Memo, read_jsonl
@@ -51,8 +51,7 @@ API_KEY_ENV = "CAUSAL_RAG_API_KEY"
 DEFAULT_TIMEOUT = 60.0
 RETRY_ATTEMPTS = 5
 RETRY_BASE_DELAY = 1.0
-# items queued ahead of the one yielded, per worker: enough that no worker
-# idles while the caller handles a result or reads the next item
+# stream items queued per worker: no worker idles while the caller works
 LOOKAHEAD_PER_WORKER = 4
 
 T = TypeVar("T")
@@ -330,13 +329,15 @@ class LlmClient:
 
 
 def in_order(work: Callable[[T], R], items: Iterable[T], concurrency: int) -> Iterator[R]:
-    """`work(item)` for each of `items`, yielded in their order. `items` is
-    read on the calling thread. At concurrency 1 each item is worked there as
-    it is read, and no pool is started. Above 1, one pool of `concurrency`
-    workers runs them, at most `LOOKAHEAD_PER_WORKER` items a worker queued
-    ahead of the one yielded. A `ProviderError`, from `work` or from reading
-    an item, stops the stream: no item behind it is read or started, every
-    result ahead of it is yielded, and then it is raised."""
+    """`work(item)` for each of `items`, yielded in their order; `items` is
+    read on the calling thread. At concurrency 1 each item is worked there
+    as it is read, with no pool. Above 1, one pool of `concurrency` workers
+    runs them, queued at most `LOOKAHEAD_PER_WORKER` a worker ahead of the
+    one yielded, or all at once when `items` is sized (already in memory)
+    so that a slow item leaves no worker idle. Once a `ProviderError` from
+    `work` or from reading an item is recorded, no further item is read or
+    started and those queued behind it are skipped; every result ahead of
+    it is yielded, and then it is raised."""
     if concurrency == 1:
         yield from map(work, items)
         return
@@ -353,14 +354,13 @@ def in_order(work: Callable[[T], R], items: Iterable[T], concurrency: int) -> It
             failed.append(position)
             raise
 
+    ahead = len(items) if isinstance(items, Sized) else LOOKAHEAD_PER_WORKER * concurrency
     pool = ThreadPoolExecutor(concurrency)
     pending: deque = deque()  # the futures of the items queued ahead
     items = iter(items)
     try:
         for position in count():
-            if len(pending) == LOOKAHEAD_PER_WORKER * concurrency:
-                yield pending.popleft().result()
-            if failed:  # nothing behind a provider error is read
+            if failed:  # once a provider error is recorded, nothing more is read
                 break
             try:
                 item = next(items)
@@ -371,6 +371,8 @@ def in_order(work: Callable[[T], R], items: Iterable[T], concurrency: int) -> It
                     yield pending.popleft().result()
                 raise
             pending.append(pool.submit(guarded, position, item))
+            if len(pending) == ahead:
+                yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
     finally:  # items not yet started are dropped

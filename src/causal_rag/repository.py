@@ -183,10 +183,11 @@ def build_repository(
     Only records reachable from the index are stored; a sentence sampled
     away under every one of its connectives is dropped.
 
-    The sentences are asked through `gateway.in_order`, so a dead provider
-    is asked at most `concurrency` times. Uses a record-mode LLM client for
-    resumability: responses land in the transcript as they arrive, so an
-    aborted build repeats no provider call.
+    The sentences go through `gateway.in_order`, queued whole, so a slow
+    answer leaves no worker idle and a dead provider is asked at most
+    `concurrency` times. Uses a record-mode LLM client for resumability:
+    responses land in the transcript as they arrive, so an aborted build
+    repeats no provider call.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")

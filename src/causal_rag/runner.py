@@ -409,14 +409,10 @@ def _open_embeddings(session: _Session, config: ExperimentConfig) -> None:
 
 
 def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[RunResult]:
-    """Run `configs` as one stream of (cell, sentence) tasks, in cell order
-    and then id order, through `gateway.in_order` at the config's
-    concurrency. The main thread writes each cell's lines in id order and
-    its report once its last line is in. When a kNN task is to run, it reads
-    the embedding cache before any task starts, and builds the kNN index
-    when the stream first reads a kNN task, while the tasks queued ahead of
-    it run. A provider error stops the stream: the cells ahead of it, and
-    the failing cell's lines ahead of it, are written before it is raised."""
+    """Run `configs` as the one stream of (cell, sentence) tasks that the
+    module docstring describes. The main thread reads the embedding cache
+    before any task starts when a kNN task is to run, and writes each cell's
+    lines in id order and its report once its last line is in."""
     cells = [_open_cell(session, config) for config in configs]
     if any(cell.knn and cell.todo for cell in cells):
         _open_embeddings(session, configs[0])

@@ -200,12 +200,11 @@ class FailingReplay:
 
 
 class StalledDeadProvider:
-    """A dead provider, counting its asks: the first ask waits `STALL`
+    """A dead provider, counting its asks: the first ask waits `stall`
     seconds and then fails, and every later ask fails at once."""
 
-    STALL = 0.5
-
-    def __init__(self):
+    def __init__(self, stall: float):
+        self.stall = stall
         self.asks = 0
         self._lock = threading.Lock()
 
@@ -214,7 +213,7 @@ class StalledDeadProvider:
             self.asks += 1
             first = self.asks == 1
         if first:  # the other workers ask while this one waits
-            time.sleep(self.STALL)
+            time.sleep(self.stall)
         raise TransportError("connection reset")
 
 
@@ -222,7 +221,8 @@ class StalledDeadProvider:
 @pytest.mark.parametrize("concurrency", [1, 3, 8])
 def test_a_dead_provider_is_asked_at_most_once_per_worker(tmp_path, concurrency, caller):
     out = tmp_path / "out.jsonl"
-    backend = StalledDeadProvider()
+    # a stall matters only while another worker can ask during it
+    backend = StalledDeadProvider(stall=0.5 if concurrency > 1 else 0.0)
     config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, out=out, k=1,
                            concurrency=concurrency)
     with pytest.raises(TransportError):
@@ -764,6 +764,37 @@ def test_build_db_merges_inputs_and_matches_committed_db(tmp_path):
         cap=10,
         seed=0,
     )
+    assert db_path.read_bytes() == (FIXTURES / "examples.db").read_bytes()
+
+
+def test_a_slow_sentence_holds_no_build_db_worker_idle(tmp_path):
+    """build-db queues its whole corpus: while one worker waits on the first
+    ask, the other asks for every sentence behind it."""
+    sentences = 40  # repo_corpus.jsonl
+
+    class HeldFirstAsk:
+        def __init__(self):
+            self.scripted = ScriptedBackend(FixtureResponder())
+            self.asks = 0
+            self.all_asked = threading.Event()
+            self.released_by_last_ask = None
+            self._lock = threading.Lock()
+
+        def complete(self, request):
+            with self._lock:
+                self.asks += 1
+                first = self.asks == 1
+                if self.asks == sentences:
+                    self.all_asked.set()
+            if first:  # a bounded look-ahead waits out the timeout here
+                self.released_by_last_ask = self.all_asked.wait(timeout=5.0)
+            return self.scripted.complete(request)
+
+    backend = HeldFirstAsk()
+    db_path = tmp_path / "examples.db"
+    build_db([str(FIXTURES / "repo_corpus.jsonl")], str(db_path), FIXTURE_MODEL_ID, backend,
+             concurrency=2)
+    assert backend.released_by_last_ask
     assert db_path.read_bytes() == (FIXTURES / "examples.db").read_bytes()
 
 
