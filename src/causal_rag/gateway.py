@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import count
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, Sized, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
 
 from .errors import ProviderError, ReplayMissError, TransportError
 from .jsonl import LineAppender, Memo, read_jsonl
@@ -51,8 +51,13 @@ API_KEY_ENV = "CAUSAL_RAG_API_KEY"
 DEFAULT_TIMEOUT = 60.0
 RETRY_ATTEMPTS = 5
 RETRY_BASE_DELAY = 1.0
-# stream items queued per worker: no worker idles while the caller works
+# unfinished stream items per worker: no worker idles while the caller
+# works, and a slow item holds up no worker
 LOOKAHEAD_PER_WORKER = 4
+# stream items per worker read and not yet yielded: the results that wait
+# behind a slow first item are bounded, so a run's memory does not grow
+# with its records
+WAITING_PER_WORKER = 256
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -332,16 +337,17 @@ def in_order(work: Callable[[T], R], items: Iterable[T], concurrency: int) -> It
     """`work(item)` for each of `items`, yielded in their order; `items` is
     read on the calling thread. At concurrency 1 each item is worked there
     as it is read, with no pool. Above 1, one pool of `concurrency` workers
-    runs them, queued at most `LOOKAHEAD_PER_WORKER` a worker ahead of the
-    one yielded, or all at once when `items` is sized (already in memory)
-    so that a slow item leaves no worker idle. Once a `ProviderError` from
-    `work` or from reading an item is recorded, no further item is read or
-    started and those queued behind it are skipped; every result ahead of
-    it is yielded, and then it is raised."""
+    runs them, and the next item is read only while fewer than
+    `LOOKAHEAD_PER_WORKER` a worker are unfinished, so a slow item leaves
+    no worker idle; past `WAITING_PER_WORKER` a worker read and not yet
+    yielded, the stream waits for the first of them instead. Once a
+    `ProviderError` from `work` or from reading an item is recorded, no
+    further item is read or started and those queued behind it are
+    skipped; every result ahead of it is yielded, and then it is raised."""
     if concurrency == 1:
         yield from map(work, items)
         return
-    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait  # only a pool needs it
 
     failed: list[int] = []  # the positions whose work raised a ProviderError
 
@@ -354,12 +360,18 @@ def in_order(work: Callable[[T], R], items: Iterable[T], concurrency: int) -> It
             failed.append(position)
             raise
 
-    ahead = len(items) if isinstance(items, Sized) else LOOKAHEAD_PER_WORKER * concurrency
     pool = ThreadPoolExecutor(concurrency)
-    pending: deque = deque()  # the futures of the items queued ahead
+    pending: deque = deque()  # the futures read and not yet yielded, in order
+    running: set = set()  # the futures read and not yet seen done by `wait`
     items = iter(items)
     try:
         for position in count():
+            if len(running) == LOOKAHEAD_PER_WORKER * concurrency:
+                running = wait(running, return_when=FIRST_COMPLETED).not_done
+            if len(pending) == WAITING_PER_WORKER * concurrency:  # behind a slow first item
+                wait((pending[0],))
+            while pending and pending[0].done():
+                yield pending.popleft().result()
             if failed:  # once a provider error is recorded, nothing more is read
                 break
             try:
@@ -371,8 +383,7 @@ def in_order(work: Callable[[T], R], items: Iterable[T], concurrency: int) -> It
                     yield pending.popleft().result()
                 raise
             pending.append(pool.submit(guarded, position, item))
-            if len(pending) == ahead:
-                yield pending.popleft().result()
+            running.add(pending[-1])
         while pending:
             yield pending.popleft().result()
     finally:  # items not yet started are dropped

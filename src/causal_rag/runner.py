@@ -20,10 +20,11 @@ read and checked, or removed under `force`), and the embedding cache is
 read when a kNN task is to run, so every input file is checked before any
 provider call. Then the (cell, sentence) tasks go in cell order and then
 id order through `gateway.in_order`, the stream `build_db` asks through
-too; it holds the rules on workers, look-ahead and provider errors. No
-worker waits at a cell boundary, and the kNN index is built on the main
-thread when the stream first reads a kNN task, while the tasks queued
-ahead of it wait on the provider. A provider error stops the stream:
+too; it holds the rules on workers, on how many tasks may be unfinished
+and on provider errors. No worker waits at a cell boundary or behind a
+slow answer, and the kNN index is built on the main thread when the
+stream first reads a kNN task, while the tasks queued ahead of it wait on
+the provider. A provider error stops the stream:
 everything ahead of it is written, and the warning names its cell.
 
 Each record is an `evaluation.PredictionRecord`, written as its `line()`;

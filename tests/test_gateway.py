@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
+import contextlib
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -653,3 +657,209 @@ def test_a_transcript_timestamp_is_utc_iso_8601_to_the_microsecond(monkeypatch) 
                          (1_767_323_045_000_001_999, "2026-01-02T03:04:05.000001+00:00")):
         monkeypatch.setattr(gateway.time, "time_ns", lambda ns=ns: ns)
         assert gateway._utc_now() == expected
+
+
+# --- in_order under scripted completion orders -------------------------------
+
+
+class _ScriptedFuture:
+    """A future of `_ScriptedPool`: waiting on it while it is unfinished
+    drives the pool's schedule until it is done."""
+
+    def __init__(self, pool: _ScriptedPool, index: int, call):
+        self.pool, self.index, self.call = pool, index, call
+        self.finished = False
+        self.value = self.error = None
+
+    def done(self) -> bool:
+        return self.finished
+
+    def result(self):
+        while not self.finished:
+            self.pool.drive()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class _ScriptedPool:
+    """A stand-in for `ThreadPoolExecutor` that runs nothing on a thread.
+    Submitted work starts in submission order on `workers` slots; a started
+    item finishes, its function run there and then, only when the schedule
+    moves on, which finishes the started item that `rank` puts first. The
+    schedule moves on when the stream waits on an unfinished future
+    (`drive`, which `on_drive` sees first), and after each submit as many
+    times as the next of `eager` says, as work finishing while the stream
+    reads."""
+
+    def __init__(self, workers: int, rank: list, eager: tuple, on_drive):
+        self.workers, self.rank, self.on_drive = workers, rank, on_drive
+        self.eager = itertools.cycle(eager)
+        self.futures: list[_ScriptedFuture] = []
+        self.queued: list[_ScriptedFuture] = []
+        self.started: list[_ScriptedFuture] = []
+        self.shut_down = False
+
+    def submit(self, fn, *args) -> _ScriptedFuture:
+        assert not self.shut_down
+        future = _ScriptedFuture(self, len(self.futures), lambda: fn(*args))
+        self.futures.append(future)
+        self.queued.append(future)
+        self._start()
+        for _ in range(next(self.eager)):
+            if self.started:
+                self._finish()
+        return future
+
+    def drive(self) -> None:
+        assert self.started, "the stream waits on work that never starts"
+        self.on_drive()
+        self._finish()
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        assert wait and cancel_futures
+        self.shut_down = True
+        self.queued.clear()  # the real pool cancels them: they never run
+        while self.started:
+            self._finish()
+
+    def unfinished(self) -> int:
+        return sum(not future.finished for future in self.futures)
+
+    def _start(self) -> None:
+        while self.queued and len(self.started) < self.workers:
+            self.started.append(self.queued.pop(0))
+
+    def _finish(self) -> None:
+        future = min(self.started, key=lambda f: self.rank[f.index])
+        self.started.remove(future)
+        try:
+            future.value = future.call()
+        except Exception as exc:
+            future.error = exc
+        future.finished = True
+        self._start()
+
+
+_Waited = collections.namedtuple("_Waited", "done not_done")
+
+
+def _scripted_wait(pools: list):
+    def wait(futures, timeout=None, return_when=concurrent.futures.ALL_COMPLETED):
+        assert timeout is None
+        futures = set(futures)
+        enough = any if return_when == concurrent.futures.FIRST_COMPLETED else all
+        while not enough(future.finished for future in futures):
+            pools[-1].drive()
+        done = {future for future in futures if future.finished}
+        return _Waited(done, futures - done)
+    return wait
+
+
+def _stream_under(n: int, concurrency: int, rank: list, eager: tuple, fail_at=None,
+                  read_error_at=None) -> None:
+    """Runs `in_order` over `n` items under one completion order, with the
+    scripted pool patched in, and checks every invariant of the stream:
+    - the results come in item order, each once; an item's `ProviderError`,
+      or one from reading an item, comes after every result ahead of it;
+    - once a failure is recorded, no item is read, and no work starts
+      behind it;
+    - at each read, fewer than the window of items are unfinished and fewer
+      than the cap are read and not yet yielded;
+    - while it reads, the stream waits only when it must: the window is
+      full, or the cap is reached;
+    - the pool is shut down, and nothing is left running."""
+    window = gateway.LOOKAHEAD_PER_WORKER * concurrency
+    most_waiting = gateway.WAITING_PER_WORKER * concurrency
+    pools: list[_ScriptedPool] = []
+    state = {"failed": None, "reading": True, "yielded": 0}
+
+    def unyielded() -> int:
+        return len(pools[-1].futures) - state["yielded"] if pools else 0
+
+    def on_drive() -> None:
+        if state["reading"] and state["failed"] is None:
+            assert (pools[-1].unfinished() == window or unyielded() == most_waiting), \
+                "the stream waited with room to read"
+
+    def items():
+        for position in range(n + 1):
+            assert state["failed"] is None, "an item read after a recorded failure"
+            if pools:
+                assert pools[-1].unfinished() < window
+                assert unyielded() < most_waiting
+            if position == n:
+                break
+            if position == read_error_at:
+                state["reading"] = False
+                raise ProviderError(f"read {position}")
+            yield position
+        state["reading"] = False
+
+    def work(position: int) -> int:
+        failed = state["failed"]
+        assert failed is None or position < failed, "work started behind a recorded failure"
+        if position == fail_at:
+            state["failed"] = position
+            raise ProviderError(f"work {position}")
+        return 10 * position
+
+    def pool(workers: int) -> _ScriptedPool:
+        assert workers == concurrency
+        pools.append(_ScriptedPool(workers, rank, eager, on_drive))
+        return pools[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+        patch.setattr(concurrent.futures, "wait", _scripted_wait(pools))
+        out = []
+        stop = min((p for p in (fail_at, read_error_at) if p is not None), default=n)
+        raised = (contextlib.nullcontext() if stop == n else pytest.raises(
+            ProviderError, match=f"^{'read' if stop == read_error_at else 'work'} {stop}$"))
+        with raised:
+            for result in gateway.in_order(work, items(), concurrency):
+                out.append(result)
+                state["yielded"] += 1
+    assert out == [10 * position for position in range(stop)]
+    assert len(pools) == (concurrency > 1)
+    assert all(pool.shut_down and pool.started == [] for pool in pools)
+
+
+@pytest.mark.parametrize("concurrency", [1, 2, 3])
+def test_in_order_keeps_its_invariants_under_every_completion_order(monkeypatch, concurrency):
+    """Every order in which up to 6 items can finish, with work finishing
+    only when the stream waits, or also at each submit or every other one,
+    and with a failing item or an item that cannot be read at each position
+    (up to 5 items). The
+    window (1 a worker) and the cap (2 a worker) are small enough to bind.
+    At concurrency 1 no pool is made."""
+    monkeypatch.setattr(gateway, "LOOKAHEAD_PER_WORKER", 1)
+    monkeypatch.setattr(gateway, "WAITING_PER_WORKER", 2)
+    for n in range(7):
+        for rank in itertools.permutations(range(n)):
+            for eager in ((0,), (1,), (0, 1)):
+                _stream_under(n, concurrency, rank, eager)
+                if n > 5:
+                    continue
+                for position in range(n):
+                    _stream_under(n, concurrency, rank, eager, fail_at=position)
+                    _stream_under(n, concurrency, rank, eager, read_error_at=position)
+
+
+def test_in_order_keeps_its_invariants_under_random_completion_orders(monkeypatch):
+    """200 seeded random orders of 200 items at concurrency 2 and 3, under
+    the module's window and a cap of 8 a worker, some with a failing item,
+    an unreadable item, or both."""
+    monkeypatch.setattr(gateway, "WAITING_PER_WORKER", 8)
+    rng, n = random.Random(20081208), 200
+    for _ in range(200):
+        concurrency = rng.choice([2, 3])
+        rank = list(range(n))
+        rng.shuffle(rank)
+        # a slow item: it finishes after most of those behind it
+        for slow in rng.sample(range(n), 3):
+            rank[slow] += rng.randrange(n)
+        eager = tuple(rng.choice([0, 0, 1, 2]) for _ in range(17))
+        fail_at = rng.choice([None, rng.randrange(n)])
+        read_error_at = rng.choice([None, rng.randrange(n)])
+        _stream_under(n, concurrency, rank, eager, fail_at, read_error_at)

@@ -380,10 +380,13 @@ def test_nothing_behind_a_provider_error_is_read(tmp_path):
     cell, after the stream could have read the first kNN task: that task is
     not read, so the kNN index is never built."""
     concurrency = 3
-    lookahead = LOOKAHEAD_PER_WORKER * concurrency
-    # the first kNN task, position 25, is read once position 25 - lookahead is
-    # yielded; that task is held while the tasks behind it fail
-    held = 25 - lookahead
+    window = LOOKAHEAD_PER_WORKER * concurrency
+    # the first kNN task, position 25, is read once fewer than `window` of
+    # positions 0-24 are unfinished, so once 26 - window of them are done.
+    # Positions 0 to 25 - window are that many: while the last of them is
+    # held, position 25 is read only after a task behind it is done, and
+    # every task behind it fails
+    held = 25 - window
     hashes = sweep_hashes(tmp_path, [StrategyKind.RANDOM], [10])["random.k10"]
 
     class DyingReplay(PoisonedReplay):
@@ -767,35 +770,63 @@ def test_build_db_merges_inputs_and_matches_committed_db(tmp_path):
     assert db_path.read_bytes() == (FIXTURES / "examples.db").read_bytes()
 
 
+class HeldFirstAsk:
+    """`inner`, counting its asks: the first ask is held until all `total`
+    asks have come, or 5 s pass, and notes which came first."""
+
+    def __init__(self, inner, total: int):
+        self.inner, self.total = inner, total
+        self.asks = 0
+        self.all_asked = threading.Event()
+        self.released_by_last_ask = None
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.asks += 1
+            first = self.asks == 1
+            if self.asks == self.total:
+                self.all_asked.set()
+        if first:  # a window counted from the oldest item waits out the timeout here
+            self.released_by_last_ask = self.all_asked.wait(timeout=5.0)
+        return self.inner.complete(request)
+
+
 def test_a_slow_sentence_holds_no_build_db_worker_idle(tmp_path):
-    """build-db queues its whole corpus: while one worker waits on the first
-    ask, the other asks for every sentence behind it."""
-    sentences = 40  # repo_corpus.jsonl
-
-    class HeldFirstAsk:
-        def __init__(self):
-            self.scripted = ScriptedBackend(FixtureResponder())
-            self.asks = 0
-            self.all_asked = threading.Event()
-            self.released_by_last_ask = None
-            self._lock = threading.Lock()
-
-        def complete(self, request):
-            with self._lock:
-                self.asks += 1
-                first = self.asks == 1
-                if self.asks == sentences:
-                    self.all_asked.set()
-            if first:  # a bounded look-ahead waits out the timeout here
-                self.released_by_last_ask = self.all_asked.wait(timeout=5.0)
-            return self.scripted.complete(request)
-
-    backend = HeldFirstAsk()
+    """While one worker waits on the first ask, the other asks for every
+    sentence behind it."""
+    backend = HeldFirstAsk(ScriptedBackend(FixtureResponder()), total=40)  # repo_corpus.jsonl
     db_path = tmp_path / "examples.db"
     build_db([str(FIXTURES / "repo_corpus.jsonl")], str(db_path), FIXTURE_MODEL_ID, backend,
              concurrency=2)
     assert backend.released_by_last_ask
     assert db_path.read_bytes() == (FIXTURES / "examples.db").read_bytes()
+
+
+def test_a_slow_sentence_holds_no_run_worker_idle(tmp_path):
+    """The same for a run's 25 sentences: its lazy task stream is read on
+    while the first answer is held."""
+    full_out = tmp_path / "full.jsonl"
+    run_experiment(replay_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=full_out))
+    backend = HeldFirstAsk(ReplayBackend(Transcript(FIXTURES / "transcript.jsonl")), total=25)
+    out = tmp_path / "out.jsonl"
+    run_experiment(replay_config(tmp_path, "detect", StrategyKind.ZEROSHOT, out=out,
+                                 concurrency=2), backend=backend)
+    assert backend.released_by_last_ask
+    for suffix in ("", ".metrics.json"):
+        assert Path(f"{out}{suffix}").read_bytes() == Path(f"{full_out}{suffix}").read_bytes()
+
+
+def test_a_slow_sentence_holds_no_sweep_worker_idle(tmp_path):
+    """The same for a two-cell sweep: 50 tasks, one stream."""
+    k_values = [1, 5]
+    sweep_hashes(tmp_path, [StrategyKind.RANDOM], k_values)
+    full = sweep_files(tmp_path / "full")
+    backend = HeldFirstAsk(ReplayBackend(Transcript(FIXTURES / "transcript.jsonl")), total=50)
+    config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, concurrency=2)
+    sweep(config, [StrategyKind.RANDOM], k_values, str(tmp_path / "grid.csv"), backend=backend)
+    assert backend.released_by_last_ask
+    assert sweep_files(tmp_path) == full
 
 
 def test_no_store_descriptor_outlives_a_build_a_run_or_a_sweep(tmp_path, monkeypatch):
