@@ -172,7 +172,7 @@ class EmbeddingCache(Memo):
                     key, vector = self._entry(obj, line_no)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise MalformedRecordError(exc, line_no, self.path) from None
-                self._values[key] = vector
+                self._values.setdefault(key, vector)  # the first line wins, as in `put`
 
     def _entry(self, obj: dict, line_no: int) -> tuple[EmbeddingKey, EmbeddingVector]:
         """One cache line's key and vector, of its model's earlier dim and

@@ -22,7 +22,10 @@ nothing is sent), retries and malformed payloads (a `ProviderError`
 naming the payload).
 
 Every provider fan-out (runs, sweeps, `build-db`) goes through `in_order`,
-one ordered stream that a provider error stops."""
+one ordered stream with one failure rule: any exception stops it, be it a
+provider error, an `OSError` from appending a transcript line to a full
+disk, a `MalformedRecordError` from an embedding cache of another
+dimension, or a `ValueError` from query vectors that do not fit the index."""
 
 from __future__ import annotations
 
@@ -340,23 +343,25 @@ def in_order(work: Callable[[T], R], items: Iterable[T], concurrency: int) -> It
     runs them, and the next item is read only while fewer than
     `LOOKAHEAD_PER_WORKER` a worker are unfinished, so a slow item leaves
     no worker idle; past `WAITING_PER_WORKER` a worker read and not yet
-    yielded, the stream waits for the first of them instead. Once a
-    `ProviderError` from `work` or from reading an item is recorded, no
-    further item is read or started and those queued behind it are
-    skipped; every result ahead of it is yielded, and then it is raised."""
+    yielded, the stream waits for the first of them instead. Once an
+    exception of any type from `work` or from reading an item is recorded,
+    no further item is read or started and those queued behind it are
+    skipped; every result ahead of it is yielded, and then it is raised.
+    A `BaseException` that is not an `Exception` (Ctrl-C) is not recorded:
+    it propagates at once."""
     if concurrency == 1:
         yield from map(work, items)
         return
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait  # only a pool needs it
 
-    failed: list[int] = []  # the positions whose work raised a ProviderError
+    failed: list[int] = []  # the positions whose work raised, whatever the type
 
     def guarded(position: int, item: T) -> R | None:
         if failed and position > min(failed):
             return None  # behind a failure: never yielded
         try:
             return work(item)
-        except ProviderError:
+        except Exception:
             failed.append(position)
             raise
 
@@ -372,13 +377,13 @@ def in_order(work: Callable[[T], R], items: Iterable[T], concurrency: int) -> It
                 wait((pending[0],))
             while pending and pending[0].done():
                 yield pending.popleft().result()
-            if failed:  # once a provider error is recorded, nothing more is read
+            if failed:  # once a failure is recorded, nothing more is read
                 break
             try:
                 item = next(items)
             except StopIteration:
                 break
-            except ProviderError:  # a read error: the results ahead of it come first
+            except Exception:  # a read error: the results ahead of it come first
                 while pending:
                     yield pending.popleft().result()
                 raise

@@ -16,16 +16,14 @@ told to keep hits keeps each query's ranking (`VectorIndex.keep_hits`).
 
 All sampling is driven by (seed, salt) so that a fixed configuration
 reproduces identical choices; the runner salts with the input sentence id,
-giving per-sentence variety without losing reproducibility. A draw picks
-exactly what `random.Random(f"{seed}|{salt}").sample(...)` picks: each
-thread keeps one generator and reseeds it with that string for every
-draw, so no draw depends on the one before it or on another thread's.
+giving per-sentence variety without losing reproducibility. Each draw is
+made by a new `random.Random(f"{seed}|{salt}")`, so no draw depends on the
+one before it or on another thread's.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -106,20 +104,6 @@ def zeroshot_result() -> RetrievalResult:
     return RetrievalResult(examples=(), provenance=())
 
 
-_generators = threading.local()
-
-
-def _rng(cfg: RetrievalConfig, salt: str) -> random.Random:
-    """This thread's generator, seeded with `f"{cfg.seed}|{salt}"`: it
-    draws what `random.Random(f"{cfg.seed}|{salt}")` would, without
-    building a generator per draw."""
-    rng = getattr(_generators, "rng", None)
-    if rng is None:
-        rng = _generators.rng = random.Random()
-    rng.seed(f"{cfg.seed}|{salt}")
-    return rng
-
-
 def connective_similarity(a: str, b: str, matcher: str = "edit_ratio") -> float:
     """Similarity of two connectives in [0, 1].
 
@@ -161,7 +145,7 @@ def retrieve_random(repo: Repository, cfg: RetrievalConfig, salt: str = "") -> R
     if not repo.records:
         raise ValueError("repository is empty")
     ids = repo.sorted_ids
-    chosen = _rng(cfg, salt).sample(ids, min(cfg.k, len(ids)))
+    chosen = random.Random(f"{cfg.seed}|{salt}").sample(ids, min(cfg.k, len(ids)))
     provenance = [ExampleProvenance(rid, "random") for rid in chosen]
     return RetrievalResult.of(repo, provenance)
 
@@ -247,7 +231,7 @@ def retrieve_pattern(
         return RetrievalResult.of(repo, fallback, fallback_used=True)
     chosen = sorted(best)
     if len(chosen) > cfg.k:
-        chosen = _rng(cfg, salt).sample(chosen, cfg.k)
+        chosen = random.Random(f"{cfg.seed}|{salt}").sample(chosen, cfg.k)
     chosen.sort(key=lambda rid: (-best[rid][0], rid))
     provenance = [
         ExampleProvenance(rid, "pattern", score=best[rid][0], connective=best[rid][1])

@@ -21,11 +21,14 @@ read when a kNN task is to run, so every input file is checked before any
 provider call. Then the (cell, sentence) tasks go in cell order and then
 id order through `gateway.in_order`, the stream `build_db` asks through
 too; it holds the rules on workers, on how many tasks may be unfinished
-and on provider errors. No worker waits at a cell boundary or behind a
-slow answer, and the kNN index is built on the main thread when the
-stream first reads a kNN task, while the tasks queued ahead of it wait on
-the provider. A provider error stops the stream:
-everything ahead of it is written, and the warning names its cell.
+and on failures. No worker waits at a cell boundary or behind a slow
+answer, and the kNN index is built on the main thread when the stream
+first reads a kNN task, while the tasks queued ahead of it wait on the
+provider. Any exception stops the stream, whatever its type: a provider
+error, an `OSError` from appending a transcript line to a full disk, a
+`MalformedRecordError` from an embedding cache of another dimension, or
+a `ValueError` from query vectors that do not fit the index. Everything
+ahead of it is written, and the warning names its type and its cell.
 
 Each record is an `evaluation.PredictionRecord`, written as its `line()`;
 its `parsed` is what `parse_detection` or `parse_extraction` returned,
@@ -64,7 +67,7 @@ from .embedding import (
     LocalHashEmbedder,
     VectorIndex,
 )
-from .errors import ProviderError, UnparseableResponseError, warn
+from .errors import MalformedRecordError, UnparseableResponseError, warn
 from .evaluation import (
     MATCHING_MODES, Outcome, PredictionRecord, Tally, build_report, sentence_outcome,
 )
@@ -442,11 +445,11 @@ def _run_cells(session: _Session, configs: Sequence[ExperimentConfig]) -> list[R
         for cell in cells:
             LineAppender(cell.output).extend(lines(cell))
             reports.append(_write_report(session, cell))
-    except ProviderError:
+    except Exception as exc:
         warn(
-            __name__, "provider error in %s: stopped after %d of %d instances; "
+            __name__, "%s in %s: stopped after %d of %d instances; "
             "the completed records were kept",
-            cell.output, cell.tally.sentences - cell.skipped, len(cell.todo),
+            type(exc).__name__, cell.output, cell.tally.sentences - cell.skipped, len(cell.todo),
         )
         raise
     finally:
@@ -490,10 +493,18 @@ def build_db(
     catalog: PromptCatalog | None = None,
     concurrency: int = 1,
 ) -> Repository:
-    """Merge causal sentences from canonical JSONL datasets and build the DB."""
-    corpus = []
+    """Merge causal sentences from canonical JSONL datasets and build the DB.
+    An id that a later file repeats is a MalformedRecordError, before any
+    provider call."""
+    corpus, files = [], {}  # each id's input file
     for path in input_paths:
         split = load_dataset(path, "jsonl")
+        ids = [inst.sentence.id for inst in split.instances]
+        repeated = next((sid for sid in ids if sid in files), None)
+        if repeated is not None:
+            raise MalformedRecordError(f"repeats instance id {repeated!r} of {files[repeated]}",
+                                       path=path)
+        files.update(dict.fromkeys(ids, path))
         corpus.extend(split.causal_sentences())
     llm = LlmClient(backend, model_id, max_output_tokens=BUILD_DB_MAX_OUTPUT_TOKENS)
     repo = build_repository(corpus, llm, cap=cap, seed=seed, catalog=catalog, concurrency=concurrency)

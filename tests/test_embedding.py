@@ -197,6 +197,22 @@ def test_cache_writes_a_non_ascii_model_id_as_utf8_and_loads_either_form(tmp_pat
     assert loaded.get(EmbeddingKey("b", "modèle")).values.tolist() == [0.0, 1.0]
 
 
+def test_a_key_on_two_lines_loads_its_first_line_as_put_keeps(tmp_path) -> None:
+    """Two record runs that share one cache can each write a key: the first
+    line wins on load, as in `put`, and the later line is still checked."""
+    path = tmp_path / "c.jsonl"
+    first = {"dim": 2, "key": "k", "model": "m", "vector": [1.0, 0.0]}
+    path.write_text(json.dumps(first) + "\n" + json.dumps({**first, "vector": [0.0, 1.0]}) + "\n",
+                    encoding="utf-8")
+    loaded = EmbeddingCache(path)
+    assert loaded.get(EmbeddingKey("k", "m")).values.tolist() == [1.0, 0.0]
+    assert loaded.put(EmbeddingKey("k", "m"), vec(0, 1)).values.tolist() == [1.0, 0.0]
+    path.write_text(json.dumps(first) + "\n" + json.dumps({**first, "dim": 3}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecordError, match="line 2: dim is 3 but the vector has 2"):
+        EmbeddingCache(path)
+
+
 def test_cached_vectors_cost_eight_bytes_a_component(tmp_path) -> None:
     count, dim = 300, 1536
     rng = random.Random(7)

@@ -11,6 +11,7 @@ import json
 import random
 import re
 import threading
+import time
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -756,12 +757,16 @@ def _scripted_wait(pools: list):
     return wait
 
 
+# the stream names no error type: each of these stops it in the same way
+STREAM_ERRORS = (ProviderError, OSError, MalformedRecordError)
+
+
 def _stream_under(n: int, concurrency: int, rank: list, eager: tuple, fail_at=None,
-                  read_error_at=None) -> None:
+                  read_error_at=None, error=ProviderError) -> None:
     """Runs `in_order` over `n` items under one completion order, with the
     scripted pool patched in, and checks every invariant of the stream:
-    - the results come in item order, each once; an item's `ProviderError`,
-      or one from reading an item, comes after every result ahead of it;
+    - the results come in item order, each once; an item's `error`, or one
+      from reading an item, comes after every result ahead of it;
     - once a failure is recorded, no item is read, and no work starts
       behind it;
     - at each read, fewer than the window of items are unfinished and fewer
@@ -773,6 +778,13 @@ def _stream_under(n: int, concurrency: int, rank: list, eager: tuple, fail_at=No
     most_waiting = gateway.WAITING_PER_WORKER * concurrency
     pools: list[_ScriptedPool] = []
     state = {"failed": None, "reading": True, "yielded": 0}
+    # what `items` and `work` see broken; raised there, an AssertionError
+    # would be one more failure to the stream, which may raise another first
+    broken: list[str] = []
+
+    def expect(holds: bool, invariant: str) -> None:
+        if not holds:
+            broken.append(invariant)
 
     def unyielded() -> int:
         return len(pools[-1].futures) - state["yielded"] if pools else 0
@@ -784,24 +796,24 @@ def _stream_under(n: int, concurrency: int, rank: list, eager: tuple, fail_at=No
 
     def items():
         for position in range(n + 1):
-            assert state["failed"] is None, "an item read after a recorded failure"
+            expect(state["failed"] is None, "an item read after a recorded failure")
             if pools:
-                assert pools[-1].unfinished() < window
-                assert unyielded() < most_waiting
+                expect(pools[-1].unfinished() < window, "an item read with the window full")
+                expect(unyielded() < most_waiting, "an item read past the cap")
             if position == n:
                 break
             if position == read_error_at:
                 state["reading"] = False
-                raise ProviderError(f"read {position}")
+                raise error(f"read {position}")
             yield position
         state["reading"] = False
 
     def work(position: int) -> int:
         failed = state["failed"]
-        assert failed is None or position < failed, "work started behind a recorded failure"
+        expect(failed is None or position < failed, "work started behind a recorded failure")
         if position == fail_at:
             state["failed"] = position
-            raise ProviderError(f"work {position}")
+            raise error(f"work {position}")
         return 10 * position
 
     def pool(workers: int) -> _ScriptedPool:
@@ -815,11 +827,12 @@ def _stream_under(n: int, concurrency: int, rank: list, eager: tuple, fail_at=No
         out = []
         stop = min((p for p in (fail_at, read_error_at) if p is not None), default=n)
         raised = (contextlib.nullcontext() if stop == n else pytest.raises(
-            ProviderError, match=f"^{'read' if stop == read_error_at else 'work'} {stop}$"))
+            error, match=f"^{'read' if stop == read_error_at else 'work'} {stop}$"))
         with raised:
             for result in gateway.in_order(work, items(), concurrency):
                 out.append(result)
                 state["yielded"] += 1
+    assert broken == []
     assert out == [10 * position for position in range(stop)]
     assert len(pools) == (concurrency > 1)
     assert all(pool.shut_down and pool.started == [] for pool in pools)
@@ -830,7 +843,7 @@ def test_in_order_keeps_its_invariants_under_every_completion_order(monkeypatch,
     """Every order in which up to 6 items can finish, with work finishing
     only when the stream waits, or also at each submit or every other one,
     and with a failing item or an item that cannot be read at each position
-    (up to 5 items). The
+    (up to 5 items), raising each of `STREAM_ERRORS`. The
     window (1 a worker) and the cap (2 a worker) are small enough to bind.
     At concurrency 1 no pool is made."""
     monkeypatch.setattr(gateway, "LOOKAHEAD_PER_WORKER", 1)
@@ -841,15 +854,16 @@ def test_in_order_keeps_its_invariants_under_every_completion_order(monkeypatch,
                 _stream_under(n, concurrency, rank, eager)
                 if n > 5:
                     continue
-                for position in range(n):
-                    _stream_under(n, concurrency, rank, eager, fail_at=position)
-                    _stream_under(n, concurrency, rank, eager, read_error_at=position)
+                for position, error in itertools.product(range(n), STREAM_ERRORS):
+                    _stream_under(n, concurrency, rank, eager, fail_at=position, error=error)
+                    _stream_under(n, concurrency, rank, eager, read_error_at=position,
+                                  error=error)
 
 
 def test_in_order_keeps_its_invariants_under_random_completion_orders(monkeypatch):
     """200 seeded random orders of 200 items at concurrency 2 and 3, under
     the module's window and a cap of 8 a worker, some with a failing item,
-    an unreadable item, or both."""
+    an unreadable item, or both, each raising each of `STREAM_ERRORS`."""
     monkeypatch.setattr(gateway, "WAITING_PER_WORKER", 8)
     rng, n = random.Random(20081208), 200
     for _ in range(200):
@@ -862,4 +876,19 @@ def test_in_order_keeps_its_invariants_under_random_completion_orders(monkeypatc
         eager = tuple(rng.choice([0, 0, 1, 2]) for _ in range(17))
         fail_at = rng.choice([None, rng.randrange(n)])
         read_error_at = rng.choice([None, rng.randrange(n)])
-        _stream_under(n, concurrency, rank, eager, fail_at, read_error_at)
+        for error in STREAM_ERRORS:
+            _stream_under(n, concurrency, rank, eager, fail_at, read_error_at, error)
+
+
+def test_ctrl_c_while_reading_propagates_at_once():
+    """A `KeyboardInterrupt` is no failure to record: it is raised as it
+    comes, before the result of the slow item ahead of it."""
+    def items():
+        yield 0
+        raise KeyboardInterrupt
+
+    out = []
+    with pytest.raises(KeyboardInterrupt):
+        for result in gateway.in_order(lambda item: time.sleep(0.2) or item, items(), 2):
+            out.append(result)
+    assert out == []

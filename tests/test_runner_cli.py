@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -201,10 +202,11 @@ class FailingReplay:
 
 class StalledDeadProvider:
     """A dead provider, counting its asks: the first ask waits `stall`
-    seconds and then fails, and every later ask fails at once."""
+    seconds and then raises `failure()`, and every later ask raises it at
+    once."""
 
-    def __init__(self, stall: float):
-        self.stall = stall
+    def __init__(self, stall: float, failure=lambda: TransportError("connection reset")):
+        self.stall, self.failure = stall, failure
         self.asks = 0
         self._lock = threading.Lock()
 
@@ -214,18 +216,24 @@ class StalledDeadProvider:
             first = self.asks == 1
         if first:  # the other workers ask while this one waits
             time.sleep(self.stall)
-        raise TransportError("connection reset")
+        raise self.failure()
 
 
 @pytest.mark.parametrize("caller", ["run", "sweep", "build_db"])
 @pytest.mark.parametrize("concurrency", [1, 3, 8])
-def test_a_dead_provider_is_asked_at_most_once_per_worker(tmp_path, concurrency, caller):
+@pytest.mark.parametrize("failure", [
+    lambda: TransportError("connection reset"),
+    # what appending a transcript line raises on a full disk under record
+    lambda: OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+], ids=["TransportError", "OSError"])
+def test_a_dead_provider_is_asked_at_most_once_per_worker(tmp_path, failure, concurrency,
+                                                          caller):
     out = tmp_path / "out.jsonl"
     # a stall matters only while another worker can ask during it
-    backend = StalledDeadProvider(stall=0.5 if concurrency > 1 else 0.0)
+    backend = StalledDeadProvider(stall=0.5 if concurrency > 1 else 0.0, failure=failure)
     config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, out=out, k=1,
                            concurrency=concurrency)
-    with pytest.raises(TransportError):
+    with pytest.raises(type(failure())):
         if caller == "sweep":  # one stream for the whole grid: the count holds across cells
             sweep(config, [StrategyKind.RANDOM, StrategyKind.ZEROSHOT], [1, 5],
                   str(tmp_path / "grid.csv"), backend=backend)
@@ -352,7 +360,7 @@ def test_a_sweep_stopped_in_its_middle_cell_keeps_what_is_ahead_and_resumes(
     assert kept[middle] == b"".join(full[middle].splitlines(keepends=True)[:before])
     assert set(kept) == {"grid.csv.random.k1.jsonl", "grid.csv.random.k1.jsonl.metrics.json",
                          middle}  # no report for it, nothing of the last cell, no CSV
-    assert f"provider error in {tmp_path / middle}: stopped after {before} of 25" in caplog.text
+    assert f"TransportError in {tmp_path / middle}: stopped after {before} of 25" in caplog.text
 
     sweep(config, [StrategyKind.RANDOM], k_values, str(csv_path))
     assert sweep_files(tmp_path) == full
@@ -371,6 +379,30 @@ def test_a_dead_embedder_stops_a_sweep_at_its_first_knn_cell(tmp_path, concurren
     with pytest.raises(TransportError):
         sweep(config, strategies, [10], str(tmp_path / "grid.csv"), embedder=DeadEmbedder())
     # the index is built while the cell ahead runs; that cell is complete
+    kept = {"grid.csv.random.k10.jsonl", "grid.csv.random.k10.jsonl.metrics.json"}
+    assert sweep_files(tmp_path) == {name: full[name] for name in kept}
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_a_cache_of_another_dimension_stops_a_sweep_at_its_first_knn_cell(tmp_path, concurrency):
+    """The embedder's first vector does not fit the cache's dimension: the
+    kNN index cannot be built, and reading the first kNN task raises while
+    slowed random tasks are still running. They finish and are written."""
+    class SlowReplay(PoisonedReplay):
+        def complete(self, request):
+            time.sleep(0.05)
+            return super().complete(request)
+
+    strategies = [StrategyKind.RANDOM, StrategyKind.KNN]
+    sweep_hashes(tmp_path, strategies, [10])
+    full = sweep_files(tmp_path / "full")
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps({"key": "0" * 64, "model": runner.DEFAULT_LOCAL_EMBEDDER,
+                                 "dim": 2, "vector": [1.0, 0.0]}) + "\n", encoding="utf-8")
+    config = replay_config(tmp_path, "detect", StrategyKind.RANDOM, concurrency=concurrency,
+                           cache_path=str(cache))
+    with pytest.raises(MalformedRecordError, match="previously produced dim 2, got 256"):
+        sweep(config, strategies, [10], str(tmp_path / "grid.csv"), backend=SlowReplay(set()))
     kept = {"grid.csv.random.k10.jsonl", "grid.csv.random.k10.jsonl.metrics.json"}
     assert sweep_files(tmp_path) == {name: full[name] for name in kept}
 
@@ -768,6 +800,20 @@ def test_build_db_merges_inputs_and_matches_committed_db(tmp_path):
         seed=0,
     )
     assert db_path.read_bytes() == (FIXTURES / "examples.db").read_bytes()
+
+
+def test_build_db_refuses_an_id_that_a_later_input_repeats_before_any_call(tmp_path):
+    corpus_lines = (FIXTURES / "repo_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    first, later = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for path, line in ((first, corpus_lines[0]), (later, corpus_lines[1])):
+        path.write_text(json.dumps({**json.loads(line), "id": "x"}) + "\n", encoding="utf-8")
+    backend = ScriptedBackend(FixtureResponder())
+    db_path = tmp_path / "merged.db"
+    for paths in ((first, later), (later, first)):
+        with pytest.raises(MalformedRecordError) as excinfo:
+            build_db([str(path) for path in paths], str(db_path), FIXTURE_MODEL_ID, backend)
+        assert str(excinfo.value) == f"{paths[1]}: repeats instance id 'x' of {paths[0]}"
+    assert backend.calls == 0 and not db_path.exists()
 
 
 class HeldFirstAsk:
