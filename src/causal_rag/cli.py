@@ -14,11 +14,13 @@ import argparse
 import logging
 import random
 import sys
-from pathlib import Path
 
 from .corpus import FORMATS
-from .errors import CausalRagError, ProviderError, ReplayMissError, TransportError
+from .errors import (
+    CausalRagError, MalformedRecordError, ProviderError, ReplayMissError, TransportError,
+)
 from .evaluation import MATCHING_MODES, render_table
+from .jsonl import read_text
 from .prompting import load_catalog
 from .repository import load_repository, repository_stats
 from .retrieval import MATCHERS, STRATEGY_NAMES, StrategyKind
@@ -162,9 +164,11 @@ def load_config_file(path: str) -> dict[str, str]:
     """Parse a `key = value` config file; `#` lines are comments. A key
     given twice is an error naming both lines."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise CliUsageError(f"cannot read config file {path}: {exc}") from exc
+    except MalformedRecordError as exc:  # a byte that is not UTF-8
+        raise CliUsageError(f"cannot read config file {exc}") from None
     values: dict[str, str] = {}
     lines: dict[str, int] = {}  # each key's line
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import MalformedRecordError
-from .jsonl import encode_line, read_json_objects, replace_lines
+from .jsonl import encode_line, read_json_objects, read_text, replace_lines
 
 TAG_RE = re.compile(r"</?(?:cause|effect)>")
 TOKEN_RE = re.compile(r"(</?(?:cause|effect)>)")
@@ -297,8 +297,7 @@ def _import_semeval(path: Path) -> list[tuple[int, dict]]:
     Like each importer, returns (file line, canonical record) pairs; a
     record's id is its ordinal in the file."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = read_text(path).splitlines()
     i = 0
     while i < len(lines):
         if not lines[i].strip():
@@ -349,23 +348,22 @@ def _import_ade(path: Path) -> list[tuple[int, dict]]:
     ``pmid|sentence|effect|e_start|e_end|drug|d_start|d_end``; the drug is the
     cause and the adverse effect is the effect. All records are causal."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("|")
-            if len(fields) < 8:
-                raise MalformedRecordError(
-                    f"expected 8 pipe-delimited fields, got {len(fields)}", line_no, path
-                )
-            _, sentence, effect, _, _, drug, _, _ = fields[:8]
-            records.append((line_no, {
-                "id": make_sentence_id("ade", len(records) + 1),
-                "text": normalize_ws(sentence),
-                "label": 1,
-                "pairs": [{"cause": normalize_ws(drug), "effect": normalize_ws(effect)}],
-                "source": "ade",
-            }))
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("|")
+        if len(fields) < 8:
+            raise MalformedRecordError(
+                f"expected 8 pipe-delimited fields, got {len(fields)}", line_no, path
+            )
+        _, sentence, effect, _, _, drug, _, _ = fields[:8]
+        records.append((line_no, {
+            "id": make_sentence_id("ade", len(records) + 1),
+            "text": normalize_ws(sentence),
+            "label": 1,
+            "pairs": [{"cause": normalize_ws(drug), "effect": normalize_ws(effect)}],
+            "source": "ade",
+        }))
     return records
 
 
@@ -373,22 +371,21 @@ def _import_li(path: Path) -> list[tuple[int, dict]]:
     """Li-style tagged lines: one sentence per line, inline single-pair
     cause/effect tags for causal sentences, bare text otherwise."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sentence = parse_tagged_sentence(line, "li", len(records) + 1)
-            except ValueError as exc:
-                raise MalformedRecordError(str(exc), line_no, path) from None
-            records.append((line_no, {
-                "id": sentence.id,
-                "text": sentence.raw_text,
-                "label": 1 if sentence.pairs else 0,
-                "pairs": [{"cause": p.cause, "effect": p.effect} for p in sentence.pairs],
-                "source": "li",
-            }))
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            sentence = parse_tagged_sentence(line, "li", len(records) + 1)
+        except ValueError as exc:
+            raise MalformedRecordError(str(exc), line_no, path) from None
+        records.append((line_no, {
+            "id": sentence.id,
+            "text": sentence.raw_text,
+            "label": 1 if sentence.pairs else 0,
+            "pairs": [{"cause": p.cause, "effect": p.effect} for p in sentence.pairs],
+            "source": "li",
+        }))
     return records
 
 

@@ -39,10 +39,10 @@ if TYPE_CHECKING:
 @dataclass(frozen=True, slots=True, eq=False)
 class EmbeddingVector:
     """One embedding: a read-only, one-dimensional float64 array, 8 bytes a
-    component, finite and not all zero, so every cosine similarity with it
-    is defined. A read-only float64 array is kept as is; any other sequence
-    of numbers is copied into one. Its model is the model of the key it is
-    kept under."""
+    component, finite and not all zero, with a finite squared norm, so every
+    cosine similarity with it is defined and finite. A read-only float64
+    array is kept as is; any other sequence of numbers is copied into one.
+    Its model is the model of the key it is kept under."""
 
     values: np.ndarray
 
@@ -59,10 +59,12 @@ class EmbeddingVector:
             raise ValueError("embedding must have at least one component, in one dimension")
         if not np.isfinite(values).all():
             raise ValueError("embedding components must be finite")
-        with np.errstate(over="ignore"):  # a norm beyond float64 is still one
+        with np.errstate(over="ignore"):  # an overflow is refused below
             squared_norm = np.vecdot(values, values)
         if not squared_norm:  # no cosine similarity with it is defined
             raise ValueError("embedding must not be the all-zero vector")
+        if not np.isfinite(squared_norm):  # its cosines would read 0 or NaN
+            raise ValueError("embedding's squared norm must be finite")
 
     @property
     def dim(self) -> int:
@@ -83,8 +85,8 @@ class NeighborHit:
 
 def vector_from_json(values) -> EmbeddingVector:
     """An embedding from a decoded JSON value, which must be a non-empty
-    array of finite numbers, not all zero; anything else is a TypeError or
-    ValueError."""
+    array of finite numbers, not all zero, whose squared norm is finite;
+    anything else is a TypeError or ValueError."""
     # numpy would read a string, a null or a boolean as a number
     if type(values) is not list or not set(map(type, values)) <= {int, float}:
         raise TypeError("embedding must be a JSON array of numbers")

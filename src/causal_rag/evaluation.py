@@ -307,11 +307,11 @@ class PredictionRecord(NamedTuple):
         `encode_line` gives of the record as an object, each provenance
         entry without its None fields and its score rounded to 6 places.
         It is spelled out in sorted key order, each string escaped by
-        `encode_basestring` (the escaper `encode_line` uses) and each number
-        and `parsed` encoded by `encode_line`, so no object is built per
-        record. The numbers stay on `encode_line`, whose per-thread encoder
-        costs little per call, because a record read back from a file may
-        hold an int where a run writes a float."""
+        `encode_basestring` (the escaper `encode_line` uses), so no object
+        is built per record. `example_count` is always an int and is spelled
+        by `str`; each score and `parsed` stay on `encode_line`, because a
+        record read back from a file may hold an int where a run writes a
+        float."""
         entries = []
         for record_id, origin, score, connective in self.provenance:
             entries.append(
@@ -321,7 +321,7 @@ class PredictionRecord(NamedTuple):
                 + f'"record_id": {encode_basestring(record_id)}'
                 + ("}" if score is None else f', "score": {encode_line(round(score, 6))}}}'))
         return (
-            f'{{"example_count": {encode_line(self.example_count)}, '
+            f'{{"example_count": {self.example_count}, '
             f'"fallback_used": {"true" if self.fallback_used else "false"}, '
             f'"parse_error": {"true" if self.parse_error else "false"}, '
             f'"parsed": {encode_line(self.parsed)}, '

@@ -1,6 +1,6 @@
-"""Every JSONL read and every whole-file write: the one line reader, the one
-appender and the one atomic writer; and the memo shared by the stores and
-the chat client.
+"""Every input-file read and every whole-file write: the one line reader,
+the one text reader, the one appender and the one atomic writer; and the
+memo shared by the stores and the chat client.
 
 `read_json_objects` reads every JSONL file, decoding each line with one
 scanner call; only a line that fails that goes through `json.loads`, so
@@ -12,20 +12,21 @@ off (or ends it, if it parses) when it opens the file for its first line.
 Datasets and saved repositories, which nothing appends to, refuse it. A
 store reads through `read_jsonl` with its own `parse`. Any other damaged
 line, or one that `parse` refuses, is a `MalformedRecordError` that names
-the file, the line and the reason. `mmap` is imported only to read a torn
-tail back, and `logging` only by a warning (`errors.warn`). A parser keeps
-one object per distinct value of a string field that repeats across lines
-(`sys.intern`), so a file of many lines that share a value holds it once.
+the file, the line and the reason. Every other input file is read through
+`read_text`, which names the line of a byte that is not UTF-8 the same way.
+`mmap` is imported only to read a torn tail back, and `logging` only by a
+warning (`errors.warn`). A parser keeps one object per distinct value of a
+string field that repeats across lines (`sys.intern`), so a file of many
+lines that share a value holds it once.
 
 A `LineAppender` holds one descriptor from its first line until it is
 released, when a finalizer closes it; each line is one write loop on it.
 `replace_lines` writes every whole file (saved repositories, canonical
 datasets, metrics reports, sweep CSVs) in one rename. `encode_line` is the
 one encoding of a stored line (keys sorted, non-ASCII text as UTF-8): the
-bytes and errors of `JSONEncoder(sort_keys=True, ensure_ascii=False).encode`,
-through one C encoder per thread, made on the thread's first line, where
-`JSONEncoder` makes a new one on every call. A failed call clears that
-thread's cycle markers, so an error is never carried into a later line.
+`encode` of one module-level `JSONEncoder(sort_keys=True,
+ensure_ascii=False)`, which keeps no state between calls, so every thread
+shares it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import json
 import os
 import threading
 import weakref
-from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
@@ -43,38 +43,9 @@ from .errors import MalformedRecordError, warn
 T = TypeVar("T")
 
 
-class _LineEncoder(threading.local):
-    """One thread's C encoder, made on the thread's first line with the
-    arguments `JSONEncoder(sort_keys=True, ensure_ascii=False).iterencode`
-    gives `c_make_encoder`, and its markers (the ids of the containers
-    being encoded, so a cycle is refused)."""
-
-    def __init__(self) -> None:
-        self.markers: dict = {}
-        self.encode = c_make_encoder(
-            self.markers, json.JSONEncoder().default, encode_basestring, None,
-            ": ", ", ", True, False, True)
-
-
-def _encode_line(obj: object) -> str:
-    """`JSONEncoder(sort_keys=True, ensure_ascii=False).encode(obj)`, with
-    the same bytes and the same errors, through this thread's encoder."""
-    encoder = _line_encoder
-    try:
-        return "".join(encoder.encode(obj, 0))
-    except BaseException:
-        # a failed call leaves its containers' ids behind, and a later
-        # object at one of those addresses would be refused as a cycle
-        encoder.markers.clear()
-        raise
-
-
-if c_make_encoder is None:  # a Python built without `_json`
-    encode_line: Callable[[object], str] = json.JSONEncoder(
-        sort_keys=True, ensure_ascii=False).encode
-else:
-    _line_encoder = _LineEncoder()
-    encode_line = _encode_line
+# one encoder for every stored line
+encode_line: Callable[[object], str] = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False).encode
 
 # one decoder for every line: `json.loads` without its per-call wrapper
 _raw_decode = json.JSONDecoder().raw_decode
@@ -123,6 +94,19 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T] = lambda obj: obj) -
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRecordError(exc, line_no, path) from None
         yield item
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a file that is not JSONL (a native dataset, a catalog, a
+    config file) as text mode reads it: UTF-8, with universal newlines. A
+    byte that is not UTF-8 refuses the file, naming the line it is on."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRecordError(f"invalid UTF-8 ({exc})", line_no, path) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def replace_lines(path: str | Path, lines: Iterable[str]) -> None:

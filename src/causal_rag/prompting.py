@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .corpus import normalize_ws, pair_overlap
 from .errors import MalformedRecordError, UnparseableResponseError
+from .jsonl import read_text
 
 if TYPE_CHECKING:
     from .repository import ExampleRecord
@@ -125,7 +126,7 @@ def load_catalog(path: str | Path | None = None) -> PromptCatalog:
             .read_text(encoding="utf-8")
         )
         return parse_catalog(text, DEFAULT_CATALOG_RESOURCE)
-    return parse_catalog(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_catalog(read_text(path), str(path))
 
 
 _default_catalog: PromptCatalog | None = None

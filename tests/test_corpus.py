@@ -535,6 +535,24 @@ def test_ade_and_li_errors_name_the_file_line_and_ids_stay_ordinal(tmp_path) -> 
         "li-000001", "li-000002"]
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("semeval", SEMEVAL_BLOCKS),
+    ("ade", "1|Intravenous azithromycin induced ototoxicity.|ototoxicity|0|0|azithromycin|0|0\n"
+            "\n2|Cisplatin caused renal failure.|renal failure|0|0|Cisplatin|0|0\n"),
+    ("li", "The market stayed flat.\n\n<cause> Rain </cause> brought <effect> floods </effect>.\n"),
+])
+def test_a_native_file_reads_the_same_with_any_line_ends(tmp_path, fmt, text) -> None:
+    """Native files are read with universal newlines: CRLF and CR line ends
+    give the records that LF ones do."""
+    path = tmp_path / "data.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected = load_dataset(path, fmt)
+    assert len(expected.instances) == 2
+    for end in ("\r\n", "\r"):
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        assert load_dataset(path, fmt) == expected
+
+
 def test_load_ade_malformed(tmp_path) -> None:
     path = tmp_path / "ade.rel"
     path.write_text("too|few|fields\n")

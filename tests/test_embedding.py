@@ -165,7 +165,7 @@ PINNED_CACHE_LINES = (
     '0.5773502691896258, 0.5773502691896258, 0.0, 0.0]}\n'
     '{"dim": 8, "key": "8ee41686ee634498f333dd8f953f4b42d8af7222d99465fc91903aed73bcac05", '
     '"model": "m", "vector": [0.1, 0.3333333333333333, -0.0, -2.5, 1e-300, 5e-324, '
-    '1e+300, 7.0]}\n'
+    '1e+150, 7.0]}\n'
 )
 
 
@@ -173,7 +173,8 @@ def test_cache_lines_match_the_pinned_bytes(tmp_path) -> None:
     path = tmp_path / "c.jsonl"
     cache = EmbeddingCache(path)
     EmbeddingService(LocalHashEmbedder(dim=8), cache).vector("Smoking causes cancer")
-    awkward = vec(0.1, 1 / 3, -0.0, -2.5, 1e-300, 5e-324, 1e300, 7.0)
+    # 1e150, not 1e300: a squared norm beyond float64 is refused
+    awkward = vec(0.1, 1 / 3, -0.0, -2.5, 1e-300, 5e-324, 1e150, 7.0)
     cache.put(embedding_key("awkward", "m"), awkward)
     assert path.read_bytes() == PINNED_CACHE_LINES.encode("utf-8")
     # a loaded vector is written back as the same bytes
@@ -296,13 +297,17 @@ def test_cache_line_without_dim_is_named(tmp_path) -> None:
         EmbeddingCache(path)
 
 
-def test_cache_line_with_an_all_zero_vector_is_named(tmp_path) -> None:
+@pytest.mark.parametrize("vector, reason", [
+    ([0.0, -0.0], "embedding must not be the all-zero vector"),
+    # each component is finite, but the squared norm overflows float64
+    ([1e200, 1e200], "embedding's squared norm must be finite"),
+])
+def test_cache_line_with_an_all_zero_vector_is_named(tmp_path, vector, reason) -> None:
     path = tmp_path / "c.jsonl"
     good = {"dim": 2, "key": "k1", "model": "m", "vector": [0.6, 0.8]}
-    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "vector": [0.0, -0.0]}) + "\n",
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "vector": vector}) + "\n",
                     encoding="utf-8")
-    with pytest.raises(MalformedRecordError,
-                       match="line 2: embedding must not be the all-zero vector"):
+    with pytest.raises(MalformedRecordError, match=f"line 2: {reason}"):
         EmbeddingCache(path)
 
 
@@ -474,9 +479,13 @@ def test_cosine_errors() -> None:
         similarity(vec(1, 2), vec(1, 2, 3))
     with pytest.raises(ValueError, match="^dim 2 vs 3$"):  # a dim that changes partway
         EmbeddingService(_Provider([2, 2, 3])).index(["a", "b", "c"], ["x", "y", "z"])
-    # no query or row is all zero: such a vector is refused where it is made
+    # no query or row is all zero or has a squared norm beyond float64
+    # (which would score its cosines 0 or NaN): such a vector is refused
+    # where it is made
     with pytest.raises(ValueError, match="embedding must not be the all-zero vector"):
         vec(0, 0)
+    with pytest.raises(ValueError, match="embedding's squared norm must be finite"):
+        vec(1e200, 1e200)
 
 
 def test_cosine_symmetry_and_scale_invariance_seeded() -> None:

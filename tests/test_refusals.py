@@ -5,6 +5,7 @@ written or asked of the provider before it."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -82,12 +83,14 @@ def test_eval_refuses_an_unknown_provenance_key_naming_the_line(tmp_path, capsys
     (None, "cannot read config file"),
     ("k 5\n", "line 1: expected key = value"),
     ("force = maybe\n", "config key force: expected one of true/1/yes/false/0/no, got 'maybe'"),
+    # "\udcff" is written as the byte 0xff, which is not UTF-8
+    ("force = true\nk = \udcff\n", "run.conf: line 2: invalid UTF-8 ("),
 ])
 def test_a_config_file_that_cannot_be_read_or_parsed_is_a_usage_error(tmp_path, capsys,
                                                                       text, reason):
     config_file = tmp_path / "run.conf"
     if text is not None:  # else there is no file to read
-        config_file.write_text(text, encoding="utf-8")
+        config_file.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(run_flags(tmp_path, config=str(config_file))) == 1
     assert reason in capsys.readouterr().err
     assert not (tmp_path / "cli.jsonl").exists()
@@ -125,13 +128,41 @@ SEMEVAL_BLOCK = (
     ('2 "The <e1>rain</e1> brings <e2>floods</e2>."\nCause-Effect(e1,e2)\n',
      "expected '<id>\\t\"sentence\"'"),
     ('2\t"The rain brings floods."\nCause-Effect(e1,e2)\n', "sentence lacks <e1>/<e2> markup"),
+    ('2\t"The <e1>rain</e1> brings \udcff <e2>floods</e2>."\nCause-Effect(e1,e2)\n',
+     "invalid UTF-8 ("),
 ])
 def test_a_semeval_block_that_breaks_the_format_is_refused_naming_its_line(tmp_path, capsys,
                                                                           block, reason):
     dataset = tmp_path / "bad.txt"
-    dataset.write_text(SEMEVAL_BLOCK + block, encoding="utf-8")
+    dataset.write_bytes((SEMEVAL_BLOCK + block).encode("utf-8", "surrogateescape"))
     assert main(run_flags(tmp_path, dataset=str(dataset), dataset_format="semeval")) == 2
     assert f"{dataset}: line 5: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "cli.jsonl").exists()
+
+
+ADE_LINE = "1|Intravenous azithromycin induced ototoxicity.|ototoxicity|0|0|azithromycin|0|0\n"
+
+
+@pytest.mark.parametrize("kind", ["ade", "li", "catalog"])
+def test_a_byte_that_is_not_utf8_is_refused_naming_the_file_and_its_line(tmp_path, capsys,
+                                                                        kind):
+    """A native dataset or a catalog is refused at its first byte that is
+    not UTF-8, naming the file and the line that byte is on."""
+    if kind == "catalog":
+        packaged = Path(runner.__file__).parent / "prompts" / "catalog_v1.txt"
+        lines = packaged.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        path = tmp_path / "catalog.txt"
+        path.write_bytes(b"\n".join(lines))
+        flags = {"catalog": str(path)}
+    else:
+        text = {"ade": ADE_LINE + "\n" + ADE_LINE.replace("induced", "induced \udcff"),
+                "li": "The market stayed flat.\n\nPrices fell \udcff.\n"}[kind]
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        flags = {"dataset": str(path), "dataset_format": kind}
+    assert main(run_flags(tmp_path, **flags)) == 2
+    assert f"data error: {path}: line 3: invalid UTF-8 (" in capsys.readouterr().err
     assert not (tmp_path / "cli.jsonl").exists()
 
 

@@ -1752,10 +1752,15 @@ def test_a_damaged_input_file_is_refused_before_any_provider_call(tmp_path, faul
     assert not Path(config.output_path).exists()
 
 
+@pytest.mark.parametrize("embedding, reason", [
+    ([0.0, 0.0, 0.0], "embedding must not be the all-zero vector"),
+    ([1e200, 1e200, 1e200], "embedding's squared norm must be finite"),
+])
 def test_cli_a_zero_vector_embedding_payload_is_a_provider_error_that_adds_no_cache_line(
-        tmp_path, capsys, monkeypatch):
-    """A provider's all-zero embedding is a malformed payload (exit 3),
-    refused before the cache file gets a line for it."""
+        tmp_path, capsys, monkeypatch, embedding, reason):
+    """A provider's all-zero embedding, or one whose squared norm overflows
+    float64, is a malformed payload (exit 3), refused before the cache file
+    gets a line for it."""
     import requests
 
     class ZeroEmbeddings:
@@ -1766,7 +1771,7 @@ def test_cli_a_zero_vector_embedding_payload_is_a_provider_error_that_adds_no_ca
             return self
 
         def json(self):
-            return {"data": [{"embedding": [0.0, 0.0, 0.0]}]}
+            return {"data": [{"embedding": embedding}]}
 
     monkeypatch.setattr(requests, "Session", ZeroEmbeddings)
     monkeypatch.setenv("CAUSAL_RAG_API_KEY", "k")
@@ -1777,8 +1782,7 @@ def test_cli_a_zero_vector_embedding_payload_is_a_provider_error_that_adds_no_ca
     assert main(run_flags(tmp_path, strategy="knn", cache=str(cache),
                           embedding_model="remote-embedder", base_url="http://127.0.0.1:9")) == 3
     err = capsys.readouterr().err
-    assert ("provider error: malformed embedding payload: "
-            "embedding must not be the all-zero vector") in err
+    assert f"provider error: malformed embedding payload: {reason}" in err
     assert cache.read_bytes() == made
 
 
