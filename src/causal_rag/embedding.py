@@ -39,10 +39,11 @@ if TYPE_CHECKING:
 @dataclass(frozen=True, slots=True, eq=False)
 class EmbeddingVector:
     """One embedding: a read-only, one-dimensional float64 array, 8 bytes a
-    component, finite and not all zero, with a finite squared norm, so every
-    cosine similarity with it is defined and finite. A read-only float64
-    array is kept as is; any other sequence of numbers is copied into one.
-    Its model is the model of the key it is kept under."""
+    component, finite and not all zero, with a finite squared norm no
+    smaller than the smallest normal float64, so every cosine similarity
+    with it is defined, finite and within rounding of [-1, 1]. A read-only
+    float64 array is kept as is; any other sequence of numbers is copied
+    into one. Its model is the model of the key it is kept under."""
 
     values: np.ndarray
 
@@ -61,8 +62,12 @@ class EmbeddingVector:
             raise ValueError("embedding components must be finite")
         with np.errstate(over="ignore"):  # an overflow is refused below
             squared_norm = np.vecdot(values, values)
-        if not squared_norm:  # no cosine similarity with it is defined
-            raise ValueError("embedding must not be the all-zero vector")
+        if squared_norm < sys.float_info.min:
+            if not values.any():  # no cosine similarity with it is defined
+                raise ValueError("embedding must not be the all-zero vector")
+            # subnormal or underflowed to 0: its norm loses digits, and its
+            # cosines may pass 1 and reorder ties
+            raise ValueError(f"embedding's squared norm must not be below {sys.float_info.min:.1e}")
         if not np.isfinite(squared_norm):  # its cosines would read 0 or NaN
             raise ValueError("embedding's squared norm must be finite")
 
@@ -85,8 +90,9 @@ class NeighborHit:
 
 def vector_from_json(values) -> EmbeddingVector:
     """An embedding from a decoded JSON value, which must be a non-empty
-    array of finite numbers, not all zero, whose squared norm is finite;
-    anything else is a TypeError or ValueError."""
+    array of finite numbers, not all zero, whose squared norm is finite and
+    not below the smallest normal float64; anything else is a TypeError or
+    ValueError."""
     # numpy would read a string, a null or a boolean as a number
     if type(values) is not list or not set(map(type, values)) <= {int, float}:
         raise TypeError("embedding must be a JSON array of numbers")

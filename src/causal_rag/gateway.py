@@ -1,7 +1,8 @@
 """Provider-neutral chat completion with live, replay and record backends.
 
-Each request is identified by a sha256 hash over (model_id, system_text,
-user_text, temperature). The hash deliberately excludes max_output_tokens:
+Every request asks at one fixed temperature, 0.0 (`TEMPERATURE`), and is
+identified by a sha256 hash over (model_id, system_text, user_text,
+temperature 0.0). The hash deliberately excludes max_output_tokens:
 raising or lowering an output cap must not invalidate previously recorded
 transcripts. Transcripts are append-only JSONL, one line per answer:
 `{"request_hash", "response_text", "timestamp"}`, the timestamp in UTC to
@@ -42,7 +43,7 @@ from functools import lru_cache
 from itertools import count
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, TypeVar
 
 from .errors import ProviderError, ReplayMissError, TransportError
 from .jsonl import LineAppender, Memo, read_jsonl
@@ -51,6 +52,8 @@ if TYPE_CHECKING:
     import requests
 
 API_KEY_ENV = "CAUSAL_RAG_API_KEY"
+# the sampling temperature of every request, hashed and sent as 0.0
+TEMPERATURE = 0.0
 DEFAULT_TIMEOUT = 60.0
 RETRY_ATTEMPTS = 5
 RETRY_BASE_DELAY = 1.0
@@ -71,16 +74,15 @@ _encode_digest_payload = json.JSONEncoder(
 ).encode
 
 
-# typed: 1 and 1.0 are one key untyped, but encode as 1 and 1.0
-@lru_cache(maxsize=64, typed=True)
-def _digest_head(model_id: str, system_text: str, temperature: float):
+@lru_cache(maxsize=64)
+def _digest_head(model_id: str, system_text: str):
     """A sha256 state over the canonical payload up to the value of its last
     key, `user_text`: the part that many requests share. Copy it; never
     update it."""
     payload = _encode_digest_payload({
         "model_id": model_id,
         "system_text": system_text,
-        "temperature": temperature,
+        "temperature": TEMPERATURE,
         "user_text": "",
     })
     return hashlib.sha256(payload.removesuffix('""}').encode("utf-8"))
@@ -91,7 +93,6 @@ class CompletionRequest:
     system_text: str
     user_text: str
     model_id: str
-    temperature: float = 0.0
     max_output_tokens: int = 1024
 
     # sha256 identity of the request, computed at construction, so every
@@ -101,11 +102,9 @@ class CompletionRequest:
     def __post_init__(self) -> None:
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
         # the bytes hashed are the canonical payload's; its constant head is
-        # hashed once per (model, system text, temperature)
-        state = _digest_head(self.model_id, self.system_text, self.temperature).copy()
+        # hashed once per (model, system text)
+        state = _digest_head(self.model_id, self.system_text).copy()
         state.update((encode_basestring(self.user_text) + "}").encode("utf-8"))
         object.__setattr__(self, "digest", state.hexdigest())
 
@@ -114,17 +113,6 @@ class CompletionRequest:
 class CompletionResponse:
     text: str
     provider_meta: dict = field(default_factory=dict, compare=False)
-
-
-class TranscriptEntry(NamedTuple):
-    """One transcript line. `Transcript.append` writes it straight from
-    its three fields, in sorted key order and each through
-    `encode_basestring`: the bytes `encode_line` gives of it spelled out
-    as an object."""
-
-    request_hash: str
-    response_text: str
-    timestamp: str
 
 
 def request_hash(req: CompletionRequest) -> str:
@@ -156,7 +144,10 @@ def _transcript_entry(obj: dict) -> tuple[str, str]:
 
 class Transcript(Memo):
     """Append-only JSONL store of completed requests, as a memo of response
-    texts by request hash.
+    texts by request hash. `append` writes one line straight from its
+    request hash, response text and timestamp, in sorted key order and each
+    through `encode_basestring`: the bytes `encode_line` gives of them
+    spelled out as an object.
 
     Lookup takes the last entry for a hash, so a corrected response can be
     appended later without rewriting history. Appends are serialized; loads
@@ -171,17 +162,16 @@ class Transcript(Memo):
             self._values.update(read_jsonl(self.path, _transcript_entry))
 
     def put(self, req_hash: str, response_text: str) -> str:
-        self.append(TranscriptEntry(req_hash, response_text, _utc_now()))
+        self.append(req_hash, response_text, _utc_now())
         return response_text
 
-    def append(self, entry: TranscriptEntry) -> None:
-        # the bytes `encode_line` gives of the entry as an object
-        line = (f'{{"request_hash": {encode_basestring(entry.request_hash)}, '
-                f'"response_text": {encode_basestring(entry.response_text)}, '
-                f'"timestamp": {encode_basestring(entry.timestamp)}}}')
+    def append(self, request_hash: str, response_text: str, timestamp: str) -> None:
+        line = (f'{{"request_hash": {encode_basestring(request_hash)}, '
+                f'"response_text": {encode_basestring(response_text)}, '
+                f'"timestamp": {encode_basestring(timestamp)}}}')
         with self._lock:
             self._appender.append(line)
-            self._values[entry.request_hash] = entry.response_text
+            self._values[request_hash] = response_text
 
 
 class Backend(Protocol):
@@ -275,7 +265,7 @@ class LiveBackend(HttpEndpoint):
                 {"role": "system", "content": req.system_text},
                 {"role": "user", "content": req.user_text},
             ],
-            "temperature": req.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": req.max_output_tokens,
         }
         text, meta = self.post("/v1/chat/completions", payload, "completion", _read_completion)
@@ -319,7 +309,7 @@ class ReplayBackend(RecordBackend):
 @dataclass
 class LlmClient:
     """A model handle: a backend, asked on every call (a `RecordBackend`
-    keeps the answers), and the output cap of its temperature-0 requests."""
+    keeps the answers), and the output cap of its requests."""
 
     backend: Backend
     model_id: str

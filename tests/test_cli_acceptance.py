@@ -7,7 +7,10 @@ no test leaves a `*.tmp` behind."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +109,34 @@ def test_a_pattern_sweep_writes_the_same_bytes_at_every_k_and_worker_count(
     for suffix in ("", ".metrics.json"):
         assert_same(tmp_path / f"pk4.csv.pattern.k5.jsonl{suffix}",
                     Path(f"{pattern_run}{suffix}"))
+
+
+def test_a_sweep_and_a_knn_run_write_the_same_bytes_under_any_hash_seed(tmp_path):
+    """The sweep the fixture transcript covers, and a kNN run, each in a new
+    process under `PYTHONHASHSEED` 0 and 12345: no byte they write may hang
+    on the order of a set or of a dict of strings."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    commands = [
+        ["sweep", "--dataset", DETECT, "--strategies", "random", "pattern",
+         "--k-values", 1, 5, 10, 50, "--out", "grid.csv"],
+        ["run", "--dataset", DETECT, "--strategy", "knn", "--k", 10, "--out", "knn.jsonl"],
+    ]
+    written = {}
+    for seed in ("0", "12345"):
+        out = tmp_path / seed
+        out.mkdir()
+        for command in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "causal_rag.cli", *map(str, command),
+                 "--db", DB, "--transcript", TRANSCRIPT, *MODEL],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                cwd=out, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        written[seed] = {file.name: file.read_bytes() for file in out.iterdir()}
+    assert len(written["0"]) == 1 + 2 * 8 + 2  # the CSV, 8 cells, the kNN run
+    assert written["0"] == written["12345"]
 
 
 @pytest.mark.parametrize("matching", ["greedy", "optimal"])

@@ -301,6 +301,8 @@ def test_cache_line_without_dim_is_named(tmp_path) -> None:
     ([0.0, -0.0], "embedding must not be the all-zero vector"),
     # each component is finite, but the squared norm overflows float64
     ([1e200, 1e200], "embedding's squared norm must be finite"),
+    # not zero, but the squared norm is subnormal
+    ([1e-160, 3e-161], "embedding's squared norm must not be below 2.2e-308"),
 ])
 def test_cache_line_with_an_all_zero_vector_is_named(tmp_path, vector, reason) -> None:
     path = tmp_path / "c.jsonl"
@@ -479,13 +481,44 @@ def test_cosine_errors() -> None:
         similarity(vec(1, 2), vec(1, 2, 3))
     with pytest.raises(ValueError, match="^dim 2 vs 3$"):  # a dim that changes partway
         EmbeddingService(_Provider([2, 2, 3])).index(["a", "b", "c"], ["x", "y", "z"])
-    # no query or row is all zero or has a squared norm beyond float64
-    # (which would score its cosines 0 or NaN): such a vector is refused
-    # where it is made
+    # no query or row is all zero, has a squared norm beyond float64 (which
+    # would score its cosines 0 or NaN) or a subnormal one (which would score
+    # a cosine above 1): such a vector is refused where it is made
     with pytest.raises(ValueError, match="embedding must not be the all-zero vector"):
         vec(0, 0)
     with pytest.raises(ValueError, match="embedding's squared norm must be finite"):
         vec(1e200, 1e200)
+    with pytest.raises(ValueError, match="embedding's squared norm must not be below 2.2e-308"):
+        vec(1e-160, 3e-161)  # parallel to [1.0, 0.3], which it would score 1.0000418
+    with pytest.raises(ValueError, match="embedding's squared norm must not be below 2.2e-308"):
+        vec(1e-170, 1e-170)  # its squared norm underflows to 0
+
+
+def test_every_accepted_vector_scores_cosines_within_rounding_of_minus_one_to_one() -> None:
+    """Over component scales from 1e-160 to 1e150, each vector is refused,
+    or scores every row, itself and a parallel copy at another scale among
+    them, within 1e-12 of [-1, 1], as the query and as a row."""
+    rng = random.Random(20261022)
+    accepted = refused = 0
+    for _ in range(1200):
+        dim = rng.randint(2, 256)
+        scale = 10.0 ** rng.uniform(-160, 150)
+        components = [scale * rng.uniform(-1, 1) for _ in range(dim)]
+        try:
+            vector = vec(*components)
+        except ValueError:
+            refused += 1
+            continue
+        accepted += 1
+        copy_scale = 10.0 ** rng.uniform(-150, 150)
+        others = [vec(*(c / scale * copy_scale for c in components)),
+                  *(vec(*(rng.uniform(-1, 1) for _ in range(dim))) for _ in range(2))]
+        rows = {f"r{i}": v for i, v in enumerate([vector, *others])}
+        index = index_of(rows)
+        for query in rows.values():
+            for hit in knn_search(query, index, len(rows)):
+                assert -1 - 1e-12 <= hit.similarity <= 1 + 1e-12, (scale, dim, hit)
+    assert accepted > 1000 and refused > 10
 
 
 def test_cosine_symmetry_and_scale_invariance_seeded() -> None:

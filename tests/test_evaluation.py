@@ -26,7 +26,6 @@ from causal_rag.evaluation import (
     single_pair_accuracy,
     triplet_metrics,
 )
-from causal_rag.gateway import TranscriptEntry
 from causal_rag.jsonl import encode_line
 from causal_rag.kernels import token_subsequence
 from causal_rag.prompting import parse_detection, parse_extraction
@@ -590,9 +589,7 @@ _NO_DEFAULT = object()
     (PredictionRecord, dict.fromkeys(
         ("sentence_id", "task", "strategy", "prompt_hash", "example_count", "fallback_used",
          "provenance", "response", "parsed", "parse_error"), _NO_DEFAULT)),
-    (TranscriptEntry, dict.fromkeys(("request_hash", "response_text", "timestamp"),
-                                    _NO_DEFAULT)),
-], ids=["ExampleProvenance", "PredictionRecord", "TranscriptEntry"])
+], ids=["ExampleProvenance", "PredictionRecord"])
 def test_per_record_value_types_keep_their_fields_and_stay_immutable(kind, fields) -> None:
     """Each is a named tuple, cheap to build: the field names, their order and
     their defaults are those of the frozen dataclass it replaced, and no

@@ -35,7 +35,6 @@ from causal_rag.gateway import (
     RecordBackend,
     ReplayBackend,
     Transcript,
-    TranscriptEntry,
     request_hash,
 )
 from causal_rag.jsonl import Memo
@@ -46,7 +45,6 @@ def _req(**overrides) -> CompletionRequest:
         system_text="You are a classifier.",
         user_text="Sentence: smoking causes cancer",
         model_id="test-model",
-        temperature=0.0,
         max_output_tokens=64,
     )
     base.update(overrides)
@@ -59,7 +57,6 @@ def test_request_hash_deterministic() -> None:
 
 def test_request_hash_sensitive_to_fields() -> None:
     base = request_hash(_req())
-    assert request_hash(_req(temperature=0.1)) != base
     assert request_hash(_req(user_text="Sentence: smoking causes cancer!")) != base
     assert request_hash(_req(system_text="Other.")) != base
     assert request_hash(_req(model_id="other-model")) != base
@@ -93,11 +90,10 @@ def test_request_hash_matches_the_full_payload_hash() -> None:
             system_text=rng.choice(systems),
             user_text=text(rng.randint(1, 40)),
             model_id=rng.choice(["m", 'mo"del\\1', "modèle"]),
-            temperature=rng.choice([0.0, 0.7, 1, 1.0, 2.5]),
         )
         payload = json.dumps(
             {"model_id": req.model_id, "system_text": req.system_text,
-             "temperature": req.temperature, "user_text": req.user_text},
+             "temperature": 0.0, "user_text": req.user_text},
             sort_keys=True, separators=(",", ":"), ensure_ascii=False,
         )
         assert req.digest == hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -106,15 +102,13 @@ def test_request_hash_matches_the_full_payload_hash() -> None:
 def test_request_validation() -> None:
     with pytest.raises(ValueError):
         _req(user_text="")
-    with pytest.raises(ValueError):
-        _req(temperature=-0.5)
 
 
 def test_transcript_round_trip(tmp_path) -> None:
     path = tmp_path / "t.jsonl"
     transcript = Transcript(path)
-    transcript.append(TranscriptEntry("aa", "hello", "2026-01-01T00:00:00+00:00"))
-    transcript.append(TranscriptEntry("bb", "world", "2026-01-01T00:00:01+00:00"))
+    transcript.append("aa", "hello", "2026-01-01T00:00:00+00:00")
+    transcript.append("bb", "world", "2026-01-01T00:00:01+00:00")
     reloaded = Transcript(path)
     assert reloaded.get("aa") == "hello"
     assert reloaded.get("bb") == "world"
@@ -125,9 +119,9 @@ def test_transcript_round_trip(tmp_path) -> None:
 def test_transcript_append_only_last_wins(tmp_path) -> None:
     path = tmp_path / "t.jsonl"
     transcript = Transcript(path)
-    transcript.append(TranscriptEntry("aa", "first", "ts1"))
+    transcript.append("aa", "first", "ts1")
     before = path.read_text().splitlines()
-    transcript.append(TranscriptEntry("aa", "second", "ts2"))
+    transcript.append("aa", "second", "ts2")
     after = path.read_text().splitlines()
     # earlier lines untouched, correction appended at the end
     assert after[: len(before)] == before
@@ -139,13 +133,13 @@ def test_torn_transcript_loads_and_heals_on_the_next_append(tmp_path) -> None:
     path = tmp_path / "t.jsonl"
     transcript = Transcript(path)
     for name in ("aa", "bb", "cc"):
-        transcript.append(TranscriptEntry(name, f"answer {name}", "ts"))
+        transcript.append(name, f"answer {name}", "ts")
     path.write_bytes(path.read_bytes()[:-20])  # a write cut short
     torn = Transcript(path)
     assert (torn.get("aa"), torn.get("bb"), torn.get("cc")) == (
         "answer aa", "answer bb", None,
     )
-    torn.append(TranscriptEntry("cc", "answer cc again", "ts"))
+    torn.append("cc", "answer cc again", "ts")
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["request_hash"] for line in lines] == ["aa", "bb", "cc"]
     assert Transcript(path).get("cc") == "answer cc again"
@@ -165,7 +159,7 @@ def test_replay_hit_and_miss(tmp_path) -> None:
     req = _req()
     path = tmp_path / "t.jsonl"
     transcript = Transcript(path)
-    transcript.append(TranscriptEntry(request_hash(req), "1", "ts"))
+    transcript.append(request_hash(req), "1", "ts")
     backend = ReplayBackend(transcript)
     assert backend.complete(req).text == "1"
     missing = _req(user_text="Sentence: something else")
@@ -300,7 +294,7 @@ def test_record_mode_failed_live_call_is_retried_and_leaves_no_line(tmp_path) ->
 def test_replay_concurrent_misses_for_one_request_each_fail_and_keep_nothing(tmp_path) -> None:
     path = tmp_path / "t.jsonl"
     recorded = _req(user_text="Sentence: recorded")
-    Transcript(path).append(TranscriptEntry(request_hash(recorded), "1", "ts"))
+    Transcript(path).append(request_hash(recorded), "1", "ts")
     written = path.read_bytes()
     transcript = Transcript(path)
     backend = ReplayBackend(transcript)
@@ -606,7 +600,6 @@ def test_llm_client_passes_settings() -> None:
     client = LlmClient(backend=ScriptedBackend(script), model_id="m-1", max_output_tokens=33)
     assert client.complete_text("sys", "usr") == "0"
     assert seen[0].model_id == "m-1"
-    assert seen[0].temperature == 0.0
     assert seen[0].max_output_tokens == 33
     assert seen[0].system_text == "sys"
 
@@ -641,7 +634,7 @@ def test_replay_pipeline_bit_reproducible(tmp_path) -> None:
     transcript = Transcript(path)
     reqs = [_req(user_text=f"item {i}") for i in range(5)]
     for i, r in enumerate(reqs):
-        transcript.append(TranscriptEntry(request_hash(r), f"answer {i}", "ts"))
+        transcript.append(request_hash(r), f"answer {i}", "ts")
     backend = ReplayBackend(Transcript(path))
     first = [backend.complete(r).text for r in reqs]
     second = [ReplayBackend(Transcript(path)).complete(r).text for r in reqs]

@@ -14,7 +14,7 @@ from fixture_llm import FIXTURE_MODEL_ID, FixtureResponder, ScriptedBackend
 
 from causal_rag.corpus import load_dataset, write_canonical
 from causal_rag.embedding import EmbeddingCache, EmbeddingKey, EmbeddingVector
-from causal_rag.gateway import CompletionRequest, Transcript, TranscriptEntry
+from causal_rag.gateway import CompletionRequest, Transcript
 from causal_rag.jsonl import encode_line
 from causal_rag.retrieval import StrategyKind
 from causal_rag.runner import ExperimentConfig, build_db, run_experiment
@@ -118,9 +118,7 @@ def test_pattern_fallback_provenance_line_bytes(tmp_path):
 
 def test_transcript_line_bytes(tmp_path):
     path = tmp_path / "t.jsonl"
-    Transcript(path).append(
-        TranscriptEntry("ab" * 32, "réponse — « oui »", "2026-01-02T03:04:05+00:00")
-    )
+    Transcript(path).append("ab" * 32, "réponse — « oui »", "2026-01-02T03:04:05+00:00")
     assert path.read_bytes() == (
         b'{"request_hash": "' + b"ab" * 32 + b'", '
         b'"response_text": "r\xc3\xa9ponse \xe2\x80\x94 \xc2\xab oui \xc2\xbb", '
@@ -132,17 +130,18 @@ def test_a_transcript_line_is_encode_line_of_its_entry_seeded(tmp_path):
     path = tmp_path / "t.jsonl"
     rng = random.Random(26)
     alphabet = 'ab "\\\n\r\t\x00\u2028\u2029é—\U0001f600\U0001f9ea'
-    entries = [TranscriptEntry(f"{i:064x}", "".join(rng.choices(alphabet, k=rng.randrange(40))),
-                               f"2026-01-02T03:04:{i % 60:02d}.{i:06d}+00:00")
+    entries = [{"request_hash": f"{i:064x}",
+                "response_text": "".join(rng.choices(alphabet, k=rng.randrange(40))),
+                "timestamp": f"2026-01-02T03:04:{i % 60:02d}.{i:06d}+00:00"}
                for i in range(300)]
     transcript = Transcript(path)
     for entry in entries:
-        transcript.append(entry)
-    assert path.read_bytes() == "".join(encode_line(entry._asdict()) + "\n"
+        transcript.append(**entry)
+    assert path.read_bytes() == "".join(encode_line(entry) + "\n"
                                         for entry in entries).encode("utf-8")
     reloaded = Transcript(path)
-    assert [reloaded.get(entry.request_hash) for entry in entries] == [
-        entry.response_text for entry in entries]
+    assert [reloaded.get(entry["request_hash"]) for entry in entries] == [
+        entry["response_text"] for entry in entries]
 
 
 def test_embedding_cache_line_bytes(tmp_path):
@@ -164,5 +163,5 @@ def test_canonical_dataset_bytes(tmp_path):
 
 
 def test_request_digest():
-    request = CompletionRequest("Système : réponds.", "Phrase : « café »", "m", 0.0)
+    request = CompletionRequest("Système : réponds.", "Phrase : « café »", "m")
     assert request.digest == "e53f75cf6e761a65d101b523f17a7743ddc25da035b5d0342d9c908c25845903"

@@ -1755,12 +1755,13 @@ def test_a_damaged_input_file_is_refused_before_any_provider_call(tmp_path, faul
 @pytest.mark.parametrize("embedding, reason", [
     ([0.0, 0.0, 0.0], "embedding must not be the all-zero vector"),
     ([1e200, 1e200, 1e200], "embedding's squared norm must be finite"),
+    ([1e-160, 3e-161, 0.0], "embedding's squared norm must not be below 2.2e-308"),
 ])
 def test_cli_a_zero_vector_embedding_payload_is_a_provider_error_that_adds_no_cache_line(
         tmp_path, capsys, monkeypatch, embedding, reason):
     """A provider's all-zero embedding, or one whose squared norm overflows
-    float64, is a malformed payload (exit 3), refused before the cache file
-    gets a line for it."""
+    float64 or is subnormal, is a malformed payload (exit 3), refused before
+    the cache file gets a line for it."""
     import requests
 
     class ZeroEmbeddings:
