@@ -299,12 +299,12 @@ def cmd_build_db(opts: dict) -> int:
 def _stats_text(repo, sample: int, seed: int) -> str:
     stats = repository_stats(repo)
     lines = [
-        f"records              {stats.total_records}",
-        f"unique connectives   {stats.unique_connectives}",
-        f"connectives with >=5 {stats.connectives_with_at_least_5}",
+        f"records              {stats['total_records']}",
+        f"unique connectives   {stats['unique_connectives']}",
+        f"connectives with >=5 {stats['connectives_with_at_least_5']}",
         "examples-per-connective histogram:",
     ]
-    for freq, count in stats.frequency_histogram.items():
+    for freq, count in stats["frequency_histogram"].items():
         lines.append(f"  {freq:>3} example(s): {count} connective(s)")
     if sample > 0:
         by_freq: dict[int, list[str]] = {}

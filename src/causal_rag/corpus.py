@@ -4,7 +4,9 @@ The canonical on-disk form is JSON Lines, one object per line:
 ``{"id"?: str, "text": str, "label": 0|1, "pairs": [{"cause","effect"}, ...],
 "source": str}``, read and written through `jsonl` (a torn final line is
 refused). Importers for the three native formats (semeval, ade, li)
-convert into this form; see `load_dataset`.
+convert into this form. A dataset is the tuple of `LabeledInstance`s that
+`load_dataset` returns, in file order; `write_canonical` writes such a
+tuple back as canonical JSONL.
 """
 
 from __future__ import annotations
@@ -104,14 +106,6 @@ class Triplet:
 class LabeledInstance:
     sentence: TaggedSentence
     label: int  # 1 = causal, 0 = non-causal
-
-
-@dataclass(frozen=True)
-class DatasetSplit:
-    instances: tuple[LabeledInstance, ...]
-
-    def causal_sentences(self) -> list[TaggedSentence]:
-        return [inst.sentence for inst in self.instances if inst.label == 1]
 
 
 def _split_on_tags(line: str) -> list[str]:
@@ -392,12 +386,12 @@ def _import_li(path: Path) -> list[tuple[int, dict]]:
 _IMPORTERS = {"semeval": _import_semeval, "ade": _import_ade, "li": _import_li}
 
 
-def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
-    """Load a dataset file into a `DatasetSplit`.
+def load_dataset(path: str | Path, format: str = "jsonl") -> tuple[LabeledInstance, ...]:
+    """The instances of a dataset file, in file order.
 
     `format` is one of ``jsonl`` (the canonical form), ``semeval``, ``ade``
     or ``li``. Native formats are converted to canonical records first, so
-    every split carries the same invariants regardless of origin.
+    every dataset carries the same invariants regardless of origin.
     """
     path = Path(path)
     if format not in FORMATS:
@@ -427,13 +421,13 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> DatasetSplit:
         raise MalformedRecordError(
             f"duplicate instance ids: {dupes[:5]} (this line repeats {sid!r} "
             f"of line {first_lines[sid]})", line_no, path)
-    return DatasetSplit(instances=tuple(instances))
+    return tuple(instances)
 
 
-def to_canonical(split: DatasetSplit) -> list[dict]:
-    """Render a split as canonical record dicts (deterministic order)."""
+def to_canonical(instances: Iterable[LabeledInstance]) -> list[dict]:
+    """Render instances as canonical record dicts, in their order."""
     out = []
-    for inst in split.instances:
+    for inst in instances:
         s = inst.sentence
         out.append(
             {
@@ -447,7 +441,7 @@ def to_canonical(split: DatasetSplit) -> list[dict]:
     return out
 
 
-def write_canonical(split: DatasetSplit, path: str | Path) -> None:
-    """Write a split as canonical JSONL, replacing `path` atomically."""
-    replace_lines(path, map(encode_line, to_canonical(split)))
+def write_canonical(instances: Iterable[LabeledInstance], path: str | Path) -> None:
+    """Write instances as canonical JSONL, replacing `path` atomically."""
+    replace_lines(path, map(encode_line, to_canonical(instances)))
 

@@ -82,12 +82,6 @@ class EmbeddingKey:
     model_id: str
 
 
-@dataclass(frozen=True)
-class NeighborHit:
-    record_id: str
-    similarity: float
-
-
 def vector_from_json(values) -> EmbeddingVector:
     """An embedding from a decoded JSON value, which must be a non-empty
     array of finite numbers, not all zero, whose squared norm is finite and
@@ -314,10 +308,11 @@ class VectorIndex:
         self.depth = depth
 
 
-def knn_search(query: EmbeddingVector, index: VectorIndex, k: int) -> list[NeighborHit]:
-    """Exact top-k by cosine similarity, ties broken by ascending record id.
-    A k within the index's kept depth is a prefix of the query's kept
-    ranking: the sort is stable, so each top k is a prefix of a longer one."""
+def knn_search(query: EmbeddingVector, index: VectorIndex, k: int) -> list[tuple[str, float]]:
+    """Exact top-k (record id, cosine similarity) pairs, ties broken by
+    ascending record id. A k within the index's kept depth is a prefix of
+    the query's kept ranking: the sort is stable, so each top k is a prefix
+    of a longer one."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k <= index.depth:
@@ -325,7 +320,7 @@ def knn_search(query: EmbeddingVector, index: VectorIndex, k: int) -> list[Neigh
     return _ranking(query, index, k)
 
 
-def _ranking(query: EmbeddingVector, index: VectorIndex, k: int) -> list[NeighborHit]:
+def _ranking(query: EmbeddingVector, index: VectorIndex, k: int) -> list[tuple[str, float]]:
     """The top k of `index` for `query`, worked out.
 
     Each score is dot / (|query| * |row|), in that order. np.vecdot takes
@@ -340,4 +335,4 @@ def _ranking(query: EmbeddingVector, index: VectorIndex, k: int) -> list[Neighbo
     norm = float(np.linalg.norm(q))
     similarities = np.vecdot(index.matrix, q) / (norm * index.norms)
     top = np.argsort(-similarities, kind="stable")[:k]
-    return [NeighborHit(record_id=index.ids[i], similarity=float(similarities[i])) for i in top]
+    return [(index.ids[i], float(similarities[i])) for i in top]

@@ -10,10 +10,12 @@ object. A run builds one per sentence, so it is a named tuple, as is each
 `sentence_outcome` turns a record and its instance into a few integers,
 and a `Tally` sums them into the report, through the formulas
 `detection_metrics`, `single_pair_accuracy` and `triplet_metrics` use on
-whole lists. Each matching mode is one matcher of one sentence's (cause,
-effect) pairs: a record's gold pairs meet its parsed pairs directly, and
-`triplet_metrics` groups each side by sentence once and runs the same
-matcher on each sentence.
+whole lists. Metrics are plain dicts, their keys in the order reports
+list them and `render_table` prints them; `dotted_items` walks one into
+the dotted names of that table and of the sweep CSV. Each matching mode
+is one matcher of one sentence's (cause, effect) pairs: a record's gold
+pairs meet its parsed pairs directly, and `triplet_metrics` groups each
+side by sentence once and runs the same matcher on each sentence.
 
 Phrase matching is containment: every token of the gold phrase must appear,
 contiguously and in order, inside the predicted phrase. The test is
@@ -28,9 +30,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import CauseEffectPair, LabeledInstance, Triplet, norm_tokens, pair_overlap
 from .jsonl import encode_line
@@ -38,46 +39,6 @@ from .kernels import token_subsequence
 from .retrieval import ORIGINS, STRATEGY_NAMES, ExampleProvenance, StrategyKind
 
 MATCHING_MODES = ("greedy", "optimal")
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
-class DetectionMetrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    counts: ConfusionCounts
-
-
-@dataclass(frozen=True)
-class TripletMetrics:
-    precision: float
-    recall: float
-    f1: float
-    matched: int
-    predicted_total: int
-    gold_total: int
-
-
-@dataclass(frozen=True)
-class ExtractionOutcome:
-    sentence_id: str
-    success: bool
-    cause_matched: bool
-    effect_matched: bool
-    overlap_flag: bool
 
 
 def containment_match(gold_phrase: str, predicted_phrase: str) -> bool:
@@ -105,15 +66,16 @@ def _confusion_cell(predicted: int, gold: int) -> tuple[int, int, int, int]:
     return _CELLS[predicted, gold]
 
 
-def _detection(tp: int, fp: int, tn: int, fn: int) -> DetectionMetrics:
-    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+def _detection(tp: int, fp: int, tn: int, fn: int) -> dict:
+    """A detect report's metrics from its confusion counts."""
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    return DetectionMetrics((tp + tn) / counts.total, precision, recall,
-                            _f1(precision, recall), counts)
+    return {"accuracy": (tp + tn) / (tp + fp + tn + fn), "precision": precision,
+            "recall": recall, "f1": _f1(precision, recall),
+            "counts": {"tp": tp, "fp": fp, "tn": tn, "fn": fn}}
 
 
-def detection_metrics(preds: Sequence[tuple[int, int]]) -> DetectionMetrics:
+def detection_metrics(preds: Sequence[tuple[int, int]]) -> dict:
     """Score (predicted, gold) label pairs; the positive class is causal=1."""
     if not preds:
         raise ValueError("no predictions to score")
@@ -130,8 +92,10 @@ def _pair_hits(gold: CauseEffectPair, cause: str, effect: str) -> tuple[bool, bo
 
 def single_pair_accuracy(
     items: Sequence[tuple[str, CauseEffectPair, CauseEffectPair | None]],
-) -> tuple[float, list[ExtractionOutcome]]:
-    """Score sentences that carry exactly one gold pair.
+) -> tuple[float, list[dict]]:
+    """Score sentences that carry exactly one gold pair: the accuracy, and
+    each sentence's outcome as {"sentence_id", "success", "cause_matched",
+    "effect_matched", "overlap_flag"}.
 
     items: (sentence_id, gold pair, predicted pair or None). A missing
     prediction (unparseable response upstream) counts as a failure. Success
@@ -141,10 +105,12 @@ def single_pair_accuracy(
         raise ValueError("no extraction outcomes to score")
     outcomes = []
     for sentence_id, gold, predicted in items:
-        hits = (False,) * 3 if predicted is None else (
+        cause, effect, overlap = (False,) * 3 if predicted is None else (
             _pair_hits(gold, predicted.cause, predicted.effect))
-        outcomes.append(ExtractionOutcome(sentence_id, hits[0] and hits[1], *hits))
-    accuracy = sum(1 for o in outcomes if o.success) / len(outcomes)
+        outcomes.append({"sentence_id": sentence_id, "success": cause and effect,
+                         "cause_matched": cause, "effect_matched": effect,
+                         "overlap_flag": overlap})
+    accuracy = sum(1 for o in outcomes if o["success"]) / len(outcomes)
     return accuracy, outcomes
 
 
@@ -205,7 +171,7 @@ def triplet_metrics(
     gold: Sequence[Triplet],
     predicted: Sequence[Triplet],
     matching: str = "greedy",
-) -> TripletMetrics:
+) -> dict:
     """One-to-one triplet matching; P = matched/|predicted|, R = matched/|gold|.
 
     greedy walks gold in the given order, each taking the first unused
@@ -221,12 +187,12 @@ def triplet_metrics(
     return _triplets(matched, len(predicted), len(gold))
 
 
-def _triplets(matched: int, predicted_total: int, gold_total: int) -> TripletMetrics:
+def _triplets(matched: int, predicted_total: int, gold_total: int) -> dict:
+    """An extract report's metrics from its triplet counts."""
     precision = matched / predicted_total if predicted_total else 0.0
     recall = matched / gold_total if gold_total else 0.0
-    return TripletMetrics(
-        precision, recall, _f1(precision, recall), matched, predicted_total, gold_total
-    )
+    return {"precision": precision, "recall": recall, "f1": _f1(precision, recall),
+            "matched": matched, "predicted_total": predicted_total, "gold_total": gold_total}
 
 
 _HEX64 = re.compile("[0-9a-f]{64}")
@@ -440,9 +406,9 @@ class Tally:
         if not self.sentences:
             raise ValueError("no sentences to score")
         if self.kind == "detect":
-            metrics = asdict(_detection(*self.counts))
+            metrics = _detection(*self.counts)
         elif self.kind == "extract":
-            metrics = asdict(_triplets(*self.counts))
+            metrics = _triplets(*self.counts)
         else:
             successes, overlaps = self.counts
             metrics = {"accuracy": successes / self.sentences, "successes": successes,
@@ -459,21 +425,23 @@ def build_report(task: str, metrics: dict, config: dict) -> dict:
     return {"task": task, "metrics": dict(metrics), "config": dict(config)}
 
 
-def _flatten(prefix: str, value: object, rows: list[tuple[str, str]]) -> None:
+def dotted_items(value: object, prefix: str = "") -> Iterator[tuple[str, object]]:
+    """(dotted name, value) of each leaf of a nested dict, in its order:
+    ``{"counts": {"tp": 1}}`` gives ``("counts.tp", 1)``."""
     if isinstance(value, dict):
-        for key in value:
-            _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, float):
-        rows.append((prefix, f"{value:.4f}"))
+        for key, sub in value.items():
+            yield from dotted_items(sub, f"{prefix}.{key}" if prefix else str(key))
     else:
-        rows.append((prefix, str(value)))
+        yield prefix, value
 
 
 def render_table(report: dict) -> str:
-    """Aligned two-column text rendering of a report."""
-    rows: list[tuple[str, str]] = [("task", str(report.get("task", "")))]
-    _flatten("", report.get("metrics", {}), rows)
-    for key in sorted(report.get("config", {})):
-        _flatten(f"config.{key}", report["config"][key], rows)
+    """Aligned two-column text rendering of a report: the task, its metrics
+    in the report's order, then its config by key; floats to 4 places."""
+    config = report.get("config", {})
+    rows = [("task", report.get("task", "")), *dotted_items(report.get("metrics", {})),
+            *dotted_items({key: config[key] for key in sorted(config)}, "config")]
     width = max(len(name) for name, _ in rows)
-    return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
+    return "\n".join(
+        f"{name.ljust(width)}  " + (f"{value:.4f}" if isinstance(value, float) else str(value))
+        for name, value in rows)

@@ -49,14 +49,6 @@ class ExampleRecord:
 
 
 @dataclass(frozen=True)
-class RepositoryStats:
-    total_records: int
-    unique_connectives: int
-    frequency_histogram: dict[int, int]  # examples-per-connective -> connective count
-    connectives_with_at_least_5: int
-
-
-@dataclass(frozen=True)
 class Repository:
     """Stored records and the (cap, seed) their connective index is built
     with. `key_matches` keeps, by (normalized connective, threshold,
@@ -225,16 +217,19 @@ def build_repository(
     return Repository(records=records, cap=cap, seed=seed)
 
 
-def repository_stats(repo: Repository) -> RepositoryStats:
+def repository_stats(repo: Repository) -> dict:
+    """The repository's size: its records, its connectives, the connectives
+    with at least 5 examples, and how many connectives have each number of
+    examples (ascending)."""
     histogram: dict[int, int] = {}
     for ids in repo.index.values():
         histogram[len(ids)] = histogram.get(len(ids), 0) + 1
-    return RepositoryStats(
-        total_records=len(repo.records),
-        unique_connectives=len(repo.index),
-        frequency_histogram=dict(sorted(histogram.items())),
-        connectives_with_at_least_5=sum(1 for ids in repo.index.values() if len(ids) >= 5),
-    )
+    return {
+        "total_records": len(repo.records),
+        "unique_connectives": len(repo.index),
+        "frequency_histogram": dict(sorted(histogram.items())),
+        "connectives_with_at_least_5": sum(1 for ids in repo.index.values() if len(ids) >= 5),
+    }
 
 
 def _record_to_json(record: ExampleRecord) -> dict:

@@ -167,7 +167,8 @@ def retrieve_knn(
     vector `query`; `index` is `knn_index(repo, embeddings)`, embedded
     by the same service as the query."""
     hits = knn_search(query, index, cfg.k)
-    provenance = [ExampleProvenance(h.record_id, "knn", score=h.similarity) for h in hits]
+    provenance = [ExampleProvenance(record_id, "knn", score=similarity)
+                  for record_id, similarity in hits]
     return RetrievalResult.of(repo, provenance)
 
 

@@ -16,7 +16,8 @@ the largest k of those cells, for all of them.
 A sweep, and a run as a sweep of one cell, is one stream. Every cell's
 config is built and checked (`sweep_configs`) before the session loads
 anything or `force` removes anything. Every cell is then opened (its file
-read and checked, or removed under `force`), and the embedding cache is
+read and checked, a file that holds records of another strategy refused,
+or removed under `force`), and the embedding cache is
 read when a kNN task is to run, so every input file is checked before any
 provider call. Then the (cell, sentence) tasks go in cell order and then
 id order through `gateway.in_order`, the stream `build_db` asks through
@@ -59,7 +60,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .corpus import DatasetSplit, LabeledInstance, load_dataset
+from .corpus import FORMATS, LabeledInstance, load_dataset
 from .embedding import (
     EmbeddingCache,
     EmbeddingService,
@@ -69,7 +70,8 @@ from .embedding import (
 )
 from .errors import MalformedRecordError, UnparseableResponseError, warn
 from .evaluation import (
-    MATCHING_MODES, Outcome, PredictionRecord, Tally, build_report, sentence_outcome,
+    MATCHING_MODES, Outcome, PredictionRecord, Tally, build_report, dotted_items,
+    sentence_outcome,
 )
 # the runner no longer calls these; perfbench/spans.py still wraps them by name
 from .evaluation import detection_metrics, single_pair_accuracy, triplet_metrics  # noqa: F401
@@ -156,6 +158,8 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {TASKS}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
+        if self.dataset_format not in FORMATS:
+            raise ValueError(f"dataset_format must be one of {FORMATS}")
         if self.backend in ("replay", "record") and not self.transcript_path:
             raise ValueError(f"backend {self.backend!r} requires a transcript path")
         if self.strategy is not StrategyKind.ZEROSHOT and not self.db_path:
@@ -212,12 +216,14 @@ def make_embedder(config: ExperimentConfig):
     return HttpEmbeddingProvider(config.base_url, name)
 
 
-def _select_instances(split: DatasetSplit, task: str, single_pair: bool) -> list[LabeledInstance]:
+def _select_instances(
+    dataset: Sequence[LabeledInstance], task: str, single_pair: bool
+) -> list[LabeledInstance]:
     """What a run of `task` scores: every sentence for detect, the causal
     ones for extract, each with exactly one gold pair under single_pair."""
     if task != "extract":
-        return list(split.instances)
-    instances = [inst for inst in split.instances if inst.label == 1]
+        return list(dataset)
+    instances = [inst for inst in dataset if inst.label == 1]
     if single_pair:
         multi = [i.sentence.id for i in instances if len(i.sentence.pairs) != 1]
         if multi:
@@ -239,8 +245,8 @@ class _Session:
         self.catalog = (
             load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
         )
-        split = load_dataset(config.dataset_path, config.dataset_format)
-        self.instances = _select_instances(split, config.task, config.single_pair)
+        dataset = load_dataset(config.dataset_path, config.dataset_format)
+        self.instances = _select_instances(dataset, config.task, config.single_pair)
         if not self.instances:
             raise ValueError("no instances to run (extract task needs causal sentences)")
         self.repo = load_repository(config.db_path) if config.db_path else None
@@ -377,16 +383,21 @@ def _open_cell(session: _Session, config: ExperimentConfig) -> _Cell:
     """Check a cell and read what its file already holds, before any
     provider call; `config` differs from the session's own at most in
     strategy, k and output path. Under force, its predictions and report
-    are removed first."""
+    are removed first; without it, a file that holds records of another
+    strategy is refused, as `eval_predictions` refuses a mixed file."""
     if config.strategy is not StrategyKind.ZEROSHOT and not session.repo.records:
         raise ValueError("repository is empty")
     output = Path(config.output_path)
     if config.force:
         output.unlink(missing_ok=True)
         _report_path(output).unlink(missing_ok=True)
-    existing, _ = _read_outcomes(
+    existing, strategies = _read_outcomes(
         output, session.instances, config.task, config.single_pair, config.matching
     ) if output.exists() else ({}, set())
+    others = strategies - {config.strategy.value}
+    if others:
+        raise ValueError(f"{output}: holds records of strategy {', '.join(sorted(others))}, "
+                         f"not {config.strategy.value}; use --force to start over")
     todo = [inst for inst in session.instances if inst.sentence.id not in existing]
     todo.sort(key=lambda inst: inst.sentence.id)
     tally = Tally(config.task, config.single_pair, existing.values())
@@ -498,14 +509,14 @@ def build_db(
     provider call."""
     corpus, files = [], {}  # each id's input file
     for path in input_paths:
-        split = load_dataset(path, "jsonl")
-        ids = [inst.sentence.id for inst in split.instances]
+        dataset = load_dataset(path, "jsonl")
+        ids = [inst.sentence.id for inst in dataset]
         repeated = next((sid for sid in ids if sid in files), None)
         if repeated is not None:
             raise MalformedRecordError(f"repeats instance id {repeated!r} of {files[repeated]}",
                                        path=path)
         files.update(dict.fromkeys(ids, path))
-        corpus.extend(split.causal_sentences())
+        corpus.extend(inst.sentence for inst in dataset if inst.label == 1)
     llm = LlmClient(backend, model_id, max_output_tokens=BUILD_DB_MAX_OUTPUT_TOKENS)
     repo = build_repository(corpus, llm, cap=cap, seed=seed, catalog=catalog, concurrency=concurrency)
     save_repository(repo, db_path)
@@ -555,12 +566,8 @@ def sweep(
     lines = ["strategy,k,metric,value"]
     for config, result in zip(configs, results):
         strategy, k = config.strategy.value, config.k
-        for metric, value in sorted(result.report["metrics"].items()):
-            if isinstance(value, dict):
-                for sub, subvalue in sorted(value.items()):
-                    lines.append(f"{strategy},{k},{metric}.{sub},{subvalue}")
-            else:
-                lines.append(f"{strategy},{k},{metric},{value}")
+        for metric, value in sorted(dotted_items(result.report["metrics"])):
+            lines.append(f"{strategy},{k},{metric},{value}")
     replace_lines(csv_path, lines)
     return [result.report for result in results]
 
@@ -576,8 +583,7 @@ def eval_predictions(
     """Re-score an existing prediction file against its dataset."""
     if matching not in MATCHING_MODES:
         raise ValueError(f"matching must be one of {MATCHING_MODES}")
-    split = load_dataset(dataset_path, dataset_format)
-    instances = _select_instances(split, task, single_pair)
+    instances = _select_instances(load_dataset(dataset_path, dataset_format), task, single_pair)
     outcomes, strategies = _read_outcomes(
         predictions_path, instances, task, single_pair, matching
     )

@@ -81,7 +81,8 @@ def main() -> None:
         seed=0,
     )
     stats = repository_stats(repo)
-    print(f"repository: {stats.total_records} records, {stats.unique_connectives} connectives")
+    print(f"repository: {stats['total_records']} records, "
+          f"{stats['unique_connectives']} connectives")
 
     scratch = Path(tempfile.mkdtemp(prefix="fixture-runs-"))
     reports: dict[str, dict] = {}

@@ -229,3 +229,137 @@ def test_a_cache_of_another_dim_is_refused_naming_the_file_and_line(tmp_path, ca
     assert f"{cache}: line 1: " in capsys.readouterr().err
     assert cache.read_bytes() == before
     assert not out.exists()
+
+
+# --- the text the commands print, pinned byte for byte on the fixtures -------
+# A run's table lists the task, its metrics in the order the report holds
+# them, then its config echo by key; floats are printed to 4 places.
+
+RUN_TABLE_CONFIG = """\
+config.catalog_version  1
+config.k                {k}
+config.matcher          edit_ratio
+config.matching         greedy
+config.model_id         fixture-model
+config.seed             0
+config.single_pair      {single_pair}
+config.strategy         {strategy}
+config.task             {task}
+config.threshold        0.9000
+predictions: {out}
+metrics: {out}.metrics.json
+"""
+
+DETECT_METRICS = """\
+accuracy                0.9200
+precision               0.9231
+recall                  0.9231
+f1                      0.9231
+counts.tp               12
+counts.fp               1
+counts.tn               11
+counts.fn               1
+examples_mean           4.7600
+examples_max            5
+parse_failures          0
+"""
+
+PINNED_RUNS = {
+    "detect-pattern": (
+        ["--dataset", DETECT, "--strategy", "pattern", "--k", 5],
+        "task                    detect\n" + DETECT_METRICS,
+        {"k": 5, "single_pair": False, "strategy": "pattern", "task": "detect"},
+    ),
+    "extract-knn": (
+        ["--task", "extract", "--dataset", EXTRACT, "--strategy", "knn"],
+        """\
+task                    extract
+precision               0.9167
+recall                  0.9167
+f1                      0.9167
+matched                 11
+predicted_total         12
+gold_total              12
+examples_mean           10.0000
+examples_max            10
+parse_failures          0
+""",
+        {"k": 10, "single_pair": False, "strategy": "knn", "task": "extract"},
+    ),
+    "extract-single-random": (
+        ["--task", "extract", "--single-pair", "--dataset", FIXTURES / "extract_single.jsonl",
+         "--strategy", "random"],
+        """\
+task                    extract-single
+accuracy                0.8750
+successes               7
+total                   8
+overlap_count           0
+examples_mean           10.0000
+examples_max            10
+parse_failures          0
+""",
+        {"k": 10, "single_pair": True, "strategy": "random", "task": "extract"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_prints_the_pinned_table(tmp_path, capsys, name):
+    args, metrics, config = PINNED_RUNS[name]
+    out = tmp_path / "pinned.jsonl"
+    assert run(*args, "--out", out) == 0
+    assert capsys.readouterr().out == metrics + RUN_TABLE_CONFIG.format(out=out, **config)
+
+
+def test_eval_prints_the_pinned_table(tmp_path, capsys):
+    out = tmp_path / "pinned.jsonl"
+    assert run("--dataset", DETECT, "--strategy", "pattern", "--k", 5, "--out", out) == 0
+    capsys.readouterr()
+    assert cli("eval", "--predictions", out, "--dataset", DETECT) == 0
+    assert capsys.readouterr().out == f"""\
+task                  detect
+accuracy              0.9200
+precision             0.9231
+recall                0.9231
+f1                    0.9231
+counts.tp             12
+counts.fp             1
+counts.tn             11
+counts.fn             1
+examples_mean         4.7600
+examples_max          5
+parse_failures        0
+config.dataset_total  25
+config.matching       greedy
+config.predictions    {out}
+config.scored         25
+config.single_pair    False
+config.strategy       pattern
+config.task           detect
+"""
+
+
+def test_stats_prints_the_pinned_text(capsys):
+    assert cli("stats", "--db", DB, "--sample", 2, "--seed", 1) == 0
+    assert capsys.readouterr().out == """\
+records              38
+unique connectives   9
+connectives with >=5 4
+examples-per-connective histogram:
+    1 example(s): 2 connective(s)
+    2 example(s): 1 connective(s)
+    3 example(s): 1 connective(s)
+    4 example(s): 1 connective(s)
+    5 example(s): 1 connective(s)
+    6 example(s): 2 connective(s)
+   10 example(s): 1 connective(s)
+sampled connectives (2 per frequency):
+    1 example(s): as a result of, owing to
+    2 example(s): induced
+    3 example(s): triggered
+    4 example(s): because of
+    5 example(s): resulted in
+    6 example(s): due to, led to
+   10 example(s): caused by
+"""

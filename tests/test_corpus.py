@@ -13,7 +13,6 @@ import pytest
 from causal_rag import cli
 from causal_rag.corpus import (
     CauseEffectPair,
-    DatasetSplit,
     LabeledInstance,
     TaggedSentence,
     Triplet,
@@ -216,10 +215,10 @@ def test_load_jsonl_counts(tmp_path) -> None:
             {"text": "the sky is blue", "label": 0, "pairs": [], "source": "mini"},
         ],
     )
-    split = load_dataset(path, "jsonl")
-    assert [inst.label for inst in split.instances] == [1, 0]
-    assert split.instances[0].sentence.id == "mini-000001"
-    assert make_record(split.instances[0].sentence, ["causes"]).tagged_text == (
+    instances = load_dataset(path, "jsonl")
+    assert [inst.label for inst in instances] == [1, 0]
+    assert instances[0].sentence.id == "mini-000001"
+    assert make_record(instances[0].sentence, ["causes"]).tagged_text == (
         "<cause>smoking</cause> causes <effect>cancer</effect>"
     )
 
@@ -240,8 +239,8 @@ def test_load_jsonl_keeps_every_pair(tmp_path) -> None:
             },
         ],
     )
-    split = load_dataset(path, "jsonl")
-    assert split.instances[0].sentence.pairs == (
+    instances = load_dataset(path, "jsonl")
+    assert instances[0].sentence.pairs == (
         CauseEffectPair("war", "displaced people"), CauseEffectPair("war", "ruined crops"))
 
 
@@ -333,7 +332,7 @@ def test_a_non_object_dataset_line_is_refused_with_the_shared_wording(tmp_path) 
 def test_a_default_id_counts_blank_lines(tmp_path) -> None:
     path = tmp_path / "gaps.jsonl"
     path.write_text('\n{"text": "a", "label": 0}\n\n\n{"text": "b", "label": 0}', encoding="utf-8")
-    ids = [inst.sentence.id for inst in load_dataset(path, "jsonl").instances]
+    ids = [inst.sentence.id for inst in load_dataset(path, "jsonl")]
     assert ids == ["gaps-000002", "gaps-000005"]
 
 
@@ -358,11 +357,11 @@ def test_load_li_format(tmp_path) -> None:
         "Highly viscous <cause> lavas </cause> lead to a violent <effect> eruption </effect>.\n"
         "The market stayed flat today.\n"
     )
-    split = load_dataset(path, "li")
-    assert len(split.instances) == 2
-    assert split.instances[0].label == 1
-    assert split.instances[0].sentence.source == "li"
-    assert split.instances[1].label == 0
+    instances = load_dataset(path, "li")
+    assert len(instances) == 2
+    assert instances[0].label == 1
+    assert instances[0].sentence.source == "li"
+    assert instances[1].label == 0
 
 
 def test_load_li_malformed_line_number(tmp_path) -> None:
@@ -388,12 +387,12 @@ def test_load_semeval_format(tmp_path) -> None:
         "Cause-Effect(e1,e2)\n"
         "Comment:\n"
     )
-    split = load_dataset(path, "semeval")
-    assert [inst.label for inst in split.instances] == [1, 0, 1]
-    first = split.instances[0]
+    instances = load_dataset(path, "semeval")
+    assert [inst.label for inst in instances] == [1, 0, 1]
+    first = instances[0]
     assert first.sentence.pairs == (CauseEffectPair(cause="pressure", effect="burst"),)
     assert first.sentence.raw_text == "The burst has been caused by water hammer pressure."
-    third = split.instances[2]
+    third = instances[2]
     assert third.sentence.pairs == (CauseEffectPair(cause="Smoking", effect="cancer"),)
 
 
@@ -402,8 +401,8 @@ def test_load_ade_format(tmp_path) -> None:
     path.write_text(
         "10030778|Intravenous azithromycin induced ototoxicity.|ototoxicity|43|54|azithromycin|12|24\n"
     )
-    split = load_dataset(path, "ade")
-    (inst,) = split.instances
+    instances = load_dataset(path, "ade")
+    (inst,) = instances
     assert inst.label == 1
     assert inst.sentence.pairs == (
         CauseEffectPair(cause="azithromycin", effect="ototoxicity"),
@@ -481,7 +480,7 @@ def test_a_dataset_id_that_is_not_a_non_empty_string_is_a_data_error(tmp_path, b
     fine = {"text": "fine", "label": 0}
     _write_jsonl(path, [fine])
     # an absent id is the default: the source and the line number
-    assert load_dataset(path, "jsonl").instances[0].sentence.id == "bad-000001"
+    assert load_dataset(path, "jsonl")[0].sentence.id == "bad-000001"
     _write_jsonl(path, [fine, {"id": bad_id, "text": "x", "label": 0}])
     with pytest.raises(MalformedRecordError) as excinfo:
         load_dataset(path, "jsonl")
@@ -511,7 +510,7 @@ def test_semeval_error_names_the_file_line_and_ids_stay_ordinal(tmp_path) -> Non
     assert excinfo.value.line_number == 9
     assert str(excinfo.value) == f"{path}: line 9: cause and effect must be distinct"
     path.write_text(SEMEVAL_BLOCKS)
-    ids = [inst.sentence.id for inst in load_dataset(path, "semeval").instances]
+    ids = [inst.sentence.id for inst in load_dataset(path, "semeval")]
     assert ids == ["semeval-000001", "semeval-000002"]
 
 
@@ -524,14 +523,14 @@ def test_ade_and_li_errors_name_the_file_line_and_ids_stay_ordinal(tmp_path) -> 
     assert str(excinfo.value) == (
         f"{ade}: line 3: phrase 'cisplatin' does not occur in the sentence text")
     ade.write_text(good + "\n" + good)
-    assert [i.sentence.id for i in load_dataset(ade, "ade").instances] == [
+    assert [i.sentence.id for i in load_dataset(ade, "ade")] == [
         "ade-000001", "ade-000002"]
     li = tmp_path / "li.txt"
     li.write_text("The market stayed flat.\n\nbad <cause> open\n")
     with pytest.raises(MalformedRecordError, match=r"li.txt: line 3: "):
         load_dataset(li, "li")
     li.write_text("The market stayed flat.\n\nPrices fell.\n")
-    assert [i.sentence.id for i in load_dataset(li, "li").instances] == [
+    assert [i.sentence.id for i in load_dataset(li, "li")] == [
         "li-000001", "li-000002"]
 
 
@@ -547,7 +546,7 @@ def test_a_native_file_reads_the_same_with_any_line_ends(tmp_path, fmt, text) ->
     path = tmp_path / "data.txt"
     path.write_bytes(text.encode("utf-8"))
     expected = load_dataset(path, fmt)
-    assert len(expected.instances) == 2
+    assert len(expected) == 2
     for end in ("\r\n", "\r"):
         path.write_bytes(text.replace("\n", end).encode("utf-8"))
         assert load_dataset(path, fmt) == expected
@@ -574,38 +573,15 @@ def test_write_canonical_round_trip(tmp_path) -> None:
             {"text": "birds sing", "label": 0, "pairs": [], "source": "rt"},
         ],
     )
-    split = load_dataset(src, "jsonl")
+    instances = load_dataset(src, "jsonl")
     out = tmp_path / "out.jsonl"
-    write_canonical(split, out)
+    write_canonical(instances, out)
     reloaded = load_dataset(out, "jsonl")
-    assert to_canonical(reloaded) == to_canonical(split)
+    assert to_canonical(reloaded) == to_canonical(instances)
     # second write is byte-identical
     out2 = tmp_path / "out2.jsonl"
     write_canonical(reloaded, out2)
     assert out.read_bytes() == out2.read_bytes()
-
-
-def test_causal_sentences_are_the_causal_instances_in_order() -> None:
-    def inst(text: str, pairs: tuple, label: int, n: int) -> LabeledInstance:
-        sentence = TaggedSentence(
-            id=make_sentence_id("s", n),
-            raw_text=text,
-            pairs=pairs,
-            source="s",
-        )
-        return LabeledInstance(sentence=sentence, label=label)
-
-    p = CauseEffectPair("a b c", "d e")
-    q = CauseEffectPair("a b c", "f g")
-    split = DatasetSplit(
-        instances=(
-            inst("plain one", (), 0, 1),
-            inst("a b c made d e and f g", (p, q), 1, 2),
-            inst("plain two", (), 0, 3),
-            inst("a b c made d e", (p,), 1, 4),
-        ),
-    )
-    assert [s.id for s in split.causal_sentences()] == ["s-000002", "s-000004"]
 
 
 def test_value_dataclasses_are_slotted_and_behave_as_values() -> None:

@@ -18,7 +18,6 @@ from causal_rag.embedding import (
     EmbeddingVector,
     HttpEmbeddingProvider,
     LocalHashEmbedder,
-    NeighborHit,
     VectorIndex,
     embedding_key,
     knn_search,
@@ -55,7 +54,8 @@ def index_of(corpus: dict[str, EmbeddingVector]) -> VectorIndex:
 
 def similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine similarity of `a` to `b` as the index computes it."""
-    return knn_search(a, index_of({"r": b}), 1)[0].similarity
+    [(_, sim)] = knn_search(a, index_of({"r": b}), 1)
+    return sim
 
 
 def test_vector_validation() -> None:
@@ -517,7 +517,7 @@ def test_every_accepted_vector_scores_cosines_within_rounding_of_minus_one_to_on
         index = index_of(rows)
         for query in rows.values():
             for hit in knn_search(query, index, len(rows)):
-                assert -1 - 1e-12 <= hit.similarity <= 1 + 1e-12, (scale, dim, hit)
+                assert -1 - 1e-12 <= hit[1] <= 1 + 1e-12, (scale, dim, hit)
     assert accepted > 1000 and refused > 10
 
 
@@ -540,15 +540,15 @@ def test_knn_self_hit() -> None:
     query = vec(1, 2, 3)
     corpus = {"a": vec(5, 1, 0), "b": query, "c": vec(-1, -2, -3)}
     hits = knn_search(query, index_of(corpus), 1)
-    assert hits[0].record_id == "b"
-    assert hits[0].similarity == pytest.approx(1.0, abs=1e-12)
+    assert hits[0][0] == "b"
+    assert hits[0][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_knn_k_exceeds_corpus() -> None:
     corpus = {"a": vec(1, 0), "b": vec(0, 1), "c": vec(1, 1)}
     hits = knn_search(vec(1, 0.5), index_of(corpus), 10)
     assert len(hits) == 3
-    sims = [h.similarity for h in hits]
+    sims = [sim for _, sim in hits]
     assert sims == sorted(sims, reverse=True)
 
 
@@ -556,7 +556,7 @@ def test_knn_tie_broken_by_id() -> None:
     corpus = {"z": vec(2, 0), "a": vec(4, 0), "m": vec(0, 1)}
     hits = knn_search(vec(1, 0), index_of(corpus), 2)
     # z and a are both exactly similarity 1.0; ascending id order wins
-    assert [h.record_id for h in hits] == ["a", "z"]
+    assert [rid for rid, _ in hits] == ["a", "z"]
 
 
 def test_knn_matches_exhaustive_oracle_seeded() -> None:
@@ -576,9 +576,9 @@ def test_knn_matches_exhaustive_oracle_seeded() -> None:
             ((cosine_similarity(query, v), rid) for rid, v in corpus.items()),
             key=lambda pair: (-pair[0], pair[1]),
         )
-        assert [(h.similarity, h.record_id) for h in hits] == oracle[:10]
+        assert [(sim, rid) for rid, sim in hits] == oracle[:10]
         everything = knn_search(query, index_of(corpus), len(corpus))
-        assert [(h.similarity, h.record_id) for h in everything] == oracle
+        assert [(sim, rid) for rid, sim in everything] == oracle
 
 
 def test_kept_hits_serve_every_k_as_a_fresh_index_does() -> None:
@@ -587,7 +587,7 @@ def test_kept_hits_serve_every_k_as_a_fresh_index_does() -> None:
     corpus = {f"rec-{i:02d}": vec(*[rng.uniform(-1, 1) for _ in range(8)]) for i in range(30)}
     query = vec(*[rng.uniform(-1, 1) for _ in range(8)])
     # a tie that straddles the depth-th place: five rows equal to the 4th best
-    fourth = knn_search(query, index_of(corpus), 4)[-1].record_id
+    fourth = knn_search(query, index_of(corpus), 4)[-1][0]
     for j in range(5):
         corpus[f"rec-tie{j}"] = corpus[fourth]
     kept = index_of(corpus)
@@ -595,7 +595,7 @@ def test_kept_hits_serve_every_k_as_a_fresh_index_does() -> None:
     for _ in range(2):
         for k in range(1, depth + 3):
             assert knn_search(query, kept, k) == knn_search(query, index_of(corpus), k), k
-    assert sum(h.record_id.startswith("rec-tie") for h in knn_search(query, kept, depth)) < 5
+    assert sum(rid.startswith("rec-tie") for rid, _ in knn_search(query, kept, depth)) < 5
     assert len(kept.hits) == 1
     # an equal but distinct query object is kept under its own entry
     twin = EmbeddingVector(query.values)
@@ -697,7 +697,7 @@ def test_http_provider_malformed_payload() -> None:
             provider.embed_text("x")
 
 
-def test_neighbor_hit_shape() -> None:
-    hit = NeighborHit(record_id="r", similarity=0.5)
-    assert hit.record_id == "r"
-    assert -1.0 <= hit.similarity <= 1.0
+def test_a_hit_is_its_record_id_and_its_cosine_similarity() -> None:
+    [(record_id, sim)] = knn_search(vec(1, 0), index_of({"r": vec(3, 4)}), 1)
+    assert record_id == "r"
+    assert type(sim) is float and sim == pytest.approx(0.6)

@@ -6,15 +6,12 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 
 from causal_rag.corpus import CauseEffectPair, LabeledInstance, TaggedSentence, Triplet
 from causal_rag.errors import UnparseableResponseError
 from causal_rag.evaluation import (
-    ConfusionCounts,
-    ExtractionOutcome,
     PredictionRecord,
     Tally,
     build_report,
@@ -130,26 +127,26 @@ def test_containment_properties_seeded() -> None:
 
 def test_detection_all_correct() -> None:
     metrics = detection_metrics([(1, 1), (0, 0), (1, 1)])
-    assert metrics.accuracy == 1.0
-    assert metrics.f1 == 1.0
-    assert metrics.counts == ConfusionCounts(tp=2, fp=0, tn=1, fn=0)
+    assert metrics["accuracy"] == 1.0
+    assert metrics["f1"] == 1.0
+    assert metrics["counts"] == {"tp": 2, "fp": 0, "tn": 1, "fn": 0}
 
 
 def test_detection_reference_confusion() -> None:
     # tp=2, fp=1, fn=1, tn=1
     preds = [(1, 1), (1, 1), (1, 0), (0, 1), (0, 0)]
     metrics = detection_metrics(preds)
-    assert metrics.precision == pytest.approx(2 / 3)
-    assert metrics.recall == pytest.approx(2 / 3)
-    assert metrics.f1 == pytest.approx(2 / 3)
-    assert metrics.accuracy == pytest.approx(0.6)
+    assert metrics["precision"] == pytest.approx(2 / 3)
+    assert metrics["recall"] == pytest.approx(2 / 3)
+    assert metrics["f1"] == pytest.approx(2 / 3)
+    assert metrics["accuracy"] == pytest.approx(0.6)
 
 
 def test_detection_degenerate_no_positive_predictions() -> None:
     metrics = detection_metrics([(0, 1), (0, 0)])
-    assert metrics.precision == 0.0
-    assert metrics.recall == 0.0
-    assert metrics.f1 == 0.0
+    assert metrics["precision"] == 0.0
+    assert metrics["recall"] == 0.0
+    assert metrics["f1"] == 0.0
 
 
 def test_detection_empty_input() -> None:
@@ -182,7 +179,7 @@ def test_single_pair_success_containment() -> None:
     ]
     accuracy, outcomes = single_pair_accuracy(items)
     assert accuracy == 1.0
-    assert outcomes[0].success and outcomes[0].cause_matched and outcomes[0].effect_matched
+    assert outcomes[0]["success"] and outcomes[0]["cause_matched"] and outcomes[0]["effect_matched"]
 
 
 def test_single_pair_swapped_fails() -> None:
@@ -191,7 +188,7 @@ def test_single_pair_swapped_fails() -> None:
     ]
     accuracy, outcomes = single_pair_accuracy(items)
     assert accuracy == 0.0
-    assert not outcomes[0].success
+    assert not outcomes[0]["success"]
 
 
 def test_single_pair_missing_prediction_is_failure() -> None:
@@ -201,7 +198,7 @@ def test_single_pair_missing_prediction_is_failure() -> None:
     ]
     accuracy, outcomes = single_pair_accuracy(items)
     assert accuracy == 0.5
-    assert outcomes[1].success is False and outcomes[1].cause_matched is False
+    assert outcomes[1]["success"] is False and outcomes[1]["cause_matched"] is False
 
 
 def test_single_pair_overlap_flag() -> None:
@@ -213,7 +210,7 @@ def test_single_pair_overlap_flag() -> None:
         )
     ]
     _, outcomes = single_pair_accuracy(items)
-    assert outcomes[0].overlap_flag is True
+    assert outcomes[0]["overlap_flag"] is True
 
 
 def test_single_pair_empty_input() -> None:
@@ -242,32 +239,32 @@ def test_triplet_two_pair_sentence_exact() -> None:
         t("li-1", "hormone deficiencies and imbalances", "convulsions"),
     ]
     metrics = triplet_metrics(gold, list(gold))
-    assert (metrics.precision, metrics.recall, metrics.f1) == (1.0, 1.0, 1.0)
-    assert metrics.matched == 2
+    assert (metrics["precision"], metrics["recall"], metrics["f1"]) == (1.0, 1.0, 1.0)
+    assert metrics["matched"] == 2
 
 
 def test_triplet_two_of_three() -> None:
     gold = [t("a", "x1", "y1"), t("b", "x2", "y2"), t("c", "x3", "y3")]
     predicted = [t("a", "x1", "y1"), t("b", "wrong", "y2"), t("c", "x3", "y3")]
     metrics = triplet_metrics(gold, predicted)
-    assert metrics.precision == pytest.approx(2 / 3)
-    assert metrics.recall == pytest.approx(2 / 3)
-    assert metrics.f1 == pytest.approx(2 / 3)
+    assert metrics["precision"] == pytest.approx(2 / 3)
+    assert metrics["recall"] == pytest.approx(2 / 3)
+    assert metrics["f1"] == pytest.approx(2 / 3)
 
 
 def test_triplet_empty_predictions() -> None:
     gold = [t("a", "x", "y")]
     metrics = triplet_metrics(gold, [])
-    assert (metrics.precision, metrics.recall, metrics.f1) == (0.0, 0.0, 0.0)
-    assert metrics.predicted_total == 0
+    assert (metrics["precision"], metrics["recall"], metrics["f1"]) == (0.0, 0.0, 0.0)
+    assert metrics["predicted_total"] == 0
 
 
 def test_triplet_containment_matching() -> None:
     gold = [t("a", "mishandling", "deaths")]
     predicted = [t("a", "mishandling of weapons", "several deaths")]
-    assert triplet_metrics(gold, predicted).matched == 1
+    assert triplet_metrics(gold, predicted)["matched"] == 1
     # different sentence id never matches
-    assert triplet_metrics(gold, [t("b", "mishandling", "deaths")]).matched == 0
+    assert triplet_metrics(gold, [t("b", "mishandling", "deaths")])["matched"] == 0
 
 
 def test_triplet_one_to_one_constraint() -> None:
@@ -275,9 +272,9 @@ def test_triplet_one_to_one_constraint() -> None:
     gold = [t("a", "rain", "floods"), t("a", "rain", "mudslides")]
     predicted = [t("a", "heavy rain", "floods and mudslides")]
     metrics = triplet_metrics(gold, predicted)
-    assert metrics.matched == 1
-    assert metrics.precision == 1.0
-    assert metrics.recall == 0.5
+    assert metrics["matched"] == 1
+    assert metrics["precision"] == 1.0
+    assert metrics["recall"] == 0.5
 
 
 def _brute_force_max_matching(gold: list[Triplet], predicted: list[Triplet]) -> int:
@@ -318,9 +315,9 @@ def test_triplet_optimal_equals_brute_force_seeded() -> None:
             for _ in range(n_pred)
         ]
         optimal = triplet_metrics(gold, predicted, matching="optimal")
-        assert optimal.matched == _brute_force_max_matching(gold, predicted)
+        assert optimal["matched"] == _brute_force_max_matching(gold, predicted)
         greedy = triplet_metrics(gold, predicted, matching="greedy")
-        assert greedy.matched <= optimal.matched
+        assert greedy["matched"] <= optimal["matched"]
 
 
 def test_triplet_greedy_equals_optimal_when_unambiguous() -> None:
@@ -328,8 +325,8 @@ def test_triplet_greedy_equals_optimal_when_unambiguous() -> None:
     gold = [t("a", "x1", "y1"), t("b", "x2", "y2")]
     predicted = [t("b", "x2", "y2"), t("a", "x1", "y1")]
     assert (
-        triplet_metrics(gold, predicted, "greedy").matched
-        == triplet_metrics(gold, predicted, "optimal").matched
+        triplet_metrics(gold, predicted, "greedy")["matched"]
+        == triplet_metrics(gold, predicted, "optimal")["matched"]
         == 2
     )
 
@@ -345,9 +342,9 @@ def test_triplet_identical_phrases_under_different_sentence_ids() -> None:
     only_b = [t("b", "rain", "floods"), t("b", "rain", "floods")]
     for matching in ("greedy", "optimal"):
         metrics = triplet_metrics(gold, only_b, matching)
-        assert (metrics.matched, metrics.precision, metrics.recall) == (1, 0.5, 0.5)
+        assert (metrics["matched"], metrics["precision"], metrics["recall"]) == (1, 0.5, 0.5)
         both = triplet_metrics(gold, list(reversed(gold)), matching)
-        assert both.matched == 2
+        assert both["matched"] == 2
 
 
 def test_triplet_predictions_for_a_sentence_without_gold() -> None:
@@ -355,11 +352,11 @@ def test_triplet_predictions_for_a_sentence_without_gold() -> None:
     predicted = [t("z", "x", "y"), t("z", "x", "y"), t("a", "x", "y")]
     for matching in ("greedy", "optimal"):
         metrics = triplet_metrics(gold, predicted, matching)
-        assert metrics.matched == 1
-        assert metrics.precision == pytest.approx(1 / 3)
-        assert metrics.recall == 1.0
+        assert metrics["matched"] == 1
+        assert metrics["precision"] == pytest.approx(1 / 3)
+        assert metrics["recall"] == 1.0
         unmatched = triplet_metrics([], predicted, matching)
-        assert (unmatched.matched, unmatched.precision, unmatched.recall) == (0, 0.0, 0.0)
+        assert (unmatched["matched"], unmatched["precision"], unmatched["recall"]) == (0, 0.0, 0.0)
 
 
 # --- oracle: the all-pairs matchers, comparing across sentences --------------
@@ -410,8 +407,8 @@ def test_triplet_per_sentence_matching_equals_all_pairs_oracle_seeded() -> None:
     for _ in range(1000):
         gold = triplets(rng.randrange(0, 10), 1)
         predicted = triplets(rng.randrange(0, 10), 2)
-        greedy = triplet_metrics(gold, predicted, "greedy").matched
-        optimal = triplet_metrics(gold, predicted, "optimal").matched
+        greedy = triplet_metrics(gold, predicted, "greedy")["matched"]
+        optimal = triplet_metrics(gold, predicted, "optimal")["matched"]
         assert greedy == _all_pairs_greedy(gold, predicted)
         assert optimal == _all_pairs_optimal(gold, predicted)
         greedy_below_optimal += greedy < optimal
@@ -423,13 +420,13 @@ def test_metric_bounds_seeded() -> None:
     for _ in range(50):
         preds = [(rng.randrange(2), rng.randrange(2)) for _ in range(rng.randrange(1, 30))]
         m = detection_metrics(preds)
-        for value in (m.accuracy, m.precision, m.recall, m.f1):
+        for value in (m["accuracy"], m["precision"], m["recall"], m["f1"]):
             assert 0.0 <= value <= 1.0
-        if m.precision + m.recall > 0:
-            expected = 2 * m.precision * m.recall / (m.precision + m.recall)
-            assert m.f1 == pytest.approx(expected)
+        if m["precision"] + m["recall"] > 0:
+            expected = 2 * m["precision"] * m["recall"] / (m["precision"] + m["recall"])
+            assert m["f1"] == pytest.approx(expected)
         else:
-            assert m.f1 == 0.0
+            assert m["f1"] == 0.0
 
 
 def test_build_report_and_render() -> None:
@@ -442,7 +439,7 @@ def test_build_report_and_render() -> None:
         "threshold": 0.9,
         "catalog_version": 1,
     }
-    report = build_report("detect", asdict(metrics), config)
+    report = build_report("detect", metrics, config)
     assert report["task"] == "detect"
     assert report["config"]["catalog_version"] == 1
     assert report["metrics"]["counts"]["tp"] == 1
@@ -458,11 +455,16 @@ def test_build_report_and_render() -> None:
     assert len(offsets) >= 1
 
 
-def test_extraction_outcome_invariant() -> None:
-    outcome = ExtractionOutcome(
-        sentence_id="s", success=True, cause_matched=True, effect_matched=True, overlap_flag=False
-    )
-    assert outcome.success == (outcome.cause_matched and outcome.effect_matched)
+def test_a_single_pair_succeeds_exactly_when_its_cause_and_effect_both_match() -> None:
+    gold = CauseEffectPair("heavy rain", "the flood")
+    items = [(f"s-{i}", gold, CauseEffectPair(cause, effect)) for i, (cause, effect) in enumerate(
+        [("heavy rain", "the flood"), ("heavy rain", "rain"), ("snow", "the flood"),
+         ("snow", "ice")])]
+    _, outcomes = single_pair_accuracy(items)
+    assert [list(o) for o in outcomes] == [
+        ["sentence_id", "success", "cause_matched", "effect_matched", "overlap_flag"]] * 4
+    assert [(o["success"], o["cause_matched"], o["effect_matched"]) for o in outcomes] == [
+        (True, True, True), (False, True, False), (False, False, True), (False, False, False)]
 
 
 def _prediction(task: str, sid: str, count: int, answer) -> dict:
@@ -510,7 +512,7 @@ def test_tally_of_sentence_outcomes_equals_one_scoring_pass_seeded(
         assert sentence_outcome(record, instance, False, matching).counts == (matched, 2, 2)
         assert triplet_metrics([t("s0", p.cause, p.effect) for p in gold],
                                [t("s0", p.cause, p.effect) for p in answer],
-                               matching).matched == matched
+                               matching)["matched"] == matched
 
     for _ in range(200):
         instances, records = [], []
@@ -535,22 +537,22 @@ def test_tally_of_sentence_outcomes_equals_one_scoring_pass_seeded(
         if task == "detect":
             preds = [(1 - inst.label if r.parsed is None else r.parsed["label"], inst.label)
                      for r, inst in zip(records, instances)]
-            assert metrics == asdict(detection_metrics(preds))
+            assert metrics == detection_metrics(preds)
         elif single_pair:
             items = [(inst.sentence.id, inst.sentence.pairs[0],
                       CauseEffectPair(**r.parsed["pairs"][0])
                       if r.parsed and r.parsed["pairs"] else None)
                      for r, inst in zip(records, instances)]
             accuracy, scored = single_pair_accuracy(items)
-            assert metrics == {"accuracy": accuracy, "successes": sum(o.success for o in scored),
+            assert metrics == {"accuracy": accuracy, "successes": sum(o["success"] for o in scored),
                                "total": len(scored),
-                               "overlap_count": sum(o.overlap_flag for o in scored)}
+                               "overlap_count": sum(o["overlap_flag"] for o in scored)}
         else:
             gold = [t(inst.sentence.id, p.cause, p.effect)
                     for inst in instances for p in inst.sentence.pairs]
             predicted = [t(r.sentence_id, p["cause"], p["effect"])
                          for r in records if r.parsed for p in r.parsed["pairs"]]
-            assert metrics == asdict(triplet_metrics(gold, predicted, matching))
+            assert metrics == triplet_metrics(gold, predicted, matching)
 
 
 def test_every_parsed_answer_is_what_a_prediction_line_holds_seeded() -> None:

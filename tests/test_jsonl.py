@@ -444,11 +444,11 @@ def test_a_value_the_lines_of_a_file_repeat_is_loaded_once(tmp_path):
     dataset = tmp_path / "corpus.jsonl"
     write_objects(dataset, *({"text": f"line {i}", "label": 0, "source": "corpus-a"}
                              for i in range(2)), {"text": "line 2", "label": 0})
-    first, second, default = (i.sentence for i in load_dataset(dataset).instances)
+    first, second, default = (i.sentence for i in load_dataset(dataset))
     assert (first.source, second.source, default.source) == ("corpus-a", "corpus-a", "corpus")
     assert first.source is second.source
     # the default source, the file's name, is one object across loads too
-    assert load_dataset(dataset).instances[2].sentence.source is default.source
+    assert load_dataset(dataset)[2].sentence.source is default.source
 
     db = tmp_path / "examples.db"
     write_objects(db, {"schema_version": 1, "cap": 10, "seed": 0}, *(

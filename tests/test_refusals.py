@@ -188,7 +188,7 @@ def test_a_sweep_grid_with_no_strategy_or_no_k_is_refused(tmp_path, strategies, 
 
 
 def test_build_repository_with_no_worker_is_refused_before_any_provider_call() -> None:
-    corpus = [inst.sentence for inst in load_dataset(FIXTURES / "repo_corpus.jsonl").instances]
+    corpus = [inst.sentence for inst in load_dataset(FIXTURES / "repo_corpus.jsonl")]
     backend = ScriptedBackend(FixtureResponder())
     with pytest.raises(ValueError, match="^concurrency must be >= 1$"):
         build_repository(corpus, LlmClient(backend, FIXTURE_MODEL_ID), concurrency=0)

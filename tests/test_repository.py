@@ -466,30 +466,30 @@ def test_repository_stats_shape() -> None:
     repo = Repository(records=records, cap=10, seed=0)
     assert repo.index == {"a": ("r1", "r2"), "b": ("r3",)}
     stats = repository_stats(repo)
-    assert stats.unique_connectives == 2
-    assert stats.frequency_histogram == {1: 1, 2: 1}
-    assert stats.total_records == 3
-    assert stats.connectives_with_at_least_5 == 0
+    assert stats["unique_connectives"] == 2
+    assert stats["frequency_histogram"] == {1: 1, 2: 1}
+    assert stats["total_records"] == 3
+    assert stats["connectives_with_at_least_5"] == 0
 
 
 def test_repository_stats_at_least_5_and_consistency() -> None:
     corpus, mapping = _corpus_with(_standard_plan())
     repo = build_repository(corpus, connective_llm(mapping), cap=10, seed=2)
     stats = repository_stats(repo)
-    assert stats.connectives_with_at_least_5 == 1  # "caused by" holds 10
-    assert sum(stats.frequency_histogram.values()) == stats.unique_connectives
-    entries = sum(k * v for k, v in stats.frequency_histogram.items())
+    assert stats["connectives_with_at_least_5"] == 1  # "caused by" holds 10
+    assert sum(stats["frequency_histogram"].values()) == stats["unique_connectives"]
+    entries = sum(k * v for k, v in stats["frequency_histogram"].items())
     assert entries == sum(len(ids) for ids in repo.index.values())
-    assert entries >= stats.total_records
+    assert entries >= stats["total_records"]
 
 
 def test_empty_index_stats() -> None:
     repo = Repository(records={}, cap=10, seed=0)
     stats = repository_stats(repo)
-    assert stats.total_records == 0
-    assert stats.unique_connectives == 0
-    assert stats.frequency_histogram == {}
-    assert stats.connectives_with_at_least_5 == 0
+    assert stats["total_records"] == 0
+    assert stats["unique_connectives"] == 0
+    assert stats["frequency_histogram"] == {}
+    assert stats["connectives_with_at_least_5"] == 0
 
 
 def test_index_of_records_matches_manual_expectation() -> None:

@@ -759,7 +759,7 @@ def test_config_validation_errors():
 
 @pytest.mark.parametrize("bad", [
     {"matching": "bogus"}, {"k": 0}, {"similarity_threshold": 0.0}, {"matcher": "bogus"},
-    {"concurrency": 0},
+    {"concurrency": 0}, {"dataset_format": "xml"},
 ])
 def test_a_bad_config_fails_at_construction_before_any_provider_call(tmp_path, bad):
     # zeroshot retrieves nothing, yet its k, threshold and matcher are checked too
@@ -800,6 +800,27 @@ def test_build_db_merges_inputs_and_matches_committed_db(tmp_path):
         seed=0,
     )
     assert db_path.read_bytes() == (FIXTURES / "examples.db").read_bytes()
+
+
+def test_build_db_asks_only_about_the_causal_instances_of_its_inputs(tmp_path):
+    rows = [{"id": "s-1", "text": "plain one", "label": 0},
+            {"id": "s-2", "text": "rain made floods", "label": 1,
+             "pairs": [{"cause": "rain", "effect": "floods"}]},
+            {"id": "s-3", "text": "plain two", "label": 0},
+            {"id": "s-4", "text": "heat made drought", "label": 1,
+             "pairs": [{"cause": "heat", "effect": "drought"}]}]
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    asked = []
+
+    def script(request):
+        asked.append(request.user_text)
+        return "made"
+
+    repo = build_db([str(path)], str(tmp_path / "mixed.db"), "m", ScriptedBackend(script))
+    assert sorted(repo.records) == ["s-2", "s-4"]
+    assert len(asked) == 2
+    assert "rain made floods" in asked[0] and "heat made drought" in asked[1]
 
 
 def test_build_db_refuses_an_id_that_a_later_input_repeats_before_any_call(tmp_path):
@@ -1511,12 +1532,44 @@ def test_cli_resume_counts_only_the_runs_own_ids(tmp_path, capsys):
     assert sum(report["metrics"]["counts"].values()) == 10
 
 
-def test_cli_eval_refuses_a_file_of_two_strategies(tmp_path, capsys):
+def test_cli_run_refuses_to_resume_into_a_file_of_another_strategy_before_any_call(
+        tmp_path, capsys):
+    """Run random at k 1, then pattern at k 5 into the same file: the second
+    run would score the random records as its own, so it is refused before
+    any provider call and the file is left as it was; --force starts over."""
     out = tmp_path / "a.jsonl"
+    assert main(run_flags(tmp_path, strategy="random", k="1", out=str(out))) == 0
+    made = out.read_bytes()
+    capsys.readouterr()
+    assert main(run_flags(tmp_path, strategy="pattern", k="5", out=str(out))) == 2
+    captured = capsys.readouterr()
+    assert "resumed" not in captured.out
+    assert (f"data error: {out}: holds records of strategy random, not pattern; "
+            "use --force to start over") in captured.err
+    assert out.read_bytes() == made
+    grid = tmp_path / "grid.csv"
+    Path(f"{grid}.pattern.k5.jsonl").write_bytes(made)
+    backend = ScriptedBackend(FixtureResponder())
+    with pytest.raises(ValueError, match="holds records of strategy random, not pattern"):
+        sweep(replay_config(tmp_path, "detect", StrategyKind.PATTERN), [StrategyKind.PATTERN],
+              [5], str(grid), backend=backend)
+    assert backend.calls == 0
+    assert main([*run_flags(tmp_path, strategy="pattern", k="5", out=str(out)), "--force"]) == 0
+    report = json.loads(Path(f"{out}.metrics.json").read_text(encoding="utf-8"))
+    assert (report["config"]["strategy"], report["metrics"]["examples_max"]) == ("pattern", 5)
+
+
+def test_cli_eval_refuses_a_file_of_two_strategies(tmp_path, capsys):
+    out, rest = tmp_path / "a.jsonl", tmp_path / "rest.jsonl"
     subset = detect_subset(tmp_path)
     assert main(run_flags(tmp_path, strategy="random", k="1", out=str(out),
                           dataset=str(subset))) == 0
-    assert main(run_flags(tmp_path, strategy="pattern", k="5", out=str(out))) == 0
+    assert main(run_flags(tmp_path, strategy="pattern", k="5", out=str(rest))) == 0
+    ids = {record["sentence_id"] for record in read_jsonl(out)}
+    with out.open("a", encoding="utf-8") as mixed:
+        for line in rest.read_text(encoding="utf-8").splitlines(keepends=True):
+            if json.loads(line)["sentence_id"] not in ids:
+                mixed.write(line)
     strategies = Counter(record["strategy"] for record in read_jsonl(out))
     assert strategies == {"random": 10, "pattern": 15}
     capsys.readouterr()
